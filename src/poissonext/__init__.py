@@ -26,11 +26,9 @@ from .operators import (
     BoundaryFunction,
     ExtensionField,
     ExtensionOperator,
-    adjoint_ball,
     build_extension_operator,
     conformal_pullback_check,
     extend_at_points,
-    extend_ball,
     extend_halfspace,
     interpolate_boundary,
     weighted_harmonic_residual,

@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, evaluate_weight, load_config, parse_
 from .halfspace import build_halfspace_grid
 from .kernels import kernel_halfspace, normalization_constant
 from .params import ProblemParams
-from .quadrature import build_ball_quadrature, build_sphere_quadrature, integrate_ball
+from .quadrature import build_ball_quadrature, build_sphere_quadrature, integrate_ball, write_csv
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -94,16 +94,8 @@ def _quads(config: RunConfig, scale: float = 1.0):
     angular = max(4, 2 * round(scale * config.ball_angular_resolution / 2))
     radial = max(18, round(scale * config.quadrature["ball_radial_points"]))
     sphere = build_sphere_quadrature(config.params, resolution)
-    ball = build_ball_quadrature(
-        config.params, radial, angular, config.quadrature["radial_rule"]
-    )
+    ball = build_ball_quadrature(config.params, radial, angular)
     return sphere, ball
-
-
-def _operator(config: RunConfig, sphere, ball):
-    return ops.build_extension_operator(
-        sphere, ball, config.params, config.operator["correction"]
-    )
 
 
 def _random_bandlimited(config: RunConfig, rng, nonnegative=False, antipodal=False):
@@ -157,7 +149,7 @@ def cmd_verify(config: RunConfig):
         return ok
 
     sphere, ball = _quads(config)
-    op = _operator(config, sphere, ball)
+    op = ops.build_extension_operator(sphere, ball, params)
 
     # kernel normalization over the half-space grid at sampled interior points
     grid = build_halfspace_grid(params, **config.halfspace)
@@ -210,9 +202,7 @@ def cmd_verify(config: RunConfig):
         check("weighted_harmonicity", res, 1e-3)
 
     # sharp inequality sample battery
-    sharp = fn.sharp_constant_from_constant_test_function(
-        sphere, ball, params, config.operator["correction"]
-    )
+    sharp = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
     worst = 0.0
     for _ in range(50):
         vb = ops.BoundaryFunction(
@@ -266,21 +256,14 @@ def cmd_sharp(config: RunConfig):
         entries.append({"quantity": "sharp_constant", "method": "formula_a0",
                         "value": s0.value, "resolution": None, "est_error": 0.0})
 
-    coarse = fn.sharp_constant_from_constant_test_function(
-        sphere, ball, params, config.operator["correction"]
-    ).value
-    # the corrected operator reproduces the constant's extension exactly at
+    coarse = fn.sharp_constant_from_constant_test_function(sphere, ball, params).value
+    # the balanced operator reproduces the constant's extension exactly at
     # any sphere resolution, so the discretization error of this method is
     # purely radial; refine only the ball rule for the Richardson pair
     ball2 = build_ball_quadrature(
-        params,
-        2 * config.quadrature["ball_radial_points"],
-        config.ball_angular_resolution,
-        config.quadrature["radial_rule"],
+        params, 2 * config.quadrature["ball_radial_points"], config.ball_angular_resolution
     )
-    fine = fn.sharp_constant_from_constant_test_function(
-        sphere, ball2, params, config.operator["correction"]
-    ).value
+    fine = fn.sharp_constant_from_constant_test_function(sphere, ball2, params).value
     value, err = fn.richardson_estimate(coarse, fine)
     methods["constant_test_function"] = value
     entries.append({"quantity": "sharp_constant", "method": "constant_test_function",
@@ -288,8 +271,7 @@ def cmd_sharp(config: RunConfig):
                     "est_error": err})
 
     smax = fn.sharp_constant_by_maximization(
-        sphere, ball, params, config.operator["correction"],
-        starts=max(2, config.solver["multistart"] or 2), seed=config.seed,
+        sphere, ball, params, starts=max(2, config.solver["multistart"] or 2), seed=config.seed
     )
     methods["numerical_maximization"] = smax.value
     entries.append({"quantity": "sharp_constant", "method": "numerical_maximization",
@@ -328,7 +310,6 @@ def cmd_solve(config: RunConfig):
         tol_v=config.solver["tol_v"],
         max_iter=config.solver["max_iter"],
         damping=config.solver["damping"],
-        correction=config.operator["correction"],
     )
     rng = np.random.default_rng(config.seed)
     inits = [ops.BoundaryFunction(np.ones(len(sphere)), sphere)]
@@ -345,9 +326,7 @@ def cmd_solve(config: RunConfig):
         if best is None or lam > best[1]:
             best = (v, lam, rep)
     v, lam, rep = best
-    sharp = fn.sharp_constant_from_constant_test_function(
-        sphere, ball, params, config.operator["correction"]
-    )
+    sharp = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
     holds, ratio, margin = fn.existence_condition(weight, params)
     multistart_spread = max(r["lambda_est"] for r in runs) - min(r["lambda_est"] for r in runs)
     lam_err = _lambda_richardson(config, weight, p, lam, v)
@@ -392,7 +371,6 @@ def _lambda_richardson(config: RunConfig, weight, p: float, lam_fine: float, v_f
         tol_v=config.solver["tol_v"],
         max_iter=config.solver["max_iter"],
         damping=config.solver["damping"],
-        correction=config.operator["correction"],
         allow_critical=p <= params.p_crit,
     )
     _, lam_coarse, _ = slv.maximize_subcritical(problem, init)
@@ -408,9 +386,7 @@ def cmd_continue(config: RunConfig):
     schedule = config.solver["schedule"] or slv.default_schedule(
         params, floor=config.solver["epsilon_floor"]
     )
-    sharp = fn.sharp_constant_from_constant_test_function(
-        sphere, ball, params, config.operator["correction"]
-    )
+    sharp = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
     report_obj = slv.continuation(
         weight,
         schedule,
@@ -420,7 +396,6 @@ def cmd_continue(config: RunConfig):
         tol_v=config.solver["tol_v"],
         max_iter=config.solver["max_iter"],
         damping=config.solver["damping"],
-        correction=config.operator["correction"],
         blow_up_factor=config.solver["blow_up_factor"],
         sharp=sharp,
     )
@@ -540,13 +515,7 @@ def _json_default(obj):
 
 
 def _write_profile(config: RunConfig, name: str, sphere, values: np.ndarray) -> None:
-    out = _outdir(config)
-    path = os.path.join(out, "profiles", name)
-    dim = sphere.nodes.shape[1]
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(dim)) + ",value\n")
-        for row, val in zip(sphere.nodes, values):
-            fh.write(",".join(repr(float(c)) for c in row) + f",{float(val)!r}\n")
+    write_csv(os.path.join(_outdir(config), "profiles", name), sphere.nodes, values)
 
 
 def _write_stages(config: RunConfig, rows: list[dict]) -> None:

@@ -30,9 +30,7 @@ _DEFAULTS: dict[str, Any] = {
         "sphere_resolution": None,      # filled per dimension
         "ball_radial_points": 96,
         "ball_angular_resolution": None,
-        "radial_rule": "graded_gl",
     },
-    "operator": {"correction": "balanced"},
     "solver": {
         "p": None,
         "schedule": None,
@@ -54,6 +52,12 @@ _DEFAULTS: dict[str, Any] = {
     "seed": 7,
 }
 
+# keys of earlier configurations, rejected with the reason they went
+_REMOVED = {
+    "operator": "operator: removed; the extension operator is always balanced",
+    "quadrature.radial_rule": "quadrature.radial_rule: removed; the radial rule is always graded_gl",
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -64,7 +68,6 @@ class RunConfig:
     params: ProblemParams
     weight_spec: dict
     quadrature: dict
-    operator: dict
     solver: dict
     halfspace: dict
     output_dir: str
@@ -87,6 +90,9 @@ class RunConfig:
 def _merge_strict(section: str, user: dict, defaults: dict) -> dict:
     if not isinstance(user, dict):
         raise ConfigError(f"{section}: expected an object")
+    for key in user:
+        if f"{section}.{key}" in _REMOVED:
+            raise ConfigError(_REMOVED[f"{section}.{key}"])
     unknown = set(user) - set(defaults)
     if unknown:
         raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
@@ -98,6 +104,9 @@ def _merge_strict(section: str, user: dict, defaults: dict) -> dict:
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
+    for key in data:
+        if key in _REMOVED:
+            raise ConfigError(_REMOVED[key])
     top_known = set(_DEFAULTS) | {"schema_version"}
     unknown = set(data) - top_known
     if unknown:
@@ -126,14 +135,11 @@ def parse_config(data: dict) -> RunConfig:
     for key in ("sphere_resolution", "ball_angular_resolution"):
         if qdata[key] < 4 or qdata[key] % 2:
             raise ConfigError(f"quadrature.{key} must be an even integer >= 4")
-    if qdata["radial_rule"] not in ("graded_gl", "jacobi"):
-        raise ConfigError("quadrature.radial_rule must be 'graded_gl' or 'jacobi'")
-
-    odata = _merge_strict("operator", data.get("operator", {}), _DEFAULTS["operator"])
-    if odata["correction"] not in ("balanced", "none"):
-        raise ConfigError("operator.correction must be 'balanced' or 'none'")
 
     sdata = _merge_strict("solver", data.get("solver", {}), _DEFAULTS["solver"])
+    damping = sdata["damping"]
+    if not isinstance(damping, (int, float)) or not 0 < damping <= 1:
+        raise ConfigError("solver.damping must be a number in (0, 1]")
     if sdata["schedule"] is not None:
         sched = [float(p) for p in sdata["schedule"]]
         if any(b >= a for a, b in zip(sched, sched[1:])):
@@ -149,7 +155,6 @@ def parse_config(data: dict) -> RunConfig:
         "params": {"n": params.n, "a": params.a},
         "weight": wdata,
         "quadrature": qdata,
-        "operator": odata,
         "solver": sdata,
         "halfspace": hdata,
         "output_dir": data.get("output_dir", _DEFAULTS["output_dir"]),
@@ -159,7 +164,6 @@ def parse_config(data: dict) -> RunConfig:
         params=params,
         weight_spec=wdata,
         quadrature=qdata,
-        operator=odata,
         solver=sdata,
         halfspace=hdata,
         output_dir=raw["output_dir"],

@@ -73,11 +73,10 @@ def isoperimetric_ratio(
     weight: WeightFunction,
     ball: BallQuadrature,
     params: ProblemParams,
-    correction: str = "balanced",
 ) -> float:
     """Bulk p_bulk-energy of the extension over the K-weighted boundary
     p_crit-energy raised to n/(n-1)."""
-    op = build_extension_operator(v.quad, ball, params, correction)
+    op = build_extension_operator(v.quad, ball, params)
     num = integrate_ball(np.abs(op.extend_values(v.values)) ** params.p_bulk, ball)
     den = integrate_boundary(weight.values * np.abs(v.values) ** params.p_crit, v.quad)
     if den <= 0:
@@ -101,11 +100,10 @@ def sharp_constant_from_constant_test_function(
     sphere: SphereQuadrature,
     ball: BallQuadrature,
     params: ProblemParams,
-    correction: str = "balanced",
 ) -> SharpConstant:
     """Ratio of norms of the extension of v = 1 (the claimed extremizer)."""
     one = BoundaryFunction(np.ones(len(sphere)), sphere)
-    op = build_extension_operator(sphere, ball, params, correction)
+    op = build_extension_operator(sphere, ball, params)
     num = bulk_norm(op.extend(one), params.p_bulk)
     den = boundary_norm(one, params.p_crit)
     return SharpConstant(num / den, "constant_test_function")
@@ -115,7 +113,6 @@ def sharp_constant_by_maximization(
     sphere: SphereQuadrature,
     ball: BallQuadrature,
     params: ProblemParams,
-    correction: str = "balanced",
     starts: int = 3,
     seed: int = 0,
     max_iter: int = 2000,
@@ -142,7 +139,6 @@ def sharp_constant_by_maximization(
         sphere=sphere,
         ball=ball,
         max_iter=max_iter,
-        correction=correction,
     )
     rng = np.random.default_rng(seed)
     best = -np.inf

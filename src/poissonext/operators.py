@@ -26,9 +26,9 @@ hold on the discrete operator:
     sum_j M[j, i] W_j = the matching ball integral.
 
 The scalings are ~1 away from the boundary layer (interior accuracy is
-untouched) and the corrected operator reproduces constants on both sides to
-near machine precision.  `correction="none"` disables this and leaves the
-raw quadrature, which is useful for auditing the effect.
+untouched) and the balanced operator reproduces constants on both sides to
+near machine precision.  The raw quadrature survives only in
+`extend_at_points`, for interior point probes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .geometry import conformal_weight, mobius_f, stereographic
 from .halfspace import HalfspaceGrid, halfspace_tail_bound
 from .kernels import KernelConstants, kernel_ball_sphere_mass, kernel_halfspace
 from .params import ProblemParams
-from .quadrature import BallQuadrature, SphereQuadrature
+from .quadrature import BallQuadrature, SphereQuadrature, write_csv
 
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 120
@@ -56,13 +56,13 @@ class BoundaryFunction:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != quad_shape(self.quad):
+        if self.values.shape != self.quad.weights.shape:
             raise ValueError("value vector length does not match the quadrature")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("boundary values must be finite")
 
     def to_csv(self, path) -> None:
-        _values_to_csv(path, self.quad.nodes, self.values)
+        write_csv(path, self.quad.nodes, self.values)
 
 
 @dataclass
@@ -74,25 +74,13 @@ class ExtensionField:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != quad_shape(self.quad):
+        if self.values.shape != self.quad.weights.shape:
             raise ValueError("value vector length does not match the quadrature")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
     def to_csv(self, path) -> None:
-        _values_to_csv(path, self.quad.nodes, self.values)
-
-
-def _values_to_csv(path, nodes: np.ndarray, values: np.ndarray) -> None:
-    dim = nodes.shape[1]
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(dim)) + ",value\n")
-        for row, val in zip(nodes, values):
-            fh.write(",".join(repr(float(c)) for c in row) + f",{float(val)!r}\n")
-
-
-def quad_shape(quad) -> tuple[int]:
-    return (len(quad.weights),)
+        write_csv(path, self.quad.nodes, self.values)
 
 
 def _kernel_block(xi: np.ndarray, radii: np.ndarray, eta: np.ndarray,
@@ -117,7 +105,6 @@ class ExtensionOperator:
     params: ProblemParams
     sphere: SphereQuadrature
     ball: BallQuadrature
-    correction: str = "balanced"
     # populated at build time
     block_a: np.ndarray = field(init=False, repr=False)
     block_b: np.ndarray = field(init=False, repr=False)
@@ -132,8 +119,6 @@ class ExtensionOperator:
     def __post_init__(self) -> None:
         if self.sphere.n != self.params.n or self.ball.n != self.params.n:
             raise ValueError("quadrature dimensions do not match the parameters")
-        if self.correction not in ("balanced", "none"):
-            raise ValueError(f"unknown correction {self.correction!r}")
         hs = self.sphere.half
         hb = self.ball.half
         up_nodes = self.ball.nodes[:hb]
@@ -164,28 +149,22 @@ class ExtensionOperator:
         return np.concatenate([t1, t2])
 
     def _balance(self) -> None:
-        m, ns = len(self.ball.weights), len(self.sphere.weights)
-        d = np.ones(m)
-        e = np.ones(ns)
-        iters = 0
-        if self.correction == "balanced":
-            sw, bw = self.sphere.weights, self.ball.weights
-            psi, theta = self.sphere_mass_target, self.ball_mass_target
-            for iters in range(1, _SINKHORN_MAX_ITER + 1):
-                d *= psi / (d * self._apply_columns(sw * e))
-                e *= theta / (e * self._apply_rows(d * bw))
-                row_dev = np.max(np.abs(d * self._apply_columns(sw * e) / psi - 1.0))
-                if row_dev < _SINKHORN_TOL:
-                    break
+        sw, bw = self.sphere.weights, self.ball.weights
+        psi, theta = self.sphere_mass_target, self.ball_mass_target
+        d = np.ones(len(bw))
+        e = np.ones(len(sw))
+        for iters in range(1, _SINKHORN_MAX_ITER + 1):
+            d *= psi / (d * self._apply_columns(sw * e))
+            e *= theta / (e * self._apply_rows(d * bw))
+            row_dev = np.max(np.abs(d * self._apply_columns(sw * e) / psi - 1.0))
+            if row_dev < _SINKHORN_TOL:
+                break
         self.row_scale = d
         self.col_scale = e
         self.balance_iterations = iters
-        sw, bw = self.sphere.weights, self.ball.weights
-        self.balance_row_dev = float(
-            np.max(np.abs(d * self._apply_columns(sw * e) / self.sphere_mass_target - 1.0))
-        )
+        self.balance_row_dev = float(row_dev)
         self.balance_col_dev = float(
-            np.max(np.abs(e * self._apply_rows(d * bw) / self.ball_mass_target - 1.0))
+            np.max(np.abs(e * self._apply_rows(d * bw) / theta - 1.0))
         )
 
     # -- public operator applications --
@@ -209,7 +188,6 @@ class ExtensionOperator:
     def diagnostics(self) -> dict:
         return {
             "delta_min": self.ball.delta_min,
-            "correction": self.correction,
             "balance_iterations": self.balance_iterations,
             "balance_row_dev": self.balance_row_dev,
             "balance_col_dev": self.balance_col_dev,
@@ -225,37 +203,16 @@ def build_extension_operator(
     sphere: SphereQuadrature,
     ball: BallQuadrature,
     params: ProblemParams,
-    correction: str = "balanced",
 ) -> ExtensionOperator:
     """Build (or fetch from a small cache) the dense operator pair."""
-    key = (id(sphere), id(ball), params.n, params.a, correction)
+    key = (id(sphere), id(ball), params.n, params.a)
     op = _OPERATOR_CACHE.get(key)
     if op is None or op.sphere is not sphere or op.ball is not ball:
-        op = ExtensionOperator(params, sphere, ball, correction)
+        op = ExtensionOperator(params, sphere, ball)
         if len(_OPERATOR_CACHE) >= 8:
             _OPERATOR_CACHE.pop(next(iter(_OPERATOR_CACHE)))
         _OPERATOR_CACHE[key] = op
     return op
-
-
-def extend_ball(
-    v: BoundaryFunction,
-    ball: BallQuadrature,
-    params: ProblemParams,
-    correction: str = "balanced",
-) -> ExtensionField:
-    """Extension of v at every ball node (thin wrapper over the operator)."""
-    return build_extension_operator(v.quad, ball, params, correction).extend(v)
-
-
-def adjoint_ball(
-    f: ExtensionField,
-    sphere: SphereQuadrature,
-    params: ProblemParams,
-    correction: str = "balanced",
-) -> BoundaryFunction:
-    """Adjoint applied to a bulk field, landing on the sphere quadrature."""
-    return build_extension_operator(sphere, f.quad, params, correction).adjoint(f)
 
 
 def extend_at_points(

@@ -15,12 +15,9 @@ Ball rules
     A tensor rule: radial nodes times a sphere rule per shell, with the
     Jacobian r^{n-1} absorbed into the weights.  The radial rule must
     resolve the (1 - r)^{1-a} behaviour of extension fields near the
-    boundary.  The default is a composite Gauss-Legendre rule on dyadic
-    panels graded toward r = 1 (ratio 0.5), which integrates both smooth
-    profiles and (1 - r)^{1-a} profiles to ~1e-11 with ~100 nodes.  A
-    single global Gauss-Jacobi rule with weight exponent 1 - a is
-    selectable; it is exact on the weighted part but its error on smooth
-    profiles decays only like m^{-2}, which is why it is not the default.
+    boundary: a composite Gauss-Legendre rule on dyadic panels graded
+    toward r = 1 (ratio 0.5), which integrates both smooth profiles and
+    (1 - r)^{1-a} profiles to ~1e-11 with ~100 nodes.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ class SphereQuadrature:
         return len(self.weights) // 2
 
     def to_csv(self, path) -> None:
-        _nodes_to_csv(path, self.nodes, self.weights)
+        write_csv(path, self.nodes, self.weights, "weight")
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,7 @@ class BallQuadrature:
         return len(self.weights) // 2
 
     def to_csv(self, path) -> None:
-        _nodes_to_csv(path, self.nodes, self.weights)
+        write_csv(path, self.nodes, self.weights, "weight")
 
 
 def surface_area(n: int) -> float:
@@ -152,7 +149,14 @@ def build_sphere_quadrature(params: ProblemParams, resolution: int) -> SphereQua
                             weights=weights, antipode_index=anti)
 
 
-def _radial_graded_gl(radial_points: int, a: float) -> tuple[np.ndarray, np.ndarray, dict]:
+def build_ball_quadrature(
+    params: ProblemParams,
+    radial_points: int,
+    angular_resolution: int,
+) -> BallQuadrature:
+    """Tensor rule on the ball; see the module docstring for the grading."""
+    if radial_points < 8:
+        raise ValueError("radial_points must be at least 8")
     q = RADIAL_NODES_PER_PANEL
     panels = max(2, round(radial_points / q))
     bounds = [0.0] + [1.0 - 0.5 ** k for k in range(1, panels)] + [1.0]
@@ -162,35 +166,8 @@ def _radial_graded_gl(radial_points: int, a: float) -> tuple[np.ndarray, np.ndar
         mid, hl = 0.5 * (lo + hi), 0.5 * (hi - lo)
         rs.append(mid + hl * xg)
         ws.append(hl * wg)
+    r, wr = np.concatenate(rs), np.concatenate(ws)
     grading = {"rule": "graded_gl", "panels": panels, "nodes_per_panel": q, "ratio": 0.5}
-    return np.concatenate(rs), np.concatenate(ws), grading
-
-
-def _radial_jacobi(radial_points: int, a: float) -> tuple[np.ndarray, np.ndarray, dict]:
-    # Gauss-Jacobi with weight (1-x)^{1-a} on [-1, 1], mapped to [0, 1] and
-    # converted so the weights apply to the raw integrand.
-    x, w = special.roots_jacobi(radial_points, 1.0 - a, 0.0)
-    r = 0.5 * (x + 1.0)
-    weff = 2.0 ** (a - 2.0) * w * (1.0 - r) ** (a - 1.0)
-    grading = {"rule": "jacobi", "points": radial_points, "alpha": 1.0 - a}
-    return r, weff, grading
-
-
-def build_ball_quadrature(
-    params: ProblemParams,
-    radial_points: int,
-    angular_resolution: int,
-    radial_rule: str = "graded_gl",
-) -> BallQuadrature:
-    """Tensor rule on the ball; see the module docstring for the grading."""
-    if radial_points < 8:
-        raise ValueError("radial_points must be at least 8")
-    if radial_rule == "graded_gl":
-        r, wr, grading = _radial_graded_gl(radial_points, params.a)
-    elif radial_rule == "jacobi":
-        r, wr, grading = _radial_jacobi(radial_points, params.a)
-    else:
-        raise ValueError(f"unknown radial rule {radial_rule!r}")
     ang = build_sphere_quadrature(params, angular_resolution)
     h = ang.half
     nshell = len(r)
@@ -239,10 +216,10 @@ def integrate_ball(values: np.ndarray, quad: BallQuadrature) -> float:
     return _weighted_fsum(values, quad.weights)
 
 
-def _nodes_to_csv(path, nodes: np.ndarray, weights: np.ndarray) -> None:
+def write_csv(path, nodes: np.ndarray, values: np.ndarray, column: str = "value") -> None:
+    """One row per node: its coordinates x1..xn, then the value in `column`."""
     dim = nodes.shape[1]
-    header = ",".join(f"x{i + 1}" for i in range(dim)) + ",weight"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row, w in zip(nodes, weights):
-            fh.write(",".join(repr(float(c)) for c in row) + f",{float(w)!r}\n")
+        fh.write(",".join(f"x{i + 1}" for i in range(dim)) + f",{column}\n")
+        for row, val in zip(nodes, values):
+            fh.write(",".join(repr(float(c)) for c in row) + f",{float(val)!r}\n")

@@ -45,7 +45,6 @@ class SubcriticalProblem:
     tol_v: float = 1e-9
     max_iter: int = 5000
     damping: float = 1.0
-    correction: str = "balanced"
     allow_critical: bool = False
     operator: ExtensionOperator = field(default=None, repr=False)
 
@@ -59,10 +58,10 @@ class SubcriticalProblem:
         if not in_range:
             bracket = "[" if self.allow_critical else "("
             raise ValueError(f"p must lie in {bracket}{p_lo}, {p_hi}), got {self.p}")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.operator is None:
-            self.operator = build_extension_operator(
-                self.sphere, self.ball, self.params, self.correction
-            )
+            self.operator = build_extension_operator(self.sphere, self.ball, self.params)
 
 
 @dataclass
@@ -77,11 +76,7 @@ class SolverState:
 
 def symmetrize_antipodal(v: BoundaryFunction) -> BoundaryFunction:
     """Project onto the antipodally symmetric class (idempotent average)."""
-    return BoundaryFunction(_symmetrize(v.values, v.quad.antipode_index), v.quad)
-
-
-def _symmetrize(values: np.ndarray, anti: np.ndarray) -> np.ndarray:
-    return 0.5 * (values + values[anti])
+    return BoundaryFunction(0.5 * (v.values + v.values[v.quad.antipode_index]), v.quad)
 
 
 def normalize_constraint(
@@ -98,19 +93,14 @@ def _prepare(problem: SubcriticalProblem, init: BoundaryFunction) -> SolverState
     v = np.maximum(np.asarray(init.values, dtype=float), 0.0)
     if not np.any(v > 0):
         raise ValueError("initial guess must be nonnegative and nonzero")
-    v = _symmetrize(v, problem.sphere.antipode_index)
-    v = _normalize_values(v, problem)
-    lam = _functional(v, problem)
+    v = symmetrize_antipodal(BoundaryFunction(v, problem.sphere))
+    v = normalize_constraint(v, problem.weight, problem.p)
+    lam = _functional(v.values, problem)
     return SolverState(
-        v=BoundaryFunction(v, problem.sphere),
+        v=v,
         lambda_est=lam,
         functional_history=[lam],
     )
-
-
-def _normalize_values(v: np.ndarray, problem: SubcriticalProblem) -> np.ndarray:
-    c = integrate_boundary(problem.weight.values * np.abs(v) ** problem.p, problem.sphere)
-    return v / c ** (1.0 / problem.p)
 
 
 def _functional(v: np.ndarray, problem: SubcriticalProblem) -> float:
@@ -126,14 +116,13 @@ def fixed_point_step(state: SolverState, problem: SubcriticalProblem) -> SolverS
     w = (g / problem.weight.values) ** (1.0 / (problem.p - 1.0))
     tau = problem.damping
     for _ in range(MAX_DAMPING_HALVINGS + 1):
-        cand = (1.0 - tau) * v + tau * w
-        cand = _symmetrize(cand, problem.sphere.antipode_index)
-        cand = _normalize_values(cand, problem)
-        lam = _functional(cand, problem)
+        cand = symmetrize_antipodal(BoundaryFunction((1.0 - tau) * v + tau * w, problem.sphere))
+        cand = normalize_constraint(cand, problem.weight, problem.p)
+        lam = _functional(cand.values, problem)
         if lam >= state.lambda_est - ASCENT_SLACK:
-            residual = float(np.max(np.abs(cand - v)) / np.max(np.abs(v)))
+            residual = float(np.max(np.abs(cand.values - v)) / np.max(np.abs(v)))
             return SolverState(
-                v=BoundaryFunction(cand, problem.sphere),
+                v=cand,
                 lambda_est=lam,
                 iteration=state.iteration + 1,
                 residual=residual,
@@ -156,7 +145,8 @@ def maximize_subcritical(
         if state.residual < problem.tol_v:
             converged = True
             break
-    lam_pair = multiplier_estimate(state.v, problem)
+    lam_pair, el = _el_terms(state.v, problem.weight, problem.params, problem.operator,
+                             problem.p, state.lambda_est)
     report = {
         "iterations": state.iteration,
         "converged": converged,
@@ -165,24 +155,10 @@ def maximize_subcritical(
         "lambda_est": state.lambda_est,
         "multiplier_pairing": lam_pair,
         "multiplier_identity_dev": abs(lam_pair / state.lambda_est - 1.0),
-        "el_residual": el_residual(
-            state.v, problem.weight, problem.params, problem.ball,
-            lam=state.lambda_est, p=problem.p, operator=problem.operator,
-        ),
+        "el_residual": el,
         "functional_history": state.functional_history,
     }
     return state.v, state.lambda_est, report
-
-
-def multiplier_estimate(v: BoundaryFunction, problem: SubcriticalProblem) -> float:
-    """Independent multiplier value <v, T[(E v)^q]> / <v, K v^{p-1}>."""
-    op = problem.operator
-    g = op.adjoint_values(op.extend_values(v.values) ** problem.params.q_exp)
-    num = integrate_boundary(v.values * g, problem.sphere)
-    den = integrate_boundary(
-        problem.weight.values * v.values**problem.p, problem.sphere
-    )
-    return num / den
 
 
 def el_residual(
@@ -192,7 +168,6 @@ def el_residual(
     ball: BallQuadrature,
     lam: float | None = None,
     p: float | None = None,
-    correction: str = "balanced",
     operator: ExtensionOperator = None,
 ) -> float:
     """Relative sup-norm residual of the Euler-Lagrange equation.
@@ -205,22 +180,30 @@ def el_residual(
     default p is the critical exponent, so this is the residual of the
     parameter-free critical equation.
     """
-    if np.any(v.values <= 0):
-        raise ValueError("the residual is defined for positive v")
     if p is None:
         p = params.p_crit
-    op = operator or build_extension_operator(v.quad, ball, params, correction)
+    op = operator or build_extension_operator(v.quad, ball, params)
+    return _el_terms(v, weight, params, op, p, lam)[1]
+
+
+def _el_terms(v, weight, params, op, p, lam) -> tuple[float, float]:
+    """Pairing multiplier <v, g> / <v, K v^{p-1}> and the EL residual.
+
+    Both come from one evaluation of g = T[(E v)^q]; see el_residual.
+    """
+    if np.any(v.values <= 0):
+        raise ValueError("the residual is defined for positive v")
     g = op.adjoint_values(op.extend_values(v.values) ** params.q_exp)
+    num = integrate_boundary(v.values * g, v.quad)
+    den = integrate_boundary(weight.values * v.values**p, v.quad)
+    lam_pair = num / den
     if lam is None:
-        num = integrate_boundary(v.values * g, v.quad)
-        den = integrate_boundary(weight.values * v.values**p, v.quad)
-        lam_pair = num / den
         c = lam_pair ** (1.0 / (p - 1.0 - params.q_exp))
         lhs = weight.values * (c * v.values) ** (p - 1.0)
         rhs = c**params.q_exp * g
-        return float(np.max(np.abs(lhs - rhs)) / np.max(rhs))
+        return lam_pair, float(np.max(np.abs(lhs - rhs)) / np.max(rhs))
     lhs = lam * weight.values * v.values ** (p - 1.0)
-    return float(np.max(np.abs(lhs - g)) / np.max(g))
+    return lam_pair, float(np.max(np.abs(lhs - g)) / np.max(g))
 
 
 @dataclass
@@ -287,7 +270,6 @@ def continuation(
     tol_v: float = 1e-9,
     max_iter: int = 5000,
     damping: float = 1.0,
-    correction: str = "balanced",
     blow_up_factor: float = 3.0,
     sharp: SharpConstant | None = None,
 ) -> ContinuationReport:
@@ -303,7 +285,7 @@ def continuation(
         raise ValueError("schedule must be strictly decreasing")
     if schedule[0] >= params.p_bulk or schedule[-1] < params.p_crit:
         raise ValueError("schedule must stay inside [p_crit, p_bulk)")
-    op = build_extension_operator(sphere, ball, params, correction)
+    op = build_extension_operator(sphere, ball, params)
     if init is None:
         init = BoundaryFunction(np.ones(len(sphere)), sphere)
     v = init
@@ -321,7 +303,6 @@ def continuation(
             tol_v=tol_v,
             max_iter=max_iter,
             damping=damping,
-            correction=correction,
             allow_critical=p <= params.p_crit,
             operator=op,
         )

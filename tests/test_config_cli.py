@@ -131,9 +131,16 @@ class TestCliCommands:
         assert main(["verify", "--config", path]) == 0
 
     def test_config_error_exit_code(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"params": {"n": 3, "a": 1.5}})
-        assert main(["verify", "--config", path]) == 2
-        assert "a must lie in" in capsys.readouterr().err
+        for cfg, message in [
+            ({"params": {"n": 3, "a": 1.5}}, "a must lie in"),
+            ({"quadrature": {"radial_rule": "jacobi"}}, "graded_gl"),
+            ({"operator": {"correction": "none"}}, "always balanced"),
+            ({"solver": {"damping": 0}}, "solver.damping"),
+            ({"solver": {"damping": 1.5}}, "solver.damping"),
+        ]:
+            path = write_config(tmp_path, cfg)
+            assert main(["verify", "--config", path]) == 2
+            assert message in capsys.readouterr().err
 
     def test_solve_writes_artifacts(self, tmp_path):
         out = str(tmp_path / "out")

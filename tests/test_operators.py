@@ -122,21 +122,19 @@ class TestAntipodalEquivariance:
 
 class TestCorrectionModes:
     def test_none_mode_is_raw_quadrature(self, params_2d, sphere_2d, ball_2d, rng):
-        raw = px.ExtensionOperator(params_2d, sphere_2d, ball_2d, correction="none")
         v = rng.normal(size=len(sphere_2d))
         manual = px.kernel_ball(
             sphere_2d.nodes[None, :, :], ball_2d.nodes[:, None, :], params_2d
         ) @ (sphere_2d.weights * v)
-        got = raw.extend_values(v)
+        got = px.extend_at_points(px.BoundaryFunction(v, sphere_2d), ball_2d.nodes, params_2d)
         assert np.max(np.abs(got - manual) / np.abs(manual)) < 1e-10
 
-    def test_balanced_mode_repairs_boundary_layer(self, params_2d, sphere_2d, ball_2d):
-        raw = px.ExtensionOperator(params_2d, sphere_2d, ball_2d, correction="none")
-        bal = px.ExtensionOperator(params_2d, sphere_2d, ball_2d, correction="balanced")
-        one = np.ones(len(sphere_2d))
+    def test_balanced_mode_repairs_boundary_layer(self, op_2d, params_2d, sphere_2d, ball_2d):
+        one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
         target = px.kernel_ball_sphere_mass(ball_2d.radii, params_2d)
-        raw_err = np.max(np.abs(raw.extend_values(one) / target - 1.0))
-        bal_err = np.max(np.abs(bal.extend_values(one) / target - 1.0))
+        raw = px.extend_at_points(one, ball_2d.nodes, params_2d)
+        raw_err = np.max(np.abs(raw / target - 1.0))
+        bal_err = np.max(np.abs(op_2d.extend_values(one.values) / target - 1.0))
         assert raw_err > 1.0          # raw rows overshoot in the boundary layer
         assert bal_err < 1e-10
 
@@ -148,7 +146,6 @@ class TestCorrectionModes:
         d = op_2d.diagnostics()
         assert d["delta_min"] > 0
         assert d["balance_row_dev"] < 1e-11
-        assert d["correction"] == "balanced"
 
 
 class TestExtendHalfspace:

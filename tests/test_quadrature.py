@@ -130,15 +130,6 @@ class TestBallQuadrature:
         assert ball_2d.grading["rule"] == "graded_gl"
         assert ball_2d.grading["ratio"] == 0.5
 
-    def test_jacobi_rule_selectable_and_exact_on_weighted_profile(self):
-        # the weighted radial profile is exactly what Gauss-Jacobi is built for
-        p = px.ProblemParams(3, -0.5)
-        q = px.build_ball_quadrature(p, 32, 8, radial_rule="jacobi")
-        vals = (1 - q.radii**2) ** (1 - p.a)
-        assert px.integrate_ball(vals, q) == pytest.approx(
-            weighted_volume_oracle(3, -0.5), rel=1e-10
-        )
-
     def test_rejects_tiny_radial_count(self, params_2d):
         with pytest.raises(ValueError):
             px.build_ball_quadrature(params_2d, 4, 16)

@@ -81,6 +81,15 @@ class TestProblemValidation:
                             allow_critical=True)
         assert prob.p == 4.0
 
+    def test_rejects_damping_outside_unit_interval(self, params_3d, sphere_3d, ball_3d,
+                                                   unit_weight_3d):
+        for damping in (0.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="damping"):
+                make_problem(params_3d, unit_weight_3d, 5.0, sphere_3d, ball_3d,
+                             damping=damping)
+        assert make_problem(params_3d, unit_weight_3d, 5.0, sphere_3d, ball_3d,
+                            damping=1.0).damping == 1.0
+
     def test_rejects_non_antipodal_weight(self, params_3d, sphere_3d, ball_3d):
         w = px.WeightFunction(np.ones(len(sphere_3d)), sphere_3d, antipodal=False)
         with pytest.raises(ValueError):
