@@ -77,7 +77,9 @@ def _load(args) -> RunConfig:
     else:
         config = parse_config({})
     if args.seed is not None:
-        config.raw["seed"] = config.seed = int(args.seed)
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
+        config.raw["seed"] = config.seed = args.seed
     if args.out:
         config.raw["output_dir"] = config.output_dir = args.out
     scale = max(1, args.resolution_scale)

@@ -11,6 +11,7 @@ with an explicit margin.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -63,6 +64,52 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+_EVEN_RESOLUTION = (lambda x: _is_int(x) and x >= 4 and x % 2 == 0, "an even integer >= 4")
+_POSITIVE = (lambda x: _is_real(x) and x > 0, "a positive number")
+_POSITIVE_INT = (lambda x: _is_int(x) and x >= 1, "a positive integer")
+
+# type and range of each scalar key: (predicate, what it requires).  A key
+# whose default is None also accepts null, which selects the derived default.
+_RULES = {
+    "params.n": (_is_int, "an integer"),
+    "params.a": (_is_real, "a number"),
+    "quadrature.sphere_resolution": _EVEN_RESOLUTION,
+    "quadrature.ball_angular_resolution": _EVEN_RESOLUTION,
+    # the front end never builds fewer radial points than 18
+    "quadrature.ball_radial_points": (lambda x: _is_int(x) and x >= 18, "an integer >= 18"),
+    "solver.p": (_is_real, "a number"),
+    "solver.epsilon_floor": _POSITIVE,
+    "solver.tol_v": _POSITIVE,
+    "solver.max_iter": _POSITIVE_INT,
+    "solver.damping": (lambda x: _is_real(x) and 0 < x <= 1, "a number in (0, 1]"),
+    "solver.blow_up_factor": _POSITIVE,
+    "solver.multistart": (lambda x: _is_int(x) and x >= 0, "a nonnegative integer"),
+    "halfspace.inner_scale": _POSITIVE,
+    "halfspace.panel_ratio": (lambda x: _is_real(x) and x > 1, "a number > 1"),
+    "halfspace.nodes_per_panel": _POSITIVE_INT,
+    "halfspace.angular_points": _POSITIVE_INT,
+    "halfspace.truncation_radius": _POSITIVE,
+    "output_dir": (lambda x: isinstance(x, str) and x != "", "a nonempty string"),
+    "seed": (lambda x: _is_int(x) and x >= 0, "a nonnegative integer"),
+}
+
+
+def _check(path: str, value, default) -> None:
+    if value is None and default is None:
+        return
+    ok, requirement = _RULES[path]
+    if not ok(value):
+        raise ConfigError(f"{path} must be {requirement}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     params: ProblemParams
@@ -98,6 +145,9 @@ def _merge_strict(section: str, user: dict, defaults: dict) -> dict:
         raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
     out = dict(defaults)
     out.update(user)
+    for key, value in out.items():
+        if f"{section}.{key}" in _RULES:
+            _check(f"{section}.{key}", value, defaults[key])
     return out
 
 
@@ -122,6 +172,8 @@ def parse_config(data: dict) -> RunConfig:
     if params.n not in (2, 3):
         raise ConfigError("params: only n in {2, 3} is supported")
 
+    if not isinstance(data.get("weight", {}), dict):
+        raise ConfigError("weight: expected an object")
     wdata = dict(data.get("weight", _DEFAULTS["weight"]))
     _validate_weight_spec(wdata, params)
 
@@ -132,19 +184,21 @@ def parse_config(data: dict) -> RunConfig:
         qdata["ball_angular_resolution"] = (
             2 * qdata["sphere_resolution"] if params.n == 2 else qdata["sphere_resolution"]
         )
-    for key in ("sphere_resolution", "ball_angular_resolution"):
-        if qdata[key] < 4 or qdata[key] % 2:
-            raise ConfigError(f"quadrature.{key} must be an even integer >= 4")
 
     sdata = _merge_strict("solver", data.get("solver", {}), _DEFAULTS["solver"])
-    damping = sdata["damping"]
-    if not isinstance(damping, (int, float)) or not 0 < damping <= 1:
-        raise ConfigError("solver.damping must be a number in (0, 1]")
+    if sdata["p"] is not None and not params.p_crit < sdata["p"] < params.p_bulk:
+        raise ConfigError(f"solver.p must lie in (p_crit, p_bulk) = "
+                          f"({params.p_crit}, {params.p_bulk}), got {sdata['p']!r}")
+    if not sdata["epsilon_floor"] < params.p_bulk - params.p_crit:
+        raise ConfigError("solver.epsilon_floor must be below p_bulk - p_crit")
     if sdata["schedule"] is not None:
-        sched = [float(p) for p in sdata["schedule"]]
+        sched = sdata["schedule"]
+        if not (isinstance(sched, list) and sched and all(_is_real(p) for p in sched)):
+            raise ConfigError("solver.schedule must be a nonempty list of numbers")
+        sched = [float(p) for p in sched]
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("solver.schedule must be strictly decreasing")
-        if sched and not (params.p_crit <= sched[-1] < sched[0] < params.p_bulk):
+        if not params.p_crit <= sched[-1] <= sched[0] < params.p_bulk:
             raise ConfigError("solver.schedule must stay inside [p_crit, p_bulk)")
         sdata["schedule"] = sched
 
@@ -158,8 +212,10 @@ def parse_config(data: dict) -> RunConfig:
         "solver": sdata,
         "halfspace": hdata,
         "output_dir": data.get("output_dir", _DEFAULTS["output_dir"]),
-        "seed": int(data.get("seed", _DEFAULTS["seed"])),
+        "seed": data.get("seed", _DEFAULTS["seed"]),
     }
+    for key in ("output_dir", "seed"):
+        _check(key, raw[key], _DEFAULTS[key])
     return RunConfig(
         params=params,
         weight_spec=wdata,
@@ -187,8 +243,9 @@ def _validate_weight_spec(spec: dict, params: ProblemParams) -> None:
         unknown = set(spec) - {"kind", "value"}
         if unknown:
             raise ConfigError(f"weight: unknown key(s) {sorted(unknown)}")
-        if not (float(spec.get("value", 1.0)) > 0):
-            raise ConfigError("weight: constant must be positive")
+        value = spec.get("value", 1.0)
+        if not (_is_real(value) and value > 0):
+            raise ConfigError("weight: constant must be a positive number")
         return
     if kind == "cosine_series":
         if params.n != 2:
@@ -204,7 +261,9 @@ def _validate_weight_spec(spec: dict, params: ProblemParams) -> None:
     coeffs = spec.get("coefficients")
     if not isinstance(coeffs, dict) or not coeffs:
         raise ConfigError("weight: coefficients must be a nonempty object")
-    for key in coeffs:
+    for key, value in coeffs.items():
+        if not _is_real(value):
+            raise ConfigError(f"weight: coefficient {key!r} must be a number")
         try:
             k = int(key)
         except ValueError:

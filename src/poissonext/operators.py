@@ -1,18 +1,34 @@
 """Discrete extension operator on the ball, its adjoint, and related checks.
 
 The extension of a boundary function v and the adjoint of a bulk function F
-are quadrature discretizations of the same kernel:
+are quadrature discretizations of the same kernel matrix M:
 
     (E v)(xi_j)  = sum_i  M[j, i] w_i v_i
     (T F)(eta_i) = sum_j  M[j, i] W_j F_j
 
-Both use one matrix M, so the discrete duality <E v, F> = <v, T F> is a
-pure summation reordering.  M has positive entries, so positivity of both
-operators is exact, and the node layout of the quadratures (second half of
-the nodes is the exact negation of the first half) makes antipodal
-equivariance hold bit for bit: the matrix splits into two blocks A, B with
-kernel(-xi, -eta) = kernel(xi, eta), and each output value is one addition
-of two block dot products, which commutes.
+so the discrete duality <E v, F> = <v, T F> is a summation reordering.
+
+M is never formed.  The ball kernel depends only on |xi|, the polar angles
+of xi and eta and their azimuth difference, and both quadratures are ring
+rules with equispaced azimuth.  One table K therefore holds each distinct
+kernel value once: a row per (shell, upper ball ring, azimuthal residue)
+and a column per sphere node in (ring, residue, offset) order (see
+`_kernel_table`).  The upper half of E is one matrix product K @ y[IY]
+with a fixed gather index IY; its adjoint is K^T @ Z scattered back
+through the same index.  A product costs the dense MAC count, but the
+table is smaller than M by the number of product columns (g/2 for n = 2,
+g for n = 3, with g the gcd of the azimuth counts), so it stays in cache
+instead of streaming M from memory.  FFT convolution is not used: its
+roundoff, ~1e-16 of a row's maximum, would break exact positivity where a
+kernel row spans twenty decades (n = 3, a = -0.5, outer shells).
+
+Exact contracts.  Every output value is a sum of products of positive
+numbers, so positivity of both operators is exact.  The second half of the
+ball nodes is the negation of the first and kernel(-xi, eta) =
+kernel(xi, -eta), so the lower half of E v is the same upper-half map
+applied to v[antipode], and T is T_up(F_up) + T_up(F_down)[antipode]:
+antipodal equivariance holds bit for bit, by the same computation and one
+commutative addition.
 
 Near-boundary correction.  Raw kernel rows at ball nodes with
 1 - |xi| << (sphere node spacing) overestimate the integral by orders of
@@ -33,6 +49,7 @@ near machine precision.  The raw quadrature survives only in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +58,7 @@ from .geometry import conformal_weight, mobius_f, stereographic
 from .halfspace import HalfspaceGrid, halfspace_tail_bound
 from .kernels import KernelConstants, kernel_ball_sphere_mass, kernel_halfspace
 from .params import ProblemParams
-from .quadrature import BallQuadrature, SphereQuadrature, write_csv
+from .quadrature import BallQuadrature, SphereQuadrature, azimuthal_layout, write_csv
 
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 120
@@ -98,16 +115,68 @@ def _kernel_block(xi: np.ndarray, radii: np.ndarray, eta: np.ndarray,
     return out
 
 
+def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature,
+                  params: ProblemParams) -> tuple[np.ndarray, np.ndarray, int]:
+    """Kernel table, gather index and residue count of the upper-half extension.
+
+    Let g be the gcd of the ball and sphere azimuth counts naz_b = ub g and
+    naz_s = us g.  A ball node at azimuth index m ub + u and a sphere node
+    at tau + us d differ in azimuth by 2 pi (u / naz_b - tau / naz_s +
+    (m - d) / g), so the kernel between them depends on the shell, the two
+    rings, u, tau and (m - d) mod g only.  Table rows are (shell, upper
+    ball ring, u < ub) and columns (sphere ring, tau < us, k < g), holding
+    the kernel at offset m - d = k.  gather[col, m] is the sphere node
+    (ring, tau + us ((m - k) mod g)), so the upper-half extension is
+    table @ y[gather] with one output column per m.
+    """
+    ang = ball.angular
+    cos_b, ring_b, _, naz_b = azimuthal_layout(ang)
+    cos_s, ring_s, az_s, naz_s = azimuthal_layout(sphere)
+    g = math.gcd(naz_b, naz_s)
+    ub, us = naz_b // g, naz_s // g
+    radii = ball.radii[:ball.half:ang.half]
+    per_shell = (int(ring_b[ang.half - 1]) + 1) * ub
+    m = np.arange(ang.half // per_shell)        # g/2 (a half turn) for n = 2, g for n = 3
+
+    col_ring, rest = np.divmod(np.arange(len(sphere)), us * g)
+    tau, k = np.divmod(rest, g)
+    node_at = np.empty((len(cos_s), naz_s), dtype=np.intp)
+    node_at[ring_s, az_s] = np.arange(len(sphere))
+    gather = node_at[col_ring[:, None], tau[:, None] + us * ((m - k[:, None]) % g)]
+
+    row_ring, u = np.divmod(np.arange(per_shell), ub)
+    cb, cs = cos_b[row_ring][:, None], cos_s[col_ring]
+    sb, ss = np.sqrt(1.0 - cb * cb), np.sqrt(1.0 - cs * cs)
+    period = ub * us * g
+    turn = (u[:, None] * us - tau * ub + k * (ub * us)) % period   # exact integer offset
+    # |e_b - e_s|^2 and |xi - eta|^2 = (1 - r)^2 + r |e_b - e_s|^2 as sums of
+    # nonnegative terms: no cancellation next to the sphere
+    e2 = (sb - ss) ** 2 + (cb - cs) ** 2 + 4.0 * sb * ss * np.sin(np.pi * turn / period) ** 2
+    pref = KernelConstants.for_params(params).ball_prefactor
+    a, n = params.a, params.n
+    table = np.empty((len(radii) * per_shell, len(sphere)))
+    for rows, r in zip(np.split(table, len(radii)), radii):
+        rows[:] = (pref * ((1.0 - r) * (1.0 + r)) ** (1.0 - a)
+                   * ((1.0 - r) ** 2 + r * e2) ** ((a - n) / 2.0))
+    return table, gather, ub
+
+
 @dataclass
 class ExtensionOperator:
-    """Cached dense discretization of the extension/adjoint pair."""
+    """Balanced discretization of the extension/adjoint pair.
+
+    The kernel is stored once per (shell, ring, azimuthal residue) in
+    `kernel_table` and applied to rotated copies of the input gathered by
+    `gather_index`; see the module docstring.
+    """
 
     params: ProblemParams
     sphere: SphereQuadrature
     ball: BallQuadrature
     # populated at build time
-    block_a: np.ndarray = field(init=False, repr=False)
-    block_b: np.ndarray = field(init=False, repr=False)
+    kernel_table: np.ndarray = field(init=False, repr=False)
+    gather_index: np.ndarray = field(init=False, repr=False)
+    residues: int = field(init=False)
     row_scale: np.ndarray = field(init=False, repr=False)
     col_scale: np.ndarray = field(init=False, repr=False)
     sphere_mass_target: np.ndarray = field(init=False, repr=False)
@@ -119,34 +188,39 @@ class ExtensionOperator:
     def __post_init__(self) -> None:
         if self.sphere.n != self.params.n or self.ball.n != self.params.n:
             raise ValueError("quadrature dimensions do not match the parameters")
-        hs = self.sphere.half
-        hb = self.ball.half
-        up_nodes = self.ball.nodes[:hb]
-        up_radii = self.ball.radii[:hb]
-        # kernel(-xi, -eta) = kernel(xi, eta) exactly, so two blocks suffice
-        self.block_a = _kernel_block(up_nodes, up_radii, self.sphere.nodes[:hs], self.params)
-        self.block_b = _kernel_block(up_nodes, up_radii, self.sphere.nodes[hs:], self.params)
+        self.kernel_table, self.gather_index, self.residues = _kernel_table(
+            self.sphere, self.ball, self.params)
         self.sphere_mass_target = kernel_ball_sphere_mass(self.ball.radii, self.params)
         self.ball_mass_target = float(
             np.dot(self.ball.weights, self.sphere_mass_target) / self.sphere.weights.sum()
         )
         self._balance()
 
-    # -- raw block applications (exact pair symmetry, see module docstring) --
+    # -- raw applications (exact pair symmetry, see module docstring) --
+
+    def _extend_upper(self, y: np.ndarray) -> np.ndarray:
+        """Raw extension of a sphere vector at the upper half of the ball nodes."""
+        out = self.kernel_table @ y[self.gather_index]
+        # rows (shell, ring, u) x columns m  ->  ball order (shell, ring, m, u)
+        return out.reshape(-1, self.residues, out.shape[1]).transpose(0, 2, 1).ravel()
+
+    def _adjoint_upper(self, z: np.ndarray) -> np.ndarray:
+        """Transpose of _extend_upper, for a vector on the upper ball nodes."""
+        cols = z.reshape(-1, self.gather_index.shape[1], self.residues).transpose(0, 2, 1)
+        prod = self.kernel_table.T @ cols.reshape(len(self.kernel_table), -1)
+        return np.bincount(self.gather_index.ravel(), weights=prod.ravel(),
+                           minlength=len(self.sphere))
 
     def _apply_columns(self, y: np.ndarray) -> np.ndarray:
         """K @ y for a sphere vector y (no scalings)."""
-        hs = self.sphere.half
-        up = self.block_a @ y[:hs] + self.block_b @ y[hs:]
-        dn = self.block_b @ y[:hs] + self.block_a @ y[hs:]
-        return np.concatenate([up, dn])
+        return np.concatenate([self._extend_upper(y),
+                               self._extend_upper(y[self.sphere.antipode_index])])
 
     def _apply_rows(self, z: np.ndarray) -> np.ndarray:
         """K^T @ z for a ball vector z (no scalings)."""
         hb = self.ball.half
-        t1 = z[:hb] @ self.block_a + z[hb:] @ self.block_b
-        t2 = z[:hb] @ self.block_b + z[hb:] @ self.block_a
-        return np.concatenate([t1, t2])
+        return (self._adjoint_upper(z[:hb])
+                + self._adjoint_upper(z[hb:])[self.sphere.antipode_index])
 
     def _balance(self) -> None:
         sw, bw = self.sphere.weights, self.ball.weights
@@ -204,7 +278,7 @@ def build_extension_operator(
     ball: BallQuadrature,
     params: ProblemParams,
 ) -> ExtensionOperator:
-    """Build (or fetch from a small cache) the dense operator pair."""
+    """Build (or fetch from a small cache) the extension operator."""
     key = (id(sphere), id(ball), params.n, params.a)
     op = _OPERATOR_CACHE.get(key)
     if op is None or op.sphere is not sphere or op.ball is not ball:

@@ -29,11 +29,12 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        if not (2 - self.n < self.a < 1):
+        d = self.n + self.a - 2.0
+        # d > 0 also rejects an a so close to 2 - n that d rounds to zero
+        if not (2 - self.n < self.a < 1 and d > 0):
             raise ValueError(
                 f"a must lie in (2-n, 1) = ({2 - self.n}, 1), got {self.a!r}"
             )
-        d = self.n + self.a - 2.0
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "p_crit", 2.0 * (self.n - 1) / d)

@@ -149,6 +149,25 @@ def build_sphere_quadrature(params: ProblemParams, resolution: int) -> SphereQua
                             weights=weights, antipode_index=anti)
 
 
+def azimuthal_layout(quad: SphereQuadrature) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The sphere rule as rings of equispaced azimuth.
+
+    Returns (ring cosines, ring index of each node, azimuth index of each
+    node, azimuths per ring): node i sits at polar cosine cos[ring[i]] and
+    azimuth 2 pi az[i] / naz.  n = 2 is one ring at cosine 0.  The second
+    half of the nodes, the negation of the first, lies on the mirror rings
+    turned by half a revolution.
+    """
+    idx = np.arange(len(quad))
+    if quad.n == 2:
+        return np.zeros(1), np.zeros(len(quad), dtype=np.intp), idx, quad.resolution
+    naz = 2 * quad.resolution
+    ring, az = idx // naz, idx % naz
+    lower = idx >= quad.half
+    az[lower] = (az[lower] + naz // 2) % naz
+    return quad.nodes[::naz, 2], ring, az, naz
+
+
 def build_ball_quadrature(
     params: ProblemParams,
     radial_points: int,

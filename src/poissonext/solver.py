@@ -66,12 +66,19 @@ class SubcriticalProblem:
 
 @dataclass
 class SolverState:
+    """Iterate of the fixed point.
+
+    `extension` is E v when known (None makes the next step compute it);
+    each step appends to `functional_history` in place.
+    """
+
     v: BoundaryFunction
     lambda_est: float
     iteration: int = 0
     residual: float = np.inf
     functional_history: list = field(default_factory=list)
     step_failed: bool = False
+    extension: np.ndarray | None = field(default=None, repr=False)
 
 
 def symmetrize_antipodal(v: BoundaryFunction) -> BoundaryFunction:
@@ -95,38 +102,43 @@ def _prepare(problem: SubcriticalProblem, init: BoundaryFunction) -> SolverState
         raise ValueError("initial guess must be nonnegative and nonzero")
     v = symmetrize_antipodal(BoundaryFunction(v, problem.sphere))
     v = normalize_constraint(v, problem.weight, problem.p)
-    lam = _functional(v.values, problem)
+    lam, ext = _functional(v.values, problem)
     return SolverState(
         v=v,
         lambda_est=lam,
         functional_history=[lam],
+        extension=ext,
     )
 
 
-def _functional(v: np.ndarray, problem: SubcriticalProblem) -> float:
+def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.ndarray]:
+    """The bulk energy of v and the extension E v it integrates."""
     ext = problem.operator.extend_values(v)
-    return integrate_ball(np.abs(ext) ** problem.params.p_bulk, problem.ball)
+    return integrate_ball(np.abs(ext) ** problem.params.p_bulk, problem.ball), ext
 
 
 def fixed_point_step(state: SolverState, problem: SubcriticalProblem) -> SolverState:
     """One damped Euler-Lagrange fixed-point step with ascent acceptance."""
     op = problem.operator
     v = state.v.values
-    g = op.adjoint_values(op.extend_values(v) ** problem.params.q_exp)
+    ext = state.extension if state.extension is not None else op.extend_values(v)
+    g = op.adjoint_values(ext ** problem.params.q_exp)
     w = (g / problem.weight.values) ** (1.0 / (problem.p - 1.0))
     tau = problem.damping
     for _ in range(MAX_DAMPING_HALVINGS + 1):
         cand = symmetrize_antipodal(BoundaryFunction((1.0 - tau) * v + tau * w, problem.sphere))
         cand = normalize_constraint(cand, problem.weight, problem.p)
-        lam = _functional(cand.values, problem)
+        lam, cand_ext = _functional(cand.values, problem)
         if lam >= state.lambda_est - ASCENT_SLACK:
             residual = float(np.max(np.abs(cand.values - v)) / np.max(np.abs(v)))
+            state.functional_history.append(lam)
             return SolverState(
                 v=cand,
                 lambda_est=lam,
                 iteration=state.iteration + 1,
                 residual=residual,
-                functional_history=state.functional_history + [lam],
+                functional_history=state.functional_history,
+                extension=cand_ext,
             )
         tau *= 0.5
     return replace(state, step_failed=True)

@@ -3,10 +3,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poissonext as px
 from poissonext.cli import main
-from poissonext.config import ConfigError, evaluate_weight, parse_config
+from poissonext.config import _DEFAULTS, ConfigError, evaluate_weight, parse_config
 
 
 def tiny_2d_config(out, **extra):
@@ -34,6 +36,20 @@ def tiny_3d_config(out, **extra):
     }
     cfg.update(extra)
     return cfg
+
+
+CONFIG_PATHS = [("params", "n"), ("params", "a"), ("weight",), ("weight", "kind"),
+                ("weight", "value"), ("weight", "coefficients"), ("seed",), ("output_dir",),
+                ("schema_version",)]
+CONFIG_PATHS += [(section, key) for section in ("quadrature", "solver", "halfspace")
+                 for key in _DEFAULTS[section]]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10**6) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -102,6 +118,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sphere_resolution"):
             parse_config({"quadrature": {"sphere_resolution": 15}})
 
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(CONFIG_PATHS), value=JSON_VALUES)
+    def test_any_value_at_any_key_parses_or_raises_config_error(self, path, value):
+        cfg = {"params": {"n": 2, "a": 0.5}}
+        *sections, key = path
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+        try:
+            parse_config(cfg)
+        except ConfigError:
+            pass
+
     def test_weight_evaluation_on_quadrature(self):
         cfg = parse_config({
             "params": {"n": 3, "a": 0.0},
@@ -137,10 +167,23 @@ class TestCliCommands:
             ({"operator": {"correction": "none"}}, "always balanced"),
             ({"solver": {"damping": 0}}, "solver.damping"),
             ({"solver": {"damping": 1.5}}, "solver.damping"),
+            ({"seed": "x"}, "seed"),
+            ({"quadrature": {"sphere_resolution": "16"}}, "quadrature.sphere_resolution"),
+            ({"solver": {"schedule": "abc"}}, "solver.schedule"),
+            ({"quadrature": {"sphere_resolution": 16.0}}, "quadrature.sphere_resolution"),
+            ({"seed": 1.7}, "seed"),
+            ({"solver": {"tol_v": "1e-9"}}, "solver.tol_v"),
+            ({"solver": {"max_iter": -1}}, "solver.max_iter"),
+            ({"quadrature": {"ball_radial_points": 4}}, "quadrature.ball_radial_points"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"solver": {"damping": True}}, "solver.damping"),
+            ({"params": {"n": 2, "a": 1e-300}}, "a must lie in"),
         ]:
             path = write_config(tmp_path, cfg)
             assert main(["verify", "--config", path]) == 2
             assert message in capsys.readouterr().err
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_solve_writes_artifacts(self, tmp_path):
         out = str(tmp_path / "out")

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import poissonext as px
+from poissonext.operators import _kernel_block
 
 
 def theta_oracle(params):
@@ -100,6 +101,53 @@ class TestAdjointAndDuality:
         assert np.all(op_2d.adjoint_values(spike) > 0)
 
 
+# (n, a, sphere resolution, ball angular resolution); the second n = 2 case
+# has gcd(24, 36) = 12 < 24, the second n = 3 case unequal azimuth counts
+STRUCTURED_CASES = [(2, 0.5, 16, 32), (2, 0.5, 24, 36), (3, 0.0, 8, 8), (3, -0.5, 8, 12)]
+
+
+@pytest.fixture(scope="module", params=STRUCTURED_CASES, ids=lambda c: "n%d-a%g-S%d-A%d" % c)
+def small_op(request):
+    n, a, res, ang = request.param
+    params = px.ProblemParams(n, a)
+    sphere = px.build_sphere_quadrature(params, res)
+    return px.ExtensionOperator(params, sphere, px.build_ball_quadrature(params, 24, ang))
+
+
+class TestStructuredProducts:
+    """The kernel table against the dense kernel matrix it replaces."""
+
+    def test_raw_products_match_dense_oracle(self, small_op, rng):
+        op = small_op
+        dense = _kernel_block(op.ball.nodes, op.ball.radii, op.sphere.nodes, op.params)
+        y = rng.random(len(op.sphere))
+        z = rng.random(len(op.ball))
+        inner = op.ball.radii < 0.999
+        # the oracle's own coordinate roundoff reaches ~1e-9 at the outer shells
+        ext_err = np.abs(op._apply_columns(y) / (dense @ y) - 1.0)
+        assert np.max(ext_err[inner]) <= 1e-12
+        assert np.max(ext_err) <= 1e-8
+        z_inner = np.where(inner, z, 0.0)
+        assert np.max(np.abs(op._apply_rows(z_inner) / (z_inner @ dense) - 1.0)) <= 1e-12
+        assert np.max(np.abs(op._apply_rows(z) / (z @ dense) - 1.0)) <= 1e-8
+
+    def test_point_mass_at_every_node_stays_positive(self, small_op):
+        op = small_op
+        for j in range(len(op.sphere)):
+            spike = np.zeros(len(op.sphere))
+            spike[j] = 1.0
+            assert np.all(op.extend_values(spike) > 0)
+        for j in range(len(op.ball)):
+            spike = np.zeros(len(op.ball))
+            spike[j] = 1.0
+            assert np.all(op.adjoint_values(spike) > 0)
+
+    def test_table_owns_its_memory_at_the_dense_mac_count(self, small_op):
+        op = small_op
+        assert op.kernel_table.base is None and op.gather_index.base is None
+        assert op.kernel_table.size * op.gather_index.shape[1] == op.ball.half * len(op.sphere)
+
+
 class TestAntipodalEquivariance:
     def test_extension_equivariance_bitwise(self, op_2d, sphere_2d, ball_2d, rng):
         v = rng.normal(size=len(sphere_2d))
@@ -111,6 +159,14 @@ class TestAntipodalEquivariance:
         v = rng.normal(size=len(sphere_3d))
         flipped = op_3d.extend_values(v[sphere_3d.antipode_index])
         straight = op_3d.extend_values(v)[ball_3d.antipode_index]
+        assert np.array_equal(flipped, straight)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_adjoint_equivariance_bitwise(self, dim, request, rng):
+        op = request.getfixturevalue(f"op_{dim}d")
+        f = rng.normal(size=len(op.ball))
+        flipped = op.adjoint_values(f[op.ball.antipode_index])
+        straight = op.adjoint_values(f)[op.sphere.antipode_index]
         assert np.array_equal(flipped, straight)
 
     def test_adjoint_maps_antipodal_to_antipodal(self, op_2d, sphere_2d, ball_2d, rng):

@@ -118,6 +118,25 @@ class TestFixedPointStep:
         assert np.array_equal(out.v.values, out.v.values[sphere_2d.antipode_index])
 
 
+    def test_step_reuses_the_carried_extension(self, params_2d, sphere_2d, ball_2d,
+                                               unit_weight_2d, rng, monkeypatch):
+        prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
+        init = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5, sphere_2d)
+        state = px.solver._prepare(prob, init)
+        op = prob.operator
+        calls = []
+        extend = op.extend_values
+        monkeypatch.setattr(op, "extend_values", lambda v: calls.append(1) or extend(v))
+        cold = px.fixed_point_step(px.SolverState(v=state.v, lambda_est=state.lambda_est), prob)
+        cold_calls = len(calls)
+        warm = px.fixed_point_step(state, prob)
+        assert cold_calls - (len(calls) - cold_calls) == 1
+        assert np.array_equal(warm.v.values, cold.v.values)
+        assert np.array_equal(warm.extension, extend(warm.v.values))
+        assert warm.functional_history is state.functional_history
+        assert state.functional_history[-1] == warm.lambda_est
+
+
 class TestMaximizeSubcritical:
     def test_constant_weight_gives_constant_maximizer(
         self, params_3d, sphere_3d, ball_3d, unit_weight_3d, rng
