@@ -82,7 +82,9 @@ def _load(args) -> RunConfig:
         config.raw["seed"] = config.seed = args.seed
     if args.out:
         config.raw["output_dir"] = config.output_dir = args.out
-    scale = max(1, args.resolution_scale)
+    scale = args.resolution_scale
+    if scale < 1:
+        raise ConfigError(f"--resolution-scale must be a positive integer, got {scale}")
     if scale > 1:
         q = config.quadrature
         q["sphere_resolution"] *= scale

@@ -33,18 +33,22 @@ commutative addition.
 Near-boundary correction.  Raw kernel rows at ball nodes with
 1 - |xi| << (sphere node spacing) overestimate the integral by orders of
 magnitude (the kernel peak is narrower than the rule can see).  Instead of
-regularizing the kernel, M is balanced by positive diagonal scalings
-(Sinkhorn iteration) so that both exact marginals of the continuous kernel
-hold on the discrete operator:
+regularizing the kernel, M is the raw kernel balanced by positive diagonal
+scalings, M[j, i] = d_j kernel(xi_j, eta_i) e_i (Sinkhorn iteration), so
+that both exact marginals of the continuous kernel hold on the discrete
+operator:
 
     sum_i M[j, i] w_i = (integral of the kernel over the sphere at radius
                          |xi_j|, in closed form), and
     sum_j M[j, i] W_j = the matching ball integral.
 
-The scalings are ~1 away from the boundary layer (interior accuracy is
-untouched) and the balanced operator reproduces constants on both sides to
-near machine precision.  The raw quadrature survives only in
-`extend_at_points`, for interior point probes.
+The rotations K factors out map both rules onto themselves, so d is one
+value per table row and e is constant on the nodes a table column gathers:
+the iteration runs on those vectors with table matvecs and then multiplies
+them into K once, so the products apply no scaling.  The scalings are ~1
+away from the boundary layer (interior accuracy is untouched) and the
+balanced operator reproduces constants on both sides to near machine
+precision.  The raw quadrature survives only in `extend_at_points`.
 """
 
 from __future__ import annotations
@@ -65,39 +69,34 @@ _SINKHORN_MAX_ITER = 120
 
 
 @dataclass
-class BoundaryFunction:
+class _NodalValues:
+    """Finite values at the nodes of a quadrature rule."""
+
+    values: np.ndarray
+    quad: SphereQuadrature | BallQuadrature
+    _kind = "nodal"
+
+    def __post_init__(self) -> None:
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != self.quad.weights.shape:
+            raise ValueError("value vector length does not match the quadrature")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError(f"{self._kind} values must be finite")
+
+    def to_csv(self, path) -> None:
+        write_csv(path, self.quad.nodes, self.values)
+
+
+class BoundaryFunction(_NodalValues):
     """Values of a boundary function at the nodes of a sphere quadrature."""
 
-    values: np.ndarray
-    quad: SphereQuadrature
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.quad.weights.shape:
-            raise ValueError("value vector length does not match the quadrature")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("boundary values must be finite")
-
-    def to_csv(self, path) -> None:
-        write_csv(path, self.quad.nodes, self.values)
+    _kind = "boundary"
 
 
-@dataclass
-class ExtensionField:
+class ExtensionField(_NodalValues):
     """Values of an extension at the nodes of a ball quadrature."""
 
-    values: np.ndarray
-    quad: BallQuadrature
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.quad.weights.shape:
-            raise ValueError("value vector length does not match the quadrature")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-
-    def to_csv(self, path) -> None:
-        write_csv(path, self.quad.nodes, self.values)
+    _kind = "field"
 
 
 def _kernel_block(xi: np.ndarray, radii: np.ndarray, eta: np.ndarray,
@@ -165,9 +164,10 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature,
 class ExtensionOperator:
     """Balanced discretization of the extension/adjoint pair.
 
-    The kernel is stored once per (shell, ring, azimuthal residue) in
-    `kernel_table` and applied to rotated copies of the input gathered by
-    `gather_index`; see the module docstring.
+    The balanced kernel is stored once per (shell, ring, azimuthal residue)
+    in `kernel_table` and applied to rotated copies of the input gathered by
+    `gather_index`; see the module docstring.  `row_scale` and `col_scale`
+    record the scalings folded into the table; no product reads them.
     """
 
     params: ProblemParams
@@ -196,10 +196,10 @@ class ExtensionOperator:
         )
         self._balance()
 
-    # -- raw applications (exact pair symmetry, see module docstring) --
+    # -- upper-half applications (exact pair symmetry, see module docstring) --
 
     def _extend_upper(self, y: np.ndarray) -> np.ndarray:
-        """Raw extension of a sphere vector at the upper half of the ball nodes."""
+        """Extension of a sphere vector at the upper half of the ball nodes."""
         out = self.kernel_table @ y[self.gather_index]
         # rows (shell, ring, u) x columns m  ->  ball order (shell, ring, m, u)
         return out.reshape(-1, self.residues, out.shape[1]).transpose(0, 2, 1).ravel()
@@ -211,43 +211,49 @@ class ExtensionOperator:
         return np.bincount(self.gather_index.ravel(), weights=prod.ravel(),
                            minlength=len(self.sphere))
 
-    def _apply_columns(self, y: np.ndarray) -> np.ndarray:
-        """K @ y for a sphere vector y (no scalings)."""
-        return np.concatenate([self._extend_upper(y),
-                               self._extend_upper(y[self.sphere.antipode_index])])
-
-    def _apply_rows(self, z: np.ndarray) -> np.ndarray:
-        """K^T @ z for a ball vector z (no scalings)."""
-        hb = self.ball.half
-        return (self._adjoint_upper(z[:hb])
-                + self._adjoint_upper(z[hb:])[self.sphere.antipode_index])
-
     def _balance(self) -> None:
-        sw, bw = self.sphere.weights, self.ball.weights
-        psi, theta = self.sphere_mass_target, self.ball_mass_target
-        d = np.ones(len(bw))
+        """Sinkhorn on table rows and sphere nodes, folded into the table (module docstring)."""
+        table, gather, anti = self.kernel_table, self.gather_index, self.sphere.antipode_index
+        turns, ub = gather.shape[1], self.residues
+        first = np.arange(self.ball.half).reshape(-1, turns, ub)[:, 0].ravel()   # each row's m = 0 node
+        sw, bw, psi = self.sphere.weights, self.ball.weights[first], self.sphere_mass_target[first]
+        theta = self.ball_mass_target
+
+        def row_sums(e):
+            return table @ (sw * e)[gather[:, 0]]
+
+        def col_sums(d):    # over the `turns` nodes a column gathers, then the lower half
+            s = np.bincount(gather.ravel(), weights=np.repeat(table.T @ (d * bw), turns),
+                            minlength=len(sw))
+            return s + s[anti]
+
+        d = np.ones(len(table))
         e = np.ones(len(sw))
         for iters in range(1, _SINKHORN_MAX_ITER + 1):
-            d *= psi / (d * self._apply_columns(sw * e))
-            e *= theta / (e * self._apply_rows(d * bw))
-            row_dev = np.max(np.abs(d * self._apply_columns(sw * e) / psi - 1.0))
+            d *= psi / (d * row_sums(e))
+            e *= theta / (e * col_sums(d))
+            row_dev = np.max(np.abs(d * row_sums(e) / psi - 1.0))
             if row_dev < _SINKHORN_TOL:
                 break
-        self.row_scale = d
-        self.col_scale = e
         self.balance_iterations = iters
         self.balance_row_dev = float(row_dev)
-        self.balance_col_dev = float(
-            np.max(np.abs(e * self._apply_rows(d * bw) / theta - 1.0))
-        )
+        self.balance_col_dev = float(np.max(np.abs(e * col_sums(d) / theta - 1.0)))
+        table *= d[:, None]
+        table *= e[gather[:, 0]]
+        self.row_scale = np.tile(np.repeat(d.reshape(-1, 1, ub), turns, axis=1).ravel(), 2)
+        self.col_scale = e
 
     # -- public operator applications --
 
     def extend_values(self, v: np.ndarray) -> np.ndarray:
-        return self.row_scale * self._apply_columns(self.sphere.weights * self.col_scale * v)
+        y = self.sphere.weights * v
+        return np.concatenate([self._extend_upper(y),
+                               self._extend_upper(y[self.sphere.antipode_index])])
 
     def adjoint_values(self, f: np.ndarray) -> np.ndarray:
-        return self.col_scale * self._apply_rows(self.row_scale * self.ball.weights * f)
+        z, hb = self.ball.weights * f, self.ball.half
+        return (self._adjoint_upper(z[:hb])
+                + self._adjoint_upper(z[hb:])[self.sphere.antipode_index])
 
     def extend(self, v: BoundaryFunction) -> ExtensionField:
         if v.quad is not self.sphere:

@@ -33,30 +33,17 @@ from .params import ProblemParams
 RADIAL_NODES_PER_PANEL = 6
 
 
-def _check_antipodal(nodes: np.ndarray, weights: np.ndarray, anti: np.ndarray) -> None:
-    if not np.array_equal(nodes[anti], -nodes):
-        raise ValueError("node set is not antipodally closed")
-    if not np.array_equal(weights[anti], weights):
-        raise ValueError("weights are not antipodally symmetric")
-    if not np.array_equal(anti[anti], np.arange(len(anti))):
-        raise ValueError("antipode_index is not an involution")
-
-
-@dataclass(frozen=True)
-class SphereQuadrature:
-    """Nodes/weights on the unit sphere with an exact antipodal pairing."""
-
-    n: int
-    resolution: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    antipode_index: np.ndarray
+class _AntipodalRule:
+    """What the sphere and ball rules share: nodes, weights and an exact antipode."""
 
     def __post_init__(self) -> None:
-        _check_antipodal(self.nodes, self.weights, self.antipode_index)
-        area = surface_area(self.n)
-        if abs(self.weights.sum() - area) > 1e-10 * area:
-            raise ValueError("sphere weights do not sum to the surface area")
+        anti = self.antipode_index
+        if not np.array_equal(self.nodes[anti], -self.nodes):
+            raise ValueError("node set is not antipodally closed")
+        if not np.array_equal(self.weights[anti], self.weights):
+            raise ValueError("weights are not antipodally symmetric")
+        if not np.array_equal(anti[anti], np.arange(len(anti))):
+            raise ValueError("antipode_index is not an involution")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -70,7 +57,24 @@ class SphereQuadrature:
 
 
 @dataclass(frozen=True)
-class BallQuadrature:
+class SphereQuadrature(_AntipodalRule):
+    """Nodes/weights on the unit sphere with an exact antipodal pairing."""
+
+    n: int
+    resolution: int
+    nodes: np.ndarray
+    weights: np.ndarray
+    antipode_index: np.ndarray
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        area = surface_area(self.n)
+        if abs(self.weights.sum() - area) > 1e-10 * area:
+            raise ValueError("sphere weights do not sum to the surface area")
+
+
+@dataclass(frozen=True)
+class BallQuadrature(_AntipodalRule):
     """Tensor rule on the unit ball: radial nodes times a sphere rule."""
 
     n: int
@@ -83,19 +87,9 @@ class BallQuadrature:
     angular: SphereQuadrature = field(compare=False)
 
     def __post_init__(self) -> None:
-        _check_antipodal(self.nodes, self.weights, self.antipode_index)
+        super().__post_init__()
         if self.delta_min <= 0:
             raise ValueError("ball nodes must keep a positive distance to the sphere")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    @property
-    def half(self) -> int:
-        return len(self.weights) // 2
-
-    def to_csv(self, path) -> None:
-        write_csv(path, self.nodes, self.weights, "weight")
 
 
 def surface_area(n: int) -> float:
@@ -214,25 +208,15 @@ def build_ball_quadrature(
     )
 
 
-def _weighted_fsum(values: np.ndarray, weights: np.ndarray) -> float:
-    # exact (compensated) summation: deterministic and order-independent
-    return math.fsum((weights * values).tolist())
-
-
-def integrate_boundary(values: np.ndarray, quad: SphereQuadrature) -> float:
-    """Weighted sum over sphere nodes with exact compensated summation."""
+def integrate_boundary(values: np.ndarray, quad: SphereQuadrature | BallQuadrature) -> float:
+    """Weighted sum over the nodes of a rule; exact, so order-independent."""
     values = np.asarray(values, dtype=float)
     if values.shape != quad.weights.shape:
         raise ValueError(f"expected {quad.weights.shape} values, got {values.shape}")
-    return _weighted_fsum(values, quad.weights)
+    return math.fsum((quad.weights * values).tolist())
 
 
-def integrate_ball(values: np.ndarray, quad: BallQuadrature) -> float:
-    """Weighted sum over ball nodes with exact compensated summation."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != quad.weights.shape:
-        raise ValueError(f"expected {quad.weights.shape} values, got {values.shape}")
-    return _weighted_fsum(values, quad.weights)
+integrate_ball = integrate_boundary     # the same sum over a ball rule
 
 
 def write_csv(path, nodes: np.ndarray, values: np.ndarray, column: str = "value") -> None:

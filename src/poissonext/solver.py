@@ -14,8 +14,9 @@ fixed point of that equation:
 
 accepting a step only if the functional did not decrease (tau halves
 otherwise), which makes the functional history nondecreasing by
-construction.  Continuation lowers p along a schedule toward the critical
-exponent, warm-starting each stage from the previous one.
+construction.  Convergence is judged on the undamped step |N(sym(w)) - v|,
+which damping cannot shrink.  Continuation lowers p along a schedule toward
+the critical exponent, warm-starting each stage from the previous one.
 """
 
 from __future__ import annotations
@@ -100,8 +101,7 @@ def _prepare(problem: SubcriticalProblem, init: BoundaryFunction) -> SolverState
     v = np.maximum(np.asarray(init.values, dtype=float), 0.0)
     if not np.any(v > 0):
         raise ValueError("initial guess must be nonnegative and nonzero")
-    v = symmetrize_antipodal(BoundaryFunction(v, problem.sphere))
-    v = normalize_constraint(v, problem.weight, problem.p)
+    v = _candidate(v, problem)
     lam, ext = _functional(v.values, problem)
     return SolverState(
         v=v,
@@ -117,6 +117,12 @@ def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.n
     return integrate_ball(np.abs(ext) ** problem.params.p_bulk, problem.ball), ext
 
 
+def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> BoundaryFunction:
+    """N(sym(values)): the symmetrized, constraint-normalized profile."""
+    cand = symmetrize_antipodal(BoundaryFunction(values, problem.sphere))
+    return normalize_constraint(cand, problem.weight, problem.p)
+
+
 def fixed_point_step(state: SolverState, problem: SubcriticalProblem) -> SolverState:
     """One damped Euler-Lagrange fixed-point step with ascent acceptance."""
     op = problem.operator
@@ -124,13 +130,13 @@ def fixed_point_step(state: SolverState, problem: SubcriticalProblem) -> SolverS
     ext = state.extension if state.extension is not None else op.extend_values(v)
     g = op.adjoint_values(ext ** problem.params.q_exp)
     w = (g / problem.weight.values) ** (1.0 / (problem.p - 1.0))
+    full = _candidate(w, problem)
+    residual = float(np.max(np.abs(full.values - v)) / np.max(np.abs(v)))
     tau = problem.damping
     for _ in range(MAX_DAMPING_HALVINGS + 1):
-        cand = symmetrize_antipodal(BoundaryFunction((1.0 - tau) * v + tau * w, problem.sphere))
-        cand = normalize_constraint(cand, problem.weight, problem.p)
+        cand = full if tau == 1.0 else _candidate((1.0 - tau) * v + tau * w, problem)
         lam, cand_ext = _functional(cand.values, problem)
         if lam >= state.lambda_est - ASCENT_SLACK:
-            residual = float(np.max(np.abs(cand.values - v)) / np.max(np.abs(v)))
             state.functional_history.append(lam)
             return SolverState(
                 v=cand,

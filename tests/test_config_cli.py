@@ -184,6 +184,9 @@ class TestCliCommands:
             assert message in capsys.readouterr().err
         assert main(["verify", "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
+        for scale in ("0", "-3"):
+            assert main(["diagnose", "--resolution-scale", scale]) == 2
+            assert "--resolution-scale" in capsys.readouterr().err
 
     def test_solve_writes_artifacts(self, tmp_path):
         out = str(tmp_path / "out")

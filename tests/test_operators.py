@@ -114,22 +114,69 @@ def small_op(request):
     return px.ExtensionOperator(params, sphere, px.build_ball_quadrature(params, 24, ang))
 
 
+def dense_sinkhorn(raw, op, tol=1e-13, max_iter=500):
+    """Row and column scalings of the full ball x sphere matrix `raw`.
+
+    The reference balancing: the same targets and update order as the
+    operator, with every marginal a dense matrix product.
+    """
+    sw, bw = op.sphere.weights, op.ball.weights
+    psi, theta = op.sphere_mass_target, op.ball_mass_target
+    d, e = np.ones(len(bw)), np.ones(len(sw))
+    for _ in range(max_iter):
+        d *= psi / (d * (raw @ (sw * e)))
+        e *= theta / (e * ((d * bw) @ raw))
+        if np.max(np.abs(d * (raw @ (sw * e)) / psi - 1.0)) < tol:
+            return d, e
+    raise AssertionError(f"dense Sinkhorn did not reach {tol}")
+
+
+def max_rel(got, want):
+    return np.max(np.abs(got / want - 1.0))
+
+
 class TestStructuredProducts:
-    """The kernel table against the dense kernel matrix it replaces."""
+    """The balanced kernel table against the dense kernel matrix it replaces."""
 
     def test_raw_products_match_dense_oracle(self, small_op, rng):
+        # the raw dense kernel with the recorded scalings against the folded table
         op = small_op
-        dense = _kernel_block(op.ball.nodes, op.ball.radii, op.sphere.nodes, op.params)
+        dense = (op.row_scale[:, None]
+                 * _kernel_block(op.ball.nodes, op.ball.radii, op.sphere.nodes, op.params)
+                 * op.col_scale)
         y = rng.random(len(op.sphere))
         z = rng.random(len(op.ball))
         inner = op.ball.radii < 0.999
         # the oracle's own coordinate roundoff reaches ~1e-9 at the outer shells
-        ext_err = np.abs(op._apply_columns(y) / (dense @ y) - 1.0)
+        ext_err = np.abs(op.extend_values(y) / (dense @ (op.sphere.weights * y)) - 1.0)
         assert np.max(ext_err[inner]) <= 1e-12
         assert np.max(ext_err) <= 1e-8
         z_inner = np.where(inner, z, 0.0)
-        assert np.max(np.abs(op._apply_rows(z_inner) / (z_inner @ dense) - 1.0)) <= 1e-12
-        assert np.max(np.abs(op._apply_rows(z) / (z @ dense) - 1.0)) <= 1e-8
+        assert max_rel(op.adjoint_values(z_inner), (op.ball.weights * z_inner) @ dense) <= 1e-12
+        assert max_rel(op.adjoint_values(z), (op.ball.weights * z) @ dense) <= 1e-8
+
+    def test_balance_matches_dense_sinkhorn(self, small_op, rng):
+        op = small_op
+        raw = _kernel_block(op.ball.nodes, op.ball.radii, op.sphere.nodes, op.params)
+        d, e = dense_sinkhorn(raw, op)
+        assert max_rel(op.row_scale, d) <= 1e-10
+        assert max_rel(op.col_scale, e) <= 1e-10
+        balanced = d[:, None] * raw * e
+        y = rng.random(len(op.sphere))
+        z = rng.random(len(op.ball))
+        assert max_rel(op.extend_values(y), balanced @ (op.sphere.weights * y)) <= 1e-10
+        assert max_rel(op.adjoint_values(z), (op.ball.weights * z) @ balanced) <= 1e-10
+
+    def test_balance_runs_no_operator_product(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("operator product during the build")
+
+        for name in ("_extend_upper", "_adjoint_upper", "extend_values", "adjoint_values"):
+            monkeypatch.setattr(px.ExtensionOperator, name, forbidden)
+        params = px.ProblemParams(3, -0.5)
+        op = px.ExtensionOperator(params, px.build_sphere_quadrature(params, 8),
+                                  px.build_ball_quadrature(params, 24, 12))
+        assert op.balance_iterations > 1
 
     def test_point_mass_at_every_node_stays_positive(self, small_op):
         op = small_op

@@ -185,6 +185,19 @@ class TestMaximizeSubcritical:
             lams.append(lam)
         assert max(lams) - min(lams) < 1e-5 * max(lams)
 
+    def test_small_damping_is_not_convergence(self, params_2d, sphere_2d, ball_2d):
+        # a step damped by 1e-6 moves v by ~1e-6 whether or not v solves the equation
+        theta = np.arctan2(sphere_2d.nodes[:, 1], sphere_2d.nodes[:, 0])
+        kv = 1.0 + 0.1 * np.cos(2 * theta)
+        w = px.WeightFunction(0.5 * (kv + kv[sphere_2d.antipode_index]), sphere_2d, antipodal=True)
+        prob = make_problem(params_2d, w, 5.0, sphere_2d, ball_2d,
+                            damping=1e-6, tol_v=1e-6, max_iter=5)
+        _, _, rep = px.maximize_subcritical(prob, px.BoundaryFunction(np.ones(len(sphere_2d)),
+                                                                      sphere_2d))
+        assert not rep["converged"]
+        assert rep["iterations"] == 5
+        assert rep["residual"] > 1e-3
+
 
 class TestElResidual:
     def test_converged_solution_has_tiny_residual(self, params_3d, sphere_3d, ball_3d, unit_weight_3d):
