@@ -79,9 +79,9 @@ def _load(args) -> RunConfig:
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
-        config.raw["seed"] = config.seed = args.seed
+        config.seed = args.seed
     if args.out:
-        config.raw["output_dir"] = config.output_dir = args.out
+        config.output_dir = args.out
     scale = args.resolution_scale
     if scale < 1:
         raise ConfigError(f"--resolution-scale must be a positive integer, got {scale}")
@@ -102,7 +102,7 @@ def _quads(config: RunConfig, scale: float = 1.0):
     return sphere, ball
 
 
-def _random_bandlimited(config: RunConfig, rng, nonnegative=False, antipodal=False):
+def _random_bandlimited(config: RunConfig, rng, nonnegative=False):
     """Random low-frequency callable on the sphere.
 
     Nonnegative profiles are squared bandlimited fields plus a constant, so
@@ -111,8 +111,7 @@ def _random_bandlimited(config: RunConfig, rng, nonnegative=False, antipodal=Fal
     n = config.params.n
     kmax = 3 if nonnegative else 6
     if n == 2:
-        freqs = range(2 if antipodal else 1, kmax + 1, 2 if antipodal else 1)
-        terms = [(k, rng.normal() / (1 + k), rng.normal() / (1 + k)) for k in freqs]
+        terms = [(k, rng.normal() / (1 + k), rng.normal() / (1 + k)) for k in range(1, kmax + 1)]
 
         def f2(pts):
             pts = np.atleast_2d(pts)
@@ -128,16 +127,31 @@ def _random_bandlimited(config: RunConfig, rng, nonnegative=False, antipodal=Fal
     def f3(pts):
         pts = np.atleast_2d(pts)
         if nonnegative:
-            if antipodal:
-                base = 1.0 + np.einsum("ij,jk,ik->i", pts, coeff, pts)
-            else:
-                base = 1.0 + pts @ lin
-            return base**2 + 0.05
-        out = 1.0 + np.einsum("ij,jk,ik->i", pts, coeff, pts)
-        if not antipodal:
-            out = out + pts @ lin
-        return out
+            return (1.0 + pts @ lin)**2 + 0.05
+        return 1.0 + np.einsum("ij,jk,ik->i", pts, coeff, pts) + pts @ lin
     return f3
+
+
+def _problem(config: RunConfig, weight, p: float, sphere, ball) -> slv.SubcriticalProblem:
+    """The configured maximization at exponent p on the given rules."""
+    return slv.SubcriticalProblem(
+        params=config.params,
+        weight=weight,
+        p=p,
+        sphere=sphere,
+        ball=ball,
+        tol_v=config.solver["tol_v"],
+        max_iter=config.solver["max_iter"],
+        damping=config.solver["damping"],
+        allow_critical=p <= config.params.p_crit,
+    )
+
+
+def _check(checks: list, name, value, tol, passed=None) -> bool:
+    """Append one check row; it passes when value <= tol unless `passed` is given."""
+    ok = bool(value <= tol) if passed is None else bool(passed)
+    checks.append({"check": name, "value": float(value), "tolerance": tol, "passed": ok})
+    return ok
 
 
 # ----------------------------------------------------------------- verify
@@ -146,11 +160,6 @@ def cmd_verify(config: RunConfig):
     params = config.params
     rng = np.random.default_rng(config.seed)
     checks = []
-
-    def check(name, value, tol, passed=None):
-        ok = bool(value <= tol) if passed is None else bool(passed)
-        checks.append({"check": name, "value": float(value), "tolerance": tol, "passed": ok})
-        return ok
 
     sphere, ball = _quads(config)
     op = ops.build_extension_operator(sphere, ball, params)
@@ -161,36 +170,33 @@ def cmd_verify(config: RunConfig):
     devs = [
         abs(grid.integrate(kernel_halfspace(grid.nodes, x, params)) - 1.0) for x in pts
     ]
-    check("halfspace_kernel_normalization", max(devs), 1e-6)
+    _check(checks, "halfspace_kernel_normalization", max(devs), 1e-6)
 
     # extension of the constant reproduces the exact kernel sphere-mass
     one = ops.BoundaryFunction(np.ones(len(sphere)), sphere)
     field = op.extend(one)
-    check(
-        "constant_extension_matches_sphere_mass",
-        np.max(np.abs(field.values - op.sphere_mass_target)),
-        1e-9,
-    )
+    _check(checks, "constant_extension_matches_sphere_mass",
+           np.max(np.abs(field.values - op.sphere_mass_target)), 1e-9)
 
     # duality, positivity, antipodal equivariance
     v = ops.BoundaryFunction(rng.random(len(sphere)), sphere)
     f = ops.ExtensionField(rng.random(len(ball)), ball)
     lhs = integrate_ball(op.extend(v).values * f.values, ball)
     rhs = float(np.dot(sphere.weights, v.values * op.adjoint(f).values))
-    check("duality", abs(lhs - rhs) / abs(lhs), 1e-10)
+    _check(checks, "duality", abs(lhs - rhs) / abs(lhs), 1e-10)
     vpos = ops.BoundaryFunction(np.abs(rng.random(len(sphere))), sphere)
-    check("positivity", 0.0, 0.0,
-          passed=bool(np.all(op.extend(vpos).values > 0)))
+    _check(checks, "positivity", 0.0, 0.0,
+           passed=bool(np.all(op.extend(vpos).values > 0)))
     flipped = op.extend_values(v.values[sphere.antipode_index])
     straight = op.extend_values(v.values)[ball.antipode_index]
-    check("antipodal_equivariance_exact", 0.0, 0.0,
-          passed=bool(np.array_equal(flipped, straight)))
+    _check(checks, "antipodal_equivariance_exact", 0.0, 0.0,
+           passed=bool(np.array_equal(flipped, straight)))
 
     # conformal pullback identity at random bandlimited data
     vfun = _random_bandlimited(config, rng)
     samples = _sample_pullback_points(params, rng, 8)
     disc = ops.conformal_pullback_check(vfun, sphere, grid, params, samples)
-    check("conformal_pullback", disc, 1e-4)
+    _check(checks, "conformal_pullback", disc, 1e-4)
 
     # weighted harmonicity of the closed-form bubble extension
     if -1.0 < params.a < 1.0:
@@ -203,7 +209,7 @@ def cmd_verify(config: RunConfig):
             )
             for x in _sample_interior_halfspace(params, rng, 10, span=0.8)
         )
-        check("weighted_harmonicity", res, 1e-3)
+        _check(checks, "weighted_harmonicity", res, 1e-3)
 
     # sharp inequality sample battery
     sharp = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
@@ -214,11 +220,11 @@ def cmd_verify(config: RunConfig):
         )
         ratio = fn.bulk_norm(op.extend(vb), params.p_bulk) / fn.boundary_norm(vb, params.p_crit)
         worst = max(worst, ratio / sharp.value)
-    check("sharp_inequality_ratio", worst, 1.0 + 1e-3)
+    _check(checks, "sharp_inequality_ratio", worst, 1.0 + 1e-3)
 
     # weight spec checks
     margin = weight_positivity_margin(config.weight_spec, params)
-    check("weight_positive", 0.0, 0.0, passed=margin > 0)
+    _check(checks, "weight_positive", 0.0, 0.0, passed=margin > 0)
 
     report = {
         "checks": checks,
@@ -305,16 +311,7 @@ def cmd_solve(config: RunConfig):
     sphere, ball = _quads(config)
     weight = evaluate_weight(config, sphere)
     p = config.solver["p"] or _default_single_p(params)
-    problem = slv.SubcriticalProblem(
-        params=params,
-        weight=weight,
-        p=p,
-        sphere=sphere,
-        ball=ball,
-        tol_v=config.solver["tol_v"],
-        max_iter=config.solver["max_iter"],
-        damping=config.solver["damping"],
-    )
+    problem = _problem(config, weight, p, sphere, ball)
     rng = np.random.default_rng(config.seed)
     inits = [ops.BoundaryFunction(np.ones(len(sphere)), sphere)]
     for _ in range(config.solver["multistart"]):
@@ -352,7 +349,7 @@ def cmd_solve(config: RunConfig):
         "resolution": config.sphere_resolution,
     }
     _write_profile(config, "final_v.csv", sphere, v.values)
-    return report, bool(rep["converged"])
+    return report, bool(rep["converged"] and rep["el_residual"] <= slv.EL_RESIDUAL_TOL)
 
 
 def _lambda_richardson(config: RunConfig, weight, p: float, lam_fine: float, v_fine) -> float:
@@ -361,23 +358,12 @@ def _lambda_richardson(config: RunConfig, weight, p: float, lam_fine: float, v_f
     The coarse problem is warm-started from the interpolated fine solution,
     so the extra cost is a fraction of the main solve.
     """
-    params = config.params
     sphere_c, ball_c = _quads(config, scale=0.5)
     weight_c = evaluate_weight(config, sphere_c)
     interp = ops.interpolate_boundary(v_fine)
     init = ops.BoundaryFunction(np.maximum(interp(sphere_c.nodes), 1e-10), sphere_c)
-    problem = slv.SubcriticalProblem(
-        params=params,
-        weight=weight_c,
-        p=p,
-        sphere=sphere_c,
-        ball=ball_c,
-        tol_v=config.solver["tol_v"],
-        max_iter=config.solver["max_iter"],
-        damping=config.solver["damping"],
-        allow_critical=p <= params.p_crit,
-    )
-    _, lam_coarse, _ = slv.maximize_subcritical(problem, init)
+    _, lam_coarse, _ = slv.maximize_subcritical(
+        _problem(config, weight_c, p, sphere_c, ball_c), init)
     return fn.richardson_estimate(lam_coarse, lam_fine)[1]
 
 
@@ -405,7 +391,8 @@ def cmd_continue(config: RunConfig):
     )
     holds, ratio, margin = fn.existence_condition(weight, params)
     rows = report_obj.stage_rows()
-    ok = all(r["converged"] for r in rows) and not report_obj.blow_up_flag
+    ok = all(r["converged"] and r["el_residual"] <= slv.EL_RESIDUAL_TOL for r in rows)
+    ok = ok and not report_obj.blow_up_flag
     lam_err = _lambda_richardson(
         config, weight, schedule[-1], report_obj.lambda_est, report_obj.final_v
     )
@@ -449,17 +436,14 @@ def cmd_diagnose(config: RunConfig):
                                 params=params)
         phi = diag.blow_up_rescale(lambda y, b=bp: diag.bubble(y, params, b), rp)
         worst = max(worst, float(np.max(np.abs(phi(ygrid) - std))))
-    checks.append({"check": "rescale_fixes_standard_bubble", "value": worst,
-                   "tolerance": 1e-12, "passed": worst <= 1e-12})
+    _check(checks, "rescale_fixes_standard_bubble", worst, 1e-12)
 
     # bubble pullback to the sphere is the constant one
     bp0 = diag.BubbleParams(amplitude=2.0**params.half_weight_power)
     from .geometry import conformal_weight
     lift = np.concatenate([ygrid, np.zeros((len(ygrid), 1))], axis=1)
     pull = diag.bubble(ygrid, params, bp0) / conformal_weight(lift, params)
-    dev = float(np.max(np.abs(pull - 1.0)))
-    checks.append({"check": "bubble_pullback_constant", "value": dev,
-                   "tolerance": 1e-12, "passed": dev <= 1e-12})
+    _check(checks, "bubble_pullback_constant", np.max(np.abs(pull - 1.0)), 1e-12)
 
     # concentration of the bubble family pulled back to the sphere
     radii = []

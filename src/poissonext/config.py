@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -119,11 +119,20 @@ class RunConfig:
     halfspace: dict
     output_dir: str
     seed: int
-    raw: dict = field(repr=False)
 
     def to_dict(self) -> dict:
         """Normalized, losslessly re-parseable echo of the configuration."""
-        return json.loads(json.dumps(self.raw, sort_keys=True))
+        record = {
+            "schema_version": _SCHEMA_VERSION,
+            "params": {"n": self.params.n, "a": self.params.a},
+            "weight": self.weight_spec,
+            "quadrature": self.quadrature,
+            "solver": self.solver,
+            "halfspace": self.halfspace,
+            "output_dir": self.output_dir,
+            "seed": self.seed,
+        }
+        return json.loads(json.dumps(record, sort_keys=True))
 
     @property
     def sphere_resolution(self) -> int:
@@ -204,27 +213,18 @@ def parse_config(data: dict) -> RunConfig:
 
     hdata = _merge_strict("halfspace", data.get("halfspace", {}), _DEFAULTS["halfspace"])
 
-    raw = {
-        "schema_version": _SCHEMA_VERSION,
-        "params": {"n": params.n, "a": params.a},
-        "weight": wdata,
-        "quadrature": qdata,
-        "solver": sdata,
-        "halfspace": hdata,
-        "output_dir": data.get("output_dir", _DEFAULTS["output_dir"]),
-        "seed": data.get("seed", _DEFAULTS["seed"]),
-    }
-    for key in ("output_dir", "seed"):
-        _check(key, raw[key], _DEFAULTS[key])
+    output_dir = data.get("output_dir", _DEFAULTS["output_dir"])
+    seed = data.get("seed", _DEFAULTS["seed"])
+    _check("output_dir", output_dir, _DEFAULTS["output_dir"])
+    _check("seed", seed, _DEFAULTS["seed"])
     return RunConfig(
         params=params,
         weight_spec=wdata,
         quadrature=qdata,
         solver=sdata,
         halfspace=hdata,
-        output_dir=raw["output_dir"],
-        seed=raw["seed"],
-        raw=raw,
+        output_dir=output_dir,
+        seed=seed,
     )
 
 

@@ -6,23 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BoundaryFunction, ExtensionField, build_extension_operator
+from .operators import BoundaryFunction, ExtensionField, _NodalValues, build_extension_operator
 from .params import ProblemParams
 from .quadrature import BallQuadrature, SphereQuadrature, ball_volume, integrate_ball, integrate_boundary
 
 
-@dataclass
-class WeightFunction:
+@dataclass(eq=False)
+class WeightFunction(_NodalValues):
     """Positive weight K at sphere nodes, optionally antipodally symmetric."""
 
-    values: np.ndarray
-    quad: SphereQuadrature
     antipodal: bool = False
+    _kind = "weight"
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.quad.weights.shape:
-            raise ValueError("weight vector length does not match the quadrature")
+        super().__post_init__()
         if np.any(self.values <= 0):
             raise ValueError("K must be strictly positive")
         if self.antipodal:

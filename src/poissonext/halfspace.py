@@ -2,10 +2,12 @@
 
 The half-space extension integrates a boundary function against a kernel
 that decays only like |y'|^{-(n-a)}, so the grid must reach a very large
-truncation radius.  Geometric radial panels (Gauss-Legendre nodes per
-panel) make that affordable: the panel count grows logarithmically in the
-radius while resolving unit-scale features near the origin.  For n = 3 the
-radial rule is crossed with an equispaced angular rule in the plane.
+truncation radius.  Geometric radial panels make that affordable: the
+panel count grows logarithmically in the radius while resolving unit-scale
+features near the origin.  The radial rule is `quadrature.panel_rule` on
+those panels, and `HalfspaceGrid.integrate` is the compensated sum
+`quadrature.integrate_boundary`.  For n = 3 the radial rule is crossed with
+an equispaced angular rule in the plane.
 
 The truncation error is reported through an analytic bound of the form
 C(n, a) x_n^{1-a} R^{a-1} sup_{|y'|>R} |u|, valid for targets with
@@ -14,15 +16,13 @@ C(n, a) x_n^{1-a} R^{a-1} sup_{|y'|>R} |u|, valid for targets with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .kernels import KernelConstants
 from .params import ProblemParams
-from .quadrature import surface_area
+from .quadrature import integrate_boundary, panel_rule, surface_area
 
 
 @dataclass(frozen=True)
@@ -40,24 +40,16 @@ class HalfspaceGrid:
         return len(self.weights)
 
     def integrate(self, values: np.ndarray) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.weights.shape:
-            raise ValueError("value vector length does not match the grid")
-        return math.fsum((self.weights * values).tolist())
+        return integrate_boundary(values, self)
 
 
 def default_truncation_radius(params: ProblemParams, target: float = 3e-7) -> float:
     """Radius at which the unit-sup tail bound drops below `target`."""
     c = KernelConstants.for_params(params).c_na
     n, a = params.n, params.a
-    lead = c * _sphere_area_boundary(n) * 2.0 ** (n - a + 1.0) / (1.0 - a)
+    lead = c * surface_area(n - 1) * 2.0 ** (n - a + 1.0) / (1.0 - a)
     radius = (target / lead) ** (1.0 / (a - 1.0))
     return float(np.clip(radius, 1e4, 1e15))
-
-
-def _sphere_area_boundary(n: int) -> float:
-    # |S^{n-2}|, the unit sphere area in the boundary hyperplane
-    return 2.0 if n == 2 else surface_area(n - 1)
 
 
 def build_halfspace_grid(
@@ -85,14 +77,7 @@ def build_halfspace_grid(
     bounds = [0.0, inner_scale]
     while bounds[-1] < truncation_radius:
         bounds.append(min(bounds[-1] * panel_ratio, truncation_radius))
-    xg, wg = special.roots_legendre(nodes_per_panel)
-    rs, ws = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid, hl = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        rs.append(mid + hl * xg)
-        ws.append(hl * wg)
-    r = np.concatenate(rs)
-    wr = np.concatenate(ws)
+    r, wr = panel_rule(bounds, nodes_per_panel)
 
     if n == 2:
         nodes = np.concatenate([r, -r])[:, None]
@@ -131,6 +116,6 @@ def halfspace_tail_bound(
     R = grid.truncation_radius
     xn = targets[:, -1]
     xp = np.sqrt(np.sum(targets[:, :-1] ** 2, axis=-1))
-    lead = c * _sphere_area_boundary(n) * 2.0 ** (n - a) / (1.0 - a)
+    lead = c * surface_area(n - 1) * 2.0 ** (n - a) / (1.0 - a)
     bound = lead * xn ** (1.0 - a) * R ** (a - 1.0) * abs(u_tail_sup)
     return np.where(xp <= 0.5 * R, bound, np.inf)

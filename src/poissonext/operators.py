@@ -53,6 +53,7 @@ precision.  The raw quadrature survives only in `extend_at_points`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -68,9 +69,9 @@ _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 120
 
 
-@dataclass
+@dataclass(eq=False)
 class _NodalValues:
-    """Finite values at the nodes of a quadrature rule."""
+    """Finite values at the nodes of a quadrature rule; equal only to itself."""
 
     values: np.ndarray
     quad: SphereQuadrature | BallQuadrature
@@ -276,23 +277,18 @@ class ExtensionOperator:
         }
 
 
-_OPERATOR_CACHE: dict[tuple, ExtensionOperator] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def build_extension_operator(
     sphere: SphereQuadrature,
     ball: BallQuadrature,
     params: ProblemParams,
 ) -> ExtensionOperator:
-    """Build (or fetch from a small cache) the extension operator."""
-    key = (id(sphere), id(ball), params.n, params.a)
-    op = _OPERATOR_CACHE.get(key)
-    if op is None or op.sphere is not sphere or op.ball is not ball:
-        op = ExtensionOperator(params, sphere, ball)
-        if len(_OPERATOR_CACHE) >= 8:
-            _OPERATOR_CACHE.pop(next(iter(_OPERATOR_CACHE)))
-        _OPERATOR_CACHE[key] = op
-    return op
+    """Build the extension operator, or return the one cached for these arguments.
+
+    The last 8 are kept, keyed by the rules' identity and the parameters'
+    value; a keyword call is cached under a key of its own.
+    """
+    return ExtensionOperator(params, sphere, ball)
 
 
 def extend_at_points(

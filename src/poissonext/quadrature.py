@@ -6,10 +6,10 @@ Sphere rules
     n = 3: product of a Gauss-Legendre rule in the polar cosine and an
     equispaced azimuthal rule with twice as many points.
 
-Antipodal exactness matters throughout the library, so both rules store the
-first half of the nodes and obtain the second half by exact negation; the
-antipode permutation is then index +/- N/2 and node/weight symmetry holds
-bit for bit.
+Antipodal exactness matters throughout the library, so every rule, sphere
+or ball, is built from the first half of its nodes by one closure that
+appends their exact negation; the antipode permutation is then index
++/- N/2 and node/weight symmetry holds bit for bit.
 
 Ball rules
     A tensor rule: radial nodes times a sphere rule per shell, with the
@@ -18,12 +18,17 @@ Ball rules
     boundary: a composite Gauss-Legendre rule on dyadic panels graded
     toward r = 1 (ratio 0.5), which integrates both smooth profiles and
     (1 - r)^{1-a} profiles to ~1e-11 with ~100 nodes.
+
+Panel rule
+    `panel_rule` is the one composite Gauss-Legendre builder: the ball's
+    graded radial rule and the half-space grid's geometric radial rule are
+    both this rule on their own panel bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -34,7 +39,9 @@ RADIAL_NODES_PER_PANEL = 6
 
 
 class _AntipodalRule:
-    """What the sphere and ball rules share: nodes, weights and an exact antipode."""
+    """What the sphere and ball rules share: nodes, weights and an exact antipode.
+
+    A rule equals only itself and hashes by identity, so it can key a cache."""
 
     def __post_init__(self) -> None:
         anti = self.antipode_index
@@ -56,7 +63,7 @@ class _AntipodalRule:
         write_csv(path, self.nodes, self.weights, "weight")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereQuadrature(_AntipodalRule):
     """Nodes/weights on the unit sphere with an exact antipodal pairing."""
 
@@ -73,7 +80,7 @@ class SphereQuadrature(_AntipodalRule):
             raise ValueError("sphere weights do not sum to the surface area")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallQuadrature(_AntipodalRule):
     """Tensor rule on the unit ball: radial nodes times a sphere rule."""
 
@@ -83,8 +90,8 @@ class BallQuadrature(_AntipodalRule):
     antipode_index: np.ndarray
     radii: np.ndarray
     delta_min: float
-    grading: dict = field(compare=False)
-    angular: SphereQuadrature = field(compare=False)
+    grading: dict
+    angular: SphereQuadrature
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -115,32 +122,40 @@ def build_sphere_quadrature(params: ProblemParams, resolution: int) -> SphereQua
         m = resolution // 2
         theta = 2.0 * np.pi * np.arange(m) / resolution
         upper = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        nodes = np.concatenate([upper, -upper], axis=0)
-        weights = np.full(resolution, 2.0 * np.pi / resolution)
+        wup = np.full(m, 2.0 * np.pi / resolution)
     elif n == 3:
         naz = 2 * resolution
         t, wt = special.roots_legendre(resolution)
         t = 0.5 * (t - t[::-1])          # enforce exact symmetry of the nodes
         wt = 0.5 * (wt + wt[::-1])
-        upper_rings = np.nonzero(t > 0)[0]
+        t, wt = t[t > 0], wt[t > 0]
         phi = 2.0 * np.pi * np.arange(naz) / naz
-        sin_t = np.sqrt(1.0 - t[upper_rings] ** 2)
-        upper = np.empty((len(upper_rings) * naz, 3))
-        wup = np.empty(len(upper))
-        for row, k in enumerate(upper_rings):
-            sl = slice(row * naz, (row + 1) * naz)
-            upper[sl, 0] = sin_t[row] * np.cos(phi)
-            upper[sl, 1] = sin_t[row] * np.sin(phi)
-            upper[sl, 2] = t[k]
-            wup[sl] = wt[k] * (2.0 * np.pi / naz)
-        nodes = np.concatenate([upper, -upper], axis=0)
-        weights = np.concatenate([wup, wup])
+        sin_t = np.sqrt(1.0 - t ** 2)
+        upper = np.stack([np.outer(sin_t, np.cos(phi)).ravel(),
+                          np.outer(sin_t, np.sin(phi)).ravel(), np.repeat(t, naz)], axis=1)
+        wup = np.repeat(wt * (2.0 * np.pi / naz), naz)
     else:
         raise NotImplementedError("sphere quadrature implemented for n in {2, 3}")
-    half = len(weights) // 2
-    anti = np.concatenate([np.arange(half) + half, np.arange(half)])
-    return SphereQuadrature(n=n, resolution=resolution, nodes=nodes,
-                            weights=weights, antipode_index=anti)
+    return SphereQuadrature(n=n, resolution=resolution, **_antipodal_closure(upper, wup))
+
+
+def _antipodal_closure(upper_nodes: np.ndarray, upper_weights: np.ndarray) -> dict:
+    """`nodes`, `weights` and `antipode_index` of the rule whose second half negates the first."""
+    half = len(upper_weights)
+    return {"nodes": np.concatenate([upper_nodes, -upper_nodes]),
+            "weights": np.concatenate([upper_weights, upper_weights]),
+            "antipode_index": np.concatenate([np.arange(half) + half, np.arange(half)])}
+
+
+def panel_rule(bounds, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite q-point Gauss-Legendre rule on the panels between consecutive bounds.
+
+    Exact for polynomials of degree 2q - 1 on each panel; returns (nodes, weights).
+    """
+    xg, wg = special.roots_legendre(q)
+    bounds = np.asarray(bounds, dtype=float)
+    mid, hl = 0.5 * (bounds[:-1] + bounds[1:]), 0.5 * (bounds[1:] - bounds[:-1])
+    return (mid[:, None] + hl[:, None] * xg).ravel(), (hl[:, None] * wg).ravel()
 
 
 def azimuthal_layout(quad: SphereQuadrature) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -173,35 +188,20 @@ def build_ball_quadrature(
     q = RADIAL_NODES_PER_PANEL
     panels = max(2, round(radial_points / q))
     bounds = [0.0] + [1.0 - 0.5 ** k for k in range(1, panels)] + [1.0]
-    xg, wg = special.roots_legendre(q)
-    rs, ws = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid, hl = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        rs.append(mid + hl * xg)
-        ws.append(hl * wg)
-    r, wr = np.concatenate(rs), np.concatenate(ws)
+    r, wr = panel_rule(bounds, q)
     grading = {"rule": "graded_gl", "panels": panels, "nodes_per_panel": q, "ratio": 0.5}
     ang = build_sphere_quadrature(params, angular_resolution)
     h = ang.half
-    nshell = len(r)
     n = params.n
 
-    # upper block: for each shell, the upper half of the angular nodes;
-    # lower block is the exact negation, so antipode_index is +/- M/2.
+    # for each shell, the upper half of the angular nodes; the closure
+    # appends their negation, so antipode_index is +/- M/2
     up_nodes = (r[:, None, None] * ang.nodes[None, :h, :]).reshape(-1, n)
     up_w = (wr[:, None] * r[:, None] ** (n - 1) * ang.weights[None, :h]).reshape(-1)
-    up_radii = np.repeat(r, h)
-    nodes = np.concatenate([up_nodes, -up_nodes], axis=0)
-    weights = np.concatenate([up_w, up_w])
-    radii = np.concatenate([up_radii, up_radii])
-    half = nshell * h
-    anti = np.concatenate([np.arange(half) + half, np.arange(half)])
     return BallQuadrature(
         n=n,
-        nodes=nodes,
-        weights=weights,
-        antipode_index=anti,
-        radii=radii,
+        **_antipodal_closure(up_nodes, up_w),
+        radii=np.tile(np.repeat(r, h), 2),
         delta_min=float(1.0 - r.max()),
         grading=grading,
         angular=ang,
@@ -209,7 +209,7 @@ def build_ball_quadrature(
 
 
 def integrate_boundary(values: np.ndarray, quad: SphereQuadrature | BallQuadrature) -> float:
-    """Weighted sum over the nodes of a rule; exact, so order-independent."""
+    """Weighted sum over the nodes of any rule with `weights`; exact, so order-independent."""
     values = np.asarray(values, dtype=float)
     if values.shape != quad.weights.shape:
         raise ValueError(f"expected {quad.weights.shape} values, got {values.shape}")

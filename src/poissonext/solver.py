@@ -32,6 +32,9 @@ from .quadrature import BallQuadrature, SphereQuadrature, integrate_ball, integr
 
 MAX_DAMPING_HALVINGS = 20
 ASCENT_SLACK = 1e-12
+# a solve passes only if its profile solves the Euler-Lagrange equation to
+# this relative residual; a converged step alone can be a stalled one
+EL_RESIDUAL_TOL = 1e-3
 
 
 @dataclass

@@ -8,7 +8,7 @@ from poissonext import operators as _operators
 @pytest.fixture(autouse=True)
 def _clear_operator_cache():
     yield
-    _operators._OPERATOR_CACHE.clear()
+    _operators.build_extension_operator.cache_clear()
 
 
 @pytest.fixture(scope="session")

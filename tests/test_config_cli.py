@@ -215,6 +215,17 @@ class TestCliCommands:
         assert report["report"]["exceeds_threshold"]
         assert not report["report"]["blow_up_flag"]
 
+    def test_solve_and_continue_fail_on_el_residual(self, tmp_path, monkeypatch):
+        el_terms = px.solver._el_terms
+        monkeypatch.setattr(px.solver, "_el_terms", lambda *args: (el_terms(*args)[0], 0.5))
+        for cmd in ("solve", "continue"):
+            out = str(tmp_path / cmd)
+            path = write_config(tmp_path, tiny_2d_config(out), name=f"{cmd}.json")
+            assert main([cmd, "--config", path]) == 1
+            body = json.load(open(os.path.join(out, "report.json")))["report"]
+            rows = body["stages"] if cmd == "continue" else [body]
+            assert all(r["converged"] and r["el_residual"] == 0.5 for r in rows)
+
     def test_sharp_methods_agree(self, tmp_path):
         out = str(tmp_path / "out")
         path = write_config(tmp_path, tiny_3d_config(out))

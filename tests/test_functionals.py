@@ -16,6 +16,11 @@ class TestWeightFunction:
         with pytest.raises(ValueError):
             px.WeightFunction(vals, sphere_2d)
 
+    def test_rejects_nan_values(self, sphere_2d):
+        # NaN passes both the positivity and the antipodality comparison
+        with pytest.raises(ValueError, match="weight values must be finite"):
+            px.WeightFunction(np.full(len(sphere_2d), np.nan), sphere_2d, antipodal=True)
+
     def test_rejects_asymmetric_when_flagged(self, sphere_2d):
         theta = np.arctan2(sphere_2d.nodes[:, 1], sphere_2d.nodes[:, 0])
         vals = 2.0 + np.cos(theta)  # odd frequency

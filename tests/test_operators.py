@@ -195,6 +195,20 @@ class TestStructuredProducts:
         assert op.kernel_table.size * op.gather_index.shape[1] == op.ball.half * len(op.sphere)
 
 
+class TestOperatorCache:
+    def test_rules_compare_by_identity_and_key_the_cache(self, params_2d):
+        s1, s2 = (px.build_sphere_quadrature(params_2d, 8) for _ in range(2))
+        ball = px.build_ball_quadrature(params_2d, 18, 8)
+        assert s1 == s1 and s1 != s2 and ball == ball
+        assert len({s1, s2, ball}) == 3
+        v = px.BoundaryFunction(np.ones(8), s1)
+        assert v == v and v != px.BoundaryFunction(np.ones(8), s1)
+        op = px.build_extension_operator(s1, ball, params_2d)
+        assert px.build_extension_operator(s1, ball, px.ProblemParams(2, 0.5)) is op
+        other = px.build_extension_operator(s2, ball, params_2d)
+        assert other is not op and other.sphere is s2
+
+
 class TestAntipodalEquivariance:
     def test_extension_equivariance_bitwise(self, op_2d, sphere_2d, ball_2d, rng):
         v = rng.normal(size=len(sphere_2d))

@@ -4,6 +4,7 @@ from scipy import special
 from scipy.integrate import quad
 
 import poissonext as px
+from poissonext.quadrature import RADIAL_NODES_PER_PANEL, panel_rule
 
 
 class TestSphereQuadrature:
@@ -139,6 +140,21 @@ class TestBallQuadrature:
         ball_3d.to_csv(path)
         header = open(path).readline().strip()
         assert header == "x1,x2,x3,weight"
+
+
+class TestPanelRule:
+    # the node counts in use: the ball's graded radial rule and the half-space grid's default
+    @pytest.mark.parametrize("q", [RADIAL_NODES_PER_PANEL, 20])
+    def test_exact_for_degree_2q_minus_1_on_arbitrary_panels(self, q, rng):
+        bounds = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 1.5, 6)), [1.5]])
+        nodes, weights = panel_rule(bounds, q)
+        poly = np.polynomial.Polynomial(rng.normal(size=2 * q))
+        prim = poly.integ()
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            panel = slice(k * q, (k + 1) * q)
+            assert np.all((lo < nodes[panel]) & (nodes[panel] < hi))
+            assert np.dot(weights[panel], poly(nodes[panel])) == pytest.approx(
+                prim(hi) - prim(lo), rel=1e-12, abs=1e-13)
 
 
 class TestIntegratePrimitives:

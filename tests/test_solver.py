@@ -117,6 +117,50 @@ class TestFixedPointStep:
         assert np.all(out.v.values >= 0)
         assert np.array_equal(out.v.values, out.v.values[sphere_2d.antipode_index])
 
+    def test_rejected_candidate_halves_the_step(self, params_2d, sphere_2d, ball_2d,
+                                                unit_weight_2d, rng, monkeypatch):
+        prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
+        state = px.solver._prepare(prob, px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5,
+                                                             sphere_2d))
+        functional, calls = px.solver._functional, []
+
+        def first_candidate_descends(v, problem):
+            calls.append(1)
+            lam, ext = functional(v, problem)
+            return (-np.inf if len(calls) == 1 else lam), ext
+
+        monkeypatch.setattr(px.solver, "_functional", first_candidate_descends)
+        out = px.fixed_point_step(state, prob)
+        op, v = prob.operator, state.v.values
+        w = (op.adjoint_values(op.extend_values(v) ** params_2d.q_exp)
+             / unit_weight_2d.values) ** (1.0 / (5.0 - 1.0))
+
+        def n_sym(x):
+            sym = px.symmetrize_antipodal(px.BoundaryFunction(x, sphere_2d))
+            return px.normalize_constraint(sym, unit_weight_2d, 5.0).values
+
+        assert len(calls) == 2 and out.iteration == 1 and not out.step_failed
+        assert np.array_equal(out.v.values, n_sym(0.5 * v + 0.5 * w))
+        assert not np.array_equal(out.v.values, n_sym(w))
+        assert out.residual == np.max(np.abs(n_sym(w) - v)) / np.max(np.abs(v))
+
+    def test_step_fails_when_every_candidate_descends(self, params_2d, sphere_2d, ball_2d,
+                                                      unit_weight_2d, rng, monkeypatch):
+        prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
+        functional, calls = px.solver._functional, []
+
+        def always_descends(v, problem):
+            calls.append(1)
+            return -float(len(calls)), functional(v, problem)[1]
+
+        monkeypatch.setattr(px.solver, "_functional", always_descends)
+        init = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5, sphere_2d)
+        state = px.solver._prepare(prob, init)
+        out = px.fixed_point_step(state, prob)
+        assert out.step_failed and out.v is state.v and out.iteration == 0
+        assert len(calls) == 1 + px.solver.MAX_DAMPING_HALVINGS + 1
+        _, _, rep = px.maximize_subcritical(prob, init)
+        assert rep["step_failed"] and not rep["converged"] and rep["iterations"] == 0
 
     def test_step_reuses_the_carried_extension(self, params_2d, sphere_2d, ball_2d,
                                                unit_weight_2d, rng, monkeypatch):
