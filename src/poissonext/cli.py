@@ -352,18 +352,25 @@ def cmd_solve(config: RunConfig):
     return report, bool(rep["converged"] and rep["el_residual"] <= slv.EL_RESIDUAL_TOL)
 
 
-def _lambda_richardson(config: RunConfig, weight, p: float, lam_fine: float, v_fine) -> float:
+def _lambda_richardson(
+    config: RunConfig, weight, p: float, lam_fine: float, v_fine
+) -> float | None:
     """Richardson error estimate for lambda from a half-resolution re-solve.
 
     The coarse problem is warm-started from the interpolated fine solution,
-    so the extra cost is a fraction of the main solve.
+    so the extra cost is a fraction of the main solve.  None when the coarse
+    solve fails its own gate (not converged, a failed step, or an EL
+    residual above EL_RESIDUAL_TOL): its lambda bounds nothing.
     """
     sphere_c, ball_c = _quads(config, scale=0.5)
     weight_c = evaluate_weight(config, sphere_c)
     interp = ops.interpolate_boundary(v_fine)
     init = ops.BoundaryFunction(np.maximum(interp(sphere_c.nodes), 1e-10), sphere_c)
-    _, lam_coarse, _ = slv.maximize_subcritical(
+    _, lam_coarse, rep = slv.maximize_subcritical(
         _problem(config, weight_c, p, sphere_c, ball_c), init)
+    if not (rep["converged"] and not rep["step_failed"]
+            and rep["el_residual"] <= slv.EL_RESIDUAL_TOL):
+        return None
     return fn.richardson_estimate(lam_coarse, lam_fine)[1]
 
 

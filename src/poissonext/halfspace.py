@@ -25,7 +25,7 @@ from .params import ProblemParams
 from .quadrature import integrate_boundary, panel_rule, surface_area
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfspaceGrid:
     """Nodes and weights for integrals over R^{n-1}, truncated at a radius."""
 

@@ -97,9 +97,11 @@ def kernel_ball_sphere_mass(radii: np.ndarray, params: ProblemParams) -> np.ndar
     For n = 3 the surface integral of |xi - eta|^{a-3} is elementary; for
     n = 2 it is 2 pi 2F1(s, s; 1; r^2) with s = (2-a)/2.  The mass tends to
     1 as r -> 1 (the flat normalization) and to 2^{a-1} c |S^{n-1}| times
-    (1 - r^2)^{1-a} corrections near the center.
+    (1 - r^2)^{1-a} corrections near the center.  The closed form is
+    evaluated once per distinct radius (a ball rule repeats each shell
+    radius at every angular node).
     """
-    r = np.atleast_1d(np.asarray(radii, dtype=float))
+    r, inverse = np.unique(np.asarray(radii, dtype=float), return_inverse=True)
     if np.any((r < 0) | (r >= 1)):
         raise ValueError("radii must lie in [0, 1)")
     n, a = params.n, params.a
@@ -118,5 +120,5 @@ def kernel_ball_sphere_mass(radii: np.ndarray, params: ProblemParams) -> np.ndar
         )
     else:
         raise NotImplementedError("sphere mass implemented for n in {2, 3}")
-    out = pref * ((1.0 - r) * (1.0 + r)) ** (1.0 - a) * surf
-    return out if np.ndim(radii) else float(out[0])
+    out = (pref * ((1.0 - r) * (1.0 + r)) ** (1.0 - a) * surf)[inverse].reshape(np.shape(radii))
+    return out if np.ndim(radii) else float(out)

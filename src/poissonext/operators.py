@@ -161,7 +161,7 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature,
     return table, gather, ub
 
 
-@dataclass
+@dataclass(eq=False)
 class ExtensionOperator:
     """Balanced discretization of the extension/adjoint pair.
 

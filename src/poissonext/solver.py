@@ -6,21 +6,31 @@ The maximizers of
                         v >= 0 antipodal, integral K |v|^p ds = 1 }
 
 satisfy the Euler-Lagrange equation lambda K v^{p-1} = T[(E v)^{q_exp}]
-with E the extension and T its adjoint.  The solver iterates the damped
-fixed point of that equation:
+with E the extension and T its adjoint.  The solver iterates the
+normalized fixed-point map of that equation,
 
-    G = T[(E v)^{q_exp}],  candidate w = (G / K)^{1/(p-1)},
-    v+ = (1 - tau) v + tau w, symmetrized and constraint-normalized,
+    G(v) = N(sym(w)),  w = (T[(E v)^{q_exp}] / K)^{1/(p-1)},
 
-accepting a step only if the functional did not decrease (tau halves
-otherwise), which makes the functional history nondecreasing by
-construction.  Convergence is judged on the undamped step |N(sym(w)) - v|,
-which damping cannot shrink.  Continuation lowers p along a schedule toward
-the critical exponent, warm-starting each stage from the previous one.
+with sym the antipodal average and N the constraint normalization.  With
+the default damping 1 each step is accelerated by Anderson mixing of depth
+ANDERSON_DEPTH (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): from the last
+pairs (v_i, G(v_i)), with f = G(v) - v, the coefficients gamma minimize
+|f_k - dF gamma| over the differences dF of f and dX of v, and the mixed
+point is x = v_k - dX gamma + (f_k - dF gamma).  N(sym(x)) is accepted only
+if x is positive and the functional does not decrease (up to
+ASCENT_SLACK); otherwise the history restarts and the plain step is taken.
+The plain step v+ = N(sym((1 - tau) v + tau w)) starts at tau = damping and
+halves tau until the functional does not decrease, so the functional
+history is nondecreasing by construction either way.  A damped run
+(damping < 1) takes plain steps only.  Convergence is judged on the
+undamped, unmixed residual |G(v) - v| / |v|, which neither damping nor
+mixing can shrink.  Continuation lowers p along a schedule toward the
+critical exponent, warm-starting each stage from the previous one.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,6 +42,8 @@ from .quadrature import BallQuadrature, SphereQuadrature, integrate_ball, integr
 
 MAX_DAMPING_HALVINGS = 20
 ASCENT_SLACK = 1e-12
+# Anderson mixing combines the last ANDERSON_DEPTH + 1 iterates
+ANDERSON_DEPTH = 5
 # a solve passes only if its profile solves the Euler-Lagrange equation to
 # this relative residual; a converged step alone can be a stalled one
 EL_RESIDUAL_TOL = 1e-3
@@ -126,8 +138,16 @@ def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> BoundaryFunct
     return normalize_constraint(cand, problem.weight, problem.p)
 
 
-def fixed_point_step(state: SolverState, problem: SubcriticalProblem) -> SolverState:
-    """One damped Euler-Lagrange fixed-point step with ascent acceptance."""
+def fixed_point_step(
+    state: SolverState, problem: SubcriticalProblem, history: deque | None = None
+) -> SolverState:
+    """One Euler-Lagrange fixed-point step with ascent acceptance.
+
+    Without `history` this is the plain damped step.  With it (a deque of
+    (v, G(v)) pairs, maxlen ANDERSON_DEPTH + 1, owned by the caller) the
+    step appends its own pair and first tries the Anderson-mixed point; a
+    rejected mixed point leaves only that pair in the history.
+    """
     op = problem.operator
     v = state.v.values
     ext = state.extension if state.extension is not None else op.extend_values(v)
@@ -135,22 +155,51 @@ def fixed_point_step(state: SolverState, problem: SubcriticalProblem) -> SolverS
     w = (g / problem.weight.values) ** (1.0 / (problem.p - 1.0))
     full = _candidate(w, problem)
     residual = float(np.max(np.abs(full.values - v)) / np.max(np.abs(v)))
+    if history is not None:
+        history.append((v, full.values))
+        if len(history) > 1:
+            mixed = _anderson_point(history)
+            if np.all(mixed > 0):
+                cand = _candidate(mixed, problem)
+                lam, cand_ext = _functional(cand.values, problem)
+                if lam >= state.lambda_est - ASCENT_SLACK:
+                    return _accepted(state, cand, lam, cand_ext, residual)
+            history.clear()
+            history.append((v, full.values))
     tau = problem.damping
     for _ in range(MAX_DAMPING_HALVINGS + 1):
         cand = full if tau == 1.0 else _candidate((1.0 - tau) * v + tau * w, problem)
         lam, cand_ext = _functional(cand.values, problem)
         if lam >= state.lambda_est - ASCENT_SLACK:
-            state.functional_history.append(lam)
-            return SolverState(
-                v=cand,
-                lambda_est=lam,
-                iteration=state.iteration + 1,
-                residual=residual,
-                functional_history=state.functional_history,
-                extension=cand_ext,
-            )
+            return _accepted(state, cand, lam, cand_ext, residual)
         tau *= 0.5
     return replace(state, step_failed=True)
+
+
+def _accepted(state, cand, lam, cand_ext, residual) -> SolverState:
+    state.functional_history.append(lam)
+    return SolverState(
+        v=cand,
+        lambda_est=lam,
+        iteration=state.iteration + 1,
+        residual=residual,
+        functional_history=state.functional_history,
+        extension=cand_ext,
+    )
+
+
+def _anderson_point(history: deque) -> np.ndarray:
+    """Mixed point G(v_k) - dG gamma of two or more (v, G(v)) pairs, newest last.
+
+    gamma is the minimum-norm least-squares solution of dF gamma = f_k, so
+    the point equals v_k - dX gamma + (f_k - dF gamma).
+    """
+    xs = np.array([x for x, _ in history])
+    gs = np.array([gx for _, gx in history])
+    d_g = np.diff(gs, axis=0)
+    d_f = d_g - np.diff(xs, axis=0)
+    gamma = np.linalg.lstsq(d_f.T, gs[-1] - xs[-1], rcond=None)[0]
+    return gs[-1] - gamma @ d_g
 
 
 def maximize_subcritical(
@@ -158,9 +207,10 @@ def maximize_subcritical(
 ) -> tuple[BoundaryFunction, float, dict]:
     """Iterate fixed-point steps to convergence; returns (v, lambda, report)."""
     state = _prepare(problem, init)
+    history = deque(maxlen=ANDERSON_DEPTH + 1) if problem.damping == 1.0 else None
     converged = False
     for _ in range(problem.max_iter):
-        state = fixed_point_step(state, problem)
+        state = fixed_point_step(state, problem, history)
         if state.step_failed:
             break
         if state.residual < problem.tol_v:

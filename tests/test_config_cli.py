@@ -226,6 +226,27 @@ class TestCliCommands:
             rows = body["stages"] if cmd == "continue" else [body]
             assert all(r["converged"] and r["el_residual"] == 0.5 for r in rows)
 
+    def test_richardson_error_is_null_when_the_coarse_solve_fails(self, tmp_path,
+                                                                 monkeypatch):
+        fine_nodes = 64
+        maximize = px.solver.maximize_subcritical
+        failures = ({"converged": False}, {"step_failed": True}, {"el_residual": 0.5})
+        for cmd in ("solve", "continue"):
+            for failure in ({},) + failures:
+                def coarse_fails(problem, init, failure=failure):
+                    v, lam, rep = maximize(problem, init)
+                    if len(problem.sphere) < fine_nodes:
+                        rep = dict(rep, **failure)
+                    return v, lam, rep
+
+                monkeypatch.setattr(px.solver, "maximize_subcritical", coarse_fails)
+                out = str(tmp_path / cmd)
+                path = write_config(tmp_path, tiny_2d_config(out), name=f"{cmd}.json")
+                assert main([cmd, "--config", path]) == 0
+                err = json.load(open(os.path.join(out, "report.json")))["report"][
+                    "lambda_est_error"]
+                assert (err is None) == bool(failure), (cmd, failure, err)
+
     def test_sharp_methods_agree(self, tmp_path):
         out = str(tmp_path / "out")
         path = write_config(tmp_path, tiny_3d_config(out))

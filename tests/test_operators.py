@@ -208,6 +208,16 @@ class TestOperatorCache:
         other = px.build_extension_operator(s2, ball, params_2d)
         assert other is not op and other.sphere is s2
 
+    def test_operators_and_halfspace_grids_compare_by_identity(self, params_2d):
+        # array fields must not take part in == or hash
+        s = px.build_sphere_quadrature(params_2d, 8)
+        ball = px.build_ball_quadrature(params_2d, 18, 8)
+        op1, op2 = (px.ExtensionOperator(params_2d, s, ball) for _ in range(2))
+        g1, g2 = (px.build_halfspace_grid(params_2d, truncation_radius=10.0) for _ in range(2))
+        for a, b in ((op1, op2), (g1, g2)):
+            assert a == a and a != b and not (a == b)
+            assert len({a, b, a}) == 2
+
 
 class TestAntipodalEquivariance:
     def test_extension_equivariance_bitwise(self, op_2d, sphere_2d, ball_2d, rng):

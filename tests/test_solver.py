@@ -1,8 +1,20 @@
+import os
+import sys
+from collections import deque
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import poissonext as px
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+import worker  # noqa: E402  (perfbench's seeded initial profiles)
 
 
 @pytest.fixture()
@@ -241,6 +253,105 @@ class TestMaximizeSubcritical:
         assert not rep["converged"]
         assert rep["iterations"] == 5
         assert rep["residual"] > 1e-3
+
+
+def plain_run(problem, init):
+    """maximize_subcritical's loop on the plain (two-argument) step."""
+    state = px.solver._prepare(problem, init)
+    for _ in range(problem.max_iter):
+        state = px.fixed_point_step(state, problem)
+        if state.step_failed or state.residual < problem.tol_v:
+            break
+    return state
+
+
+def anderson_state(problem, init, steps):
+    """The state and (v, G(v)) history after `steps` accepted mixed steps."""
+    state = px.solver._prepare(problem, init)
+    history = deque(maxlen=px.solver.ANDERSON_DEPTH + 1)
+    for _ in range(steps):
+        state = px.fixed_point_step(state, problem, history)
+    return state, history
+
+
+def weighted_problem(n, p_frac=0.25, **kw):
+    params = px.ProblemParams(n, 0.5 if n == 2 else -0.5)
+    sphere = px.build_sphere_quadrature(params, 64 if n == 2 else 8)
+    ball = px.build_ball_quadrature(params, 48, 64 if n == 2 else 8)
+    spec = {"weight": ("cos2", 0.1) if n == 2 else ("p2", 0.1)}
+    weight = px.WeightFunction(worker.weight_values(spec, sphere.nodes), sphere, antipodal=True)
+    p = params.p_crit + p_frac * (params.p_bulk - params.p_crit)
+    return make_problem(params, weight, p, sphere, ball, **kw)
+
+
+class TestAndersonMixing:
+    @pytest.mark.parametrize("reject", ["descent", "nonpositive"])
+    def test_rejected_mixed_point_restarts_with_the_plain_step(self, reject, monkeypatch):
+        prob = weighted_problem(2)
+        init = px.BoundaryFunction(worker.seeded_profile(np, prob.sphere.nodes, 3), prob.sphere)
+        state, history = anderson_state(prob, init, 3)
+        assert len(history) == 3
+
+        def copy(state):
+            return replace(state, functional_history=list(state.functional_history))
+
+        mixed = px.fixed_point_step(copy(state), prob, deque(history, maxlen=history.maxlen))
+        expected = px.fixed_point_step(copy(state), prob)
+        assert not np.array_equal(mixed.v.values, expected.v.values)
+
+        functional, calls = px.solver._functional, []
+        if reject == "descent":
+            def first_candidate_descends(v, problem):
+                calls.append(1)
+                lam, ext = functional(v, problem)
+                return (-np.inf if len(calls) == 1 else lam), ext
+
+            monkeypatch.setattr(px.solver, "_functional", first_candidate_descends)
+        else:
+            monkeypatch.setattr(px.solver, "_anderson_point",
+                                lambda h: -px.solver._candidate(h[-1][1], prob).values)
+        out = px.fixed_point_step(state, prob, history)
+        assert len(calls) == (2 if reject == "descent" else 0)
+        assert np.array_equal(out.v.values, expected.v.values)
+        assert out.lambda_est == expected.lambda_est and out.residual == expected.residual
+        assert len(history) == 1
+        assert history[0][0] is state.v.values
+        assert np.array_equal(history[0][1], expected.v.values)
+
+    def test_damped_run_is_the_plain_step_bitwise(self, monkeypatch):
+        prob = weighted_problem(2, damping=0.5, max_iter=12)
+        init = px.BoundaryFunction(worker.seeded_profile(np, prob.sphere.nodes, 4), prob.sphere)
+        step, seen = px.solver.fixed_point_step, []
+
+        def recording_step(*args):
+            out = step(*args)
+            seen.append((len(args), out.v.values, out.lambda_est))
+            return out
+
+        monkeypatch.setattr(px.solver, "fixed_point_step", recording_step)
+        _, _, rep = px.maximize_subcritical(prob, init)
+        monkeypatch.undo()
+        state = px.solver._prepare(prob, init)
+        assert len(seen) == rep["iterations"] == 12
+        for n_args, v, lam in seen:
+            state = px.fixed_point_step(state, prob)
+            assert n_args == 3 and np.array_equal(v, state.v.values)
+            assert lam == state.lambda_est
+        assert rep["functional_history"] == state.functional_history
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**31 - 1))
+    def test_accelerated_run_agrees_with_the_plain_run(self, n, seed):
+        prob = weighted_problem(n)
+        init = px.BoundaryFunction(worker.seeded_profile(np, prob.sphere.nodes, seed),
+                                   prob.sphere)
+        plain = plain_run(prob, init)
+        v, lam, rep = px.maximize_subcritical(prob, init)
+        assert rep["converged"] and plain.residual < prob.tol_v
+        assert abs(lam / plain.lambda_est - 1.0) <= 1e-12
+        assert rep["el_residual"] <= px.solver.EL_RESIDUAL_TOL
+        assert np.all(np.diff(rep["functional_history"]) >= -px.solver.ASCENT_SLACK)
+        assert rep["iterations"] <= plain.iteration
 
 
 class TestElResidual:
