@@ -23,6 +23,13 @@ Panel rule
     `panel_rule` is the one composite Gauss-Legendre builder: the ball's
     graded radial rule and the half-space grid's geometric radial rule are
     both this rule on their own panel bounds.
+
+Integrals
+    `integrate_boundary` (also named `integrate_ball`) sums weights * values
+    exactly and rounds once, so every integral is `math.fsum` of the
+    products bit for bit and independent of the node order.  `exact_sum`
+    gets that sum from a few vectorized passes of error-free extraction
+    (Rump, Ogita & Oishi 2008) instead of a Python loop over the terms.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from scipy import special
 from .params import ProblemParams
 
 RADIAL_NODES_PER_PANEL = 6
+# passes of exact_sum before the remainder goes to math.fsum; three suffice
+# for terms spanning about 2^-50 of the largest
+_EXACT_SUM_PASSES = 8
 
 
 class _AntipodalRule:
@@ -209,14 +219,47 @@ def build_ball_quadrature(
 
 
 def integrate_boundary(values: np.ndarray, quad: SphereQuadrature | BallQuadrature) -> float:
-    """Weighted sum over the nodes of any rule with `weights`; exact, so order-independent."""
+    """Weighted sum over the nodes of any rule with `weights`.
+
+    The products weights * values are summed exactly and rounded once
+    (`exact_sum`), so the result is `math.fsum` of the products bit for bit
+    and does not depend on the order of the nodes.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != quad.weights.shape:
         raise ValueError(f"expected {quad.weights.shape} values, got {values.shape}")
-    return math.fsum((quad.weights * values).tolist())
+    return exact_sum(quad.weights * values)
 
 
 integrate_ball = integrate_boundary     # the same sum over a ball rule
+
+
+def exact_sum(terms: np.ndarray) -> float:
+    """`math.fsum(terms.tolist())` of a 1-D float array, bit for bit, by vector passes.
+
+    Each pass splits every term x into q + (x - q), with q = (sigma + x) - sigma
+    on the ulp grid of sigma = 2^(k + e), 2^k >= len + 2 and max|x| < 2^e.
+    Both parts are exact and |sum q| <= sigma, so `np.sum(q)` is exact in any
+    order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008, part I), and
+    the largest remainder is at least 2^(52 - k) times smaller.  Once the
+    remainder is zero the pass sums hold the exact total and fsum rounds it
+    once.  When the largest remainder is zero before any pass, non-finite or
+    outside (2^-900, 2^900), or the passes run out, fsum adds the remainder
+    itself, which keeps its signed zeros, inf/nan results and exceptions.
+    """
+    k = (len(terms) + 1).bit_length()
+    partials = []
+    for _ in range(_EXACT_SUM_PASSES):
+        top = max(terms.max(), -terms.min()) if len(terms) else 0.0
+        if top == 0.0 and partials:
+            return math.fsum(partials)
+        if not 2.0 ** -900 < top < 2.0 ** 900:
+            break
+        sigma = math.ldexp(1.0, k + math.frexp(top)[1])
+        q = (sigma + terms) - sigma
+        terms = terms - q
+        partials.append(q.sum())
+    return math.fsum(partials + terms.tolist())
 
 
 def write_csv(path, nodes: np.ndarray, values: np.ndarray, column: str = "value") -> None:

@@ -127,9 +127,13 @@ def _prepare(problem: SubcriticalProblem, init: BoundaryFunction) -> SolverState
 
 
 def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.ndarray]:
-    """The bulk energy of v and the extension E v it integrates."""
+    """The bulk energy of v and the extension E v it integrates.
+
+    v >= 0 here, so E v >= 0 elementwise (positive kernel table) and
+    |E v|^p_bulk is (E v)^p_bulk.
+    """
     ext = problem.operator.extend_values(v)
-    return integrate_ball(np.abs(ext) ** problem.params.p_bulk, problem.ball), ext
+    return integrate_ball(ext ** problem.params.p_bulk, problem.ball), ext
 
 
 def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> BoundaryFunction:

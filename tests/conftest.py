@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import poissonext as px
 from poissonext import operators as _operators
+
+# CI runs `pytest --hypothesis-profile=ci`: the same examples on every run,
+# no per-example deadline on a shared runner, and more examples than locally
+settings.register_profile("ci", derandomize=True, deadline=None, max_examples=1000)
 
 
 @pytest.fixture(autouse=True)

@@ -1,10 +1,16 @@
+import math
+import re
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
 import poissonext as px
-from poissonext.quadrature import RADIAL_NODES_PER_PANEL, panel_rule
+from poissonext.quadrature import RADIAL_NODES_PER_PANEL, exact_sum, panel_rule
 
 
 class TestSphereQuadrature:
@@ -180,3 +186,94 @@ class TestIntegratePrimitives:
         import math
 
         assert total == math.fsum((sphere_2d.weights * v)[perm].tolist())
+
+    def test_ball_integral_is_the_boundary_integral_with_its_message(self, sphere_2d, ball_2d):
+        assert px.integrate_ball is px.integrate_boundary
+        assert px.quadrature.integrate_ball is px.quadrature.integrate_boundary
+        for rule in (sphere_2d, ball_2d):
+            msg = f"expected ({len(rule)},) values, got (3,)"
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                px.integrate_ball(np.ones(3), rule)
+
+
+def _fsum_outcome(total, terms):
+    """The bits of total(terms), or the exception it raises."""
+    try:
+        return struct.pack("<d", total(terms))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def adversarial_terms(draw):
+    """Float arrays on which a sum that is not exact and correctly rounded shows."""
+    kind = draw(st.sampled_from(["floats", "ties", "cancel", "subnormal", "extreme", "wide",
+                                 "near_max", "zeros", "special"]))
+    if kind == "floats":
+        return np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                      max_size=60)), dtype=float)
+    size = draw(st.one_of(st.integers(0, 40), st.integers(0, 10_000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = rng.choice([-1.0, 1.0], size)
+    scale = math.ldexp(1.0, draw(st.integers(-300, 300)))
+    if kind == "ties":
+        # a base plus half its ulp, split into pieces and hidden among +-c pairs
+        base = draw(st.floats(min_value=-1e300, max_value=1e300).filter(lambda b: b != 0))
+        half = math.copysign(math.ulp(base) / 2, draw(st.sampled_from([-1.0, 1.0])))
+        pairs = rng.uniform(-1.0, 1.0, size // 2) * scale
+        terms = np.concatenate([[base, half / 2, half / 2, math.ulp(base)], pairs, -pairs])
+        terms[3] *= draw(st.sampled_from([0.0, -1.0, 1.0]))
+    elif kind == "cancel":
+        # x, -x and tiny terms far below them
+        big = rng.uniform(0.5, 1.0, size) * signs * scale
+        tiny = rng.uniform(-1.0, 1.0, max(size // 8, 1)) * scale * 2.0 ** -draw(
+            st.integers(40, 600))
+        terms = np.concatenate([big, -big, tiny])
+    elif kind == "subnormal":
+        terms = rng.integers(-2**40, 2**40, size) * 2.0**-1074
+        terms[: size // 4] = rng.uniform(-1.0, 1.0, size // 4) * 2.0**-1000
+    elif kind == "extreme":
+        exps = rng.integers(990, 1024, size) * rng.choice([-1, 1], size)
+        terms = np.ldexp(rng.uniform(0.5, 1.0, size), exps) * signs
+    elif kind == "wide":
+        # more binades than the vector passes cover: +-x pairs up to 2^900
+        # leave the sum to unpaired terms that only the remainder holds
+        paired = np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(-1074, 900, size)) * signs
+        odd = np.ldexp(rng.uniform(-1.0, 1.0, size // 8 + 1), rng.integers(-1074, 0, size // 8 + 1))
+        terms = np.concatenate([paired, -paired, odd])
+    elif kind == "near_max":
+        # a few more than a power of two of negative terms just above -2^e:
+        # sigma + x falls in the binade below sigma, so q has the finer grid,
+        # and their sum overshoots a sigma one binade too small
+        size = 2 ** draw(st.integers(1, 13)) + draw(st.integers(1, 3))
+        terms = -scale * (1.0 - rng.integers(1, 2**32, size) * 2.0**-52)
+    elif kind == "zeros":
+        terms = rng.choice([-0.0, 0.0], size)
+        if draw(st.booleans()):
+            pairs = rng.uniform(-1.0, 1.0, size // 2) * scale
+            terms = np.concatenate([terms, pairs, -pairs])
+    else:
+        terms = rng.uniform(-1.0, 1.0, size + 1) * scale
+        terms[rng.integers(0, size + 1, 2)] = draw(
+            st.lists(st.sampled_from([np.inf, -np.inf, np.nan, 1e308]), min_size=2, max_size=2))
+    return rng.permutation(np.asarray(terms, dtype=float))
+
+
+class TestExactSum:
+    """`exact_sum` returns `math.fsum` bit for bit, signed zeros and exceptions included."""
+
+    @given(terms=adversarial_terms())
+    @settings(deadline=None)
+    def test_equals_fsum_bitwise(self, terms):
+        assert _fsum_outcome(exact_sum, terms) == _fsum_outcome(
+            lambda t: math.fsum(t.tolist()), terms)
+
+    @pytest.mark.parametrize("profile", ["positive", "cancel"])
+    def test_ball_integral_of_122880_terms(self, params_2d, profile):
+        ball = px.build_ball_quadrature(params_2d, 120, 1024)
+        rng = np.random.default_rng(7)
+        values = rng.uniform(0.5, 1.5, len(ball)) ** 2.5
+        if profile == "cancel":
+            values *= rng.choice([-1.0, 1.0], len(ball)) * 2.0 ** rng.integers(-60, 60, len(ball))
+        assert len(ball) == 122_880
+        assert px.integrate_ball(values, ball) == math.fsum((ball.weights * values).tolist())
