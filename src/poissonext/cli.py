@@ -22,6 +22,7 @@ from . import functionals as fn
 from . import operators as ops
 from . import solver as slv
 from .config import ConfigError, RunConfig, evaluate_weight, load_config, parse_config, weight_positivity_margin
+from .geometry import conformal_weight, mobius_f_inverse
 from .halfspace import build_halfspace_grid
 from .kernels import kernel_halfspace, normalization_constant
 from .params import ProblemParams
@@ -142,8 +143,6 @@ def _problem(config: RunConfig, weight, p: float, sphere, ball) -> slv.Subcritic
         ball=ball,
         tol_v=config.solver["tol_v"],
         max_iter=config.solver["max_iter"],
-        damping=config.solver["damping"],
-        allow_critical=p <= config.params.p_crit,
     )
 
 
@@ -281,7 +280,7 @@ def cmd_sharp(config: RunConfig):
                     "est_error": err})
 
     smax = fn.sharp_constant_by_maximization(
-        sphere, ball, params, starts=max(2, config.solver["multistart"] or 2), seed=config.seed
+        sphere, ball, params, starts=max(2, config.solver["multistart"]), seed=config.seed
     )
     methods["numerical_maximization"] = smax.value
     entries.append({"quantity": "sharp_constant", "method": "numerical_maximization",
@@ -331,6 +330,7 @@ def cmd_solve(config: RunConfig):
     holds, ratio, margin = fn.existence_condition(weight, params)
     multistart_spread = max(r["lambda_est"] for r in runs) - min(r["lambda_est"] for r in runs)
     lam_err = _lambda_richardson(config, weight, p, lam, v)
+    threshold = fn.lambda_threshold(weight, params, sharp)
     report = {
         "p": p,
         "lambda_est": lam,
@@ -339,8 +339,8 @@ def cmd_solve(config: RunConfig):
         "multiplier_identity_dev": rep["multiplier_identity_dev"],
         "converged": rep["converged"],
         "iterations": rep["iterations"],
-        "lambda_threshold": fn.lambda_threshold(weight, params, sharp),
-        "exceeds_threshold": lam > fn.lambda_threshold(weight, params, sharp),
+        "lambda_threshold": threshold,
+        "exceeds_threshold": lam > threshold,
         "existence_condition": {"holds": holds, "max_min_ratio": ratio, "margin": margin},
         "multistart_runs": runs,
         "multistart_lambda_spread": multistart_spread,
@@ -392,7 +392,6 @@ def cmd_continue(config: RunConfig):
         ball,
         tol_v=config.solver["tol_v"],
         max_iter=config.solver["max_iter"],
-        damping=config.solver["damping"],
         blow_up_factor=config.solver["blow_up_factor"],
         sharp=sharp,
     )
@@ -447,7 +446,6 @@ def cmd_diagnose(config: RunConfig):
 
     # bubble pullback to the sphere is the constant one
     bp0 = diag.BubbleParams(amplitude=2.0**params.half_weight_power)
-    from .geometry import conformal_weight
     lift = np.concatenate([ygrid, np.zeros((len(ygrid), 1))], axis=1)
     pull = diag.bubble(ygrid, params, bp0) / conformal_weight(lift, params)
     _check(checks, "bubble_pullback_constant", np.max(np.abs(pull - 1.0)), 1e-12)
@@ -457,10 +455,8 @@ def cmd_diagnose(config: RunConfig):
     reports = []
     for lam in (1.0, 0.3, 0.1):
         bp = diag.BubbleParams(lambda_scale=lam)
-        boundary = sphere.nodes
         # transport the bubble to the sphere through the inverse chart
-        from .geometry import mobius_f_inverse
-        safe = boundary * (1.0 - 1e-13)
+        safe = sphere.nodes * (1.0 - 1e-13)
         ys = mobius_f_inverse(safe, params)[:, :-1]
         vals = diag.bubble(ys, params, bp) / conformal_weight(
             np.concatenate([ys, np.zeros((len(ys), 1))], axis=1), params

@@ -38,7 +38,6 @@ _DEFAULTS: dict[str, Any] = {
         "epsilon_floor": 1e-3,
         "tol_v": 1e-9,
         "max_iter": 5000,
-        "damping": 1.0,
         "blow_up_factor": 3.0,
         "multistart": 0,
     },
@@ -57,6 +56,7 @@ _DEFAULTS: dict[str, Any] = {
 _REMOVED = {
     "operator": "operator: removed; the extension operator is always balanced",
     "quadrature.radial_rule": "quadrature.radial_rule: removed; the radial rule is always graded_gl",
+    "solver.damping": "solver.damping: removed; every step is Anderson-mixed or starts at the full step",
 }
 
 
@@ -89,7 +89,6 @@ _RULES = {
     "solver.epsilon_floor": _POSITIVE,
     "solver.tol_v": _POSITIVE,
     "solver.max_iter": _POSITIVE_INT,
-    "solver.damping": (lambda x: _is_real(x) and 0 < x <= 1, "a number in (0, 1]"),
     "solver.blow_up_factor": _POSITIVE,
     "solver.multistart": (lambda x: _is_int(x) and x >= 0, "a nonnegative integer"),
     "halfspace.inner_scale": _POSITIVE,

@@ -125,7 +125,8 @@ def half_mass_radius(v: BoundaryFunction) -> float:
 def concentration_report(
     v: BoundaryFunction, stage_history: list[dict] | None = None
 ) -> dict:
-    """Scale-invariant concentration indicators for a boundary profile."""
+    """Scale-invariant concentration indicators for a boundary profile,
+    with the growth of sup v over continuation stage rows when given."""
     vals = v.values
     jmax = int(np.argmax(vals))
     sup, inf = float(vals.max()), float(vals.min())
@@ -138,7 +139,7 @@ def concentration_report(
         "mean": integrate_boundary(vals, v.quad) / v.quad.weights.sum(),
     }
     if stage_history:
-        sups = [s["sup_v"] if isinstance(s, dict) else s.sup_v for s in stage_history]
+        sups = [s["sup_v"] for s in stage_history]
         report["stage_sup_values"] = [float(s) for s in sups]
         report["stage_sup_growth"] = [
             float(b / a) for a, b in zip(sups[:-1], sups[1:])

@@ -333,12 +333,12 @@ def extend_halfspace(
     return out, halfspace_tail_bound(grid, targets, params, u_tail)
 
 
-def interpolate_boundary(v: BoundaryFunction, degree: int | None = None):
+def interpolate_boundary(v: BoundaryFunction):
     """Callable interpolant of nodal boundary values.
 
     n = 2 uses the exact trigonometric interpolant of the equispaced rule;
     n = 3 fits real spherical harmonics by least squares (exact for
-    bandlimited data up to the requested degree).
+    bandlimited data up to degree min(resolution / 2, 12)).
     """
     quad = v.quad
     if quad.n == 2:
@@ -359,8 +359,7 @@ def interpolate_boundary(v: BoundaryFunction, degree: int | None = None):
 
         return interp2
     if quad.n == 3:
-        if degree is None:
-            degree = min(quad.resolution // 2, 12)
+        degree = min(quad.resolution // 2, 12)
         design = _real_sph_design(quad.nodes, degree)
         coeff, *_ = np.linalg.lstsq(design, v.values, rcond=None)
 

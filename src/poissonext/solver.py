@@ -11,21 +11,19 @@ normalized fixed-point map of that equation,
 
     G(v) = N(sym(w)),  w = (T[(E v)^{q_exp}] / K)^{1/(p-1)},
 
-with sym the antipodal average and N the constraint normalization.  With
-the default damping 1 each step is accelerated by Anderson mixing of depth
-ANDERSON_DEPTH (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): from the last
-pairs (v_i, G(v_i)), with f = G(v) - v, the coefficients gamma minimize
-|f_k - dF gamma| over the differences dF of f and dX of v, and the mixed
-point is x = v_k - dX gamma + (f_k - dF gamma).  N(sym(x)) is accepted only
-if x is positive and the functional does not decrease (up to
-ASCENT_SLACK); otherwise the history restarts and the plain step is taken.
-The plain step v+ = N(sym((1 - tau) v + tau w)) starts at tau = damping and
-halves tau until the functional does not decrease, so the functional
-history is nondecreasing by construction either way.  A damped run
-(damping < 1) takes plain steps only.  Convergence is judged on the
-undamped, unmixed residual |G(v) - v| / |v|, which neither damping nor
-mixing can shrink.  Continuation lowers p along a schedule toward the
-critical exponent, warm-starting each stage from the previous one.
+with sym the antipodal average and N the constraint normalization.  Each
+step first tries Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni,
+SIAM J. Numer. Anal. 49, 2011): from the last pairs (v_i, G(v_i)), with
+f = G(v) - v, gamma minimizes |f_k - dF gamma| over the differences dF of
+f and dX of v, and the mixed point is x = v_k - dX gamma + (f_k - dF gamma).
+N(sym(x)) is kept only if x is positive and the functional does not drop
+(up to ASCENT_SLACK); otherwise the history restarts and the plain step
+v+ = N(sym((1 - tau) v + tau w)) runs from tau = 1, halving tau until the
+functional does not drop.  The functional history is therefore
+nondecreasing.  Convergence is judged on the unmixed full-step residual
+|G(v) - v| / |v|, which neither halving nor mixing can shrink.
+Continuation lowers p along a schedule toward the critical exponent,
+warm-starting each stage from the previous one.
 """
 
 from __future__ import annotations
@@ -60,8 +58,6 @@ class SubcriticalProblem:
     ball: BallQuadrature
     tol_v: float = 1e-9
     max_iter: int = 5000
-    damping: float = 1.0
-    allow_critical: bool = False
     operator: ExtensionOperator = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -70,12 +66,8 @@ class SubcriticalProblem:
         if self.weight.quad is not self.sphere:
             raise ValueError("weight must live on the problem's sphere quadrature")
         p_lo, p_hi = self.params.p_crit, self.params.p_bulk
-        in_range = (p_lo <= self.p < p_hi) if self.allow_critical else (p_lo < self.p < p_hi)
-        if not in_range:
-            bracket = "[" if self.allow_critical else "("
-            raise ValueError(f"p must lie in {bracket}{p_lo}, {p_hi}), got {self.p}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
+        if not p_lo <= self.p < p_hi:
+            raise ValueError(f"p must lie in [{p_lo}, {p_hi}), got {self.p}")
         if self.operator is None:
             self.operator = build_extension_operator(self.sphere, self.ball, self.params)
 
@@ -147,10 +139,10 @@ def fixed_point_step(
 ) -> SolverState:
     """One Euler-Lagrange fixed-point step with ascent acceptance.
 
-    Without `history` this is the plain damped step.  With it (a deque of
-    (v, G(v)) pairs, maxlen ANDERSON_DEPTH + 1, owned by the caller) the
-    step appends its own pair and first tries the Anderson-mixed point; a
-    rejected mixed point leaves only that pair in the history.
+    Without `history` this is the plain step with its halving.  With it (a
+    deque of (v, G(v)) pairs, maxlen ANDERSON_DEPTH + 1, owned by the
+    caller) the step appends its own pair and first tries the Anderson-mixed
+    point; a rejected mixed point leaves only that pair in the history.
     """
     op = problem.operator
     v = state.v.values
@@ -170,7 +162,7 @@ def fixed_point_step(
                     return _accepted(state, cand, lam, cand_ext, residual)
             history.clear()
             history.append((v, full.values))
-    tau = problem.damping
+    tau = 1.0
     for _ in range(MAX_DAMPING_HALVINGS + 1):
         cand = full if tau == 1.0 else _candidate((1.0 - tau) * v + tau * w, problem)
         lam, cand_ext = _functional(cand.values, problem)
@@ -211,7 +203,7 @@ def maximize_subcritical(
 ) -> tuple[BoundaryFunction, float, dict]:
     """Iterate fixed-point steps to convergence; returns (v, lambda, report)."""
     state = _prepare(problem, init)
-    history = deque(maxlen=ANDERSON_DEPTH + 1) if problem.damping == 1.0 else None
+    history = deque(maxlen=ANDERSON_DEPTH + 1)
     converged = False
     for _ in range(problem.max_iter):
         state = fixed_point_step(state, problem, history)
@@ -316,17 +308,12 @@ class ContinuationReport:
         ]
 
 
-def default_schedule(
-    params: ProblemParams, start: float | None = None, floor: float = 1e-3, max_stages: int = 16
-) -> list[float]:
-    """Geometric approach of p toward p_crit + floor, halving the excess."""
-    if start is None:
-        start = 0.5 * (params.p_crit + params.p_bulk)
-    if not (params.p_crit < start < params.p_bulk):
-        raise ValueError("schedule start must lie between the critical exponents")
+def default_schedule(params: ProblemParams, floor: float = 1e-3) -> list[float]:
+    """Geometric approach of p from midway between the critical exponents
+    toward p_crit + floor, halving the excess; at most 17 stages."""
     out = []
-    excess = start - params.p_crit
-    for _ in range(max_stages):
+    excess = 0.5 * (params.p_crit + params.p_bulk) - params.p_crit
+    for _ in range(16):
         if excess <= floor:
             break
         out.append(params.p_crit + excess)
@@ -344,7 +331,6 @@ def continuation(
     init: BoundaryFunction | None = None,
     tol_v: float = 1e-9,
     max_iter: int = 5000,
-    damping: float = 1.0,
     blow_up_factor: float = 3.0,
     sharp: SharpConstant | None = None,
 ) -> ContinuationReport:
@@ -377,8 +363,6 @@ def continuation(
             ball=ball,
             tol_v=tol_v,
             max_iter=max_iter,
-            damping=damping,
-            allow_critical=p <= params.p_crit,
             operator=op,
         )
         v, lam, report = maximize_subcritical(problem, v)

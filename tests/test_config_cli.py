@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import poissonext as px
 from poissonext.cli import main
-from poissonext.config import _DEFAULTS, ConfigError, evaluate_weight, parse_config
+from poissonext.config import _DEFAULTS, ConfigError, evaluate_weight, load_config, parse_config
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def tiny_2d_config(out, **extra):
@@ -144,6 +146,15 @@ class TestConfigParsing:
         # zonal Legendre series: 1 + 0.2 * P_2(z)
         z = quad.nodes[:, 2]
         assert np.allclose(w.values, 1.0 + 0.2 * 0.5 * (3 * z**2 - 1), atol=1e-12)
+
+    def test_n2_example_is_the_readme_configuration(self):
+        path = os.path.join(ROOT, "examples", "existence_2d.json")
+        with open(os.path.join(ROOT, "README.md")) as fh:
+            readme = fh.read()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        with open(path) as fh:
+            assert json.load(fh) == json.loads(block)
+        assert load_config(path).to_dict() == parse_config(json.loads(block)).to_dict()
 
 
 class TestCliCommands:

@@ -139,6 +139,28 @@ class TestSharpConstant:
         assert s3.value >= s2.value - 1e-4
         assert s3.value <= s2.value * (1 + 1e-3)
 
+    def test_maximization_reports_the_start_with_the_largest_lambda(
+        self, sphere_2d, ball_2d, params_2d, monkeypatch
+    ):
+        # the constant start lands on a lower critical point in this stand-in,
+        # yet has the larger norm ratio: the constant is the ratio's extremizer
+        theta = np.arctan2(sphere_2d.nodes[:, 1], sphere_2d.nodes[:, 0])
+        bumpy = px.BoundaryFunction(1.0 + 0.5 * np.cos(2 * theta), sphere_2d)
+        one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
+        results = iter([(one, 1.0, {}), (bumpy, 2.0, {}), (one, 1.5, {})])
+        monkeypatch.setattr(px.solver, "maximize_subcritical",
+                            lambda problem, init: next(results))
+        s = px.sharp_constant(params_2d, "numerical_maximization", sphere_2d, ball_2d, starts=3)
+
+        op = px.build_extension_operator(sphere_2d, ball_2d, params_2d)
+
+        def ratio(v):
+            return (px.bulk_norm(op.extend(v), params_2d.p_bulk)
+                    / px.boundary_norm(v, params_2d.p_crit))
+
+        assert ratio(one) > ratio(bumpy) * (1 + 1e-3)
+        assert s.value == ratio(bumpy)
+
     def test_unknown_method_rejected(self, params_3d, sphere_3d, ball_3d):
         with pytest.raises(ValueError):
             px.sharp_constant(params_3d, "guesswork", sphere_3d, ball_3d)
