@@ -27,10 +27,8 @@ def unit_weight_3d(sphere_3d):
     return px.WeightFunction(np.ones(len(sphere_3d)), sphere_3d, antipodal=True)
 
 
-def make_problem(params, weight, p, sphere, ball, **kw):
-    return px.SubcriticalProblem(
-        params=params, weight=weight, p=p, sphere=sphere, ball=ball, **kw
-    )
+def make_problem(params, weight, p, sphere, ball):
+    return px.SubcriticalProblem(params=params, weight=weight, p=p, sphere=sphere, ball=ball)
 
 
 class TestSymmetrize:
