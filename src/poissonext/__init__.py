@@ -3,7 +3,7 @@ isoperimetric functional, and a subcritical variational solver for the
 associated boundary integral equation."""
 
 from .params import ProblemParams
-from .geometry import antipode, conformal_weight, mobius_f, mobius_f_inverse, stereographic
+from .geometry import conformal_weight, mobius_f, mobius_f_inverse, stereographic
 from .kernels import (
     KernelConstants,
     kernel_ball,

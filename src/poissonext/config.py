@@ -23,6 +23,10 @@ from .params import ProblemParams
 from .quadrature import SphereQuadrature
 
 _SCHEMA_VERSION = 1
+# weight positivity is certified on this many sample points; a series term
+# above the grid's Nyquist limit would pass unseen between them
+_POSITIVITY_GRID = 4096
+_MAX_FREQUENCY = _POSITIVITY_GRID // 2
 
 _DEFAULTS: dict[str, Any] = {
     "params": {"n": 3, "a": 0.0},
@@ -260,6 +264,7 @@ def _validate_weight_spec(spec: dict, params: ProblemParams) -> None:
     coeffs = spec.get("coefficients")
     if not isinstance(coeffs, dict) or not coeffs:
         raise ConfigError("weight: coefficients must be a nonempty object")
+    noun = "frequency" if kind == "cosine_series" else "degree"
     for key, value in coeffs.items():
         if not _is_real(value):
             raise ConfigError(f"weight: coefficient {key!r} must be a number")
@@ -269,10 +274,11 @@ def _validate_weight_spec(spec: dict, params: ProblemParams) -> None:
             raise ConfigError(f"weight: bad frequency/degree {key!r}") from None
         if k < 0:
             raise ConfigError("weight: frequencies/degrees must be nonnegative")
+        if k > _MAX_FREQUENCY:
+            raise ConfigError(f"weight: {noun} {k} is above {_MAX_FREQUENCY}, the Nyquist "
+                              f"limit of the {_POSITIVITY_GRID}-point positivity grid")
         if k % 2:
-            raise ConfigError(
-                f"weight: antipodality violated (odd {'frequency' if kind == 'cosine_series' else 'degree'} {k})"
-            )
+            raise ConfigError(f"weight: antipodality violated (odd {noun} {k})")
     margin = weight_positivity_margin(spec, params)
     if margin <= 0:
         raise ConfigError(f"weight: not positive (min over fine grid {margin:.3e})")
@@ -304,15 +310,15 @@ def _weight_callable(spec: dict, params: ProblemParams):
     return k3
 
 
-def weight_positivity_margin(spec: dict, params: ProblemParams, grid: int = 4096) -> float:
+def weight_positivity_margin(spec: dict, params: ProblemParams) -> float:
     """Minimum of the weight over a fine parity-respecting sample grid."""
     fn = _weight_callable(spec, params)
     if params.n == 2:
-        theta = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * np.pi, _POSITIVITY_GRID, endpoint=False)
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     else:
-        t = np.linspace(-1.0, 1.0, grid)
-        pts = np.stack([np.sqrt(1 - t**2), np.zeros(grid), t], axis=1)
+        t = np.linspace(-1.0, 1.0, _POSITIVITY_GRID)
+        pts = np.stack([np.sqrt(1 - t**2), np.zeros(_POSITIVITY_GRID), t], axis=1)
     return float(np.min(fn(pts)))
 
 

@@ -122,15 +122,12 @@ def half_mass_radius(v: BoundaryFunction) -> float:
     return float(dist[order][min(k, len(dist) - 1)])
 
 
-def concentration_report(
-    v: BoundaryFunction, stage_history: list[dict] | None = None
-) -> dict:
-    """Scale-invariant concentration indicators for a boundary profile,
-    with the growth of sup v over continuation stage rows when given."""
+def concentration_report(v: BoundaryFunction) -> dict:
+    """Scale-invariant concentration indicators for a boundary profile."""
     vals = v.values
     jmax = int(np.argmax(vals))
     sup, inf = float(vals.max()), float(vals.min())
-    report = {
+    return {
         "sup": sup,
         "inf": inf,
         "sup_inf_ratio": sup / inf if inf > 0 else np.inf,
@@ -138,10 +135,3 @@ def concentration_report(
         "half_mass_radius": half_mass_radius(v),
         "mean": integrate_boundary(vals, v.quad) / v.quad.weights.sum(),
     }
-    if stage_history:
-        sups = [s["sup_v"] for s in stage_history]
-        report["stage_sup_values"] = [float(s) for s in sups]
-        report["stage_sup_growth"] = [
-            float(b / a) for a, b in zip(sups[:-1], sups[1:])
-        ]
-    return report

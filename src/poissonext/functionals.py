@@ -39,7 +39,6 @@ class WeightFunction(_NodalValues):
 @dataclass(frozen=True)
 class SharpConstant:
     value: float
-    method: str
 
     def __post_init__(self) -> None:
         if self.value <= 0:
@@ -85,7 +84,7 @@ def sharp_constant_formula_a0(params: ProblemParams) -> SharpConstant:
     value = n ** (-(n - 2.0) / (2.0 * (n - 1.0))) * omega ** (
         -(n - 2.0) / (2.0 * n * (n - 1.0))
     )
-    return SharpConstant(float(value), "formula_a0")
+    return SharpConstant(float(value))
 
 
 def sharp_constant_from_constant_test_function(
@@ -98,7 +97,7 @@ def sharp_constant_from_constant_test_function(
     op = build_extension_operator(sphere, ball, params)
     num = bulk_norm(op.extend(one), params.p_bulk)
     den = boundary_norm(one, params.p_crit)
-    return SharpConstant(num / den, "constant_test_function")
+    return SharpConstant(num / den)
 
 
 def sharp_constant_by_maximization(
@@ -139,7 +138,7 @@ def sharp_constant_by_maximization(
     v = max(runs, key=lambda run: run[1])[0]
     ext = ExtensionField(problem.operator.extend_values(v.values), ball)
     ratio = bulk_norm(ext, params.p_bulk) / boundary_norm(v, params.p_crit)
-    return SharpConstant(ratio, "numerical_maximization")
+    return SharpConstant(ratio)
 
 
 def sharp_constant(
@@ -149,13 +148,19 @@ def sharp_constant(
     ball: BallQuadrature | None = None,
     **kwargs,
 ) -> SharpConstant:
-    """Dispatch on the estimation method; see the individual functions."""
+    """Dispatch on the estimation method; see the individual functions.
+
+    Keyword arguments go to `sharp_constant_by_maximization`, the only
+    method that takes any.
+    """
+    if kwargs and method != "numerical_maximization":
+        raise ValueError(f"method {method!r} takes no keyword arguments, got {sorted(kwargs)}")
     if method == "formula_a0":
         return sharp_constant_formula_a0(params)
     if sphere is None or ball is None:
         raise ValueError(f"method {method!r} needs quadratures")
     if method == "constant_test_function":
-        return sharp_constant_from_constant_test_function(sphere, ball, params, **kwargs)
+        return sharp_constant_from_constant_test_function(sphere, ball, params)
     if method == "numerical_maximization":
         return sharp_constant_by_maximization(sphere, ball, params, **kwargs)
     raise ValueError(f"unknown method {method!r}")

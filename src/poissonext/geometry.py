@@ -1,4 +1,4 @@
-"""Moebius map between half-space and ball, stereographic chart, antipodes.
+"""Moebius map between half-space and ball, stereographic chart, conformal factor.
 
 Conventions: a half-space point is an array (..., n) whose last coordinate is
 the height x_n >= 0; a ball point is an array (..., n) with |xi| <= 1.  All
@@ -67,8 +67,3 @@ def conformal_weight(x: np.ndarray, params: ProblemParams) -> np.ndarray:
     s = x + _unit_last(params.n)
     norm = np.sqrt(np.sum(s * s, axis=-1))
     return (np.sqrt(2.0) / norm) ** (params.n + params.a - 2.0)
-
-
-def antipode(eta: np.ndarray) -> np.ndarray:
-    """Antipodal map eta -> -eta (exact: negation of every coordinate)."""
-    return -np.asarray(eta, dtype=float)

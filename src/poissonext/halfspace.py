@@ -29,12 +29,9 @@ from .quadrature import integrate_boundary, panel_rule, surface_area
 class HalfspaceGrid:
     """Nodes and weights for integrals over R^{n-1}, truncated at a radius."""
 
-    n: int
     nodes: np.ndarray         # (M, n-1)
     weights: np.ndarray       # (M,)
     truncation_radius: float
-    inner_scale: float
-    angular_points: int
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -89,14 +86,7 @@ def build_halfspace_grid(
             [np.outer(r, cos).ravel(), np.outer(r, sin).ravel()], axis=1
         )
         weights = np.outer(wr * r, np.full(angular_points, 2.0 * np.pi / angular_points)).ravel()
-    return HalfspaceGrid(
-        n=n,
-        nodes=nodes,
-        weights=weights,
-        truncation_radius=float(truncation_radius),
-        inner_scale=float(inner_scale),
-        angular_points=int(angular_points),
-    )
+    return HalfspaceGrid(nodes, weights, float(truncation_radius))
 
 
 def halfspace_tail_bound(

@@ -61,7 +61,7 @@ import numpy as np
 
 from .geometry import conformal_weight, mobius_f, stereographic
 from .halfspace import HalfspaceGrid, halfspace_tail_bound
-from .kernels import KernelConstants, kernel_ball_sphere_mass, kernel_halfspace
+from .kernels import KernelConstants, kernel_ball, kernel_ball_sphere_mass, kernel_halfspace
 from .params import ProblemParams
 from .quadrature import BallQuadrature, SphereQuadrature, azimuthal_layout, write_csv
 
@@ -98,21 +98,6 @@ class ExtensionField(_NodalValues):
     """Values of an extension at the nodes of a ball quadrature."""
 
     _kind = "field"
-
-
-def _kernel_block(xi: np.ndarray, radii: np.ndarray, eta: np.ndarray,
-                  params: ProblemParams) -> np.ndarray:
-    """Ball-kernel values, chunked so the coordinate broadcast stays small."""
-    pref = KernelConstants.for_params(params).ball_prefactor
-    a, n = params.a, params.n
-    out = np.empty((len(xi), len(eta)))
-    step = max(1, 4_000_000 // max(len(eta), 1))
-    for s in range(0, len(xi), step):
-        d = xi[s:s + step, None, :] - eta[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", d, d)
-        out[s:s + step] = dist2 ** ((a - n) / 2.0)
-    out *= pref * ((1.0 - radii) * (1.0 + radii))[:, None] ** (1.0 - a)
-    return out
 
 
 def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature,
@@ -300,10 +285,7 @@ def extend_at_points(
     is spectrally accurate; no balancing is applied.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    radii = np.sqrt(np.sum(points * points, axis=-1))
-    if np.any(radii >= 1.0):
-        raise ValueError("extension points must be interior")
-    rows = _kernel_block(points, radii, v.quad.nodes, params)
+    rows = kernel_ball(v.quad.nodes[None, :, :], points[:, None, :], params)
     return rows @ (v.quad.weights * v.values)
 
 

@@ -16,7 +16,6 @@ class ProblemParams:
       p_bulk = 2n/(n+a-2)       matching bulk exponent
       q_exp  = (n-a+2)/(n+a-2)  power applied to the extension in the
                                 Euler-Lagrange right-hand side
-      s_exp  = (n-a)/(n+a-2)    power on the boundary side (= p_crit - 1)
     """
 
     n: int
@@ -24,7 +23,6 @@ class ProblemParams:
     p_crit: float = field(init=False)
     p_bulk: float = field(init=False)
     q_exp: float = field(init=False)
-    s_exp: float = field(init=False)
 
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 2:
@@ -40,7 +38,6 @@ class ProblemParams:
         object.__setattr__(self, "p_crit", 2.0 * (self.n - 1) / d)
         object.__setattr__(self, "p_bulk", 2.0 * self.n / d)
         object.__setattr__(self, "q_exp", (self.n - self.a + 2.0) / d)
-        object.__setattr__(self, "s_exp", (self.n - self.a) / d)
 
     @property
     def half_weight_power(self) -> float:

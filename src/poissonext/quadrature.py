@@ -100,7 +100,6 @@ class BallQuadrature(_AntipodalRule):
     antipode_index: np.ndarray
     radii: np.ndarray
     delta_min: float
-    grading: dict
     angular: SphereQuadrature
 
     def __post_init__(self) -> None:
@@ -199,7 +198,6 @@ def build_ball_quadrature(
     panels = max(2, round(radial_points / q))
     bounds = [0.0] + [1.0 - 0.5 ** k for k in range(1, panels)] + [1.0]
     r, wr = panel_rule(bounds, q)
-    grading = {"rule": "graded_gl", "panels": panels, "nodes_per_panel": q, "ratio": 0.5}
     ang = build_sphere_quadrature(params, angular_resolution)
     h = ang.half
     n = params.n
@@ -213,7 +211,6 @@ def build_ball_quadrature(
         **_antipodal_closure(up_nodes, up_w),
         radii=np.tile(np.repeat(r, h), 2),
         delta_min=float(1.0 - r.max()),
-        grading=grading,
         angular=ang,
     )
 

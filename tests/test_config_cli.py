@@ -189,6 +189,9 @@ class TestCliCommands:
             ({"output_dir": 5}, "output_dir"),
             ({"solver": {"damping": True}}, "solver.damping"),
             ({"params": {"n": 2, "a": 1e-300}}, "a must lie in"),
+            # a degree whose coefficient array would need 72.8 TiB
+            ({"weight": {"kind": "zonal_series",
+                         "coefficients": {"0": 1.0, "10000000000000": 0.1}}}, "weight: degree"),
         ]:
             path = write_config(tmp_path, cfg)
             assert main(["verify", "--config", path]) == 2

@@ -131,12 +131,6 @@ class TestConcentrationReport:
             radii.append(px.half_mass_radius(px.BoundaryFunction(vals, sphere_2d)))
         assert radii[0] > radii[1] > radii[2]
 
-    def test_stage_history_growth(self, sphere_2d):
-        v = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
-        hist = [{"sup_v": 1.0}, {"sup_v": 2.0}, {"sup_v": 8.0}]
-        rep = px.concentration_report(v, hist)
-        assert rep["stage_sup_growth"] == [2.0, 4.0]
-
 
 class TestClassificationStandIn:
     def test_transported_bubble_solves_critical_equation(self, params_2d, sphere_2d, ball_2d):

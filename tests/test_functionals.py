@@ -165,6 +165,11 @@ class TestSharpConstant:
         with pytest.raises(ValueError):
             px.sharp_constant(params_3d, "guesswork", sphere_3d, ball_3d)
 
+    def test_keywords_are_rejected_by_methods_that_take_none(self, params_3d, sphere_3d, ball_3d):
+        for method in ("formula_a0", "constant_test_function"):
+            with pytest.raises(ValueError, match=rf"{method}.*'starts'"):
+                px.sharp_constant(params_3d, method, sphere_3d, ball_3d, starts=2)
+
 
 class TestExistenceCondition:
     def test_constant_weight(self, sphere_2d, params_2d):

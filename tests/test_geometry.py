@@ -23,21 +23,18 @@ class TestParams:
         assert p.p_crit == 4.0
         assert p.p_bulk == 6.0
         assert p.q_exp == 5.0
-        assert p.s_exp == 3.0
 
     def test_exponents_n2_a_half(self):
         p = px.ProblemParams(2, 0.5)
         assert p.p_crit == 4.0
         assert p.p_bulk == 8.0
         assert p.q_exp == 7.0
-        assert p.s_exp == 3.0
 
     @pytest.mark.parametrize("n,a", [(2, 0.25), (3, -0.9), (4, -1.0), (3, 0.99)])
     def test_exponent_relations(self, n, a):
         p = px.ProblemParams(n, a)
         assert p.p_crit < p.p_bulk
-        assert p.s_exp + 2.0 / (n + a - 2.0) == pytest.approx(p.q_exp, abs=1e-14)
-        assert p.s_exp == pytest.approx(p.p_crit - 1.0, abs=1e-14)
+        assert p.p_crit - 1.0 + 2.0 / (n + a - 2.0) == pytest.approx(p.q_exp, abs=1e-14)
 
     @pytest.mark.parametrize("n,a", [(1, 0.0), (3, 1.0), (3, -1.0), (2, 0.0), (3, 1.5)])
     def test_rejects_out_of_range(self, n, a):
@@ -131,19 +128,6 @@ class TestConformalWeight:
         w = px.conformal_weight(x, p)
         assert np.all(w > 0)
         assert px.conformal_weight(np.array([0.0, 1e12]), p) < 1e-5
-
-
-class TestAntipode:
-    def test_pole(self, p3):
-        assert np.array_equal(px.antipode(e_n(3)), -e_n(3))
-
-    def test_equator_node(self):
-        assert np.array_equal(px.antipode(np.array([1.0, 0.0, 0.0])), [-1.0, 0.0, 0.0])
-
-    def test_involution_is_exact(self, rng):
-        eta = rng.normal(size=(50, 3))
-        eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-        assert np.array_equal(px.antipode(px.antipode(eta)), eta)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 import poissonext as px
-from poissonext.operators import _kernel_block
 
 
 def theta_oracle(params):
@@ -33,6 +32,12 @@ class TestExtendBall:
         k = px.KernelConstants.for_params(params_2d)
         val = px.extend_at_points(one, np.zeros((1, 2)), params_2d)[0]
         assert val == pytest.approx(k.ball_prefactor * 2 * np.pi, rel=1e-12)
+
+    def test_points_on_or_outside_the_sphere_rejected(self, sphere_2d, params_2d):
+        one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
+        for point in ([1.0, 0.0], [0.0, -1.5]):
+            with pytest.raises(ValueError, match="interior"):
+                px.extend_at_points(one, np.array([[0.0, 0.0], point]), params_2d)
 
     def test_linearity(self, op_2d, sphere_2d, rng):
         v1 = rng.normal(size=len(sphere_2d))
@@ -142,7 +147,7 @@ class TestStructuredProducts:
         # the raw dense kernel with the recorded scalings against the folded table
         op = small_op
         dense = (op.row_scale[:, None]
-                 * _kernel_block(op.ball.nodes, op.ball.radii, op.sphere.nodes, op.params)
+                 * px.kernel_ball(op.sphere.nodes[None], op.ball.nodes[:, None], op.params)
                  * op.col_scale)
         y = rng.random(len(op.sphere))
         z = rng.random(len(op.ball))
@@ -157,7 +162,7 @@ class TestStructuredProducts:
 
     def test_balance_matches_dense_sinkhorn(self, small_op, rng):
         op = small_op
-        raw = _kernel_block(op.ball.nodes, op.ball.radii, op.sphere.nodes, op.params)
+        raw = px.kernel_ball(op.sphere.nodes[None], op.ball.nodes[:, None], op.params)
         d, e = dense_sinkhorn(raw, op)
         assert max_rel(op.row_scale, d) <= 1e-10
         assert max_rel(op.col_scale, e) <= 1e-10

@@ -133,10 +133,6 @@ class TestBallQuadrature:
             assert np.array_equal(q.nodes[anti], -q.nodes)
             assert np.array_equal(q.weights[anti], q.weights)
 
-    def test_grading_descriptor(self, ball_2d):
-        assert ball_2d.grading["rule"] == "graded_gl"
-        assert ball_2d.grading["ratio"] == 0.5
-
     def test_rejects_tiny_radial_count(self, params_2d):
         with pytest.raises(ValueError):
             px.build_ball_quadrature(params_2d, 4, 16)
