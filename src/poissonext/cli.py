@@ -26,9 +26,13 @@ from .geometry import conformal_weight, mobius_f_inverse
 from .halfspace import build_halfspace_grid
 from .kernels import kernel_halfspace, normalization_constant
 from .params import ProblemParams
-from .quadrature import build_ball_quadrature, build_sphere_quadrature, integrate_ball, write_csv
+from .quadrature import (MAX_RADIAL_POINTS, build_ball_quadrature, build_sphere_quadrature,
+                         integrate_ball, write_csv)
 
 REPORT_SCHEMA_VERSION = 1
+# `sharp` refines its Richardson pair on a ball rule with this many times
+# the configured radial points
+SHARP_RADIAL_REFINEMENT = 2
 
 
 def main(argv=None) -> int:
@@ -91,6 +95,13 @@ def _load(args) -> RunConfig:
         q["sphere_resolution"] *= scale
         q["ball_angular_resolution"] *= scale
         q["ball_radial_points"] *= scale
+    radial = config.quadrature["ball_radial_points"]
+    if args.command == "sharp":
+        radial *= SHARP_RADIAL_REFINEMENT
+    if radial > MAX_RADIAL_POINTS:
+        raise ConfigError(f"quadrature.ball_radial_points: {args.command} would build {radial} "
+                          f"radial points, more than the {MAX_RADIAL_POINTS} whose graded rule "
+                          "keeps every node inside the ball in float64")
     return config
 
 
@@ -270,7 +281,8 @@ def cmd_sharp(config: RunConfig):
     # any sphere resolution, so the discretization error of this method is
     # purely radial; refine only the ball rule for the Richardson pair
     ball2 = build_ball_quadrature(
-        params, 2 * config.quadrature["ball_radial_points"], config.ball_angular_resolution
+        params, SHARP_RADIAL_REFINEMENT * config.quadrature["ball_radial_points"],
+        config.ball_angular_resolution
     )
     fine = fn.sharp_constant_from_constant_test_function(sphere, ball2, params).value
     value, err = fn.richardson_estimate(coarse, fine)

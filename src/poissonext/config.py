@@ -20,7 +20,7 @@ from numpy.polynomial import legendre
 
 from .functionals import WeightFunction
 from .params import ProblemParams
-from .quadrature import SphereQuadrature
+from .quadrature import MAX_RADIAL_POINTS, SphereQuadrature
 
 _SCHEMA_VERSION = 1
 # weight positivity is certified on this many sample points; a series term
@@ -87,8 +87,10 @@ _RULES = {
     "params.a": (_is_real, "a number"),
     "quadrature.sphere_resolution": _EVEN_RESOLUTION,
     "quadrature.ball_angular_resolution": _EVEN_RESOLUTION,
-    # the front end never builds fewer radial points than 18
-    "quadrature.ball_radial_points": (lambda x: _is_int(x) and x >= 18, "an integer >= 18"),
+    # the front end never builds fewer radial points than 18; more than
+    # MAX_RADIAL_POINTS would put graded-rule nodes on the sphere in float64
+    "quadrature.ball_radial_points": (lambda x: _is_int(x) and 18 <= x <= MAX_RADIAL_POINTS,
+                                      f"an integer in [18, {MAX_RADIAL_POINTS}]"),
     "solver.p": (_is_real, "a number"),
     "solver.epsilon_floor": _POSITIVE,
     "solver.tol_v": _POSITIVE,

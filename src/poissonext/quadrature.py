@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .params import ProblemParams
 
@@ -110,7 +109,7 @@ class BallQuadrature(_AntipodalRule):
 
 def surface_area(n: int) -> float:
     """|S^{n-1}|: 2 pi for n = 2, 4 pi for n = 3."""
-    return float(2.0 * np.pi ** (n / 2.0) / special.gamma(n / 2.0))
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def ball_volume(n: int) -> float:
@@ -134,9 +133,7 @@ def build_sphere_quadrature(params: ProblemParams, resolution: int) -> SphereQua
         wup = np.full(m, 2.0 * np.pi / resolution)
     elif n == 3:
         naz = 2 * resolution
-        t, wt = special.roots_legendre(resolution)
-        t = 0.5 * (t - t[::-1])          # enforce exact symmetry of the nodes
-        wt = 0.5 * (wt + wt[::-1])
+        t, wt = gauss_legendre(resolution)
         t, wt = t[t > 0], wt[t > 0]
         phi = 2.0 * np.pi * np.arange(naz) / naz
         sin_t = np.sqrt(1.0 - t ** 2)
@@ -156,12 +153,46 @@ def _antipodal_closure(upper_nodes: np.ndarray, upper_weights: np.ndarray) -> di
             "antipode_index": np.concatenate([np.arange(half) + half, np.arange(half)])}
 
 
+def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the q-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_q, evaluated by the three-term recurrence, from
+    the guesses cos(pi (i - 1/4) / (q + 1/2)) for the q // 2 + q % 2
+    nonnegative roots; the weights are 2 / ((1 - x^2) P_q'(x)^2).  The
+    negative nodes are the exact negation of the positive ones and an odd
+    rule has its middle node at exactly 0, so the rule is symmetric bit for
+    bit.
+    """
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    x = np.cos(np.pi * (np.arange(1, (q + 1) // 2 + 1) - 0.25) / (q + 0.5))
+    if q % 2:
+        x[-1] = 0.0
+    for _ in range(100):
+        p, dp = _legendre_and_derivative(q, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    w = 2.0 / ((1.0 - x * x) * _legendre_and_derivative(q, x)[1] ** 2)
+    neg = q // 2        # the middle node of an odd rule is not negated
+    return np.concatenate([-x[:neg], x[::-1]]), np.concatenate([w[:neg], w[::-1]])
+
+
+def _legendre_and_derivative(q: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_q(x) and P_q'(x) for |x| < 1 by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, q + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, q * (x * p - p_prev) / (x * x - 1.0)
+
+
 def panel_rule(bounds, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite q-point Gauss-Legendre rule on the panels between consecutive bounds.
 
     Exact for polynomials of degree 2q - 1 on each panel; returns (nodes, weights).
     """
-    xg, wg = special.roots_legendre(q)
+    xg, wg = gauss_legendre(q)
     bounds = np.asarray(bounds, dtype=float)
     mid, hl = 0.5 * (bounds[:-1] + bounds[1:]), 0.5 * (bounds[1:] - bounds[:-1])
     return (mid[:, None] + hl[:, None] * xg).ravel(), (hl[:, None] * wg).ravel()
@@ -186,14 +217,39 @@ def azimuthal_layout(quad: SphereQuadrature) -> tuple[np.ndarray, np.ndarray, np
     return quad.nodes[::naz, 2], ring, az, naz
 
 
+def _max_radial_points(q: int) -> int:
+    """The most radial points whose graded rule keeps every node below |xi| = 1.
+
+    The last of P panels is [1 - 2^(1-P), 1].  In float64 its outermost
+    node, computed as `panel_rule` does, rounds to 1 once P passes about 50
+    (q = 6), and the rule would put nodes on the sphere.
+    """
+    top = gauss_legendre(q)[0][-1]
+
+    def outermost(panels: int) -> float:
+        lo = 1.0 - 0.5 ** (panels - 1)
+        return 0.5 * (lo + 1.0) + 0.5 * (1.0 - lo) * top
+
+    panels = 2
+    while outermost(panels + 1) < 1.0:
+        panels += 1
+    points = q * (panels + 1)
+    while round(points / q) > panels:
+        points -= 1
+    return points
+
+
+MAX_RADIAL_POINTS = _max_radial_points(RADIAL_NODES_PER_PANEL)
+
+
 def build_ball_quadrature(
     params: ProblemParams,
     radial_points: int,
     angular_resolution: int,
 ) -> BallQuadrature:
     """Tensor rule on the ball; see the module docstring for the grading."""
-    if radial_points < 8:
-        raise ValueError("radial_points must be at least 8")
+    if not 8 <= radial_points <= MAX_RADIAL_POINTS:
+        raise ValueError(f"radial_points must lie in [8, {MAX_RADIAL_POINTS}], got {radial_points}")
     q = RADIAL_NODES_PER_PANEL
     panels = max(2, round(radial_points / q))
     bounds = [0.0] + [1.0 - 0.5 ** k for k in range(1, panels)] + [1.0]

@@ -76,8 +76,8 @@ class SubcriticalProblem:
 class SolverState:
     """Iterate of the fixed point.
 
-    `extension` is E v when known (None makes the next step compute it);
-    each step appends to `functional_history` in place.
+    `ext_power` is (E v)^q_exp when known (None makes the next step
+    compute it); each step appends to `functional_history` in place.
     """
 
     v: BoundaryFunction
@@ -86,7 +86,7 @@ class SolverState:
     residual: float = np.inf
     functional_history: list = field(default_factory=list)
     step_failed: bool = False
-    extension: np.ndarray | None = field(default=None, repr=False)
+    ext_power: np.ndarray | None = field(default=None, repr=False)
 
 
 def symmetrize_antipodal(v: BoundaryFunction) -> BoundaryFunction:
@@ -109,23 +109,30 @@ def _prepare(problem: SubcriticalProblem, init: BoundaryFunction) -> SolverState
     if not np.any(v > 0):
         raise ValueError("initial guess must be nonnegative and nonzero")
     v = _candidate(v, problem)
-    lam, ext = _functional(v.values, problem)
+    lam, ext_power = _functional(v.values, problem)
     return SolverState(
         v=v,
         lambda_est=lam,
         functional_history=[lam],
-        extension=ext,
+        ext_power=ext_power,
     )
 
 
 def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.ndarray]:
-    """The bulk energy of v and the extension E v it integrates.
+    """The bulk energy of v and the power (E v)^q_exp the next step reads.
 
     v >= 0 here, so E v >= 0 elementwise (positive kernel table) and
-    |E v|^p_bulk is (E v)^p_bulk.
+    |E v|^p_bulk is (E v)^q_exp * E v, since p_bulk = q_exp + 1.
     """
-    ext = problem.operator.extend_values(v)
-    return integrate_ball(ext ** problem.params.p_bulk, problem.ball), ext
+    # the power is raised in the extension's own buffer: a fresh array that
+    # outlives the step made the heap fault in about two more ball-sized
+    # arrays of new pages per step (n2-fine-solve: 13,154 minor faults per
+    # solve against 7,722)
+    ext_power = problem.operator.extend_values(v)
+    integrand = ext_power.copy()
+    np.power(ext_power, problem.params.q_exp, out=ext_power)
+    integrand *= ext_power
+    return integrate_ball(integrand, problem.ball), ext_power
 
 
 def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> BoundaryFunction:
@@ -146,8 +153,10 @@ def fixed_point_step(
     """
     op = problem.operator
     v = state.v.values
-    ext = state.extension if state.extension is not None else op.extend_values(v)
-    g = op.adjoint_values(ext ** problem.params.q_exp)
+    ext_power = state.ext_power
+    if ext_power is None:
+        ext_power = op.extend_values(v) ** problem.params.q_exp
+    g = op.adjoint_values(ext_power)
     w = (g / problem.weight.values) ** (1.0 / (problem.p - 1.0))
     full = _candidate(w, problem)
     residual = float(np.max(np.abs(full.values - v)) / np.max(np.abs(v)))
@@ -157,22 +166,22 @@ def fixed_point_step(
             mixed = _anderson_point(history)
             if np.all(mixed > 0):
                 cand = _candidate(mixed, problem)
-                lam, cand_ext = _functional(cand.values, problem)
+                lam, cand_power = _functional(cand.values, problem)
                 if lam >= state.lambda_est - ASCENT_SLACK:
-                    return _accepted(state, cand, lam, cand_ext, residual)
+                    return _accepted(state, cand, lam, cand_power, residual)
             history.clear()
             history.append((v, full.values))
     tau = 1.0
     for _ in range(MAX_DAMPING_HALVINGS + 1):
         cand = full if tau == 1.0 else _candidate((1.0 - tau) * v + tau * w, problem)
-        lam, cand_ext = _functional(cand.values, problem)
+        lam, cand_power = _functional(cand.values, problem)
         if lam >= state.lambda_est - ASCENT_SLACK:
-            return _accepted(state, cand, lam, cand_ext, residual)
+            return _accepted(state, cand, lam, cand_power, residual)
         tau *= 0.5
     return replace(state, step_failed=True)
 
 
-def _accepted(state, cand, lam, cand_ext, residual) -> SolverState:
+def _accepted(state, cand, lam, cand_power, residual) -> SolverState:
     state.functional_history.append(lam)
     return SolverState(
         v=cand,
@@ -180,7 +189,7 @@ def _accepted(state, cand, lam, cand_ext, residual) -> SolverState:
         iteration=state.iteration + 1,
         residual=residual,
         functional_history=state.functional_history,
-        extension=cand_ext,
+        ext_power=cand_power,
     )
 
 

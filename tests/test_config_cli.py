@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import poissonext as px
 from poissonext.cli import main
 from poissonext.config import _DEFAULTS, ConfigError, evaluate_weight, load_config, parse_config
+from poissonext.quadrature import MAX_RADIAL_POINTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -201,6 +202,24 @@ class TestCliCommands:
         for scale in ("0", "-3"):
             assert main(["diagnose", "--resolution-scale", scale]) == 2
             assert "--resolution-scale" in capsys.readouterr().err
+
+    def test_radial_points_past_the_float64_limit_exit_2(self, tmp_path, capsys):
+        # sharp builds twice the configured radial points; the check runs
+        # after --resolution-scale and before any rule is built
+        for cmd, radial, flags in [("sharp", 160, []), ("solve", MAX_RADIAL_POINTS + 1, []),
+                                   ("sharp", 96, ["--resolution-scale", "2"])]:
+            cfg = {"quadrature": {"ball_radial_points": radial}, "output_dir": str(tmp_path)}
+            path = write_config(tmp_path, cfg)
+            assert main([cmd, "--config", path] + flags) == 2
+            assert "quadrature.ball_radial_points" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "report.json")
+
+    def test_n2_sharp_at_128_radial_points(self, tmp_path):
+        out = str(tmp_path / "out")
+        cfg = tiny_2d_config(out)
+        cfg["quadrature"] = {"sphere_resolution": 32, "ball_radial_points": 128,
+                             "ball_angular_resolution": 32}
+        assert main(["sharp", "--config", write_config(tmp_path, cfg)]) == 0
 
     def test_solve_writes_artifacts(self, tmp_path):
         out = str(tmp_path / "out")

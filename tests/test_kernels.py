@@ -1,9 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import quad
 
 import poissonext as px
+from poissonext.kernels import _hyp2f1_ss1
 
 
 def oracle_normalization(n, a):
@@ -152,6 +154,27 @@ class TestSphereMass:
         p = px.ProblemParams(2, 0.5)
         with pytest.raises(ValueError):
             px.kernel_ball_sphere_mass(1.0, p)
+
+    @pytest.mark.parametrize("a", [0.05, 0.25, 0.5, 0.75, 0.95])
+    def test_n2_hypergeometric_matches_mpmath(self, a):
+        # y = 1 - x over both branches: the series (x <= 1/2) and the
+        # connection formula down to 1 - x = 1e-16
+        s = (2.0 - a) / 2.0
+        y = np.concatenate([np.linspace(1.0, 0.5, 11), np.logspace(np.log10(0.5), -16, 61)])
+        got = _hyp2f1_ss1(s, y)
+        with mpmath.workdps(40):
+            ref = [mpmath.hyp2f1(s, s, 1, 1 - mpmath.mpf(float(yi))) for yi in y]
+            rel = [abs(mpmath.mpf(float(gi)) / r - 1) for gi, r in zip(got, ref)]
+        assert max(rel) <= 1e-13
+
+    def test_n2_masses_finite_on_256_radial_points(self):
+        p = px.ProblemParams(2, 0.5)
+        ball = px.build_ball_quadrature(p, 256, 8)
+        mass = px.kernel_ball_sphere_mass(ball.radii, p)
+        assert np.all(np.isfinite(mass)) and np.all(mass > 0)
+        # the outermost shells approach the flat normalization 1
+        outer = px.kernel_ball_sphere_mass(np.max(ball.radii), p)
+        assert abs(outer - 1.0) < 1e-6
 
 
 class TestDiscreteNormalization:

@@ -10,7 +10,8 @@ from scipy import special
 from scipy.integrate import quad
 
 import poissonext as px
-from poissonext.quadrature import RADIAL_NODES_PER_PANEL, exact_sum, panel_rule
+from poissonext.quadrature import (MAX_RADIAL_POINTS, RADIAL_NODES_PER_PANEL, exact_sum,
+                                   gauss_legendre, panel_rule)
 
 
 class TestSphereQuadrature:
@@ -137,11 +138,54 @@ class TestBallQuadrature:
         with pytest.raises(ValueError):
             px.build_ball_quadrature(params_2d, 4, 16)
 
+    def test_radial_limit_is_the_last_count_inside_the_ball(self, params_2d):
+        ball = px.build_ball_quadrature(params_2d, MAX_RADIAL_POINTS, 4)
+        assert ball.delta_min > 0
+        assert np.max(ball.radii) < 1.0
+        with pytest.raises(ValueError, match="radial_points must lie in"):
+            px.build_ball_quadrature(params_2d, MAX_RADIAL_POINTS + 1, 4)
+        # one more point adds a panel whose outermost node rounds to |xi| = 1
+        q = RADIAL_NODES_PER_PANEL
+        panels = round((MAX_RADIAL_POINTS + 1) / q)
+        nodes, _ = panel_rule([1.0 - 0.5 ** (panels - 1), 1.0], q)
+        assert nodes[-1] == 1.0
+
     def test_csv_export(self, ball_3d, tmp_path):
         path = tmp_path / "ball.csv"
         ball_3d.to_csv(path)
         header = open(path).readline().strip()
         assert header == "x1,x2,x3,weight"
+
+
+class TestGaussLegendre:
+    QS = range(1, 65)
+
+    def test_exactly_symmetric_and_ascending(self):
+        for q in self.QS:
+            x, w = gauss_legendre(q)
+            assert len(x) == len(w) == q
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+            assert np.all(np.diff(x) > 0) and np.all(w > 0)
+            if q % 2:
+                assert x[q // 2] == 0.0 and math.copysign(1.0, x[q // 2]) == 1.0
+
+    def test_weights_sum_to_two(self):
+        for q in self.QS:
+            assert math.fsum(gauss_legendre(q)[1]) == pytest.approx(2.0, rel=0, abs=4e-15)
+
+    def test_exact_for_degree_2q_minus_1(self):
+        for q in self.QS:
+            x, w = gauss_legendre(q)
+            for k in range(2 * q):
+                exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+                assert math.fsum(w * x ** k) == pytest.approx(exact, rel=0, abs=4e-15)
+
+    def test_matches_scipy(self):
+        for q in self.QS:
+            x, w = gauss_legendre(q)
+            xs, ws = special.roots_legendre(q)
+            assert np.max(np.abs(x - xs)) <= 1e-12
+            assert np.max(np.abs(w - ws)) <= 1e-12
 
 
 class TestPanelRule:

@@ -176,7 +176,7 @@ class TestFixedPointStep:
         warm = px.fixed_point_step(state, prob)
         assert cold_calls - (len(calls) - cold_calls) == 1
         assert np.array_equal(warm.v.values, cold.v.values)
-        assert np.array_equal(warm.extension, extend(warm.v.values))
+        assert np.array_equal(warm.ext_power, extend(warm.v.values) ** params_2d.q_exp)
         assert warm.functional_history is state.functional_history
         assert state.functional_history[-1] == warm.lambda_est
 
