@@ -28,7 +28,12 @@ ball nodes is the negation of the first and kernel(-xi, eta) =
 kernel(xi, -eta), so the lower half of E v is the same upper-half map
 applied to v[antipode], and T is T_up(F_up) + T_up(F_down)[antipode]:
 antipodal equivariance holds bit for bit, by the same computation and one
-commutative addition.
+commutative addition.  An antipodal input, as every solver iterate is,
+has two halves with the same bits, so those two computations coincide:
+the lower half of E v is a copy of the upper half and T is
+T_up(F_up) + T_up(F_up)[antipode], one table product per call with the
+bits of the two-product formula.  Inputs whose halves differ in any bit
+take both products.
 
 Near-boundary correction.  Raw kernel rows at ball nodes with
 1 - |xi| << (sphere node spacing) overestimate the integral by orders of
@@ -63,7 +68,7 @@ from .geometry import conformal_weight, mobius_f, stereographic
 from .halfspace import HalfspaceGrid, halfspace_tail_bound
 from .kernels import KernelConstants, kernel_ball, kernel_ball_sphere_mass, kernel_halfspace
 from .params import ProblemParams
-from .quadrature import BallQuadrature, SphereQuadrature, azimuthal_layout, write_csv
+from .quadrature import BallQuadrature, SphereQuadrature, _same_bits, azimuthal_layout, write_csv
 
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 120
@@ -232,14 +237,20 @@ class ExtensionOperator:
     # -- public operator applications --
 
     def extend_values(self, v: np.ndarray) -> np.ndarray:
-        y = self.sphere.weights * v
-        return np.concatenate([self._extend_upper(y),
-                               self._extend_upper(y[self.sphere.antipode_index])])
+        y, hs, hb = self.sphere.weights * v, self.sphere.half, self.ball.half
+        out = np.empty(len(self.ball))
+        out[:hb] = self._extend_upper(y)
+        out[hb:] = (out[:hb] if _same_bits(y[:hs], y[hs:])
+                    else self._extend_upper(y[self.sphere.antipode_index]))
+        return out
 
     def adjoint_values(self, f: np.ndarray) -> np.ndarray:
-        z, hb = self.ball.weights * f, self.ball.half
-        return (self._adjoint_upper(z[:hb])
-                + self._adjoint_upper(z[hb:])[self.sphere.antipode_index])
+        f, hb, anti = np.asarray(f, dtype=float), self.ball.half, self.sphere.antipode_index
+        if _same_bits(f[:hb], f[hb:]):
+            up = self._adjoint_upper(self.ball.weights[:hb] * f[:hb])
+            return up + up[anti]
+        z = self.ball.weights * f
+        return self._adjoint_upper(z[:hb]) + self._adjoint_upper(z[hb:])[anti]
 
     def extend(self, v: BoundaryFunction) -> ExtensionField:
         if v.quad is not self.sphere:

@@ -30,6 +30,10 @@ Integrals
     products bit for bit and independent of the node order.  `exact_sum`
     gets that sum from a few vectorized passes of error-free extraction
     (Rump, Ogita & Oishi 2008) instead of a Python loop over the terms.
+    Products of an antipodal integrand on an antipodal rule have two equal
+    halves; `exact_sum` then sums the first half and doubles it, which is
+    the full `math.fsum` bit for bit whenever every term lies below 2^900
+    (the full sum runs otherwise).
 """
 
 from __future__ import annotations
@@ -287,6 +291,11 @@ def integrate_boundary(values: np.ndarray, quad: SphereQuadrature | BallQuadratu
 integrate_ball = integrate_boundary     # the same sum over a ball rule
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays hold the same bits; unlike ==, -0.0 differs from 0.0."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def exact_sum(terms: np.ndarray) -> float:
     """`math.fsum(terms.tolist())` of a 1-D float array, bit for bit, by vector passes.
 
@@ -299,7 +308,19 @@ def exact_sum(terms: np.ndarray) -> float:
     once.  When the largest remainder is zero before any pass, non-finite or
     outside (2^-900, 2^900), or the passes run out, fsum adds the remainder
     itself, which keeps its signed zeros, inf/nan results and exceptions.
+
+    Terms whose two halves hold the same bits, as every integrand of an
+    antipodal profile does, sum as twice their first half when all of them
+    lie below 2^900 in magnitude.  Then no partial sum of either fsum
+    overflows, and doubling commutes with the one rounding: an exact sum of
+    floats is a multiple of 2^-1074, so below 2^-1021 it needs no rounding
+    at all.  Otherwise (non-finite or huge terms, whose halves fsum may add
+    without the overflow it raises on the whole) the full terms are summed.
     """
+    h = len(terms) // 2
+    half = terms[:h]
+    if h and _same_bits(half, terms[h:]) and max(half.max(), -half.min()) < 2.0 ** 900:
+        return 2.0 * exact_sum(half)
     k = (len(terms) + 1).bit_length()
     partials = []
     for _ in range(_EXACT_SUM_PASSES):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 import poissonext as px
@@ -81,9 +84,11 @@ class TestAdjointAndDuality:
     def test_duality_random(self, op_3d, sphere_3d, ball_3d, rng):
         v = rng.random(len(sphere_3d))
         f = rng.random(len(ball_3d))
-        lhs = np.dot(ball_3d.weights, op_3d.extend_values(v) * f)
-        rhs = np.dot(sphere_3d.weights, v * op_3d.adjoint_values(f))
-        assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+        # general inputs, then antipodal ones, which take one table product per call
+        for v, f in ((v, f), (np.tile(v[:sphere_3d.half], 2), np.tile(f[:ball_3d.half], 2))):
+            lhs = np.dot(ball_3d.weights, op_3d.extend_values(v) * f)
+            rhs = np.dot(sphere_3d.weights, v * op_3d.adjoint_values(f))
+            assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_adjoint_of_constants_matches_radial_oracle(self, op_3d, ball_3d, params_3d):
         t1 = op_3d.adjoint_values(np.ones(len(ball_3d)))
@@ -111,12 +116,22 @@ class TestAdjointAndDuality:
 STRUCTURED_CASES = [(2, 0.5, 16, 32), (2, 0.5, 24, 36), (3, 0.0, 8, 8), (3, -0.5, 8, 12)]
 
 
-@pytest.fixture(scope="module", params=STRUCTURED_CASES, ids=lambda c: "n%d-a%g-S%d-A%d" % c)
-def small_op(request):
-    n, a, res, ang = request.param
+def _structured_op(case):
+    n, a, res, ang = case
     params = px.ProblemParams(n, a)
     sphere = px.build_sphere_quadrature(params, res)
     return px.ExtensionOperator(params, sphere, px.build_ball_quadrature(params, 24, ang))
+
+
+@pytest.fixture(scope="module", params=STRUCTURED_CASES, ids=lambda c: "n%d-a%g-S%d-A%d" % c)
+def small_op(request):
+    return _structured_op(request.param)
+
+
+@pytest.fixture(scope="module", params=[STRUCTURED_CASES[0], STRUCTURED_CASES[3]],
+                ids=lambda c: "n%d-a%g-S%d-A%d" % c)
+def antipodal_op(request):
+    return _structured_op(request.param)
 
 
 def dense_sinkhorn(raw, op, tol=1e-13, max_iter=500):
@@ -184,15 +199,15 @@ class TestStructuredProducts:
         assert op.balance_iterations > 1
 
     def test_point_mass_at_every_node_stays_positive(self, small_op):
+        # a single mass takes the two-product path, an antipodal pair the shortcut
         op = small_op
-        for j in range(len(op.sphere)):
-            spike = np.zeros(len(op.sphere))
-            spike[j] = 1.0
-            assert np.all(op.extend_values(spike) > 0)
-        for j in range(len(op.ball)):
-            spike = np.zeros(len(op.ball))
-            spike[j] = 1.0
-            assert np.all(op.adjoint_values(spike) > 0)
+        for rule, apply in ((op.sphere, op.extend_values), (op.ball, op.adjoint_values)):
+            for j in range(len(rule)):
+                spike = np.zeros(len(rule))
+                spike[j] = 1.0
+                assert np.all(apply(spike) > 0)
+                spike[rule.antipode_index[j]] = 1.0
+                assert np.all(apply(spike) > 0)
 
     def test_table_owns_its_memory_at_the_dense_mac_count(self, small_op):
         op = small_op
@@ -250,6 +265,22 @@ class TestAntipodalEquivariance:
         f = 0.5 * (f + f[ball_2d.antipode_index])
         t = op_2d.adjoint_values(f)
         assert np.array_equal(t, t[sphere_2d.antipode_index])
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_antipodal_input_gives_the_two_product_bits(self, antipodal_op, data):
+        op, anti, hb = antipodal_op, antipodal_op.sphere.antipode_index, antipodal_op.ball.half
+
+        def antipodal(rule):
+            half = data.draw(hnp.arrays(float, rule.half, elements=st.floats(-1e6, 1e6)))
+            return np.tile(half, 2)
+
+        v, f = antipodal(op.sphere), antipodal(op.ball)
+        y, z = op.sphere.weights * v, op.ball.weights * f
+        two_extends = np.concatenate([op._extend_upper(y), op._extend_upper(y[anti])])
+        two_adjoints = op._adjoint_upper(z[:hb]) + op._adjoint_upper(z[hb:])[anti]
+        assert op.extend_values(v).tobytes() == two_extends.tobytes()
+        assert op.adjoint_values(f).tobytes() == two_adjoints.tobytes()
 
 
 class TestCorrectionModes:

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
@@ -304,6 +304,14 @@ class TestExactSum:
     def test_equals_fsum_bitwise(self, terms):
         assert _fsum_outcome(exact_sum, terms) == _fsum_outcome(
             lambda t: math.fsum(t.tolist()), terms)
+
+    @given(terms=adversarial_terms())
+    @example(terms=np.array([1.5e308, -1e308]))   # the whole overflows where the half does not
+    @settings(deadline=None)
+    def test_equal_halves_sum_to_fsum_bitwise(self, terms):
+        doubled = np.concatenate([terms, terms])
+        assert _fsum_outcome(exact_sum, doubled) == _fsum_outcome(
+            lambda t: math.fsum(t.tolist()), doubled)
 
     @pytest.mark.parametrize("profile", ["positive", "cancel"])
     def test_ball_integral_of_122880_terms(self, params_2d, profile):

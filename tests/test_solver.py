@@ -195,6 +195,26 @@ class TestMaximizeSubcritical:
         lam_exact = (4 * np.pi) ** (-6.0 / 5.0) * (4 * np.pi / 3)
         assert lam == pytest.approx(lam_exact, rel=1e-8)
 
+    def test_antipodal_solve_runs_one_table_product_per_call(
+        self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng, monkeypatch
+    ):
+        # every iterate is symmetrized, so each extend or adjoint needs one
+        # half-table product; a second one means an unsymmetrized point
+        prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
+        op, products, tables = prob.operator, [], []
+
+        def count(name, calls):
+            fn = getattr(op, name)
+            monkeypatch.setattr(op, name, lambda x: calls.append(1) or fn(x))
+
+        for name, calls in (("extend_values", products), ("adjoint_values", products),
+                            ("_extend_upper", tables), ("_adjoint_upper", tables)):
+            count(name, calls)
+        init = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5, sphere_2d)
+        _, _, rep = px.maximize_subcritical(prob, init)
+        assert rep["converged"] and len(products) > 2 * rep["iterations"]
+        assert len(tables) == len(products)
+
     def test_functional_history_nondecreasing(self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng):
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
         init = px.BoundaryFunction(np.exp(0.5 * rng.standard_normal(len(sphere_2d))), sphere_2d)
