@@ -58,6 +58,7 @@ def main(argv=None) -> int:
 
     try:
         config = _load(args)
+        _make_output_dir(config.output_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -488,21 +489,22 @@ def cmd_diagnose(config: RunConfig):
 
 # ----------------------------------------------------------------- output
 
-def _outdir(config: RunConfig) -> str:
-    os.makedirs(config.output_dir, exist_ok=True)
-    os.makedirs(os.path.join(config.output_dir, "profiles"), exist_ok=True)
-    return config.output_dir
+def _make_output_dir(out: str) -> None:
+    """Create `out` and its profiles/ directory before any computation."""
+    try:
+        os.makedirs(os.path.join(out, "profiles"), exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot create {out!r}: {exc.strerror or exc}") from exc
 
 
 def _write_report(config: RunConfig, command: str, report: dict) -> None:
-    out = _outdir(config)
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": command,
         "config": config.to_dict(),
         "report": report,
     }
-    with open(os.path.join(out, "report.json"), "w") as fh:
+    with open(os.path.join(config.output_dir, "report.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
@@ -518,12 +520,11 @@ def _json_default(obj):
 
 
 def _write_profile(config: RunConfig, name: str, sphere, values: np.ndarray) -> None:
-    write_csv(os.path.join(_outdir(config), "profiles", name), sphere.nodes, values)
+    write_csv(os.path.join(config.output_dir, "profiles", name), sphere.nodes, values)
 
 
 def _write_stages(config: RunConfig, rows: list[dict]) -> None:
-    out = _outdir(config)
-    with open(os.path.join(out, "stages.csv"), "w") as fh:
+    with open(os.path.join(config.output_dir, "stages.csv"), "w") as fh:
         fh.write("p,lambda,el_residual,sup_v,inf_v,iterations,converged\n")
         for r in rows:
             fh.write(

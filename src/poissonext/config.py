@@ -235,10 +235,14 @@ def parse_config(data: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     return parse_config(data)
 
 

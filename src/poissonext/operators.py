@@ -330,8 +330,8 @@ def interpolate_boundary(v: BoundaryFunction):
     """Callable interpolant of nodal boundary values.
 
     n = 2 uses the exact trigonometric interpolant of the equispaced rule;
-    n = 3 fits real spherical harmonics by least squares (exact for
-    bandlimited data up to degree min(resolution / 2, 12)).
+    n = 3 is the L^2 projection, in the rule's own inner product, onto real
+    spherical harmonics of degree <= min(resolution / 2, 12) (exact on them).
     """
     quad = v.quad
     if quad.n == 2:
@@ -353,8 +353,7 @@ def interpolate_boundary(v: BoundaryFunction):
         return interp2
     if quad.n == 3:
         degree = min(quad.resolution // 2, 12)
-        design = _real_sph_design(quad.nodes, degree)
-        coeff, *_ = np.linalg.lstsq(design, v.values, rcond=None)
+        coeff = _real_sph_design(quad.nodes, degree).T @ (quad.weights * v.values)
 
         def interp3(points: np.ndarray) -> np.ndarray:
             points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -365,23 +364,26 @@ def interpolate_boundary(v: BoundaryFunction):
 
 
 def _real_sph_design(points: np.ndarray, degree: int) -> np.ndarray:
-    from scipy import special as sp
+    """Orthonormal real harmonics, by ell then m, cos(m phi) before sin(m phi).
 
-    theta = np.arccos(np.clip(points[:, 2], -1.0, 1.0))
+    Normalized Legendre recurrences (Holmes & Featherstone, J. Geodesy 76,
+    2002), without the Condon-Shortley phase.
+    """
+    t = np.clip(points[:, 2], -1.0, 1.0)
     phi = np.arctan2(points[:, 1], points[:, 0])
-    cols = []
-    for ell in range(degree + 1):
-        for m in range(0, ell + 1):
-            if hasattr(sp, "sph_harm_y"):
-                y = sp.sph_harm_y(ell, m, theta, phi)
-            else:  # pragma: no cover - older scipy
-                y = sp.sph_harm(m, ell, phi, theta)
-            if m == 0:
-                cols.append(np.real(y))
-            else:
-                cols.append(np.sqrt(2.0) * np.real(y))
-                cols.append(np.sqrt(2.0) * np.imag(y))
-    return np.stack(cols, axis=1)
+    cols, p_mm = {}, np.full(len(t), 0.5 / np.sqrt(np.pi))
+    for m in range(degree + 1):
+        if m:
+            p_mm = np.sqrt(1.0 + 0.5 / m) * np.sqrt(1.0 - t * t) * p_mm
+        prev, cur = 0.0, p_mm
+        for ell in range(m, degree + 1):
+            if ell > m:
+                a = np.sqrt((4 * ell * ell - 1) / (ell * ell - m * m))
+                b = np.sqrt(((ell - 1) ** 2 - m * m) / (4 * (ell - 1) ** 2 - 1))
+                prev, cur = cur, a * (t * cur - b * prev)
+            cols[ell, m] = [cur] if m == 0 else [np.sqrt(2.0) * cur * np.cos(m * phi),
+                                                 np.sqrt(2.0) * cur * np.sin(m * phi)]
+    return np.stack([c for key in sorted(cols) for c in cols[key]], axis=1)
 
 
 def conformal_pullback_check(

@@ -203,6 +203,25 @@ class TestCliCommands:
             assert main(["diagnose", "--resolution-scale", scale]) == 2
             assert "--resolution-scale" in capsys.readouterr().err
 
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"output_dir": "caf\xe9"}')
+        for path, message in [(tmp_path / "missing.json", "cannot read"),
+                              (tmp_path, "cannot read"), (latin1, "not UTF-8")]:
+            assert main(["verify", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and message in err
+
+    def test_uncreatable_output_dir_exits_2_before_computing(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["diagnose", "--out", str(blocker / "sub")]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        for cmd in ("solve", "continue"):
+            path = write_config(tmp_path, {"output_dir": str(blocker / cmd)})
+            assert main([cmd, "--config", path]) == 2
+            assert str(blocker / cmd) in capsys.readouterr().err
+
     def test_radial_points_past_the_float64_limit_exit_2(self, tmp_path, capsys):
         # sharp builds twice the configured radial points; the check runs
         # after --resolution-scale and before any rule is built

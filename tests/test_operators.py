@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import special
 from scipy.integrate import quad
 
 import poissonext as px
+from poissonext.operators import _real_sph_design
 
 
 def theta_oracle(params):
@@ -16,6 +18,24 @@ def theta_oracle(params):
     )
     assert err < 1e-10
     return val
+
+
+def scipy_real_harmonics(points, degree):
+    """Real harmonics from scipy, with its Condon-Shortley phase undone."""
+    theta = np.arccos(np.clip(points[:, 2], -1.0, 1.0))
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    cols = []
+    for ell in range(degree + 1):
+        cols.append(special.sph_harm_y(ell, 0, theta, phi).real)
+        for m in range(1, ell + 1):
+            y = (-1) ** m * np.sqrt(2.0) * special.sph_harm_y(ell, m, theta, phi)
+            cols += [y.real, y.imag]
+    return np.stack(cols, axis=1)
+
+
+def random_unit_points(rng, count):
+    pts = rng.normal(size=(count, 3))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 class TestExtendBall:
@@ -419,6 +439,40 @@ class TestInterpolation:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         expected = 1.0 + pts[:, 2] ** 2 - 0.5 * pts[:, 0] * pts[:, 1]
         assert np.max(np.abs(interp(pts) - expected)) < 1e-10
+
+    @pytest.mark.parametrize("resolution", [4, 16, 32])
+    def test_design_matches_scipy_real_harmonics(self, params_3d, resolution, rng):
+        sphere = px.build_sphere_quadrature(params_3d, resolution)
+        pts = np.concatenate([sphere.nodes, random_unit_points(rng, 50), np.eye(3), -np.eye(3)])
+        degree = min(resolution // 2, 12)
+        assert np.max(np.abs(_real_sph_design(pts, degree)
+                             - scipy_real_harmonics(pts, degree))) < 1e-13
+
+    @given(resolution=st.sampled_from([4, 6, 8, 16, 24]), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_projection_reproduces_bandlimited_data(self, params_3d, resolution, seed):
+        rng = np.random.default_rng(seed)
+        sphere = px.build_sphere_quadrature(params_3d, resolution)
+        degree = min(resolution // 2, 12)
+        coeff = rng.normal(size=(degree + 1) ** 2)
+        vals = scipy_real_harmonics(sphere.nodes, degree) @ coeff
+        interp = px.interpolate_boundary(px.BoundaryFunction(vals, sphere))
+        pts = random_unit_points(rng, 20)
+        assert np.max(np.abs(interp(pts) - scipy_real_harmonics(pts, degree) @ coeff)) < 1e-12
+
+    @pytest.mark.parametrize("resolution", [8, 16, 30])
+    def test_projection_is_the_rule_weighted_fit(self, params_3d, resolution, rng):
+        # data that is not bandlimited: the projection is the least-squares
+        # fit in the rule's inner product, not the unweighted one
+        sphere = px.build_sphere_quadrature(params_3d, resolution)
+        vals = rng.uniform(-1.0, 1.0, len(sphere.weights))
+        degree = min(resolution // 2, 12)
+        root_w = np.sqrt(sphere.weights)
+        coeff = np.linalg.lstsq(root_w[:, None] * _real_sph_design(sphere.nodes, degree),
+                                root_w * vals, rcond=None)[0]
+        pts = random_unit_points(rng, 40)
+        interp = px.interpolate_boundary(px.BoundaryFunction(vals, sphere))
+        assert np.max(np.abs(interp(pts) - _real_sph_design(pts, degree) @ coeff)) < 1e-12
 
 
 class TestWeightedHarmonicity:
