@@ -35,6 +35,15 @@ T_up(F_up) + T_up(F_up)[antipode], one table product per call with the
 bits of the two-product formula.  Inputs whose halves differ in any bit
 take both products.
 
+Table layout.  `extend_table` and `adjoint_table` are that antipodal pair
+without the ball order: E v is returned as the matrix K @ y[IY], a row per
+table row and a column per gathered rotation, and T takes F's upper half in
+the same layout.  The ball weight of a node depends only on its shell and
+ring, never on its azimuth (checked bit for bit at build time), so
+`row_weights` holds one ball weight per table row.  The solver works in
+this layout throughout; `extend_values` and `adjoint_values` are the same
+products reordered into ball order.
+
 Near-boundary correction.  Raw kernel rows at ball nodes with
 1 - |xi| << (sphere node spacing) overestimate the integral by orders of
 magnitude (the kernel peak is narrower than the rule can see).  Instead of
@@ -157,8 +166,9 @@ class ExtensionOperator:
 
     The balanced kernel is stored once per (shell, ring, azimuthal residue)
     in `kernel_table` and applied to rotated copies of the input gathered by
-    `gather_index`; see the module docstring.  `row_scale` and `col_scale`
-    record the scalings folded into the table; no product reads them.
+    `gather_index`; see the module docstring.  `row_weights` is the ball
+    weight of each table row.  `row_scale` and `col_scale` record the
+    scalings folded into the table; no product reads them.
     """
 
     params: ProblemParams
@@ -168,6 +178,7 @@ class ExtensionOperator:
     kernel_table: np.ndarray = field(init=False, repr=False)
     gather_index: np.ndarray = field(init=False, repr=False)
     residues: int = field(init=False)
+    row_weights: np.ndarray = field(init=False, repr=False)
     row_scale: np.ndarray = field(init=False, repr=False)
     col_scale: np.ndarray = field(init=False, repr=False)
     sphere_mass_target: np.ndarray = field(init=False, repr=False)
@@ -185,29 +196,46 @@ class ExtensionOperator:
         self.ball_mass_target = float(
             np.dot(self.ball.weights, self.sphere_mass_target) / self.sphere.weights.sum()
         )
+        turns, ub = self.gather_index.shape[1], self.residues
+        upper = self.ball.weights[:self.ball.half].reshape(-1, turns, ub)
+        if not _same_bits(upper, np.broadcast_to(upper[:, :1], upper.shape)):
+            raise ValueError("ball weights vary along an azimuthal ring; the table layout "
+                             "needs one weight per table row")
+        self.row_weights = upper[:, 0].ravel()
         self._balance()
 
     # -- upper-half applications (exact pair symmetry, see module docstring) --
 
+    def _table_product(self, y: np.ndarray) -> np.ndarray:
+        """Extension of a weighted sphere vector y at the upper ball nodes, in table layout."""
+        return self.kernel_table @ y[self.gather_index]
+
+    def _table_transpose(self, z: np.ndarray) -> np.ndarray:
+        """Transpose of _table_product, for a weighted matrix in table layout."""
+        return np.bincount(self.gather_index.ravel(), weights=(self.kernel_table.T @ z).ravel(),
+                           minlength=len(self.sphere))
+
     def _extend_upper(self, y: np.ndarray) -> np.ndarray:
-        """Extension of a sphere vector at the upper half of the ball nodes."""
-        out = self.kernel_table @ y[self.gather_index]
+        """_table_product in ball order."""
+        out = self._table_product(y)
         # rows (shell, ring, u) x columns m  ->  ball order (shell, ring, m, u)
         return out.reshape(-1, self.residues, out.shape[1]).transpose(0, 2, 1).ravel()
 
     def _adjoint_upper(self, z: np.ndarray) -> np.ndarray:
-        """Transpose of _extend_upper, for a vector on the upper ball nodes."""
+        """_table_transpose of a weighted vector on the upper ball nodes in ball order."""
+        return self._table_transpose(self._table_layout(z))
+
+    def _table_layout(self, z: np.ndarray) -> np.ndarray:
+        """Upper-half ball values, ball order (shell, ring, m, u) -> table rows x columns m."""
         cols = z.reshape(-1, self.gather_index.shape[1], self.residues).transpose(0, 2, 1)
-        prod = self.kernel_table.T @ cols.reshape(len(self.kernel_table), -1)
-        return np.bincount(self.gather_index.ravel(), weights=prod.ravel(),
-                           minlength=len(self.sphere))
+        return cols.reshape(len(self.kernel_table), -1)
 
     def _balance(self) -> None:
         """Sinkhorn on table rows and sphere nodes, folded into the table (module docstring)."""
         table, gather, anti = self.kernel_table, self.gather_index, self.sphere.antipode_index
         turns, ub = gather.shape[1], self.residues
         first = np.arange(self.ball.half).reshape(-1, turns, ub)[:, 0].ravel()   # each row's m = 0 node
-        sw, bw, psi = self.sphere.weights, self.ball.weights[first], self.sphere_mass_target[first]
+        sw, bw, psi = self.sphere.weights, self.row_weights, self.sphere_mass_target[first]
         theta = self.ball_mass_target
 
         def row_sums(e):
@@ -234,6 +262,32 @@ class ExtensionOperator:
         self.row_scale = np.tile(np.repeat(d.reshape(-1, 1, ub), turns, axis=1).ravel(), 2)
         self.col_scale = e
 
+    # -- table-layout pair: the solver's path for antipodal inputs --
+
+    @property
+    def table_shape(self) -> tuple[int, int]:
+        """(table rows, turns): the shape of extend_table's output and adjoint_table's input."""
+        return len(self.kernel_table), self.gather_index.shape[1]
+
+    def extend_table(self, v: np.ndarray) -> np.ndarray:
+        """E v at the upper ball nodes in table layout, for an antipodal v.
+
+        Row (shell, ring, u), column m holds the value at the upper ball
+        node (shell, ring, m, u); the lower half of E v has the same bits
+        (module docstring).  Raises ValueError if the two halves of v
+        differ in any bit, since the lower half would then differ too.
+        """
+        v, hs = np.asarray(v, dtype=float), self.sphere.half
+        if not _same_bits(v[:hs], v[hs:]):
+            raise ValueError("extend_table needs an antipodal v (its two halves differ in some "
+                             "bit); symmetrize first")
+        return self._table_product(self.sphere.weights * v)
+
+    def adjoint_table(self, z: np.ndarray) -> np.ndarray:
+        """T F of the antipodal F whose upper half is z, in the layout of extend_table."""
+        up = self._table_transpose(self.row_weights[:, None] * z)
+        return up + up[self.sphere.antipode_index]
+
     # -- public operator applications --
 
     def extend_values(self, v: np.ndarray) -> np.ndarray:
@@ -247,8 +301,7 @@ class ExtensionOperator:
     def adjoint_values(self, f: np.ndarray) -> np.ndarray:
         f, hb, anti = np.asarray(f, dtype=float), self.ball.half, self.sphere.antipode_index
         if _same_bits(f[:hb], f[hb:]):
-            up = self._adjoint_upper(self.ball.weights[:hb] * f[:hb])
-            return up + up[anti]
+            return self.adjoint_table(self._table_layout(f[:hb]))
         z = self.ball.weights * f
         return self._adjoint_upper(z[:hb]) + self._adjoint_upper(z[hb:])[anti]
 

@@ -31,9 +31,11 @@ Integrals
     gets that sum from a few vectorized passes of error-free extraction
     (Rump, Ogita & Oishi 2008) instead of a Python loop over the terms.
     Products of an antipodal integrand on an antipodal rule have two equal
-    halves; `exact_sum` then sums the first half and doubles it, which is
-    the full `math.fsum` bit for bit whenever every term lies below 2^900
-    (the full sum runs otherwise).
+    halves; `exact_sum` then sums the first half and doubles it
+    (`exact_sum_of_halves`), which is the full `math.fsum` bit for bit
+    whenever every term lies below 2^900 (the full sum runs otherwise).
+    The solver, which holds only the upper half of its integrand, sums it
+    by the same rule.
 """
 
 from __future__ import annotations
@@ -310,17 +312,31 @@ def exact_sum(terms: np.ndarray) -> float:
     itself, which keeps its signed zeros, inf/nan results and exceptions.
 
     Terms whose two halves hold the same bits, as every integrand of an
-    antipodal profile does, sum as twice their first half when all of them
-    lie below 2^900 in magnitude.  Then no partial sum of either fsum
-    overflows, and doubling commutes with the one rounding: an exact sum of
-    floats is a multiple of 2^-1074, so below 2^-1021 it needs no rounding
-    at all.  Otherwise (non-finite or huge terms, whose halves fsum may add
-    without the overflow it raises on the whole) the full terms are summed.
+    antipodal profile does, are summed by `exact_sum_of_halves`.
     """
     h = len(terms) // 2
-    half = terms[:h]
-    if h and _same_bits(half, terms[h:]) and max(half.max(), -half.min()) < 2.0 ** 900:
+    if h and _same_bits(terms[:h], terms[h:]):
+        return exact_sum_of_halves(terms[:h])
+    return _exact_sum_passes(terms)
+
+
+def exact_sum_of_halves(half: np.ndarray) -> float:
+    """`exact_sum` of the terms `half` followed by `half` again, bit for bit.
+
+    When every term lies below 2^900 in magnitude this is twice the sum of
+    `half`: no partial sum of either fsum overflows, and doubling commutes
+    with the one rounding, since an exact sum of floats is a multiple of
+    2^-1074 and below 2^-1021 needs no rounding at all.  Otherwise
+    (non-finite or huge terms, whose halves fsum may add without the
+    overflow it raises on the whole) the full terms are summed.
+    """
+    if len(half) and max(half.max(), -half.min()) < 2.0 ** 900:
         return 2.0 * exact_sum(half)
+    return _exact_sum_passes(np.concatenate([half, half]))
+
+
+def _exact_sum_passes(terms: np.ndarray) -> float:
+    """The vector passes of `exact_sum`, without its test for equal halves."""
     k = (len(terms) + 1).bit_length()
     partials = []
     for _ in range(_EXACT_SUM_PASSES):

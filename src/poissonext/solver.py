@@ -24,6 +24,13 @@ nondecreasing.  Convergence is judged on the unmixed full-step residual
 |G(v) - v| / |v|, which neither halving nor mixing can shrink.
 Continuation lowers p along a schedule toward the critical exponent,
 warm-starting each stage from the previous one.
+
+Every iterate is antipodal bit for bit, so E v and (E v)^{q_exp} have two
+halves with the same bits.  The solver carries only the upper half, in the
+kernel table's layout (`ExtensionOperator.extend_table`): the functional
+sums that half and doubles it (`exact_sum_of_halves`), and the adjoint
+reads it directly (`adjoint_table`).  The results are the bits of the
+full ball-order computation.
 """
 
 from __future__ import annotations
@@ -36,7 +43,9 @@ import numpy as np
 from .functionals import SharpConstant, WeightFunction, lambda_threshold
 from .operators import BoundaryFunction, ExtensionOperator, build_extension_operator
 from .params import ProblemParams
-from .quadrature import BallQuadrature, SphereQuadrature, integrate_ball, integrate_boundary
+# integrate_ball is not called here; perfbench/tracer.py wraps it under this name
+from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits,  # noqa: F401
+                         exact_sum_of_halves, integrate_ball, integrate_boundary)
 
 MAX_DAMPING_HALVINGS = 20
 ASCENT_SLACK = 1e-12
@@ -76,8 +85,11 @@ class SubcriticalProblem:
 class SolverState:
     """Iterate of the fixed point.
 
-    `ext_power` is (E v)^q_exp when known (None makes the next step
-    compute it); each step appends to `functional_history` in place.
+    `ext_power` is (E v)^q_exp on the upper half of the ball, in the table
+    layout of `ExtensionOperator.extend_table`, when known (None makes the
+    next step compute it); each step appends to `functional_history` in
+    place.  `v` must be antipodal bit for bit: a step rejects a state whose
+    `v` halves differ or whose `ext_power` has another shape.
     """
 
     v: BoundaryFunction
@@ -122,17 +134,17 @@ def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.n
     """The bulk energy of v and the power (E v)^q_exp the next step reads.
 
     v >= 0 here, so E v >= 0 elementwise (positive kernel table) and
-    |E v|^p_bulk is (E v)^q_exp * E v, since p_bulk = q_exp + 1.
+    |E v|^p_bulk is (E v)^q_exp * E v, since p_bulk = q_exp + 1.  Both stay
+    in the table layout of the upper half (`extend_table`): the lower half
+    of the integrand has the same bits, so the energy is the sum of the
+    weighted upper half taken twice.
     """
-    # the power is raised in the extension's own buffer: a fresh array that
-    # outlives the step made the heap fault in about two more ball-sized
-    # arrays of new pages per step (n2-fine-solve: 13,154 minor faults per
-    # solve against 7,722)
-    ext_power = problem.operator.extend_values(v)
-    integrand = ext_power.copy()
-    np.power(ext_power, problem.params.q_exp, out=ext_power)
+    op = problem.operator
+    integrand = op.extend_table(v)
+    ext_power = integrand ** problem.params.q_exp
     integrand *= ext_power
-    return integrate_ball(integrand, problem.ball), ext_power
+    integrand *= op.row_weights[:, None]
+    return exact_sum_of_halves(integrand.ravel()), ext_power
 
 
 def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> BoundaryFunction:
@@ -153,10 +165,17 @@ def fixed_point_step(
     """
     op = problem.operator
     v = state.v.values
+    hs = problem.sphere.half
+    if not _same_bits(v[:hs], v[hs:]):
+        raise ValueError("the state's v is not antipodal (its two halves differ in some bit); "
+                         "symmetrize first")
     ext_power = state.ext_power
     if ext_power is None:
-        ext_power = op.extend_values(v) ** problem.params.q_exp
-    g = op.adjoint_values(ext_power)
+        ext_power = op.extend_table(v) ** problem.params.q_exp
+    elif ext_power.shape != op.table_shape:
+        raise ValueError(f"the state's ext_power has shape {ext_power.shape}; the table "
+                         f"layout of (E v)^q_exp has {op.table_shape}")
+    g = op.adjoint_table(ext_power)
     w = (g / problem.weight.values) ** (1.0 / (problem.p - 1.0))
     full = _candidate(w, problem)
     residual = float(np.max(np.abs(full.values - v)) / np.max(np.abs(v)))
@@ -222,7 +241,7 @@ def maximize_subcritical(
             converged = True
             break
     lam_pair, el = _el_terms(state.v, problem.weight, problem.params, problem.operator,
-                             problem.p, state.lambda_est)
+                             problem.p, state.lambda_est, state.ext_power)
     report = {
         "iterations": state.iteration,
         "converged": converged,
@@ -262,14 +281,19 @@ def el_residual(
     return _el_terms(v, weight, params, op, p, lam)[1]
 
 
-def _el_terms(v, weight, params, op, p, lam) -> tuple[float, float]:
+def _el_terms(v, weight, params, op, p, lam, ext_power=None) -> tuple[float, float]:
     """Pairing multiplier <v, g> / <v, K v^{p-1}> and the EL residual.
 
-    Both come from one evaluation of g = T[(E v)^q]; see el_residual.
+    Both come from one evaluation of g = T[(E v)^q]; see el_residual.  A
+    solver state passes its carried `ext_power` (table layout, antipodal v),
+    and then only the adjoint runs.
     """
     if np.any(v.values <= 0):
         raise ValueError("the residual is defined for positive v")
-    g = op.adjoint_values(op.extend_values(v.values) ** params.q_exp)
+    if ext_power is None:
+        g = op.adjoint_values(op.extend_values(v.values) ** params.q_exp)
+    else:
+        g = op.adjoint_table(ext_power)
     num = integrate_boundary(v.values * g, v.quad)
     den = integrate_boundary(weight.values * v.values**p, v.quad)
     lam_pair = num / den

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,7 +213,8 @@ class TestStructuredProducts:
         def forbidden(*args):
             raise AssertionError("operator product during the build")
 
-        for name in ("_extend_upper", "_adjoint_upper", "extend_values", "adjoint_values"):
+        for name in ("_extend_upper", "_adjoint_upper", "extend_values", "adjoint_values",
+                     "_table_product", "_table_transpose", "extend_table", "adjoint_table"):
             monkeypatch.setattr(px.ExtensionOperator, name, forbidden)
         params = px.ProblemParams(3, -0.5)
         op = px.ExtensionOperator(params, px.build_sphere_quadrature(params, 8),
@@ -233,6 +236,22 @@ class TestStructuredProducts:
         op = small_op
         assert op.kernel_table.base is None and op.gather_index.base is None
         assert op.kernel_table.size * op.gather_index.shape[1] == op.ball.half * len(op.sphere)
+
+    def test_row_weights_are_the_upper_ball_weights(self, small_op):
+        op = small_op
+        turns = op.table_shape[1]
+        assert op.row_weights.shape == (op.table_shape[0],) and op.row_weights.base is None
+        in_ball_order = np.repeat(op.row_weights.reshape(-1, 1, op.residues), turns, axis=1)
+        assert in_ball_order.tobytes() == op.ball.weights[:op.ball.half].tobytes()
+
+    def test_build_rejects_ball_weights_that_vary_along_a_ring(self):
+        params = px.ProblemParams(2, 0.5)
+        sphere = px.build_sphere_quadrature(params, 16)
+        ball = px.build_ball_quadrature(params, 24, 32)
+        weights = ball.weights.copy()
+        weights[[1, ball.half + 1]] *= 1.0 + 2.0 ** -52
+        with pytest.raises(ValueError, match="vary along an azimuthal ring"):
+            px.ExtensionOperator(params, sphere, replace(ball, weights=weights))
 
 
 class TestOperatorCache:
@@ -301,6 +320,35 @@ class TestAntipodalEquivariance:
         two_adjoints = op._adjoint_upper(z[:hb]) + op._adjoint_upper(z[hb:])[anti]
         assert op.extend_values(v).tobytes() == two_extends.tobytes()
         assert op.adjoint_values(f).tobytes() == two_adjoints.tobytes()
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_table_pair_reorders_to_the_ball_order_bits(self, antipodal_op, data):
+        op, hb = antipodal_op, antipodal_op.ball.half
+        turns, ub = op.table_shape[1], op.residues
+
+        def antipodal(rule):
+            half = data.draw(hnp.arrays(float, rule.half, elements=st.floats(-1e6, 1e6)))
+            return np.tile(half, 2)
+
+        v, f = antipodal(op.sphere), antipodal(op.ball)
+        # table rows (shell, ring, u) x columns m  <->  ball order (shell, ring, m, u)
+        ext = op.extend_table(v)
+        assert ext.shape == op.table_shape
+        upper = ext.reshape(-1, ub, turns).transpose(0, 2, 1).ravel()
+        assert upper.tobytes() == op.extend_values(v)[:hb].tobytes()
+        f_table = f[:hb].reshape(-1, turns, ub).transpose(0, 2, 1).reshape(op.table_shape)
+        assert op.adjoint_table(f_table).tobytes() == op.adjoint_values(f).tobytes()
+
+    def test_extend_table_rejects_unequal_halves(self, op_2d, sphere_2d):
+        v = np.ones(len(sphere_2d))
+        v[sphere_2d.half] = np.nextafter(1.0, 2.0)
+        with pytest.raises(ValueError, match="symmetrize first"):
+            op_2d.extend_table(v)
+        z = np.zeros(len(sphere_2d))
+        z[sphere_2d.half] = -0.0           # 0.0 and -0.0 differ in a bit
+        with pytest.raises(ValueError, match="symmetrize first"):
+            op_2d.extend_table(z)
 
 
 class TestCorrectionModes:

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 import poissonext as px
 from poissonext.quadrature import (MAX_RADIAL_POINTS, RADIAL_NODES_PER_PANEL, exact_sum,
-                                   gauss_legendre, panel_rule)
+                                   exact_sum_of_halves, gauss_legendre, panel_rule)
 
 
 class TestSphereQuadrature:
@@ -312,6 +312,15 @@ class TestExactSum:
         doubled = np.concatenate([terms, terms])
         assert _fsum_outcome(exact_sum, doubled) == _fsum_outcome(
             lambda t: math.fsum(t.tolist()), doubled)
+
+    @given(terms=adversarial_terms())
+    @example(terms=np.array([1.5e308, -1e308]))
+    @settings(deadline=None)
+    def test_sum_of_halves_is_the_fsum_of_both(self, terms):
+        doubled = np.concatenate([terms, terms])
+        assert _fsum_outcome(exact_sum_of_halves, terms) == _fsum_outcome(
+            lambda t: math.fsum(np.concatenate([t, t]).tolist()), terms)
+        assert _fsum_outcome(exact_sum_of_halves, terms) == _fsum_outcome(exact_sum, doubled)
 
     @pytest.mark.parametrize("profile", ["positive", "cancel"])
     def test_ball_integral_of_122880_terms(self, params_2d, profile):

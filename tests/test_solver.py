@@ -1,12 +1,15 @@
+import math
 import os
+import struct
 import sys
 from collections import deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 import poissonext as px
@@ -169,16 +172,58 @@ class TestFixedPointStep:
         state = px.solver._prepare(prob, init)
         op = prob.operator
         calls = []
-        extend = op.extend_values
-        monkeypatch.setattr(op, "extend_values", lambda v: calls.append(1) or extend(v))
+        extend = op.extend_table
+        monkeypatch.setattr(op, "extend_table", lambda v: calls.append(1) or extend(v))
         cold = px.fixed_point_step(px.SolverState(v=state.v, lambda_est=state.lambda_est), prob)
         cold_calls = len(calls)
         warm = px.fixed_point_step(state, prob)
         assert cold_calls - (len(calls) - cold_calls) == 1
         assert np.array_equal(warm.v.values, cold.v.values)
-        assert np.array_equal(warm.ext_power, extend(warm.v.values) ** params_2d.q_exp)
+        assert warm.ext_power.shape == op.table_shape
+        assert warm.ext_power.tobytes() == (extend(warm.v.values) ** params_2d.q_exp).tobytes()
         assert warm.functional_history is state.functional_history
         assert state.functional_history[-1] == warm.lambda_est
+
+    @pytest.mark.parametrize("carried", [True, False])
+    def test_step_rejects_a_v_with_unequal_halves(self, carried, params_2d, sphere_2d, ball_2d,
+                                                  unit_weight_2d, rng):
+        prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
+        state = px.solver._prepare(prob, px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5,
+                                                             sphere_2d))
+        v = state.v.values.copy()
+        v[-1] = np.nextafter(v[-1], np.inf)     # one bit off in the lower half
+        bad = replace(state, v=px.BoundaryFunction(v, sphere_2d),
+                      ext_power=state.ext_power if carried else None)
+        with pytest.raises(ValueError, match="not antipodal.*symmetrize first"):
+            px.fixed_point_step(bad, prob)
+
+    def test_step_rejects_an_ext_power_outside_the_table_layout(
+            self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng):
+        prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
+        state = px.solver._prepare(prob, px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5,
+                                                             sphere_2d))
+        op = prob.operator
+        ball_order = op.extend_values(state.v.values) ** params_2d.q_exp
+        for ext_power in (ball_order, ball_order[:ball_2d.half], state.ext_power.T):
+            with pytest.raises(ValueError, match="ext_power has shape"):
+                px.fixed_point_step(replace(state, ext_power=ext_power), prob)
+
+    @given(half=hnp.arrays(float, 32, elements=st.floats(0.0, 1.5)),
+           top=st.integers(-600, 990))
+    @example(half=np.linspace(0.5, 1.5, 32), top=960)   # terms past 2^900: the full sum runs
+    @settings(deadline=None)
+    def test_functional_is_the_fsum_of_the_full_integrand(self, half, top):
+        prob = weighted_problem(2)
+        assert prob.sphere.half == len(half)
+        q = prob.params.q_exp
+        v = np.tile(half, 2) * 2.0 ** (top / (q + 1.0))
+        lam, ext_power = px.solver._functional(v, prob)
+        ext = prob.operator.extend_values(v)
+        integrand = ext * ext ** q
+        assert struct.pack("<d", lam) == struct.pack("<d", px.solver.integrate_ball(integrand,
+                                                                                    prob.ball))
+        assert struct.pack("<d", lam) == struct.pack(
+            "<d", math.fsum((prob.ball.weights * integrand).tolist()))
 
 
 class TestMaximizeSubcritical:
@@ -198,22 +243,29 @@ class TestMaximizeSubcritical:
     def test_antipodal_solve_runs_one_table_product_per_call(
         self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng, monkeypatch
     ):
-        # every iterate is symmetrized, so each extend or adjoint needs one
-        # half-table product; a second one means an unsymmetrized point
+        # every iterate is symmetrized, so the solve runs only the table-layout
+        # pair, and each of its calls is one half-table product
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
-        op, products, tables = prob.operator, [], []
+        op = prob.operator
+        calls = {name: [] for name in ("extend_table", "adjoint_table", "_table_product",
+                                       "_table_transpose", "extend_values", "adjoint_values")}
 
-        def count(name, calls):
-            fn = getattr(op, name)
-            monkeypatch.setattr(op, name, lambda x: calls.append(1) or fn(x))
+        for name, log in calls.items():
+            def counted(x, fn=getattr(op, name), log=log):
+                out = fn(x)
+                log.append(out.shape)
+                return out
 
-        for name, calls in (("extend_values", products), ("adjoint_values", products),
-                            ("_extend_upper", tables), ("_adjoint_upper", tables)):
-            count(name, calls)
+            monkeypatch.setattr(op, name, counted)
         init = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5, sphere_2d)
         _, _, rep = px.maximize_subcritical(prob, init)
-        assert rep["converged"] and len(products) > 2 * rep["iterations"]
-        assert len(tables) == len(products)
+        assert rep["converged"]
+        assert len(calls["extend_table"]) > rep["iterations"]
+        assert len(calls["adjoint_table"]) == rep["iterations"] + 1   # steps, then the EL terms
+        assert calls["_table_product"] == calls["extend_table"] == [op.table_shape] * len(
+            calls["extend_table"])
+        assert len(calls["_table_transpose"]) == len(calls["adjoint_table"])
+        assert calls["extend_values"] == calls["adjoint_values"] == []
 
     def test_functional_history_nondecreasing(self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng):
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
