@@ -277,7 +277,9 @@ def _validate_weight_spec(spec: dict, params: ProblemParams) -> None:
         try:
             k = int(key)
         except ValueError:
-            raise ConfigError(f"weight: bad frequency/degree {key!r}") from None
+            k = None
+        if k is None or str(key) != str(k):
+            raise ConfigError(f"weight: bad frequency/degree {key!r}; write it as a plain decimal")
         if k < 0:
             raise ConfigError("weight: frequencies/degrees must be nonnegative")
         if k > _MAX_FREQUENCY:

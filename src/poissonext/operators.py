@@ -28,21 +28,18 @@ ball nodes is the negation of the first and kernel(-xi, eta) =
 kernel(xi, -eta), so the lower half of E v is the same upper-half map
 applied to v[antipode], and T is T_up(F_up) + T_up(F_down)[antipode]:
 antipodal equivariance holds bit for bit, by the same computation and one
-commutative addition.  An antipodal input, as every solver iterate is,
-has two halves with the same bits, so those two computations coincide:
-the lower half of E v is a copy of the upper half and T is
-T_up(F_up) + T_up(F_up)[antipode], one table product per call with the
-bits of the two-product formula.  Inputs whose halves differ in any bit
-take both products.
+commutative addition.  `extend_values` and `adjoint_values` always run
+these two table products, in ball order.
 
-Table layout.  `extend_table` and `adjoint_table` are that antipodal pair
-without the ball order: E v is returned as the matrix K @ y[IY], a row per
+Table layout.  `extend_table` and `adjoint_table` are the only half-product:
+for an antipodal input, as every solver iterate is, both halves of E v hold
+the same bits, so E v is returned as its upper half K @ y[IY], a row per
 table row and a column per gathered rotation, and T takes F's upper half in
-the same layout.  The ball weight of a node depends only on its shell and
-ring, never on its azimuth (checked bit for bit at build time), so
-`row_weights` holds one ball weight per table row.  The solver works in
-this layout throughout; `extend_values` and `adjoint_values` are the same
-products reordered into ball order.
+the same layout and runs one table product.  The results are the bits of
+the two-product formula.  The ball weight of a node depends only on its
+shell and ring, never on its azimuth (checked bit for bit at build time),
+so `row_weights` holds one ball weight per table row.  `_table_layout` and
+`_ball_order` are the one map between the ball order and this layout.
 
 Near-boundary correction.  Raw kernel rows at ball nodes with
 1 - |xi| << (sphere node spacing) overestimate the integral by orders of
@@ -196,12 +193,11 @@ class ExtensionOperator:
         self.ball_mass_target = float(
             np.dot(self.ball.weights, self.sphere_mass_target) / self.sphere.weights.sum()
         )
-        turns, ub = self.gather_index.shape[1], self.residues
-        upper = self.ball.weights[:self.ball.half].reshape(-1, turns, ub)
-        if not _same_bits(upper, np.broadcast_to(upper[:, :1], upper.shape)):
+        weights = self._table_layout(self.ball.weights[:self.ball.half])
+        if not _same_bits(weights, np.broadcast_to(weights[:, :1], weights.shape)):
             raise ValueError("ball weights vary along an azimuthal ring; the table layout "
                              "needs one weight per table row")
-        self.row_weights = upper[:, 0].ravel()
+        self.row_weights = weights[:, 0].copy()
         self._balance()
 
     # -- upper-half applications (exact pair symmetry, see module docstring) --
@@ -217,9 +213,7 @@ class ExtensionOperator:
 
     def _extend_upper(self, y: np.ndarray) -> np.ndarray:
         """_table_product in ball order."""
-        out = self._table_product(y)
-        # rows (shell, ring, u) x columns m  ->  ball order (shell, ring, m, u)
-        return out.reshape(-1, self.residues, out.shape[1]).transpose(0, 2, 1).ravel()
+        return self._ball_order(self._table_product(y))
 
     def _adjoint_upper(self, z: np.ndarray) -> np.ndarray:
         """_table_transpose of a weighted vector on the upper ball nodes in ball order."""
@@ -227,15 +221,20 @@ class ExtensionOperator:
 
     def _table_layout(self, z: np.ndarray) -> np.ndarray:
         """Upper-half ball values, ball order (shell, ring, m, u) -> table rows x columns m."""
-        cols = z.reshape(-1, self.gather_index.shape[1], self.residues).transpose(0, 2, 1)
-        return cols.reshape(len(self.kernel_table), -1)
+        turns = self.gather_index.shape[1]
+        return z.reshape(-1, turns, self.residues).transpose(0, 2, 1).reshape(-1, turns)
+
+    def _ball_order(self, t: np.ndarray) -> np.ndarray:
+        """Inverse of _table_layout: table rows x columns m -> ball order (shell, ring, m, u)."""
+        return t.reshape(-1, self.residues, t.shape[1]).transpose(0, 2, 1).ravel()
 
     def _balance(self) -> None:
         """Sinkhorn on table rows and sphere nodes, folded into the table (module docstring)."""
         table, gather, anti = self.kernel_table, self.gather_index, self.sphere.antipode_index
-        turns, ub = gather.shape[1], self.residues
-        first = np.arange(self.ball.half).reshape(-1, turns, ub)[:, 0].ravel()   # each row's m = 0 node
-        sw, bw, psi = self.sphere.weights, self.row_weights, self.sphere_mass_target[first]
+        turns = gather.shape[1]
+        # each row's m = 0 node; the target depends on the radius alone
+        psi = self._table_layout(self.sphere_mass_target[:self.ball.half])[:, 0]
+        sw, bw = self.sphere.weights, self.row_weights
         theta = self.ball_mass_target
 
         def row_sums(e):
@@ -259,10 +258,10 @@ class ExtensionOperator:
         self.balance_col_dev = float(np.max(np.abs(e * col_sums(d) / theta - 1.0)))
         table *= d[:, None]
         table *= e[gather[:, 0]]
-        self.row_scale = np.tile(np.repeat(d.reshape(-1, 1, ub), turns, axis=1).ravel(), 2)
+        self.row_scale = np.tile(self._ball_order(np.broadcast_to(d[:, None], (len(d), turns))), 2)
         self.col_scale = e
 
-    # -- table-layout pair: the solver's path for antipodal inputs --
+    # -- table-layout pair: the one half-product, the solver's path --
 
     @property
     def table_shape(self) -> tuple[int, int]:
@@ -291,19 +290,13 @@ class ExtensionOperator:
     # -- public operator applications --
 
     def extend_values(self, v: np.ndarray) -> np.ndarray:
-        y, hs, hb = self.sphere.weights * v, self.sphere.half, self.ball.half
-        out = np.empty(len(self.ball))
-        out[:hb] = self._extend_upper(y)
-        out[hb:] = (out[:hb] if _same_bits(y[:hs], y[hs:])
-                    else self._extend_upper(y[self.sphere.antipode_index]))
-        return out
+        y = self.sphere.weights * v
+        return np.concatenate([self._extend_upper(y),
+                               self._extend_upper(y[self.sphere.antipode_index])])
 
     def adjoint_values(self, f: np.ndarray) -> np.ndarray:
-        f, hb, anti = np.asarray(f, dtype=float), self.ball.half, self.sphere.antipode_index
-        if _same_bits(f[:hb], f[hb:]):
-            return self.adjoint_table(self._table_layout(f[:hb]))
-        z = self.ball.weights * f
-        return self._adjoint_upper(z[:hb]) + self._adjoint_upper(z[hb:])[anti]
+        z, hb = self.ball.weights * f, self.ball.half
+        return self._adjoint_upper(z[:hb]) + self._adjoint_upper(z[hb:])[self.sphere.antipode_index]
 
     def extend(self, v: BoundaryFunction) -> ExtensionField:
         if v.quad is not self.sphere:

@@ -30,12 +30,10 @@ Integrals
     products bit for bit and independent of the node order.  `exact_sum`
     gets that sum from a few vectorized passes of error-free extraction
     (Rump, Ogita & Oishi 2008) instead of a Python loop over the terms.
-    Products of an antipodal integrand on an antipodal rule have two equal
-    halves; `exact_sum` then sums the first half and doubles it
-    (`exact_sum_of_halves`), which is the full `math.fsum` bit for bit
-    whenever every term lies below 2^900 (the full sum runs otherwise).
-    The solver, which holds only the upper half of its integrand, sums it
-    by the same rule.
+    `exact_sum_of_halves` serves the solver alone, which holds only the
+    upper half of its antipodal integrand: it sums that half and doubles
+    it, the full `math.fsum` bit for bit whenever every term lies below
+    2^900 (the full sum runs otherwise).
 """
 
 from __future__ import annotations
@@ -310,14 +308,20 @@ def exact_sum(terms: np.ndarray) -> float:
     once.  When the largest remainder is zero before any pass, non-finite or
     outside (2^-900, 2^900), or the passes run out, fsum adds the remainder
     itself, which keeps its signed zeros, inf/nan results and exceptions.
-
-    Terms whose two halves hold the same bits, as every integrand of an
-    antipodal profile does, are summed by `exact_sum_of_halves`.
     """
-    h = len(terms) // 2
-    if h and _same_bits(terms[:h], terms[h:]):
-        return exact_sum_of_halves(terms[:h])
-    return _exact_sum_passes(terms)
+    k = (len(terms) + 1).bit_length()
+    partials = []
+    for _ in range(_EXACT_SUM_PASSES):
+        top = max(terms.max(), -terms.min()) if len(terms) else 0.0
+        if top == 0.0 and partials:
+            return math.fsum(partials)
+        if not 2.0 ** -900 < top < 2.0 ** 900:
+            break
+        sigma = math.ldexp(1.0, k + math.frexp(top)[1])
+        q = (sigma + terms) - sigma
+        terms = terms - q
+        partials.append(q.sum())
+    return math.fsum(partials + terms.tolist())
 
 
 def exact_sum_of_halves(half: np.ndarray) -> float:
@@ -332,24 +336,7 @@ def exact_sum_of_halves(half: np.ndarray) -> float:
     """
     if len(half) and max(half.max(), -half.min()) < 2.0 ** 900:
         return 2.0 * exact_sum(half)
-    return _exact_sum_passes(np.concatenate([half, half]))
-
-
-def _exact_sum_passes(terms: np.ndarray) -> float:
-    """The vector passes of `exact_sum`, without its test for equal halves."""
-    k = (len(terms) + 1).bit_length()
-    partials = []
-    for _ in range(_EXACT_SUM_PASSES):
-        top = max(terms.max(), -terms.min()) if len(terms) else 0.0
-        if top == 0.0 and partials:
-            return math.fsum(partials)
-        if not 2.0 ** -900 < top < 2.0 ** 900:
-            break
-        sigma = math.ldexp(1.0, k + math.frexp(top)[1])
-        q = (sigma + terms) - sigma
-        terms = terms - q
-        partials.append(q.sum())
-    return math.fsum(partials + terms.tolist())
+    return exact_sum(np.concatenate([half, half]))
 
 
 def write_csv(path, nodes: np.ndarray, values: np.ndarray, column: str = "value") -> None:

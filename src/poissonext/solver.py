@@ -77,8 +77,16 @@ class SubcriticalProblem:
         p_lo, p_hi = self.params.p_crit, self.params.p_bulk
         if not p_lo <= self.p < p_hi:
             raise ValueError(f"p must lie in [{p_lo}, {p_hi}), got {self.p}")
-        if self.operator is None:
-            self.operator = build_extension_operator(self.sphere, self.ball, self.params)
+        self.operator = _operator_for(self.operator, self.params, self.sphere, self.ball)
+
+
+def _operator_for(op, params, sphere, ball) -> ExtensionOperator:
+    """op, or the cached operator when op is None; ValueError if op was built for others."""
+    if op is None:
+        return build_extension_operator(sphere, ball, params)
+    if op.params != params or op.sphere is not sphere or op.ball is not ball:
+        raise ValueError("the operator was built for other parameters or quadrature rules")
+    return op
 
 
 @dataclass
@@ -273,11 +281,12 @@ def el_residual(
     c = lam^{1/(p-1-q)}, which leaves both sides equal exactly when v
     solves the multiplier form), and the plain equation is evaluated; by
     default p is the critical exponent, so this is the residual of the
-    parameter-free critical equation.
+    parameter-free critical equation.  A given `operator` must be built
+    for `params`, v's rule and `ball`.
     """
     if p is None:
         p = params.p_crit
-    op = operator or build_extension_operator(v.quad, ball, params)
+    op = _operator_for(operator, params, v.quad, ball)
     return _el_terms(v, weight, params, op, p, lam)[1]
 
 

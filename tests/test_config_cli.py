@@ -193,6 +193,13 @@ class TestCliCommands:
             # a degree whose coefficient array would need 72.8 TiB
             ({"weight": {"kind": "zonal_series",
                          "coefficients": {"0": 1.0, "10000000000000": 0.1}}}, "weight: degree"),
+            # keys that int() would reread: "02" as frequency 2, "2_0" as 20
+            ({"params": {"n": 2, "a": 0.5}, "weight": {
+                "kind": "cosine_series", "coefficients": {"0": 1.0, "2": 0.1, "02": 0.3}}},
+             "weight: bad frequency/degree '02'"),
+            ({"params": {"n": 2, "a": 0.5}, "weight": {
+                "kind": "cosine_series", "coefficients": {"0": 1.0, "2_0": 0.1}}},
+             "weight: bad frequency/degree '2_0'"),
         ]:
             path = write_config(tmp_path, cfg)
             assert main(["verify", "--config", path]) == 2

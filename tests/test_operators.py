@@ -222,7 +222,7 @@ class TestStructuredProducts:
         assert op.balance_iterations > 1
 
     def test_point_mass_at_every_node_stays_positive(self, small_op):
-        # a single mass takes the two-product path, an antipodal pair the shortcut
+        # a single mass has halves that differ, an antipodal pair equal halves
         op = small_op
         for rule, apply in ((op.sphere, op.extend_values), (op.ball, op.adjoint_values)):
             for j in range(len(rule)):
@@ -304,6 +304,21 @@ class TestAntipodalEquivariance:
         f = 0.5 * (f + f[ball_2d.antipode_index])
         t = op_2d.adjoint_values(f)
         assert np.array_equal(t, t[sphere_2d.antipode_index])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_antipodal_input_runs_both_table_products(self, dim, request, monkeypatch):
+        # the ball-order products have one path: equal halves run it too
+        op = request.getfixturevalue(f"op_{dim}d")
+        calls = []
+        for name in ("_table_product", "_table_transpose"):
+            def counted(x, fn=getattr(op, name), name=name):
+                calls.append(name)
+                return fn(x)
+
+            monkeypatch.setattr(op, name, counted)
+        op.extend_values(np.ones(len(op.sphere)))
+        op.adjoint_values(np.ones(len(op.ball)))
+        assert calls == ["_table_product"] * 2 + ["_table_transpose"] * 2
 
     @given(data=st.data())
     @settings(deadline=None)

@@ -313,6 +313,16 @@ class TestExactSum:
         assert _fsum_outcome(exact_sum, doubled) == _fsum_outcome(
             lambda t: math.fsum(t.tolist()), doubled)
 
+    def test_equal_halves_run_the_full_passes(self, monkeypatch):
+        # only the solver sums halves; exact_sum has one path
+        def forbidden(half):
+            raise AssertionError("exact_sum summed half of its terms")
+
+        monkeypatch.setattr("poissonext.quadrature.exact_sum_of_halves", forbidden)
+        terms = np.tile(np.random.default_rng(3).uniform(-1.0, 1.0, 64) ** 3, 2)
+        assert _fsum_outcome(exact_sum, terms) == _fsum_outcome(
+            lambda t: math.fsum(t.tolist()), terms)
+
     @given(terms=adversarial_terms())
     @example(terms=np.array([1.5e308, -1e308]))
     @settings(deadline=None)

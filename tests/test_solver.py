@@ -98,6 +98,30 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             make_problem(params_3d, w, 5.0, sphere_3d, ball_3d)
 
+    @pytest.mark.parametrize("other", ["params", "sphere", "ball"])
+    def test_rejects_an_operator_built_for_other_arguments(self, other, params_2d):
+        # an a = 0.5 operator in an a = 0.3 problem used to solve the wrong
+        # equation and report it converged: at this p, lambda 0.0637
+        # instead of 0.1798 from a constant start
+        params = px.ProblemParams(2, 0.3)
+        sphere = px.build_sphere_quadrature(params, 64)
+        ball = px.build_ball_quadrature(params, 24, 128)
+        built = {"params": params, "sphere": sphere, "ball": ball}
+        built[other] = {"params": lambda: params_2d,
+                        "sphere": lambda: px.build_sphere_quadrature(params, 64),
+                        "ball": lambda: px.build_ball_quadrature(params, 24, 128)}[other]()
+        op = px.ExtensionOperator(built["params"], built["sphere"], built["ball"])
+        weight = px.WeightFunction(np.ones(len(sphere)), sphere, antipodal=True)
+        p = 0.5 * (params.p_crit + params.p_bulk)
+        with pytest.raises(ValueError, match="built for other"):
+            px.SubcriticalProblem(params, weight, p, sphere, ball, operator=op)
+        v = px.BoundaryFunction(np.ones(len(sphere)), sphere)
+        with pytest.raises(ValueError, match="built for other"):
+            px.el_residual(v, weight, params, ball, operator=op)
+        own = px.ExtensionOperator(params, sphere, ball)
+        assert px.SubcriticalProblem(params, weight, p, sphere, ball, operator=own).operator is own
+        assert px.el_residual(v, weight, params, ball, operator=own) < 1e-10
+
 
 class TestFixedPointStep:
     def test_constant_is_a_fixed_point(self, params_3d, sphere_3d, ball_3d, unit_weight_3d):
