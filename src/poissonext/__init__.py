@@ -5,7 +5,7 @@ associated boundary integral equation."""
 from .params import ProblemParams
 from .geometry import conformal_weight, mobius_f, mobius_f_inverse, stereographic
 from .kernels import (
-    KernelConstants,
+    ball_prefactor,
     kernel_ball,
     kernel_ball_sphere_mass,
     kernel_halfspace,

@@ -24,7 +24,7 @@ from . import solver as slv
 from .config import ConfigError, RunConfig, evaluate_weight, load_config, parse_config, weight_positivity_margin
 from .geometry import conformal_weight, mobius_f_inverse
 from .halfspace import build_halfspace_grid
-from .kernels import kernel_halfspace, normalization_constant
+from .kernels import kernel_ball_sphere_mass, kernel_halfspace, normalization_constant
 from .params import ProblemParams
 from .quadrature import (MAX_RADIAL_POINTS, build_ball_quadrature, build_sphere_quadrature,
                          integrate_ball, integrate_boundary, write_csv)
@@ -187,7 +187,7 @@ def cmd_verify(config: RunConfig):
     one = ops.BoundaryFunction(np.ones(len(sphere)), sphere)
     field = op.extend(one)
     _check(checks, "constant_extension_matches_sphere_mass",
-           np.max(np.abs(field.values - op.sphere_mass_target)), 1e-9)
+           np.max(np.abs(field.values - kernel_ball_sphere_mass(ball.radii, params))), 1e-9)
 
     # duality, positivity, antipodal equivariance
     v = ops.BoundaryFunction(rng.random(len(sphere)), sphere)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelConstants
+from .kernels import normalization_constant
 from .params import ProblemParams
 from .quadrature import integrate_boundary, panel_rule, surface_area
 
@@ -42,7 +42,7 @@ class HalfspaceGrid:
 
 def default_truncation_radius(params: ProblemParams, target: float = 3e-7) -> float:
     """Radius at which the unit-sup tail bound drops below `target`."""
-    c = KernelConstants.for_params(params).c_na
+    c = normalization_constant(params)
     n, a = params.n, params.a
     lead = c * surface_area(n - 1) * 2.0 ** (n - a + 1.0) / (1.0 - a)
     radius = (target / lead) ** (1.0 / (a - 1.0))
@@ -101,7 +101,7 @@ def halfspace_tail_bound(
     silent underestimate is impossible.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    c = KernelConstants.for_params(params).c_na
+    c = normalization_constant(params)
     n, a = params.n, params.a
     R = grid.truncation_radius
     xn = targets[:, -1]

@@ -21,8 +21,6 @@ r^2 <= 1/2 and by the 1 - r^2 connection formula (Abramowitz & Stegun
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,22 +42,9 @@ def normalization_constant(params: ProblemParams) -> float:
     return math.gamma((n - a) / 2.0) / (math.pi ** ((n - 1) / 2.0) * math.gamma((1.0 - a) / 2.0))
 
 
-@dataclass(frozen=True)
-class KernelConstants:
-    """Cached normalization constant and the ball-kernel prefactor 2^{a-1} c."""
-
-    c_na: float
-    ball_prefactor: float
-
-    @staticmethod
-    def for_params(params: ProblemParams) -> "KernelConstants":
-        return _constants_cached(params.n, params.a)
-
-
-@lru_cache(maxsize=32)
-def _constants_cached(n: int, a: float) -> KernelConstants:
-    c = normalization_constant(ProblemParams(n, a))
-    return KernelConstants(c_na=c, ball_prefactor=2.0 ** (a - 1.0) * c)
+def ball_prefactor(params: ProblemParams) -> float:
+    """The ball-kernel prefactor 2^{a-1} c."""
+    return 2.0 ** (params.a - 1.0) * normalization_constant(params)
 
 
 def kernel_halfspace(y_prime: np.ndarray, x: np.ndarray, params: ProblemParams) -> np.ndarray:
@@ -69,7 +54,7 @@ def kernel_halfspace(y_prime: np.ndarray, x: np.ndarray, params: ProblemParams) 
     xn = x[..., -1]
     if np.any(xn <= 0):
         raise ValueError("kernel_halfspace needs interior points x_n > 0")
-    c = KernelConstants.for_params(params).c_na
+    c = normalization_constant(params)
     diff = y - x[..., :-1]
     d2 = np.sum(diff * diff, axis=-1) + xn * xn
     return c * xn ** (1.0 - params.a) * d2 ** (-(params.n - params.a) / 2.0)
@@ -86,9 +71,8 @@ def kernel_ball(eta: np.ndarray, xi: np.ndarray, params: ProblemParams) -> np.nd
     d2 = np.sum(diff * diff, axis=-1)
     if np.any(d2 == 0.0):
         raise ValueError("kernel_ball is singular at xi = eta")
-    k = KernelConstants.for_params(params)
     a, n = params.a, params.n
-    return k.ball_prefactor * (1.0 - r2) ** (1.0 - a) * d2 ** ((a - n) / 2.0)
+    return ball_prefactor(params) * (1.0 - r2) ** (1.0 - a) * d2 ** ((a - n) / 2.0)
 
 
 def kernel_ball_sphere_mass(radii: np.ndarray, params: ProblemParams) -> np.ndarray:
@@ -105,7 +89,7 @@ def kernel_ball_sphere_mass(radii: np.ndarray, params: ProblemParams) -> np.ndar
     if np.any((r < 0) | (r >= 1)):
         raise ValueError("radii must lie in [0, 1)")
     n, a = params.n, params.a
-    pref = KernelConstants.for_params(params).ball_prefactor
+    pref = ball_prefactor(params)
     y = (1.0 - r) * (1.0 + r)       # 1 - r^2 without cancellation next to the sphere
     if n == 2:
         surf = 2.0 * np.pi * _hyp2f1_ss1((2.0 - a) / 2.0, y)

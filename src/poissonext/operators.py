@@ -56,10 +56,12 @@ operator:
 The rotations K factors out map both rules onto themselves, so d is one
 value per table row and e is constant on the nodes a table column gathers:
 the iteration runs on those vectors with table matvecs and then multiplies
-them into K once, so the products apply no scaling.  The scalings are ~1
-away from the boundary layer (interior accuracy is untouched) and the
-balanced operator reproduces constants on both sides to near machine
-precision.  The raw quadrature survives only in `extend_at_points`.
+them into K once, so the products apply no scaling.  d is kept as
+`row_scale` and e as `col_scale`; the targets are build inputs, so the
+operator holds no ball-length array.  The scalings are ~1 away from the
+boundary layer (interior accuracy is untouched) and the balanced operator
+reproduces constants on both sides to near machine precision.  The raw
+quadrature survives only in `extend_at_points`.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ import numpy as np
 
 from .geometry import conformal_weight, mobius_f, stereographic
 from .halfspace import HalfspaceGrid, halfspace_tail_bound
-from .kernels import KernelConstants, kernel_ball, kernel_ball_sphere_mass, kernel_halfspace
+from .kernels import ball_prefactor, kernel_ball, kernel_ball_sphere_mass, kernel_halfspace
 from .params import ProblemParams
 from .quadrature import BallQuadrature, SphereQuadrature, _same_bits, azimuthal_layout, write_csv
 
@@ -148,7 +150,7 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature,
     # |e_b - e_s|^2 and |xi - eta|^2 = (1 - r)^2 + r |e_b - e_s|^2 as sums of
     # nonnegative terms: no cancellation next to the sphere
     e2 = (sb - ss) ** 2 + (cb - cs) ** 2 + 4.0 * sb * ss * np.sin(np.pi * turn / period) ** 2
-    pref = KernelConstants.for_params(params).ball_prefactor
+    pref = ball_prefactor(params)
     a, n = params.a, params.n
     table = np.empty((len(radii) * per_shell, len(sphere)))
     for rows, r in zip(np.split(table, len(radii)), radii):
@@ -164,8 +166,9 @@ class ExtensionOperator:
     The balanced kernel is stored once per (shell, ring, azimuthal residue)
     in `kernel_table` and applied to rotated copies of the input gathered by
     `gather_index`; see the module docstring.  `row_weights` is the ball
-    weight of each table row.  `row_scale` and `col_scale` record the
-    scalings folded into the table; no product reads them.
+    weight of each table row.  `row_scale` (per table row) and `col_scale`
+    (per sphere node) record the scalings folded into the table; no product
+    reads them.  No array of ball length is held.
     """
 
     params: ProblemParams
@@ -178,8 +181,6 @@ class ExtensionOperator:
     row_weights: np.ndarray = field(init=False, repr=False)
     row_scale: np.ndarray = field(init=False, repr=False)
     col_scale: np.ndarray = field(init=False, repr=False)
-    sphere_mass_target: np.ndarray = field(init=False, repr=False)
-    ball_mass_target: float = field(init=False)
     balance_iterations: int = field(init=False)
     balance_row_dev: float = field(init=False)
     balance_col_dev: float = field(init=False)
@@ -189,16 +190,15 @@ class ExtensionOperator:
             raise ValueError("quadrature dimensions do not match the parameters")
         self.kernel_table, self.gather_index, self.residues = _kernel_table(
             self.sphere, self.ball, self.params)
-        self.sphere_mass_target = kernel_ball_sphere_mass(self.ball.radii, self.params)
-        self.ball_mass_target = float(
-            np.dot(self.ball.weights, self.sphere_mass_target) / self.sphere.weights.sum()
-        )
+        mass = kernel_ball_sphere_mass(self.ball.radii, self.params)
         weights = self._table_layout(self.ball.weights[:self.ball.half])
         if not _same_bits(weights, np.broadcast_to(weights[:, :1], weights.shape)):
             raise ValueError("ball weights vary along an azimuthal ring; the table layout "
                              "needs one weight per table row")
         self.row_weights = weights[:, 0].copy()
-        self._balance()
+        # each row's m = 0 node; the target depends on the radius alone
+        self._balance(self._table_layout(mass[:self.ball.half])[:, 0],
+                      float(np.dot(self.ball.weights, mass) / self.sphere.weights.sum()))
 
     # -- upper-half applications (exact pair symmetry, see module docstring) --
 
@@ -211,14 +211,6 @@ class ExtensionOperator:
         return np.bincount(self.gather_index.ravel(), weights=(self.kernel_table.T @ z).ravel(),
                            minlength=len(self.sphere))
 
-    def _extend_upper(self, y: np.ndarray) -> np.ndarray:
-        """_table_product in ball order."""
-        return self._ball_order(self._table_product(y))
-
-    def _adjoint_upper(self, z: np.ndarray) -> np.ndarray:
-        """_table_transpose of a weighted vector on the upper ball nodes in ball order."""
-        return self._table_transpose(self._table_layout(z))
-
     def _table_layout(self, z: np.ndarray) -> np.ndarray:
         """Upper-half ball values, ball order (shell, ring, m, u) -> table rows x columns m."""
         turns = self.gather_index.shape[1]
@@ -228,14 +220,11 @@ class ExtensionOperator:
         """Inverse of _table_layout: table rows x columns m -> ball order (shell, ring, m, u)."""
         return t.reshape(-1, self.residues, t.shape[1]).transpose(0, 2, 1).ravel()
 
-    def _balance(self) -> None:
-        """Sinkhorn on table rows and sphere nodes, folded into the table (module docstring)."""
+    def _balance(self, psi: np.ndarray, theta: float) -> None:
+        """Sinkhorn to row targets psi and column target theta, folded into the table."""
         table, gather, anti = self.kernel_table, self.gather_index, self.sphere.antipode_index
         turns = gather.shape[1]
-        # each row's m = 0 node; the target depends on the radius alone
-        psi = self._table_layout(self.sphere_mass_target[:self.ball.half])[:, 0]
         sw, bw = self.sphere.weights, self.row_weights
-        theta = self.ball_mass_target
 
         def row_sums(e):
             return table @ (sw * e)[gather[:, 0]]
@@ -258,7 +247,7 @@ class ExtensionOperator:
         self.balance_col_dev = float(np.max(np.abs(e * col_sums(d) / theta - 1.0)))
         table *= d[:, None]
         table *= e[gather[:, 0]]
-        self.row_scale = np.tile(self._ball_order(np.broadcast_to(d[:, None], (len(d), turns))), 2)
+        self.row_scale = d
         self.col_scale = e
 
     # -- table-layout pair: the one half-product, the solver's path --
@@ -291,12 +280,13 @@ class ExtensionOperator:
 
     def extend_values(self, v: np.ndarray) -> np.ndarray:
         y = self.sphere.weights * v
-        return np.concatenate([self._extend_upper(y),
-                               self._extend_upper(y[self.sphere.antipode_index])])
+        return np.concatenate([self._ball_order(self._table_product(w))
+                               for w in (y, y[self.sphere.antipode_index])])
 
     def adjoint_values(self, f: np.ndarray) -> np.ndarray:
         z, hb = self.ball.weights * f, self.ball.half
-        return self._adjoint_upper(z[:hb]) + self._adjoint_upper(z[hb:])[self.sphere.antipode_index]
+        up, down = (self._table_transpose(self._table_layout(h)) for h in (z[:hb], z[hb:]))
+        return up + down[self.sphere.antipode_index]
 
     def extend(self, v: BoundaryFunction) -> ExtensionField:
         if v.quad is not self.sphere:

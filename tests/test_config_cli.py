@@ -172,7 +172,9 @@ class TestCliCommands:
         path = write_config(tmp_path, tiny_2d_config(out))
         assert main(["verify", "--config", path]) == 0
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # no case sets output_dir: one that wrongly passed would write ./out
+        monkeypatch.chdir(tmp_path)
         for cfg, message in [
             ({"params": {"n": 3, "a": 1.5}}, "a must lie in"),
             ({"quadrature": {"radial_rule": "jacobi"}}, "graded_gl"),
@@ -209,8 +211,10 @@ class TestCliCommands:
         for scale in ("0", "-3"):
             assert main(["diagnose", "--resolution-scale", scale]) == 2
             assert "--resolution-scale" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         latin1 = tmp_path / "latin1.json"
         latin1.write_bytes(b'{"output_dir": "caf\xe9"}')
         for path, message in [(tmp_path / "missing.json", "cannot read"),
@@ -218,6 +222,7 @@ class TestCliCommands:
             assert main(["verify", "--config", str(path)]) == 2
             err = capsys.readouterr().err
             assert str(path) in err and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_uncreatable_output_dir_exits_2_before_computing(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -29,10 +29,10 @@ class TestNormalizationConstant:
         p = px.ProblemParams(n, a)
         assert px.normalization_constant(p) == pytest.approx(oracle_normalization(n, a), rel=1e-10)
 
-    def test_constants_cached_and_consistent(self):
-        p = px.ProblemParams(2, 0.5)
-        k = px.KernelConstants.for_params(p)
-        assert k.ball_prefactor == pytest.approx(2.0 ** (-0.5) * k.c_na, rel=1e-15)
+    def test_ball_prefactor_is_the_scaled_constant_bitwise(self):
+        for n, a in [(2, 0.5), (3, -0.5), (3, 0.0), (2, 0.9)]:
+            p = px.ProblemParams(n, a)
+            assert px.ball_prefactor(p) == 2.0 ** (a - 1.0) * px.normalization_constant(p)
 
 
 class TestKernelHalfspace:
@@ -71,9 +71,8 @@ class TestKernelBall:
 
     def test_center_value_general_a(self):
         p = px.ProblemParams(2, 0.5)
-        k = px.KernelConstants.for_params(p)
         val = px.kernel_ball(np.array([1.0, 0.0]), np.zeros(2), p)
-        assert val == pytest.approx(k.ball_prefactor, rel=1e-14)
+        assert val == pytest.approx(px.ball_prefactor(p), rel=1e-14)
 
     def test_rotation_invariance(self, rng):
         p = px.ProblemParams(2, 0.5)
@@ -106,7 +105,7 @@ class TestSphereMass:
     """The closed-form surface integral of the ball kernel."""
 
     def oracle(self, n, a, r):
-        pref = px.KernelConstants.for_params(px.ProblemParams(n, a)).ball_prefactor
+        pref = px.ball_prefactor(px.ProblemParams(n, a))
         if n == 3:
             val, _ = quad(
                 lambda t: np.sin(t) * (1 - 2 * r * np.cos(t) + r * r) ** (-(3 - a) / 2.0),
@@ -145,9 +144,8 @@ class TestSphereMass:
 
     def test_center_value(self):
         p = px.ProblemParams(3, -0.5)
-        k = px.KernelConstants.for_params(p)
         assert px.kernel_ball_sphere_mass(0.0, p) == pytest.approx(
-            k.ball_prefactor * 4 * np.pi, rel=1e-13
+            px.ball_prefactor(p) * 4 * np.pi, rel=1e-13
         )
 
     def test_rejects_exterior_radii(self):

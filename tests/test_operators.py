@@ -54,9 +54,8 @@ class TestExtendBall:
 
     def test_value_at_center_for_general_a(self, sphere_2d, params_2d):
         one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
-        k = px.KernelConstants.for_params(params_2d)
         val = px.extend_at_points(one, np.zeros((1, 2)), params_2d)[0]
-        assert val == pytest.approx(k.ball_prefactor * 2 * np.pi, rel=1e-12)
+        assert val == pytest.approx(px.ball_prefactor(params_2d) * 2 * np.pi, rel=1e-12)
 
     def test_points_on_or_outside_the_sphere_rejected(self, sphere_2d, params_2d):
         one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
@@ -163,7 +162,8 @@ def dense_sinkhorn(raw, op, tol=1e-13, max_iter=500):
     operator, with every marginal a dense matrix product.
     """
     sw, bw = op.sphere.weights, op.ball.weights
-    psi, theta = op.sphere_mass_target, op.ball_mass_target
+    psi = px.kernel_ball_sphere_mass(op.ball.radii, op.params)
+    theta = np.dot(bw, psi) / sw.sum()
     d, e = np.ones(len(bw)), np.ones(len(sw))
     for _ in range(max_iter):
         d *= psi / (d * (raw @ (sw * e)))
@@ -171,6 +171,16 @@ def dense_sinkhorn(raw, op, tol=1e-13, max_iter=500):
         if np.max(np.abs(d * (raw @ (sw * e)) / psi - 1.0)) < tol:
             return d, e
     raise AssertionError(f"dense Sinkhorn did not reach {tol}")
+
+
+def at_upper_nodes(op, per_row):
+    """One value per table row (shell, ring, u), repeated at its upper ball nodes in ball order."""
+    return np.repeat(per_row.reshape(-1, 1, op.residues), op.table_shape[1], axis=1).ravel()
+
+
+def ball_row_scale(op):
+    """row_scale at every ball node."""
+    return np.tile(at_upper_nodes(op, op.row_scale), 2)
 
 
 def max_rel(got, want):
@@ -183,7 +193,7 @@ class TestStructuredProducts:
     def test_raw_products_match_dense_oracle(self, small_op, rng):
         # the raw dense kernel with the recorded scalings against the folded table
         op = small_op
-        dense = (op.row_scale[:, None]
+        dense = (ball_row_scale(op)[:, None]
                  * px.kernel_ball(op.sphere.nodes[None], op.ball.nodes[:, None], op.params)
                  * op.col_scale)
         y = rng.random(len(op.sphere))
@@ -201,7 +211,7 @@ class TestStructuredProducts:
         op = small_op
         raw = px.kernel_ball(op.sphere.nodes[None], op.ball.nodes[:, None], op.params)
         d, e = dense_sinkhorn(raw, op)
-        assert max_rel(op.row_scale, d) <= 1e-10
+        assert max_rel(ball_row_scale(op), d) <= 1e-10
         assert max_rel(op.col_scale, e) <= 1e-10
         balanced = d[:, None] * raw * e
         y = rng.random(len(op.sphere))
@@ -213,8 +223,8 @@ class TestStructuredProducts:
         def forbidden(*args):
             raise AssertionError("operator product during the build")
 
-        for name in ("_extend_upper", "_adjoint_upper", "extend_values", "adjoint_values",
-                     "_table_product", "_table_transpose", "extend_table", "adjoint_table"):
+        for name in ("extend_values", "adjoint_values", "_table_product", "_table_transpose",
+                     "extend_table", "adjoint_table"):
             monkeypatch.setattr(px.ExtensionOperator, name, forbidden)
         params = px.ProblemParams(3, -0.5)
         op = px.ExtensionOperator(params, px.build_sphere_quadrature(params, 8),
@@ -239,10 +249,17 @@ class TestStructuredProducts:
 
     def test_row_weights_are_the_upper_ball_weights(self, small_op):
         op = small_op
-        turns = op.table_shape[1]
         assert op.row_weights.shape == (op.table_shape[0],) and op.row_weights.base is None
-        in_ball_order = np.repeat(op.row_weights.reshape(-1, 1, op.residues), turns, axis=1)
-        assert in_ball_order.tobytes() == op.ball.weights[:op.ball.half].tobytes()
+        upper_weights = op.ball.weights[:op.ball.half]
+        assert at_upper_nodes(op, op.row_weights).tobytes() == upper_weights.tobytes()
+
+    def test_operator_holds_no_ball_length_array(self, small_op):
+        op = small_op
+        lengths = {name: len(value) for name, value in vars(op).items()
+                   if isinstance(value, np.ndarray)}
+        assert lengths["row_scale"] == op.table_shape[0]
+        assert lengths["col_scale"] == len(op.sphere)
+        assert len(op.ball) not in lengths.values()
 
     def test_build_rejects_ball_weights_that_vary_along_a_ring(self):
         params = px.ProblemParams(2, 0.5)
@@ -331,8 +348,10 @@ class TestAntipodalEquivariance:
 
         v, f = antipodal(op.sphere), antipodal(op.ball)
         y, z = op.sphere.weights * v, op.ball.weights * f
-        two_extends = np.concatenate([op._extend_upper(y), op._extend_upper(y[anti])])
-        two_adjoints = op._adjoint_upper(z[:hb]) + op._adjoint_upper(z[hb:])[anti]
+        two_extends = np.concatenate([op._ball_order(op._table_product(y)),
+                                      op._ball_order(op._table_product(y[anti]))])
+        two_adjoints = (op._table_transpose(op._table_layout(z[:hb]))
+                        + op._table_transpose(op._table_layout(z[hb:]))[anti])
         assert op.extend_values(v).tobytes() == two_extends.tobytes()
         assert op.adjoint_values(f).tobytes() == two_adjoints.tobytes()
 
@@ -367,7 +386,7 @@ class TestAntipodalEquivariance:
 
 
 class TestCorrectionModes:
-    def test_none_mode_is_raw_quadrature(self, params_2d, sphere_2d, ball_2d, rng):
+    def test_extend_at_points_is_the_raw_quadrature(self, params_2d, sphere_2d, ball_2d, rng):
         v = rng.normal(size=len(sphere_2d))
         manual = px.kernel_ball(
             sphere_2d.nodes[None, :, :], ball_2d.nodes[:, None, :], params_2d
@@ -375,7 +394,8 @@ class TestCorrectionModes:
         got = px.extend_at_points(px.BoundaryFunction(v, sphere_2d), ball_2d.nodes, params_2d)
         assert np.max(np.abs(got - manual) / np.abs(manual)) < 1e-10
 
-    def test_balanced_mode_repairs_boundary_layer(self, op_2d, params_2d, sphere_2d, ball_2d):
+    def test_balanced_operator_repairs_the_raw_boundary_layer(self, op_2d, params_2d, sphere_2d,
+                                                              ball_2d):
         one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
         target = px.kernel_ball_sphere_mass(ball_2d.radii, params_2d)
         raw = px.extend_at_points(one, ball_2d.nodes, params_2d)
@@ -385,8 +405,10 @@ class TestCorrectionModes:
         assert bal_err < 1e-10
 
     def test_scalings_are_near_one_in_the_interior(self, op_2d, ball_2d):
-        interior = ball_2d.radii < 0.5
-        assert np.max(np.abs(op_2d.row_scale[interior] - 1.0)) < 1e-10
+        # the shell radius of each table row (shell, ring, u), read at its m = 0 node
+        turns = op_2d.table_shape[1]
+        row_radii = ball_2d.radii[:ball_2d.half].reshape(-1, turns, op_2d.residues)[:, 0].ravel()
+        assert np.max(np.abs(op_2d.row_scale[row_radii < 0.5] - 1.0)) < 1e-10
 
     def test_diagnostics_fields(self, op_2d):
         d = op_2d.diagnostics()

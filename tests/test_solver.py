@@ -89,7 +89,7 @@ class TestProblemValidation:
             with pytest.raises(ValueError):
                 make_problem(params_3d, unit_weight_3d, p, sphere_3d, ball_3d)
 
-    def test_allow_critical_admits_p_crit(self, params_3d, sphere_3d, ball_3d, unit_weight_3d):
+    def test_admits_p_crit(self, params_3d, sphere_3d, ball_3d, unit_weight_3d):
         prob = make_problem(params_3d, unit_weight_3d, 4.0, sphere_3d, ball_3d)
         assert prob.p == 4.0
 
