@@ -107,8 +107,8 @@ def _load(args) -> RunConfig:
 
 
 def _quads(config: RunConfig, scale: float = 1.0):
-    resolution = max(4, 2 * round(scale * config.sphere_resolution / 2))
-    angular = max(4, 2 * round(scale * config.ball_angular_resolution / 2))
+    resolution = max(4, 2 * round(scale * config.quadrature["sphere_resolution"] / 2))
+    angular = max(4, 2 * round(scale * config.quadrature["ball_angular_resolution"] / 2))
     radial = max(18, round(scale * config.quadrature["ball_radial_points"]))
     sphere = build_sphere_quadrature(config.params, resolution)
     ball = build_ball_quadrature(config.params, radial, angular)
@@ -179,7 +179,7 @@ def cmd_verify(config: RunConfig):
     grid = build_halfspace_grid(params, **config.halfspace)
     pts = _sample_interior_halfspace(params, rng, 20)
     devs = [
-        abs(grid.integrate(kernel_halfspace(grid.nodes, x, params)) - 1.0) for x in pts
+        abs(integrate_boundary(kernel_halfspace(grid.nodes, x, params), grid) - 1.0) for x in pts
     ]
     _check(checks, "halfspace_kernel_normalization", max(devs), 1e-6)
 
@@ -242,7 +242,7 @@ def cmd_verify(config: RunConfig):
         "normalization_constant": normalization_constant(params),
         "operator_diagnostics": op.diagnostics(),
         "weight_positivity_margin": margin,
-        "resolution": config.sphere_resolution,
+        "resolution": config.quadrature["sphere_resolution"],
     }
     return report, all(c["passed"] for c in checks)
 
@@ -283,13 +283,13 @@ def cmd_sharp(config: RunConfig):
     # purely radial; refine only the ball rule for the Richardson pair
     ball2 = build_ball_quadrature(
         params, SHARP_RADIAL_REFINEMENT * config.quadrature["ball_radial_points"],
-        config.ball_angular_resolution
+        config.quadrature["ball_angular_resolution"]
     )
     fine = fn.sharp_constant_from_constant_test_function(sphere, ball2, params).value
     value, err = fn.richardson_estimate(coarse, fine)
     methods["constant_test_function"] = value
     entries.append({"quantity": "sharp_constant", "method": "constant_test_function",
-                    "value": value, "resolution": config.sphere_resolution,
+                    "value": value, "resolution": config.quadrature["sphere_resolution"],
                     "est_error": err})
 
     smax = fn.sharp_constant_by_maximization(
@@ -297,7 +297,7 @@ def cmd_sharp(config: RunConfig):
     )
     methods["numerical_maximization"] = smax.value
     entries.append({"quantity": "sharp_constant", "method": "numerical_maximization",
-                    "value": smax.value, "resolution": config.sphere_resolution,
+                    "value": smax.value, "resolution": config.quadrature["sphere_resolution"],
                     "est_error": None})
 
     discrepancies = {}
@@ -342,7 +342,8 @@ def cmd_solve(config: RunConfig):
     sharp = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
     holds, ratio, margin = fn.existence_condition(weight, params)
     multistart_spread = max(r["lambda_est"] for r in runs) - min(r["lambda_est"] for r in runs)
-    lam_err = _lambda_richardson(config, weight, p, lam, v)
+    ok = bool(rep["converged"] and rep["el_residual"] <= slv.EL_RESIDUAL_TOL)
+    lam_err = _lambda_richardson(config, weight, p, lam, v) if ok else None
     threshold = fn.lambda_threshold(weight, params, sharp)
     report = {
         "p": p,
@@ -359,10 +360,10 @@ def cmd_solve(config: RunConfig):
         "multistart_lambda_spread": multistart_spread,
         "sup_v": float(v.values.max()),
         "inf_v": float(v.values.min()),
-        "resolution": config.sphere_resolution,
+        "resolution": config.quadrature["sphere_resolution"],
     }
     _write_profile(config, "final_v.csv", sphere, v.values)
-    return report, bool(rep["converged"] and rep["el_residual"] <= slv.EL_RESIDUAL_TOL)
+    return report, ok
 
 
 def _lambda_richardson(
@@ -370,10 +371,10 @@ def _lambda_richardson(
 ) -> float | None:
     """Richardson error estimate for lambda from a half-resolution re-solve.
 
-    The coarse problem is warm-started from the interpolated fine solution,
-    so the extra cost is a fraction of the main solve.  None when the coarse
-    solve fails its own gate (not converged, a failed step, or an EL
-    residual above EL_RESIDUAL_TOL): its lambda bounds nothing.
+    Run only after the fine run passed its command's gate; the coarse one,
+    warm-started from the interpolated fine solution, costs a fraction of
+    it.  None when the coarse solve fails its own gate (not converged, a
+    failed step, or an EL residual above EL_RESIDUAL_TOL).
     """
     sphere_c, ball_c = _quads(config, scale=0.5)
     weight_c = evaluate_weight(config, sphere_c)
@@ -414,7 +415,7 @@ def cmd_continue(config: RunConfig):
     ok = ok and not report_obj.blow_up_flag
     lam_err = _lambda_richardson(
         config, weight, schedule[-1], report_obj.lambda_est, report_obj.final_v
-    )
+    ) if ok else None
     report = {
         "schedule": schedule,
         "stages": rows,
@@ -426,7 +427,7 @@ def cmd_continue(config: RunConfig):
         "existence_condition": {"holds": holds, "max_min_ratio": ratio, "margin": margin},
         "final_sup_v": float(report_obj.final_v.values.max()),
         "final_inf_v": float(report_obj.final_v.values.min()),
-        "resolution": config.sphere_resolution,
+        "resolution": config.quadrature["sphere_resolution"],
     }
     _write_profile(config, "final_v.csv", sphere, report_obj.final_v.values)
     for stage, values in zip(report_obj.stages, report_obj.stage_profiles):

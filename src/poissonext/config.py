@@ -139,14 +139,6 @@ class RunConfig:
         }
         return json.loads(json.dumps(record, sort_keys=True))
 
-    @property
-    def sphere_resolution(self) -> int:
-        return self.quadrature["sphere_resolution"]
-
-    @property
-    def ball_angular_resolution(self) -> int:
-        return self.quadrature["ball_angular_resolution"]
-
 
 def _merge_strict(section: str, user: dict, defaults: dict) -> dict:
     if not isinstance(user, dict):

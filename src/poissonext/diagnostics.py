@@ -53,13 +53,13 @@ def bubble_extension_halfspace(
     sphere-mass profile of the ball kernel, composed with the Moebius map;
     translation and dilation covariance extend this to the whole family.
     Exact up to the closed-form ingredients, hence usable as an oracle for
-    the weighted-harmonicity check.
+    the weighted-harmonicity check.  Like `bubble`, a 2-D input of points
+    gives an array and a single point a float.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     m = params.half_weight_power
     center = np.zeros(params.n - 1) if bp.center is None else np.asarray(bp.center, dtype=float)
     shift = np.concatenate([center, [0.0]])
-    xt = (x - shift) / bp.lambda_scale
+    xt = (np.atleast_2d(np.asarray(x, dtype=float)) - shift) / bp.lambda_scale
     w = conformal_weight(xt, params)
     radii = np.sqrt(np.sum(mobius_f(xt, params) ** 2, axis=-1))
     radii = np.minimum(radii, 1.0 - 1e-14)
@@ -70,7 +70,7 @@ def bubble_extension_halfspace(
         * w
         * kernel_ball_sphere_mass(radii, params)
     )
-    return vals if x.shape[0] > 1 else float(vals[0])
+    return vals if np.ndim(x) > 1 else float(vals[0])
 
 
 @dataclass(frozen=True)

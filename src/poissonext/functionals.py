@@ -146,15 +146,12 @@ def sharp_constant(
     method: str,
     sphere: SphereQuadrature | None = None,
     ball: BallQuadrature | None = None,
-    **kwargs,
 ) -> SharpConstant:
     """Dispatch on the estimation method; see the individual functions.
 
-    Keyword arguments go to `sharp_constant_by_maximization`, the only
-    method that takes any.
+    Each method runs at its defaults; call `sharp_constant_by_maximization`
+    directly to set its starts, seed or iteration cap.
     """
-    if kwargs and method != "numerical_maximization":
-        raise ValueError(f"method {method!r} takes no keyword arguments, got {sorted(kwargs)}")
     if method == "formula_a0":
         return sharp_constant_formula_a0(params)
     if sphere is None or ball is None:
@@ -162,7 +159,7 @@ def sharp_constant(
     if method == "constant_test_function":
         return sharp_constant_from_constant_test_function(sphere, ball, params)
     if method == "numerical_maximization":
-        return sharp_constant_by_maximization(sphere, ball, params, **kwargs)
+        return sharp_constant_by_maximization(sphere, ball, params)
     raise ValueError(f"unknown method {method!r}")
 
 

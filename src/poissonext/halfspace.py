@@ -5,13 +5,12 @@ that decays only like |y'|^{-(n-a)}, so the grid must reach a very large
 truncation radius.  Geometric radial panels make that affordable: the
 panel count grows logarithmically in the radius while resolving unit-scale
 features near the origin.  The radial rule is `quadrature.panel_rule` on
-those panels, and `HalfspaceGrid.integrate` is the compensated sum
-`quadrature.integrate_boundary`.  For n = 3 the radial rule is crossed with
-an equispaced angular rule in the plane.
+those panels, crossed for n = 3 with an equispaced angular rule in the plane.
 
-The truncation error is reported through an analytic bound of the form
-C(n, a) x_n^{1-a} R^{a-1} sup_{|y'|>R} |u|, valid for targets with
-|x'| <= R/2.
+The truncation error has the analytic bound `halfspace_tail_bound`,
+C(n, a) x_n^{1-a} R^{a-1} sup_{|y'|>R} |u| for targets with |x'| <= R/2.
+`operators.extend_halfspace` returns it per target; `conformal_pullback_check`
+discards it, so no report carries it yet.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from .kernels import normalization_constant
 from .params import ProblemParams
-from .quadrature import integrate_boundary, panel_rule, surface_area
+from .quadrature import panel_rule, surface_area
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,16 +35,13 @@ class HalfspaceGrid:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def integrate(self, values: np.ndarray) -> float:
-        return integrate_boundary(values, self)
 
-
-def default_truncation_radius(params: ProblemParams, target: float = 3e-7) -> float:
-    """Radius at which the unit-sup tail bound drops below `target`."""
+def default_truncation_radius(params: ProblemParams) -> float:
+    """Radius at which the unit-sup tail bound drops below 3e-7, clipped to [1e4, 1e15]."""
     c = normalization_constant(params)
     n, a = params.n, params.a
     lead = c * surface_area(n - 1) * 2.0 ** (n - a + 1.0) / (1.0 - a)
-    radius = (target / lead) ** (1.0 / (a - 1.0))
+    radius = (3e-7 / lead) ** (1.0 / (a - 1.0))
     return float(np.clip(radius, 1e4, 1e15))
 
 

@@ -76,7 +76,7 @@ from .geometry import conformal_weight, mobius_f, stereographic
 from .halfspace import HalfspaceGrid, halfspace_tail_bound
 from .kernels import ball_prefactor, kernel_ball, kernel_ball_sphere_mass, kernel_halfspace
 from .params import ProblemParams
-from .quadrature import BallQuadrature, SphereQuadrature, _same_bits, azimuthal_layout, write_csv
+from .quadrature import BallQuadrature, SphereQuadrature, _same_bits, azimuthal_layout
 
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 120
@@ -96,9 +96,6 @@ class _NodalValues:
             raise ValueError("value vector length does not match the quadrature")
         if not np.all(np.isfinite(self.values)):
             raise ValueError(f"{self._kind} values must be finite")
-
-    def to_csv(self, path) -> None:
-        write_csv(path, self.quad.nodes, self.values)
 
 
 class BoundaryFunction(_NodalValues):
@@ -438,16 +435,10 @@ def conformal_pullback_check(
 
     are evaluated independently: the left through the sphere quadrature,
     the right through the half-space grid.  `v` is a callable on sphere
-    points, or a BoundaryFunction (interpolated first).
+    points; nodal values go through `interpolate_boundary` first.
     """
-    if isinstance(v, BoundaryFunction):
-        if v.quad is not sphere:
-            raise ValueError("boundary function lives on a different quadrature")
-        v_fun = interpolate_boundary(v)
-    else:
-        v_fun = v
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    v_nodes = BoundaryFunction(np.asarray(v_fun(sphere.nodes), dtype=float), sphere)
+    v_nodes = BoundaryFunction(np.asarray(v(sphere.nodes), dtype=float), sphere)
 
     xi = mobius_f(sample_points, params)
     lhs = extend_at_points(v_nodes, xi, params)
@@ -456,7 +447,7 @@ def conformal_pullback_check(
         [grid.nodes, np.zeros((len(grid.nodes), 1))], axis=1
     )
     u = conformal_weight(boundary_pts, params) * np.asarray(
-        v_fun(stereographic(grid.nodes, params.n)), dtype=float
+        v(stereographic(grid.nodes, params.n)), dtype=float
     )
     ext, _tail = extend_halfspace(u, grid, sample_points, params)
     rhs = ext / conformal_weight(sample_points, params)

@@ -72,9 +72,6 @@ class _AntipodalRule:
     def half(self) -> int:
         return len(self.weights) // 2
 
-    def to_csv(self, path) -> None:
-        write_csv(path, self.nodes, self.weights, "weight")
-
 
 @dataclass(frozen=True, eq=False)
 class SphereQuadrature(_AntipodalRule):
@@ -339,10 +336,10 @@ def exact_sum_of_halves(half: np.ndarray) -> float:
     return exact_sum(np.concatenate([half, half]))
 
 
-def write_csv(path, nodes: np.ndarray, values: np.ndarray, column: str = "value") -> None:
-    """One row per node: its coordinates x1..xn, then the value in `column`."""
+def write_csv(path, nodes: np.ndarray, values: np.ndarray) -> None:
+    """One row per node: its coordinates x1..xn, then its value."""
     dim = nodes.shape[1]
     with open(path, "w") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(dim)) + f",{column}\n")
+        fh.write(",".join(f"x{i + 1}" for i in range(dim)) + ",value\n")
         for row, val in zip(nodes, values):
             fh.write(",".join(repr(float(c)) for c in row) + f",{float(val)!r}\n")

@@ -28,9 +28,9 @@ warm-starting each stage from the previous one.
 Every iterate is antipodal bit for bit, so E v and (E v)^{q_exp} have two
 halves with the same bits.  The solver carries only the upper half, in the
 kernel table's layout (`ExtensionOperator.extend_table`): the functional
-sums that half and doubles it (`exact_sum_of_halves`), and the adjoint
-reads it directly (`adjoint_table`).  The results are the bits of the
-full ball-order computation.
+sums that half and doubles it (`exact_sum_of_halves`), and the adjoint of
+each step and of `el_residual` reads it directly (`adjoint_table`), with
+the bits of the full ball-order computation.
 """
 
 from __future__ import annotations
@@ -162,14 +162,14 @@ def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> BoundaryFunct
 
 
 def fixed_point_step(
-    state: SolverState, problem: SubcriticalProblem, history: deque | None = None
+    state: SolverState, problem: SubcriticalProblem, history: deque
 ) -> SolverState:
     """One Euler-Lagrange fixed-point step with ascent acceptance.
 
-    Without `history` this is the plain step with its halving.  With it (a
-    deque of (v, G(v)) pairs, maxlen ANDERSON_DEPTH + 1, owned by the
-    caller) the step appends its own pair and first tries the Anderson-mixed
-    point; a rejected mixed point leaves only that pair in the history.
+    `history` (a deque of (v, G(v)) pairs, maxlen ANDERSON_DEPTH + 1, owned
+    by the caller) gets the step's pair; from two pairs on, the Anderson-mixed
+    point is tried first, and a rejected one leaves only the step's pair.  A
+    history of maxlen 1 never holds two, so it gives the plain step alone.
     """
     op = problem.operator
     v = state.v.values
@@ -187,17 +187,16 @@ def fixed_point_step(
     w = (g / problem.weight.values) ** (1.0 / (problem.p - 1.0))
     full = _candidate(w, problem)
     residual = float(np.max(np.abs(full.values - v)) / np.max(np.abs(v)))
-    if history is not None:
+    history.append((v, full.values))
+    if len(history) > 1:
+        mixed = _anderson_point(history)
+        if np.all(mixed > 0):
+            cand = _candidate(mixed, problem)
+            lam, cand_power = _functional(cand.values, problem)
+            if lam >= state.lambda_est - ASCENT_SLACK:
+                return _accepted(state, cand, lam, cand_power, residual)
+        history.clear()
         history.append((v, full.values))
-        if len(history) > 1:
-            mixed = _anderson_point(history)
-            if np.all(mixed > 0):
-                cand = _candidate(mixed, problem)
-                lam, cand_power = _functional(cand.values, problem)
-                if lam >= state.lambda_est - ASCENT_SLACK:
-                    return _accepted(state, cand, lam, cand_power, residual)
-            history.clear()
-            history.append((v, full.values))
     tau = 1.0
     for _ in range(MAX_DAMPING_HALVINGS + 1):
         cand = full if tau == 1.0 else _candidate((1.0 - tau) * v + tau * w, problem)
@@ -254,9 +253,6 @@ def maximize_subcritical(
         "iterations": state.iteration,
         "converged": converged,
         "step_failed": state.step_failed,
-        "residual": state.residual,
-        "lambda_est": state.lambda_est,
-        "multiplier_pairing": lam_pair,
         "multiplier_identity_dev": abs(lam_pair / state.lambda_est - 1.0),
         "el_residual": el,
         "functional_history": state.functional_history,
@@ -282,7 +278,8 @@ def el_residual(
     solves the multiplier form), and the plain equation is evaluated; by
     default p is the critical exponent, so this is the residual of the
     parameter-free critical equation.  A given `operator` must be built
-    for `params`, v's rule and `ball`.
+    for `params`, v's rule and `ball`.  v must be positive and, as every
+    solver iterate is, antipodal bit for bit (`extend_table`).
     """
     if p is None:
         p = params.p_crit
@@ -293,16 +290,15 @@ def el_residual(
 def _el_terms(v, weight, params, op, p, lam, ext_power=None) -> tuple[float, float]:
     """Pairing multiplier <v, g> / <v, K v^{p-1}> and the EL residual.
 
-    Both come from one evaluation of g = T[(E v)^q]; see el_residual.  A
-    solver state passes its carried `ext_power` (table layout, antipodal v),
-    and then only the adjoint runs.
+    Both come from one evaluation of g = T[(E v)^q] through the table pair,
+    as in `fixed_point_step`; see el_residual.  A solver state passes its
+    carried `ext_power` (table layout), and then only the adjoint runs.
     """
     if np.any(v.values <= 0):
         raise ValueError("the residual is defined for positive v")
     if ext_power is None:
-        g = op.adjoint_values(op.extend_values(v.values) ** params.q_exp)
-    else:
-        g = op.adjoint_table(ext_power)
+        ext_power = op.extend_table(v.values) ** params.q_exp
+    g = op.adjoint_table(ext_power)
     num = integrate_boundary(v.values * g, v.quad)
     den = integrate_boundary(weight.values * v.values**p, v.quad)
     lam_pair = num / den
@@ -388,7 +384,6 @@ def continuation(
         raise ValueError("schedule must be strictly decreasing")
     if schedule[0] >= params.p_bulk or schedule[-1] < params.p_crit:
         raise ValueError("schedule must stay inside [p_crit, p_bulk)")
-    op = build_extension_operator(sphere, ball, params)
     if init is None:
         init = BoundaryFunction(np.ones(len(sphere)), sphere)
     v = init
@@ -405,7 +400,6 @@ def continuation(
             ball=ball,
             tol_v=tol_v,
             max_iter=max_iter,
-            operator=op,
         )
         v, lam, report = maximize_subcritical(problem, v)
         stages.append(

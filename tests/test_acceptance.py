@@ -44,7 +44,7 @@ def test_ac1_kernel_normalization():
         pts[:, :-1] = rng.uniform(-1.5, 1.5, size=(20, n - 1))
         pts[:, -1] = np.exp(rng.uniform(np.log(0.4), np.log(2.5), size=20))
         for x in pts:
-            dev = abs(grid.integrate(px.kernel_halfspace(grid.nodes, x, params)) - 1.0)
+            dev = abs(px.integrate_boundary(px.kernel_halfspace(grid.nodes, x, params), grid) - 1.0)
             worst = max(worst, dev)
     # the classical constant against the quadrature oracle
     c = px.normalization_constant(px.ProblemParams(3, 0.0))

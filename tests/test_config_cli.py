@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,10 @@ JSON_VALUES = st.recursive(
 )
 
 
+def read_report(out):
+    return json.loads(Path(out, "report.json").read_text())
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -65,7 +70,7 @@ class TestConfigParsing:
     def test_defaults_parse(self):
         cfg = parse_config({})
         assert cfg.params.n == 3 and cfg.params.a == 0.0
-        assert cfg.sphere_resolution == 16
+        assert cfg.quadrature["sphere_resolution"] == 16
 
     def test_echo_is_lossless(self):
         cfg = parse_config({"params": {"n": 2, "a": 0.5}, "seed": 3})
@@ -163,7 +168,7 @@ class TestCliCommands:
         out = str(tmp_path / "out")
         path = write_config(tmp_path, tiny_3d_config(out))
         assert main(["verify", "--config", path]) == 0
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = read_report(out)
         assert report["schema_version"] == 1
         assert all(c["passed"] for c in report["report"]["checks"])
 
@@ -256,12 +261,12 @@ class TestCliCommands:
         out = str(tmp_path / "out")
         path = write_config(tmp_path, tiny_3d_config(out))
         assert main(["solve", "--config", path]) == 0
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = read_report(out)
         body = report["report"]
         assert body["converged"]
         assert body["exceeds_threshold"]
         assert body["multiplier_identity_dev"] < 1e-8
-        prof = open(os.path.join(out, "profiles", "final_v.csv")).read().splitlines()
+        prof = Path(out, "profiles", "final_v.csv").read_text().splitlines()
         assert prof[0] == "x1,x2,x3,value"
         assert len(prof) == 1 + 16 * 32
 
@@ -269,13 +274,13 @@ class TestCliCommands:
         out = str(tmp_path / "out")
         path = write_config(tmp_path, tiny_2d_config(out))
         assert main(["continue", "--config", path]) == 0
-        stages = open(os.path.join(out, "stages.csv")).read().splitlines()
+        stages = Path(out, "stages.csv").read_text().splitlines()
         assert stages[0].startswith("p,lambda,el_residual")
         assert len(stages) == 3
         profiles = sorted(os.listdir(os.path.join(out, "profiles")))
         assert "final_v.csv" in profiles
         assert sum(name.startswith("stage_p") for name in profiles) == 2
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = read_report(out)
         assert report["report"]["exceeds_threshold"]
         assert not report["report"]["blow_up_flag"]
 
@@ -286,7 +291,7 @@ class TestCliCommands:
             out = str(tmp_path / cmd)
             path = write_config(tmp_path, tiny_2d_config(out), name=f"{cmd}.json")
             assert main([cmd, "--config", path]) == 1
-            body = json.load(open(os.path.join(out, "report.json")))["report"]
+            body = read_report(out)["report"]
             rows = body["stages"] if cmd == "continue" else [body]
             assert all(r["converged"] and r["el_residual"] == 0.5 for r in rows)
 
@@ -307,15 +312,40 @@ class TestCliCommands:
                 out = str(tmp_path / cmd)
                 path = write_config(tmp_path, tiny_2d_config(out), name=f"{cmd}.json")
                 assert main([cmd, "--config", path]) == 0
-                err = json.load(open(os.path.join(out, "report.json")))["report"][
-                    "lambda_est_error"]
+                err = read_report(out)["report"]["lambda_est_error"]
                 assert (err is None) == bool(failure), (cmd, failure, err)
+
+    def test_richardson_error_is_null_when_the_run_fails_its_gate(self, tmp_path, monkeypatch):
+        # a continuation that stopped at stage 2 used to pair lambda(4.5) with
+        # a coarse re-solve at the last scheduled p, 4.2
+        fine_nodes = 64
+        maximize = px.solver.maximize_subcritical
+        coarse_solves = []
+
+        def fine_fails_below_5(problem, init):
+            v, lam, rep = maximize(problem, init)
+            if len(problem.sphere) < fine_nodes:
+                coarse_solves.append(problem.p)
+            elif problem.p < 5.0:
+                rep = dict(rep, converged=False, step_failed=True)
+            return v, lam, rep
+
+        monkeypatch.setattr(px.solver, "maximize_subcritical", fine_fails_below_5)
+        solver = {"p": 4.5, "schedule": [5.0, 4.5, 4.2], "max_iter": 800}
+        for cmd in ("solve", "continue"):
+            out = str(tmp_path / cmd)
+            path = write_config(tmp_path, tiny_2d_config(out, solver=solver), name=f"{cmd}.json")
+            assert main([cmd, "--config", path]) == 1
+            body = read_report(out)["report"]
+            assert body["lambda_est_error"] is None
+        assert [s["p"] for s in body["stages"]] == [5.0, 4.5]
+        assert coarse_solves == []
 
     def test_sharp_methods_agree(self, tmp_path):
         out = str(tmp_path / "out")
         path = write_config(tmp_path, tiny_3d_config(out))
         assert main(["sharp", "--config", path]) == 0
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = read_report(out)
         disc = report["report"]["discrepancies"]
         assert disc["constant_test_function_vs_formula_a0"] < 1e-4
         entries = report["report"]["entries"]
@@ -331,7 +361,7 @@ class TestCliCommands:
         out = str(tmp_path / "elsewhere")
         path = write_config(tmp_path, tiny_3d_config(str(tmp_path / "ignored")))
         assert main(["diagnose", "--config", path, "--out", out, "--seed", "99"]) == 0
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = read_report(out)
         assert report["config"]["seed"] == 99
 
     def test_byte_identical_reports_for_same_seed(self, tmp_path):
@@ -339,12 +369,12 @@ class TestCliCommands:
         cfg["solver"]["multistart"] = 2
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path]) == 0
-        first = open(os.path.join(str(tmp_path / "a"), "report.json"), "rb").read()
+        first = (tmp_path / "a" / "report.json").read_bytes()
         cfg2 = tiny_3d_config(str(tmp_path / "b"))
         cfg2["solver"]["multistart"] = 2
         path2 = write_config(tmp_path, cfg2, name="config2.json")
         assert main(["solve", "--config", path2]) == 0
-        second = open(os.path.join(str(tmp_path / "b"), "report.json"), "rb").read()
+        second = (tmp_path / "b" / "report.json").read_bytes()
         assert first.replace(str(tmp_path / "a").encode(), b"X") == second.replace(
             str(tmp_path / "b").encode(), b"X"
         )
@@ -353,5 +383,5 @@ class TestCliCommands:
         out = str(tmp_path / "out")
         path = write_config(tmp_path, tiny_3d_config(out))
         assert main(["diagnose", "--config", path, "--resolution-scale", "2"]) == 0
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = read_report(out)
         assert report["config"]["quadrature"]["sphere_resolution"] == 32

@@ -57,6 +57,17 @@ class TestBubbleExtension:
         exact = px.bubble_extension_halfspace(targets, params_2d, bp)
         assert np.max(np.abs(approx - exact)) < 1e-6
 
+    def test_output_shape_follows_bubble(self, params_2d, params_3d):
+        # a 2-D input gives an array, one row included; a single point a float
+        bp = px.BubbleParams()
+        for p in (params_2d, params_3d):
+            point = np.full(p.n, 0.5)
+            for x in (point, point[None, :], np.stack([point, 2 * point])):
+                ext = px.bubble_extension_halfspace(x, p, bp)
+                trace = px.bubble(x[..., :-1], p, bp)
+                assert np.shape(ext) == np.shape(trace) == x.shape[:-1]
+                assert isinstance(ext, float) == (x.ndim == 1)
+
 
 class TestBlowUpRescale:
     def test_center_normalization_exact(self, params_2d, rng):

@@ -134,8 +134,8 @@ class TestSharpConstant:
     def test_maximization_consistent_with_constant(self, sphere_2d, params_2d):
         ball = px.build_ball_quadrature(params_2d, 48, 64)
         s2 = px.sharp_constant(params_2d, "constant_test_function", sphere_2d, ball)
-        s3 = px.sharp_constant(params_2d, "numerical_maximization", sphere_2d, ball,
-                               starts=2, seed=3, max_iter=800)
+        s3 = px.functionals.sharp_constant_by_maximization(sphere_2d, ball, params_2d,
+                                                           starts=2, seed=3, max_iter=800)
         assert s3.value >= s2.value - 1e-4
         assert s3.value <= s2.value * (1 + 1e-3)
 
@@ -150,7 +150,7 @@ class TestSharpConstant:
         results = iter([(one, 1.0, {}), (bumpy, 2.0, {}), (one, 1.5, {})])
         monkeypatch.setattr(px.solver, "maximize_subcritical",
                             lambda problem, init: next(results))
-        s = px.sharp_constant(params_2d, "numerical_maximization", sphere_2d, ball_2d, starts=3)
+        s = px.sharp_constant(params_2d, "numerical_maximization", sphere_2d, ball_2d)
 
         op = px.build_extension_operator(sphere_2d, ball_2d, params_2d)
 
@@ -166,8 +166,10 @@ class TestSharpConstant:
             px.sharp_constant(params_3d, "guesswork", sphere_3d, ball_3d)
 
     def test_keywords_are_rejected_by_methods_that_take_none(self, params_3d, sphere_3d, ball_3d):
-        for method in ("formula_a0", "constant_test_function"):
-            with pytest.raises(ValueError, match=rf"{method}.*'starts'"):
+        # the dispatcher passes no keywords on; the maximization takes its own
+        # directly through sharp_constant_by_maximization
+        for method in ("formula_a0", "constant_test_function", "numerical_maximization"):
+            with pytest.raises(TypeError, match="'starts'"):
                 px.sharp_constant(params_3d, method, sphere_3d, ball_3d, starts=2)
 
 

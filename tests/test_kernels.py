@@ -185,5 +185,5 @@ class TestDiscreteNormalization:
             pts[:, :-1] = rng.uniform(-1.5, 1.5, size=(20, n - 1))
             pts[:, -1] = np.exp(rng.uniform(np.log(0.4), np.log(2.5), size=20))
             for x in pts:
-                total = grid.integrate(px.kernel_halfspace(grid.nodes, x, p))
+                total = px.integrate_boundary(px.kernel_halfspace(grid.nodes, x, p), grid)
                 assert total == pytest.approx(1.0, abs=1e-6)

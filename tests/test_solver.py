@@ -34,6 +34,11 @@ def make_problem(params, weight, p, sphere, ball):
     return px.SubcriticalProblem(params=params, weight=weight, p=p, sphere=sphere, ball=ball)
 
 
+def plain_step(state, problem):
+    """The step without mixing: a history of maxlen 1 never holds two pairs."""
+    return px.fixed_point_step(state, problem, deque(maxlen=1))
+
+
 class TestSymmetrize:
     def test_fixed_on_antipodal_input(self, sphere_2d, rng):
         v = rng.random(len(sphere_2d))
@@ -130,7 +135,7 @@ class TestFixedPointStep:
             px.BoundaryFunction(np.ones(len(sphere_3d)), sphere_3d), unit_weight_3d, 5.0
         )
         state = px.SolverState(v=v0, lambda_est=0.0, functional_history=[0.0])
-        out = px.fixed_point_step(state, prob)
+        out = plain_step(state, prob)
         assert np.max(np.abs(out.v.values - v0.values)) < 1e-8
 
     def test_step_preserves_state_invariants(self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng):
@@ -138,7 +143,7 @@ class TestFixedPointStep:
         v0 = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.1, sphere_2d)
         v0 = px.normalize_constraint(px.symmetrize_antipodal(v0), unit_weight_2d, 5.0)
         state = px.SolverState(v=v0, lambda_est=0.0, functional_history=[0.0])
-        out = px.fixed_point_step(state, prob)
+        out = plain_step(state, prob)
         c = px.integrate_boundary(unit_weight_2d.values * np.abs(out.v.values) ** 5.0, sphere_2d)
         assert abs(c - 1.0) < 1e-10
         assert np.all(out.v.values >= 0)
@@ -157,7 +162,7 @@ class TestFixedPointStep:
             return (-np.inf if len(calls) == 1 else lam), ext
 
         monkeypatch.setattr(px.solver, "_functional", first_candidate_descends)
-        out = px.fixed_point_step(state, prob)
+        out = plain_step(state, prob)
         op, v = prob.operator, state.v.values
         w = (op.adjoint_values(op.extend_values(v) ** params_2d.q_exp)
              / unit_weight_2d.values) ** (1.0 / (5.0 - 1.0))
@@ -183,7 +188,7 @@ class TestFixedPointStep:
         monkeypatch.setattr(px.solver, "_functional", always_descends)
         init = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5, sphere_2d)
         state = px.solver._prepare(prob, init)
-        out = px.fixed_point_step(state, prob)
+        out = plain_step(state, prob)
         assert out.step_failed and out.v is state.v and out.iteration == 0
         assert len(calls) == 1 + px.solver.MAX_DAMPING_HALVINGS + 1
         _, _, rep = px.maximize_subcritical(prob, init)
@@ -198,9 +203,9 @@ class TestFixedPointStep:
         calls = []
         extend = op.extend_table
         monkeypatch.setattr(op, "extend_table", lambda v: calls.append(1) or extend(v))
-        cold = px.fixed_point_step(px.SolverState(v=state.v, lambda_est=state.lambda_est), prob)
+        cold = plain_step(px.SolverState(v=state.v, lambda_est=state.lambda_est), prob)
         cold_calls = len(calls)
-        warm = px.fixed_point_step(state, prob)
+        warm = plain_step(state, prob)
         assert cold_calls - (len(calls) - cold_calls) == 1
         assert np.array_equal(warm.v.values, cold.v.values)
         assert warm.ext_power.shape == op.table_shape
@@ -219,7 +224,7 @@ class TestFixedPointStep:
         bad = replace(state, v=px.BoundaryFunction(v, sphere_2d),
                       ext_power=state.ext_power if carried else None)
         with pytest.raises(ValueError, match="not antipodal.*symmetrize first"):
-            px.fixed_point_step(bad, prob)
+            plain_step(bad, prob)
 
     def test_step_rejects_an_ext_power_outside_the_table_layout(
             self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng):
@@ -230,7 +235,7 @@ class TestFixedPointStep:
         ball_order = op.extend_values(state.v.values) ** params_2d.q_exp
         for ext_power in (ball_order, ball_order[:ball_2d.half], state.ext_power.T):
             with pytest.raises(ValueError, match="ext_power has shape"):
-                px.fixed_point_step(replace(state, ext_power=ext_power), prob)
+                plain_step(replace(state, ext_power=ext_power), prob)
 
     @given(half=hnp.arrays(float, 32, elements=st.floats(0.0, 1.5)),
            top=st.integers(-600, 990))
@@ -327,10 +332,10 @@ class TestMaximizeSubcritical:
 
 
 def plain_run(problem, init):
-    """maximize_subcritical's loop on the plain (two-argument) step."""
+    """maximize_subcritical's loop on the plain step."""
     state = px.solver._prepare(problem, init)
     for _ in range(problem.max_iter):
-        state = px.fixed_point_step(state, problem)
+        state = plain_step(state, problem)
         if state.step_failed or state.residual < problem.tol_v:
             break
     return state
@@ -367,7 +372,7 @@ class TestAndersonMixing:
             return replace(state, functional_history=list(state.functional_history))
 
         mixed = px.fixed_point_step(copy(state), prob, deque(history, maxlen=history.maxlen))
-        expected = px.fixed_point_step(copy(state), prob)
+        expected = plain_step(copy(state), prob)
         assert not np.array_equal(mixed.v.values, expected.v.values)
 
         functional, calls = px.solver._functional, []
@@ -446,6 +451,17 @@ class TestElResidual:
         v = px.BoundaryFunction(np.zeros(len(sphere_3d)), sphere_3d)
         with pytest.raises(ValueError):
             px.el_residual(v, unit_weight_3d, params_3d, ball_3d)
+
+    def test_rejects_v_with_unequal_halves(self, params_2d, sphere_2d, ball_2d, unit_weight_2d):
+        # the residual runs the solver's table pair, which takes antipodal v only;
+        # positivity is checked first
+        v = np.full(len(sphere_2d), 2.7)
+        v[-1] = np.nextafter(2.7, 3.0)      # one bit off in the lower half
+        with pytest.raises(ValueError, match="symmetrize first"):
+            px.el_residual(px.BoundaryFunction(v, sphere_2d), unit_weight_2d, params_2d, ball_2d)
+        v[0] = 0.0
+        with pytest.raises(ValueError, match="positive v"):
+            px.el_residual(px.BoundaryFunction(v, sphere_2d), unit_weight_2d, params_2d, ball_2d)
 
 
 class TestRotationEquivariance:
