@@ -15,12 +15,20 @@ kernel value once: a row per (shell, upper ball ring, azimuthal residue)
 and a column per sphere node in (ring, residue, offset) order (see
 `_kernel_table`).  The upper half of E is one matrix product K @ y[IY]
 with a fixed gather index IY; its adjoint is K^T @ Z scattered back
-through the same index.  A product costs the dense MAC count, but the
-table is smaller than M by the number of product columns (g/2 for n = 2,
-g for n = 3, with g the gcd of the azimuth counts), so it stays in cache
-instead of streaming M from memory.  FFT convolution is not used: its
-roundoff, ~1e-16 of a row's maximum, would break exact positivity where a
-kernel row spans twenty decades (n = 3, a = -0.5, outer shells).
+through the same index.  The table is smaller than M by the number of
+product columns (g/2 for n = 2, g for n = 3, with g the gcd of the
+azimuth counts), so it stays in cache instead of streaming M from memory.
+FFT convolution is not used: its roundoff, ~1e-16 of a row's maximum,
+would break exact positivity where a kernel row spans twenty decades
+(n = 3, a = -0.5, outer shells).
+
+Antipodal fold.  The antipodal shift of half a turn maps the nodes one
+column of K gathers onto the nodes of a partner column, for every
+rotation m.  For an antipodal y both columns of a pair multiply the same
+gathered values, so the operator keeps one column per pair holding the
+sum of the two (`kernel_table`, with `gather_index` the pair's first
+column): half the columns and half the multiply-adds of the dense
+product, still a sum of positive entries.
 
 Exact contracts.  Every output value is a sum of products of positive
 numbers, so positivity of both operators is exact.  The second half of the
@@ -28,18 +36,22 @@ ball nodes is the negation of the first and kernel(-xi, eta) =
 kernel(xi, -eta), so the lower half of E v is the same upper-half map
 applied to v[antipode], and T is T_up(F_up) + T_up(F_down)[antipode]:
 antipodal equivariance holds bit for bit, by the same computation and one
-commutative addition.  `extend_values` and `adjoint_values` always run
-these two table products, in ball order.
+commutative addition.  `extend_values` and `adjoint_values`, the general
+pair, take any input, point masses included: they run these two products
+in ball order through the unfolded table, which they build on their first
+call and keep.  The solver never calls them.
 
-Table layout.  `extend_table` and `adjoint_table` are the only half-product:
-for an antipodal input, as every solver iterate is, both halves of E v hold
-the same bits, so E v is returned as its upper half K @ y[IY], a row per
-table row and a column per gathered rotation, and T takes F's upper half in
-the same layout and runs one table product.  The results are the bits of
-the two-product formula.  The ball weight of a node depends only on its
-shell and ring, never on its azimuth (checked bit for bit at build time),
-so `row_weights` holds one ball weight per table row.  `_table_layout` and
-`_ball_order` are the one map between the ball order and this layout.
+Table layout.  `extend_table` and `adjoint_table` are the only
+half-product, for antipodal input, as every solver iterate is: both halves
+of E v hold the same bits, so E v is returned as its upper half, a row per
+table row and a column per gathered rotation, and T takes F's upper half
+in the same layout; each runs one product with the folded table.  Their
+results agree with the general pair's to roundoff, not bit for bit: a
+folded column adds the pair's kernel values before the product does.  The
+ball weight of a node depends only on its shell and ring, never on its
+azimuth (checked bit for bit at build time), so `row_weights` holds one
+ball weight per table row.  `_table_layout` and `_ball_order` are the one
+map between the ball order and this layout.
 
 Near-boundary correction.  Raw kernel rows at ball nodes with
 1 - |xi| << (sphere node spacing) overestimate the integral by orders of
@@ -54,14 +66,16 @@ operator:
     sum_j M[j, i] W_j = the matching ball integral.
 
 The rotations K factors out map both rules onto themselves, so d is one
-value per table row and e is constant on the nodes a table column gathers:
-the iteration runs on those vectors with table matvecs and then multiplies
-them into K once, so the products apply no scaling.  d is kept as
-`row_scale` and e as `col_scale`; the targets are build inputs, so the
-operator holds no ball-length array.  The scalings are ~1 away from the
-boundary layer (interior accuracy is untouched) and the balanced operator
-reproduces constants on both sides to near machine precision.  The raw
-quadrature survives only in `extend_at_points`.
+value per table row and e is constant on the nodes a table column gathers
+and, since the antipodal map preserves both marginals, on each antipodal
+pair: the iteration runs on those vectors with matvecs of the folded
+table and then multiplies them into it once, so the products apply no
+scaling.  d is kept as `row_scale` and e as `col_scale` (one value per
+sphere node); the targets are build inputs, so the operator holds no
+ball-length array.  The scalings are ~1 away from the boundary layer
+(interior accuracy is untouched) and the balanced operator reproduces
+constants on both sides to near machine precision.  The raw quadrature
+survives only in `extend_at_points`.
 """
 
 from __future__ import annotations
@@ -76,7 +90,8 @@ from .geometry import conformal_weight, mobius_f, stereographic
 from .halfspace import HalfspaceGrid, halfspace_tail_bound
 from .kernels import ball_prefactor, kernel_ball, kernel_ball_sphere_mass, kernel_halfspace
 from .params import ProblemParams
-from .quadrature import BallQuadrature, SphereQuadrature, _same_bits, azimuthal_layout
+from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits, azimuthal_layout,
+                         exact_sum_of_halves)
 
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 120
@@ -110,8 +125,8 @@ class ExtensionField(_NodalValues):
     _kind = "field"
 
 
-def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature,
-                  params: ProblemParams) -> tuple[np.ndarray, np.ndarray, int]:
+def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: ProblemParams,
+                  fold: bool = True) -> tuple[np.ndarray, np.ndarray, int]:
     """Kernel table, gather index and residue count of the upper-half extension.
 
     Let g be the gcd of the ball and sphere azimuth counts naz_b = ub g and
@@ -123,6 +138,13 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature,
     the kernel at offset m - d = k.  gather[col, m] is the sphere node
     (ring, tau + us ((m - k) mod g)), so the upper-half extension is
     table @ y[gather] with one output column per m.
+
+    The antipodes of the nodes a column gathers are the nodes one partner
+    column gathers, for every m (checked here).  With `fold` the table
+    keeps the columns whose m = 0 node lies in the sphere's upper half,
+    each holding its own kernel plus its partner's: half the columns, the
+    same product for every antipodal y.  Rows are filled shell by shell,
+    so the unfolded table is never allocated for a folded one.
     """
     ang = ball.angular
     cos_b, ring_b, _, naz_b = azimuthal_layout(ang)
@@ -138,6 +160,16 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature,
     node_at = np.empty((len(cos_s), naz_s), dtype=np.intp)
     node_at[ring_s, az_s] = np.arange(len(sphere))
     gather = node_at[col_ring[:, None], tau[:, None] + us * ((m - k[:, None]) % g)]
+    # gather[:, 0] is a permutation of the sphere nodes; partner[c] gathers
+    # the antipodes of what column c gathers
+    anti = sphere.antipode_index
+    col_of = np.empty(len(sphere), dtype=np.intp)
+    col_of[gather[:, 0]] = np.arange(len(sphere))
+    partner = col_of[anti[gather[:, 0]]]
+    if not np.array_equal(gather[partner], anti[gather]):
+        raise ValueError("the antipodes of a table column's nodes are not one column's nodes")
+    reps = np.flatnonzero(gather[:, 0] < sphere.half)
+    groups = (reps, partner[reps]) if fold else (np.arange(len(sphere)),)
 
     row_ring, u = np.divmod(np.arange(per_shell), ub)
     cb, cs = cos_b[row_ring][:, None], cos_s[col_ring]
@@ -147,13 +179,14 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature,
     # |e_b - e_s|^2 and |xi - eta|^2 = (1 - r)^2 + r |e_b - e_s|^2 as sums of
     # nonnegative terms: no cancellation next to the sphere
     e2 = (sb - ss) ** 2 + (cb - cs) ** 2 + 4.0 * sb * ss * np.sin(np.pi * turn / period) ** 2
+    parts = [e2[:, cols] for cols in groups]
     pref = ball_prefactor(params)
     a, n = params.a, params.n
-    table = np.empty((len(radii) * per_shell, len(sphere)))
+    table = np.empty((len(radii) * per_shell, len(groups[0])))
     for rows, r in zip(np.split(table, len(radii)), radii):
-        rows[:] = (pref * ((1.0 - r) * (1.0 + r)) ** (1.0 - a)
-                   * ((1.0 - r) ** 2 + r * e2) ** ((a - n) / 2.0))
-    return table, gather, ub
+        scale = pref * ((1.0 - r) * (1.0 + r)) ** (1.0 - a)
+        rows[:] = sum(scale * ((1.0 - r) ** 2 + r * part) ** ((a - n) / 2.0) for part in parts)
+    return table, gather[groups[0]], ub
 
 
 @dataclass(eq=False)
@@ -161,11 +194,12 @@ class ExtensionOperator:
     """Balanced discretization of the extension/adjoint pair.
 
     The balanced kernel is stored once per (shell, ring, azimuthal residue)
-    in `kernel_table` and applied to rotated copies of the input gathered by
-    `gather_index`; see the module docstring.  `row_weights` is the ball
-    weight of each table row.  `row_scale` (per table row) and `col_scale`
-    (per sphere node) record the scalings folded into the table; no product
-    reads them.  No array of ball length is held.
+    and antipodal column pair in `kernel_table` and applied to rotated
+    copies of the input gathered by `gather_index`; see the module
+    docstring.  `row_weights` is the ball weight of each table row.
+    `row_scale` (per table row) and `col_scale` (per sphere node) record the
+    scalings folded into the table; only the general pair's table, built
+    on its first call, reads them.  No array of ball length is held.
     """
 
     params: ProblemParams
@@ -181,6 +215,8 @@ class ExtensionOperator:
     balance_iterations: int = field(init=False)
     balance_row_dev: float = field(init=False)
     balance_col_dev: float = field(init=False)
+    # (table, gather index) of the unfolded table, for the general pair
+    _general: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.sphere.n != self.params.n or self.ball.n != self.params.n:
@@ -199,13 +235,14 @@ class ExtensionOperator:
 
     # -- upper-half applications (exact pair symmetry, see module docstring) --
 
-    def _table_product(self, y: np.ndarray) -> np.ndarray:
+    def _table_product(self, y: np.ndarray, table: np.ndarray, gather: np.ndarray) -> np.ndarray:
         """Extension of a weighted sphere vector y at the upper ball nodes, in table layout."""
-        return self.kernel_table @ y[self.gather_index]
+        return table @ y[gather]
 
-    def _table_transpose(self, z: np.ndarray) -> np.ndarray:
+    def _table_transpose(self, z: np.ndarray, table: np.ndarray,
+                         gather: np.ndarray) -> np.ndarray:
         """Transpose of _table_product, for a weighted matrix in table layout."""
-        return np.bincount(self.gather_index.ravel(), weights=(self.kernel_table.T @ z).ravel(),
+        return np.bincount(gather.ravel(), weights=(table.T @ z).ravel(),
                            minlength=len(self.sphere))
 
     def _table_layout(self, z: np.ndarray) -> np.ndarray:
@@ -217,33 +254,40 @@ class ExtensionOperator:
         """Inverse of _table_layout: table rows x columns m -> ball order (shell, ring, m, u)."""
         return t.reshape(-1, self.residues, t.shape[1]).transpose(0, 2, 1).ravel()
 
+    def _row_sums(self, e: np.ndarray) -> np.ndarray:
+        """Weighted row sums of the table with column scaling e (one value per sphere node)."""
+        return self.kernel_table @ (self.sphere.weights * e)[self.gather_index[:, 0]]
+
+    def _col_sums(self, d: np.ndarray) -> np.ndarray:
+        """Weighted column sums with row scaling d, per sphere node, over the whole ball."""
+        gather, turns = self.gather_index, self.gather_index.shape[1]
+        s = np.bincount(gather.ravel(),
+                        weights=np.repeat(self.kernel_table.T @ (d * self.row_weights), turns),
+                        minlength=len(self.sphere))
+        return s + s[self.sphere.antipode_index]
+
     def _balance(self, psi: np.ndarray, theta: float) -> None:
-        """Sinkhorn to row targets psi and column target theta, folded into the table."""
-        table, gather, anti = self.kernel_table, self.gather_index, self.sphere.antipode_index
-        turns = gather.shape[1]
-        sw, bw = self.sphere.weights, self.row_weights
+        """Sinkhorn to row targets psi and column target theta, folded into the table.
 
-        def row_sums(e):
-            return table @ (sw * e)[gather[:, 0]]
-
-        def col_sums(d):    # over the `turns` nodes a column gathers, then the lower half
-            s = np.bincount(gather.ravel(), weights=np.repeat(table.T @ (d * bw), turns),
-                            minlength=len(sw))
-            return s + s[anti]
-
-        d = np.ones(len(table))
-        e = np.ones(len(sw))
+        e stays antipodal bit for bit (`_col_sums` adds s and s[antipode]),
+        so each folded column has one scale.  The row sums of the deviation
+        check are the next iteration's, so a build takes iterations + 1 of them.
+        """
+        d = np.ones(len(self.kernel_table))
+        e = np.ones(len(self.sphere))
+        rows = self._row_sums(e)
         for iters in range(1, _SINKHORN_MAX_ITER + 1):
-            d *= psi / (d * row_sums(e))
-            e *= theta / (e * col_sums(d))
-            row_dev = np.max(np.abs(d * row_sums(e) / psi - 1.0))
+            d *= psi / (d * rows)
+            e *= theta / (e * self._col_sums(d))
+            rows = self._row_sums(e)
+            row_dev = np.max(np.abs(d * rows / psi - 1.0))
             if row_dev < _SINKHORN_TOL:
                 break
         self.balance_iterations = iters
         self.balance_row_dev = float(row_dev)
-        self.balance_col_dev = float(np.max(np.abs(e * col_sums(d) / theta - 1.0)))
-        table *= d[:, None]
-        table *= e[gather[:, 0]]
+        self.balance_col_dev = float(np.max(np.abs(e * self._col_sums(d) / theta - 1.0)))
+        self.kernel_table *= d[:, None]
+        self.kernel_table *= e[self.gather_index[:, 0]]
         self.row_scale = d
         self.col_scale = e
 
@@ -260,29 +304,52 @@ class ExtensionOperator:
         Row (shell, ring, u), column m holds the value at the upper ball
         node (shell, ring, m, u); the lower half of E v has the same bits
         (module docstring).  Raises ValueError if the two halves of v
-        differ in any bit, since the lower half would then differ too.
+        differ in any bit, since the folded table would then be wrong.
         """
         v, hs = np.asarray(v, dtype=float), self.sphere.half
         if not _same_bits(v[:hs], v[hs:]):
             raise ValueError("extend_table needs an antipodal v (its two halves differ in some "
                              "bit); symmetrize first")
-        return self._table_product(self.sphere.weights * v)
+        return self._table_product(self.sphere.weights * v, self.kernel_table, self.gather_index)
 
     def adjoint_table(self, z: np.ndarray) -> np.ndarray:
         """T F of the antipodal F whose upper half is z, in the layout of extend_table."""
-        up = self._table_transpose(self.row_weights[:, None] * z)
+        up = self._table_transpose(self.row_weights[:, None] * z, self.kernel_table,
+                                   self.gather_index)
         return up + up[self.sphere.antipode_index]
 
-    # -- public operator applications --
+    def integrate_table(self, integrand: np.ndarray) -> float:
+        """Ball integral of the antipodal function whose upper half is `integrand`.
+
+        `integrand` is in the layout of extend_table and is overwritten by
+        its weighted values; the lower half has the same bits, so the
+        integral is the exact sum of the weighted upper half taken twice.
+        """
+        integrand *= self.row_weights[:, None]
+        return exact_sum_of_halves(integrand.ravel())
+
+    # -- general pair: any input, through the unfolded table --
+
+    def _general_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The unfolded balanced table and its gather index, built on the first call."""
+        if self._general is None:
+            table, gather, _ = _kernel_table(self.sphere, self.ball, self.params, fold=False)
+            table *= self.row_scale[:, None]
+            table *= self.col_scale[gather[:, 0]]
+            self._general = table, gather
+        return self._general
 
     def extend_values(self, v: np.ndarray) -> np.ndarray:
+        table, gather = self._general_table()
         y = self.sphere.weights * v
-        return np.concatenate([self._ball_order(self._table_product(w))
+        return np.concatenate([self._ball_order(self._table_product(w, table, gather))
                                for w in (y, y[self.sphere.antipode_index])])
 
     def adjoint_values(self, f: np.ndarray) -> np.ndarray:
+        table, gather = self._general_table()
         z, hb = self.ball.weights * f, self.ball.half
-        up, down = (self._table_transpose(self._table_layout(h)) for h in (z[:hb], z[hb:]))
+        up, down = (self._table_transpose(self._table_layout(h), table, gather)
+                    for h in (z[:hb], z[hb:]))
         return up + down[self.sphere.antipode_index]
 
     def extend(self, v: BoundaryFunction) -> ExtensionField:

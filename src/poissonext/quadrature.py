@@ -30,10 +30,10 @@ Integrals
     products bit for bit and independent of the node order.  `exact_sum`
     gets that sum from a few vectorized passes of error-free extraction
     (Rump, Ogita & Oishi 2008) instead of a Python loop over the terms.
-    `exact_sum_of_halves` serves the solver alone, which holds only the
-    upper half of its antipodal integrand: it sums that half and doubles
-    it, the full `math.fsum` bit for bit whenever every term lies below
-    2^900 (the full sum runs otherwise).
+    `exact_sum_of_halves` serves `ExtensionOperator.integrate_table` alone,
+    which holds only the upper half of an antipodal integrand: it sums that
+    half and doubles it, the full `math.fsum` bit for bit whenever every
+    term lies below 2^900 (the full sum runs otherwise).
 """
 
 from __future__ import annotations

@@ -28,9 +28,10 @@ warm-starting each stage from the previous one.
 Every iterate is antipodal bit for bit, so E v and (E v)^{q_exp} have two
 halves with the same bits.  The solver carries only the upper half, in the
 kernel table's layout (`ExtensionOperator.extend_table`): the functional
-sums that half and doubles it (`exact_sum_of_halves`), and the adjoint of
-each step and of `el_residual` reads it directly (`adjoint_table`), with
-the bits of the full ball-order computation.
+sums that half and doubles it (`integrate_table`), and the adjoint of
+each step and of `el_residual` reads it directly (`adjoint_table`).  Both
+products run on the antipodally folded table, half the multiply-adds of
+the general pair, which the solver never builds.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .operators import BoundaryFunction, ExtensionOperator, build_extension_oper
 from .params import ProblemParams
 # integrate_ball is not called here; perfbench/tracer.py wraps it under this name
 from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits,  # noqa: F401
-                         exact_sum_of_halves, integrate_ball, integrate_boundary)
+                         integrate_ball, integrate_boundary)
 
 MAX_DAMPING_HALVINGS = 20
 ASCENT_SLACK = 1e-12
@@ -151,8 +152,7 @@ def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.n
     integrand = op.extend_table(v)
     ext_power = integrand ** problem.params.q_exp
     integrand *= ext_power
-    integrand *= op.row_weights[:, None]
-    return exact_sum_of_halves(integrand.ravel()), ext_power
+    return op.integrate_table(integrand), ext_power
 
 
 def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> BoundaryFunction:

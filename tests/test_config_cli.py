@@ -352,6 +352,16 @@ class TestCliCommands:
         assert any(e["est_error"] is not None for e in entries)
         assert any(e["resolution"] is not None for e in entries)
 
+    @pytest.mark.parametrize("cmd", ["sharp", "solve", "continue"])
+    def test_solving_commands_never_build_the_general_table(self, cmd, tmp_path, monkeypatch):
+        # their profiles are antipodal, so every extension runs on the folded table
+        def general_table(self):
+            raise AssertionError("general table built")
+
+        monkeypatch.setattr(px.ExtensionOperator, "_general_table", general_table)
+        out = str(tmp_path / "out")
+        assert main([cmd, "--config", write_config(tmp_path, tiny_2d_config(out))]) == 0
+
     def test_diagnose_passes(self, tmp_path):
         out = str(tmp_path / "out")
         path = write_config(tmp_path, tiny_2d_config(out))

@@ -145,7 +145,8 @@ class TestSharpConstant:
         # the constant start lands on a lower critical point in this stand-in,
         # yet has the larger norm ratio: the constant is the ratio's extremizer
         theta = np.arctan2(sphere_2d.nodes[:, 1], sphere_2d.nodes[:, 0])
-        bumpy = px.BoundaryFunction(1.0 + 0.5 * np.cos(2 * theta), sphere_2d)
+        bumpy = px.symmetrize_antipodal(px.BoundaryFunction(1.0 + 0.5 * np.cos(2 * theta),
+                                                            sphere_2d))
         one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
         results = iter([(one, 1.0, {}), (bumpy, 2.0, {}), (one, 1.5, {})])
         monkeypatch.setattr(px.solver, "maximize_subcritical",
@@ -159,7 +160,9 @@ class TestSharpConstant:
                     / px.boundary_norm(v, params_2d.p_crit))
 
         assert ratio(one) > ratio(bumpy) * (1 + 1e-3)
-        assert s.value == ratio(bumpy)
+        # the maximization extends through the folded table
+        assert s.value == (px.functionals._antipodal_bulk_norm(op, bumpy, params_2d.p_bulk)
+                           / px.boundary_norm(bumpy, params_2d.p_crit))
 
     def test_unknown_method_rejected(self, params_3d, sphere_3d, ball_3d):
         with pytest.raises(ValueError):
@@ -171,6 +174,30 @@ class TestSharpConstant:
         for method in ("formula_a0", "constant_test_function", "numerical_maximization"):
             with pytest.raises(TypeError, match="'starts'"):
                 px.sharp_constant(params_3d, method, sphere_3d, ball_3d, starts=2)
+
+
+class TestSharpConstantStaysOffTheGeneralTable:
+    """The sharp constants extend antipodal profiles through the table pair."""
+
+    def test_continuation_with_a_sharp_constant_builds_no_general_table(self, sphere_2d,
+                                                                        params_2d):
+        ball = px.build_ball_quadrature(params_2d, 24, 64)
+        weight = px.WeightFunction(np.ones(len(sphere_2d)), sphere_2d, antipodal=True)
+        sharp = px.sharp_constant(params_2d, "constant_test_function", sphere_2d, ball)
+        schedule = px.default_schedule(params_2d, floor=0.5)
+        rep = px.continuation(weight, schedule, params_2d, sphere_2d, ball, sharp=sharp)
+        assert rep.lambda_threshold > 0 and all(s.converged for s in rep.stages)
+        op = px.build_extension_operator(sphere_2d, ball, params_2d)
+        assert op._general is None
+        # the general pair gives the same constant to roundoff
+        one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
+        general = px.bulk_norm(op.extend(one), params_2d.p_bulk) / px.boundary_norm(
+            one, params_2d.p_crit)
+        assert sharp.value == pytest.approx(general, rel=1e-13)
+
+    def test_maximization_builds_no_general_table(self, sphere_3d, ball_3d, params_3d):
+        px.functionals.sharp_constant_by_maximization(sphere_3d, ball_3d, params_3d, starts=2)
+        assert px.build_extension_operator(sphere_3d, ball_3d, params_3d)._general is None
 
 
 class TestExistenceCondition:

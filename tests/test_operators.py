@@ -1,3 +1,5 @@
+import copy
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ from scipy import special
 from scipy.integrate import quad
 
 import poissonext as px
-from poissonext.operators import _real_sph_design
+from poissonext.operators import _kernel_table, _real_sph_design
 from poissonext.quadrature import write_csv
 
 
@@ -184,8 +186,35 @@ def ball_row_scale(op):
     return np.tile(at_upper_nodes(op, op.row_scale), 2)
 
 
+def antipodal_draw(data, rule, elements=st.floats(-1e6, 1e6)):
+    """Values at the nodes of `rule` whose two halves hold the same bits."""
+    return np.tile(data.draw(hnp.arrays(float, rule.half, elements=elements)), 2)
+
+
 def max_rel(got, want):
     return np.max(np.abs(got / want - 1.0))
+
+
+def assert_fold_agrees(fold, general, magnitude, terms):
+    """The folded and the general product of the same input agree to roundoff.
+
+    `magnitude` is the general product of the input's absolute values, and
+    `terms` the number of products the general pair sums per output.  A
+    sum of k terms in any order is within (k - 1) u of the sum of their
+    absolute values (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 4.2), u = 2^-53.  The general pair sums
+    `terms` products of entries rounded twice (row and column scaling), the
+    folded pair half as many of entries rounded three times (the pair sum
+    first), so the two differ by at most (3 terms / 2 + 5) u times the
+    magnitude while nothing underflows.  A product that underflows adds an
+    absolute error of at most 2^-1075 (Higham, section 2.1; sums of
+    subnormals are exact).  Both paths multiply the same weighted input,
+    so only the table products underflow: at most `terms` of them in each
+    of the general, the folded and the magnitude sums, which the term
+    2 terms 2^-1074 covers.
+    """
+    bound = (1.5 * terms + 5) * 2.0 ** -53 * magnitude + 2 * terms * 2.0 ** -1074
+    assert np.all(np.abs(fold - general) <= bound)
 
 
 class TestStructuredProducts:
@@ -225,7 +254,7 @@ class TestStructuredProducts:
             raise AssertionError("operator product during the build")
 
         for name in ("extend_values", "adjoint_values", "_table_product", "_table_transpose",
-                     "extend_table", "adjoint_table"):
+                     "extend_table", "adjoint_table", "_general_table"):
             monkeypatch.setattr(px.ExtensionOperator, name, forbidden)
         params = px.ProblemParams(3, -0.5)
         op = px.ExtensionOperator(params, px.build_sphere_quadrature(params, 8),
@@ -244,9 +273,53 @@ class TestStructuredProducts:
                 assert np.all(apply(spike) > 0)
 
     def test_table_owns_its_memory_at_the_dense_mac_count(self, small_op):
+        # each folded column serves a column and its antipodal partner, so
+        # twice the table's multiply-adds make up the dense count
         op = small_op
         assert op.kernel_table.base is None and op.gather_index.base is None
-        assert op.kernel_table.size * op.gather_index.shape[1] == op.ball.half * len(op.sphere)
+        assert op.gather_index.shape == (op.sphere.half, op.table_shape[1])
+        macs = op.kernel_table.size * op.gather_index.shape[1]
+        assert 2 * macs == op.ball.half * len(op.sphere)
+
+    def test_balance_carries_the_checked_row_sums(self, monkeypatch):
+        # one row-sum pass per iteration plus the first, and the bits of the
+        # loop that recomputes the checked row sums at the next iteration
+        passes = []
+        row_sums = px.ExtensionOperator._row_sums
+        monkeypatch.setattr(px.ExtensionOperator, "_row_sums",
+                            lambda self, e: passes.append(1) or row_sums(self, e))
+        params = px.ProblemParams(3, -0.5)
+        sphere = px.build_sphere_quadrature(params, 8)
+        ball = px.build_ball_quadrature(params, 24, 12)
+        op = px.ExtensionOperator(params, sphere, ball)
+        assert op.balance_iterations > 1 and len(passes) == op.balance_iterations + 1
+
+        raw = copy.copy(op)
+        raw.kernel_table = _kernel_table(sphere, ball, params)[0]
+        mass = px.kernel_ball_sphere_mass(ball.radii, params)
+        psi = raw._table_layout(mass[:ball.half])[:, 0]
+        theta = float(np.dot(ball.weights, mass) / sphere.weights.sum())
+        d, e = np.ones(len(psi)), np.ones(len(sphere))
+        for iters in range(1, px.operators._SINKHORN_MAX_ITER + 1):
+            d *= psi / (d * raw._row_sums(e))
+            e *= theta / (e * raw._col_sums(d))
+            if np.max(np.abs(d * raw._row_sums(e) / psi - 1.0)) < px.operators._SINKHORN_TOL:
+                break
+        assert iters == op.balance_iterations
+        assert d.tobytes() == op.row_scale.tobytes() and e.tobytes() == op.col_scale.tobytes()
+
+    def test_general_table_is_built_on_the_first_general_call_and_kept(self):
+        op = _structured_op(STRUCTURED_CASES[3])
+        assert op._general is None
+        ext = op.extend_values(np.ones(len(op.sphere)))
+        table, gather = op._general
+        assert table.shape == (op.table_shape[0], len(op.sphere)) and table.base is None
+        # the folded columns and their partners, which gather the antipodes
+        pairs = np.concatenate([op.gather_index, op.sphere.antipode_index[op.gather_index]])
+        assert sorted(map(tuple, gather)) == sorted(map(tuple, pairs))
+        op.adjoint_values(np.ones(len(op.ball)))
+        assert op._general[0] is table
+        assert max_rel(ext, px.kernel_ball_sphere_mass(op.ball.radii, op.params)) <= 1e-10
 
     def test_row_weights_are_the_upper_ball_weights(self, small_op):
         op = small_op
@@ -329,9 +402,9 @@ class TestAntipodalEquivariance:
         op = request.getfixturevalue(f"op_{dim}d")
         calls = []
         for name in ("_table_product", "_table_transpose"):
-            def counted(x, fn=getattr(op, name), name=name):
+            def counted(*args, fn=getattr(op, name), name=name):
                 calls.append(name)
-                return fn(x)
+                return fn(*args)
 
             monkeypatch.setattr(op, name, counted)
         op.extend_values(np.ones(len(op.sphere)))
@@ -341,39 +414,35 @@ class TestAntipodalEquivariance:
     @given(data=st.data())
     @settings(deadline=None)
     def test_antipodal_input_gives_the_two_product_bits(self, antipodal_op, data):
-        # what the solver's half layout rests on: for antipodal input the two
-        # ball-order products give E v two halves with the same bits, and T F
-        # the bits of the one table product on F's upper half
+        # for antipodal input the general pair's two ball-order products give
+        # E v two halves with the same bits, and T F agrees with the folded
+        # table product on F's upper half to roundoff
         op, hb = antipodal_op, antipodal_op.ball.half
-
-        def antipodal(rule):
-            half = data.draw(hnp.arrays(float, rule.half, elements=st.floats(-1e6, 1e6)))
-            return np.tile(half, 2)
-
-        v, f = antipodal(op.sphere), antipodal(op.ball)
+        v, f = antipodal_draw(data, op.sphere), antipodal_draw(data, op.ball)
         ext = op.extend_values(v)
         assert ext[:hb].tobytes() == ext[hb:].tobytes()
-        table_adjoint = op.adjoint_table(op._table_layout(f[:hb]))
-        assert op.adjoint_values(f).tobytes() == table_adjoint.tobytes()
+        assert_fold_agrees(op.adjoint_table(op._table_layout(f[:hb])), op.adjoint_values(f),
+                           op.adjoint_values(np.abs(f)), len(op.ball))
 
     @given(data=st.data())
     @settings(deadline=None)
     def test_table_pair_reorders_to_the_ball_order_bits(self, antipodal_op, data):
         op, hb = antipodal_op, antipodal_op.ball.half
         turns, ub = op.table_shape[1], op.residues
-
-        def antipodal(rule):
-            half = data.draw(hnp.arrays(float, rule.half, elements=st.floats(-1e6, 1e6)))
-            return np.tile(half, 2)
-
-        v, f = antipodal(op.sphere), antipodal(op.ball)
+        v, f = antipodal_draw(data, op.sphere), antipodal_draw(data, op.ball)
         # table rows (shell, ring, u) x columns m  <->  ball order (shell, ring, m, u)
         ext = op.extend_table(v)
         assert ext.shape == op.table_shape
         upper = ext.reshape(-1, ub, turns).transpose(0, 2, 1).ravel()
-        assert upper.tobytes() == op.extend_values(v)[:hb].tobytes()
+        assert upper.tobytes() == op._ball_order(ext).tobytes()
+        assert op._table_layout(upper).tobytes() == ext.tobytes()
         f_table = f[:hb].reshape(-1, turns, ub).transpose(0, 2, 1).reshape(op.table_shape)
-        assert op.adjoint_table(f_table).tobytes() == op.adjoint_values(f).tobytes()
+        assert f_table.tobytes() == op._table_layout(f[:hb]).tobytes()
+        # the folded and the general products of the same input, to roundoff
+        assert_fold_agrees(upper, op.extend_values(v)[:hb], op.extend_values(np.abs(v))[:hb],
+                           len(op.sphere))
+        assert_fold_agrees(op.adjoint_table(f_table), op.adjoint_values(f),
+                           op.adjoint_values(np.abs(f)), len(op.ball))
 
     def test_extend_table_rejects_unequal_halves(self, op_2d, sphere_2d):
         v = np.ones(len(sphere_2d))
@@ -384,6 +453,53 @@ class TestAntipodalEquivariance:
         z[sphere_2d.half] = -0.0           # 0.0 and -0.0 differ in a bit
         with pytest.raises(ValueError, match="symmetrize first"):
             op_2d.extend_table(z)
+
+
+class TestFoldedTablePair:
+    """The table pair on the antipodally folded table, the solver's products."""
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_positive_on_every_antipodal_point_mass_pair(self, antipodal_op, data):
+        op = antipodal_op
+        mass = data.draw(st.floats(1e-100, 1e100))
+        for rule in (op.sphere, op.ball):
+            j = data.draw(st.integers(0, len(rule) - 1))
+            pair = np.zeros(len(rule))
+            pair[[j, rule.antipode_index[j]]] = mass
+            if rule is op.sphere:
+                assert np.all(op.extend_table(pair) > 0)
+            else:
+                assert np.all(op.adjoint_table(op._table_layout(pair[:rule.half])) > 0)
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_duality(self, antipodal_op, data):
+        # <E v, F> over the ball (twice the upper half) against <v, T F>
+        op = antipodal_op
+        nonnegative = st.one_of(st.just(0.0), st.floats(1e-100, 1e6))
+        v = antipodal_draw(data, op.sphere, nonnegative)
+        z = data.draw(hnp.arrays(float, op.table_shape, elements=nonnegative))
+        lhs = 2.0 * math.fsum((op.row_weights[:, None] * op.extend_table(v) * z).ravel())
+        rhs = math.fsum(op.sphere.weights * v * op.adjoint_table(z))
+        assert abs(lhs - rhs) <= 1e-12 * lhs
+
+    @given(n=st.sampled_from([2, 3]), sphere_res=st.integers(2, 7), ball_res=st.integers(2, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_pairing_is_the_same_column_for_every_rotation(self, n, sphere_res, ball_res):
+        # the partner of each unfolded column gathers the antipodes of its
+        # nodes at every m, so each folded column is a pair sum, bit for bit
+        params = px.ProblemParams(n, 0.5)
+        sphere = px.build_sphere_quadrature(params, 2 * sphere_res)
+        ball = px.build_ball_quadrature(params, 8, 2 * ball_res)
+        table, gather, _ = _kernel_table(sphere, ball, params, fold=False)
+        folded, half_gather, _ = _kernel_table(sphere, ball, params)
+        column_of = {tuple(nodes): c for c, nodes in enumerate(gather)}
+        partner = np.array([column_of[tuple(sphere.antipode_index[nodes])] for nodes in gather])
+        reps = np.array([column_of[tuple(nodes)] for nodes in half_gather])
+        assert np.all(half_gather[:, 0] < sphere.half)
+        assert sorted(np.concatenate([reps, partner[reps]])) == list(range(len(sphere)))
+        assert folded.tobytes() == (table[:, reps] + table[:, partner[reps]]).tobytes()
 
 
 class TestCorrectionModes:

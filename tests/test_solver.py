@@ -164,8 +164,9 @@ class TestFixedPointStep:
         monkeypatch.setattr(px.solver, "_functional", first_candidate_descends)
         out = plain_step(state, prob)
         op, v = prob.operator, state.v.values
-        w = (op.adjoint_values(op.extend_values(v) ** params_2d.q_exp)
-             / unit_weight_2d.values) ** (1.0 / (5.0 - 1.0))
+        ext = np.tile(op._ball_order(op.extend_table(v)), 2)     # E v in ball order
+        g = op.adjoint_table(op._table_layout((ext ** params_2d.q_exp)[:ball_2d.half]))
+        w = (g / unit_weight_2d.values) ** (1.0 / (5.0 - 1.0))
 
         def n_sym(x):
             sym = px.symmetrize_antipodal(px.BoundaryFunction(x, sphere_2d))
@@ -247,7 +248,7 @@ class TestFixedPointStep:
         q = prob.params.q_exp
         v = np.tile(half, 2) * 2.0 ** (top / (q + 1.0))
         lam, ext_power = px.solver._functional(v, prob)
-        ext = prob.operator.extend_values(v)
+        ext = np.tile(prob.operator._ball_order(prob.operator.extend_table(v)), 2)
         integrand = ext * ext ** q
         assert struct.pack("<d", lam) == struct.pack("<d", px.solver.integrate_ball(integrand,
                                                                                     prob.ball))
@@ -280,8 +281,8 @@ class TestMaximizeSubcritical:
                                        "_table_transpose", "extend_values", "adjoint_values")}
 
         for name, log in calls.items():
-            def counted(x, fn=getattr(op, name), log=log):
-                out = fn(x)
+            def counted(*args, fn=getattr(op, name), log=log):
+                out = fn(*args)
                 log.append(out.shape)
                 return out
 
@@ -295,6 +296,7 @@ class TestMaximizeSubcritical:
             calls["extend_table"])
         assert len(calls["_table_transpose"]) == len(calls["adjoint_table"])
         assert calls["extend_values"] == calls["adjoint_values"] == []
+        assert op._general is None
 
     def test_functional_history_nondecreasing(self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng):
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
