@@ -25,10 +25,26 @@ would break exact positivity where a kernel row spans twenty decades
 Antipodal fold.  The antipodal shift of half a turn maps the nodes one
 column of K gathers onto the nodes of a partner column, for every
 rotation m.  For an antipodal y both columns of a pair multiply the same
-gathered values, so the operator keeps one column per pair holding the
-sum of the two (`kernel_table`, with `gather_index` the pair's first
-column): half the columns and half the multiply-adds of the dense
-product, still a sum of positive entries.
+gathered values, so only one column per pair is kept, a folded column
+holding the sum of the two kernels; `gather_index` has the folded
+columns' rows.  That halves the columns of the dense product.
+
+Mirror fold.  The kernel depends on the azimuth difference only through
+its cosine, so it is also even under a reflection.  Reflecting the sphere
+about the azimuth of ball node (m, u) maps its grid onto itself for every
+m when the azimuth counts allow it (every residue u for ub in {1, 2},
+which covers the default n = 2 and n = 3 rules; u = 0 and u = ub/2
+otherwise), and it then maps the nodes a folded column gathers onto those
+of a mirror column (checked at build time).  The rows of residue u hold
+the same kernel bits at both columns of a mirror pair, so residue class u
+keeps one column per pair and its product pre-adds the pair's two
+gathered inputs: `kernel_table[u]` @ (y[kept] + y[mirror]) fills the table
+rows u::residues, one product per class (`fold_columns[u]` holds the kept
+and mirror columns).  A column that is its own mirror (offset 0 or half a
+turn), and every column of a class without an in-grid mirror, is kept
+once as it is.  A product costs sum_u rows_u kept_u turns multiply-adds,
+at most 0.27 of the dense count on the default rules, against 0.5 with
+the antipodal fold alone; each entry is still a sum of positive terms.
 
 Exact contracts.  Every output value is a sum of products of positive
 numbers, so positivity of both operators is exact.  The second half of the
@@ -45,13 +61,14 @@ Table layout.  `extend_table` and `adjoint_table` are the only
 half-product, for antipodal input, as every solver iterate is: both halves
 of E v hold the same bits, so E v is returned as its upper half, a row per
 table row and a column per gathered rotation, and T takes F's upper half
-in the same layout; each runs one product with the folded table.  Their
-results agree with the general pair's to roundoff, not bit for bit: a
-folded column adds the pair's kernel values before the product does.  The
-ball weight of a node depends only on its shell and ring, never on its
-azimuth (checked bit for bit at build time), so `row_weights` holds one
-ball weight per table row.  `_table_layout` and `_ball_order` are the one
-map between the ball order and this layout.
+in the same layout; each runs one product per residue class with the
+folded tables.  Their results agree with the general pair's to roundoff,
+not bit for bit: a folded column adds the pair's kernel values, and a
+mirror pair its inputs, before the product does.  The ball weight of a
+node depends only on its shell and ring, never on its azimuth (checked
+bit for bit at build time), so `row_weights` holds one ball weight per
+table row.  `_table_layout` and `_ball_order` are the one map between the
+ball order and this layout.
 
 Near-boundary correction.  Raw kernel rows at ball nodes with
 1 - |xi| << (sphere node spacing) overestimate the integral by orders of
@@ -65,17 +82,18 @@ operator:
                          |xi_j|, in closed form), and
     sum_j M[j, i] W_j = the matching ball integral.
 
-The rotations K factors out map both rules onto themselves, so d is one
-value per table row and e is constant on the nodes a table column gathers
-and, since the antipodal map preserves both marginals, on each antipodal
-pair: the iteration runs on those vectors with matvecs of the folded
-table and then multiplies them into it once, so the products apply no
-scaling.  d is kept as `row_scale` and e as `col_scale` (one value per
-sphere node); the targets are build inputs, so the operator holds no
-ball-length array.  The scalings are ~1 away from the boundary layer
-(interior accuracy is untouched) and the balanced operator reproduces
-constants on both sides to near machine precision.  The raw quadrature
-survives only in `extend_at_points`.
+The rotations K factors out, the antipode and the reflection about
+azimuth 0 map both rules onto themselves, so d is one value per table row
+and e one value per orbit of sphere nodes under them: the iteration runs
+on d and on e per folded column with matvecs of the folded tables, each
+column sum taken once for its whole orbit so that both members of a
+mirror pair get the same bits, and then multiplies them into the tables
+once, so the products apply no scaling.  d is kept as `row_scale` and e
+as `col_scale` (one value per sphere node); the targets are build inputs,
+so the operator holds no ball-length array.  The scalings are ~1 away
+from the boundary layer (interior accuracy is untouched) and the balanced
+operator reproduces constants on both sides to near machine precision.
+The raw quadrature survives only in `extend_at_points`.
 """
 
 from __future__ import annotations
@@ -126,25 +144,35 @@ class ExtensionField(_NodalValues):
 
 
 def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: ProblemParams,
-                  fold: bool = True) -> tuple[np.ndarray, np.ndarray, int]:
-    """Kernel table, gather index and residue count of the upper-half extension.
+                  fold: bool = True) -> tuple:
+    """Kernel table and gather index of the upper-half extension, and how it folds.
 
     Let g be the gcd of the ball and sphere azimuth counts naz_b = ub g and
     naz_s = us g.  A ball node at azimuth index m ub + u and a sphere node
     at tau + us d differ in azimuth by 2 pi (u / naz_b - tau / naz_s +
     (m - d) / g), so the kernel between them depends on the shell, the two
-    rings, u, tau and (m - d) mod g only.  Table rows are (shell, upper
-    ball ring, u < ub) and columns (sphere ring, tau < us, k < g), holding
-    the kernel at offset m - d = k.  gather[col, m] is the sphere node
-    (ring, tau + us ((m - k) mod g)), so the upper-half extension is
+    rings, u, tau and (m - d) mod g only, and on the offset only through
+    its cosine.  Table rows are (shell, upper ball ring, u < ub) and columns
+    (sphere ring, tau < us, k < g), holding the kernel at offset m - d = k,
+    evaluated at the symmetric offset min(t, period - t) so that mirror
+    offsets hold the same bits.  gather[col, m] is the sphere node (ring,
+    tau + us ((m - k) mod g)), so the upper-half extension is
     table @ y[gather] with one output column per m.
 
-    The antipodes of the nodes a column gathers are the nodes one partner
-    column gathers, for every m (checked here).  With `fold` the table
-    keeps the columns whose m = 0 node lies in the sphere's upper half,
-    each holding its own kernel plus its partner's: half the columns, the
-    same product for every antipodal y.  Rows are filled shell by shell,
-    so the unfolded table is never allocated for a folded one.
+    Without `fold` this returns (table, gather, ub).  With it, the table
+    is folded twice (module docstring), checking here that the antipodes,
+    and each class's mirror images, of the nodes a column gathers are the
+    nodes of one column at every m.  The folded columns are those whose
+    m = 0 node lies in the sphere's upper half; the returned gather index
+    has their rows.  columns[u] is (kept, mirror, spread) for residue class
+    u: its kept folded columns, the mirror columns of kept[:len(mirror)]
+    (the rest mirror themselves, or the class has no in-grid mirror), and
+    for each folded column the kept column it adds into.  tables[u] (class
+    u's rows x kept) holds each kept column's kernel plus its antipodal
+    partner's, computed once.  orbit numbers the folded columns by their
+    nodes' orbit under the turns, the antipode and the mirror about
+    azimuth 0.  Returns (tables, gather, columns, orbit, ub).  Rows are
+    filled shell by shell, and no unfolded table is allocated.
     """
     ang = ball.angular
     cos_b, ring_b, _, naz_b = azimuthal_layout(ang)
@@ -168,25 +196,67 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
     partner = col_of[anti[gather[:, 0]]]
     if not np.array_equal(gather[partner], anti[gather]):
         raise ValueError("the antipodes of a table column's nodes are not one column's nodes")
-    reps = np.flatnonzero(gather[:, 0] < sphere.half)
-    groups = (reps, partner[reps]) if fold else (np.arange(len(sphere)),)
-
     row_ring, u = np.divmod(np.arange(per_shell), ub)
     cb, cs = cos_b[row_ring][:, None], cos_s[col_ring]
     sb, ss = np.sqrt(1.0 - cb * cb), np.sqrt(1.0 - cs * cs)
     period = ub * us * g
     turn = (u[:, None] * us - tau * ub + k * (ub * us)) % period   # exact integer offset
+    turn = np.minimum(turn, period - turn)
     # |e_b - e_s|^2 and |xi - eta|^2 = (1 - r)^2 + r |e_b - e_s|^2 as sums of
     # nonnegative terms: no cancellation next to the sphere
     e2 = (sb - ss) ** 2 + (cb - cs) ** 2 + 4.0 * sb * ss * np.sin(np.pi * turn / period) ** 2
-    parts = [e2[:, cols] for cols in groups]
     pref = ball_prefactor(params)
     a, n = params.a, params.n
-    table = np.empty((len(radii) * per_shell, len(groups[0])))
-    for rows, r in zip(np.split(table, len(radii)), radii):
-        scale = pref * ((1.0 - r) * (1.0 + r)) ** (1.0 - a)
-        rows[:] = sum(scale * ((1.0 - r) ** 2 + r * part) ** ((a - n) / 2.0) for part in parts)
-    return table, gather[groups[0]], ub
+
+    def fill(parts, widths):
+        """The kernel at rows (shell, row of `parts`) summed over `parts`, split by columns.
+
+        One table per width in `widths`, each owning its memory.
+        """
+        rows = len(parts[0])
+        tables = [np.empty((len(radii) * rows, width)) for width in widths]
+        blocks = [slice(stop - width, stop) for width, stop in zip(widths, np.cumsum(widths))]
+        for shell, r in enumerate(radii):
+            scale = pref * ((1.0 - r) * (1.0 + r)) ** (1.0 - a)
+            values = sum(scale * ((1.0 - r) ** 2 + r * part) ** ((a - n) / 2.0)
+                         for part in parts)
+            for table, block in zip(tables, blocks):
+                table[shell * rows:(shell + 1) * rows] = values[:, block]
+        return tables
+
+    if not fold:
+        return fill([e2], [len(sphere)])[0], gather, ub
+    reps = np.flatnonzero(gather[:, 0] < sphere.half)
+    folded = np.empty(len(sphere), dtype=np.intp)
+    folded[reps] = folded[partner[reps]] = np.arange(len(reps))
+    index = np.arange(len(reps))
+    columns = []
+    for res in range(ub):
+        mirror = index
+        if 2 * res % ub == 0:
+            # the mirror about ball node (m, res) maps sphere azimuth index t
+            # to 2 us m + shift - t on the same ring
+            shift = 2 * res * us // ub
+            cols = col_of[node_at[col_ring[reps], (shift - az_s[gather[reps, 0]]) % naz_s]]
+            if np.any((az_s[gather[cols]] + az_s[gather[reps]] - 2 * us * m - shift) % naz_s):
+                raise ValueError("the mirror images of a table column's nodes are not one "
+                                 "column's nodes")
+            mirror = folded[cols]
+        paired = np.flatnonzero(mirror > index)
+        kept = np.concatenate([paired, np.flatnonzero(mirror == index)])
+        spread = np.empty(len(reps), dtype=np.intp)
+        spread[kept] = np.arange(len(kept))
+        spread[mirror[paired]] = np.arange(len(paired))
+        columns.append((kept, mirror[paired], spread))
+    # class u's rows are e2[u::ub]; each kept column sums the kernel at its
+    # column and at that column's antipodal partner
+    tables = fill([np.concatenate([e2[res::ub][:, cols[kept]]
+                                   for res, (kept, _, _) in enumerate(columns)], axis=1)
+                   for cols in (reps, partner[reps])], [len(kept) for kept, _, _ in columns])
+    # rotation class (ring, tau) of each folded column, with tau and -tau merged
+    orbit = np.unique(col_ring[reps] * us + np.minimum(tau[reps], -tau[reps] % us),
+                      return_inverse=True)[1]
+    return tuple(tables), gather[reps], tuple(columns), orbit, ub
 
 
 @dataclass(eq=False)
@@ -194,20 +264,25 @@ class ExtensionOperator:
     """Balanced discretization of the extension/adjoint pair.
 
     The balanced kernel is stored once per (shell, ring, azimuthal residue)
-    and antipodal column pair in `kernel_table` and applied to rotated
-    copies of the input gathered by `gather_index`; see the module
-    docstring.  `row_weights` is the ball weight of each table row.
-    `row_scale` (per table row) and `col_scale` (per sphere node) record the
-    scalings folded into the table; only the general pair's table, built
-    on its first call, reads them.  No array of ball length is held.
+    and antipodal and mirror column pair: `kernel_table[u]` is the table of
+    residue class u, for the table rows u::residues, and its columns are
+    the class's kept folded columns `fold_columns[u][0]`, each adding the
+    input of its mirror column in `fold_columns[u][1]`, if it has one;
+    `gather_index` gathers rotated copies of the input for every folded
+    column.  See the module docstring.  `row_weights` is the ball weight of
+    each table row.  `row_scale` (per table row) and `col_scale` (per
+    sphere node) record the scalings folded into the tables; only the
+    general pair's table, built on its first call, reads them.  No array of
+    ball length is held.
     """
 
     params: ProblemParams
     sphere: SphereQuadrature
     ball: BallQuadrature
     # populated at build time
-    kernel_table: np.ndarray = field(init=False, repr=False)
+    kernel_table: tuple = field(init=False, repr=False)
     gather_index: np.ndarray = field(init=False, repr=False)
+    fold_columns: tuple = field(init=False, repr=False)
     residues: int = field(init=False)
     row_weights: np.ndarray = field(init=False, repr=False)
     row_scale: np.ndarray = field(init=False, repr=False)
@@ -215,14 +290,16 @@ class ExtensionOperator:
     balance_iterations: int = field(init=False)
     balance_row_dev: float = field(init=False)
     balance_col_dev: float = field(init=False)
+    # orbit of each folded column's nodes, which share one column scale
+    _orbit: np.ndarray = field(init=False, repr=False)
     # (table, gather index) of the unfolded table, for the general pair
     _general: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.sphere.n != self.params.n or self.ball.n != self.params.n:
             raise ValueError("quadrature dimensions do not match the parameters")
-        self.kernel_table, self.gather_index, self.residues = _kernel_table(
-            self.sphere, self.ball, self.params)
+        (self.kernel_table, self.gather_index, self.fold_columns, self._orbit,
+         self.residues) = _kernel_table(self.sphere, self.ball, self.params)
         mass = kernel_ball_sphere_mass(self.ball.radii, self.params)
         weights = self._table_layout(self.ball.weights[:self.ball.half])
         if not _same_bits(weights, np.broadcast_to(weights[:, :1], weights.shape)):
@@ -236,7 +313,7 @@ class ExtensionOperator:
     # -- upper-half applications (exact pair symmetry, see module docstring) --
 
     def _table_product(self, y: np.ndarray, table: np.ndarray, gather: np.ndarray) -> np.ndarray:
-        """Extension of a weighted sphere vector y at the upper ball nodes, in table layout."""
+        """General pair: extension of a weighted sphere vector y at the upper ball nodes."""
         return table @ y[gather]
 
     def _table_transpose(self, z: np.ndarray, table: np.ndarray,
@@ -244,6 +321,29 @@ class ExtensionOperator:
         """Transpose of _table_product, for a weighted matrix in table layout."""
         return np.bincount(gather.ravel(), weights=(table.T @ z).ravel(),
                            minlength=len(self.sphere))
+
+    def _fold_product(self, y: np.ndarray) -> np.ndarray:
+        """Folded tables times y, one value (or row of turns) per folded column.
+
+        Class u adds each mirror pair's two inputs and writes its rows
+        u::residues of the result: one product per class.
+        """
+        out = np.empty((len(self.row_weights),) + y.shape[1:])
+        for u, (table, (kept, mirror, _)) in enumerate(zip(self.kernel_table, self.fold_columns)):
+            x = y[kept]
+            x[:len(mirror)] += y[mirror]
+            np.matmul(table, x, out=out[u::self.residues])
+        return out
+
+    def _fold_transpose(self, z: np.ndarray) -> np.ndarray:
+        """Transpose of _fold_product: one value (or row) per folded column."""
+        parts = ((table.T @ z[u::self.residues])[spread]
+                 for u, (table, (_, _, spread)) in enumerate(zip(self.kernel_table,
+                                                                 self.fold_columns)))
+        out = next(parts)
+        for part in parts:
+            out += part
+        return out
 
     def _table_layout(self, z: np.ndarray) -> np.ndarray:
         """Upper-half ball values, ball order (shell, ring, m, u) -> table rows x columns m."""
@@ -255,26 +355,31 @@ class ExtensionOperator:
         return t.reshape(-1, self.residues, t.shape[1]).transpose(0, 2, 1).ravel()
 
     def _row_sums(self, e: np.ndarray) -> np.ndarray:
-        """Weighted row sums of the table with column scaling e (one value per sphere node)."""
-        return self.kernel_table @ (self.sphere.weights * e)[self.gather_index[:, 0]]
+        """Weighted row sums of the tables with column scaling e (one value per folded column)."""
+        return self._fold_product(self.sphere.weights[self.gather_index[:, 0]] * e)
 
     def _col_sums(self, d: np.ndarray) -> np.ndarray:
-        """Weighted column sums with row scaling d, per sphere node, over the whole ball."""
-        gather, turns = self.gather_index, self.gather_index.shape[1]
-        s = np.bincount(gather.ravel(),
-                        weights=np.repeat(self.kernel_table.T @ (d * self.row_weights), turns),
-                        minlength=len(self.sphere))
-        return s + s[self.sphere.antipode_index]
+        """Weighted column sums over the whole ball with row scaling d, per folded column.
+
+        A folded column's sum is the total over the folded columns of its
+        orbit (each gathers every node of a rotation class once, itself or
+        its antipode) divided by the rotation classes the orbit merges, one
+        or two, so the whole orbit gets one value.
+        """
+        orbit, turns = self._orbit, self.gather_index.shape[1]
+        s = np.bincount(orbit, weights=self._fold_transpose(d * self.row_weights))
+        return (s * (turns / np.bincount(orbit)))[orbit]
 
     def _balance(self, psi: np.ndarray, theta: float) -> None:
-        """Sinkhorn to row targets psi and column target theta, folded into the table.
+        """Sinkhorn to row targets psi and column target theta, folded into the tables.
 
-        e stays antipodal bit for bit (`_col_sums` adds s and s[antipode]),
-        so each folded column has one scale.  The row sums of the deviation
-        check are the next iteration's, so a build takes iterations + 1 of them.
+        e is iterated per folded column and is one value on each orbit
+        (`_col_sums`), so a mirror pair and an antipodal pair have one
+        scale.  The row sums of the deviation check are the next
+        iteration's, so a build takes iterations + 1 of them.
         """
-        d = np.ones(len(self.kernel_table))
-        e = np.ones(len(self.sphere))
+        d = np.ones(len(self.row_weights))
+        e = np.ones(len(self.gather_index))
         rows = self._row_sums(e)
         for iters in range(1, _SINKHORN_MAX_ITER + 1):
             d *= psi / (d * rows)
@@ -286,17 +391,20 @@ class ExtensionOperator:
         self.balance_iterations = iters
         self.balance_row_dev = float(row_dev)
         self.balance_col_dev = float(np.max(np.abs(e * self._col_sums(d) / theta - 1.0)))
-        self.kernel_table *= d[:, None]
-        self.kernel_table *= e[self.gather_index[:, 0]]
+        for u, (table, (kept, _, _)) in enumerate(zip(self.kernel_table, self.fold_columns)):
+            table *= d[u::self.residues, None]
+            table *= e[kept]
         self.row_scale = d
-        self.col_scale = e
+        upper = self.gather_index[:, 0]
+        self.col_scale = np.empty(len(self.sphere))
+        self.col_scale[upper] = self.col_scale[self.sphere.antipode_index[upper]] = e
 
     # -- table-layout pair: the one half-product, the solver's path --
 
     @property
     def table_shape(self) -> tuple[int, int]:
         """(table rows, turns): the shape of extend_table's output and adjoint_table's input."""
-        return len(self.kernel_table), self.gather_index.shape[1]
+        return len(self.row_weights), self.gather_index.shape[1]
 
     def extend_table(self, v: np.ndarray) -> np.ndarray:
         """E v at the upper ball nodes in table layout, for an antipodal v.
@@ -304,18 +412,22 @@ class ExtensionOperator:
         Row (shell, ring, u), column m holds the value at the upper ball
         node (shell, ring, m, u); the lower half of E v has the same bits
         (module docstring).  Raises ValueError if the two halves of v
-        differ in any bit, since the folded table would then be wrong.
+        differ in any bit, since the folded tables would then be wrong.
         """
         v, hs = np.asarray(v, dtype=float), self.sphere.half
         if not _same_bits(v[:hs], v[hs:]):
             raise ValueError("extend_table needs an antipodal v (its two halves differ in some "
                              "bit); symmetrize first")
-        return self._table_product(self.sphere.weights * v, self.kernel_table, self.gather_index)
+        return self._fold_product((self.sphere.weights * v)[self.gather_index])
 
     def adjoint_table(self, z: np.ndarray) -> np.ndarray:
         """T F of the antipodal F whose upper half is z, in the layout of extend_table."""
-        up = self._table_transpose(self.row_weights[:, None] * z, self.kernel_table,
-                                   self.gather_index)
+        if np.shape(z) != self.table_shape:
+            raise ValueError(f"adjoint_table needs z of the table shape {self.table_shape}, "
+                             f"got {np.shape(z)}")
+        up = np.bincount(self.gather_index.ravel(),
+                         weights=self._fold_transpose(self.row_weights[:, None] * z).ravel(),
+                         minlength=len(self.sphere))
         return up + up[self.sphere.antipode_index]
 
     def integrate_table(self, integrand: np.ndarray) -> float:

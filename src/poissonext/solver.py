@@ -30,8 +30,10 @@ halves with the same bits.  The solver carries only the upper half, in the
 kernel table's layout (`ExtensionOperator.extend_table`): the functional
 sums that half and doubles it (`integrate_table`), and the adjoint of
 each step and of `el_residual` reads it directly (`adjoint_table`).  Both
-products run on the antipodally folded table, half the multiply-adds of
-the general pair, which the solver never builds.
+products run on the antipodally and mirror folded tables, one product per
+azimuthal residue class and about a quarter of the general pair's
+multiply-adds on the default rules; the solver never builds the general
+pair's table.
 """
 
 from __future__ import annotations

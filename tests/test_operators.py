@@ -1,18 +1,20 @@
 import copy
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special
 from scipy.integrate import quad
 
 import poissonext as px
+from poissonext.config import parse_config
 from poissonext.operators import _kernel_table, _real_sph_design
-from poissonext.quadrature import write_csv
+from poissonext.quadrature import azimuthal_layout, write_csv
 
 
 def theta_oracle(params):
@@ -273,13 +275,29 @@ class TestStructuredProducts:
                 assert np.all(apply(spike) > 0)
 
     def test_table_owns_its_memory_at_the_dense_mac_count(self, small_op):
-        # each folded column serves a column and its antipodal partner, so
-        # twice the table's multiply-adds make up the dense count
+        # class u multiplies its rows by its kept folded columns: one per
+        # mirror pair, each serving a column and its antipodal partner
         op = small_op
-        assert op.kernel_table.base is None and op.gather_index.base is None
-        assert op.gather_index.shape == (op.sphere.half, op.table_shape[1])
-        macs = op.kernel_table.size * op.gather_index.shape[1]
-        assert 2 * macs == op.ball.half * len(op.sphere)
+        rows, turns = op.table_shape
+        assert op.gather_index.base is None and op.gather_index.shape == (op.sphere.half, turns)
+        assert len(op.kernel_table) == len(op.fold_columns) == op.residues
+        for table, (kept, mirror, _) in zip(op.kernel_table, op.fold_columns):
+            assert table.base is None and table.flags.c_contiguous
+            assert table.shape == (rows // op.residues, op.sphere.half - len(mirror)) == (
+                rows // op.residues, len(kept))
+        macs = sum(table.size for table in op.kernel_table) * turns
+        dense = op.ball.half * len(op.sphere)
+        assert 4 * macs > dense and 2 * macs <= dense
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_default_rules_run_at_most_0_27_of_the_dense_macs(self, n):
+        quad = parse_config({"params": {"n": n, "a": 0.5}}).quadrature
+        params = px.ProblemParams(n, 0.5)
+        sphere = px.build_sphere_quadrature(params, quad["sphere_resolution"])
+        ball = px.build_ball_quadrature(params, 8, quad["ball_angular_resolution"])
+        tables, gather = _kernel_table(sphere, ball, params)[:2]
+        macs = sum(table.size for table in tables) * gather.shape[1]
+        assert macs <= 0.27 * ball.half * len(sphere)
 
     def test_balance_carries_the_checked_row_sums(self, monkeypatch):
         # one row-sum pass per iteration plus the first, and the bits of the
@@ -299,14 +317,31 @@ class TestStructuredProducts:
         mass = px.kernel_ball_sphere_mass(ball.radii, params)
         psi = raw._table_layout(mass[:ball.half])[:, 0]
         theta = float(np.dot(ball.weights, mass) / sphere.weights.sum())
-        d, e = np.ones(len(psi)), np.ones(len(sphere))
+        # e is iterated per folded column and recorded per sphere node
+        d, e = np.ones(len(psi)), np.ones(len(op.gather_index))
         for iters in range(1, px.operators._SINKHORN_MAX_ITER + 1):
             d *= psi / (d * raw._row_sums(e))
             e *= theta / (e * raw._col_sums(d))
             if np.max(np.abs(d * raw._row_sums(e) / psi - 1.0)) < px.operators._SINKHORN_TOL:
                 break
         assert iters == op.balance_iterations
-        assert d.tobytes() == op.row_scale.tobytes() and e.tobytes() == op.col_scale.tobytes()
+        upper = op.gather_index[:, 0]
+        assert d.tobytes() == op.row_scale.tobytes()
+        assert e.tobytes() == op.col_scale[upper].tobytes()
+        assert e.tobytes() == op.col_scale[sphere.antipode_index[upper]].tobytes()
+
+    @pytest.mark.parametrize("case", [STRUCTURED_CASES[1], (2, 0.5, 96, 64)],
+                             ids=lambda c: "n%d-a%g-S%d-A%d" % c)
+    def test_column_scale_is_one_value_per_orbit(self, case):
+        # the turns, the antipode and the mirror about azimuth 0 map both
+        # rules onto themselves, so the scale of a node is the scale of its
+        # orbit, bit for bit, and both members of a mirror pair get it
+        op = _structured_op(case)
+        e = op.col_scale[op.gather_index[:, 0]]
+        for orbit in np.unique(op._orbit):
+            assert len(np.unique(e[op._orbit == orbit])) == 1
+        for kept, mirror, _ in op.fold_columns:
+            assert e[kept[:len(mirror)]].tobytes() == e[mirror].tobytes()
 
     def test_general_table_is_built_on_the_first_general_call_and_kept(self):
         op = _structured_op(STRUCTURED_CASES[3])
@@ -398,10 +433,11 @@ class TestAntipodalEquivariance:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_antipodal_input_runs_both_table_products(self, dim, request, monkeypatch):
-        # the ball-order products have one path: equal halves run it too
+        # the ball-order products have one path: equal halves run it too,
+        # and never the folded tables' products
         op = request.getfixturevalue(f"op_{dim}d")
         calls = []
-        for name in ("_table_product", "_table_transpose"):
+        for name in ("_table_product", "_table_transpose", "_fold_product", "_fold_transpose"):
             def counted(*args, fn=getattr(op, name), name=name):
                 calls.append(name)
                 return fn(*args)
@@ -454,9 +490,17 @@ class TestAntipodalEquivariance:
         with pytest.raises(ValueError, match="symmetrize first"):
             op_2d.extend_table(z)
 
+    def test_adjoint_table_rejects_z_off_the_table_shape(self, op_2d):
+        # a row of turns would broadcast over every table row
+        rows, turns = op_2d.table_shape
+        for z in (np.ones(turns), np.ones((rows, 1)), np.ones((rows, turns, 1))):
+            with pytest.raises(ValueError, match=r"table shape \(%d, %d\), got %s"
+                               % (rows, turns, re.escape(str(z.shape)))):
+                op_2d.adjoint_table(z)
+
 
 class TestFoldedTablePair:
-    """The table pair on the antipodally folded table, the solver's products."""
+    """The table pair on the antipodally and mirror folded tables, the solver's products."""
 
     @given(data=st.data())
     @settings(deadline=None)
@@ -485,21 +529,55 @@ class TestFoldedTablePair:
         assert abs(lhs - rhs) <= 1e-12 * lhs
 
     @given(n=st.sampled_from([2, 3]), sphere_res=st.integers(2, 7), ball_res=st.integers(2, 7))
+    @example(n=2, sphere_res=2, ball_res=6)      # 3 residues, two without an in-grid mirror
+    @example(n=3, sphere_res=3, ball_res=2)      # 3 sphere azimuths per turn: tau 1 and 2 merge
     @settings(max_examples=40, deadline=None)
     def test_pairing_is_the_same_column_for_every_rotation(self, n, sphere_res, ball_res):
         # the partner of each unfolded column gathers the antipodes of its
-        # nodes at every m, so each folded column is a pair sum, bit for bit
+        # nodes at every m, and the mirror column of a class the mirror
+        # images about that class's ball node, so each kept column is a
+        # pair sum that holds for both mirror members, bit for bit
         params = px.ProblemParams(n, 0.5)
         sphere = px.build_sphere_quadrature(params, 2 * sphere_res)
         ball = px.build_ball_quadrature(params, 8, 2 * ball_res)
-        table, gather, _ = _kernel_table(sphere, ball, params, fold=False)
-        folded, half_gather, _ = _kernel_table(sphere, ball, params)
+        table, gather, ub = _kernel_table(sphere, ball, params, fold=False)
+        tables, half_gather, fold_columns, orbit, _ = _kernel_table(sphere, ball, params)
+        anti = sphere.antipode_index
         column_of = {tuple(nodes): c for c, nodes in enumerate(gather)}
-        partner = np.array([column_of[tuple(sphere.antipode_index[nodes])] for nodes in gather])
+        partner = np.array([column_of[tuple(anti[nodes])] for nodes in gather])
         reps = np.array([column_of[tuple(nodes)] for nodes in half_gather])
         assert np.all(half_gather[:, 0] < sphere.half)
         assert sorted(np.concatenate([reps, partner[reps]])) == list(range(len(sphere)))
-        assert folded.tobytes() == (table[:, reps] + table[:, partner[reps]]).tobytes()
+        assert len(tables) == len(fold_columns) == ub
+
+        _, ring, az, naz_s = azimuthal_layout(sphere)
+        naz_b = azimuthal_layout(ball.angular)[3]
+        node_at = {(r, t): i for i, (r, t) in enumerate(zip(ring, az))}
+        turns, half = np.arange(gather.shape[1]), len(reps)
+        for u, (kept, mirror, spread) in enumerate(fold_columns):
+            # the kernel of each folded column plus its antipodal partner's
+            pair_sum = table[u::ub][:, reps] + table[u::ub][:, partner[reps]]
+            assert tables[u].tobytes() == pair_sum[:, kept].tobytes()
+            assert tables[u][:, :len(mirror)].tobytes() == pair_sum[:, mirror].tobytes()
+            assert np.array_equal(spread[kept], np.arange(len(kept)))
+            assert np.array_equal(spread[mirror], np.arange(len(mirror)))
+            # reflecting about ball node (m, u), at azimuth index m ub + u of
+            # naz_b, maps the sphere grid onto itself iff 2 u naz_s / naz_b is whole
+            if 2 * u * naz_s % naz_b:
+                assert len(mirror) == 0 and sorted(kept) == list(range(half))
+                continue
+            assert sorted(np.concatenate([kept, mirror])) == list(range(half))
+            shift = 2 * (turns * ub + u) * naz_s // naz_b
+            for j, col in enumerate(reps[kept]):
+                images = [node_at[ring[x], (s - az[x]) % naz_s] for x, s in zip(gather[col], shift)]
+                image_col = column_of[tuple(images)]      # one column gathers them all
+                # the kernel at a column and at its mirror hold the same bits
+                assert table[u::ub][:, col].tobytes() == table[u::ub][:, image_col].tobytes()
+                if j < len(mirror):
+                    assert image_col in (reps[mirror[j]], partner[reps[mirror[j]]])
+                    assert orbit[kept[j]] == orbit[mirror[j]]
+                else:
+                    assert image_col in (col, partner[col])
 
 
 class TestCorrectionModes:

@@ -274,11 +274,13 @@ class TestMaximizeSubcritical:
         self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng, monkeypatch
     ):
         # every iterate is symmetrized, so the solve runs only the table-layout
-        # pair, and each of its calls is one half-table product
+        # pair, and each of its calls is one folded product: one table
+        # product per residue class
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
         op = prob.operator
-        calls = {name: [] for name in ("extend_table", "adjoint_table", "_table_product",
-                                       "_table_transpose", "extend_values", "adjoint_values")}
+        calls = {name: [] for name in ("extend_table", "adjoint_table", "_fold_product",
+                                       "_fold_transpose", "_table_product", "_table_transpose",
+                                       "extend_values", "adjoint_values")}
 
         for name, log in calls.items():
             def counted(*args, fn=getattr(op, name), log=log):
@@ -292,9 +294,10 @@ class TestMaximizeSubcritical:
         assert rep["converged"]
         assert len(calls["extend_table"]) > rep["iterations"]
         assert len(calls["adjoint_table"]) == rep["iterations"] + 1   # steps, then the EL terms
-        assert calls["_table_product"] == calls["extend_table"] == [op.table_shape] * len(
+        assert calls["_fold_product"] == calls["extend_table"] == [op.table_shape] * len(
             calls["extend_table"])
-        assert len(calls["_table_transpose"]) == len(calls["adjoint_table"])
+        assert calls["_fold_transpose"] == [op.gather_index.shape] * len(calls["adjoint_table"])
+        assert calls["_table_product"] == calls["_table_transpose"] == []
         assert calls["extend_values"] == calls["adjoint_values"] == []
         assert op._general is None
 
