@@ -26,14 +26,14 @@ Continuation lowers p along a schedule toward the critical exponent,
 warm-starting each stage from the previous one.
 
 Every iterate is antipodal bit for bit, so E v and (E v)^{q_exp} have two
-halves with the same bits.  The solver carries only the upper half, in the
-kernel table's layout (`ExtensionOperator.extend_table`): the functional
-sums that half and doubles it (`integrate_table`), and the adjoint of
-each step and of `el_residual` reads it directly (`adjoint_table`).  Both
-products run on the antipodally and mirror folded tables, one product per
-azimuthal residue class and about a quarter of the general pair's
-multiply-adds on the default rules; the solver never builds the general
-pair's table.
+halves with the same bits; the solver extends into the upper half alone,
+in the kernel table's layout (`ExtensionOperator.extend_table`).  A step
+compares the pairing <v, T[(E v)^{q_exp}]>, an exact sum over the sphere
+nodes that equals the bulk energy up to product roundoff by discrete
+duality, and the adjoint it pairs with is the next step's right-hand side.
+The exact ball sum (`integrate_table`) runs once per solve, for the
+returned multiplier.  Both products run on the folded tables, one product
+per azimuthal residue class; the solver never builds the general table.
 """
 
 from __future__ import annotations
@@ -96,11 +96,11 @@ def _operator_for(op, params, sphere, ball) -> ExtensionOperator:
 class SolverState:
     """Iterate of the fixed point.
 
-    `ext_power` is (E v)^q_exp on the upper half of the ball, in the table
-    layout of `ExtensionOperator.extend_table`, when known (None makes the
+    `lambda_est` is the pairing <v, el_rhs> (`_functional`), and `el_rhs`
+    is g = T[(E v)^q_exp] on the sphere nodes when known (None makes the
     next step compute it); each step appends to `functional_history` in
     place.  `v` must be antipodal bit for bit: a step rejects a state whose
-    `v` halves differ or whose `ext_power` has another shape.
+    `v` halves differ or whose `el_rhs` has another shape.
     """
 
     v: BoundaryFunction
@@ -109,7 +109,7 @@ class SolverState:
     residual: float = np.inf
     functional_history: list = field(default_factory=list)
     step_failed: bool = False
-    ext_power: np.ndarray | None = field(default=None, repr=False)
+    el_rhs: np.ndarray | None = field(default=None, repr=False)
 
 
 def symmetrize_antipodal(v: BoundaryFunction) -> BoundaryFunction:
@@ -128,33 +128,50 @@ def normalize_constraint(
 
 
 def _prepare(problem: SubcriticalProblem, init: BoundaryFunction) -> SolverState:
+    if init.quad is not problem.sphere:
+        raise ValueError("the initial guess must live on the problem's sphere quadrature")
     v = np.maximum(np.asarray(init.values, dtype=float), 0.0)
     if not np.any(v > 0):
         raise ValueError("initial guess must be nonnegative and nonzero")
     v = _candidate(v, problem)
-    lam, ext_power = _functional(v.values, problem)
+    lam, el_rhs = _functional(v.values, problem)
     return SolverState(
         v=v,
         lambda_est=lam,
         functional_history=[lam],
-        ext_power=ext_power,
+        el_rhs=el_rhs,
     )
 
 
-def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.ndarray]:
-    """The bulk energy of v and the power (E v)^q_exp the next step reads.
+def _el_rhs(op: ExtensionOperator, v: np.ndarray, q: float) -> np.ndarray:
+    """g = T[(E v)^q] of an antipodal v >= 0, through the table pair."""
+    z = op.extend_table(v)
+    z **= q
+    return op.adjoint_table(z)
 
-    v >= 0 here, so E v >= 0 elementwise (positive kernel table) and
-    |E v|^p_bulk is (E v)^q_exp * E v, since p_bulk = q_exp + 1.  Both stay
-    in the table layout of the upper half (`extend_table`): the lower half
-    of the integrand has the same bits, so the energy is the sum of the
-    weighted upper half taken twice.
+
+def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.ndarray]:
+    """The pairing <v, g> and g = T[(E v)^q_exp], which the next step reads.
+
+    By the discrete duality <E v, F>_ball = <v, T F>_sphere with
+    F = (E v)^q_exp, the pairing is the bulk energy integral |E v|^p_bulk
+    (v >= 0, so E v >= 0 and p_bulk = q_exp + 1) up to the roundoff of the
+    two products; it is an exact sum over the sphere nodes, not the ball.
+    """
+    g = _el_rhs(problem.operator, v, problem.params.q_exp)
+    return integrate_boundary(v * g, problem.sphere), g
+
+
+def _bulk_energy(v: np.ndarray, problem: SubcriticalProblem) -> float:
+    """The bulk energy, |E v|^p_bulk = (E v)^q_exp * E v, of an antipodal v >= 0.
+
+    The integrand's lower half has the same bits, so the exact sum runs on
+    the weighted upper half in the table layout, taken twice.
     """
     op = problem.operator
     integrand = op.extend_table(v)
-    ext_power = integrand ** problem.params.q_exp
-    integrand *= ext_power
-    return op.integrate_table(integrand), ext_power
+    integrand *= integrand ** problem.params.q_exp
+    return op.integrate_table(integrand)
 
 
 def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> BoundaryFunction:
@@ -173,19 +190,17 @@ def fixed_point_step(
     point is tried first, and a rejected one leaves only the step's pair.  A
     history of maxlen 1 never holds two, so it gives the plain step alone.
     """
-    op = problem.operator
     v = state.v.values
     hs = problem.sphere.half
     if not _same_bits(v[:hs], v[hs:]):
         raise ValueError("the state's v is not antipodal (its two halves differ in some bit); "
                          "symmetrize first")
-    ext_power = state.ext_power
-    if ext_power is None:
-        ext_power = op.extend_table(v) ** problem.params.q_exp
-    elif ext_power.shape != op.table_shape:
-        raise ValueError(f"the state's ext_power has shape {ext_power.shape}; the table "
-                         f"layout of (E v)^q_exp has {op.table_shape}")
-    g = op.adjoint_table(ext_power)
+    g = state.el_rhs
+    if g is None:
+        g = _el_rhs(problem.operator, v, problem.params.q_exp)
+    elif g.shape != v.shape:
+        raise ValueError(f"the state's el_rhs has shape {g.shape}; T[(E v)^q_exp] on the "
+                         f"sphere nodes has {v.shape}")
     w = (g / problem.weight.values) ** (1.0 / (problem.p - 1.0))
     full = _candidate(w, problem)
     residual = float(np.max(np.abs(full.values - v)) / np.max(np.abs(v)))
@@ -194,22 +209,22 @@ def fixed_point_step(
         mixed = _anderson_point(history)
         if np.all(mixed > 0):
             cand = _candidate(mixed, problem)
-            lam, cand_power = _functional(cand.values, problem)
+            lam, cand_rhs = _functional(cand.values, problem)
             if lam >= state.lambda_est - ASCENT_SLACK:
-                return _accepted(state, cand, lam, cand_power, residual)
+                return _accepted(state, cand, lam, cand_rhs, residual)
         history.clear()
         history.append((v, full.values))
     tau = 1.0
     for _ in range(MAX_DAMPING_HALVINGS + 1):
         cand = full if tau == 1.0 else _candidate((1.0 - tau) * v + tau * w, problem)
-        lam, cand_power = _functional(cand.values, problem)
+        lam, cand_rhs = _functional(cand.values, problem)
         if lam >= state.lambda_est - ASCENT_SLACK:
-            return _accepted(state, cand, lam, cand_power, residual)
+            return _accepted(state, cand, lam, cand_rhs, residual)
         tau *= 0.5
     return replace(state, step_failed=True)
 
 
-def _accepted(state, cand, lam, cand_power, residual) -> SolverState:
+def _accepted(state, cand, lam, cand_rhs, residual) -> SolverState:
     state.functional_history.append(lam)
     return SolverState(
         v=cand,
@@ -217,7 +232,7 @@ def _accepted(state, cand, lam, cand_power, residual) -> SolverState:
         iteration=state.iteration + 1,
         residual=residual,
         functional_history=state.functional_history,
-        ext_power=cand_power,
+        el_rhs=cand_rhs,
     )
 
 
@@ -238,7 +253,11 @@ def _anderson_point(history: deque) -> np.ndarray:
 def maximize_subcritical(
     problem: SubcriticalProblem, init: BoundaryFunction
 ) -> tuple[BoundaryFunction, float, dict]:
-    """Iterate fixed-point steps to convergence; returns (v, lambda, report)."""
+    """Iterate fixed-point steps to convergence; returns (v, lambda, report).
+
+    lambda is `_bulk_energy` of the returned v, the one ball sum of a solve;
+    `multiplier_identity_dev` checks the steps' pairing against it.
+    """
     state = _prepare(problem, init)
     history = deque(maxlen=ANDERSON_DEPTH + 1)
     converged = False
@@ -249,17 +268,18 @@ def maximize_subcritical(
         if state.residual < problem.tol_v:
             converged = True
             break
+    lam = _bulk_energy(state.v.values, problem)
     lam_pair, el = _el_terms(state.v, problem.weight, problem.params, problem.operator,
-                             problem.p, state.lambda_est, state.ext_power)
+                             problem.p, lam, state.el_rhs)
     report = {
         "iterations": state.iteration,
         "converged": converged,
         "step_failed": state.step_failed,
-        "multiplier_identity_dev": abs(lam_pair / state.lambda_est - 1.0),
+        "multiplier_identity_dev": abs(lam_pair / lam - 1.0),
         "el_residual": el,
         "functional_history": state.functional_history,
     }
-    return state.v, state.lambda_est, report
+    return state.v, lam, report
 
 
 def el_residual(
@@ -289,18 +309,16 @@ def el_residual(
     return _el_terms(v, weight, params, op, p, lam)[1]
 
 
-def _el_terms(v, weight, params, op, p, lam, ext_power=None) -> tuple[float, float]:
+def _el_terms(v, weight, params, op, p, lam, el_rhs=None) -> tuple[float, float]:
     """Pairing multiplier <v, g> / <v, K v^{p-1}> and the EL residual.
 
     Both come from one evaluation of g = T[(E v)^q] through the table pair,
     as in `fixed_point_step`; see el_residual.  A solver state passes its
-    carried `ext_power` (table layout), and then only the adjoint runs.
+    carried `el_rhs`, and then no product runs.
     """
     if np.any(v.values <= 0):
         raise ValueError("the residual is defined for positive v")
-    if ext_power is None:
-        ext_power = op.extend_table(v.values) ** params.q_exp
-    g = op.adjoint_table(ext_power)
+    g = _el_rhs(op, v.values, params.q_exp) if el_rhs is None else el_rhs
     num = integrate_boundary(v.values * g, v.quad)
     den = integrate_boundary(weight.values * v.values**p, v.quad)
     lam_pair = num / den

@@ -127,6 +127,22 @@ class TestProblemValidation:
         assert px.SubcriticalProblem(params, weight, p, sphere, ball, operator=own).operator is own
         assert px.el_residual(v, weight, params, ball, operator=own) < 1e-10
 
+    def test_rejects_an_initial_guess_on_another_rule(self, sphere_3d):
+        # an n = 3 profile on as many nodes as the n = 2 rule used to start
+        # the n = 2 solve, which then converged on data it misread
+        params = px.ProblemParams(2, 0.5)
+        sphere = px.build_sphere_quadrature(params, len(sphere_3d))
+        ball = px.build_ball_quadrature(params, 24, len(sphere_3d))
+        weight = px.WeightFunction(np.ones(len(sphere)), sphere, antipodal=True)
+        prob = make_problem(params, weight, 5.0, sphere, ball)
+        other = px.BoundaryFunction(np.ones(len(sphere_3d)), sphere_3d)
+        with pytest.raises(ValueError, match="initial guess must live on the problem's sphere"):
+            px.maximize_subcritical(prob, other)
+        with pytest.raises(ValueError, match="initial guess must live on the problem's sphere"):
+            px.continuation(weight, [5.0, 4.5], params, sphere, ball, init=other)
+        own = px.BoundaryFunction(np.ones(len(sphere)), sphere)
+        assert px.maximize_subcritical(prob, own)[2]["converged"]
+
 
 class TestFixedPointStep:
     def test_constant_is_a_fixed_point(self, params_3d, sphere_3d, ball_3d, unit_weight_3d):
@@ -201,16 +217,20 @@ class TestFixedPointStep:
         init = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5, sphere_2d)
         state = px.solver._prepare(prob, init)
         op = prob.operator
-        calls = []
-        extend = op.extend_table
-        monkeypatch.setattr(op, "extend_table", lambda v: calls.append(1) or extend(v))
+        calls = {"extend_table": [], "adjoint_table": []}
+        extend, adjoint = op.extend_table, op.adjoint_table
+        for name, fn in (("extend_table", extend), ("adjoint_table", adjoint)):
+            monkeypatch.setattr(op, name, lambda x, fn=fn, log=calls[name]: log.append(1) or fn(x))
         cold = plain_step(px.SolverState(v=state.v, lambda_est=state.lambda_est), prob)
-        cold_calls = len(calls)
+        cold_calls = {name: len(log) for name, log in calls.items()}
         warm = plain_step(state, prob)
-        assert cold_calls - (len(calls) - cold_calls) == 1
+        for name, log in calls.items():
+            assert cold_calls[name] - (len(log) - cold_calls[name]) == 1, name
         assert np.array_equal(warm.v.values, cold.v.values)
-        assert warm.ext_power.shape == op.table_shape
-        assert warm.ext_power.tobytes() == (extend(warm.v.values) ** params_2d.q_exp).tobytes()
+        assert warm.el_rhs.shape == (len(sphere_2d),)
+        expected = adjoint(extend(warm.v.values) ** params_2d.q_exp)
+        assert warm.el_rhs.tobytes() == expected.tobytes()
+        assert warm.lambda_est == px.integrate_boundary(warm.v.values * expected, sphere_2d)
         assert warm.functional_history is state.functional_history
         assert state.functional_history[-1] == warm.lambda_est
 
@@ -223,37 +243,54 @@ class TestFixedPointStep:
         v = state.v.values.copy()
         v[-1] = np.nextafter(v[-1], np.inf)     # one bit off in the lower half
         bad = replace(state, v=px.BoundaryFunction(v, sphere_2d),
-                      ext_power=state.ext_power if carried else None)
+                      el_rhs=state.el_rhs if carried else None)
         with pytest.raises(ValueError, match="not antipodal.*symmetrize first"):
             plain_step(bad, prob)
 
-    def test_step_rejects_an_ext_power_outside_the_table_layout(
+    def test_step_rejects_an_el_rhs_of_another_shape(
             self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng):
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
         state = px.solver._prepare(prob, px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5,
                                                              sphere_2d))
         op = prob.operator
+        # (E v)^q_exp in ball order, on its upper half and in the table layout
         ball_order = op.extend_values(state.v.values) ** params_2d.q_exp
-        for ext_power in (ball_order, ball_order[:ball_2d.half], state.ext_power.T):
-            with pytest.raises(ValueError, match="ext_power has shape"):
-                plain_step(replace(state, ext_power=ext_power), prob)
+        for el_rhs in (ball_order, ball_order[:ball_2d.half], op._table_layout(
+                ball_order[:ball_2d.half]), state.el_rhs[:sphere_2d.half], state.el_rhs[:, None]):
+            with pytest.raises(ValueError, match="el_rhs has shape"):
+                plain_step(replace(state, el_rhs=el_rhs), prob)
 
     @given(half=hnp.arrays(float, 32, elements=st.floats(0.0, 1.5)),
            top=st.integers(-600, 990))
     @example(half=np.linspace(0.5, 1.5, 32), top=960)   # terms past 2^900: the full sum runs
     @settings(deadline=None)
-    def test_functional_is_the_fsum_of_the_full_integrand(self, half, top):
+    def test_bulk_energy_is_the_fsum_of_the_full_integrand(self, half, top):
         prob = weighted_problem(2)
         assert prob.sphere.half == len(half)
-        q = prob.params.q_exp
-        v = np.tile(half, 2) * 2.0 ** (top / (q + 1.0))
-        lam, ext_power = px.solver._functional(v, prob)
-        ext = np.tile(prob.operator._ball_order(prob.operator.extend_table(v)), 2)
-        integrand = ext * ext ** q
-        assert struct.pack("<d", lam) == struct.pack("<d", px.solver.integrate_ball(integrand,
-                                                                                    prob.ball))
-        assert struct.pack("<d", lam) == struct.pack(
-            "<d", math.fsum((prob.ball.weights * integrand).tolist()))
+        v = np.tile(half, 2) * 2.0 ** (top / (prob.params.q_exp + 1.0))
+        lam = px.solver._bulk_energy(v, prob)
+        assert struct.pack("<d", lam) == struct.pack("<d", fsum_of_the_full_integrand(prob, v))
+
+    @settings(deadline=None)
+    @given(n=st.sampled_from([2, 3]),
+           half=hnp.arrays(float, 64, elements=st.floats(0.1, 10.0)),
+           top=st.integers(-40, 40))
+    def test_pairing_is_the_bulk_energy_within_the_product_roundoff(self, n, half, top):
+        # <v, T[(E v)^q]>_sphere = <E v, (E v)^q>_ball is a summation reordering,
+        # and every term is positive, so each computed sum of m terms is off by
+        # at most a relative m u / (1 - m u), u = 2^-53 (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2002, sec. 4.2).  The pairing takes
+        # two such sums, the extension's and the adjoint's, each of fewer terms
+        # than the two rules have nodes, plus a few rounded products; the bulk
+        # energy sums the same computed extension, one more rounded product per term
+        prob = weighted_problem(n)
+        half = half[:prob.sphere.half]
+        v = np.tile(half, 2) * 2.0 ** (top / (prob.params.q_exp + 1.0))
+        pairing, g = px.solver._functional(v, prob)
+        bulk = px.solver._bulk_energy(v, prob)
+        assert g.shape == v.shape and np.all(g > 0)
+        bound = (len(prob.sphere) + len(prob.ball) + 8) * 2.0 ** -52
+        assert abs(pairing / bulk - 1.0) <= bound
 
 
 class TestMaximizeSubcritical:
@@ -292,14 +329,44 @@ class TestMaximizeSubcritical:
         init = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5, sphere_2d)
         _, _, rep = px.maximize_subcritical(prob, init)
         assert rep["converged"]
-        assert len(calls["extend_table"]) > rep["iterations"]
-        assert len(calls["adjoint_table"]) == rep["iterations"] + 1   # steps, then the EL terms
+        # each candidate runs one extension and one adjoint (its functional and
+        # the next step's right-hand side), the returned lambda one extension
+        assert len(calls["adjoint_table"]) > rep["iterations"]
+        assert len(calls["extend_table"]) == len(calls["adjoint_table"]) + 1
         assert calls["_fold_product"] == calls["extend_table"] == [op.table_shape] * len(
             calls["extend_table"])
         assert calls["_fold_transpose"] == [op.gather_index.shape] * len(calls["adjoint_table"])
         assert calls["_table_product"] == calls["_table_transpose"] == []
         assert calls["extend_values"] == calls["adjoint_values"] == []
         assert op._general is None
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_solve_returns_the_fsum_of_the_full_integrand(self, n):
+        prob = weighted_problem(n)
+        init = px.BoundaryFunction(worker.seeded_profile(np, prob.sphere.nodes, 1), prob.sphere)
+        v, lam, rep = px.maximize_subcritical(prob, init)
+        assert rep["converged"] and rep["iterations"] > 1
+        assert struct.pack("<d", lam) == struct.pack(
+            "<d", fsum_of_the_full_integrand(prob, v.values))
+        assert rep["multiplier_identity_dev"] <= 1e-12
+
+    @pytest.mark.parametrize("max_iter", [0, 2, 5000])
+    def test_solve_runs_one_ball_length_exact_sum(self, max_iter, monkeypatch):
+        # the steps compare pairings summed over the sphere nodes; only the
+        # returned lambda sums over the ball, once, whatever the step count
+        prob = replace(weighted_problem(3), max_iter=max_iter)
+        exact_sum, lengths = px.quadrature.exact_sum, []
+
+        def counted(terms):
+            lengths.append(len(terms))
+            return exact_sum(terms)
+
+        monkeypatch.setattr(px.quadrature, "exact_sum", counted)
+        init = px.BoundaryFunction(worker.seeded_profile(np, prob.sphere.nodes, 2), prob.sphere)
+        _, _, rep = px.maximize_subcritical(prob, init)
+        assert rep["iterations"] == max_iter or rep["converged"]
+        assert [m for m in lengths if m > len(prob.sphere)] == [prob.ball.half]
+        assert len(lengths) > 2 * rep["iterations"]
 
     def test_functional_history_nondecreasing(self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng):
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
@@ -334,6 +401,13 @@ class TestMaximizeSubcritical:
             assert rep["converged"]
             lams.append(lam)
         assert max(lams) - min(lams) < 1e-5 * max(lams)
+
+
+def fsum_of_the_full_integrand(problem, v):
+    """math.fsum of the weighted |E v|^p_bulk over every ball node, in ball order."""
+    op, q = problem.operator, problem.params.q_exp
+    ext = np.tile(op._ball_order(op.extend_table(v)), 2)
+    return math.fsum((problem.ball.weights * (ext * ext ** q)).tolist())
 
 
 def plain_run(problem, init):
