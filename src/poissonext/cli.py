@@ -25,7 +25,6 @@ from .config import ConfigError, RunConfig, evaluate_weight, load_config, parse_
 from .geometry import conformal_weight, mobius_f_inverse
 from .halfspace import build_halfspace_grid
 from .kernels import kernel_ball_sphere_mass, kernel_halfspace, normalization_constant
-from .params import ProblemParams
 from .quadrature import (MAX_RADIAL_POINTS, build_ball_quadrature, build_sphere_quadrature,
                          integrate_ball, integrate_boundary, write_csv)
 
@@ -145,17 +144,12 @@ def _random_bandlimited(config: RunConfig, rng, nonnegative=False):
     return f3
 
 
-def _problem(config: RunConfig, weight, p: float, sphere, ball) -> slv.SubcriticalProblem:
-    """The configured maximization at exponent p on the given rules."""
+def _problem(config: RunConfig, p: float, scale: float = 1.0) -> slv.SubcriticalProblem:
+    """The configured maximization at exponent p on the rules at `scale` (`_quads`)."""
+    sphere, ball = _quads(config, scale)
     return slv.SubcriticalProblem(
-        params=config.params,
-        weight=weight,
-        p=p,
-        sphere=sphere,
-        ball=ball,
-        tol_v=config.solver["tol_v"],
-        max_iter=config.solver["max_iter"],
-    )
+        params=config.params, weight=evaluate_weight(config, sphere), p=p, sphere=sphere,
+        ball=ball, tol_v=config.solver["tol_v"], max_iter=config.solver["max_iter"])
 
 
 def _check(checks: list, name, value, tol, passed=None) -> bool:
@@ -314,36 +308,21 @@ def cmd_sharp(config: RunConfig):
 
 # ----------------------------------------------------------------- solve
 
-def _default_single_p(params: ProblemParams) -> float:
-    return params.p_crit + 0.25 * (params.p_bulk - params.p_crit)
-
-
 def cmd_solve(config: RunConfig):
     params = config.params
-    sphere, ball = _quads(config)
-    weight = evaluate_weight(config, sphere)
-    p = config.solver["p"] or _default_single_p(params)
-    problem = _problem(config, weight, p, sphere, ball)
-    rng = np.random.default_rng(config.seed)
-    inits = [ops.BoundaryFunction(np.ones(len(sphere)), sphere)]
-    for _ in range(config.solver["multistart"]):
-        bump = np.exp(0.3 * rng.standard_normal(len(sphere)))
-        inits.append(ops.BoundaryFunction(bump, sphere))
-    best = None
-    runs = []
-    for init in inits:
-        v, lam, rep = slv.maximize_subcritical(problem, init)
-        runs.append({"lambda_est": lam, "converged": rep["converged"],
-                     "iterations": rep["iterations"], "el_residual": rep["el_residual"],
-                     "multiplier_identity_dev": rep["multiplier_identity_dev"]})
-        if best is None or lam > best[1]:
-            best = (v, lam, rep)
-    v, lam, rep = best
+    problem = _problem(config, config.solver["p"] or slv.default_p(params))
+    sphere, ball, weight, p = problem.sphere, problem.ball, problem.weight, problem.p
+    inits = slv.multistart_inits(sphere, config.solver["multistart"], 0.3, config.seed)
+    (v, lam, rep), solves = slv.maximize_multistart(problem, inits)
+    runs = [{"lambda_est": lam_i, "converged": rep_i["converged"],
+             "iterations": rep_i["iterations"], "el_residual": rep_i["el_residual"],
+             "multiplier_identity_dev": rep_i["multiplier_identity_dev"]}
+            for _, lam_i, rep_i in solves]
     sharp = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
     holds, ratio, margin = fn.existence_condition(weight, params)
     multistart_spread = max(r["lambda_est"] for r in runs) - min(r["lambda_est"] for r in runs)
-    ok = bool(rep["converged"] and rep["el_residual"] <= slv.EL_RESIDUAL_TOL)
-    lam_err = _lambda_richardson(config, weight, p, lam, v) if ok else None
+    ok = slv.solved(rep)
+    lam_err = _lambda_richardson(config, p, lam, v) if ok else None
     threshold = fn.lambda_threshold(weight, params, sharp)
     report = {
         "p": p,
@@ -366,24 +345,19 @@ def cmd_solve(config: RunConfig):
     return report, ok
 
 
-def _lambda_richardson(
-    config: RunConfig, weight, p: float, lam_fine: float, v_fine
-) -> float | None:
+def _lambda_richardson(config: RunConfig, p: float, lam_fine: float, v_fine) -> float | None:
     """Richardson error estimate for lambda from a half-resolution re-solve.
 
     Run only after the fine run passed its command's gate; the coarse one,
     warm-started from the interpolated fine solution, costs a fraction of
-    it.  None when the coarse solve fails its own gate (not converged, a
-    failed step, or an EL residual above EL_RESIDUAL_TOL).
+    it.  None when the coarse solve fails `slv.solved`.
     """
-    sphere_c, ball_c = _quads(config, scale=0.5)
-    weight_c = evaluate_weight(config, sphere_c)
-    interp = ops.interpolate_boundary(v_fine)
-    init = ops.BoundaryFunction(np.maximum(interp(sphere_c.nodes), 1e-10), sphere_c)
-    _, lam_coarse, rep = slv.maximize_subcritical(
-        _problem(config, weight_c, p, sphere_c, ball_c), init)
-    if not (rep["converged"] and not rep["step_failed"]
-            and rep["el_residual"] <= slv.EL_RESIDUAL_TOL):
+    problem = _problem(config, p, scale=0.5)
+    sphere = problem.sphere
+    init = ops.BoundaryFunction(
+        np.maximum(ops.interpolate_boundary(v_fine)(sphere.nodes), 1e-10), sphere)
+    _, lam_coarse, rep = slv.maximize_subcritical(problem, init)
+    if not slv.solved(rep):
         return None
     return fn.richardson_estimate(lam_coarse, lam_fine)[1]
 
@@ -411,10 +385,9 @@ def cmd_continue(config: RunConfig):
     )
     holds, ratio, margin = fn.existence_condition(weight, params)
     rows = report_obj.stage_rows()
-    ok = all(r["converged"] and r["el_residual"] <= slv.EL_RESIDUAL_TOL for r in rows)
-    ok = ok and not report_obj.blow_up_flag
+    ok = all(s.solved for s in report_obj.stages) and not report_obj.blow_up_flag
     lam_err = _lambda_richardson(
-        config, weight, schedule[-1], report_obj.lambda_est, report_obj.final_v
+        config, schedule[-1], report_obj.lambda_est, report_obj.final_v
     ) if ok else None
     report = {
         "schedule": schedule,
@@ -431,7 +404,8 @@ def cmd_continue(config: RunConfig):
     }
     _write_profile(config, "final_v.csv", sphere, report_obj.final_v.values)
     for stage, values in zip(report_obj.stages, report_obj.stage_profiles):
-        _write_profile(config, f"stage_p{stage.p:.6f}.csv", sphere, values)
+        # repr is distinct for each p of a strictly decreasing schedule
+        _write_profile(config, f"stage_p{float(stage.p)!r}.csv", sphere, values)
     _write_stages(config, rows)
     return report, ok
 

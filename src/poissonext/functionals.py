@@ -122,8 +122,8 @@ def sharp_constant_by_maximization(
 ) -> SharpConstant:
     """Maximize the norm ratio over the discretized (antipodal) sphere.
 
-    Runs the fixed-point ascent with K = 1 at p = p_crit + (p_bulk - p_crit)/4
-    from the constant and from seeded random positive starts, and reports
+    Runs the solver's multistart with K = 1 at `solver.default_p` from the
+    constant and `starts - 1` seeded starts exp(0.5 N(0, 1)), and reports
     the norm ratio of the start with the largest lambda, the maximizer (a
     start stuck at a lower critical point can have a larger ratio).  The
     exponent stays strictly subcritical because exactly at the critical one
@@ -132,22 +132,12 @@ def sharp_constant_by_maximization(
     shadow of the lost compactness); slightly below it the maximizer is
     smooth and the ratio is an honest lower bound on the discrete supremum.
     """
-    from .solver import SubcriticalProblem, maximize_subcritical
+    from .solver import SubcriticalProblem, default_p, maximize_multistart, multistart_inits
 
     weight = WeightFunction(np.ones(len(sphere)), sphere, antipodal=True)
-    problem = SubcriticalProblem(
-        params=params,
-        weight=weight,
-        p=params.p_crit + 0.25 * (params.p_bulk - params.p_crit),
-        sphere=sphere,
-        ball=ball,
-        max_iter=max_iter,
-    )
-    rng = np.random.default_rng(seed)
-    inits = [np.ones(len(sphere))]
-    inits += [np.exp(0.5 * rng.standard_normal(len(sphere))) for _ in range(starts - 1)]
-    runs = [maximize_subcritical(problem, BoundaryFunction(v0, sphere)) for v0 in inits]
-    v = max(runs, key=lambda run: run[1])[0]
+    problem = SubcriticalProblem(params=params, weight=weight, p=default_p(params),
+                                 sphere=sphere, ball=ball, max_iter=max_iter)
+    (v, _, _), _ = maximize_multistart(problem, multistart_inits(sphere, starts - 1, 0.5, seed))
     ratio = (_antipodal_bulk_norm(problem.operator, v, params.p_bulk)
              / boundary_norm(v, params.p_crit))
     return SharpConstant(ratio)

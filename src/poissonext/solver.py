@@ -23,7 +23,9 @@ functional does not drop.  The functional history is therefore
 nondecreasing.  Convergence is judged on the unmixed full-step residual
 |G(v) - v| / |v|, which neither halving nor mixing can shrink.
 Continuation lowers p along a schedule toward the critical exponent,
-warm-starting each stage from the previous one.
+warm-starting each stage from the previous one.  `maximize_multistart`
+keeps the best of several starts (`multistart_inits`); `solved` is the
+pass gate of every solve.
 
 Every iterate is antipodal bit for bit, so E v and (E v)^{q_exp} have two
 halves with the same bits; the solver extends into the upper half alone,
@@ -54,8 +56,8 @@ MAX_DAMPING_HALVINGS = 20
 ASCENT_SLACK = 1e-12
 # Anderson mixing combines the last ANDERSON_DEPTH + 1 iterates
 ANDERSON_DEPTH = 5
-# a solve passes only if its profile solves the Euler-Lagrange equation to
-# this relative residual; a converged step alone can be a stalled one
+# a solve passes (`solved`) only if its profile solves the Euler-Lagrange
+# equation to this relative residual; a converged step alone can be a stalled one
 EL_RESIDUAL_TOL = 1e-3
 
 
@@ -282,6 +284,36 @@ def maximize_subcritical(
     return state.v, lam, report
 
 
+def solved(report: dict) -> bool:
+    """The pass gate of a solve: converged, no failed step, EL residual <= EL_RESIDUAL_TOL."""
+    return bool(report["converged"] and not report["step_failed"]
+                and report["el_residual"] <= EL_RESIDUAL_TOL)
+
+
+def default_p(params: ProblemParams) -> float:
+    """The exponent of a single solve: a quarter of the way from p_crit to p_bulk."""
+    return params.p_crit + 0.25 * (params.p_bulk - params.p_crit)
+
+
+def multistart_inits(
+    sphere: SphereQuadrature, count: int, sigma: float, seed: int
+) -> list[BoundaryFunction]:
+    """The constant, then `count` starts exp(sigma N(0, 1)) drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    starts = [np.ones(len(sphere))]
+    starts += [np.exp(sigma * rng.standard_normal(len(sphere))) for _ in range(count)]
+    return [BoundaryFunction(v, sphere) for v in starts]
+
+
+def maximize_multistart(problem: SubcriticalProblem, inits: list) -> tuple[tuple, list]:
+    """`maximize_subcritical` from each start; returns (best run, all runs in start order).
+
+    The best run has the largest lambda; the first of tied runs wins.
+    """
+    runs = [maximize_subcritical(problem, init) for init in inits]
+    return max(runs, key=lambda run: run[1]), runs
+
+
 def el_residual(
     v: BoundaryFunction,
     weight: WeightFunction,
@@ -340,6 +372,7 @@ class StageReport:
     inf_v: float
     iterations: int
     converged: bool
+    solved: bool
 
 
 @dataclass
@@ -394,9 +427,9 @@ def continuation(
 ) -> ContinuationReport:
     """Solve the stages of a decreasing-p schedule with warm starts.
 
-    Flags a blow-up symptom when sup v grows by more than `blow_up_factor`
-    between consecutive stages.  Stage failure aborts with the partial
-    report.
+    Every stage is one problem at the stage's p.  Flags a blow-up symptom
+    when sup v grows by more than `blow_up_factor` between consecutive
+    stages.  Stage failure aborts with the partial report.
     """
     if len(schedule) == 0:
         raise ValueError("empty schedule")
@@ -404,24 +437,15 @@ def continuation(
         raise ValueError("schedule must be strictly decreasing")
     if schedule[0] >= params.p_bulk or schedule[-1] < params.p_crit:
         raise ValueError("schedule must stay inside [p_crit, p_bulk)")
-    if init is None:
-        init = BoundaryFunction(np.ones(len(sphere)), sphere)
-    v = init
+    v = BoundaryFunction(np.ones(len(sphere)), sphere) if init is None else init
+    problem = SubcriticalProblem(params=params, weight=weight, p=schedule[0], sphere=sphere,
+                                 ball=ball, tol_v=tol_v, max_iter=max_iter)
     stages: list[StageReport] = []
     profiles: list[np.ndarray] = []
     blow_up = False
     lam = np.nan
     for p in schedule:
-        problem = SubcriticalProblem(
-            params=params,
-            weight=weight,
-            p=p,
-            sphere=sphere,
-            ball=ball,
-            tol_v=tol_v,
-            max_iter=max_iter,
-        )
-        v, lam, report = maximize_subcritical(problem, v)
+        v, lam, report = maximize_subcritical(replace(problem, p=p), v)
         stages.append(
             StageReport(
                 p=p,
@@ -431,6 +455,7 @@ def continuation(
                 inf_v=float(v.values.min()),
                 iterations=report["iterations"],
                 converged=report["converged"],
+                solved=solved(report),
             )
         )
         profiles.append(v.values.copy())

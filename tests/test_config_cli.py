@@ -284,6 +284,20 @@ class TestCliCommands:
         assert report["report"]["exceeds_threshold"]
         assert not report["report"]["blow_up_flag"]
 
+    def test_continue_writes_one_profile_per_stage(self, tmp_path):
+        # the last two p agree to six decimals, so names rounded to six
+        # decimals would write both stages to one file
+        out = str(tmp_path / "out")
+        schedule = [5.0, 4.0000004, 4.0000001]
+        cfg = {"params": {"n": 2, "a": 0.5},
+               "quadrature": {"sphere_resolution": 32, "ball_radial_points": 24},
+               "solver": {"schedule": schedule}, "output_dir": out}
+        assert main(["continue", "--config", write_config(tmp_path, cfg)]) == 0
+        profiles = os.listdir(os.path.join(out, "profiles"))
+        stage_files = sorted(name for name in profiles if name.startswith("stage_p"))
+        assert len(stage_files) == len(schedule)
+        assert stage_files == sorted(f"stage_p{p!r}.csv" for p in schedule)
+
     def test_solve_and_continue_fail_on_el_residual(self, tmp_path, monkeypatch):
         el_terms = px.solver._el_terms
         monkeypatch.setattr(px.solver, "_el_terms", lambda *args: (el_terms(*args)[0], 0.5))

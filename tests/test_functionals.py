@@ -149,9 +149,15 @@ class TestSharpConstant:
                                                             sphere_2d))
         one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
         results = iter([(one, 1.0, {}), (bumpy, 2.0, {}), (one, 1.5, {})])
-        monkeypatch.setattr(px.solver, "maximize_subcritical",
-                            lambda problem, init: next(results))
+        problems = []
+
+        def maximize(problem, init):
+            problems.append(problem)
+            return next(results)
+
+        monkeypatch.setattr(px.solver, "maximize_subcritical", maximize)
         s = px.sharp_constant(params_2d, "numerical_maximization", sphere_2d, ball_2d)
+        assert problems[0].p == px.solver.default_p(params_2d)
 
         op = px.build_extension_operator(sphere_2d, ball_2d, params_2d)
 

@@ -403,6 +403,48 @@ class TestMaximizeSubcritical:
         assert max(lams) - min(lams) < 1e-5 * max(lams)
 
 
+class TestSolveDriver:
+    """The pass gate, the default exponent and the multistart shared by the commands."""
+
+    def test_solved_fails_on_each_failure_mode(self):
+        tol = px.solver.EL_RESIDUAL_TOL
+        good = {"converged": True, "step_failed": False, "el_residual": 0.5 * tol}
+        assert px.solver.solved(good)
+        assert px.solver.solved(dict(good, el_residual=tol))
+        for failure in ({"converged": False}, {"step_failed": True},
+                        {"el_residual": np.nextafter(tol, 1.0)}, {"el_residual": np.nan}):
+            assert px.solver.solved(dict(good, **failure)) is False, failure
+
+    def test_default_p_is_a_quarter_of_the_way_to_the_bulk_exponent(self, params_2d, params_3d):
+        for params in (params_2d, params_3d):
+            p = px.solver.default_p(params)
+            assert p == pytest.approx(params.p_crit + (params.p_bulk - params.p_crit) / 4)
+            assert params.p_crit < p < params.p_bulk
+
+    def test_multistart_inits_start_from_the_constant(self, sphere_2d):
+        inits = px.solver.multistart_inits(sphere_2d, 2, 0.3, 9)
+        assert [init.quad for init in inits] == [sphere_2d] * 3
+        assert np.array_equal(inits[0].values, np.ones(len(sphere_2d)))
+        rng = np.random.default_rng(9)
+        for init in inits[1:]:
+            assert np.array_equal(init.values,
+                                  np.exp(0.3 * rng.standard_normal(len(sphere_2d))))
+        assert len(px.solver.multistart_inits(sphere_2d, 0, 0.3, 9)) == 1
+
+    def test_multistart_keeps_the_first_of_tied_lambdas(self, params_2d, sphere_2d, ball_2d,
+                                                        unit_weight_2d, monkeypatch):
+        prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
+        inits = px.solver.multistart_inits(sphere_2d, 3, 0.3, 0)
+        lams = iter([1.0, 2.0, 2.0, 1.5])
+        monkeypatch.setattr(px.solver, "maximize_subcritical",
+                            lambda problem, init: (init, next(lams), {"problem": problem}))
+        best, runs = px.solver.maximize_multistart(prob, inits)
+        assert [run[0] for run in runs] == inits
+        assert [run[1] for run in runs] == [1.0, 2.0, 2.0, 1.5]
+        assert all(run[2]["problem"] is prob for run in runs)
+        assert best is runs[1]
+
+
 def fsum_of_the_full_integrand(problem, v):
     """math.fsum of the weighted |E v|^p_bulk over every ball node, in ball order."""
     op, q = problem.operator, problem.params.q_exp
@@ -609,6 +651,21 @@ class TestContinuation:
             unit_weight_2d, [5.0, 4.5], params_2d, sphere_2d, ball_2d, blow_up_factor=3.0
         )
         assert not rep2.blow_up_flag
+
+    def test_stages_share_one_operator(self, params_2d, sphere_2d, ball_2d, unit_weight_2d,
+                                       monkeypatch):
+        builds = []
+        build = px.solver.build_extension_operator
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(px.solver, "build_extension_operator", counted)
+        rep = px.continuation(unit_weight_2d, [5.0, 4.5, 4.1], params_2d, sphere_2d, ball_2d)
+        assert len(builds) == 1
+        assert [s.p for s in rep.stages] == [5.0, 4.5, 4.1]
+        assert all(s.solved for s in rep.stages)
 
     def test_rejects_bad_schedules(self, params_2d, sphere_2d, ball_2d, unit_weight_2d):
         for schedule in ([], [4.5, 4.5], [4.5, 5.0], [9.0, 4.5], [4.5, 3.9]):
