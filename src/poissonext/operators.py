@@ -57,17 +57,22 @@ pair, take any input, point masses included: they run these two products
 in ball order through the unfolded table, which they build on their first
 call and keep.  The solver never calls them.
 
-Table layout.  `extend_table` and `adjoint_table` are the only
-half-product, for antipodal input, as every solver iterate is: both halves
-of E v hold the same bits, so E v is returned as its upper half, a row per
-table row and a column per gathered rotation, and T takes F's upper half
-in the same layout; each runs one product per residue class with the
-folded tables.  Their results agree with the general pair's to roundoff,
-not bit for bit: a folded column adds the pair's kernel values, and a
-mirror pair its inputs, before the product does.  The ball weight of a
-node depends only on its shell and ring, never on its azimuth (checked
-bit for bit at build time), so `row_weights` holds one ball weight per
-table row.  `_table_layout` and `_ball_order` are the one map between the
+Table layout.  `extend_table`, `adjoint_table` and `power_adjoint` are the
+only half-products, for antipodal input, as every solver iterate is: both
+halves of E v hold the same bits, so E v is returned as its upper half, a
+row per table row and a column per gathered rotation, and T takes F's
+upper half in the same layout; each runs one product per residue class
+with the folded tables, through one per-class input (`_class_input`) and
+one spread of the transpose products (`_spread_sum`).  `power_adjoint` is
+the solver's T[(E v)^q] in one pass: class u's rows of E v come from a
+product of their own, so it raises them to q, weights them and runs the
+class's transpose product before the next class starts, and no array of
+the full table layout is formed.  The results agree with the general
+pair's to roundoff, not bit for bit: a folded column adds the pair's
+kernel values, and a mirror pair its inputs, before the product does.
+The ball weight of a node depends only on its shell and ring, never on
+its azimuth (checked bit for bit at build time), so `row_weights` holds
+one ball weight per table row.  `_table_layout` and `_ball_order` are the one map between the
 ball order and this layout.
 
 Near-boundary correction.  Raw kernel rows at ball nodes with
@@ -269,7 +274,8 @@ class ExtensionOperator:
     the class's kept folded columns `fold_columns[u][0]`, each adding the
     input of its mirror column in `fold_columns[u][1]`, if it has one;
     `gather_index` gathers rotated copies of the input for every folded
-    column.  See the module docstring.  `row_weights` is the ball weight of
+    column.  See the module docstring; the solver calls `power_adjoint`
+    and `extend_table` only.  `row_weights` is the ball weight of
     each table row.  `row_scale` (per table row) and `col_scale` (per
     sphere node) record the scalings folded into the tables; only the
     general pair's table, built on its first call, reads them.  No array of
@@ -322,28 +328,41 @@ class ExtensionOperator:
         return np.bincount(gather.ravel(), weights=(table.T @ z).ravel(),
                            minlength=len(self.sphere))
 
+    def _class_input(self, y: np.ndarray, u: int) -> np.ndarray:
+        """Class u's product input: y at its kept folded columns plus y at their mirrors."""
+        kept, mirror, _ = self.fold_columns[u]
+        x = y[kept]
+        x[:len(mirror)] += y[mirror]
+        return x
+
     def _fold_product(self, y: np.ndarray) -> np.ndarray:
         """Folded tables times y, one value (or row of turns) per folded column.
 
-        Class u adds each mirror pair's two inputs and writes its rows
-        u::residues of the result: one product per class.
+        Class u writes its rows u::residues of the result: one product per class.
         """
         out = np.empty((len(self.row_weights),) + y.shape[1:])
-        for u, (table, (kept, mirror, _)) in enumerate(zip(self.kernel_table, self.fold_columns)):
-            x = y[kept]
-            x[:len(mirror)] += y[mirror]
-            np.matmul(table, x, out=out[u::self.residues])
+        for u, table in enumerate(self.kernel_table):
+            np.matmul(table, self._class_input(y, u), out=out[u::self.residues])
+        return out
+
+    def _spread_sum(self, class_rows) -> np.ndarray:
+        """Sum over the classes u of kernel_table[u].T @ z_u, one value (or row) per folded column.
+
+        `class_rows` yields z_u, class u's rows, in class order; the kept
+        column of a mirror pair gives its value to both columns.
+        """
+        out = None
+        for table, (_, _, spread), z in zip(self.kernel_table, self.fold_columns, class_rows):
+            part = (table.T @ z)[spread]
+            if out is None:
+                out = part
+            else:
+                out += part
         return out
 
     def _fold_transpose(self, z: np.ndarray) -> np.ndarray:
         """Transpose of _fold_product: one value (or row) per folded column."""
-        parts = ((table.T @ z[u::self.residues])[spread]
-                 for u, (table, (_, _, spread)) in enumerate(zip(self.kernel_table,
-                                                                 self.fold_columns)))
-        out = next(parts)
-        for part in parts:
-            out += part
-        return out
+        return self._spread_sum(z[u::self.residues] for u in range(self.residues))
 
     def _table_layout(self, z: np.ndarray) -> np.ndarray:
         """Upper-half ball values, ball order (shell, ring, m, u) -> table rows x columns m."""
@@ -406,6 +425,20 @@ class ExtensionOperator:
         """(table rows, turns): the shape of extend_table's output and adjoint_table's input."""
         return len(self.row_weights), self.gather_index.shape[1]
 
+    def _gathered(self, v: np.ndarray, name: str) -> np.ndarray:
+        """(w v)[gather_index] of an antipodal v; ValueError naming `name` if its halves differ."""
+        v, hs = np.asarray(v, dtype=float), self.sphere.half
+        if not _same_bits(v[:hs], v[hs:]):
+            raise ValueError(f"{name} needs an antipodal v (its two halves differ in some "
+                             "bit); symmetrize first")
+        return (self.sphere.weights * v)[self.gather_index]
+
+    def _scatter(self, t: np.ndarray) -> np.ndarray:
+        """T F on the sphere nodes from the per-folded-column sums t of F's upper half."""
+        up = np.bincount(self.gather_index.ravel(), weights=t.ravel(),
+                         minlength=len(self.sphere))
+        return up + up[self.sphere.antipode_index]
+
     def extend_table(self, v: np.ndarray) -> np.ndarray:
         """E v at the upper ball nodes in table layout, for an antipodal v.
 
@@ -414,21 +447,33 @@ class ExtensionOperator:
         (module docstring).  Raises ValueError if the two halves of v
         differ in any bit, since the folded tables would then be wrong.
         """
-        v, hs = np.asarray(v, dtype=float), self.sphere.half
-        if not _same_bits(v[:hs], v[hs:]):
-            raise ValueError("extend_table needs an antipodal v (its two halves differ in some "
-                             "bit); symmetrize first")
-        return self._fold_product((self.sphere.weights * v)[self.gather_index])
+        return self._fold_product(self._gathered(v, "extend_table"))
 
     def adjoint_table(self, z: np.ndarray) -> np.ndarray:
         """T F of the antipodal F whose upper half is z, in the layout of extend_table."""
         if np.shape(z) != self.table_shape:
             raise ValueError(f"adjoint_table needs z of the table shape {self.table_shape}, "
                              f"got {np.shape(z)}")
-        up = np.bincount(self.gather_index.ravel(),
-                         weights=self._fold_transpose(self.row_weights[:, None] * z).ravel(),
-                         minlength=len(self.sphere))
-        return up + up[self.sphere.antipode_index]
+        return self._scatter(self._fold_transpose(self.row_weights[:, None] * z))
+
+    def power_adjoint(self, v: np.ndarray, q: float) -> np.ndarray:
+        """T[(E v)^q] of an antipodal v >= 0: adjoint_table(extend_table(v) ** q) in one pass.
+
+        Each residue class runs its forward product, raises it to q, weights
+        it and runs its transpose product before the next class starts, so
+        no full table-layout array is formed.  The result has the bits of
+        the two-call form.  Raises ValueError as extend_table does.
+        """
+        y = self._gathered(v, "power_adjoint")
+
+        def weighted_powers():
+            for u, table in enumerate(self.kernel_table):
+                z = table @ self._class_input(y, u)
+                z **= q
+                z *= self.row_weights[u::self.residues, None]
+                yield z
+
+        return self._scatter(self._spread_sum(weighted_powers()))
 
     def integrate_table(self, integrand: np.ndarray) -> float:
         """Ball integral of the antipodal function whose upper half is `integrand`.

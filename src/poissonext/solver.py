@@ -29,13 +29,14 @@ pass gate of every solve.
 
 Every iterate is antipodal bit for bit, so E v and (E v)^{q_exp} have two
 halves with the same bits; the solver extends into the upper half alone,
-in the kernel table's layout (`ExtensionOperator.extend_table`).  A step
-compares the pairing <v, T[(E v)^{q_exp}]>, an exact sum over the sphere
+in the kernel table's layout.  Each candidate costs one evaluation of
+g = T[(E v)^{q_exp}] (`ExtensionOperator.power_adjoint`), one pass of
+extension, power and adjoint per azimuthal residue class on the folded
+tables.  A step compares the pairing <v, g>, an exact sum over the sphere
 nodes that equals the bulk energy up to product roundoff by discrete
-duality, and the adjoint it pairs with is the next step's right-hand side.
-The exact ball sum (`integrate_table`) runs once per solve, for the
-returned multiplier.  Both products run on the folded tables, one product
-per azimuthal residue class; the solver never builds the general table.
+duality, and g is the next step's right-hand side.  The exact ball sum
+(`integrate_table`) runs once per solve, on one `extend_table`, for the
+returned multiplier.  The solver never builds the general table.
 """
 
 from __future__ import annotations
@@ -145,13 +146,6 @@ def _prepare(problem: SubcriticalProblem, init: BoundaryFunction) -> SolverState
     )
 
 
-def _el_rhs(op: ExtensionOperator, v: np.ndarray, q: float) -> np.ndarray:
-    """g = T[(E v)^q] of an antipodal v >= 0, through the table pair."""
-    z = op.extend_table(v)
-    z **= q
-    return op.adjoint_table(z)
-
-
 def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.ndarray]:
     """The pairing <v, g> and g = T[(E v)^q_exp], which the next step reads.
 
@@ -160,7 +154,7 @@ def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.n
     (v >= 0, so E v >= 0 and p_bulk = q_exp + 1) up to the roundoff of the
     two products; it is an exact sum over the sphere nodes, not the ball.
     """
-    g = _el_rhs(problem.operator, v, problem.params.q_exp)
+    g = problem.operator.power_adjoint(v, problem.params.q_exp)
     return integrate_boundary(v * g, problem.sphere), g
 
 
@@ -199,7 +193,7 @@ def fixed_point_step(
                          "symmetrize first")
     g = state.el_rhs
     if g is None:
-        g = _el_rhs(problem.operator, v, problem.params.q_exp)
+        g = problem.operator.power_adjoint(v, problem.params.q_exp)
     elif g.shape != v.shape:
         raise ValueError(f"the state's el_rhs has shape {g.shape}; T[(E v)^q_exp] on the "
                          f"sphere nodes has {v.shape}")
@@ -350,7 +344,7 @@ def _el_terms(v, weight, params, op, p, lam, el_rhs=None) -> tuple[float, float]
     """
     if np.any(v.values <= 0):
         raise ValueError("the residual is defined for positive v")
-    g = _el_rhs(op, v.values, params.q_exp) if el_rhs is None else el_rhs
+    g = op.power_adjoint(v.values, params.q_exp) if el_rhs is None else el_rhs
     num = integrate_boundary(v.values * g, v.quad)
     den = integrate_boundary(weight.values * v.values**p, v.quad)
     lam_pair = num / den

@@ -580,6 +580,33 @@ class TestFoldedTablePair:
                     assert image_col in (col, partner[col])
 
 
+@pytest.fixture(scope="module")
+def fraction_op():
+    """n = 2, a = 0.75: q_exp = 13/3 is not an integer."""
+    return _structured_op((2, 0.75, 16, 32))
+
+
+class TestPowerAdjoint:
+    """power_adjoint: T[(E v)^q] in one pass per residue class, the solver's right-hand side."""
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_non_integer_q_gives_the_bits_of_the_two_calls(self, fraction_op, antipodal_op,
+                                                           data):
+        positive = st.floats(1e-3, 1e3)
+        for op, q in ((fraction_op, fraction_op.params.q_exp), (antipodal_op, 2.5)):
+            assert not float(q).is_integer()
+            v = antipodal_draw(data, op.sphere, positive)
+            want = op.adjoint_table(op.extend_table(v) ** q)
+            assert op.power_adjoint(v, q).tobytes() == want.tobytes()
+
+    def test_rejects_unequal_halves(self, fraction_op):
+        v = np.ones(len(fraction_op.sphere))
+        v[-1] = np.nextafter(1.0, 2.0)
+        with pytest.raises(ValueError, match="power_adjoint needs an antipodal v.*symmetrize"):
+            fraction_op.power_adjoint(v, fraction_op.params.q_exp)
+
+
 class TestCorrectionModes:
     def test_extend_at_points_is_the_raw_quadrature(self, params_2d, sphere_2d, ball_2d, rng):
         v = rng.normal(size=len(sphere_2d))

@@ -217,18 +217,21 @@ class TestFixedPointStep:
         init = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5, sphere_2d)
         state = px.solver._prepare(prob, init)
         op = prob.operator
-        calls = {"extend_table": [], "adjoint_table": []}
-        extend, adjoint = op.extend_table, op.adjoint_table
-        for name, fn in (("extend_table", extend), ("adjoint_table", adjoint)):
-            monkeypatch.setattr(op, name, lambda x, fn=fn, log=calls[name]: log.append(1) or fn(x))
+        calls = {"power_adjoint": [], "extend_table": [], "adjoint_table": []}
+        fns = {name: getattr(op, name) for name in calls}
+        for name, fn in fns.items():
+            monkeypatch.setattr(op, name, lambda *args, fn=fn, log=calls[name]:
+                                log.append(1) or fn(*args))
         cold = plain_step(px.SolverState(v=state.v, lambda_est=state.lambda_est), prob)
-        cold_calls = {name: len(log) for name, log in calls.items()}
+        cold_calls = len(calls["power_adjoint"])
         warm = plain_step(state, prob)
-        for name, log in calls.items():
-            assert cold_calls[name] - (len(log) - cold_calls[name]) == 1, name
+        # a step evaluates T[(E v)^q] in one pass per candidate; the cold one
+        # also for its own v
+        assert cold_calls - (len(calls["power_adjoint"]) - cold_calls) == 1
+        assert calls["extend_table"] == calls["adjoint_table"] == []
         assert np.array_equal(warm.v.values, cold.v.values)
         assert warm.el_rhs.shape == (len(sphere_2d),)
-        expected = adjoint(extend(warm.v.values) ** params_2d.q_exp)
+        expected = fns["power_adjoint"](warm.v.values, params_2d.q_exp)
         assert warm.el_rhs.tobytes() == expected.tobytes()
         assert warm.lambda_est == px.integrate_boundary(warm.v.values * expected, sphere_2d)
         assert warm.functional_history is state.functional_history
@@ -310,13 +313,14 @@ class TestMaximizeSubcritical:
     def test_antipodal_solve_runs_one_table_product_per_call(
         self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng, monkeypatch
     ):
-        # every iterate is symmetrized, so the solve runs only the table-layout
-        # pair, and each of its calls is one folded product: one table
-        # product per residue class
+        # every iterate is symmetrized, so the solve runs only the folded
+        # tables: one fused pass T[(E v)^q] per candidate and one extension
+        # for the returned lambda, each one product per residue class
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
         op = prob.operator
-        calls = {name: [] for name in ("extend_table", "adjoint_table", "_fold_product",
-                                       "_fold_transpose", "_table_product", "_table_transpose",
+        calls = {name: [] for name in ("power_adjoint", "extend_table", "adjoint_table",
+                                       "_class_input", "_fold_product", "_fold_transpose",
+                                       "_table_product", "_table_transpose",
                                        "extend_values", "adjoint_values")}
 
         for name, log in calls.items():
@@ -326,16 +330,19 @@ class TestMaximizeSubcritical:
                 return out
 
             monkeypatch.setattr(op, name, counted)
+        functional, candidates = px.solver._functional, []
+        monkeypatch.setattr(px.solver, "_functional",
+                            lambda v, problem: candidates.append(1) or functional(v, problem))
         init = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5, sphere_2d)
         _, _, rep = px.maximize_subcritical(prob, init)
         assert rep["converged"]
-        # each candidate runs one extension and one adjoint (its functional and
-        # the next step's right-hand side), the returned lambda one extension
-        assert len(calls["adjoint_table"]) > rep["iterations"]
-        assert len(calls["extend_table"]) == len(calls["adjoint_table"]) + 1
-        assert calls["_fold_product"] == calls["extend_table"] == [op.table_shape] * len(
-            calls["extend_table"])
-        assert calls["_fold_transpose"] == [op.gather_index.shape] * len(calls["adjoint_table"])
+        # the start and each candidate: one pass, its functional and the next
+        # step's right-hand side
+        assert len(calls["power_adjoint"]) == len(candidates) > rep["iterations"]
+        assert calls["power_adjoint"] == [(len(sphere_2d),)] * len(candidates)
+        assert calls["extend_table"] == calls["_fold_product"] == [op.table_shape]
+        assert len(calls["_class_input"]) == op.residues * (len(candidates) + 1)
+        assert calls["adjoint_table"] == calls["_fold_transpose"] == []
         assert calls["_table_product"] == calls["_table_transpose"] == []
         assert calls["extend_values"] == calls["adjoint_values"] == []
         assert op._general is None
