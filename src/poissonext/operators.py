@@ -65,9 +65,10 @@ upper half in the same layout; each runs one product per residue class
 with the folded tables, through one per-class input (`_class_input`) and
 one spread of the transpose products (`_spread_sum`).  `power_adjoint` is
 the solver's T[(E v)^q] in one pass: class u's rows of E v come from a
-product of their own, so it raises them to q, weights them and runs the
-class's transpose product before the next class starts, and no array of
-the full table layout is formed.  The results agree with the general
+product of their own, so it raises them to q (binary powering for an
+integer q, `_power_inplace`), weights them and runs the class's transpose
+product before the next class starts, and no array of the full table
+layout is formed.  The results agree with the general
 pair's to roundoff, not bit for bit: a folded column adds the pair's
 kernel values, and a mirror pair its inputs, before the product does.
 The ball weight of a node depends only on its shell and ring, never on
@@ -118,6 +119,28 @@ from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits, azimuthal
 
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 120
+
+
+def _power_inplace(z: np.ndarray, q: float) -> np.ndarray:
+    """z ** q in place, returning z.
+
+    For an integer q >= 1 this is left-to-right binary powering, about
+    log2(q) squarings and as many multiplications by z, instead of libm
+    pow.  Every multiplication of two powers x^a x^b rounds once, so by
+    induction the result is within (q - 1) u of x^q relative (u = 2^-53)
+    wherever no power of x leaves the normal range; with pow's own error
+    of at most one ulp it differs from `**` by less than q eps relative
+    (eps = 2^-52).  Any other q runs `**`, bit for bit.
+    """
+    if q >= 1 and float(q).is_integer():
+        base = z.copy()
+        for bit in bin(int(q))[3:]:
+            z *= z
+            if bit == "1":
+                z *= base
+    else:
+        z **= q
+    return z
 
 
 @dataclass(eq=False)
@@ -461,15 +484,16 @@ class ExtensionOperator:
 
         Each residue class runs its forward product, raises it to q, weights
         it and runs its transpose product before the next class starts, so
-        no full table-layout array is formed.  The result has the bits of
-        the two-call form.  Raises ValueError as extend_table does.
+        no full table-layout array is formed.  The power is
+        `_power_inplace`: the two-call form's bits for a non-integer q, and
+        within q eps of them relative in each term for an integer q.
+        Raises ValueError as extend_table does.
         """
         y = self._gathered(v, "power_adjoint")
 
         def weighted_powers():
             for u, table in enumerate(self.kernel_table):
-                z = table @ self._class_input(y, u)
-                z **= q
+                z = _power_inplace(table @ self._class_input(y, u), q)
                 z *= self.row_weights[u::self.residues, None]
                 yield z
 

@@ -47,7 +47,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .functionals import SharpConstant, WeightFunction, lambda_threshold
-from .operators import BoundaryFunction, ExtensionOperator, build_extension_operator
+from .operators import (BoundaryFunction, ExtensionOperator, _power_inplace,
+                        build_extension_operator)
 from .params import ProblemParams
 # integrate_ball is not called here; perfbench/tracer.py wraps it under this name
 from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits,  # noqa: F401
@@ -161,12 +162,13 @@ def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.n
 def _bulk_energy(v: np.ndarray, problem: SubcriticalProblem) -> float:
     """The bulk energy, |E v|^p_bulk = (E v)^q_exp * E v, of an antipodal v >= 0.
 
-    The integrand's lower half has the same bits, so the exact sum runs on
-    the weighted upper half in the table layout, taken twice.
+    (E v)^q_exp is `_power_inplace`'s, as in the steps.  The integrand's
+    lower half has the same bits, so the exact sum runs on the weighted
+    upper half in the table layout, taken twice.
     """
     op = problem.operator
     integrand = op.extend_table(v)
-    integrand *= integrand ** problem.params.q_exp
+    integrand *= _power_inplace(integrand.copy(), problem.params.q_exp)
     return op.integrate_table(integrand)
 
 

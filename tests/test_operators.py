@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 import poissonext as px
 from poissonext.config import parse_config
-from poissonext.operators import _kernel_table, _real_sph_design
+from poissonext.operators import _kernel_table, _power_inplace, _real_sph_design
 from poissonext.quadrature import azimuthal_layout, write_csv
 
 
@@ -600,11 +600,55 @@ class TestPowerAdjoint:
             want = op.adjoint_table(op.extend_table(v) ** q)
             assert op.power_adjoint(v, q).tobytes() == want.tobytes()
 
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_integer_q_agrees_within_2_q_eps(self, antipodal_op, data):
+        # binary powering moves each positive term by less than q eps relative
+        op, q, hs = antipodal_op, antipodal_op.params.q_exp, antipodal_op.sphere.half
+        assert float(q).is_integer()
+        v = antipodal_draw(data, op.sphere, st.floats(1e-3, 1e3))
+        got = op.power_adjoint(v, q)
+        want = op.adjoint_table(op.extend_table(v) ** q)
+        assert np.all(np.abs(got - want) <= 2 * q * np.finfo(float).eps * want)
+        assert np.all(got > 0)
+        assert got[:hs].tobytes() == got[hs:].tobytes()
+        j = data.draw(st.integers(0, len(op.sphere) - 1))
+        pair = np.zeros(len(op.sphere))
+        pair[[j, op.sphere.antipode_index[j]]] = data.draw(st.floats(1e-2, 1e2))
+        assert np.all(op.power_adjoint(pair, q) > 0)
+
     def test_rejects_unequal_halves(self, fraction_op):
         v = np.ones(len(fraction_op.sphere))
         v[-1] = np.nextafter(1.0, 2.0)
         with pytest.raises(ValueError, match="power_adjoint needs an antipodal v.*symmetrize"):
             fraction_op.power_adjoint(v, fraction_op.params.q_exp)
+
+
+class TestPowerInplace:
+    """_power_inplace: `**` for a non-integer q, binary powering for an integer one."""
+
+    finite = hnp.arrays(float, st.integers(1, 40), elements=st.floats(1e-100, 1e100))
+
+    @given(x=finite, q=st.floats(0.1, 64.0).filter(lambda q: not q.is_integer()))
+    def test_non_integer_q_is_pow_bit_for_bit(self, x, q):
+        with np.errstate(over="ignore", under="ignore"):
+            want = x ** q
+            assert _power_inplace(x, q) is x
+        assert x.tobytes() == want.tobytes()
+
+    @given(x=finite, q=st.integers(2, 64))
+    def test_integer_q_is_within_2_q_eps_of_pow(self, x, q):
+        with np.errstate(over="ignore", under="ignore"):
+            want = x ** float(q)
+            got = _power_inplace(x.copy(), float(q))
+        info = np.finfo(float)
+        normal = (want >= info.tiny) & (want <= info.max)
+        assert np.all(np.abs(got[normal] - want[normal]) <= 2 * q * info.eps * want[normal])
+        # positive inputs give positive outputs; past the normal range
+        # both underflow to a subnormal or zero, or both overflow
+        assert np.all(got[normal] > 0) and np.all(got >= 0)
+        assert np.all((got[~normal] <= 2 * info.tiny) == (want[~normal] < info.tiny))
+        assert np.array_equal(got[want == np.inf], want[want == np.inf])
 
 
 class TestCorrectionModes:

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 import poissonext as px
+from poissonext.operators import _power_inplace
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 if PERFBENCH not in sys.path:
@@ -180,8 +181,7 @@ class TestFixedPointStep:
         monkeypatch.setattr(px.solver, "_functional", first_candidate_descends)
         out = plain_step(state, prob)
         op, v = prob.operator, state.v.values
-        ext = np.tile(op._ball_order(op.extend_table(v)), 2)     # E v in ball order
-        g = op.adjoint_table(op._table_layout((ext ** params_2d.q_exp)[:ball_2d.half]))
+        g = op.power_adjoint(v, params_2d.q_exp)                 # T[(E v)^q]
         w = (g / unit_weight_2d.values) ** (1.0 / (5.0 - 1.0))
 
         def n_sym(x):
@@ -453,10 +453,13 @@ class TestSolveDriver:
 
 
 def fsum_of_the_full_integrand(problem, v):
-    """math.fsum of the weighted |E v|^p_bulk over every ball node, in ball order."""
+    """math.fsum of the weighted |E v|^p_bulk over every ball node, in ball order.
+
+    (E v)^q_exp is the solver's own power, `_power_inplace`.
+    """
     op, q = problem.operator, problem.params.q_exp
     ext = np.tile(op._ball_order(op.extend_table(v)), 2)
-    return math.fsum((problem.ball.weights * (ext * ext ** q)).tolist())
+    return math.fsum((problem.ball.weights * (ext * _power_inplace(ext.copy(), q))).tolist())
 
 
 def plain_run(problem, init):
