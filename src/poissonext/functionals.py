@@ -119,28 +119,33 @@ def sharp_constant_by_maximization(
     starts: int = 3,
     seed: int = 0,
     max_iter: int = 2000,
-) -> SharpConstant:
+    tol_v: float = 1e-9,
+) -> tuple[SharpConstant, bool]:
     """Maximize the norm ratio over the discretized (antipodal) sphere.
 
     Runs the solver's multistart with K = 1 at `solver.default_p` from the
     constant and `starts - 1` seeded starts exp(0.5 N(0, 1)), and reports
     the norm ratio of the start with the largest lambda, the maximizer (a
-    start stuck at a lower critical point can have a larger ratio).  The
+    start stuck at a lower critical point can have a larger ratio).
+    Returns (constant, solved), with solved the pass gate `solver.solved`
+    of every start's run.  The
     exponent stays strictly subcritical because exactly at the critical one
     the discrete iteration can drift onto grid-scale concentrated profiles
     whose quadrature functional overshoots the true supremum (the discrete
     shadow of the lost compactness); slightly below it the maximizer is
     smooth and the ratio is an honest lower bound on the discrete supremum.
     """
-    from .solver import SubcriticalProblem, default_p, maximize_multistart, multistart_inits
+    from .solver import (SubcriticalProblem, default_p, maximize_multistart, multistart_inits,
+                         solved)
 
     weight = WeightFunction(np.ones(len(sphere)), sphere, antipodal=True)
     problem = SubcriticalProblem(params=params, weight=weight, p=default_p(params),
-                                 sphere=sphere, ball=ball, max_iter=max_iter)
-    (v, _, _), _ = maximize_multistart(problem, multistart_inits(sphere, starts - 1, 0.5, seed))
+                                 sphere=sphere, ball=ball, tol_v=tol_v, max_iter=max_iter)
+    (v, _, _), runs = maximize_multistart(problem,
+                                          multistart_inits(sphere, starts - 1, 0.5, seed))
     ratio = (_antipodal_bulk_norm(problem.operator, v, params.p_bulk)
              / boundary_norm(v, params.p_crit))
-    return SharpConstant(ratio)
+    return SharpConstant(ratio), all(solved(rep) for _, _, rep in runs)
 
 
 def sharp_constant(
@@ -152,7 +157,8 @@ def sharp_constant(
     """Dispatch on the estimation method; see the individual functions.
 
     Each method runs at its defaults; call `sharp_constant_by_maximization`
-    directly to set its starts, seed or iteration cap.
+    directly to set its starts, seed, iteration cap or tolerance, or to read
+    its pass gate.
     """
     if method == "formula_a0":
         return sharp_constant_formula_a0(params)
@@ -161,7 +167,7 @@ def sharp_constant(
     if method == "constant_test_function":
         return sharp_constant_from_constant_test_function(sphere, ball, params)
     if method == "numerical_maximization":
-        return sharp_constant_by_maximization(sphere, ball, params)
+        return sharp_constant_by_maximization(sphere, ball, params)[0]
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -366,6 +366,31 @@ class TestCliCommands:
         assert any(e["est_error"] is not None for e in entries)
         assert any(e["resolution"] is not None for e in entries)
 
+    def test_sharp_fails_with_solve_when_the_maximization_stops_early(self, tmp_path):
+        # two steps cannot converge: solve failed its gate while sharp passed
+        cfg = {"params": {"n": 2, "a": 0.5},
+               "weight": {"kind": "cosine_series", "coefficients": {"0": 1.0, "2": 0.1}},
+               "solver": {"max_iter": 2, "multistart": 2}}
+        for cmd in ("solve", "sharp"):
+            out = str(tmp_path / cmd)
+            path = write_config(tmp_path, dict(cfg, output_dir=out), name=f"{cmd}.json")
+            assert main([cmd, "--config", path]) == 1
+
+    def test_sharp_passes_the_solver_settings(self, tmp_path, monkeypatch):
+        maximize = px.solver.maximize_subcritical
+        settings_seen = []
+
+        def recorded(problem, init):
+            settings_seen.append((problem.max_iter, problem.tol_v))
+            return maximize(problem, init)
+
+        monkeypatch.setattr(px.solver, "maximize_subcritical", recorded)
+        out = str(tmp_path / "out")
+        solver = {"p": 5.0, "max_iter": 700, "tol_v": 2e-9, "multistart": 1}
+        assert main(["sharp", "--config",
+                     write_config(tmp_path, tiny_3d_config(out, solver=solver))]) == 0
+        assert settings_seen == [(700, 2e-9)] * 2
+
     @pytest.mark.parametrize("cmd", ["sharp", "solve", "continue"])
     def test_solving_commands_never_build_the_general_table(self, cmd, tmp_path, monkeypatch):
         # their profiles are antipodal, so every extension runs on the folded table

@@ -134,8 +134,9 @@ class TestSharpConstant:
     def test_maximization_consistent_with_constant(self, sphere_2d, params_2d):
         ball = px.build_ball_quadrature(params_2d, 48, 64)
         s2 = px.sharp_constant(params_2d, "constant_test_function", sphere_2d, ball)
-        s3 = px.functionals.sharp_constant_by_maximization(sphere_2d, ball, params_2d,
-                                                           starts=2, seed=3, max_iter=800)
+        s3, solved = px.functionals.sharp_constant_by_maximization(
+            sphere_2d, ball, params_2d, starts=2, seed=3, max_iter=800)
+        assert solved
         assert s3.value >= s2.value - 1e-4
         assert s3.value <= s2.value * (1 + 1e-3)
 
@@ -148,7 +149,8 @@ class TestSharpConstant:
         bumpy = px.symmetrize_antipodal(px.BoundaryFunction(1.0 + 0.5 * np.cos(2 * theta),
                                                             sphere_2d))
         one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
-        results = iter([(one, 1.0, {}), (bumpy, 2.0, {}), (one, 1.5, {})])
+        passed = {"converged": True, "step_failed": False, "el_residual": 0.0}
+        results = iter([(one, 1.0, passed), (bumpy, 2.0, passed), (one, 1.5, passed)])
         problems = []
 
         def maximize(problem, init):
@@ -169,6 +171,26 @@ class TestSharpConstant:
         # the maximization extends through the folded table
         assert s.value == (px.functionals._antipodal_bulk_norm(op, bumpy, params_2d.p_bulk)
                            / px.boundary_norm(bumpy, params_2d.p_crit))
+
+    def test_maximization_gate_fails_when_a_run_fails(self, sphere_2d, params_2d,
+                                                      monkeypatch):
+        ball = px.build_ball_quadrature(params_2d, 48, 64)
+        _, solved = px.functionals.sharp_constant_by_maximization(
+            sphere_2d, ball, params_2d, starts=2, seed=3, max_iter=2)
+        assert not solved
+        # one start of three off the gate fails the maximization
+        maximize = px.solver.maximize_subcritical
+        calls = []
+
+        def second_run_stalls(problem, init):
+            v, lam, rep = maximize(problem, init)
+            calls.append(problem.tol_v)
+            return v, lam, dict(rep, el_residual=0.5) if len(calls) == 2 else rep
+
+        monkeypatch.setattr(px.solver, "maximize_subcritical", second_run_stalls)
+        _, solved = px.functionals.sharp_constant_by_maximization(
+            sphere_2d, ball, params_2d, starts=3, seed=3, max_iter=800, tol_v=1e-8)
+        assert not solved and calls == [1e-8] * 3
 
     def test_unknown_method_rejected(self, params_3d, sphere_3d, ball_3d):
         with pytest.raises(ValueError):
