@@ -10,8 +10,9 @@ from scipy import special
 from scipy.integrate import quad
 
 import poissonext as px
-from poissonext.quadrature import (MAX_RADIAL_POINTS, RADIAL_NODES_PER_PANEL, exact_sum,
-                                   exact_sum_of_halves, gauss_legendre, panel_rule, write_csv)
+from poissonext.quadrature import (_FSUM_MAX_TERMS, MAX_RADIAL_POINTS, RADIAL_NODES_PER_PANEL,
+                                   exact_sum, exact_sum_of_halves, gauss_legendre, panel_rule,
+                                   write_csv)
 
 
 class TestSphereQuadrature:
@@ -243,7 +244,9 @@ def adversarial_terms(draw):
     if kind == "floats":
         return np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                       max_size=60)), dtype=float)
-    size = draw(st.one_of(st.integers(0, 40), st.integers(0, 10_000)))
+    # short, long and next to exact_sum's fsum cut-off on either side
+    size = draw(st.one_of(st.integers(0, 40), st.integers(0, 10_000),
+                          st.integers(_FSUM_MAX_TERMS - 8, _FSUM_MAX_TERMS + 8)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     signs = rng.choice([-1.0, 1.0], size)
     scale = math.ldexp(1.0, draw(st.integers(-300, 300)))
@@ -306,6 +309,27 @@ class TestExactSum:
         doubled = np.concatenate([terms, terms])
         assert _fsum_outcome(exact_sum, doubled) == _fsum_outcome(
             lambda t: math.fsum(t.tolist()), doubled)
+
+    @pytest.mark.parametrize("length", [_FSUM_MAX_TERMS - 1, _FSUM_MAX_TERMS,
+                                        _FSUM_MAX_TERMS + 1, 2 * _FSUM_MAX_TERMS])
+    def test_fsum_runs_alone_up_to_the_cut_off(self, length, monkeypatch):
+        # up to the cut-off one fsum gets every term; past it the vector
+        # passes leave fsum their few partial sums
+        rng = np.random.default_rng(length)
+        lengths = []
+
+        def fsum(items):
+            lengths.append(len(items))
+            return math.fsum(items)
+
+        monkeypatch.setattr(px.quadrature, "math", type(math)("math"))
+        vars(px.quadrature.math).update(fsum=fsum, frexp=math.frexp, ldexp=math.ldexp)
+        for terms in (rng.uniform(0.5, 1.5, length),
+                      np.ldexp(rng.uniform(-1.0, 1.0, length), rng.integers(-60, 60, length))):
+            lengths.clear()
+            assert struct.pack("<d", exact_sum(terms)) == struct.pack(
+                "<d", math.fsum(terms.tolist()))
+            assert (lengths == [length]) == (length <= _FSUM_MAX_TERMS), lengths
 
     def test_equal_halves_run_the_full_passes(self, monkeypatch):
         # only the solver sums halves; exact_sum has one path
