@@ -126,14 +126,15 @@ def sharp_constant_by_maximization(
     Runs the solver's multistart with K = 1 at `solver.default_p` from the
     constant and `starts - 1` seeded starts exp(0.5 N(0, 1)), and reports
     the norm ratio of the start with the largest lambda, the maximizer (a
-    start stuck at a lower critical point can have a larger ratio).
-    Returns (constant, solved), with solved the pass gate `solver.solved`
-    of every start's run.  The
+    start stuck at a lower critical point can have a larger ratio).  The
     exponent stays strictly subcritical because exactly at the critical one
     the discrete iteration can drift onto grid-scale concentrated profiles
     whose quadrature functional overshoots the true supremum (the discrete
     shadow of the lost compactness); slightly below it the maximizer is
     smooth and the ratio is an honest lower bound on the discrete supremum.
+
+    Returns (constant, solved): solved is the pass gate `solver.solved`
+    of every start's run.
     """
     from .solver import (SubcriticalProblem, default_p, maximize_multistart, multistart_inits,
                          solved)

@@ -68,12 +68,12 @@ the solver's T[(E v)^q] in one pass: class u's rows of E v come from a
 product of their own, so it raises them to q (binary powering for an
 integer q, `_power_inplace`), weights them and runs the class's transpose
 product before the next class starts, and no array of the full table
-layout is formed.  The results agree with the general
-pair's to roundoff, not bit for bit: a folded column adds the pair's
-kernel values, and a mirror pair its inputs, before the product does.
-The ball weight of a node depends only on its shell and ring, never on
-its azimuth (checked bit for bit at build time), so `row_weights` holds
-one ball weight per table row.  `_table_layout` and `_ball_order` are the one map between the
+layout is formed.  The results agree with the general pair's to roundoff,
+not bit for bit: a folded column adds the pair's kernel values, and a
+mirror pair its inputs, before the product does.  The ball weight of a
+node depends only on its shell and ring, never on its azimuth (checked
+bit for bit at build time), so `row_weights` holds one ball weight per
+table row.  `_table_layout` and `_ball_order` are the one map between the
 ball order and this layout.
 
 Near-boundary correction.  Raw kernel rows at ball nodes with
@@ -298,11 +298,11 @@ class ExtensionOperator:
     input of its mirror column in `fold_columns[u][1]`, if it has one;
     `gather_index` gathers rotated copies of the input for every folded
     column.  See the module docstring; the solver calls `power_adjoint`
-    and `extend_table` only.  `row_weights` is the ball weight of
-    each table row.  `row_scale` (per table row) and `col_scale` (per
-    sphere node) record the scalings folded into the tables; only the
-    general pair's table, built on its first call, reads them.  No array of
-    ball length is held.
+    and `extend_table` only.  `row_weights` is the ball weight of each
+    table row.  `row_scale` (per table row) and `col_scale` (per sphere
+    node) record the scalings folded into the tables; only the general
+    pair's table, built on its first call, reads them.  No array of ball
+    length is held.
     """
 
     params: ProblemParams
@@ -374,13 +374,12 @@ class ExtensionOperator:
         `class_rows` yields z_u, class u's rows, in class order; the kept
         column of a mirror pair gives its value to both columns.
         """
-        out = None
-        for table, (_, _, spread), z in zip(self.kernel_table, self.fold_columns, class_rows):
-            part = (table.T @ z)[spread]
-            if out is None:
-                out = part
-            else:
-                out += part
+        parts = ((table.T @ z)[spread]
+                 for table, (_, _, spread), z in zip(self.kernel_table, self.fold_columns,
+                                                     class_rows))
+        out = next(parts)
+        for part in parts:
+            out += part
         return out
 
     def _fold_transpose(self, z: np.ndarray) -> np.ndarray:
