@@ -39,7 +39,6 @@ from .functionals import (
     boundary_norm,
     bulk_norm,
     existence_condition,
-    isoperimetric_ratio,
     lambda_threshold,
     richardson_estimate,
     sharp_constant,
@@ -53,8 +52,6 @@ from .solver import (
     el_residual,
     fixed_point_step,
     maximize_subcritical,
-    normalize_constraint,
-    symmetrize_antipodal,
 )
 from .diagnostics import (
     BubbleParams,

@@ -1,4 +1,4 @@
-"""Norms, the weighted isoperimetric ratio, sharp constants, and thresholds."""
+"""Norms, sharp constants, and thresholds."""
 
 from __future__ import annotations
 
@@ -69,22 +69,6 @@ def _antipodal_bulk_norm(op: ExtensionOperator, v: BoundaryFunction, q: float) -
     functional; the general table is not built.
     """
     return op.integrate_table(np.abs(op.extend_table(v.values)) ** q) ** (1.0 / q)
-
-
-def isoperimetric_ratio(
-    v: BoundaryFunction,
-    weight: WeightFunction,
-    ball: BallQuadrature,
-    params: ProblemParams,
-) -> float:
-    """Bulk p_bulk-energy of the extension over the K-weighted boundary
-    p_crit-energy raised to n/(n-1)."""
-    op = build_extension_operator(v.quad, ball, params)
-    num = integrate_ball(np.abs(op.extend_values(v.values)) ** params.p_bulk, ball)
-    den = integrate_boundary(weight.values * np.abs(v.values) ** params.p_crit, v.quad)
-    if den <= 0:
-        raise ZeroDivisionError("boundary energy vanishes")
-    return num / den ** (params.n / (params.n - 1.0))
 
 
 def sharp_constant_formula_a0(params: ProblemParams) -> SharpConstant:

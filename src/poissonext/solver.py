@@ -17,11 +17,12 @@ SIAM J. Numer. Anal. 49, 2011): from the last pairs (v_i, G(v_i)), with
 f = G(v) - v, gamma minimizes |f_k - dF gamma| over the differences dF of
 f and dX of v, and the mixed point is x = v_k - dX gamma + (f_k - dF gamma).
 N(sym(x)) is kept only if x is positive and the functional does not drop
-(up to ASCENT_SLACK); otherwise the history restarts and the plain step
-v+ = N(sym((1 - tau) v + tau w)) runs from tau = 1, halving tau until the
-functional does not drop.  The functional history is therefore
-nondecreasing.  Convergence is judged on the unmixed full-step residual
-|G(v) - v| / |v|, which neither halving nor mixing can shrink.
+(up to ASCENT_SLACK times it; lambda scales with K); otherwise the history
+restarts and the plain step v+ = N(sym((1 - tau) v + tau w)) runs from
+tau = 1, halving tau until the functional does not drop.  The functional
+history is therefore nondecreasing.  Convergence is judged on the
+unmixed full-step residual |G(v) - v| / |v|, which neither halving nor
+mixing can shrink.
 Continuation lowers p along a schedule toward the critical exponent,
 warm-starting each stage from the previous one.  `maximize_multistart`
 keeps the best of several starts (`multistart_inits`); `solved` is the
@@ -36,7 +37,8 @@ tables.  A step compares the pairing <v, g>, an exact sum over the sphere
 nodes that equals the bulk energy up to product roundoff by discrete
 duality, and g is the next step's right-hand side.  The exact ball sum
 (`integrate_table`) runs once per solve, on one `extend_table`, for the
-returned multiplier.  The solver never builds the general table.
+returned multiplier.  The solver never builds the general table.  Profiles
+are plain arrays inside a solve; one `BoundaryFunction` is built per state.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits,  # noqa: 
                          integrate_ball, integrate_boundary)
 
 MAX_DAMPING_HALVINGS = 20
+# relative: a candidate may lower the functional by this fraction of it
 ASCENT_SLACK = 1e-12
 # Anderson mixing combines the last ANDERSON_DEPTH + 1 iterates
 ANDERSON_DEPTH = 5
@@ -116,21 +119,6 @@ class SolverState:
     el_rhs: np.ndarray | None = field(default=None, repr=False)
 
 
-def symmetrize_antipodal(v: BoundaryFunction) -> BoundaryFunction:
-    """Project onto the antipodally symmetric class (idempotent average)."""
-    return BoundaryFunction(0.5 * (v.values + v.values[v.quad.antipode_index]), v.quad)
-
-
-def normalize_constraint(
-    v: BoundaryFunction, weight: WeightFunction, p: float
-) -> BoundaryFunction:
-    """Scale v so that the constraint integral K |v|^p equals one."""
-    c = integrate_boundary(weight.values * np.abs(v.values) ** p, v.quad)
-    if c <= 0:
-        raise ValueError("cannot normalize the zero function")
-    return BoundaryFunction(v.values / c ** (1.0 / p), v.quad)
-
-
 def _prepare(problem: SubcriticalProblem, init: BoundaryFunction) -> SolverState:
     if init.quad is not problem.sphere:
         raise ValueError("the initial guess must live on the problem's sphere quadrature")
@@ -138,9 +126,9 @@ def _prepare(problem: SubcriticalProblem, init: BoundaryFunction) -> SolverState
     if not np.any(v > 0):
         raise ValueError("initial guess must be nonnegative and nonzero")
     v = _candidate(v, problem)
-    lam, el_rhs = _functional(v.values, problem)
+    lam, el_rhs = _functional(v, problem)
     return SolverState(
-        v=v,
+        v=BoundaryFunction(v, problem.sphere),
         lambda_est=lam,
         functional_history=[lam],
         el_rhs=el_rhs,
@@ -172,10 +160,18 @@ def _bulk_energy(v: np.ndarray, problem: SubcriticalProblem) -> float:
     return op.integrate_table(integrand)
 
 
-def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> BoundaryFunction:
-    """N(sym(values)): the symmetrized, constraint-normalized profile."""
-    cand = symmetrize_antipodal(BoundaryFunction(values, problem.sphere))
-    return normalize_constraint(cand, problem.weight, problem.p)
+def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> np.ndarray:
+    """N(sym(values)) = x / c^{1/p}: x the antipodal average (bit for bit
+    antipodal), c = integral K |x|^p.  ValueError when c <= 0 or the result is
+    not finite (as it is when x is not: c is then inf or nan)."""
+    x = 0.5 * (values + values[problem.sphere.antipode_index])
+    c = integrate_boundary(problem.weight.values * np.abs(x) ** problem.p, problem.sphere)
+    if c <= 0:
+        raise ValueError("cannot normalize the zero function")
+    out = x / c ** (1.0 / problem.p)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("boundary values must be finite")
+    return out
 
 
 def fixed_point_step(
@@ -201,31 +197,33 @@ def fixed_point_step(
                          f"sphere nodes has {v.shape}")
     w = (g / problem.weight.values) ** (1.0 / (problem.p - 1.0))
     full = _candidate(w, problem)
-    residual = float(np.max(np.abs(full.values - v)) / np.max(np.abs(v)))
-    history.append((v, full.values))
+    residual = float(np.max(np.abs(full - v)) / np.max(np.abs(v)))
+    history.append((v, full))
     if len(history) > 1:
         mixed = _anderson_point(history)
         if np.all(mixed > 0):
-            cand = _candidate(mixed, problem)
-            lam, cand_rhs = _functional(cand.values, problem)
-            if lam >= state.lambda_est - ASCENT_SLACK:
-                return _accepted(state, cand, lam, cand_rhs, residual)
+            if (new := _accepted(state, _candidate(mixed, problem), problem, residual)):
+                return new
         history.clear()
-        history.append((v, full.values))
+        history.append((v, full))
     tau = 1.0
     for _ in range(MAX_DAMPING_HALVINGS + 1):
         cand = full if tau == 1.0 else _candidate((1.0 - tau) * v + tau * w, problem)
-        lam, cand_rhs = _functional(cand.values, problem)
-        if lam >= state.lambda_est - ASCENT_SLACK:
-            return _accepted(state, cand, lam, cand_rhs, residual)
+        if (new := _accepted(state, cand, problem, residual)):
+            return new
         tau *= 0.5
     return replace(state, step_failed=True)
 
 
-def _accepted(state, cand, lam, cand_rhs, residual) -> SolverState:
+def _accepted(state, cand, problem, residual) -> SolverState | None:
+    """The state at the array cand, or None if its functional is nan or drops
+    by more than the slack."""
+    lam, cand_rhs = _functional(cand, problem)
+    if not lam >= state.lambda_est - ASCENT_SLACK * abs(state.lambda_est):
+        return None
     state.functional_history.append(lam)
     return SolverState(
-        v=cand,
+        v=BoundaryFunction(cand, problem.sphere),
         lambda_est=lam,
         iteration=state.iteration + 1,
         residual=residual,

@@ -362,6 +362,7 @@ class TestCliCommands:
         report = read_report(out)
         disc = report["report"]["discrepancies"]
         assert disc["constant_test_function_vs_formula_a0"] < 1e-4
+        assert report["report"]["maximization_solved"] is True
         entries = report["report"]["entries"]
         assert any(e["est_error"] is not None for e in entries)
         assert any(e["resolution"] is not None for e in entries)
@@ -375,6 +376,7 @@ class TestCliCommands:
             out = str(tmp_path / cmd)
             path = write_config(tmp_path, dict(cfg, output_dir=out), name=f"{cmd}.json")
             assert main([cmd, "--config", path]) == 1
+        assert read_report(out)["report"]["maximization_solved"] is False
 
     def test_sharp_passes_the_solver_settings(self, tmp_path, monkeypatch):
         maximize = px.solver.maximize_subcritical

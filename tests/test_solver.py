@@ -40,53 +40,77 @@ def plain_step(state, problem):
     return px.fixed_point_step(state, problem, deque(maxlen=1))
 
 
+@pytest.fixture()
+def problem_2d(params_2d, sphere_2d, ball_2d, unit_weight_2d):
+    return make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
+
+
+@pytest.fixture()
+def problem_3d(params_3d, sphere_3d, ball_3d, unit_weight_3d):
+    return make_problem(params_3d, unit_weight_3d, 5.0, sphere_3d, ball_3d)
+
+
 class TestSymmetrize:
-    def test_fixed_on_antipodal_input(self, sphere_2d, rng):
+    """The antipodal average of `solver._candidate`, N(sym(values))."""
+
+    def test_fixed_on_antipodal_input(self, sphere_2d, problem_2d, rng):
+        # the average leaves antipodal data alone; only the constraint scales it
         v = rng.random(len(sphere_2d))
         v = 0.5 * (v + v[sphere_2d.antipode_index])
-        out = px.symmetrize_antipodal(px.BoundaryFunction(v, sphere_2d))
-        assert np.array_equal(out.values, v)
+        c = px.integrate_boundary(v**5.0, sphere_2d)
+        assert np.array_equal(px.solver._candidate(v, problem_2d), v / c ** (1.0 / 5.0))
 
-    def test_bump_becomes_two_bumps(self, sphere_2d):
+    def test_bump_becomes_two_bumps(self, sphere_2d, problem_2d):
         v = np.zeros(len(sphere_2d))
         v[5] = 2.0
-        out = px.symmetrize_antipodal(px.BoundaryFunction(v, sphere_2d)).values
+        out = px.solver._candidate(v, problem_2d)
         anti = sphere_2d.antipode_index[5]
-        assert out[5] == out[anti] == 1.0
+        assert out[5] == out[anti] > 0
         assert np.sum(out != 0) == 2
 
-    def test_idempotent_bitwise(self, sphere_3d, rng):
-        v = px.BoundaryFunction(rng.random(len(sphere_3d)), sphere_3d)
-        once = px.symmetrize_antipodal(v)
-        twice = px.symmetrize_antipodal(once)
-        assert np.array_equal(once.values, twice.values)
+    def test_idempotent_bitwise(self, sphere_3d, problem_3d, rng):
+        # the second average returns its input bit for bit; only the scaling acts
+        once = px.solver._candidate(rng.random(len(sphere_3d)), problem_3d)
+        twice = px.solver._candidate(once, problem_3d)
+        c = px.integrate_boundary(once**5.0, sphere_3d)
+        assert np.array_equal(twice, once / c ** (1.0 / 5.0))
+        for out in (once, twice):
+            assert np.array_equal(out, out[sphere_3d.antipode_index])
+        assert np.allclose(once, twice, rtol=1e-14, atol=0)
 
 
 class TestNormalizeConstraint:
-    def test_constant_value(self, sphere_3d, unit_weight_3d):
-        one = px.BoundaryFunction(np.ones(len(sphere_3d)), sphere_3d)
-        for p in (4.0, 5.0):
-            out = px.normalize_constraint(one, unit_weight_3d, p)
-            assert np.allclose(out.values, (4 * np.pi) ** (-1 / p), rtol=1e-12)
+    """The constraint normalization of `solver._candidate`, N(sym(values))."""
 
-    def test_constraint_equals_one(self, sphere_2d, unit_weight_2d, rng):
-        v = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.2, sphere_2d)
-        out = px.normalize_constraint(v, unit_weight_2d, 4.0)
-        c = px.integrate_boundary(unit_weight_2d.values * out.values**4, sphere_2d)
+    def test_constant_value(self, sphere_3d, problem_3d):
+        for p in (4.0, 5.0):
+            out = px.solver._candidate(np.ones(len(sphere_3d)), replace(problem_3d, p=p))
+            assert np.allclose(out, (4 * np.pi) ** (-1 / p), rtol=1e-12)
+
+    def test_constraint_equals_one(self, sphere_2d, problem_2d, rng):
+        out = px.solver._candidate(rng.random(len(sphere_2d)) + 0.2, problem_2d)
+        c = px.integrate_boundary(problem_2d.weight.values * out**5, sphere_2d)
         assert abs(c - 1.0) < 1e-12
 
-    def test_scale_invariance_and_idempotence(self, sphere_2d, unit_weight_2d, rng):
+    def test_scale_invariance_and_idempotence(self, sphere_2d, problem_2d, rng):
         v = rng.random(len(sphere_2d)) + 0.2
-        n1 = px.normalize_constraint(px.BoundaryFunction(v, sphere_2d), unit_weight_2d, 4.0)
-        n2 = px.normalize_constraint(px.BoundaryFunction(5.0 * v, sphere_2d), unit_weight_2d, 4.0)
-        assert np.allclose(n1.values, n2.values, rtol=1e-13)
-        n3 = px.normalize_constraint(n1, unit_weight_2d, 4.0)
-        assert np.allclose(n1.values, n3.values, rtol=1e-14)
+        n1 = px.solver._candidate(v, problem_2d)
+        n2 = px.solver._candidate(5.0 * v, problem_2d)
+        assert np.allclose(n1, n2, rtol=1e-13)
+        n3 = px.solver._candidate(n1, problem_2d)
+        assert np.allclose(n1, n3, rtol=1e-14)
 
-    def test_rejects_zero(self, sphere_2d, unit_weight_2d):
-        zero = px.BoundaryFunction(np.zeros(len(sphere_2d)), sphere_2d)
-        with pytest.raises(ValueError):
-            px.normalize_constraint(zero, unit_weight_2d, 4.0)
+    def test_rejects_zero(self, sphere_2d, problem_2d):
+        with pytest.raises(ValueError, match="cannot normalize the zero function"):
+            px.solver._candidate(np.zeros(len(sphere_2d)), problem_2d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_rejects_a_non_finite_average(self, bad, sphere_2d, problem_2d):
+        # 1e308 is finite, but 1e308 + 1e308 overflows in the average
+        v = np.full(len(sphere_2d), bad)
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="boundary values must be finite"):
+            px.solver._candidate(v, problem_2d)
 
 
 class TestProblemValidation:
@@ -148,17 +172,15 @@ class TestProblemValidation:
 class TestFixedPointStep:
     def test_constant_is_a_fixed_point(self, params_3d, sphere_3d, ball_3d, unit_weight_3d):
         prob = make_problem(params_3d, unit_weight_3d, 5.0, sphere_3d, ball_3d)
-        v0 = px.normalize_constraint(
-            px.BoundaryFunction(np.ones(len(sphere_3d)), sphere_3d), unit_weight_3d, 5.0
-        )
+        v0 = px.BoundaryFunction(px.solver._candidate(np.ones(len(sphere_3d)), prob), sphere_3d)
         state = px.SolverState(v=v0, lambda_est=0.0, functional_history=[0.0])
         out = plain_step(state, prob)
         assert np.max(np.abs(out.v.values - v0.values)) < 1e-8
 
     def test_step_preserves_state_invariants(self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng):
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
-        v0 = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.1, sphere_2d)
-        v0 = px.normalize_constraint(px.symmetrize_antipodal(v0), unit_weight_2d, 5.0)
+        v0 = px.BoundaryFunction(px.solver._candidate(rng.random(len(sphere_2d)) + 0.1, prob),
+                                 sphere_2d)
         state = px.SolverState(v=v0, lambda_est=0.0, functional_history=[0.0])
         out = plain_step(state, prob)
         c = px.integrate_boundary(unit_weight_2d.values * np.abs(out.v.values) ** 5.0, sphere_2d)
@@ -185,8 +207,7 @@ class TestFixedPointStep:
         w = (g / unit_weight_2d.values) ** (1.0 / (5.0 - 1.0))
 
         def n_sym(x):
-            sym = px.symmetrize_antipodal(px.BoundaryFunction(x, sphere_2d))
-            return px.normalize_constraint(sym, unit_weight_2d, 5.0).values
+            return px.solver._candidate(x, prob)
 
         assert len(calls) == 2 and out.iteration == 1 and not out.step_failed
         assert np.array_equal(out.v.values, n_sym(0.5 * v + 0.5 * w))
@@ -346,6 +367,40 @@ class TestMaximizeSubcritical:
         assert calls["_table_product"] == calls["_table_transpose"] == []
         assert calls["extend_values"] == calls["adjoint_values"] == []
         assert op._general is None
+
+    def test_solve_builds_one_boundary_function_per_accepted_step(
+        self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng, monkeypatch
+    ):
+        # candidates stay arrays; only the start and each new state are validated
+        prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
+        init = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5, sphere_2d)
+        validate, built = px.operators._NodalValues.__post_init__, []
+
+        def counted(self):
+            built.append(type(self))
+            validate(self)
+
+        monkeypatch.setattr(px.operators._NodalValues, "__post_init__", counted)
+        _, _, rep = px.maximize_subcritical(prob, init)
+        assert rep["converged"] and rep["iterations"] > 1
+        assert len(built) <= rep["iterations"] + 2
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e-10, 1e30])
+    def test_constant_weight_scale_moves_lambda_by_its_power(self, scale, params_2d, sphere_2d,
+                                                             ball_2d):
+        # K -> c K takes v to c^{-1/p} v and lambda to c^{-p_bulk/p} lambda; an
+        # absolute ascent slack failed the c = 1e-10 solve (lambda 6.7e14), whose
+        # pairing roundoff is far above 1e-12
+        lams = []
+        for c in (1.0, scale):
+            weight = px.WeightFunction(np.full(len(sphere_2d), c), sphere_2d, antipodal=True)
+            prob = make_problem(params_2d, weight, px.solver.default_p(params_2d), sphere_2d,
+                                ball_2d)
+            init = px.BoundaryFunction(worker.seeded_profile(np, sphere_2d.nodes, 2), sphere_2d)
+            _, lam, rep = px.maximize_subcritical(prob, init)
+            assert px.solver.solved(rep) and rep["iterations"] > 1
+            lams.append(lam * c ** (params_2d.p_bulk / prob.p))
+        assert lams[1] == pytest.approx(lams[0], rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_solve_returns_the_fsum_of_the_full_integrand(self, n):
@@ -516,7 +571,7 @@ class TestAndersonMixing:
             monkeypatch.setattr(px.solver, "_functional", first_candidate_descends)
         else:
             monkeypatch.setattr(px.solver, "_anderson_point",
-                                lambda h: -px.solver._candidate(h[-1][1], prob).values)
+                                lambda h: -px.solver._candidate(h[-1][1], prob))
         out = px.fixed_point_step(state, prob, history)
         assert len(calls) == (2 if reject == "descent" else 0)
         assert np.array_equal(out.v.values, expected.v.values)
