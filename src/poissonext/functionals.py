@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (BoundaryFunction, ExtensionField, ExtensionOperator, _NodalValues,
-                        build_extension_operator)
+from .operators import BoundaryFunction, ExtensionField, _NodalValues, build_extension_operator
 from .params import ProblemParams
 from .quadrature import (BallQuadrature, SphereQuadrature, ball_volume, integrate_ball,
                          integrate_boundary)
@@ -61,16 +60,6 @@ def bulk_norm(f: ExtensionField, q: float) -> float:
     return integrate_ball(np.abs(f.values) ** q, f.quad) ** (1.0 / q)
 
 
-def _antipodal_bulk_norm(op: ExtensionOperator, v: BoundaryFunction, q: float) -> float:
-    """bulk_norm of the extension of an antipodal v, through the table pair.
-
-    Both halves of E v hold the same bits (`extend_table`), so the integral
-    is the sum of its weighted upper half taken twice, as in the solver's
-    functional; the general table is not built.
-    """
-    return op.integrate_table(np.abs(op.extend_table(v.values)) ** q) ** (1.0 / q)
-
-
 def sharp_constant_formula_a0(params: ProblemParams) -> SharpConstant:
     """Closed form of the sharp constant at a = 0 (n >= 3 only)."""
     if params.a != 0.0 or params.n < 3:
@@ -91,9 +80,8 @@ def sharp_constant_from_constant_test_function(
     """Ratio of norms of the extension of v = 1 (the claimed extremizer)."""
     one = BoundaryFunction(np.ones(len(sphere)), sphere)
     op = build_extension_operator(sphere, ball, params)
-    num = _antipodal_bulk_norm(op, one, params.p_bulk)
-    den = boundary_norm(one, params.p_crit)
-    return SharpConstant(num / den)
+    num = op.bulk_energy(one.values, params.q_exp) ** (1.0 / params.p_bulk)
+    return SharpConstant(num / boundary_norm(one, params.p_crit))
 
 
 def sharp_constant_by_maximization(
@@ -110,7 +98,8 @@ def sharp_constant_by_maximization(
     Runs the solver's multistart with K = 1 at `solver.default_p` from the
     constant and `starts - 1` seeded starts exp(0.5 N(0, 1)), and reports
     the norm ratio of the start with the largest lambda, the maximizer (a
-    start stuck at a lower critical point can have a larger ratio).  The
+    start stuck at a lower critical point can have a larger ratio), read
+    from its bulk energy: lambda^(1/p_bulk) / |v|_{p_crit}.  The
     exponent stays strictly subcritical because exactly at the critical one
     the discrete iteration can drift onto grid-scale concentrated profiles
     whose quadrature functional overshoots the true supremum (the discrete
@@ -126,10 +115,9 @@ def sharp_constant_by_maximization(
     weight = WeightFunction(np.ones(len(sphere)), sphere, antipodal=True)
     problem = SubcriticalProblem(params=params, weight=weight, p=default_p(params),
                                  sphere=sphere, ball=ball, tol_v=tol_v, max_iter=max_iter)
-    (v, _, _), runs = maximize_multistart(problem,
-                                          multistart_inits(sphere, starts - 1, 0.5, seed))
-    ratio = (_antipodal_bulk_norm(problem.operator, v, params.p_bulk)
-             / boundary_norm(v, params.p_crit))
+    (v, lam, _), runs = maximize_multistart(problem,
+                                            multistart_inits(sphere, starts - 1, 0.5, seed))
+    ratio = lam ** (1.0 / params.p_bulk) / boundary_norm(v, params.p_crit)
     return SharpConstant(ratio), all(solved(rep) for _, _, rep in runs)
 
 

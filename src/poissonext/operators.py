@@ -34,17 +34,18 @@ its cosine, so it is also even under a reflection.  Reflecting the sphere
 about the azimuth of ball node (m, u) maps its grid onto itself for every
 m when the azimuth counts allow it (every residue u for ub in {1, 2},
 which covers the default n = 2 and n = 3 rules; u = 0 and u = ub/2
-otherwise), and it then maps the nodes a folded column gathers onto those
-of a mirror column (checked at build time).  The rows of residue u hold
-the same kernel bits at both columns of a mirror pair, so residue class u
+otherwise), and it then maps the nodes a column gathers onto those of a
+mirror column (checked at build time).  The rows of residue u hold the
+same kernel bits at both columns of a mirror pair, so residue class u
 keeps one column per pair and its product pre-adds the pair's two
 gathered inputs: `kernel_table[u]` @ (y[kept] + y[mirror]) fills the table
 rows u::residues, one product per class (`fold_columns[u]` holds the kept
-and mirror columns).  A column that is its own mirror (offset 0 or half a
-turn), and every column of a class without an in-grid mirror, is kept
-once as it is.  A product costs sum_u rows_u kept_u turns multiply-adds,
-at most 0.27 of the dense count on the default rules, against 0.5 with
-the antipodal fold alone; each entry is still a sum of positive terms.
+and mirror columns).  This is a symmetry of the kernel, exact for any
+input.  A column that is its own mirror (offset 0 or half a turn), and
+every column of a class without an in-grid mirror, is kept once as it
+is.  A product costs sum_u rows_u kept_u turns multiply-adds, at most 0.27
+of the dense count on the default rules, against 0.5 with the antipodal
+fold alone; each entry is still a sum of positive terms.
 
 Exact contracts.  Every output value is a sum of products of positive
 numbers, so positivity of both operators is exact.  The second half of the
@@ -53,28 +54,29 @@ kernel(xi, -eta), so the lower half of E v is the same upper-half map
 applied to v[antipode], and T is T_up(F_up) + T_up(F_down)[antipode]:
 antipodal equivariance holds bit for bit, by the same computation and one
 commutative addition.  `extend_values` and `adjoint_values`, the general
-pair, take any input, point masses included: they run these two products
-in ball order through the unfolded table, which they build on their first
-call and keep.  The solver never calls them.
+pair, take any input, point masses included: they run the same class
+products in ball order on tables over all columns, mirror-folded only
+(about half the unfolded table), which they build on their first call and
+keep.  The solver never calls them.
 
-Table layout.  `extend_table`, `adjoint_table` and `power_adjoint` are the
-only half-products, for antipodal input, as every solver iterate is: both
-halves of E v hold the same bits, so E v is returned as its upper half, a
-row per table row and a column per gathered rotation, and T takes F's
-upper half in the same layout; each runs one product per residue class
-with the folded tables, through one per-class input (`_class_input`) and
-one spread of the transpose products (`_spread_sum`).  `power_adjoint` is
-the solver's T[(E v)^q] in one pass: class u's rows of E v come from a
-product of their own, so it raises them to q (binary powering for an
-integer q, `_power_inplace`), weights them and runs the class's transpose
-product before the next class starts, and no array of the full table
-layout is formed.  The results agree with the general pair's to roundoff,
-not bit for bit: a folded column adds the pair's kernel values, and a
-mirror pair its inputs, before the product does.  The ball weight of a
-node depends only on its shell and ring, never on its azimuth (checked
-bit for bit at build time), so `row_weights` holds one ball weight per
-table row.  `_table_layout` and `_ball_order` are the one map between the
-ball order and this layout.
+Table layout.  `extend_table`, `adjoint_table`, `power_adjoint` and
+`bulk_energy` are the only half-products, for antipodal input, as every
+solver iterate is: both halves of E v hold the same bits, so E v is
+returned as its upper half, a row per table row and a column per gathered
+rotation, and T takes F's upper half in the same layout; each runs one
+product per residue class with the folded tables, through one per-class
+input (`_class_input`) and one spread of the transpose products
+(`_spread_sum`).  `power_adjoint` is the solver's T[(E v)^q] in one pass:
+class u's rows of E v come from a product of their own, so it raises them
+to q (binary powering for an integer q, `_power_inplace`), weights them
+and runs the class's transpose product before the next class starts, and
+no array of the full table layout is formed.  `bulk_energy` is the one
+ball integral, |E v|^(q + 1).  The results agree with the general pair's
+to roundoff, not bit for bit: a folded column adds its antipodal
+partner's kernel before the product does.  The ball weight of a node depends only on its shell and ring,
+never on its azimuth (checked bit for bit at build time), so
+`row_weights` holds one ball weight per table row.  `_table_layout` and
+`_ball_order` are the one map between the ball order and this layout.
 
 Near-boundary correction.  Raw kernel rows at ball nodes with
 1 - |xi| << (sphere node spacing) overestimate the integral by orders of
@@ -143,6 +145,13 @@ def _power_inplace(z: np.ndarray, q: float) -> np.ndarray:
     return z
 
 
+def _checked(x, shape: tuple, what: str) -> np.ndarray:
+    """x as a float array; ValueError "`what` `shape`, got ..." unless x has that shape."""
+    if np.shape(x) != shape:
+        raise ValueError(f"{what} {shape}, got {np.shape(x)}")
+    return np.asarray(x, dtype=float)
+
+
 @dataclass(eq=False)
 class _NodalValues:
     """Finite values at the nodes of a quadrature rule; equal only to itself."""
@@ -172,8 +181,8 @@ class ExtensionField(_NodalValues):
 
 
 def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: ProblemParams,
-                  fold: bool = True) -> tuple:
-    """Kernel table and gather index of the upper-half extension, and how it folds.
+                  antipodal: bool = True) -> tuple:
+    """Mirror-folded class tables and gather index of the upper-half extension.
 
     Let g be the gcd of the ball and sphere azimuth counts naz_b = ub g and
     naz_s = us g.  A ball node at azimuth index m ub + u and a sphere node
@@ -187,20 +196,20 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
     tau + us ((m - k) mod g)), so the upper-half extension is
     table @ y[gather] with one output column per m.
 
-    Without `fold` this returns (table, gather, ub).  With it, the table
-    is folded twice (module docstring), checking here that the antipodes,
-    and each class's mirror images, of the nodes a column gathers are the
-    nodes of one column at every m.  The folded columns are those whose
-    m = 0 node lies in the sphere's upper half; the returned gather index
-    has their rows.  columns[u] is (kept, mirror, spread) for residue class
-    u: its kept folded columns, the mirror columns of kept[:len(mirror)]
-    (the rest mirror themselves, or the class has no in-grid mirror), and
-    for each folded column the kept column it adds into.  tables[u] (class
-    u's rows x kept) holds each kept column's kernel plus its antipodal
-    partner's, computed once.  orbit numbers the folded columns by their
-    nodes' orbit under the turns, the antipode and the mirror about
-    azimuth 0.  Returns (tables, gather, columns, orbit, ub).  Rows are
-    filled shell by shell, and no unfolded table is allocated.
+    The columns are folded by the mirror (module docstring), which is exact
+    for any input, and with `antipodal` also antipodally: only the columns
+    whose m = 0 node lies in the sphere's upper half are kept, for antipodal
+    input.  Checks here that the antipodes, and each class's mirror images,
+    of the nodes a column gathers are the nodes of one column at every m.
+    The returned gather index has the columns' rows.  columns[u] is (kept,
+    mirror, spread) for residue class u: its kept columns, the mirror
+    columns of kept[:len(mirror)] (the rest mirror themselves, or the class
+    has no in-grid mirror), and for each column the kept column it adds
+    into.  tables[u] (class u's rows x kept) holds each kept column's
+    kernel, plus its antipodal partner's with `antipodal`, computed once.
+    orbit numbers the columns by their nodes' orbit under the turns, the
+    antipode and the mirror about azimuth 0.  Returns (tables, gather,
+    columns, orbit, ub), filled shell by shell; no unfolded table is made.
     """
     ang = ball.angular
     cos_b, ring_b, _, naz_b = azimuthal_layout(ang)
@@ -252,12 +261,11 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
                 table[shell * rows:(shell + 1) * rows] = values[:, block]
         return tables
 
-    if not fold:
-        return fill([e2], [len(sphere)])[0], gather, ub
-    reps = np.flatnonzero(gather[:, 0] < sphere.half)
-    folded = np.empty(len(sphere), dtype=np.intp)
-    folded[reps] = folded[partner[reps]] = np.arange(len(reps))
-    index = np.arange(len(reps))
+    cols = folded = np.arange(len(sphere))
+    if antipodal:
+        cols = np.flatnonzero(gather[:, 0] < sphere.half)
+        folded[cols] = folded[partner[cols]] = np.arange(len(cols))
+    index = np.arange(len(cols))
     columns = []
     for res in range(ub):
         mirror = index
@@ -265,26 +273,27 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
             # the mirror about ball node (m, res) maps sphere azimuth index t
             # to 2 us m + shift - t on the same ring
             shift = 2 * res * us // ub
-            cols = col_of[node_at[col_ring[reps], (shift - az_s[gather[reps, 0]]) % naz_s]]
-            if np.any((az_s[gather[cols]] + az_s[gather[reps]] - 2 * us * m - shift) % naz_s):
+            images = col_of[node_at[col_ring[cols], (shift - az_s[gather[cols, 0]]) % naz_s]]
+            if np.any((az_s[gather[images]] + az_s[gather[cols]] - 2 * us * m - shift) % naz_s):
                 raise ValueError("the mirror images of a table column's nodes are not one "
                                  "column's nodes")
-            mirror = folded[cols]
+            mirror = folded[images]
         paired = np.flatnonzero(mirror > index)
         kept = np.concatenate([paired, np.flatnonzero(mirror == index)])
-        spread = np.empty(len(reps), dtype=np.intp)
+        spread = np.empty(len(cols), dtype=np.intp)
         spread[kept] = np.arange(len(kept))
         spread[mirror[paired]] = np.arange(len(paired))
         columns.append((kept, mirror[paired], spread))
     # class u's rows are e2[u::ub]; each kept column sums the kernel at its
-    # column and at that column's antipodal partner
-    tables = fill([np.concatenate([e2[res::ub][:, cols[kept]]
+    # column and, with `antipodal`, at that column's antipodal partner
+    tables = fill([np.concatenate([e2[res::ub][:, part[kept]]
                                    for res, (kept, _, _) in enumerate(columns)], axis=1)
-                   for cols in (reps, partner[reps])], [len(kept) for kept, _, _ in columns])
-    # rotation class (ring, tau) of each folded column, with tau and -tau merged
-    orbit = np.unique(col_ring[reps] * us + np.minimum(tau[reps], -tau[reps] % us),
+                   for part in (cols, partner[cols])[:1 + antipodal]],
+                  [len(kept) for kept, _, _ in columns])
+    # rotation class (ring, tau) of each column, with tau and -tau merged
+    orbit = np.unique(col_ring[cols] * us + np.minimum(tau[cols], -tau[cols] % us),
                       return_inverse=True)[1]
-    return tuple(tables), gather[reps], tuple(columns), orbit, ub
+    return tuple(tables), gather[cols], tuple(columns), orbit, ub
 
 
 @dataclass(eq=False)
@@ -298,11 +307,11 @@ class ExtensionOperator:
     input of its mirror column in `fold_columns[u][1]`, if it has one;
     `gather_index` gathers rotated copies of the input for every folded
     column.  See the module docstring; the solver calls `power_adjoint`
-    and `extend_table` only.  `row_weights` is the ball weight of each
+    and `bulk_energy` only.  `row_weights` is the ball weight of each
     table row.  `row_scale` (per table row) and `col_scale` (per sphere
     node) record the scalings folded into the tables; only the general
-    pair's table, built on its first call, reads them.  No array of ball
-    length is held.
+    pair's tables, over all columns and built on its first call, read
+    them.  No array of ball length is held.
     """
 
     params: ProblemParams
@@ -321,7 +330,7 @@ class ExtensionOperator:
     balance_col_dev: float = field(init=False)
     # orbit of each folded column's nodes, which share one column scale
     _orbit: np.ndarray = field(init=False, repr=False)
-    # (table, gather index) of the unfolded table, for the general pair
+    # (tables, gather index, columns) over all columns, for the general pair
     _general: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -339,52 +348,47 @@ class ExtensionOperator:
         self._balance(self._table_layout(mass[:self.ball.half])[:, 0],
                       float(np.dot(self.ball.weights, mass) / self.sphere.weights.sum()))
 
-    # -- upper-half applications (exact pair symmetry, see module docstring) --
+    # -- upper-half class products (exact pair symmetry, see module docstring) --
 
-    def _table_product(self, y: np.ndarray, table: np.ndarray, gather: np.ndarray) -> np.ndarray:
-        """General pair: extension of a weighted sphere vector y at the upper ball nodes."""
-        return table @ y[gather]
+    @property
+    def _folded(self) -> tuple:
+        """(kernel_table, fold_columns): the tables and columns of the solver's products."""
+        return self.kernel_table, self.fold_columns
 
-    def _table_transpose(self, z: np.ndarray, table: np.ndarray,
-                         gather: np.ndarray) -> np.ndarray:
-        """Transpose of _table_product, for a weighted matrix in table layout."""
-        return np.bincount(gather.ravel(), weights=(table.T @ z).ravel(),
-                           minlength=len(self.sphere))
-
-    def _class_input(self, y: np.ndarray, u: int) -> np.ndarray:
-        """Class u's product input: y at its kept folded columns plus y at their mirrors."""
-        kept, mirror, _ = self.fold_columns[u]
+    def _class_input(self, y: np.ndarray, columns: tuple, u: int) -> np.ndarray:
+        """Class u's product input: y at its kept columns plus y at their mirrors."""
+        kept, mirror, _ = columns[u]
         x = y[kept]
         x[:len(mirror)] += y[mirror]
         return x
 
-    def _fold_product(self, y: np.ndarray) -> np.ndarray:
-        """Folded tables times y, one value (or row of turns) per folded column.
+    def _fold_product(self, y: np.ndarray, tables: tuple, columns: tuple) -> np.ndarray:
+        """Class tables times y, one value (or row of turns) per column of `columns`.
 
         Class u writes its rows u::residues of the result: one product per class.
         """
         out = np.empty((len(self.row_weights),) + y.shape[1:])
-        for u, table in enumerate(self.kernel_table):
-            np.matmul(table, self._class_input(y, u), out=out[u::self.residues])
+        for u, table in enumerate(tables):
+            np.matmul(table, self._class_input(y, columns, u), out=out[u::self.residues])
         return out
 
-    def _spread_sum(self, class_rows) -> np.ndarray:
-        """Sum over the classes u of kernel_table[u].T @ z_u, one value (or row) per folded column.
+    def _spread_sum(self, class_rows, tables: tuple, columns: tuple) -> np.ndarray:
+        """Sum over the classes u of tables[u].T @ z_u, one value (or row) per column.
 
         `class_rows` yields z_u, class u's rows, in class order; the kept
         column of a mirror pair gives its value to both columns.
         """
         parts = ((table.T @ z)[spread]
-                 for table, (_, _, spread), z in zip(self.kernel_table, self.fold_columns,
-                                                     class_rows))
+                 for table, (_, _, spread), z in zip(tables, columns, class_rows))
         out = next(parts)
         for part in parts:
             out += part
         return out
 
-    def _fold_transpose(self, z: np.ndarray) -> np.ndarray:
-        """Transpose of _fold_product: one value (or row) per folded column."""
-        return self._spread_sum(z[u::self.residues] for u in range(self.residues))
+    def _fold_transpose(self, z: np.ndarray, tables: tuple, columns: tuple) -> np.ndarray:
+        """Transpose of _fold_product: one value (or row) per column."""
+        return self._spread_sum((z[u::self.residues] for u in range(self.residues)),
+                                tables, columns)
 
     def _table_layout(self, z: np.ndarray) -> np.ndarray:
         """Upper-half ball values, ball order (shell, ring, m, u) -> table rows x columns m."""
@@ -397,7 +401,7 @@ class ExtensionOperator:
 
     def _row_sums(self, e: np.ndarray) -> np.ndarray:
         """Weighted row sums of the tables with column scaling e (one value per folded column)."""
-        return self._fold_product(self.sphere.weights[self.gather_index[:, 0]] * e)
+        return self._fold_product(self.sphere.weights[self.gather_index[:, 0]] * e, *self._folded)
 
     def _col_sums(self, d: np.ndarray) -> np.ndarray:
         """Weighted column sums over the whole ball with row scaling d, per folded column.
@@ -408,7 +412,7 @@ class ExtensionOperator:
         or two, so the whole orbit gets one value.
         """
         orbit, turns = self._orbit, self.gather_index.shape[1]
-        s = np.bincount(orbit, weights=self._fold_transpose(d * self.row_weights))
+        s = np.bincount(orbit, weights=self._fold_transpose(d * self.row_weights, *self._folded))
         return (s * (turns / np.bincount(orbit)))[orbit]
 
     def _balance(self, psi: np.ndarray, theta: float) -> None:
@@ -448,8 +452,8 @@ class ExtensionOperator:
         return len(self.row_weights), self.gather_index.shape[1]
 
     def _gathered(self, v: np.ndarray, name: str) -> np.ndarray:
-        """(w v)[gather_index] of an antipodal v; ValueError naming `name` if its halves differ."""
-        v, hs = np.asarray(v, dtype=float), self.sphere.half
+        """(w v)[gather_index] of an antipodal v; ValueError naming `name` if not."""
+        v, hs = _checked(v, (len(self.sphere),), f"{name} needs v of shape"), self.sphere.half
         if not _same_bits(v[:hs], v[hs:]):
             raise ValueError(f"{name} needs an antipodal v (its two halves differ in some "
                              "bit); symmetrize first")
@@ -466,17 +470,16 @@ class ExtensionOperator:
 
         Row (shell, ring, u), column m holds the value at the upper ball
         node (shell, ring, m, u); the lower half of E v has the same bits
-        (module docstring).  Raises ValueError if the two halves of v
-        differ in any bit, since the folded tables would then be wrong.
+        (module docstring).  Raises ValueError if v does not have the
+        sphere's shape, or if its two halves differ in any bit, since the
+        folded tables would then be wrong.
         """
-        return self._fold_product(self._gathered(v, "extend_table"))
+        return self._fold_product(self._gathered(v, "extend_table"), *self._folded)
 
     def adjoint_table(self, z: np.ndarray) -> np.ndarray:
         """T F of the antipodal F whose upper half is z, in the layout of extend_table."""
-        if np.shape(z) != self.table_shape:
-            raise ValueError(f"adjoint_table needs z of the table shape {self.table_shape}, "
-                             f"got {np.shape(z)}")
-        return self._scatter(self._fold_transpose(self.row_weights[:, None] * z))
+        z = _checked(z, self.table_shape, "adjoint_table needs z of the table shape")
+        return self._scatter(self._fold_transpose(self.row_weights[:, None] * z, *self._folded))
 
     def power_adjoint(self, v: np.ndarray, q: float) -> np.ndarray:
         """T[(E v)^q] of an antipodal v >= 0: adjoint_table(extend_table(v) ** q) in one pass.
@@ -492,44 +495,51 @@ class ExtensionOperator:
 
         def weighted_powers():
             for u, table in enumerate(self.kernel_table):
-                z = _power_inplace(table @ self._class_input(y, u), q)
+                z = _power_inplace(table @ self._class_input(y, self.fold_columns, u), q)
                 z *= self.row_weights[u::self.residues, None]
                 yield z
 
-        return self._scatter(self._spread_sum(weighted_powers()))
+        return self._scatter(self._spread_sum(weighted_powers(), *self._folded))
 
-    def integrate_table(self, integrand: np.ndarray) -> float:
-        """Ball integral of the antipodal function whose upper half is `integrand`.
+    def bulk_energy(self, v: np.ndarray, q: float) -> float:
+        """Ball integral of E v (E v)^q, the bulk energy |E v|^(q + 1), of an antipodal v >= 0.
 
-        `integrand` is in the layout of extend_table and is overwritten by
-        its weighted values; the lower half has the same bits, so the
-        integral is the exact sum of the weighted upper half taken twice.
+        (E v)^q is `_power_inplace`'s.  The exact sum runs on the upper half,
+        one ball weight per table row, taken twice (`exact_sum_of_halves`).
+        Raises ValueError as extend_table does.
         """
-        integrand *= self.row_weights[:, None]
-        return exact_sum_of_halves(integrand.ravel())
+        z = self._fold_product(self._gathered(v, "bulk_energy"), *self._folded)
+        z *= _power_inplace(z.copy(), q)
+        z *= self.row_weights[:, None]
+        return exact_sum_of_halves(z.ravel())
 
-    # -- general pair: any input, through the unfolded table --
+    # -- general pair: any input, through the class tables over all columns --
 
-    def _general_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The unfolded balanced table and its gather index, built on the first call."""
+    def _general_tables(self) -> tuple:
+        """(tables, gather index, columns) over all columns, balanced; built on the first call."""
         if self._general is None:
-            table, gather, _ = _kernel_table(self.sphere, self.ball, self.params, fold=False)
-            table *= self.row_scale[:, None]
-            table *= self.col_scale[gather[:, 0]]
-            self._general = table, gather
+            tables, gather, columns = _kernel_table(self.sphere, self.ball, self.params,
+                                                    antipodal=False)[:3]
+            for u, (table, (kept, _, _)) in enumerate(zip(tables, columns)):
+                table *= self.row_scale[u::self.residues, None]
+                table *= self.col_scale[gather[kept, 0]]
+            self._general = tables, gather, columns
         return self._general
 
     def extend_values(self, v: np.ndarray) -> np.ndarray:
-        table, gather = self._general_table()
-        y = self.sphere.weights * v
-        return np.concatenate([self._ball_order(self._table_product(w, table, gather))
+        y = self.sphere.weights * _checked(v, (len(self.sphere),),
+                                           "extend_values needs v of shape")
+        tables, gather, columns = self._general_tables()
+        return np.concatenate([self._ball_order(self._fold_product(w[gather], tables, columns))
                                for w in (y, y[self.sphere.antipode_index])])
 
     def adjoint_values(self, f: np.ndarray) -> np.ndarray:
-        table, gather = self._general_table()
-        z, hb = self.ball.weights * f, self.ball.half
-        up, down = (self._table_transpose(self._table_layout(h), table, gather)
-                    for h in (z[:hb], z[hb:]))
+        z = self.ball.weights * _checked(f, (len(self.ball),), "adjoint_values needs f of shape")
+        tables, gather, columns = self._general_tables()
+        up, down = (np.bincount(gather.ravel(), minlength=len(self.sphere),
+                                weights=self._fold_transpose(self._table_layout(h), tables,
+                                                             columns).ravel())
+                    for h in (z[:self.ball.half], z[self.ball.half:]))
         return up + down[self.sphere.antipode_index]
 
     def extend(self, v: BoundaryFunction) -> ExtensionField:

@@ -31,7 +31,7 @@ Integrals
     gets that sum from a few vectorized passes of error-free extraction
     (Rump, Ogita & Oishi 2008) instead of a Python loop over the terms;
     up to 512 terms one `math.fsum` call is faster and runs instead.
-    `exact_sum_of_halves` serves `ExtensionOperator.integrate_table` alone,
+    `exact_sum_of_halves` serves `ExtensionOperator.bulk_energy` alone,
     which holds only the upper half of an antipodal integrand: it sums that
     half and doubles it, the full `math.fsum` bit for bit whenever every
     term lies below 2^900 (the full sum runs otherwise).
@@ -333,6 +333,7 @@ def exact_sum(terms: np.ndarray) -> float:
 def exact_sum_of_halves(half: np.ndarray) -> float:
     """`exact_sum` of the terms `half` followed by `half` again, bit for bit.
 
+    `ExtensionOperator.bulk_energy` sums an antipodal integrand this way.
     When every term lies below 2^900 in magnitude this is twice the sum of
     `half`: no partial sum of either fsum overflows, and doubling commutes
     with the one rounding, since an exact sum of floats is a multiple of

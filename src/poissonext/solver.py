@@ -36,9 +36,10 @@ extension, power and adjoint per azimuthal residue class on the folded
 tables.  A step compares the pairing <v, g>, an exact sum over the sphere
 nodes that equals the bulk energy up to product roundoff by discrete
 duality, and g is the next step's right-hand side.  The exact ball sum
-(`integrate_table`) runs once per solve, on one `extend_table`, for the
-returned multiplier.  The solver never builds the general table.  Profiles
-are plain arrays inside a solve; one `BoundaryFunction` is built per state.
+(`ExtensionOperator.bulk_energy`) runs once per solve, on one extension,
+for the returned multiplier.  The solver never builds the general pair's
+tables.  Profiles are plain arrays inside a solve; one `BoundaryFunction`
+is built per state.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .functionals import SharpConstant, WeightFunction, lambda_threshold
-from .operators import (BoundaryFunction, ExtensionOperator, _power_inplace,
-                        build_extension_operator)
+from .operators import BoundaryFunction, ExtensionOperator, build_extension_operator
 from .params import ProblemParams
 # integrate_ball is not called here; perfbench/tracer.py wraps it under this name
 from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits,  # noqa: F401
@@ -147,19 +147,6 @@ def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.n
     return integrate_boundary(v * g, problem.sphere), g
 
 
-def _bulk_energy(v: np.ndarray, problem: SubcriticalProblem) -> float:
-    """The bulk energy, |E v|^p_bulk = (E v)^q_exp * E v, of an antipodal v >= 0.
-
-    (E v)^q_exp is `_power_inplace`'s, as in the steps.  The integrand's
-    lower half has the same bits, so the exact sum runs on the weighted
-    upper half in the table layout, taken twice.
-    """
-    op = problem.operator
-    integrand = op.extend_table(v)
-    integrand *= _power_inplace(integrand.copy(), problem.params.q_exp)
-    return op.integrate_table(integrand)
-
-
 def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> np.ndarray:
     """N(sym(values)) = x / c^{1/p}: x the antipodal average (bit for bit
     antipodal), c = integral K |x|^p.  ValueError when c <= 0 or the result is
@@ -251,7 +238,7 @@ def maximize_subcritical(
 ) -> tuple[BoundaryFunction, float, dict]:
     """Iterate fixed-point steps to convergence; returns (v, lambda, report).
 
-    lambda is `_bulk_energy` of the returned v, the one ball sum of a solve;
+    lambda is the `bulk_energy` of the returned v, the one ball sum of a solve;
     `multiplier_identity_dev` checks the steps' pairing against it.
     """
     state = _prepare(problem, init)
@@ -264,7 +251,7 @@ def maximize_subcritical(
         if state.residual < problem.tol_v:
             converged = True
             break
-    lam = _bulk_energy(state.v.values, problem)
+    lam = problem.operator.bulk_energy(state.v.values, problem.params.q_exp)
     lam_pair, el = _el_terms(state.v, problem.weight, problem.params, problem.operator,
                              problem.p, lam, state.el_rhs)
     report = {
@@ -422,8 +409,9 @@ def continuation(
     """Solve the stages of a decreasing-p schedule with warm starts.
 
     Every stage is one problem at the stage's p.  Flags a blow-up symptom
-    when sup v grows by more than `blow_up_factor` between consecutive
-    stages.  Stage failure aborts with the partial report.
+    when sup v over its L^p mean, (integral v^p / |S|)^(1/p), grows by more
+    than `blow_up_factor` between consecutive stages.  Stage failure aborts
+    with the partial report.
     """
     if len(schedule) == 0:
         raise ValueError("empty schedule")
@@ -436,6 +424,7 @@ def continuation(
                                  ball=ball, tol_v=tol_v, max_iter=max_iter)
     stages: list[StageReport] = []
     profiles: list[np.ndarray] = []
+    peaks: list[float] = []
     blow_up = False
     lam = np.nan
     for p in schedule:
@@ -453,7 +442,11 @@ def continuation(
             )
         )
         profiles.append(v.values.copy())
-        if len(stages) >= 2 and stages[-1].sup_v > blow_up_factor * stages[-2].sup_v:
+        # sup v over its L^p mean: 1 for a constant, and unchanged under K -> c K,
+        # which scales v by c^(-1/p) with a p that changes from stage to stage
+        mean = (integrate_boundary(v.values ** p, sphere) / sphere.weights.sum()) ** (1.0 / p)
+        peaks.append(stages[-1].sup_v / mean)
+        if len(peaks) >= 2 and peaks[-1] > blow_up_factor * peaks[-2]:
             blow_up = True
         if report["step_failed"]:
             break

@@ -395,11 +395,11 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("cmd", ["sharp", "solve", "continue"])
     def test_solving_commands_never_build_the_general_table(self, cmd, tmp_path, monkeypatch):
-        # their profiles are antipodal, so every extension runs on the folded table
-        def general_table(self):
-            raise AssertionError("general table built")
+        # their profiles are antipodal, so every extension runs on the folded tables
+        def general_tables(self):
+            raise AssertionError("general tables built")
 
-        monkeypatch.setattr(px.ExtensionOperator, "_general_table", general_table)
+        monkeypatch.setattr(px.ExtensionOperator, "_general_tables", general_tables)
         out = str(tmp_path / "out")
         assert main([cmd, "--config", write_config(tmp_path, tiny_2d_config(out))]) == 0
 

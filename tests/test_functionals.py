@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -166,9 +168,23 @@ class TestSharpConstant:
                     / px.boundary_norm(v, params_2d.p_crit))
 
         assert ratio(one) > ratio(bumpy) * (1 + 1e-3)
-        # the maximization extends through the folded table
-        assert s.value == (px.functionals._antipodal_bulk_norm(op, bumpy, params_2d.p_bulk)
-                           / px.boundary_norm(bumpy, params_2d.p_crit))
+        # the ratio is the best run's lambda^(1/p_bulk) over its critical norm
+        assert s.value == 2.0 ** (1.0 / params_2d.p_bulk) / px.boundary_norm(bumpy,
+                                                                             params_2d.p_crit)
+
+    def test_maximization_ratio_is_the_best_runs_lambda_over_its_critical_norm(
+        self, sphere_2d, params_2d, monkeypatch
+    ):
+        ball = px.build_ball_quadrature(params_2d, 48, 64)
+        maximize, runs = px.solver.maximize_subcritical, []
+        monkeypatch.setattr(px.solver, "maximize_subcritical",
+                            lambda problem, init: runs.append(maximize(problem, init)) or runs[-1])
+        s, solved = px.functionals.sharp_constant_by_maximization(
+            sphere_2d, ball, params_2d, starts=2, seed=3, max_iter=800)
+        assert solved and len(runs) == 2
+        v, lam, _ = max(runs, key=lambda run: run[1])
+        want = lam ** (1.0 / params_2d.p_bulk) / px.boundary_norm(v, params_2d.p_crit)
+        assert struct.pack("<d", s.value) == struct.pack("<d", want)
 
     def test_maximization_gate_fails_when_a_run_fails(self, sphere_2d, params_2d,
                                                       monkeypatch):

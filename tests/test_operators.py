@@ -255,8 +255,8 @@ class TestStructuredProducts:
         def forbidden(*args):
             raise AssertionError("operator product during the build")
 
-        for name in ("extend_values", "adjoint_values", "_table_product", "_table_transpose",
-                     "extend_table", "adjoint_table", "_general_table"):
+        for name in ("extend_values", "adjoint_values", "extend_table", "adjoint_table",
+                     "power_adjoint", "bulk_energy", "_general_tables"):
             monkeypatch.setattr(px.ExtensionOperator, name, forbidden)
         params = px.ProblemParams(3, -0.5)
         op = px.ExtensionOperator(params, px.build_sphere_quadrature(params, 8),
@@ -298,6 +298,18 @@ class TestStructuredProducts:
         tables, gather = _kernel_table(sphere, ball, params)[:2]
         macs = sum(table.size for table in tables) * gather.shape[1]
         assert macs <= 0.27 * ball.half * len(sphere)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_default_rules_general_tables_hold_at_most_0_55_of_the_unfolded_table(self, n):
+        # the general pair's tables keep every column, one per mirror pair in
+        # each class; the unfolded table has table rows x sphere nodes entries
+        quad = parse_config({"params": {"n": n, "a": 0.5}}).quadrature
+        params = px.ProblemParams(n, 0.5)
+        sphere = px.build_sphere_quadrature(params, quad["sphere_resolution"])
+        ball = px.build_ball_quadrature(params, 8, quad["ball_angular_resolution"])
+        tables = _kernel_table(sphere, ball, params, antipodal=False)[0]
+        rows = sum(len(table) for table in tables)
+        assert sum(table.size for table in tables) <= 0.55 * rows * len(sphere)
 
     def test_balance_carries_the_checked_row_sums(self, monkeypatch):
         # one row-sum pass per iteration plus the first, and the bits of the
@@ -347,13 +359,18 @@ class TestStructuredProducts:
         op = _structured_op(STRUCTURED_CASES[3])
         assert op._general is None
         ext = op.extend_values(np.ones(len(op.sphere)))
-        table, gather = op._general
-        assert table.shape == (op.table_shape[0], len(op.sphere)) and table.base is None
+        tables, gather, columns = op._general
+        # every column, each class keeping one per mirror pair
+        assert sorted(gather[:, 0]) == list(range(len(op.sphere)))
+        assert len(tables) == len(columns) == op.residues
+        for table, (kept, mirror, _) in zip(tables, columns):
+            assert table.base is None and table.shape == (op.table_shape[0] // op.residues,
+                                                          len(op.sphere) - len(mirror))
         # the folded columns and their partners, which gather the antipodes
         pairs = np.concatenate([op.gather_index, op.sphere.antipode_index[op.gather_index]])
         assert sorted(map(tuple, gather)) == sorted(map(tuple, pairs))
         op.adjoint_values(np.ones(len(op.ball)))
-        assert op._general[0] is table
+        assert op._general[0] is tables
         assert max_rel(ext, px.kernel_ball_sphere_mass(op.ball.radii, op.params)) <= 1e-10
 
     def test_row_weights_are_the_upper_ball_weights(self, small_op):
@@ -433,19 +450,22 @@ class TestAntipodalEquivariance:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_antipodal_input_runs_both_table_products(self, dim, request, monkeypatch):
-        # the ball-order products have one path: equal halves run it too,
-        # and never the folded tables' products
+        # the ball-order products have one path, the class products on the
+        # tables over all columns: equal halves run it too, and never the
+        # antipodally folded tables
         op = request.getfixturevalue(f"op_{dim}d")
         calls = []
-        for name in ("_table_product", "_table_transpose", "_fold_product", "_fold_transpose"):
-            def counted(*args, fn=getattr(op, name), name=name):
-                calls.append(name)
-                return fn(*args)
+        for name in ("_fold_product", "_fold_transpose"):
+            def counted(y, tables, columns, fn=getattr(op, name), name=name):
+                calls.append((name, tables))
+                return fn(y, tables, columns)
 
             monkeypatch.setattr(op, name, counted)
         op.extend_values(np.ones(len(op.sphere)))
         op.adjoint_values(np.ones(len(op.ball)))
-        assert calls == ["_table_product"] * 2 + ["_table_transpose"] * 2
+        general = op._general[0]
+        assert general is not op.kernel_table
+        assert calls == [("_fold_product", general)] * 2 + [("_fold_transpose", general)] * 2
 
     @given(data=st.data())
     @settings(deadline=None)
@@ -490,6 +510,19 @@ class TestAntipodalEquivariance:
         with pytest.raises(ValueError, match="symmetrize first"):
             op_2d.extend_table(z)
 
+    @pytest.mark.parametrize("entry", ["extend_values", "adjoint_values", "extend_table",
+                                       "power_adjoint", "bulk_energy"])
+    def test_products_reject_inputs_off_their_shape(self, op_2d, entry):
+        # a length-1 vector or a scalar would broadcast to a constant
+        op, q = op_2d, op_2d.params.q_exp
+        apply = {"power_adjoint": lambda x: op.power_adjoint(x, q),
+                 "bulk_energy": lambda x: op.bulk_energy(x, q)}.get(entry, getattr(op, entry))
+        length = len(op.ball) if entry == "adjoint_values" else len(op.sphere)
+        for x in (np.ones(1), 2.0, np.ones((length, 1)), np.ones(length + 2)):
+            with pytest.raises(ValueError, match=r"%s needs [vf] of shape \(%d,\), got %s"
+                               % (entry, length, re.escape(str(np.shape(x))))):
+                apply(x)
+
     def test_adjoint_table_rejects_z_off_the_table_shape(self, op_2d):
         # a row of turns would broadcast over every table row
         rows, turns = op_2d.table_shape
@@ -533,14 +566,15 @@ class TestFoldedTablePair:
     @example(n=3, sphere_res=3, ball_res=2)      # 3 sphere azimuths per turn: tau 1 and 2 merge
     @settings(max_examples=40, deadline=None)
     def test_pairing_is_the_same_column_for_every_rotation(self, n, sphere_res, ball_res):
-        # the partner of each unfolded column gathers the antipodes of its
-        # nodes at every m, and the mirror column of a class the mirror
-        # images about that class's ball node, so each kept column is a
-        # pair sum that holds for both mirror members, bit for bit
+        # the partner of each column gathers the antipodes of its nodes at
+        # every m, and the mirror column of a class the mirror images about
+        # that class's ball node; the tables over all columns keep one column
+        # per mirror pair, and each folded column is a pair sum that holds for
+        # both mirror members, bit for bit
         params = px.ProblemParams(n, 0.5)
         sphere = px.build_sphere_quadrature(params, 2 * sphere_res)
         ball = px.build_ball_quadrature(params, 8, 2 * ball_res)
-        table, gather, ub = _kernel_table(sphere, ball, params, fold=False)
+        every, gather, every_columns, _, ub = _kernel_table(sphere, ball, params, antipodal=False)
         tables, half_gather, fold_columns, orbit, _ = _kernel_table(sphere, ball, params)
         anti = sphere.antipode_index
         column_of = {tuple(nodes): c for c, nodes in enumerate(gather)}
@@ -548,36 +582,50 @@ class TestFoldedTablePair:
         reps = np.array([column_of[tuple(nodes)] for nodes in half_gather])
         assert np.all(half_gather[:, 0] < sphere.half)
         assert sorted(np.concatenate([reps, partner[reps]])) == list(range(len(sphere)))
-        assert len(tables) == len(fold_columns) == ub
+        assert len(tables) == len(fold_columns) == len(every) == len(every_columns) == ub
 
         _, ring, az, naz_s = azimuthal_layout(sphere)
         naz_b = azimuthal_layout(ball.angular)[3]
         node_at = {(r, t): i for i, (r, t) in enumerate(zip(ring, az))}
-        turns, half = np.arange(gather.shape[1]), len(reps)
-        for u, (kept, mirror, spread) in enumerate(fold_columns):
-            # the kernel of each folded column plus its antipodal partner's
-            pair_sum = table[u::ub][:, reps] + table[u::ub][:, partner[reps]]
-            assert tables[u].tobytes() == pair_sum[:, kept].tobytes()
-            assert tables[u][:, :len(mirror)].tobytes() == pair_sum[:, mirror].tobytes()
-            assert np.array_equal(spread[kept], np.arange(len(kept)))
-            assert np.array_equal(spread[mirror], np.arange(len(mirror)))
+        turns = np.arange(gather.shape[1])
+        # the kernel at each row's m = 0 ball node and each column's m = 0 sphere node
+        rows = ball.nodes[:ball.half].reshape(-1, len(turns), ub, n)[:, 0].reshape(-1, n)
+        raw = px.kernel_ball(sphere.nodes[gather[:, 0]][None], rows[:, None], params)
+
+        def mirror_image(u, col):
+            """The column gathering the mirror images about ball node (m, u) at every m."""
+            shift = 2 * (turns * ub + u) * naz_s // naz_b
+            return column_of[tuple(node_at[ring[x], (s - az[x]) % naz_s]
+                                   for x, s in zip(gather[col], shift))]
+
+        for u in range(ub):
             # reflecting about ball node (m, u), at azimuth index m ub + u of
             # naz_b, maps the sphere grid onto itself iff 2 u naz_s / naz_b is whole
-            if 2 * u * naz_s % naz_b:
-                assert len(mirror) == 0 and sorted(kept) == list(range(half))
-                continue
-            assert sorted(np.concatenate([kept, mirror])) == list(range(half))
-            shift = 2 * (turns * ub + u) * naz_s // naz_b
-            for j, col in enumerate(reps[kept]):
-                images = [node_at[ring[x], (s - az[x]) % naz_s] for x, s in zip(gather[col], shift)]
-                image_col = column_of[tuple(images)]      # one column gathers them all
-                # the kernel at a column and at its mirror hold the same bits
-                assert table[u::ub][:, col].tobytes() == table[u::ub][:, image_col].tobytes()
-                if j < len(mirror):
-                    assert image_col in (reps[mirror[j]], partner[reps[mirror[j]]])
-                    assert orbit[kept[j]] == orbit[mirror[j]]
-                else:
-                    assert image_col in (col, partner[col])
+            in_grid = 2 * u * naz_s % naz_b == 0
+            kernel = every[u][:, every_columns[u][2]]        # class u's kernel at every column
+            assert max_rel(kernel, raw[u::ub]) <= 1e-12
+            for columns, cols in ((every_columns[u], np.arange(len(sphere))),
+                                  (fold_columns[u], reps)):
+                kept, mirror, spread = columns
+                assert np.array_equal(spread[kept], np.arange(len(kept)))
+                assert np.array_equal(spread[mirror], np.arange(len(mirror)))
+                assert sorted(np.concatenate([kept, mirror])) == list(range(len(cols)))
+                if not in_grid:
+                    assert len(mirror) == 0
+                    continue
+                for j, col in enumerate(cols[kept]):
+                    image_col = mirror_image(u, col)       # one column gathers them all
+                    if j < len(mirror):
+                        assert image_col in (cols[mirror[j]], partner[cols[mirror[j]]])
+                    else:
+                        assert image_col in (col, partner[col])
+            # the kernel of each folded column plus its antipodal partner's,
+            # computed apart from the tables over all columns
+            pair_sum = kernel[:, reps] + kernel[:, partner[reps]]
+            kept, mirror, _ = fold_columns[u]
+            assert tables[u].tobytes() == pair_sum[:, kept].tobytes()
+            assert tables[u][:, :len(mirror)].tobytes() == pair_sum[:, mirror].tobytes()
+            assert np.array_equal(orbit[kept[:len(mirror)]], orbit[mirror])
 
 
 @pytest.fixture(scope="module")

@@ -292,7 +292,7 @@ class TestFixedPointStep:
         prob = weighted_problem(2)
         assert prob.sphere.half == len(half)
         v = np.tile(half, 2) * 2.0 ** (top / (prob.params.q_exp + 1.0))
-        lam = px.solver._bulk_energy(v, prob)
+        lam = prob.operator.bulk_energy(v, prob.params.q_exp)
         assert struct.pack("<d", lam) == struct.pack("<d", fsum_of_the_full_integrand(prob, v))
 
     @settings(deadline=None)
@@ -311,7 +311,7 @@ class TestFixedPointStep:
         half = half[:prob.sphere.half]
         v = np.tile(half, 2) * 2.0 ** (top / (prob.params.q_exp + 1.0))
         pairing, g = px.solver._functional(v, prob)
-        bulk = px.solver._bulk_energy(v, prob)
+        bulk = prob.operator.bulk_energy(v, prob.params.q_exp)
         assert g.shape == v.shape and np.all(g > 0)
         bound = (len(prob.sphere) + len(prob.ball) + 8) * 2.0 ** -52
         assert abs(pairing / bulk - 1.0) <= bound
@@ -335,19 +335,18 @@ class TestMaximizeSubcritical:
         self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng, monkeypatch
     ):
         # every iterate is symmetrized, so the solve runs only the folded
-        # tables: one fused pass T[(E v)^q] per candidate and one extension
+        # tables: one fused pass T[(E v)^q] per candidate and one bulk energy
         # for the returned lambda, each one product per residue class
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
         op = prob.operator
-        calls = {name: [] for name in ("power_adjoint", "extend_table", "adjoint_table",
-                                       "_class_input", "_fold_product", "_fold_transpose",
-                                       "_table_product", "_table_transpose",
-                                       "extend_values", "adjoint_values")}
+        calls = {name: [] for name in ("power_adjoint", "bulk_energy", "extend_table",
+                                       "adjoint_table", "_class_input", "_fold_product",
+                                       "_fold_transpose", "extend_values", "adjoint_values")}
 
         for name, log in calls.items():
             def counted(*args, fn=getattr(op, name), log=log):
                 out = fn(*args)
-                log.append(out.shape)
+                log.append(np.shape(out))
                 return out
 
             monkeypatch.setattr(op, name, counted)
@@ -361,10 +360,9 @@ class TestMaximizeSubcritical:
         # step's right-hand side
         assert len(calls["power_adjoint"]) == len(candidates) > rep["iterations"]
         assert calls["power_adjoint"] == [(len(sphere_2d),)] * len(candidates)
-        assert calls["extend_table"] == calls["_fold_product"] == [op.table_shape]
+        assert calls["bulk_energy"] == [()] and calls["_fold_product"] == [op.table_shape]
         assert len(calls["_class_input"]) == op.residues * (len(candidates) + 1)
-        assert calls["adjoint_table"] == calls["_fold_transpose"] == []
-        assert calls["_table_product"] == calls["_table_transpose"] == []
+        assert calls["extend_table"] == calls["adjoint_table"] == calls["_fold_transpose"] == []
         assert calls["extend_values"] == calls["adjoint_values"] == []
         assert op._general is None
 
@@ -716,6 +714,19 @@ class TestContinuation:
             unit_weight_2d, [5.0, 4.5], params_2d, sphere_2d, ball_2d, blow_up_factor=3.0
         )
         assert not rep2.blow_up_flag
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e-10, 1.0, 1e30])
+    def test_a_constant_weight_of_any_scale_raises_no_blow_up_flag(self, params_2d, scale):
+        # K -> c K scales v by c^(-1/p), and p changes between stages: at
+        # c = 1e-30 sup v grows ninefold over one stage though every stage
+        # returns a constant profile, which the flag's statistic sees as 1
+        sphere = px.build_sphere_quadrature(params_2d, 32)
+        ball = px.build_ball_quadrature(params_2d, 24, 64)
+        weight = px.WeightFunction(np.full(len(sphere), scale), sphere, antipodal=True)
+        rep = px.continuation(weight, px.default_schedule(params_2d), params_2d, sphere, ball)
+        assert all(s.solved for s in rep.stages) and not rep.blow_up_flag
+        growth = max(b.sup_v / a.sup_v for a, b in zip(rep.stages, rep.stages[1:]))
+        assert growth > 3.0 if scale == 1e-30 else growth < 3.0
 
     def test_stages_share_one_operator(self, params_2d, sphere_2d, ball_2d, unit_weight_2d,
                                        monkeypatch):
