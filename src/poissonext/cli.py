@@ -21,7 +21,7 @@ from . import diagnostics as diag
 from . import functionals as fn
 from . import operators as ops
 from . import solver as slv
-from .config import ConfigError, RunConfig, evaluate_weight, load_config, parse_config, weight_positivity_margin
+from .config import ConfigError, RunConfig, evaluate_weight, load_config, parse_config, weight_extremes
 from .geometry import conformal_weight, mobius_f_inverse
 from .halfspace import build_halfspace_grid
 from .kernels import kernel_ball_sphere_mass, kernel_halfspace, normalization_constant
@@ -228,7 +228,7 @@ def cmd_verify(config: RunConfig):
     _check(checks, "sharp_inequality_ratio", worst, 1.0 + 1e-3)
 
     # weight spec checks
-    margin = weight_positivity_margin(config.weight_spec, params)
+    margin = weight_extremes(config.weight_spec, params)[0]
     _check(checks, "weight_positive", 0.0, 0.0, passed=margin > 0)
 
     report = {

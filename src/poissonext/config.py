@@ -27,6 +27,9 @@ _SCHEMA_VERSION = 1
 # above the grid's Nyquist limit would pass unseen between them
 _POSITIVITY_GRID = 4096
 _MAX_FREQUENCY = _POSITIVITY_GRID // 2
+# lambda scales as K^(-p_bulk / p) with p_bulk / p <= 2, so a weight within
+# this range keeps lambda and its threshold representable
+_WEIGHT_RANGE = (1e-50, 1e50)
 
 _DEFAULTS: dict[str, Any] = {
     "params": {"n": 3, "a": 0.0},
@@ -245,8 +248,8 @@ def _validate_weight_spec(spec: dict, params: ProblemParams) -> None:
         if unknown:
             raise ConfigError(f"weight: unknown key(s) {sorted(unknown)}")
         value = spec.get("value", 1.0)
-        if not (_is_real(value) and value > 0):
-            raise ConfigError("weight: constant must be a positive number")
+        if not (_is_real(value) and _WEIGHT_RANGE[0] <= value <= _WEIGHT_RANGE[1]):
+            raise ConfigError(f"weight: constant must be a number in {list(_WEIGHT_RANGE)}")
         return
     if kind == "cosine_series":
         if params.n != 2:
@@ -279,9 +282,11 @@ def _validate_weight_spec(spec: dict, params: ProblemParams) -> None:
                               f"limit of the {_POSITIVITY_GRID}-point positivity grid")
         if k % 2:
             raise ConfigError(f"weight: antipodality violated (odd {noun} {k})")
-    margin = weight_positivity_margin(spec, params)
-    if margin <= 0:
-        raise ConfigError(f"weight: not positive (min over fine grid {margin:.3e})")
+    low, high = weight_extremes(spec, params)
+    if low <= 0:
+        raise ConfigError(f"weight: not positive (min over fine grid {low:.3e})")
+    if not _WEIGHT_RANGE[0] <= low <= high <= _WEIGHT_RANGE[1]:
+        raise ConfigError(f"weight: min and max over fine grid must lie in {list(_WEIGHT_RANGE)}")
 
 
 def _weight_callable(spec: dict, params: ProblemParams):
@@ -310,8 +315,8 @@ def _weight_callable(spec: dict, params: ProblemParams):
     return k3
 
 
-def weight_positivity_margin(spec: dict, params: ProblemParams) -> float:
-    """Minimum of the weight over a fine parity-respecting sample grid."""
+def weight_extremes(spec: dict, params: ProblemParams) -> tuple[float, float]:
+    """Minimum and maximum of the weight over a fine parity-respecting sample grid."""
     fn = _weight_callable(spec, params)
     if params.n == 2:
         theta = np.linspace(0.0, 2.0 * np.pi, _POSITIVITY_GRID, endpoint=False)
@@ -319,7 +324,8 @@ def weight_positivity_margin(spec: dict, params: ProblemParams) -> float:
     else:
         t = np.linspace(-1.0, 1.0, _POSITIVITY_GRID)
         pts = np.stack([np.sqrt(1 - t**2), np.zeros(_POSITIVITY_GRID), t], axis=1)
-    return float(np.min(fn(pts)))
+    values = fn(pts)
+    return float(values.min()), float(values.max())
 
 
 def evaluate_weight(config: RunConfig, quad: SphereQuadrature) -> WeightFunction:

@@ -12,40 +12,41 @@ M is never formed.  The ball kernel depends only on |xi|, the polar angles
 of xi and eta and their azimuth difference, and both quadratures are ring
 rules with equispaced azimuth.  One table K therefore holds each distinct
 kernel value once: a row per (shell, upper ball ring, azimuthal residue)
-and a column per sphere node in (ring, residue, offset) order (see
-`_kernel_table`).  The upper half of E is one matrix product K @ y[IY]
-with a fixed gather index IY; its adjoint is K^T @ Z scattered back
+and column i for sphere node i (see `_kernel_table`).  The upper half of E
+is one matrix product K @ y[IY] with a fixed gather index IY, whose row i
+holds node i turned with the ball; its adjoint is K^T @ Z scattered back
 through the same index.  The table is smaller than M by the number of
-product columns (g/2 for n = 2, g for n = 3, with g the gcd of the
-azimuth counts), so it stays in cache instead of streaming M from memory.
-FFT convolution is not used: its roundoff, ~1e-16 of a row's maximum,
-would break exact positivity where a kernel row spans twenty decades
+product columns (g/2 for n = 2, g for n = 3, with g the gcd of the azimuth
+counts), so it stays in cache instead of streaming M from memory.  FFT
+convolution is not used: its roundoff, ~1e-16 of a row's maximum, would
+break exact positivity where a kernel row spans twenty decades
 (n = 3, a = -0.5, outer shells).
 
-Antipodal fold.  The antipodal shift of half a turn maps the nodes one
-column of K gathers onto the nodes of a partner column, for every
-rotation m.  For an antipodal y both columns of a pair multiply the same
-gathered values, so only one column per pair is kept, a folded column
-holding the sum of the two kernels; `gather_index` has the folded
-columns' rows.  That halves the columns of the dense product.
+Antipodal fold.  Node i + N/2 is the antipode of node i (the rule's half
+shift, checked at build time) and turns with it, so column i + N/2, the
+partner of column i, gathers the antipodes of what column i gathers for
+every rotation m.  For an antipodal y both multiply the same gathered
+values, so only the columns i < N/2 are kept, each holding the sum of the
+two kernels; `gather_index` has their rows.  That halves the columns of
+the dense product.
 
 Mirror fold.  The kernel depends on the azimuth difference only through
 its cosine, so it is also even under a reflection.  Reflecting the sphere
 about the azimuth of ball node (m, u) maps its grid onto itself for every
 m when the azimuth counts allow it (every residue u for ub in {1, 2},
 which covers the default n = 2 and n = 3 rules; u = 0 and u = ub/2
-otherwise), and it then maps the nodes a column gathers onto those of a
-mirror column (checked at build time).  The rows of residue u hold the
-same kernel bits at both columns of a mirror pair, so residue class u
-keeps one column per pair and its product pre-adds the pair's two
-gathered inputs: `kernel_table[u]` @ (y[kept] + y[mirror]) fills the table
-rows u::residues, one product per class (`fold_columns[u]` holds the kept
-and mirror columns).  This is a symmetry of the kernel, exact for any
-input.  A column that is its own mirror (offset 0 or half a turn), and
-every column of a class without an in-grid mirror, is kept once as it
-is.  A product costs sum_u rows_u kept_u turns multiply-adds, at most 0.27
-of the dense count on the default rules, against 0.5 with the antipodal
-fold alone; each entry is still a sum of positive terms.
+otherwise), and it then maps node i turned by m onto node j turned by m, j
+the mirror image of node i: columns i and j are a mirror pair.  The rows
+of residue u hold the same kernel bits at both columns of a mirror pair,
+so residue class u keeps one column per pair and its product pre-adds the
+pair's two gathered inputs: `kernel_table[u]` @ (y[kept] + y[mirror])
+fills the table rows u::residues, one product per class (`fold_columns[u]`
+holds the kept and mirror columns).  This is a symmetry of the kernel,
+exact for any input.  A column that is its own mirror (offset 0 or half a
+turn), and every column of a class without an in-grid mirror, is kept once
+as it is.  A product costs sum_u rows_u kept_u turns multiply-adds, at
+most 0.27 of the dense count on the default rules, against 0.5 with the
+antipodal fold alone; each entry is still a sum of positive terms.
 
 Exact contracts.  Every output value is a sum of products of positive
 numbers, so positivity of both operators is exact.  The second half of the
@@ -72,10 +73,10 @@ to q (binary powering for an integer q, `_power_inplace`), weights them
 and runs the class's transpose product before the next class starts, and
 no array of the full table layout is formed.  `bulk_energy` is the one
 ball integral, |E v|^(q + 1).  The results agree with the general pair's
-to roundoff, not bit for bit: a folded column adds its antipodal
-partner's kernel before the product does.  The ball weight of a node depends only on its shell and ring,
-never on its azimuth (checked bit for bit at build time), so
-`row_weights` holds one ball weight per table row.  `_table_layout` and
+to roundoff, not bit for bit: a folded column adds its partner's kernel
+before the product does.  The ball weight of a node depends only on its
+shell and ring, never on its azimuth (checked bit for bit at build time),
+so `row_weights` holds one ball weight per table row.  `_table_layout` and
 `_ball_order` are the one map between the ball order and this layout.
 
 Near-boundary correction.  Raw kernel rows at ball nodes with
@@ -91,17 +92,18 @@ operator:
     sum_j M[j, i] W_j = the matching ball integral.
 
 The rotations K factors out, the antipode and the reflection about
-azimuth 0 map both rules onto themselves, so d is one value per table row
-and e one value per orbit of sphere nodes under them: the iteration runs
-on d and on e per folded column with matvecs of the folded tables, each
-column sum taken once for its whole orbit so that both members of a
-mirror pair get the same bits, and then multiplies them into the tables
-once, so the products apply no scaling.  d is kept as `row_scale` and e
-as `col_scale` (one value per sphere node); the targets are build inputs,
-so the operator holds no ball-length array.  The scalings are ~1 away
-from the boundary layer (interior accuracy is untouched) and the balanced
-operator reproduces constants on both sides to near machine precision.
-The raw quadrature survives only in `extend_at_points`.
+azimuth 0 map both rules onto themselves, so d is one value per table row and e
+one value per orbit of sphere nodes under them: the iteration runs on d
+and on e per folded column with matvecs of the folded tables, each column
+sum taken once for its whole orbit so that both members of a mirror pair
+get the same bits, and then multiplies them into the tables once, so the
+products apply no scaling.  d is kept as `row_scale` and e as `col_scale`,
+one value per sphere node, column i's at nodes i and i + N/2; the targets
+are build inputs, so the operator holds no ball-length array.  The
+scalings are ~1 away from the boundary layer (interior accuracy is
+untouched) and the balanced operator reproduces constants on both sides to
+near machine precision.  The raw quadrature survives only in
+`extend_at_points`.
 """
 
 from __future__ import annotations
@@ -185,32 +187,33 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
     """Mirror-folded class tables and gather index of the upper-half extension.
 
     Let g be the gcd of the ball and sphere azimuth counts naz_b = ub g and
-    naz_s = us g.  A ball node at azimuth index m ub + u and a sphere node
-    at tau + us d differ in azimuth by 2 pi (u / naz_b - tau / naz_s +
-    (m - d) / g), so the kernel between them depends on the shell, the two
-    rings, u, tau and (m - d) mod g only, and on the offset only through
-    its cosine.  Table rows are (shell, upper ball ring, u < ub) and columns
-    (sphere ring, tau < us, k < g), holding the kernel at offset m - d = k,
-    evaluated at the symmetric offset min(t, period - t) so that mirror
-    offsets hold the same bits.  gather[col, m] is the sphere node (ring,
-    tau + us ((m - k) mod g)), so the upper-half extension is
-    table @ y[gather] with one output column per m.
+    naz_s = us g.  One turn m -> m + 1, a g-th of a revolution, is ub ball
+    and us sphere azimuths.  A ball node at azimuth index m ub + u and
+    sphere node i turned by m, at (ring_i, az_i + us m), differ in azimuth
+    by 2 pi (u us - az_i ub) / (ub naz_s), so the kernel between them
+    depends on the shell, the two rings, u and az_i only, and on the offset
+    only through its cosine.  Table rows are (shell, upper ball ring,
+    u < ub) and column i is sphere node i, holding the kernel at the
+    symmetric offset min(t, period - t) so that mirror offsets hold the same
+    bits.  gather[i, m] is node i turned by m, so the upper-half extension
+    is table @ y[gather] with one output column per m.
 
     The columns are folded by the mirror (module docstring), which is exact
     for any input, and with `antipodal` also antipodally: only the columns
-    whose m = 0 node lies in the sphere's upper half are kept, for antipodal
-    input.  Checks here that the antipodes, and each class's mirror images,
-    of the nodes a column gathers are the nodes of one column at every m.
-    The returned gather index has the columns' rows.  columns[u] is (kept,
-    mirror, spread) for residue class u: its kept columns, the mirror
-    columns of kept[:len(mirror)] (the rest mirror themselves, or the class
-    has no in-grid mirror), and for each column the kept column it adds
-    into.  tables[u] (class u's rows x kept) holds each kept column's
-    kernel, plus its antipodal partner's with `antipodal`, computed once.
-    orbit numbers the columns by their nodes' orbit under the turns, the
-    antipode and the mirror about azimuth 0.  Returns (tables, gather,
-    columns, orbit, ub), filled shell by shell; no unfolded table is made.
+    i < N/2 are kept, each adding its partner i + N/2, for antipodal input;
+    the returned gather index has their rows.  columns[u] is (kept, mirror,
+    spread) for residue class u: its kept columns, the mirror columns of
+    kept[:len(mirror)] (the rest mirror themselves, or the class has no
+    in-grid mirror), and for each column the kept column it adds into.
+    tables[u] (class u's rows x kept) holds each kept column's kernel, plus
+    its partner's with `antipodal`, computed once.  orbit numbers the
+    columns by their nodes' orbit under the turns, the antipode and the
+    mirror about azimuth 0.  Returns (tables, gather, columns, orbit, ub),
+    filled shell by shell; no unfolded table is made.
     """
+    if not np.array_equal(sphere.antipode_index, (np.arange(len(sphere)) + sphere.half)
+                          % len(sphere)):
+        raise ValueError("the sphere's antipode is not the half shift i -> i + N/2 mod N")
     ang = ball.angular
     cos_b, ring_b, _, naz_b = azimuthal_layout(ang)
     cos_s, ring_s, az_s, naz_s = azimuthal_layout(sphere)
@@ -219,25 +222,15 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
     radii = ball.radii[:ball.half:ang.half]
     per_shell = (int(ring_b[ang.half - 1]) + 1) * ub
     m = np.arange(ang.half // per_shell)        # g/2 (a half turn) for n = 2, g for n = 3
-
-    col_ring, rest = np.divmod(np.arange(len(sphere)), us * g)
-    tau, k = np.divmod(rest, g)
+    cols = np.arange(sphere.half if antipodal else len(sphere))
     node_at = np.empty((len(cos_s), naz_s), dtype=np.intp)
     node_at[ring_s, az_s] = np.arange(len(sphere))
-    gather = node_at[col_ring[:, None], tau[:, None] + us * ((m - k[:, None]) % g)]
-    # gather[:, 0] is a permutation of the sphere nodes; partner[c] gathers
-    # the antipodes of what column c gathers
-    anti = sphere.antipode_index
-    col_of = np.empty(len(sphere), dtype=np.intp)
-    col_of[gather[:, 0]] = np.arange(len(sphere))
-    partner = col_of[anti[gather[:, 0]]]
-    if not np.array_equal(gather[partner], anti[gather]):
-        raise ValueError("the antipodes of a table column's nodes are not one column's nodes")
+    gather = node_at[ring_s[cols, None], (az_s[cols, None] + us * m) % naz_s]
     row_ring, u = np.divmod(np.arange(per_shell), ub)
-    cb, cs = cos_b[row_ring][:, None], cos_s[col_ring]
+    cb, cs = cos_b[row_ring][:, None], cos_s[ring_s]
     sb, ss = np.sqrt(1.0 - cb * cb), np.sqrt(1.0 - cs * cs)
-    period = ub * us * g
-    turn = (u[:, None] * us - tau * ub + k * (ub * us)) % period   # exact integer offset
+    period = ub * naz_s
+    turn = (u[:, None] * us - az_s * ub) % period   # exact integer offset
     turn = np.minimum(turn, period - turn)
     # |e_b - e_s|^2 and |xi - eta|^2 = (1 - r)^2 + r |e_b - e_s|^2 as sums of
     # nonnegative terms: no cancellation next to the sphere
@@ -261,39 +254,32 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
                 table[shell * rows:(shell + 1) * rows] = values[:, block]
         return tables
 
-    cols = folded = np.arange(len(sphere))
-    if antipodal:
-        cols = np.flatnonzero(gather[:, 0] < sphere.half)
-        folded[cols] = folded[partner[cols]] = np.arange(len(cols))
-    index = np.arange(len(cols))
     columns = []
     for res in range(ub):
-        mirror = index
+        mirror = cols
         if 2 * res % ub == 0:
             # the mirror about ball node (m, res) maps sphere azimuth index t
-            # to 2 us m + shift - t on the same ring
+            # to 2 us m + shift - t on the same ring, so it maps node i turned
+            # by m onto the node at shift - az_i turned by m; a mirror in the
+            # lower half folds onto its antipode's column
             shift = 2 * res * us // ub
-            images = col_of[node_at[col_ring[cols], (shift - az_s[gather[cols, 0]]) % naz_s]]
-            if np.any((az_s[gather[images]] + az_s[gather[cols]] - 2 * us * m - shift) % naz_s):
-                raise ValueError("the mirror images of a table column's nodes are not one "
-                                 "column's nodes")
-            mirror = folded[images]
-        paired = np.flatnonzero(mirror > index)
-        kept = np.concatenate([paired, np.flatnonzero(mirror == index)])
+            mirror = node_at[ring_s[cols], (shift - az_s[cols]) % naz_s] % len(cols)
+        paired = np.flatnonzero(mirror > cols)
+        kept = np.concatenate([paired, np.flatnonzero(mirror == cols)])
         spread = np.empty(len(cols), dtype=np.intp)
         spread[kept] = np.arange(len(kept))
         spread[mirror[paired]] = np.arange(len(paired))
         columns.append((kept, mirror[paired], spread))
     # class u's rows are e2[u::ub]; each kept column sums the kernel at its
-    # column and, with `antipodal`, at that column's antipodal partner
+    # node and, with `antipodal`, at that node's antipode
     tables = fill([np.concatenate([e2[res::ub][:, part[kept]]
                                    for res, (kept, _, _) in enumerate(columns)], axis=1)
-                   for part in (cols, partner[cols])[:1 + antipodal]],
+                   for part in (cols, cols + sphere.half)[:1 + antipodal]],
                   [len(kept) for kept, _, _ in columns])
-    # rotation class (ring, tau) of each column, with tau and -tau merged
-    orbit = np.unique(col_ring[cols] * us + np.minimum(tau[cols], -tau[cols] % us),
-                      return_inverse=True)[1]
-    return tuple(tables), gather[cols], tuple(columns), orbit, ub
+    # rotation class (ring, az mod us) of each column, with tau and -tau merged
+    tau = az_s[cols] % us
+    orbit = np.unique(ring_s[cols] * us + np.minimum(tau, -tau % us), return_inverse=True)[1]
+    return tuple(tables), gather, tuple(columns), orbit, ub
 
 
 @dataclass(eq=False)
@@ -301,17 +287,18 @@ class ExtensionOperator:
     """Balanced discretization of the extension/adjoint pair.
 
     The balanced kernel is stored once per (shell, ring, azimuthal residue)
-    and antipodal and mirror column pair: `kernel_table[u]` is the table of
+    and antipodal and mirror column pair.  Column i is sphere node i,
+    folded with its partner i + N/2: `kernel_table[u]` is the table of
     residue class u, for the table rows u::residues, and its columns are
-    the class's kept folded columns `fold_columns[u][0]`, each adding the
-    input of its mirror column in `fold_columns[u][1]`, if it has one;
-    `gather_index` gathers rotated copies of the input for every folded
-    column.  See the module docstring; the solver calls `power_adjoint`
-    and `bulk_energy` only.  `row_weights` is the ball weight of each
-    table row.  `row_scale` (per table row) and `col_scale` (per sphere
-    node) record the scalings folded into the tables; only the general
-    pair's tables, over all columns and built on its first call, read
-    them.  No array of ball length is held.
+    the class's kept columns `fold_columns[u][0]` (all below N/2), each
+    adding the input of its mirror column in `fold_columns[u][1]`, if it
+    has one; row i of `gather_index` is node i turned by each m.  See the
+    module docstring; the solver calls `power_adjoint` and `bulk_energy`
+    only.  `row_weights` is the ball weight of each table row.  `row_scale`
+    (per table row) and `col_scale` (per sphere node) record the scalings
+    folded into the tables; only the general pair's tables, over all
+    columns and built on its first call, read them.  No array of ball
+    length is held.
     """
 
     params: ProblemParams
@@ -401,7 +388,7 @@ class ExtensionOperator:
 
     def _row_sums(self, e: np.ndarray) -> np.ndarray:
         """Weighted row sums of the tables with column scaling e (one value per folded column)."""
-        return self._fold_product(self.sphere.weights[self.gather_index[:, 0]] * e, *self._folded)
+        return self._fold_product(self.sphere.weights[:len(e)] * e, *self._folded)
 
     def _col_sums(self, d: np.ndarray) -> np.ndarray:
         """Weighted column sums over the whole ball with row scaling d, per folded column.
@@ -440,9 +427,7 @@ class ExtensionOperator:
             table *= d[u::self.residues, None]
             table *= e[kept]
         self.row_scale = d
-        upper = self.gather_index[:, 0]
-        self.col_scale = np.empty(len(self.sphere))
-        self.col_scale[upper] = self.col_scale[self.sphere.antipode_index[upper]] = e
+        self.col_scale = np.concatenate([e, e])
 
     # -- table-layout pair: the one half-product, the solver's path --
 
@@ -522,7 +507,7 @@ class ExtensionOperator:
                                                     antipodal=False)[:3]
             for u, (table, (kept, _, _)) in enumerate(zip(tables, columns)):
                 table *= self.row_scale[u::self.residues, None]
-                table *= self.col_scale[gather[kept, 0]]
+                table *= self.col_scale[kept]
             self._general = tables, gather, columns
         return self._general
 

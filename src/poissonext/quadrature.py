@@ -212,16 +212,24 @@ def azimuthal_layout(quad: SphereQuadrature) -> tuple[np.ndarray, np.ndarray, np
     node, azimuths per ring): node i sits at polar cosine cos[ring[i]] and
     azimuth 2 pi az[i] / naz.  n = 2 is one ring at cosine 0.  The second
     half of the nodes, the negation of the first, lies on the mirror rings
-    turned by half a revolution.
+    turned by half a revolution.  Raises ValueError unless each (ring,
+    azimuth) slot holds exactly one node and every node lies within 1e-12
+    of its slot's position.
     """
     idx = np.arange(len(quad))
-    if quad.n == 2:
-        return np.zeros(1), np.zeros(len(quad), dtype=np.intp), idx, quad.resolution
-    naz = 2 * quad.resolution
-    ring, az = idx // naz, idx % naz
-    lower = idx >= quad.half
-    az[lower] = (az[lower] + naz // 2) % naz
-    return quad.nodes[::naz, 2], ring, az, naz
+    naz = quad.resolution if quad.n == 2 else 2 * quad.resolution
+    ring, az, cos = idx // naz, idx % naz, np.zeros(1)
+    if quad.n == 3:
+        az = (az + (idx >= quad.half) * (naz // 2)) % naz
+        cos = quad.nodes[::naz, 2]
+    if len(quad) != len(cos) * naz or np.bincount(ring * naz + az).max() > 1:
+        raise ValueError(f"the sphere rule does not fill {len(cos)} rings of {naz} azimuths "
+                         "with one node each")
+    phi, sin = 2.0 * np.pi * az / naz, np.sqrt(1.0 - cos[ring] ** 2)
+    layout = np.stack([sin * np.cos(phi), sin * np.sin(phi), cos[ring]], axis=1)[:, :quad.n]
+    if np.max(np.abs(quad.nodes - layout)) > 1e-12:
+        raise ValueError("a sphere node lies more than 1e-12 from its layout position")
+    return cos, ring, az, naz
 
 
 def _max_radial_points(q: int) -> int:

@@ -250,6 +250,26 @@ class TestCliCommands:
             assert "quadrature.ball_radial_points" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "report.json")
 
+    def test_weight_outside_1e_minus_50_to_1e50_exits_2(self, tmp_path, capsys):
+        # lambda scales as K^(-p_bulk / p); past this range it leaves float64
+        out = tmp_path / "out"
+        for weight in ({"kind": "constant", "value": 1e-300},
+                       {"kind": "constant", "value": 1e-100},
+                       {"kind": "constant", "value": 1e100},
+                       {"kind": "cosine_series", "coefficients": {"0": 1e100}}):
+            cfg = {"params": {"n": 2, "a": 0.95}, "weight": weight, "output_dir": str(out)}
+            assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+            assert "weight:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [1e-50, 1e50])
+    def test_weight_at_the_ends_of_the_range_solves(self, tmp_path, value):
+        cfg = {"params": {"n": 2, "a": 0.95}, "weight": {"kind": "constant", "value": value},
+               "quadrature": {"sphere_resolution": 16, "ball_radial_points": 18,
+                              "ball_angular_resolution": 16},
+               "output_dir": str(tmp_path / "out")}
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+
     def test_n2_sharp_at_128_radial_points(self, tmp_path):
         out = str(tmp_path / "out")
         cfg = tiny_2d_config(out)

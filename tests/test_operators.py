@@ -337,10 +337,10 @@ class TestStructuredProducts:
             if np.max(np.abs(d * raw._row_sums(e) / psi - 1.0)) < px.operators._SINKHORN_TOL:
                 break
         assert iters == op.balance_iterations
-        upper = op.gather_index[:, 0]
         assert d.tobytes() == op.row_scale.tobytes()
-        assert e.tobytes() == op.col_scale[upper].tobytes()
-        assert e.tobytes() == op.col_scale[sphere.antipode_index[upper]].tobytes()
+        # column i is node i, and node i + N/2, its antipode, takes its scale
+        assert e.tobytes() == op.col_scale[:sphere.half].tobytes()
+        assert e.tobytes() == op.col_scale[sphere.half:].tobytes()
 
     @pytest.mark.parametrize("case", [STRUCTURED_CASES[1], (2, 0.5, 96, 64)],
                              ids=lambda c: "n%d-a%g-S%d-A%d" % c)
@@ -349,7 +349,7 @@ class TestStructuredProducts:
         # rules onto themselves, so the scale of a node is the scale of its
         # orbit, bit for bit, and both members of a mirror pair get it
         op = _structured_op(case)
-        e = op.col_scale[op.gather_index[:, 0]]
+        e = op.col_scale[:op.sphere.half]
         for orbit in np.unique(op._orbit):
             assert len(np.unique(e[op._orbit == orbit])) == 1
         for kept, mirror, _ in op.fold_columns:
@@ -361,14 +361,15 @@ class TestStructuredProducts:
         ext = op.extend_values(np.ones(len(op.sphere)))
         tables, gather, columns = op._general
         # every column, each class keeping one per mirror pair
-        assert sorted(gather[:, 0]) == list(range(len(op.sphere)))
+        assert np.array_equal(gather[:, 0], np.arange(len(op.sphere)))
+        assert np.array_equal(op.gather_index[:, 0], np.arange(op.sphere.half))
         assert len(tables) == len(columns) == op.residues
         for table, (kept, mirror, _) in zip(tables, columns):
             assert table.base is None and table.shape == (op.table_shape[0] // op.residues,
                                                           len(op.sphere) - len(mirror))
-        # the folded columns and their partners, which gather the antipodes
+        # the folded columns, then their partners, which gather the antipodes
         pairs = np.concatenate([op.gather_index, op.sphere.antipode_index[op.gather_index]])
-        assert sorted(map(tuple, gather)) == sorted(map(tuple, pairs))
+        assert np.array_equal(gather, pairs)
         op.adjoint_values(np.ones(len(op.ball)))
         assert op._general[0] is tables
         assert max_rel(ext, px.kernel_ball_sphere_mass(op.ball.radii, op.params)) <= 1e-10
@@ -395,6 +396,73 @@ class TestStructuredProducts:
         weights[[1, ball.half + 1]] *= 1.0 + 2.0 ** -52
         with pytest.raises(ValueError, match="vary along an azimuthal ring"):
             px.ExtensionOperator(params, sphere, replace(ball, weights=weights))
+
+
+class TestColumnNumbering:
+    """Column i of every kernel table is sphere node i, and the layout checks behind that."""
+
+    # the last case has us = 3 sphere azimuths per ball turn (24 and 16 azimuths)
+    @pytest.mark.parametrize("case", STRUCTURED_CASES + [(3, -0.5, 12, 8)],
+                             ids=lambda c: "n%d-a%g-S%d-A%d" % c)
+    def test_gather_row_i_is_node_i_turned_by_each_ball_turn(self, case):
+        n, a, res, ang = case
+        params = px.ProblemParams(n, a)
+        sphere = px.build_sphere_quadrature(params, res)
+        ball = px.build_ball_quadrature(params, 8, ang)
+        _, ring, az, naz_s = azimuthal_layout(sphere)
+        g = math.gcd(naz_s, azimuthal_layout(ball.angular)[3])
+        for antipodal, count in ((True, sphere.half), (False, len(sphere))):
+            gather = _kernel_table(sphere, ball, params, antipodal)[1]
+            assert np.array_equal(gather[:, 0], np.arange(count))
+            x, y = sphere.nodes[:count, 0], sphere.nodes[:count, 1]
+            for m in range(gather.shape[1]):
+                # m turns of us = naz_s / g sphere azimuths, a g-th of a revolution each
+                assert np.array_equal(ring[gather[:, m]], ring[:count])
+                assert np.array_equal(az[gather[:, m]], (az[:count] + m * naz_s // g) % naz_s)
+                c, s = np.cos(2 * np.pi * m / g), np.sin(2 * np.pi * m / g)
+                turned = sphere.nodes[gather[:, m]]
+                assert np.max(np.abs(turned[:, 0] - (c * x - s * y))) <= 1e-12
+                assert np.max(np.abs(turned[:, 1] - (s * x + c * y))) <= 1e-12
+                assert np.array_equal(turned[:, 2:], sphere.nodes[:count, 2:])
+
+    def test_reordered_rule_raises_instead_of_extending_wrongly(self):
+        # the same permutation on both halves keeps the antipode the half
+        # shift, and the rule passes its own checks; its nodes leave their
+        # layout positions, which used to give a wrong operator silently
+        params = px.ProblemParams(2, 0.5)
+        sphere = px.build_sphere_quadrature(params, 16)
+        perm = np.random.default_rng(1).permutation(sphere.half)
+        order = np.concatenate([perm, perm + sphere.half])
+        reordered = replace(sphere, nodes=sphere.nodes[order], weights=sphere.weights[order])
+        for build in (lambda: azimuthal_layout(reordered),
+                      lambda: px.ExtensionOperator(params, reordered,
+                                                   px.build_ball_quadrature(params, 24, 32))):
+            with pytest.raises(ValueError, match="from its layout position"):
+                build()
+
+    def test_partial_ring_raises_value_error(self):
+        # 32 nodes of the n = 3, resolution 4 rule under resolution 6 would
+        # fill 32 of the 3 x 12 (ring, azimuth) slots
+        params = px.ProblemParams(3, -0.5)
+        sphere = replace(px.build_sphere_quadrature(params, 4), resolution=6)
+        assert len(sphere) % (2 * sphere.resolution)
+        with pytest.raises(ValueError, match="does not fill 3 rings of 12 azimuths"):
+            px.ExtensionOperator(params, sphere, px.build_ball_quadrature(params, 24, 8))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("res", [4, 6, 16, 64])
+    def test_built_in_rules_lie_on_their_layout(self, n, res):
+        params = px.ProblemParams(n, 0.5)
+        for rule in (px.build_sphere_quadrature(params, res),
+                     px.build_ball_quadrature(params, 8, res).angular):
+            cos, ring, az, naz = azimuthal_layout(rule)
+            slots = np.zeros((len(cos), naz), dtype=int)
+            np.add.at(slots, (ring, az), 1)
+            assert np.all(slots == 1)
+            phi = np.arctan2(rule.nodes[:, 1], rule.nodes[:, 0])
+            assert np.max(np.abs(np.angle(np.exp(1j * (phi - 2 * np.pi * az / naz))))) <= 1e-12
+            if n == 3:
+                assert np.max(np.abs(rule.nodes[:, 2] - cos[ring])) <= 1e-12
 
 
 class TestOperatorCache:
@@ -580,6 +648,8 @@ class TestFoldedTablePair:
         column_of = {tuple(nodes): c for c, nodes in enumerate(gather)}
         partner = np.array([column_of[tuple(anti[nodes])] for nodes in gather])
         reps = np.array([column_of[tuple(nodes)] for nodes in half_gather])
+        # column i is node i, its partner node i + N/2
+        assert np.array_equal(reps, np.arange(sphere.half)) and np.array_equal(partner, anti)
         assert np.all(half_gather[:, 0] < sphere.half)
         assert sorted(np.concatenate([reps, partner[reps]])) == list(range(len(sphere)))
         assert len(tables) == len(fold_columns) == len(every) == len(every_columns) == ub

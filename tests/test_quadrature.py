@@ -205,7 +205,7 @@ class TestIntegratePrimitives:
         with pytest.raises(ValueError):
             px.integrate_ball(np.ones(3), ball_2d)
 
-    def test_summation_is_permutation_invariant(self, sphere_2d, rng):
+    def test_summation_is_permutation_invariant(self, sphere_2d, ball_2d, params_2d, rng):
         # exact summation: the same rule with its nodes permuted gives the same float
         v = rng.normal(size=len(sphere_2d))
         perm = rng.permutation(len(sphere_2d))
@@ -218,6 +218,9 @@ class TestIntegratePrimitives:
             antipode_index=inv[sphere_2d.antipode_index[perm]],
         )
         assert px.integrate_boundary(v[perm], q2) == px.integrate_boundary(v, sphere_2d)
+        # its antipode is no longer the half shift the extension operator folds by
+        with pytest.raises(ValueError, match="antipode is not the half shift"):
+            px.ExtensionOperator(params_2d, q2, ball_2d)
 
     def test_ball_integral_is_the_boundary_integral_with_its_message(self, sphere_2d, ball_2d):
         assert px.integrate_ball is px.integrate_boundary
