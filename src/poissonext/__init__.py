@@ -24,7 +24,6 @@ from .quadrature import (
 from .halfspace import HalfspaceGrid, build_halfspace_grid, halfspace_tail_bound
 from .operators import (
     BoundaryFunction,
-    ExtensionField,
     ExtensionOperator,
     build_extension_operator,
     conformal_pullback_check,
@@ -34,7 +33,6 @@ from .operators import (
     weighted_harmonic_residual,
 )
 from .functionals import (
-    SharpConstant,
     WeightFunction,
     boundary_norm,
     bulk_norm,

@@ -178,22 +178,19 @@ def cmd_verify(config: RunConfig):
     _check(checks, "halfspace_kernel_normalization", max(devs), 1e-6)
 
     # extension of the constant reproduces the exact kernel sphere-mass
-    one = ops.BoundaryFunction(np.ones(len(sphere)), sphere)
-    field = op.extend(one)
+    field = op.extend_values(np.ones(len(sphere)))
     _check(checks, "constant_extension_matches_sphere_mass",
-           np.max(np.abs(field.values - kernel_ball_sphere_mass(ball.radii, params))), 1e-9)
+           np.max(np.abs(field - kernel_ball_sphere_mass(ball.radii, params))), 1e-9)
 
     # duality, positivity, antipodal equivariance
-    v = ops.BoundaryFunction(rng.random(len(sphere)), sphere)
-    f = ops.ExtensionField(rng.random(len(ball)), ball)
-    lhs = integrate_ball(op.extend(v).values * f.values, ball)
-    rhs = integrate_boundary(v.values * op.adjoint(f).values, sphere)
+    v, f = rng.random(len(sphere)), rng.random(len(ball))
+    lhs = integrate_ball(op.extend_values(v) * f, ball)
+    rhs = integrate_boundary(v * op.adjoint_values(f), sphere)
     _check(checks, "duality", abs(lhs - rhs) / abs(lhs), 1e-10)
-    vpos = ops.BoundaryFunction(np.abs(rng.random(len(sphere))), sphere)
-    _check(checks, "positivity", 0.0, 0.0,
-           passed=bool(np.all(op.extend(vpos).values > 0)))
-    flipped = op.extend_values(v.values[sphere.antipode_index])
-    straight = op.extend_values(v.values)[ball.antipode_index]
+    vpos = np.abs(rng.random(len(sphere)))
+    _check(checks, "positivity", 0.0, 0.0, passed=bool(np.all(op.extend_values(vpos) > 0)))
+    flipped = op.extend_values(v[sphere.antipode_index])
+    straight = op.extend_values(v)[ball.antipode_index]
     _check(checks, "antipodal_equivariance_exact", 0.0, 0.0,
            passed=bool(np.array_equal(flipped, straight)))
 
@@ -223,8 +220,9 @@ def cmd_verify(config: RunConfig):
         vb = ops.BoundaryFunction(
             _random_bandlimited(config, rng, nonnegative=True)(sphere.nodes), sphere
         )
-        ratio = fn.bulk_norm(op.extend(vb), params.p_bulk) / fn.boundary_norm(vb, params.p_crit)
-        worst = max(worst, ratio / sharp.value)
+        ratio = (fn.bulk_norm(op.extend_values(vb.values), ball, params.p_bulk)
+                 / fn.boundary_norm(vb, params.p_crit))
+        worst = max(worst, ratio / sharp)
     _check(checks, "sharp_inequality_ratio", worst, 1.0 + 1e-3)
 
     # weight spec checks
@@ -266,12 +264,11 @@ def cmd_sharp(config: RunConfig):
     methods = {}
 
     if params.a == 0.0 and params.n >= 3:
-        s0 = fn.sharp_constant_formula_a0(params)
-        methods["formula_a0"] = s0.value
+        methods["formula_a0"] = s0 = fn.sharp_constant_formula_a0(params)
         entries.append({"quantity": "sharp_constant", "method": "formula_a0",
-                        "value": s0.value, "resolution": None, "est_error": 0.0})
+                        "value": s0, "resolution": None, "est_error": 0.0})
 
-    coarse = fn.sharp_constant_from_constant_test_function(sphere, ball, params).value
+    coarse = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
     # the balanced operator reproduces the constant's extension exactly at
     # any sphere resolution, so the discretization error of this method is
     # purely radial; refine only the ball rule for the Richardson pair
@@ -279,7 +276,7 @@ def cmd_sharp(config: RunConfig):
         params, SHARP_RADIAL_REFINEMENT * config.quadrature["ball_radial_points"],
         config.quadrature["ball_angular_resolution"]
     )
-    fine = fn.sharp_constant_from_constant_test_function(sphere, ball2, params).value
+    fine = fn.sharp_constant_from_constant_test_function(sphere, ball2, params)
     value, err = fn.richardson_estimate(coarse, fine)
     methods["constant_test_function"] = value
     entries.append({"quantity": "sharp_constant", "method": "constant_test_function",
@@ -290,9 +287,9 @@ def cmd_sharp(config: RunConfig):
         sphere, ball, params, starts=max(2, config.solver["multistart"]), seed=config.seed,
         max_iter=config.solver["max_iter"], tol_v=config.solver["tol_v"]
     )
-    methods["numerical_maximization"] = smax.value
+    methods["numerical_maximization"] = smax
     entries.append({"quantity": "sharp_constant", "method": "numerical_maximization",
-                    "value": smax.value, "resolution": config.quadrature["sphere_resolution"],
+                    "value": smax, "resolution": config.quadrature["sphere_resolution"],
                     "est_error": None})
 
     discrepancies = {}
@@ -368,23 +365,15 @@ def _lambda_richardson(config: RunConfig, p: float, lam_fine: float, v_fine) -> 
 
 def cmd_continue(config: RunConfig):
     params = config.params
-    sphere, ball = _quads(config)
-    weight = evaluate_weight(config, sphere)
     schedule = config.solver["schedule"] or slv.default_schedule(
         params, floor=config.solver["epsilon_floor"]
     )
+    problem = _problem(config, schedule[0])
+    sphere, ball, weight = problem.sphere, problem.ball, problem.weight
     sharp = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
     report_obj = slv.continuation(
-        weight,
-        schedule,
-        params,
-        sphere,
-        ball,
-        tol_v=config.solver["tol_v"],
-        max_iter=config.solver["max_iter"],
-        blow_up_factor=config.solver["blow_up_factor"],
-        sharp=sharp,
-    )
+        weight, schedule, params, sphere, ball, tol_v=problem.tol_v, max_iter=problem.max_iter,
+        blow_up_factor=config.solver["blow_up_factor"], sharp=sharp)
     holds, ratio, margin = fn.existence_condition(weight, params)
     rows = report_obj.stage_rows()
     ok = all(s.solved for s in report_obj.stages) and not report_obj.blow_up_flag

@@ -6,15 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BoundaryFunction, ExtensionField, _NodalValues, build_extension_operator
+from .operators import BoundaryFunction, build_extension_operator
 from .params import ProblemParams
 from .quadrature import (BallQuadrature, SphereQuadrature, ball_volume, integrate_ball,
                          integrate_boundary)
 
 
 @dataclass(eq=False)
-class WeightFunction(_NodalValues):
-    """Positive weight K at sphere nodes, optionally antipodally symmetric."""
+class WeightFunction(BoundaryFunction):
+    """Positive weight K at sphere nodes, optionally antipodally symmetric.
+
+    Antipodality is checked relative to max K, so a weight and its multiples
+    pass or fail together.
+    """
 
     antipodal: bool = False
     _kind = "weight"
@@ -25,7 +29,7 @@ class WeightFunction(_NodalValues):
             raise ValueError("K must be strictly positive")
         if self.antipodal:
             dev = np.max(np.abs(self.values - self.values[self.quad.antipode_index]))
-            if dev > 1e-12:
+            if dev > 1e-12 * self.max:
                 raise ValueError(f"antipodality violated (deviation {dev:.3e})")
 
     @property
@@ -37,15 +41,6 @@ class WeightFunction(_NodalValues):
         return float(self.values.min())
 
 
-@dataclass(frozen=True)
-class SharpConstant:
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ValueError("sharp constant must be positive")
-
-
 def boundary_norm(v: BoundaryFunction, p: float) -> float:
     """(integral of |v|^p over the sphere)^{1/p}."""
     if p < 1:
@@ -53,35 +48,33 @@ def boundary_norm(v: BoundaryFunction, p: float) -> float:
     return integrate_boundary(np.abs(v.values) ** p, v.quad) ** (1.0 / p)
 
 
-def bulk_norm(f: ExtensionField, q: float) -> float:
-    """(integral of |F|^q over the ball)^{1/q}."""
+def bulk_norm(values: np.ndarray, ball: BallQuadrature, q: float) -> float:
+    """(integral of |F|^q over the ball)^{1/q} of F's values at the ball nodes."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    return integrate_ball(np.abs(f.values) ** q, f.quad) ** (1.0 / q)
+    return integrate_ball(np.abs(values) ** q, ball) ** (1.0 / q)
 
 
-def sharp_constant_formula_a0(params: ProblemParams) -> SharpConstant:
+def sharp_constant_formula_a0(params: ProblemParams) -> float:
     """Closed form of the sharp constant at a = 0 (n >= 3 only)."""
     if params.a != 0.0 or params.n < 3:
         raise ValueError("the closed form applies to a = 0, n >= 3")
     n = params.n
     omega = ball_volume(n)
-    value = n ** (-(n - 2.0) / (2.0 * (n - 1.0))) * omega ** (
-        -(n - 2.0) / (2.0 * n * (n - 1.0))
-    )
-    return SharpConstant(float(value))
+    return float(n ** (-(n - 2.0) / (2.0 * (n - 1.0)))
+                 * omega ** (-(n - 2.0) / (2.0 * n * (n - 1.0))))
 
 
 def sharp_constant_from_constant_test_function(
     sphere: SphereQuadrature,
     ball: BallQuadrature,
     params: ProblemParams,
-) -> SharpConstant:
+) -> float:
     """Ratio of norms of the extension of v = 1 (the claimed extremizer)."""
     one = BoundaryFunction(np.ones(len(sphere)), sphere)
     op = build_extension_operator(sphere, ball, params)
     num = op.bulk_energy(one.values, params.q_exp) ** (1.0 / params.p_bulk)
-    return SharpConstant(num / boundary_norm(one, params.p_crit))
+    return num / boundary_norm(one, params.p_crit)
 
 
 def sharp_constant_by_maximization(
@@ -92,7 +85,7 @@ def sharp_constant_by_maximization(
     seed: int = 0,
     max_iter: int = 2000,
     tol_v: float = 1e-9,
-) -> tuple[SharpConstant, bool]:
+) -> tuple[float, bool]:
     """Maximize the norm ratio over the discretized (antipodal) sphere.
 
     Runs the solver's multistart with K = 1 at `solver.default_p` from the
@@ -118,7 +111,7 @@ def sharp_constant_by_maximization(
     (v, lam, _), runs = maximize_multistart(problem,
                                             multistart_inits(sphere, starts - 1, 0.5, seed))
     ratio = lam ** (1.0 / params.p_bulk) / boundary_norm(v, params.p_crit)
-    return SharpConstant(ratio), all(solved(rep) for _, _, rep in runs)
+    return ratio, all(solved(rep) for _, _, rep in runs)
 
 
 def sharp_constant(
@@ -126,7 +119,7 @@ def sharp_constant(
     method: str,
     sphere: SphereQuadrature | None = None,
     ball: BallQuadrature | None = None,
-) -> SharpConstant:
+) -> float:
     """Dispatch on the estimation method; see the individual functions.
 
     Each method runs at its defaults; call `sharp_constant_by_maximization`
@@ -151,15 +144,11 @@ def existence_condition(weight: WeightFunction, params: ProblemParams) -> tuple[
     return ratio < threshold, float(ratio), float(threshold - ratio)
 
 
-def lambda_threshold(
-    weight: WeightFunction, params: ProblemParams, sharp: SharpConstant
-) -> float:
-    """Attainment threshold S^{p_bulk} / ((min K)^{n/(n-1)} 2^{1/(n-1)})."""
+def lambda_threshold(weight: WeightFunction, params: ProblemParams, sharp: float) -> float:
+    """Attainment threshold S^{p_bulk} / ((min K)^{n/(n-1)} 2^{1/(n-1)}), S = sharp."""
     n = params.n
-    return float(
-        sharp.value ** params.p_bulk
-        / (weight.min ** (n / (n - 1.0)) * 2.0 ** (1.0 / (n - 1.0)))
-    )
+    return float(sharp ** params.p_bulk
+                 / (weight.min ** (n / (n - 1.0)) * 2.0 ** (1.0 / (n - 1.0))))
 
 
 def richardson_estimate(coarse: float, fine: float, order: float = 2.0) -> tuple[float, float]:

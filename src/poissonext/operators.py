@@ -155,12 +155,12 @@ def _checked(x, shape: tuple, what: str) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class _NodalValues:
-    """Finite values at the nodes of a quadrature rule; equal only to itself."""
+class BoundaryFunction:
+    """Finite values at the nodes of a sphere quadrature; equal only to itself."""
 
     values: np.ndarray
-    quad: SphereQuadrature | BallQuadrature
-    _kind = "nodal"
+    quad: SphereQuadrature
+    _kind = "boundary"
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -168,18 +168,6 @@ class _NodalValues:
             raise ValueError("value vector length does not match the quadrature")
         if not np.all(np.isfinite(self.values)):
             raise ValueError(f"{self._kind} values must be finite")
-
-
-class BoundaryFunction(_NodalValues):
-    """Values of a boundary function at the nodes of a sphere quadrature."""
-
-    _kind = "boundary"
-
-
-class ExtensionField(_NodalValues):
-    """Values of an extension at the nodes of a ball quadrature."""
-
-    _kind = "field"
 
 
 def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: ProblemParams,
@@ -208,8 +196,9 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
     tables[u] (class u's rows x kept) holds each kept column's kernel, plus
     its partner's with `antipodal`, computed once.  orbit numbers the
     columns by their nodes' orbit under the turns, the antipode and the
-    mirror about azimuth 0.  Returns (tables, gather, columns, orbit, ub),
-    filled shell by shell; no unfolded table is made.
+    mirror about azimuth 0.  Returns (tables, gather, columns, orbit, ub);
+    each table is one array pass over (shell, row, kept column), and no
+    unfolded table is made.
     """
     if not np.array_equal(sphere.antipode_index, (np.arange(len(sphere)) + sphere.half)
                           % len(sphere)):
@@ -235,25 +224,6 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
     # |e_b - e_s|^2 and |xi - eta|^2 = (1 - r)^2 + r |e_b - e_s|^2 as sums of
     # nonnegative terms: no cancellation next to the sphere
     e2 = (sb - ss) ** 2 + (cb - cs) ** 2 + 4.0 * sb * ss * np.sin(np.pi * turn / period) ** 2
-    pref = ball_prefactor(params)
-    a, n = params.a, params.n
-
-    def fill(parts, widths):
-        """The kernel at rows (shell, row of `parts`) summed over `parts`, split by columns.
-
-        One table per width in `widths`, each owning its memory.
-        """
-        rows = len(parts[0])
-        tables = [np.empty((len(radii) * rows, width)) for width in widths]
-        blocks = [slice(stop - width, stop) for width, stop in zip(widths, np.cumsum(widths))]
-        for shell, r in enumerate(radii):
-            scale = pref * ((1.0 - r) * (1.0 + r)) ** (1.0 - a)
-            values = sum(scale * ((1.0 - r) ** 2 + r * part) ** ((a - n) / 2.0)
-                         for part in parts)
-            for table, block in zip(tables, blocks):
-                table[shell * rows:(shell + 1) * rows] = values[:, block]
-        return tables
-
     columns = []
     for res in range(ub):
         mirror = cols
@@ -270,12 +240,22 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
         spread[kept] = np.arange(len(kept))
         spread[mirror[paired]] = np.arange(len(paired))
         columns.append((kept, mirror[paired], spread))
-    # class u's rows are e2[u::ub]; each kept column sums the kernel at its
-    # node and, with `antipodal`, at that node's antipode
-    tables = fill([np.concatenate([e2[res::ub][:, part[kept]]
-                                   for res, (kept, _, _) in enumerate(columns)], axis=1)
-                   for part in (cols, cols + sphere.half)[:1 + antipodal]],
-                  [len(kept) for kept, _, _ in columns])
+    # class u's rows are e2[u::ub] for each shell; each kept column sums the
+    # kernel at its node and, with `antipodal`, at that node's antipode.  The
+    # per-shell factors are scalar pows, which round otherwise than vector ones
+    rings, pref, a, n = per_shell // ub, ball_prefactor(params), params.a, params.n
+    r = np.repeat(radii, rings)[:, None]
+    sq = np.repeat([(1.0 - x) ** 2 for x in radii], rings)[:, None]
+    scale = np.repeat([pref * ((1.0 - x) * (1.0 + x)) ** (1.0 - a) for x in radii], rings)[:, None]
+    parts = np.stack([cols, cols + sphere.half][:1 + antipodal])
+    tables = []
+    for res, (kept, _, _) in enumerate(columns):
+        x = np.tile(e2[res::ub][:, parts[:, kept]].transpose(1, 0, 2), (1, len(radii), 1))
+        x *= r
+        x += sq
+        x **= (a - n) / 2.0
+        x *= scale
+        tables.append(x.sum(axis=0))
     # rotation class (ring, az mod us) of each column, with tau and -tau merged
     tau = az_s[cols] % us
     orbit = np.unique(ring_s[cols] * us + np.minimum(tau, -tau % us), return_inverse=True)[1]
@@ -526,16 +506,6 @@ class ExtensionOperator:
                                                              columns).ravel())
                     for h in (z[:self.ball.half], z[self.ball.half:]))
         return up + down[self.sphere.antipode_index]
-
-    def extend(self, v: BoundaryFunction) -> ExtensionField:
-        if v.quad is not self.sphere:
-            raise ValueError("boundary function lives on a different quadrature")
-        return ExtensionField(self.extend_values(v.values), self.ball)
-
-    def adjoint(self, f: ExtensionField) -> BoundaryFunction:
-        if f.quad is not self.ball:
-            raise ValueError("field lives on a different quadrature")
-        return BoundaryFunction(self.adjoint_values(f.values), self.sphere)
 
     def diagnostics(self) -> dict:
         return {

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .functionals import SharpConstant, WeightFunction, lambda_threshold
+from .functionals import WeightFunction, lambda_threshold
 from .operators import BoundaryFunction, ExtensionOperator, build_extension_operator
 from .params import ProblemParams
 # integrate_ball is not called here; perfbench/tracer.py wraps it under this name
@@ -404,14 +404,15 @@ def continuation(
     tol_v: float = 1e-9,
     max_iter: int = 5000,
     blow_up_factor: float = 3.0,
-    sharp: SharpConstant | None = None,
+    sharp: float | None = None,
 ) -> ContinuationReport:
     """Solve the stages of a decreasing-p schedule with warm starts.
 
     Every stage is one problem at the stage's p.  Flags a blow-up symptom
     when sup v over its L^p mean, (integral v^p / |S|)^(1/p), grows by more
     than `blow_up_factor` between consecutive stages.  Stage failure aborts
-    with the partial report.
+    with the partial report.  `sharp`, the sharp constant S, gives the
+    report its `lambda_threshold`.
     """
     if len(schedule) == 0:
         raise ValueError("empty schedule")

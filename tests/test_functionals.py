@@ -38,6 +38,15 @@ class TestWeightFunction:
         with pytest.raises(ValueError, match="antipodality"):
             px.WeightFunction(vals, sphere_2d, antipodal=True)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-20, 1e-50])
+    def test_antipodality_is_checked_relative_to_the_weight(self, scale, sphere_2d):
+        # an absolute 1e-12 passed 1e-20 (2 + x_1), whose max/min is 3
+        vals = scale * (2.0 + sphere_2d.nodes[:, 0])
+        with pytest.raises(ValueError, match="antipodality"):
+            px.WeightFunction(vals, sphere_2d, antipodal=True)
+        even = 0.5 * (vals + vals[sphere_2d.antipode_index])
+        assert px.WeightFunction(even, sphere_2d, antipodal=True).min == even.min()
+
     def test_accepts_even_frequency(self, sphere_2d):
         theta = np.arctan2(sphere_2d.nodes[:, 1], sphere_2d.nodes[:, 0])
         vals = 1.0 + 0.1 * np.cos(2 * theta)
@@ -66,14 +75,19 @@ class TestNorms:
         assert nc == pytest.approx(nf, abs=1e-6)
 
     def test_bulk_norm_of_constant(self, ball_3d):
-        one = px.ExtensionField(np.ones(len(ball_3d)), ball_3d)
-        assert px.bulk_norm(one, 6.0) == pytest.approx((4 * np.pi / 3) ** (1 / 6.0), rel=1e-9)
+        one = np.ones(len(ball_3d))
+        assert px.bulk_norm(one, ball_3d, 6.0) == pytest.approx((4 * np.pi / 3) ** (1 / 6.0),
+                                                                rel=1e-9)
 
     def test_bulk_norm_monotone(self, ball_3d, rng):
         f = rng.random(len(ball_3d))
-        small = px.ExtensionField(f, ball_3d)
-        big = px.ExtensionField(f + 0.5, ball_3d)
-        assert px.bulk_norm(big, 4.0) > px.bulk_norm(small, 4.0)
+        assert px.bulk_norm(f + 0.5, ball_3d, 4.0) > px.bulk_norm(f, ball_3d, 4.0)
+
+    def test_bulk_norm_rejects_values_off_the_ball_rule(self, ball_3d, sphere_3d):
+        for values in (np.ones(len(ball_3d) - 1), np.ones(len(sphere_3d)),
+                       np.ones((len(ball_3d), 1)), 1.0):
+            with pytest.raises(ValueError, match=r"expected \(\d+,\) values"):
+                px.bulk_norm(values, ball_3d, 4.0)
 
     def test_rejects_p_below_one(self, sphere_3d):
         one = px.BoundaryFunction(np.ones(len(sphere_3d)), sphere_3d)
@@ -109,8 +123,8 @@ class TestSharpConstant:
     def test_closed_form_value(self, params_3d):
         s = px.sharp_constant(params_3d, "formula_a0")
         expected = 3 ** (-0.25) * (4 * np.pi / 3) ** (-1 / 12.0)
-        assert s.value == pytest.approx(expected, rel=1e-14)
-        assert s.value == pytest.approx(0.67434, abs=1e-5)
+        assert s == pytest.approx(expected, rel=1e-14)
+        assert s == pytest.approx(0.67434, abs=1e-5)
 
     def test_formula_rejects_other_parameters(self, params_2d):
         with pytest.raises(ValueError):
@@ -119,15 +133,14 @@ class TestSharpConstant:
     def test_constant_test_function_matches_formula(self, sphere_3d, ball_3d, params_3d):
         s2 = px.sharp_constant(params_3d, "constant_test_function", sphere_3d, ball_3d)
         s1 = px.sharp_constant(params_3d, "formula_a0")
-        assert abs(s2.value - s1.value) < 1e-4
+        assert abs(s2 - s1) < 1e-4
 
     def test_norm_identity_at_a0(self, sphere_3d, ball_3d, params_3d):
         # the same statement as the constant test function, written as the
         # bulk integral identity S^6 (4 pi)^{3/2} = 4 pi / 3
         op = px.build_extension_operator(sphere_3d, ball_3d, params_3d)
-        one = px.BoundaryFunction(np.ones(len(sphere_3d)), sphere_3d)
-        lhs = px.integrate_ball(op.extend(one).values ** 6, ball_3d)
-        s = px.sharp_constant(params_3d, "formula_a0").value
+        lhs = px.integrate_ball(op.extend_values(np.ones(len(sphere_3d))) ** 6, ball_3d)
+        s = px.sharp_constant(params_3d, "formula_a0")
         assert lhs == pytest.approx(s**6 * (4 * np.pi) ** 1.5, rel=1e-10)
         assert lhs == pytest.approx(4 * np.pi / 3, rel=1e-10)
 
@@ -137,8 +150,8 @@ class TestSharpConstant:
         s3, solved = px.functionals.sharp_constant_by_maximization(
             sphere_2d, ball, params_2d, starts=2, seed=3, max_iter=800)
         assert solved
-        assert s3.value >= s2.value - 1e-4
-        assert s3.value <= s2.value * (1 + 1e-3)
+        assert s3 >= s2 - 1e-4
+        assert s3 <= s2 * (1 + 1e-3)
 
     def test_maximization_reports_the_start_with_the_largest_lambda(
         self, sphere_2d, ball_2d, params_2d, monkeypatch
@@ -164,13 +177,12 @@ class TestSharpConstant:
         op = px.build_extension_operator(sphere_2d, ball_2d, params_2d)
 
         def ratio(v):
-            return (px.bulk_norm(op.extend(v), params_2d.p_bulk)
+            return (px.bulk_norm(op.extend_values(v.values), ball_2d, params_2d.p_bulk)
                     / px.boundary_norm(v, params_2d.p_crit))
 
         assert ratio(one) > ratio(bumpy) * (1 + 1e-3)
         # the ratio is the best run's lambda^(1/p_bulk) over its critical norm
-        assert s.value == 2.0 ** (1.0 / params_2d.p_bulk) / px.boundary_norm(bumpy,
-                                                                             params_2d.p_crit)
+        assert s == 2.0 ** (1.0 / params_2d.p_bulk) / px.boundary_norm(bumpy, params_2d.p_crit)
 
     def test_maximization_ratio_is_the_best_runs_lambda_over_its_critical_norm(
         self, sphere_2d, params_2d, monkeypatch
@@ -184,7 +196,7 @@ class TestSharpConstant:
         assert solved and len(runs) == 2
         v, lam, _ = max(runs, key=lambda run: run[1])
         want = lam ** (1.0 / params_2d.p_bulk) / px.boundary_norm(v, params_2d.p_crit)
-        assert struct.pack("<d", s.value) == struct.pack("<d", want)
+        assert struct.pack("<d", s) == struct.pack("<d", want)
 
     def test_maximization_gate_fails_when_a_run_fails(self, sphere_2d, params_2d,
                                                       monkeypatch):
@@ -233,9 +245,9 @@ class TestSharpConstantStaysOffTheGeneralTable:
         assert op._general is None
         # the general pair gives the same constant to roundoff
         one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
-        general = px.bulk_norm(op.extend(one), params_2d.p_bulk) / px.boundary_norm(
-            one, params_2d.p_crit)
-        assert sharp.value == pytest.approx(general, rel=1e-13)
+        general = px.bulk_norm(op.extend_values(one.values), ball, params_2d.p_bulk) / (
+            px.boundary_norm(one, params_2d.p_crit))
+        assert sharp == pytest.approx(general, rel=1e-13)
 
     def test_maximization_builds_no_general_table(self, sphere_3d, ball_3d, params_3d):
         px.functionals.sharp_constant_by_maximization(sphere_3d, ball_3d, params_3d, starts=2)
@@ -303,7 +315,7 @@ class TestProofChainInvariants:
             for _ in range(10):
                 v = px.BoundaryFunction(np.abs(rng.random(len(sphere_3d))) + 0.05, sphere_3d)
                 val = isoperimetric_ratio(v, w, ball_3d, params_3d)
-                bound = s.value ** params_3d.p_bulk / w.min ** (params_3d.n / (params_3d.n - 1))
+                bound = s ** params_3d.p_bulk / w.min ** (params_3d.n / (params_3d.n - 1))
                 assert val <= bound * (1 + 1e-3)
 
     def test_constant_test_function_lower_bound(self, sphere_3d, ball_3d, params_3d):
@@ -314,7 +326,7 @@ class TestProofChainInvariants:
             kv = 0.5 * (kv + kv[sphere_3d.antipode_index])
             w = px.WeightFunction(kv, sphere_3d, antipodal=True)
             val = isoperimetric_ratio(one, w, ball_3d, params_3d)
-            bound = s.value ** params_3d.p_bulk / w.max ** (params_3d.n / (params_3d.n - 1))
+            bound = s ** params_3d.p_bulk / w.max ** (params_3d.n / (params_3d.n - 1))
             assert val >= bound - 1e-6
 
 

@@ -2,6 +2,7 @@ import copy
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scipy.integrate import quad
 import poissonext as px
 from poissonext.config import parse_config
 from poissonext.operators import _kernel_table, _power_inplace, _real_sph_design
-from poissonext.quadrature import azimuthal_layout, write_csv
+from poissonext.quadrature import _same_bits, azimuthal_layout, write_csv
 
 
 def theta_oracle(params):
@@ -47,15 +48,13 @@ def random_unit_points(rng, count):
 
 class TestExtendBall:
     def test_classical_constant_extension_is_one(self, op_3d, sphere_3d):
-        one = px.BoundaryFunction(np.ones(len(sphere_3d)), sphere_3d)
-        field = op_3d.extend(one)
-        assert np.max(np.abs(field.values - 1.0)) < 1e-6
+        field = op_3d.extend_values(np.ones(len(sphere_3d)))
+        assert np.max(np.abs(field - 1.0)) < 1e-6
 
     def test_constant_extension_matches_sphere_mass(self, op_2d, sphere_2d, ball_2d, params_2d):
-        one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
-        field = op_2d.extend(one)
+        field = op_2d.extend_values(np.ones(len(sphere_2d)))
         expected = px.kernel_ball_sphere_mass(ball_2d.radii, params_2d)
-        assert np.max(np.abs(field.values - expected)) < 1e-10
+        assert np.max(np.abs(field - expected)) < 1e-10
 
     def test_value_at_center_for_general_a(self, sphere_2d, params_2d):
         one = px.BoundaryFunction(np.ones(len(sphere_2d)), sphere_2d)
@@ -86,9 +85,8 @@ class TestExtendBall:
 
     def test_quadrature_mismatch_rejected(self, op_2d, params_2d):
         other = px.build_sphere_quadrature(params_2d, 32)
-        v = px.BoundaryFunction(np.ones(len(other)), other)
         with pytest.raises(ValueError):
-            op_2d.extend(v)
+            op_2d.extend_values(np.ones(len(other)))
 
     def test_interior_point_accuracy_against_fine_reference(self, params_2d, rng):
         # pure point evaluation converges spectrally in the sphere resolution
@@ -288,6 +286,24 @@ class TestStructuredProducts:
         macs = sum(table.size for table in op.kernel_table) * turns
         dense = op.ball.half * len(op.sphere)
         assert 4 * macs > dense and 2 * macs <= dense
+
+    @pytest.mark.parametrize("n, a, sphere_res, ball_res",
+                             [(2, 0.5, 32, 64), (3, -0.5, 8, 12), (3, -0.5, 12, 8)])
+    def test_tables_are_the_bits_of_a_loop_over_shells(self, n, a, sphere_res, ball_res):
+        # the reference builds each shell's rows alone, on a one-shell ball:
+        # the one array pass over all shells must round each entry as it does
+        params = px.ProblemParams(n, a)
+        sphere = px.build_sphere_quadrature(params, sphere_res)
+        ball = px.build_ball_quadrature(params, 12, ball_res)
+        ang = ball.angular
+        for antipodal in (True, False):
+            shells = [_kernel_table(sphere, SimpleNamespace(angular=ang, half=ang.half,
+                                                            radii=np.full(ang.half, r)),
+                                    params, antipodal)[0]
+                      for r in ball.radii[:ball.half:ang.half]]
+            for u, table in enumerate(_kernel_table(sphere, ball, params, antipodal)[0]):
+                assert table.base is None
+                assert _same_bits(table, np.concatenate([shell[u] for shell in shells]))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_default_rules_run_at_most_0_27_of_the_dense_macs(self, n):
@@ -883,13 +899,12 @@ class TestSerialization:
         assert np.array_equal(data[:, 2], v.values)
 
     def test_extension_field_csv(self, op_3d, sphere_3d, ball_3d, tmp_path):
-        one = px.BoundaryFunction(np.ones(len(sphere_3d)), sphere_3d)
-        field = op_3d.extend(one)
+        field = op_3d.extend_values(np.ones(len(sphere_3d)))
         path = tmp_path / "f.csv"
-        write_csv(path, ball_3d.nodes, field.values)
+        write_csv(path, ball_3d.nodes, field)
         assert path.read_text().splitlines()[0] == "x1,x2,x3,value"
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        assert np.array_equal(data[:, 3], field.values)
+        assert np.array_equal(data[:, 3], field)
 
 
 class TestInterpolation:
@@ -996,8 +1011,7 @@ class TestSharpInequalitySanity:
                 + 0.4 * rng.uniform(-1, 1) * np.sin(theta)
             v = np.maximum(v, 0.01)
             bf = px.BoundaryFunction(v, sphere_2d)
-            ratio = px.bulk_norm(op_2d.extend(bf), params_2d.p_bulk) / px.boundary_norm(
-                bf, params_2d.p_crit
-            )
-            worst = max(worst, ratio / sharp.value)
+            ratio = px.bulk_norm(op_2d.extend_values(v), ball_2d, params_2d.p_bulk) / (
+                px.boundary_norm(bf, params_2d.p_crit))
+            worst = max(worst, ratio / sharp)
         assert worst <= 1.0 + 1e-3

@@ -372,13 +372,13 @@ class TestMaximizeSubcritical:
         # candidates stay arrays; only the start and each new state are validated
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
         init = px.BoundaryFunction(rng.random(len(sphere_2d)) + 0.5, sphere_2d)
-        validate, built = px.operators._NodalValues.__post_init__, []
+        validate, built = px.BoundaryFunction.__post_init__, []
 
         def counted(self):
             built.append(type(self))
             validate(self)
 
-        monkeypatch.setattr(px.operators._NodalValues, "__post_init__", counted)
+        monkeypatch.setattr(px.BoundaryFunction, "__post_init__", counted)
         _, _, rep = px.maximize_subcritical(prob, init)
         assert rep["converged"] and rep["iterations"] > 1
         assert len(built) <= rep["iterations"] + 2
@@ -692,7 +692,7 @@ class TestContinuation:
         schedule = px.default_schedule(params_2d, floor=1e-3)
         rep = px.continuation(unit_weight_2d, schedule, params_2d, sphere_2d, ball_2d)
         s = px.sharp_constant(params_2d, "constant_test_function", sphere_2d, ball_2d)
-        assert rep.lambda_est == pytest.approx(s.value ** params_2d.p_bulk, rel=1e-3)
+        assert rep.lambda_est == pytest.approx(s ** params_2d.p_bulk, rel=1e-3)
         assert all(st.converged for st in rep.stages)
         assert not rep.blow_up_flag
 
