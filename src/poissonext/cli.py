@@ -40,18 +40,10 @@ def main(argv=None) -> int:
         description="Poisson-type extension operators and the subcritical variational solver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("verify", "run the cross-module identity and inequality checks"),
-        ("sharp", "estimate the sharp constant by every applicable method"),
-        ("solve", "solve one subcritical maximization"),
-        ("continue", "run the p-continuation toward the critical exponent"),
-        ("diagnose", "run the bubble/blow-up diagnostic battery"),
-    ]:
+    for name, (_, help_) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="path to a JSON configuration")
         p.add_argument("--out", help="output directory (overrides the configuration)")
-        p.add_argument("--resolution-scale", type=int, default=1,
-                       help="multiply quadrature resolutions by this integer")
         p.add_argument("--seed", type=int, help="override the configured seed")
     args = parser.parse_args(argv)
 
@@ -62,14 +54,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    command = {
-        "verify": cmd_verify,
-        "sharp": cmd_sharp,
-        "solve": cmd_solve,
-        "continue": cmd_continue,
-        "diagnose": cmd_diagnose,
-    }[args.command]
-    report, ok = command(config)
+    report, ok = COMMANDS[args.command][0](config)
     _write_report(config, args.command, report)
     print(json.dumps({"command": args.command, "passed": ok,
                       "output_dir": config.output_dir}, sort_keys=True))
@@ -87,19 +72,10 @@ def _load(args) -> RunConfig:
         config.seed = args.seed
     if args.out:
         config.output_dir = args.out
-    scale = args.resolution_scale
-    if scale < 1:
-        raise ConfigError(f"--resolution-scale must be a positive integer, got {scale}")
-    if scale > 1:
-        q = config.quadrature
-        q["sphere_resolution"] *= scale
-        q["ball_angular_resolution"] *= scale
-        q["ball_radial_points"] *= scale
-    radial = config.quadrature["ball_radial_points"]
-    if args.command == "sharp":
-        radial *= SHARP_RADIAL_REFINEMENT
-    if radial > MAX_RADIAL_POINTS:
-        raise ConfigError(f"quadrature.ball_radial_points: {args.command} would build {radial} "
+    # the configuration bounds the radial points of every rule but sharp's refined one
+    radial = SHARP_RADIAL_REFINEMENT * config.quadrature["ball_radial_points"]
+    if args.command == "sharp" and radial > MAX_RADIAL_POINTS:
+        raise ConfigError(f"quadrature.ball_radial_points: sharp would build {radial} "
                           f"radial points, more than the {MAX_RADIAL_POINTS} whose graded rule "
                           "keeps every node inside the ball in float64")
     return config
@@ -308,40 +284,51 @@ def cmd_sharp(config: RunConfig):
 # ----------------------------------------------------------------- solve
 
 def cmd_solve(config: RunConfig):
-    params = config.params
-    problem = _problem(config, config.solver["p"] or slv.default_p(params))
-    sphere, ball, weight, p = problem.sphere, problem.ball, problem.weight, problem.p
-    inits = slv.multistart_inits(sphere, config.solver["multistart"], 0.3, config.seed)
+    problem = _problem(config, config.solver["p"] or slv.default_p(config.params))
+    inits = slv.multistart_inits(problem.sphere, config.solver["multistart"], 0.3, config.seed)
     (v, lam, rep), solves = slv.maximize_multistart(problem, inits)
     runs = [{"lambda_est": lam_i, "converged": rep_i["converged"],
              "iterations": rep_i["iterations"], "el_residual": rep_i["el_residual"],
              "multiplier_identity_dev": rep_i["multiplier_identity_dev"]}
             for _, lam_i, rep_i in solves]
-    sharp = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
-    holds, ratio, margin = fn.existence_condition(weight, params)
-    multistart_spread = max(r["lambda_est"] for r in runs) - min(r["lambda_est"] for r in runs)
     ok = slv.solved(rep)
-    lam_err = _lambda_richardson(config, p, lam, v) if ok else None
-    threshold = fn.lambda_threshold(weight, params, sharp)
     report = {
-        "p": p,
-        "lambda_est": lam,
-        "lambda_est_error": lam_err,
+        "p": problem.p,
         "el_residual": rep["el_residual"],
         "multiplier_identity_dev": rep["multiplier_identity_dev"],
         "converged": rep["converged"],
         "iterations": rep["iterations"],
+        "multistart_runs": runs,
+        "multistart_lambda_spread": (max(r["lambda_est"] for r in runs)
+                                     - min(r["lambda_est"] for r in runs)),
+        "sup_v": float(v.values.max()),
+        "inf_v": float(v.values.min()),
+        **_solution(config, problem, lam, v, ok),
+    }
+    return report, ok
+
+
+def _solution(config: RunConfig, problem: slv.SubcriticalProblem, lam: float, v,
+              ok: bool) -> dict:
+    """The report keys `solve` and `continue` share for the solution (v, lam) of `problem`.
+
+    Writes profiles/final_v.csv.  lambda's threshold takes the sharp
+    constant of the constant test function; `ok`, the command's gate,
+    decides whether the Richardson re-solve runs.
+    """
+    params, weight = config.params, problem.weight
+    sharp = fn.sharp_constant_from_constant_test_function(problem.sphere, problem.ball, params)
+    threshold = fn.lambda_threshold(weight, params, sharp)
+    holds, ratio, margin = fn.existence_condition(weight, params)
+    _write_profile(config, "final_v.csv", problem.sphere, v.values)
+    return {
+        "lambda_est": lam,
+        "lambda_est_error": _lambda_richardson(config, problem.p, lam, v) if ok else None,
         "lambda_threshold": threshold,
         "exceeds_threshold": lam > threshold,
         "existence_condition": {"holds": holds, "max_min_ratio": ratio, "margin": margin},
-        "multistart_runs": runs,
-        "multistart_lambda_spread": multistart_spread,
-        "sup_v": float(v.values.max()),
-        "inf_v": float(v.values.min()),
         "resolution": config.quadrature["sphere_resolution"],
     }
-    _write_profile(config, "final_v.csv", sphere, v.values)
-    return report, ok
 
 
 def _lambda_richardson(config: RunConfig, p: float, lam_fine: float, v_fine) -> float | None:
@@ -364,37 +351,26 @@ def _lambda_richardson(config: RunConfig, p: float, lam_fine: float, v_fine) -> 
 # ----------------------------------------------------------------- continue
 
 def cmd_continue(config: RunConfig):
-    params = config.params
     schedule = config.solver["schedule"] or slv.default_schedule(
-        params, floor=config.solver["epsilon_floor"]
+        config.params, floor=config.solver["epsilon_floor"]
     )
-    problem = _problem(config, schedule[0])
-    sphere, ball, weight = problem.sphere, problem.ball, problem.weight
-    sharp = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
-    report_obj = slv.continuation(
-        weight, schedule, params, sphere, ball, tol_v=problem.tol_v, max_iter=problem.max_iter,
-        blow_up_factor=config.solver["blow_up_factor"], sharp=sharp)
-    holds, ratio, margin = fn.existence_condition(weight, params)
-    rows = report_obj.stage_rows()
-    ok = all(s.solved for s in report_obj.stages) and not report_obj.blow_up_flag
-    lam_err = _lambda_richardson(
-        config, schedule[-1], report_obj.lambda_est, report_obj.final_v
-    ) if ok else None
+    # built at the last stage's p, the p of the error bar
+    problem = _problem(config, schedule[-1])
+    sphere = problem.sphere
+    result = slv.continuation(
+        problem.weight, schedule, config.params, sphere, problem.ball, tol_v=problem.tol_v,
+        max_iter=problem.max_iter, blow_up_factor=config.solver["blow_up_factor"])
+    rows = result.stage_rows()
+    ok = all(s.solved for s in result.stages) and not result.blow_up_flag
     report = {
         "schedule": schedule,
         "stages": rows,
-        "lambda_est": report_obj.lambda_est,
-        "lambda_est_error": lam_err,
-        "lambda_threshold": report_obj.lambda_threshold,
-        "exceeds_threshold": report_obj.lambda_est > report_obj.lambda_threshold,
-        "blow_up_flag": report_obj.blow_up_flag,
-        "existence_condition": {"holds": holds, "max_min_ratio": ratio, "margin": margin},
-        "final_sup_v": float(report_obj.final_v.values.max()),
-        "final_inf_v": float(report_obj.final_v.values.min()),
-        "resolution": config.quadrature["sphere_resolution"],
+        "blow_up_flag": result.blow_up_flag,
+        "final_sup_v": float(result.final_v.values.max()),
+        "final_inf_v": float(result.final_v.values.min()),
+        **_solution(config, problem, result.lambda_est, result.final_v, ok),
     }
-    _write_profile(config, "final_v.csv", sphere, report_obj.final_v.values)
-    for stage, values in zip(report_obj.stages, report_obj.stage_profiles):
+    for stage, values in zip(result.stages, result.stage_profiles):
         # repr is distinct for each p of a strictly decreasing schedule
         _write_profile(config, f"stage_p{float(stage.p)!r}.csv", sphere, values)
     _write_stages(config, rows)
@@ -453,6 +429,15 @@ def cmd_diagnose(config: RunConfig):
     return report, all(c["passed"] for c in checks)
 
 
+COMMANDS = {
+    "verify": (cmd_verify, "run the cross-module identity and inequality checks"),
+    "sharp": (cmd_sharp, "estimate the sharp constant by every applicable method"),
+    "solve": (cmd_solve, "solve one subcritical maximization"),
+    "continue": (cmd_continue, "run the p-continuation toward the critical exponent"),
+    "diagnose": (cmd_diagnose, "run the bubble/blow-up diagnostic battery"),
+}
+
+
 # ----------------------------------------------------------------- output
 
 def _make_output_dir(out: str) -> None:
@@ -471,18 +456,8 @@ def _write_report(config: RunConfig, command: str, report: dict) -> None:
         "report": report,
     }
     with open(os.path.join(config.output_dir, "report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not serializable: {type(obj)}")
 
 
 def _write_profile(config: RunConfig, name: str, sphere, values: np.ndarray) -> None:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poissonext as px
+from poissonext import functionals as fn
 from poissonext.cli import main
 from poissonext.config import _DEFAULTS, ConfigError, evaluate_weight, load_config, parse_config
 from poissonext.quadrature import MAX_RADIAL_POINTS
@@ -213,9 +214,18 @@ class TestCliCommands:
             assert message in capsys.readouterr().err
         assert main(["verify", "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
-        for scale in ("0", "-3"):
-            assert main(["diagnose", "--resolution-scale", scale]) == 2
-            assert "--resolution-scale" in capsys.readouterr().err
+        # the rules' resolutions are configuration keys only; a flag that
+        # would set them again is a usage error, which also exits 2
+        for cfg, message in [({"quadrature": {"ball_angular_resolution": 0}},
+                              "quadrature.ball_angular_resolution"),
+                             ({"quadrature": {"sphere_resolution": -4}},
+                              "quadrature.sphere_resolution")]:
+            assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 2
+            assert message in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "--resolution-scale", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --resolution-scale" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -240,13 +250,13 @@ class TestCliCommands:
             assert str(blocker / cmd) in capsys.readouterr().err
 
     def test_radial_points_past_the_float64_limit_exit_2(self, tmp_path, capsys):
-        # sharp builds twice the configured radial points; the check runs
-        # after --resolution-scale and before any rule is built
-        for cmd, radial, flags in [("sharp", 160, []), ("solve", MAX_RADIAL_POINTS + 1, []),
-                                   ("sharp", 96, ["--resolution-scale", "2"])]:
+        # sharp builds twice the configured radial points, so it rejects
+        # from 152 on; the configuration rejects past the limit for every command
+        for cmd, radial in [("sharp", 160), ("sharp", MAX_RADIAL_POINTS // 2 + 1),
+                            ("solve", MAX_RADIAL_POINTS + 1)]:
             cfg = {"quadrature": {"ball_radial_points": radial}, "output_dir": str(tmp_path)}
             path = write_config(tmp_path, cfg)
-            assert main([cmd, "--config", path] + flags) == 2
+            assert main([cmd, "--config", path]) == 2
             assert "quadrature.ball_radial_points" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "report.json")
 
@@ -450,9 +460,23 @@ class TestCliCommands:
             str(tmp_path / "b").encode(), b"X"
         )
 
-    def test_resolution_scale_flag(self, tmp_path):
-        out = str(tmp_path / "out")
-        path = write_config(tmp_path, tiny_3d_config(out))
-        assert main(["diagnose", "--config", path, "--resolution-scale", "2"]) == 0
-        report = read_report(out)
-        assert report["config"]["quadrature"]["sphere_resolution"] == 32
+    def test_solve_and_continue_share_the_solution_block(self, tmp_path):
+        cfg = tiny_2d_config(str(tmp_path))
+        config = parse_config(cfg)
+        q = config.quadrature
+        sphere = px.build_sphere_quadrature(config.params, q["sphere_resolution"])
+        ball = px.build_ball_quadrature(config.params, q["ball_radial_points"],
+                                        q["ball_angular_resolution"])
+        sharp = fn.sharp_constant_from_constant_test_function(sphere, ball, config.params)
+        threshold = fn.lambda_threshold(evaluate_weight(config, sphere), config.params, sharp)
+        bodies = []
+        for cmd in ("solve", "continue"):
+            out = str(tmp_path / cmd)
+            cfg["output_dir"] = out
+            assert main([cmd, "--config", write_config(tmp_path, cfg)]) == 0
+            bodies.append(read_report(out)["report"])
+            assert os.path.exists(os.path.join(out, "profiles", "final_v.csv"))
+        solve, cont = bodies
+        assert solve["existence_condition"] == cont["existence_condition"]
+        assert solve["resolution"] == cont["resolution"] == 64
+        assert solve["lambda_threshold"] == cont["lambda_threshold"] == threshold
