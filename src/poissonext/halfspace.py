@@ -41,7 +41,10 @@ def default_truncation_radius(params: ProblemParams) -> float:
     c = normalization_constant(params)
     n, a = params.n, params.a
     lead = c * surface_area(n - 1) * 2.0 ** (n - a + 1.0) / (1.0 - a)
-    radius = (3e-7 / lead) ** (1.0 / (a - 1.0))
+    try:
+        radius = (3e-7 / lead) ** (1.0 / (a - 1.0))
+    except OverflowError:  # near a = 1 the radius passes float64, far past the clip
+        radius = np.inf
     return float(np.clip(radius, 1e4, 1e15))
 
 

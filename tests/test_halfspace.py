@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import poissonext as px
+from poissonext.halfspace import default_truncation_radius
 
 
 class TestGridConstruction:
@@ -55,3 +56,14 @@ class TestTailBound:
         b1 = px.halfspace_tail_bound(grid, x, params_3d, 1.0)[0]
         b2 = px.halfspace_tail_bound(grid, x, params_3d, 2.0)[0]
         assert b2 == pytest.approx(2 * b1, rel=1e-14)
+
+
+class TestTruncationRadius:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a", [0.98, 0.99, 0.999])
+    def test_near_a_equal_1_the_radius_is_the_upper_clip(self, n, a):
+        # (3e-7 / lead)^(1 / (a - 1)) passes float64 here; the clip gives 1e15
+        assert default_truncation_radius(px.ProblemParams(n=n, a=a)) == 1e15
+
+    def test_inside_float64_the_radius_is_the_power(self):
+        assert default_truncation_radius(px.ProblemParams(n=2, a=0.5)) == 206863095757277.25
