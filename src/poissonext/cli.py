@@ -218,7 +218,7 @@ def cmd_verify(config: RunConfig):
 def _sample_interior_halfspace(params, rng, count, span=2.0):
     pts = np.empty((count, params.n))
     pts[:, :-1] = rng.uniform(-span / 2, span / 2, size=(count, params.n - 1))
-    pts[:, -1] = np.exp(rng.uniform(np.log(0.5), np.log(span)))
+    pts[:, -1] = np.exp(rng.uniform(np.log(0.5), np.log(span), size=count))
     return pts
 
 

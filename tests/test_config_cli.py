@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import poissonext as px
 from poissonext import functionals as fn
-from poissonext.cli import main
+from poissonext.cli import _sample_interior_halfspace, main
 from poissonext.config import _DEFAULTS, ConfigError, evaluate_weight, load_config, parse_config
 from poissonext.quadrature import MAX_RADIAL_POINTS
 
@@ -177,6 +177,15 @@ class TestCliCommands:
         out = str(tmp_path / "out")
         path = write_config(tmp_path, tiny_2d_config(out))
         assert main(["verify", "--config", path]) == 0
+
+    @pytest.mark.parametrize("n, span", [(2, 2.0), (3, 0.8)])
+    def test_verify_samples_one_height_per_point(self, n, span):
+        # verify's normalization and harmonicity checks run at these points
+        params = px.ProblemParams(n=n, a=0.5 if n == 2 else 0.0)
+        pts = _sample_interior_halfspace(params, np.random.default_rng(7), 20, span=span)
+        assert pts.shape == (20, n)
+        assert len(np.unique(pts[:, -1])) == 20
+        assert np.all((pts[:, -1] >= 0.5) & (pts[:, -1] <= span))
 
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # no case sets output_dir: one that wrongly passed would write ./out
