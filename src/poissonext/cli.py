@@ -308,13 +308,10 @@ def cmd_solve(config: RunConfig):
     return report, ok
 
 
-def _solution(config: RunConfig, problem: slv.SubcriticalProblem, lam: float, v,
-              ok: bool) -> dict:
-    """The report keys `solve` and `continue` share for the solution (v, lam) of `problem`.
+def _solution(config: RunConfig, problem: slv.SubcriticalProblem, lam: float, v, ok) -> dict:
+    """Report keys `solve` and `continue` share for (v, lam) solving `problem`; writes final_v.csv.
 
-    Writes profiles/final_v.csv.  lambda's threshold takes the sharp
-    constant of the constant test function; `ok`, the command's gate,
-    decides whether the Richardson re-solve runs.
+    The Richardson re-solve runs only when `ok`, the command's gate, holds.
     """
     params, weight = config.params, problem.weight
     sharp = fn.sharp_constant_from_constant_test_function(problem.sphere, problem.ball, params)

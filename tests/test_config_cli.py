@@ -204,6 +204,8 @@ class TestCliCommands:
             ({"solver": {"tol_v": "1e-9"}}, "solver.tol_v"),
             ({"solver": {"max_iter": -1}}, "solver.max_iter"),
             ({"quadrature": {"ball_radial_points": 4}}, "quadrature.ball_radial_points"),
+            ({"quadrature": {"ball_angular_resolution": 0}}, "quadrature.ball_angular_resolution"),
+            ({"quadrature": {"sphere_resolution": -4}}, "quadrature.sphere_resolution"),
             ({"output_dir": 5}, "output_dir"),
             ({"solver": {"damping": True}}, "solver.damping"),
             ({"params": {"n": 2, "a": 1e-300}}, "a must lie in"),
@@ -223,14 +225,8 @@ class TestCliCommands:
             assert message in capsys.readouterr().err
         assert main(["verify", "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
-        # the rules' resolutions are configuration keys only; a flag that
-        # would set them again is a usage error, which also exits 2
-        for cfg, message in [({"quadrature": {"ball_angular_resolution": 0}},
-                              "quadrature.ball_angular_resolution"),
-                             ({"quadrature": {"sphere_resolution": -4}},
-                              "quadrature.sphere_resolution")]:
-            assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 2
-            assert message in capsys.readouterr().err
+        # the rules' resolutions are configuration keys only (the rows above);
+        # a flag that would set them again is a usage error, which also exits 2
         with pytest.raises(SystemExit) as exc:
             main(["diagnose", "--resolution-scale", "2"])
         assert exc.value.code == 2
