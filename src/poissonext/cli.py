@@ -3,9 +3,9 @@
 Every command reads one JSON configuration (strictly validated), writes a
 schema-versioned report.json plus CSV artifacts into the output directory,
 and returns a nonzero exit status on any failed check or solver failure.
-Identical configuration and seed produce byte-identical reports: summation
-orders are fixed, randomness is seeded, and no volatile fields (timestamps,
-host names) enter the outputs.
+The same configuration, seed, BLAS library and BLAS thread count produce
+byte-identical reports: summation orders are fixed, randomness is seeded,
+and no volatile fields (timestamps, host names) enter the outputs.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def cmd_verify(config: RunConfig):
     op = ops.build_extension_operator(sphere, ball, params)
 
     # kernel normalization over the half-space grid at sampled interior points
-    grid = build_halfspace_grid(params, **config.halfspace)
+    grid = build_halfspace_grid(params)
     pts = _sample_interior_halfspace(params, rng, 20)
     devs = [
         abs(integrate_boundary(kernel_halfspace(grid.nodes, x, params), grid) - 1.0) for x in pts

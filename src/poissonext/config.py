@@ -48,19 +48,13 @@ _DEFAULTS: dict[str, Any] = {
         "blow_up_factor": 3.0,
         "multistart": 0,
     },
-    "halfspace": {
-        "inner_scale": 0.25,
-        "panel_ratio": 1.5,
-        "nodes_per_panel": 20,
-        "angular_points": 96,
-        "truncation_radius": None,
-    },
     "output_dir": "out",
     "seed": 7,
 }
 
 # keys of earlier configurations, rejected with the reason they went
 _REMOVED = {
+    "halfspace": "halfspace: removed; verify builds the half-space grid at its library defaults",
     "operator": "operator: removed; the extension operator is always balanced",
     "quadrature.radial_rule": "quadrature.radial_rule: removed; the radial rule is always graded_gl",
     "solver.damping": "solver.damping: removed; every step is Anderson-mixed or starts at the full step",
@@ -81,7 +75,6 @@ def _is_real(x) -> bool:
 
 _EVEN_RESOLUTION = (lambda x: _is_int(x) and x >= 4 and x % 2 == 0, "an even integer >= 4")
 _POSITIVE = (lambda x: _is_real(x) and x > 0, "a positive number")
-_POSITIVE_INT = (lambda x: _is_int(x) and x >= 1, "a positive integer")
 
 # type and range of each scalar key: (predicate, what it requires).  A key
 # whose default is None also accepts null, which selects the derived default.
@@ -97,14 +90,9 @@ _RULES = {
     "solver.p": (_is_real, "a number"),
     "solver.epsilon_floor": _POSITIVE,
     "solver.tol_v": _POSITIVE,
-    "solver.max_iter": _POSITIVE_INT,
+    "solver.max_iter": (lambda x: _is_int(x) and x >= 1, "a positive integer"),
     "solver.blow_up_factor": _POSITIVE,
     "solver.multistart": (lambda x: _is_int(x) and x >= 0, "a nonnegative integer"),
-    "halfspace.inner_scale": _POSITIVE,
-    "halfspace.panel_ratio": (lambda x: _is_real(x) and x > 1, "a number > 1"),
-    "halfspace.nodes_per_panel": _POSITIVE_INT,
-    "halfspace.angular_points": _POSITIVE_INT,
-    "halfspace.truncation_radius": _POSITIVE,
     "output_dir": (lambda x: isinstance(x, str) and x != "", "a nonempty string"),
     "seed": (lambda x: _is_int(x) and x >= 0, "a nonnegative integer"),
 }
@@ -124,7 +112,6 @@ class RunConfig:
     weight_spec: dict
     quadrature: dict
     solver: dict
-    halfspace: dict
     output_dir: str
     seed: int
 
@@ -136,7 +123,6 @@ class RunConfig:
             "weight": self.weight_spec,
             "quadrature": self.quadrature,
             "solver": self.solver,
-            "halfspace": self.halfspace,
             "output_dir": self.output_dir,
             "seed": self.seed,
         }
@@ -211,8 +197,6 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError("solver.schedule must stay inside [p_crit, p_bulk)")
         sdata["schedule"] = sched
 
-    hdata = _merge_strict("halfspace", data.get("halfspace", {}), _DEFAULTS["halfspace"])
-
     output_dir = data.get("output_dir", _DEFAULTS["output_dir"])
     seed = data.get("seed", _DEFAULTS["seed"])
     _check("output_dir", output_dir, _DEFAULTS["output_dir"])
@@ -222,7 +206,6 @@ def parse_config(data: dict) -> RunConfig:
         weight_spec=wdata,
         quadrature=qdata,
         solver=sdata,
-        halfspace=hdata,
         output_dir=output_dir,
         seed=seed,
     )

@@ -74,10 +74,11 @@ and runs the class's transpose product before the next class starts, and
 no array of the full table layout is formed.  `bulk_energy` is the one
 ball integral, |E v|^(q + 1).  The results agree with the general pair's
 to roundoff, not bit for bit: a folded column adds its partner's kernel
-before the product does.  The ball weight of a node depends only on its
-shell and ring, never on its azimuth (checked bit for bit at build time),
-so `row_weights` holds one ball weight per table row.  `_table_layout` and
-`_ball_order` are the one map between the ball order and this layout.
+before the product does.  The ball rule is held as shells times an
+angular rule whose weight depends on the ring alone, never on the azimuth
+(checked bit for bit at build time), so `row_weights`, a shell weight
+times a ring weight, holds one ball weight per table row.  `_table_layout`
+and `_ball_order` are the one map between the ball order and this layout.
 
 Near-boundary correction.  Raw kernel rows at ball nodes with
 1 - |xi| << (sphere node spacing) overestimate the integral by orders of
@@ -208,7 +209,7 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
     cos_s, ring_s, az_s, naz_s = azimuthal_layout(sphere)
     g = math.gcd(naz_b, naz_s)
     ub, us = naz_b // g, naz_s // g
-    radii = ball.radii[:ball.half:ang.half]
+    radii = ball.shell_radii
     per_shell = (int(ring_b[ang.half - 1]) + 1) * ub
     m = np.arange(ang.half // per_shell)        # g/2 (a half turn) for n = 2, g for n = 3
     cols = np.arange(sphere.half if antipodal else len(sphere))
@@ -306,11 +307,14 @@ class ExtensionOperator:
         (self.kernel_table, self.gather_index, self.fold_columns, self._orbit,
          self.residues) = _kernel_table(self.sphere, self.ball, self.params)
         mass = kernel_ball_sphere_mass(self.ball.radii, self.params)
-        weights = self._table_layout(self.ball.weights[:self.ball.half])
-        if not _same_bits(weights, np.broadcast_to(weights[:, :1], weights.shape)):
+        # the angular rule's upper half, a row per ring of turns x residues nodes
+        ang = self.ball.angular
+        rings = ang.weights[:ang.half].reshape(-1, self.gather_index.shape[1] * self.residues)
+        if not _same_bits(rings, np.broadcast_to(rings[:, :1], rings.shape)):
             raise ValueError("ball weights vary along an azimuthal ring; the table layout "
                              "needs one weight per table row")
-        self.row_weights = weights[:, 0].copy()
+        self.row_weights = (self.ball.shell_weights[:, None]
+                            * np.repeat(rings[:, 0], self.residues)).flatten()
         # each row's m = 0 node; the target depends on the radius alone
         self._balance(self._table_layout(mass[:self.ball.half])[:, 0],
                       float(np.dot(self.ball.weights, mass) / self.sphere.weights.sum()))
@@ -340,22 +344,26 @@ class ExtensionOperator:
         return out
 
     def _spread_sum(self, class_rows, tables: tuple, columns: tuple) -> np.ndarray:
-        """Sum over the classes u of tables[u].T @ z_u, one value (or row) per column.
+        """Sum over the classes u of tables[u].T @ class_rows(u), one value (or row) per column.
 
-        `class_rows` yields z_u, class u's rows, in class order; the kept
-        column of a mirror pair gives its value to both columns.
+        The kept column of a mirror pair gives its value to both columns.
+        Each class's rows are released before the next class's are made, and
+        later classes add in place: transient arrays past glibc malloc's trim
+        threshold would go back to the system and fault in again every call.
         """
-        parts = ((table.T @ z)[spread]
-                 for table, (_, _, spread), z in zip(tables, columns, class_rows))
-        out = next(parts)
-        for part in parts:
-            out += part
+        out = None
+        for u, (table, (kept, mirror, spread)) in enumerate(zip(tables, columns)):
+            t = table.T @ class_rows(u)
+            if out is None:
+                out = t[spread]
+            else:
+                out[kept] += t
+                out[mirror] += t[:len(mirror)]
         return out
 
     def _fold_transpose(self, z: np.ndarray, tables: tuple, columns: tuple) -> np.ndarray:
         """Transpose of _fold_product: one value (or row) per column."""
-        return self._spread_sum((z[u::self.residues] for u in range(self.residues)),
-                                tables, columns)
+        return self._spread_sum(lambda u: z[u::self.residues], tables, columns)
 
     def _table_layout(self, z: np.ndarray) -> np.ndarray:
         """Upper-half ball values, ball order (shell, ring, m, u) -> table rows x columns m."""
@@ -458,13 +466,13 @@ class ExtensionOperator:
         """
         y = self._gathered(v, "power_adjoint")
 
-        def weighted_powers():
-            for u, table in enumerate(self.kernel_table):
-                z = _power_inplace(table @ self._class_input(y, self.fold_columns, u), q)
-                z *= self.row_weights[u::self.residues, None]
-                yield z
+        def weighted_power(u):
+            z = self.kernel_table[u] @ self._class_input(y, self.fold_columns, u)
+            _power_inplace(z, q)
+            z *= self.row_weights[u::self.residues, None]
+            return z
 
-        return self._scatter(self._spread_sum(weighted_powers(), *self._folded))
+        return self._scatter(self._spread_sum(weighted_power, *self._folded))
 
     def bulk_energy(self, v: np.ndarray, q: float) -> float:
         """Ball integral of E v (E v)^q, the bulk energy |E v|^(q + 1), of an antipodal v >= 0.

@@ -5,19 +5,18 @@ Sphere rules
     trapezoid rule, spectrally accurate for smooth periodic integrands).
     n = 3: product of a Gauss-Legendre rule in the polar cosine and an
     equispaced azimuthal rule with twice as many points.
-
-Antipodal exactness matters throughout the library, so every rule, sphere
-or ball, is built from the first half of its nodes by one closure that
-appends their exact negation; the antipode permutation is then index
-+/- N/2 and node/weight symmetry holds bit for bit.
+    Antipodal exactness matters throughout the library, so either rule is
+    its first half followed by that half's exact negation: the antipode is
+    index +/- N/2 and node/weight symmetry holds bit for bit.
 
 Ball rules
-    A tensor rule: radial nodes times a sphere rule per shell, with the
-    Jacobian r^{n-1} absorbed into the weights.  The radial rule must
-    resolve the (1 - r)^{1-a} behaviour of extension fields near the
-    boundary: a composite Gauss-Legendre rule on dyadic panels graded
-    toward r = 1 (ratio 0.5), which integrates both smooth profiles and
-    (1 - r)^{1-a} profiles to ~1e-11 with ~100 nodes.
+    A tensor rule held as its two factors, radial shells (the Jacobian
+    r^{n-1} absorbed into their weights) times a sphere rule, so no array
+    of ball length is kept.  The radial rule must resolve the
+    (1 - r)^{1-a} behaviour of extension fields near the boundary: a
+    composite Gauss-Legendre rule on dyadic panels graded toward r = 1
+    (ratio 0.5), which integrates both smooth profiles and (1 - r)^{1-a}
+    profiles to ~1e-11 with ~100 nodes.
 
 Panel rule
     `panel_rule` is the one composite Gauss-Legendre builder: the ball's
@@ -57,10 +56,15 @@ _EXACT_SUM_PASSES = 8
 _FSUM_MAX_TERMS = 512
 
 
-class _AntipodalRule:
-    """What the sphere and ball rules share: nodes, weights and an exact antipode.
+@dataclass(frozen=True, eq=False)
+class SphereQuadrature:
+    """Nodes/weights on the unit sphere with an exact antipodal pairing; equal only to itself."""
 
-    A rule equals only itself and hashes by identity, so it can key a cache."""
+    n: int
+    resolution: int
+    nodes: np.ndarray
+    weights: np.ndarray
+    antipode_index: np.ndarray
 
     def __post_init__(self) -> None:
         anti = self.antipode_index
@@ -70,6 +74,9 @@ class _AntipodalRule:
             raise ValueError("weights are not antipodally symmetric")
         if not np.array_equal(anti[anti], np.arange(len(anti))):
             raise ValueError("antipode_index is not an involution")
+        area = surface_area(self.n)
+        if abs(self.weights.sum() - area) > 1e-10 * area:
+            raise ValueError("sphere weights do not sum to the surface area")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -80,38 +87,56 @@ class _AntipodalRule:
 
 
 @dataclass(frozen=True, eq=False)
-class SphereQuadrature(_AntipodalRule):
-    """Nodes/weights on the unit sphere with an exact antipodal pairing."""
+class BallQuadrature:
+    """Tensor rule on the unit ball, held as its factors: shells times a sphere rule.
+
+    `shell_weights` are the radial weights times r^(n-1).  Node j < len / 2
+    is shell j // M times the angular rule's node j % M (M its half), and
+    node j + len / 2 is its negation.  `nodes`, `weights`, `radii` (|xi|)
+    and `antipode_index` are rebuilt on each access.  Equal only to itself.
+    """
 
     n: int
-    resolution: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    antipode_index: np.ndarray
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        area = surface_area(self.n)
-        if abs(self.weights.sum() - area) > 1e-10 * area:
-            raise ValueError("sphere weights do not sum to the surface area")
-
-
-@dataclass(frozen=True, eq=False)
-class BallQuadrature(_AntipodalRule):
-    """Tensor rule on the unit ball: radial nodes times a sphere rule."""
-
-    n: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    antipode_index: np.ndarray
-    radii: np.ndarray
-    delta_min: float
+    shell_radii: np.ndarray
+    shell_weights: np.ndarray
     angular: SphereQuadrature
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.delta_min <= 0:
-            raise ValueError("ball nodes must keep a positive distance to the sphere")
+        if self.angular.n != self.n:
+            raise ValueError("the angular rule's dimension is not the ball's")
+        if self.shell_radii.ndim != 1 or self.shell_radii.shape != self.shell_weights.shape:
+            raise ValueError("shell radii and shell weights must be vectors of one length")
+        if not np.all((self.shell_radii >= 0.0) & (self.shell_radii < 1.0)):
+            raise ValueError("shell radii must lie in [0, 1)")
+
+    def __len__(self) -> int:
+        return 2 * self.half
+
+    @property
+    def half(self) -> int:
+        return len(self.shell_radii) * self.angular.half
+
+    @property
+    def delta_min(self) -> float:
+        return float(1.0 - self.shell_radii.max())
+
+    @property
+    def nodes(self) -> np.ndarray:
+        up = np.multiply.outer(self.shell_radii, self.angular.nodes[:self.angular.half])
+        return np.concatenate([up, -up]).reshape(-1, self.n)
+
+    @property
+    def weights(self) -> np.ndarray:
+        up = np.outer(self.shell_weights, self.angular.weights[:self.angular.half]).ravel()
+        return np.concatenate([up, up])
+
+    @property
+    def radii(self) -> np.ndarray:
+        return np.tile(np.repeat(self.shell_radii, self.angular.half), 2)
+
+    @property
+    def antipode_index(self) -> np.ndarray:
+        return np.roll(np.arange(len(self)), self.half)
 
 
 def surface_area(n: int) -> float:
@@ -149,15 +174,9 @@ def build_sphere_quadrature(params: ProblemParams, resolution: int) -> SphereQua
         wup = np.repeat(wt * (2.0 * np.pi / naz), naz)
     else:
         raise NotImplementedError("sphere quadrature implemented for n in {2, 3}")
-    return SphereQuadrature(n=n, resolution=resolution, **_antipodal_closure(upper, wup))
-
-
-def _antipodal_closure(upper_nodes: np.ndarray, upper_weights: np.ndarray) -> dict:
-    """`nodes`, `weights` and `antipode_index` of the rule whose second half negates the first."""
-    half = len(upper_weights)
-    return {"nodes": np.concatenate([upper_nodes, -upper_nodes]),
-            "weights": np.concatenate([upper_weights, upper_weights]),
-            "antipode_index": np.concatenate([np.arange(half) + half, np.arange(half)])}
+    nodes, weights = np.concatenate([upper, -upper]), np.tile(wup, 2)
+    return SphereQuadrature(n=n, resolution=resolution, nodes=nodes, weights=weights,
+                            antipode_index=np.roll(np.arange(len(weights)), len(wup)))
 
 
 def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,21 +288,8 @@ def build_ball_quadrature(
     panels = max(2, round(radial_points / q))
     bounds = [0.0] + [1.0 - 0.5 ** k for k in range(1, panels)] + [1.0]
     r, wr = panel_rule(bounds, q)
-    ang = build_sphere_quadrature(params, angular_resolution)
-    h = ang.half
-    n = params.n
-
-    # for each shell, the upper half of the angular nodes; the closure
-    # appends their negation, so antipode_index is +/- M/2
-    up_nodes = (r[:, None, None] * ang.nodes[None, :h, :]).reshape(-1, n)
-    up_w = (wr[:, None] * r[:, None] ** (n - 1) * ang.weights[None, :h]).reshape(-1)
-    return BallQuadrature(
-        n=n,
-        **_antipodal_closure(up_nodes, up_w),
-        radii=np.tile(np.repeat(r, h), 2),
-        delta_min=float(1.0 - r.max()),
-        angular=ang,
-    )
+    return BallQuadrature(n=params.n, shell_radii=r, shell_weights=wr * r ** (params.n - 1),
+                          angular=build_sphere_quadrature(params, angular_resolution))
 
 
 def integrate_boundary(values: np.ndarray, quad: SphereQuadrature | BallQuadrature) -> float:
@@ -293,10 +299,10 @@ def integrate_boundary(values: np.ndarray, quad: SphereQuadrature | BallQuadratu
     (`exact_sum`), so the result is `math.fsum` of the products bit for bit
     and does not depend on the order of the nodes.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != quad.weights.shape:
-        raise ValueError(f"expected {quad.weights.shape} values, got {values.shape}")
-    return exact_sum(quad.weights * values)
+    values, weights = np.asarray(values, dtype=float), quad.weights
+    if values.shape != weights.shape:
+        raise ValueError(f"expected {weights.shape} values, got {values.shape}")
+    return exact_sum(weights * values)
 
 
 integrate_ball = integrate_boundary     # the same sum over a ball rule
@@ -332,8 +338,10 @@ def exact_sum(terms: np.ndarray) -> float:
         if not 2.0 ** -900 < top < 2.0 ** 900:
             break
         sigma = math.ldexp(1.0, k + math.frexp(top)[1])
-        q = (sigma + terms) - sigma
-        terms = terms - q
+        # after the first pass both arrays are this call's own and are reused
+        q = np.add(sigma, terms, out=q if partials else None)
+        q -= sigma
+        terms = np.subtract(terms, q, out=terms if partials else None)
         partials.append(q.sum())
     return math.fsum(partials + terms.tolist())
 

@@ -46,7 +46,7 @@ def tiny_3d_config(out, **extra):
 CONFIG_PATHS = [("params", "n"), ("params", "a"), ("weight",), ("weight", "kind"),
                 ("weight", "value"), ("weight", "coefficients"), ("seed",), ("output_dir",),
                 ("schema_version",)]
-CONFIG_PATHS += [(section, key) for section in ("quadrature", "solver", "halfspace")
+CONFIG_PATHS += [(section, key) for section in ("quadrature", "solver")
                  for key in _DEFAULTS[section]]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10, 10**6) | st.floats(allow_nan=False)
@@ -196,6 +196,8 @@ class TestCliCommands:
             ({"operator": {"correction": "none"}}, "always balanced"),
             ({"solver": {"damping": 0}}, "solver.damping"),
             ({"solver": {"damping": 1.5}}, "solver.damping"),
+            # verify's half-space grid takes the library defaults only
+            ({"halfspace": {}}, "halfspace: removed; verify builds the half-space grid"),
             ({"seed": "x"}, "seed"),
             ({"quadrature": {"sphere_resolution": "16"}}, "quadrature.sphere_resolution"),
             ({"solver": {"schedule": "abc"}}, "solver.schedule"),

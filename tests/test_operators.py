@@ -1,8 +1,8 @@
 import copy
 import math
 import re
+import weakref
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -295,12 +295,11 @@ class TestStructuredProducts:
         params = px.ProblemParams(n, a)
         sphere = px.build_sphere_quadrature(params, sphere_res)
         ball = px.build_ball_quadrature(params, 12, ball_res)
-        ang = ball.angular
         for antipodal in (True, False):
-            shells = [_kernel_table(sphere, SimpleNamespace(angular=ang, half=ang.half,
-                                                            radii=np.full(ang.half, r)),
+            shells = [_kernel_table(sphere, replace(ball, shell_radii=ball.shell_radii[k:k + 1],
+                                                    shell_weights=ball.shell_weights[k:k + 1]),
                                     params, antipodal)[0]
-                      for r in ball.radii[:ball.half:ang.half]]
+                      for k in range(len(ball.shell_radii))]
             for u, table in enumerate(_kernel_table(sphere, ball, params, antipodal)[0]):
                 assert table.base is None
                 assert _same_bits(table, np.concatenate([shell[u] for shell in shells]))
@@ -403,15 +402,26 @@ class TestStructuredProducts:
         assert lengths["row_scale"] == op.table_shape[0]
         assert lengths["col_scale"] == len(op.sphere)
         assert len(op.ball) not in lengths.values()
+        # the ball rule holds its two factors only: shells and the angular rule
+        ball = {name: len(value) for name, value in vars(op.ball).items()
+                if isinstance(value, np.ndarray)}
+        assert ball == {"shell_radii": len(op.ball) // len(op.ball.angular),
+                        "shell_weights": len(op.ball) // len(op.ball.angular)}
+        assert not {len(op.ball), op.ball.half} & set(ball.values())
 
     def test_build_rejects_ball_weights_that_vary_along_a_ring(self):
-        params = px.ProblemParams(2, 0.5)
-        sphere = px.build_sphere_quadrature(params, 16)
-        ball = px.build_ball_quadrature(params, 24, 32)
-        weights = ball.weights.copy()
-        weights[[1, ball.half + 1]] *= 1.0 + 2.0 ** -52
-        with pytest.raises(ValueError, match="vary along an azimuthal ring"):
-            px.ExtensionOperator(params, sphere, replace(ball, weights=weights))
+        # one angular weight and its antipode's one ulp up: the angular rule
+        # stays antipodal, and the ball weights on that ring differ
+        for n, sphere_res, ball_res in ((2, 16, 32), (3, 8, 12)):
+            params = px.ProblemParams(n, 0.5)
+            sphere = px.build_sphere_quadrature(params, sphere_res)
+            ball = px.build_ball_quadrature(params, 24, ball_res)
+            ang = ball.angular
+            weights = ang.weights.copy()
+            weights[[1, ang.half + 1]] = np.nextafter(weights[1], np.inf)
+            with pytest.raises(ValueError, match="vary along an azimuthal ring"):
+                px.ExtensionOperator(params, sphere,
+                                     replace(ball, angular=replace(ang, weights=weights)))
 
 
 class TestColumnNumbering:
@@ -750,6 +760,30 @@ class TestPowerAdjoint:
         pair = np.zeros(len(op.sphere))
         pair[[j, op.sphere.antipode_index[j]]] = data.draw(st.floats(1e-2, 1e2))
         assert np.all(op.power_adjoint(pair, q) > 0)
+
+    def test_each_class_is_released_before_the_next_is_made(self, small_op, monkeypatch):
+        # a call's transient arrays stay near one class's plus the sum
+        made = []
+
+        def power(z, q):
+            assert all(ref() is None for ref in made)
+            made.append(weakref.ref(z))
+            return _power_inplace(z, q)
+
+        monkeypatch.setattr(px.operators, "_power_inplace", power)
+        small_op.power_adjoint(np.ones(len(small_op.sphere)), 5.0)
+        assert len(made) == small_op.residues
+
+    def test_in_place_spread_is_the_bits_of_the_summed_spreads(self, small_op, rng):
+        # reference: each class's transpose product spread to every column,
+        # the spreads summed in class order
+        op = small_op
+        z = rng.uniform(0.5, 1.5, op.table_shape)
+        want = None
+        for u, (table, (_, _, spread)) in enumerate(zip(op.kernel_table, op.fold_columns)):
+            part = (table.T @ z[u::op.residues])[spread]
+            want = part if want is None else want + part
+        assert op._fold_transpose(z, *op._folded).tobytes() == want.tobytes()
 
     def test_rejects_unequal_halves(self, fraction_op):
         v = np.ones(len(fraction_op.sphere))

@@ -135,6 +135,46 @@ class TestBallQuadrature:
             assert np.array_equal(q.nodes[anti], -q.nodes)
             assert np.array_equal(q.weights[anti], q.weights)
 
+    @pytest.mark.parametrize("n, radial, angular", [(2, 24, 32), (2, 120, 64), (3, 48, 8),
+                                                    (3, 36, 12)])
+    def test_flat_arrays_are_the_bits_of_the_closed_upper_half(self, n, radial, angular):
+        # the reference writes the flat rule out: shells times the angular
+        # rule's upper half, closed by appending the negation
+        params = px.ProblemParams(n, 0.5)
+        ball = px.build_ball_quadrature(params, radial, angular)
+        q = RADIAL_NODES_PER_PANEL
+        panels = max(2, round(radial / q))
+        r, wr = panel_rule([0.0] + [1.0 - 0.5 ** k for k in range(1, panels)] + [1.0], q)
+        ang = px.build_sphere_quadrature(params, angular)
+        h = ang.half
+        up_nodes = (r[:, None, None] * ang.nodes[None, :h, :]).reshape(-1, n)
+        up_w = (wr[:, None] * r[:, None] ** (n - 1) * ang.weights[None, :h]).reshape(-1)
+        half = len(up_w)
+        expected = {"nodes": np.concatenate([up_nodes, -up_nodes]),
+                    "weights": np.concatenate([up_w, up_w]),
+                    "radii": np.tile(np.repeat(r, h), 2),
+                    "antipode_index": np.concatenate([np.arange(half) + half, np.arange(half)])}
+        for name, want in expected.items():
+            got = getattr(ball, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), name
+        assert (len(ball), ball.half) == (2 * half, half)
+        assert ball.delta_min == float(1.0 - r.max())
+
+    def test_rejects_factors_that_do_not_make_a_ball_rule(self, ball_2d, ball_3d):
+        r, w = ball_2d.shell_radii, ball_2d.shell_weights
+        for changes, message in [
+            ({"shell_radii": np.concatenate([r[:-1], [1.0]])}, "lie in \\[0, 1\\)"),
+            ({"shell_radii": -r}, "lie in \\[0, 1\\)"),
+            ({"shell_radii": np.where(r == r.max(), np.nan, r)}, "lie in \\[0, 1\\)"),
+            ({"shell_weights": w[1:]}, "one length"),
+            ({"shell_radii": r[:, None], "shell_weights": w[:, None]}, "one length"),
+            ({"angular": ball_3d.angular}, "dimension"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                px.BallQuadrature(**{"n": 2, "shell_radii": r, "shell_weights": w,
+                                     "angular": ball_2d.angular, **changes})
+
     def test_rejects_tiny_radial_count(self, params_2d):
         with pytest.raises(ValueError):
             px.build_ball_quadrature(params_2d, 4, 16)
