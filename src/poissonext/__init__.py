@@ -21,7 +21,7 @@ from .quadrature import (
     integrate_boundary,
     surface_area,
 )
-from .halfspace import HalfspaceGrid, build_halfspace_grid, halfspace_tail_bound
+from .halfspace import HalfspaceGrid, build_halfspace_grid
 from .operators import (
     BoundaryFunction,
     ExtensionOperator,

@@ -1,79 +1,72 @@
-"""Truncated quadrature grids on the boundary hyperplane R^{n-1}.
+"""Quadrature grids on the whole boundary hyperplane R^{n-1}.
 
 The half-space extension integrates a boundary function against a kernel
-that decays only like |y'|^{-(n-a)}, so the grid must reach a very large
-truncation radius.  Geometric radial panels make that affordable: the
-panel count grows logarithmically in the radius while resolving unit-scale
-features near the origin.  The radial rule is `quadrature.panel_rule` on
-those panels, crossed for n = 3 with an equispaced angular rule in the plane.
-
-The truncation error has the analytic bound `halfspace_tail_bound`,
-C(n, a) x_n^{1-a} R^{a-1} sup_{|y'|>R} |u| for targets with |x'| <= R/2.
-`operators.extend_halfspace` returns it per target; `conformal_pullback_check`
-discards it, so no report carries it yet.
+that decays only like |y'|^{-(n-a)}, so its radial integrand falls off like
+r^{a-2} and a truncated grid misses a mass of order R^{a-1}.  The radial
+rule has two parts.  Geometric panels (ratio 1.5, 20 Gauss points each,
+`quadrature.panel_rule`) cover (0, R0] with R0 = 64, resolving unit-scale
+features near the origin.  One 20-point Gauss panel in t in (0, 1] covers
+(R0, inf) through r = R0 t^(-m), the change of variable for an algebraic
+endpoint (Davis & Rabinowitz, Methods of Numerical Integration, 1984): with
+m = k/(1 - a) the kernel's r^(a-2) tail becomes t^(k-1) in t.  k is the
+least integer that makes m >= 2 (k = 1 for a >= 1/2), so a correction of
+order r^(-j) becomes t^(k-1+jm), smooth enough for the panel.  m = 2 for
+every a < 1/2 would leave t^(1-2a) instead, 1e-5 off at a = 0.44.  m is
+capped at 50, which keeps the outermost node near 1e125, so r^2 stays
+finite in float64; past a = 0.98 the capped map leaves a t^(-1/2)-type
+endpoint, and a unit-mass error near 2e-2 at a = 0.99.  For n = 3 the
+radial rule is crossed with an equispaced angular rule in the plane.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import normalization_constant
 from .params import ProblemParams
-from .quadrature import panel_rule, surface_area
+from .quadrature import panel_rule
+
+_INNER_RATIO, _PANEL_POINTS, _TAIL_START = 1.5, 20, 64.0
 
 
 @dataclass(frozen=True, eq=False)
 class HalfspaceGrid:
-    """Nodes and weights for integrals over R^{n-1}, truncated at a radius."""
+    """Nodes and weights for integrals over all of R^{n-1}."""
 
     nodes: np.ndarray         # (M, n-1)
     weights: np.ndarray       # (M,)
-    truncation_radius: float
 
     def __len__(self) -> int:
         return len(self.weights)
 
 
-def default_truncation_radius(params: ProblemParams) -> float:
-    """Radius at which the unit-sup tail bound drops below 3e-7, clipped to [1e4, 1e15]."""
-    c = normalization_constant(params)
-    n, a = params.n, params.a
-    lead = c * surface_area(n - 1) * 2.0 ** (n - a + 1.0) / (1.0 - a)
-    try:
-        radius = (3e-7 / lead) ** (1.0 / (a - 1.0))
-    except OverflowError:  # near a = 1 the radius passes float64, far past the clip
-        radius = np.inf
-    return float(np.clip(radius, 1e4, 1e15))
-
-
 def build_halfspace_grid(
-    params: ProblemParams,
-    inner_scale: float = 0.25,
-    panel_ratio: float = 1.5,
-    nodes_per_panel: int = 20,
-    angular_points: int = 96,
-    truncation_radius: float | None = None,
+    params: ProblemParams, inner_scale: float = 0.25, angular_points: int = 96
 ) -> HalfspaceGrid:
-    """Geometrically graded polar grid on R^{n-1}.
+    """Graded polar grid on R^{n-1}, its last radial panel mapped to infinity.
 
-    Radial panels start at `inner_scale` and grow by `panel_ratio` until
-    `truncation_radius` (chosen automatically from the kernel tail bound
-    when not given).  For n = 2 the nodes cover both half-lines.
+    The first radial panel is (0, min(`inner_scale`, 64)]; n = 3 takes
+    `angular_points` equispaced azimuths.  For n = 2 the nodes cover both
+    half-lines.
     """
-    n = params.n
+    n, a = params.n, params.a
     if n not in (2, 3):
         raise NotImplementedError("half-space grids implemented for n in {2, 3}")
-    if truncation_radius is None:
-        truncation_radius = default_truncation_radius(params)
-    if panel_ratio <= 1.0:
-        raise ValueError("panel_ratio must exceed 1")
+    if not (np.isfinite(inner_scale) and 0.0 < inner_scale):
+        raise ValueError(f"inner_scale must be finite and positive, got {inner_scale!r}")
+    if not isinstance(angular_points, (int, np.integer)) or angular_points < 1:
+        raise ValueError(f"angular_points must be a positive integer, got {angular_points!r}")
 
-    bounds = [0.0, inner_scale]
-    while bounds[-1] < truncation_radius:
-        bounds.append(min(bounds[-1] * panel_ratio, truncation_radius))
-    r, wr = panel_rule(bounds, nodes_per_panel)
+    bounds = [0.0, min(inner_scale, _TAIL_START)]
+    while bounds[-1] < _TAIL_START:
+        bounds.append(min(bounds[-1] * _INNER_RATIO, _TAIL_START))
+    r, wr = panel_rule(bounds, _PANEL_POINTS)
+    m = min(math.ceil(2.0 * (1.0 - a)) / (1.0 - a), 50.0)
+    t, wt = panel_rule([0.0, 1.0], _PANEL_POINTS)
+    r = np.concatenate([r, _TAIL_START * t ** -m])
+    wr = np.concatenate([wr, m * _TAIL_START * t ** (-m - 1.0) * wt])
 
     if n == 2:
         nodes = np.concatenate([r, -r])[:, None]
@@ -85,26 +78,4 @@ def build_halfspace_grid(
             [np.outer(r, cos).ravel(), np.outer(r, sin).ravel()], axis=1
         )
         weights = np.outer(wr * r, np.full(angular_points, 2.0 * np.pi / angular_points)).ravel()
-    return HalfspaceGrid(nodes, weights, float(truncation_radius))
-
-
-def halfspace_tail_bound(
-    grid: HalfspaceGrid,
-    targets: np.ndarray,
-    params: ProblemParams,
-    u_tail_sup: float,
-) -> np.ndarray:
-    """Analytic bound on the truncated part of the extension integral.
-
-    Valid for targets with |x'| <= R/2; more distant targets get inf so a
-    silent underestimate is impossible.
-    """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    c = normalization_constant(params)
-    n, a = params.n, params.a
-    R = grid.truncation_radius
-    xn = targets[:, -1]
-    xp = np.sqrt(np.sum(targets[:, :-1] ** 2, axis=-1))
-    lead = c * surface_area(n - 1) * 2.0 ** (n - a) / (1.0 - a)
-    bound = lead * xn ** (1.0 - a) * R ** (a - 1.0) * abs(u_tail_sup)
-    return np.where(xp <= 0.5 * R, bound, np.inf)
+    return HalfspaceGrid(nodes, weights)

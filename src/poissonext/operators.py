@@ -116,7 +116,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import conformal_weight, mobius_f, stereographic
-from .halfspace import HalfspaceGrid, halfspace_tail_bound
+from .halfspace import HalfspaceGrid
 from .kernels import ball_prefactor, kernel_ball, kernel_ball_sphere_mass, kernel_halfspace
 from .params import ProblemParams
 from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits, azimuthal_layout,
@@ -553,30 +553,21 @@ def extend_at_points(
     return rows @ (v.quad.weights * v.values)
 
 
-def extend_halfspace(
-    u_values: np.ndarray,
-    grid: HalfspaceGrid,
-    targets: np.ndarray,
-    params: ProblemParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Half-space extension of grid samples, with the truncation-tail bound.
-
-    The tail sup of u is estimated from the outermost decade of the grid
-    itself; the returned bound is per target.
-    """
+def extend_halfspace(u_values: np.ndarray, grid: HalfspaceGrid, targets: np.ndarray,
+                     params: ProblemParams) -> np.ndarray:
+    """Half-space extension of grid samples at targets in R^n with x_n > 0."""
     u_values = np.asarray(u_values, dtype=float)
     if u_values.shape != grid.weights.shape:
         raise ValueError("u must be sampled on the grid nodes")
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    if targets.shape[-1] != params.n:
+        raise ValueError(f"expected points in R^{params.n}, got shape {targets.shape}")
     if np.any(targets[:, -1] <= 0):
         raise ValueError("extension targets need x_n > 0")
     out = np.empty(len(targets))
     for k, x in enumerate(targets):
         out[k] = np.dot(grid.weights, kernel_halfspace(grid.nodes, x, params) * u_values)
-    rad = np.sqrt(np.sum(grid.nodes**2, axis=-1))
-    outer = rad >= 0.1 * grid.truncation_radius
-    u_tail = float(np.max(np.abs(u_values[outer]))) if np.any(outer) else 0.0
-    return out, halfspace_tail_bound(grid, targets, params, u_tail)
+    return out
 
 
 def interpolate_boundary(v: BoundaryFunction):
@@ -669,8 +660,8 @@ def conformal_pullback_check(
     u = conformal_weight(boundary_pts, params) * np.asarray(
         v(stereographic(grid.nodes, params.n)), dtype=float
     )
-    ext, _tail = extend_halfspace(u, grid, sample_points, params)
-    rhs = ext / conformal_weight(sample_points, params)
+    rhs = extend_halfspace(u, grid, sample_points, params)
+    rhs /= conformal_weight(sample_points, params)
     scale = np.max(np.abs(lhs))
     return float(np.max(np.abs(lhs - rhs)) / scale)
 

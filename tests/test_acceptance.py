@@ -37,7 +37,7 @@ def test_ac1_kernel_normalization():
     t0 = time.time()
     rng = np.random.default_rng(101)
     worst = 0.0
-    for n, a in [(2, 0.5), (3, -0.5), (3, 0.0)]:
+    for n, a in [(2, 0.5), (2, 0.75), (2, 0.95), (3, -0.5), (3, 0.0), (3, 0.75), (3, 0.95)]:
         params = px.ProblemParams(n, a)
         grid = px.build_halfspace_grid(params)
         pts = np.empty((20, n))

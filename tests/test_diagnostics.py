@@ -53,7 +53,7 @@ class TestBubbleExtension:
         grid = px.build_halfspace_grid(params_2d)
         u = px.bubble(grid.nodes, params_2d, bp)
         targets = np.array([[0.3, 0.7], [-0.5, 1.2]])
-        approx, _ = px.extend_halfspace(u, grid, targets, params_2d)
+        approx = px.extend_halfspace(u, grid, targets, params_2d)
         exact = px.bubble_extension_halfspace(targets, params_2d, bp)
         assert np.max(np.abs(approx - exact)) < 1e-6
 

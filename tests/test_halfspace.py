@@ -2,21 +2,9 @@ import numpy as np
 import pytest
 
 import poissonext as px
-from poissonext.halfspace import default_truncation_radius
 
 
 class TestGridConstruction:
-    def test_reaches_automatic_truncation_radius(self, params_2d):
-        grid = px.build_halfspace_grid(params_2d)
-        assert np.max(np.abs(grid.nodes)) <= grid.truncation_radius
-        assert np.max(np.abs(grid.nodes)) > 0.99 * grid.truncation_radius
-
-    def test_slow_decay_needs_larger_radius(self):
-        # the closer a is to 1, the slower the kernel tail decays
-        r_fast = px.build_halfspace_grid(px.ProblemParams(3, -0.5)).truncation_radius
-        r_slow = px.build_halfspace_grid(px.ProblemParams(2, 0.5)).truncation_radius
-        assert r_slow > r_fast
-
     def test_weights_positive(self, params_3d):
         grid = px.build_halfspace_grid(params_3d)
         assert np.all(grid.weights > 0)
@@ -34,36 +22,49 @@ class TestGridConstruction:
             px.integrate_boundary(np.ones(5), grid)
 
 
-class TestTailBound:
-    def test_bound_dominates_true_tail(self, params_2d):
-        # truncating the normalized kernel integral leaves exactly 1 - mass
-        p = params_2d
-        grid = px.build_halfspace_grid(p, truncation_radius=50.0)
-        x = np.array([0.2, 1.0])
-        mass = px.integrate_boundary(px.kernel_halfspace(grid.nodes, x, p), grid)
-        true_tail = 1.0 - mass
-        bound = px.halfspace_tail_bound(grid, x, p, u_tail_sup=1.0)[0]
-        assert 0 < true_tail < bound
+class _NoLoop(float):
+    """A float that fails the test when the panel loop multiplies it."""
 
-    def test_bound_is_inf_for_far_targets(self, params_2d):
-        grid = px.build_halfspace_grid(params_2d, truncation_radius=10.0)
-        bound = px.halfspace_tail_bound(grid, np.array([9.0, 1.0]), params_2d, 1.0)
-        assert np.isinf(bound[0])
+    def __mul__(self, other):
+        raise AssertionError("the panel loop started")
 
-    def test_bound_scales_with_tail_sup(self, params_3d):
-        grid = px.build_halfspace_grid(params_3d, truncation_radius=100.0)
-        x = np.array([0.0, 0.0, 1.0])
-        b1 = px.halfspace_tail_bound(grid, x, params_3d, 1.0)[0]
-        b2 = px.halfspace_tail_bound(grid, x, params_3d, 2.0)[0]
-        assert b2 == pytest.approx(2 * b1, rel=1e-14)
+    __rmul__ = __mul__
 
 
-class TestTruncationRadius:
+class TestWholeHyperplane:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("a", [0.98, 0.99, 0.999])
-    def test_near_a_equal_1_the_radius_is_the_upper_clip(self, n, a):
-        # (3e-7 / lead)^(1 / (a - 1)) passes float64 here; the clip gives 1e15
-        assert default_truncation_radius(px.ProblemParams(n=n, a=a)) == 1e15
+    @pytest.mark.parametrize("a", [0.25, 0.44, 0.5, 0.75, 0.95, 0.98, 0.99])
+    def test_finite_rule_of_unit_kernel_mass(self, n, a):
+        # the mapped tail panel makes r^(a-2) constant for m = 1/(1-a) <= 50;
+        # a = 0.99 needs m = 100, and the capped map leaves t^(-1/2).  Below
+        # a = 0.5, m = 2 would leave t^(1-2a), 1e-5 off at a = 0.44
+        p = px.ProblemParams(n, a)
+        grid = px.build_halfspace_grid(p)
+        assert np.all(np.isfinite(grid.nodes)) and np.all(np.isfinite(grid.weights))
+        rng = np.random.default_rng(29)
+        pts = np.empty((10, n))
+        pts[:, :-1] = rng.uniform(-1.5, 1.5, size=(10, n - 1))
+        pts[:, -1] = np.exp(rng.uniform(np.log(0.4), np.log(2.5), size=10))
+        dev = max(abs(px.integrate_boundary(px.kernel_halfspace(grid.nodes, x, p), grid) - 1.0)
+                  for x in pts)
+        assert dev <= (0.05 if a == 0.99 else 1e-6)
 
-    def test_inside_float64_the_radius_is_the_power(self):
-        assert default_truncation_radius(px.ProblemParams(n=2, a=0.5)) == 206863095757277.25
+
+class TestGridOptions:
+    @pytest.mark.parametrize("scale", [0.0, -0.25])
+    def test_non_positive_inner_scale_is_rejected_before_the_panel_loop(self, params_2d, scale):
+        # the loop multiplies the last bound by 1.5: from 0 or below it never reaches R0
+        with pytest.raises(ValueError, match="inner_scale"):
+            px.build_halfspace_grid(params_2d, inner_scale=_NoLoop(scale))
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_inner_scale_is_rejected(self, params_3d, scale):
+        with pytest.raises(ValueError, match="inner_scale"):
+            px.build_halfspace_grid(params_3d, inner_scale=scale)
+
+    @pytest.mark.parametrize("points", [0, -4, 2.5, 64.0, np.nan])
+    def test_angular_points_other_than_a_positive_integer_are_rejected(self, params_3d, points):
+        # 2.5 would give three azimuths of weight 2 pi / 2.5 each
+        with pytest.raises(ValueError, match="angular_points"):
+            px.build_halfspace_grid(params_3d, angular_points=points)

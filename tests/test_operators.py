@@ -509,7 +509,7 @@ class TestOperatorCache:
         s = px.build_sphere_quadrature(params_2d, 8)
         ball = px.build_ball_quadrature(params_2d, 18, 8)
         op1, op2 = (px.ExtensionOperator(params_2d, s, ball) for _ in range(2))
-        g1, g2 = (px.build_halfspace_grid(params_2d, truncation_radius=10.0) for _ in range(2))
+        g1, g2 = (px.build_halfspace_grid(params_2d) for _ in range(2))
         for a, b in ((op1, op2), (g1, g2)):
             assert a == a and a != b and not (a == b)
             assert len({a, b, a}) == 2
@@ -854,16 +854,15 @@ class TestExtendHalfspace:
     def test_constant_boundary_function_extends_to_one(self, params_2d):
         grid = px.build_halfspace_grid(params_2d)
         targets = np.array([[0.0, 0.7], [0.4, 1.3], [-1.0, 2.0]])
-        vals, tails = px.extend_halfspace(np.ones(len(grid)), grid, targets, params_2d)
+        vals = px.extend_halfspace(np.ones(len(grid)), grid, targets, params_2d)
         assert np.max(np.abs(vals - 1.0)) < 1e-6
-        assert np.all(tails >= 0)
 
     def test_bubble_extension_matches_closed_form(self, params_3d):
         # P_0 of (1 + |y|^2)^{-1/2} at (0, 0, t) equals 1/(1 + t)
         grid = px.build_halfspace_grid(params_3d, angular_points=64)
         u = (1.0 + np.sum(grid.nodes**2, axis=1)) ** (-0.5)
         for t in (0.5, 1.0, 3.0):
-            val, tail = px.extend_halfspace(u, grid, np.array([[0.0, 0.0, t]]), params_3d)
+            val = px.extend_halfspace(u, grid, np.array([[0.0, 0.0, t]]), params_3d)
             assert val[0] == pytest.approx(1.0 / (1.0 + t), abs=2e-7)
 
     def test_bubble_extension_matches_radial_quadrature_oracle(self, params_3d):
@@ -875,21 +874,34 @@ class TestExtendHalfspace:
         assert err < 5e-8
         grid = px.build_halfspace_grid(params_3d, angular_points=64)
         u = (1.0 + np.sum(grid.nodes**2, axis=1)) ** (-0.5)
-        val, _ = px.extend_halfspace(u, grid, np.array([[0.0, 0.0, t]]), params_3d)
+        val = px.extend_halfspace(u, grid, np.array([[0.0, 0.0, t]]), params_3d)
         assert val[0] == pytest.approx(oracle, rel=1e-6)
 
     def test_linearity(self, params_2d, rng):
-        grid = px.build_halfspace_grid(params_2d, truncation_radius=1e6)
+        grid = px.build_halfspace_grid(params_2d)
         u = np.exp(-np.sum(grid.nodes**2, axis=1))
         x = np.array([[0.1, 0.9]])
-        v1, _ = px.extend_halfspace(3.0 * u, grid, x, params_2d)
-        v2, _ = px.extend_halfspace(u, grid, x, params_2d)
+        v1 = px.extend_halfspace(3.0 * u, grid, x, params_2d)
+        v2 = px.extend_halfspace(u, grid, x, params_2d)
         assert v1[0] == pytest.approx(3.0 * v2[0], rel=1e-12)
 
     def test_rejects_boundary_targets(self, params_2d):
-        grid = px.build_halfspace_grid(params_2d, truncation_radius=1e5)
+        grid = px.build_halfspace_grid(params_2d)
         with pytest.raises(ValueError):
             px.extend_halfspace(np.ones(len(grid)), grid, np.array([[0.0, 0.0]]), params_2d)
+
+    @pytest.mark.parametrize("n, a, dim", [(2, 0.5, 3), (3, 0.0, 2)])
+    def test_rejects_targets_of_the_wrong_dimension(self, n, a, dim):
+        # a wrong-length x' would broadcast against the nodes to a wrong value
+        params = px.ProblemParams(n, a)
+        grid = px.build_halfspace_grid(params)
+        targets = np.full((2, dim), 0.5)
+        with pytest.raises(ValueError, match=f"R\\^{n}"):
+            px.extend_halfspace(np.ones(len(grid)), grid, targets, params)
+        sphere = px.build_sphere_quadrature(params, 8)
+        with pytest.raises(ValueError, match=f"R\\^{n}"):
+            px.conformal_pullback_check(lambda q: np.ones(len(np.atleast_2d(q))),
+                                        sphere, grid, params, targets)
 
 
 class TestConformalPullback:
