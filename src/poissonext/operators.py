@@ -28,7 +28,9 @@ partner of column i, gathers the antipodes of what column i gathers for
 every rotation m.  For an antipodal y both multiply the same gathered
 values, so only the columns i < N/2 are kept, each holding the sum of the
 two kernels; `gather_index` has their rows.  That halves the columns of
-the dense product.
+the dense product.  The build writes the first kernel into the table and
+adds the partner's in place, a block of shells at a time, so no transient
+array is larger than one block (`_FILL_DOUBLES`).
 
 Mirror fold.  The kernel depends on the azimuth difference only through
 its cosine, so it is also even under a reflection.  Reflecting the sphere
@@ -124,6 +126,8 @@ from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits, azimuthal
 
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 120
+# doubles per shell block of a kernel table's fill (256 KiB)
+_FILL_DOUBLES = 2 ** 15
 
 
 def _power_inplace(z: np.ndarray, q: float) -> np.ndarray:
@@ -197,9 +201,11 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
     tables[u] (class u's rows x kept) holds each kept column's kernel, plus
     its partner's with `antipodal`, computed once.  orbit numbers the
     columns by their nodes' orbit under the turns, the antipode and the
-    mirror about azimuth 0.  Returns (tables, gather, columns, orbit, ub);
-    each table is one array pass over (shell, row, kept column), and no
-    unfolded table is made.
+    mirror about azimuth 0.  Returns (tables, gather, columns, orbit, ub).
+    Each table is filled in place a block of at most `_FILL_DOUBLES`
+    entries (one shell or more) at a time: the node's kernel is written
+    into the block's rows and the partner's added to them, the bits of
+    summing the two, and no unfolded table is made.
     """
     if not np.array_equal(sphere.antipode_index, (np.arange(len(sphere)) + sphere.half)
                           % len(sphere)):
@@ -248,15 +254,23 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
     r = np.repeat(radii, rings)[:, None]
     sq = np.repeat([(1.0 - x) ** 2 for x in radii], rings)[:, None]
     scale = np.repeat([pref * ((1.0 - x) * (1.0 + x)) ** (1.0 - a) for x in radii], rings)[:, None]
-    parts = np.stack([cols, cols + sphere.half][:1 + antipodal])
     tables = []
     for res, (kept, _, _) in enumerate(columns):
-        x = np.tile(e2[res::ub][:, parts[:, kept]].transpose(1, 0, 2), (1, len(radii), 1))
-        x *= r
-        x += sq
-        x **= (a - n) / 2.0
-        x *= scale
-        tables.append(x.sum(axis=0))
+        parts = [e2[res::ub][:, c[kept]] for c in (cols, cols + sphere.half)[:1 + antipodal]]
+        table = np.empty((len(r), len(kept)))
+        step = max(1, _FILL_DOUBLES // (rings * len(kept))) * rings
+        for lo in range(0, len(table), step):
+            rows = slice(lo, lo + step)
+            for k, part in enumerate(parts):
+                x = table[rows] if k == 0 else np.empty_like(table[rows])
+                x.reshape(-1, *part.shape)[:] = part
+                x *= r[rows]
+                x += sq[rows]
+                x **= (a - n) / 2.0
+                x *= scale[rows]
+                if k:
+                    table[rows] += x
+        tables.append(table)
     # rotation class (ring, az mod us) of each column, with tau and -tau merged
     tau = az_s[cols] % us
     orbit = np.unique(ring_s[cols] * us + np.minimum(tau, -tau % us), return_inverse=True)[1]

@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -303,6 +304,43 @@ class TestStructuredProducts:
             for u, table in enumerate(_kernel_table(sphere, ball, params, antipodal)[0]):
                 assert table.base is None
                 assert _same_bits(table, np.concatenate([shell[u] for shell in shells]))
+
+    @pytest.mark.parametrize("block", [1, 5])
+    @pytest.mark.parametrize("n, a, sphere_res, ball_res",
+                             [(2, 0.5, 32, 64), (3, -0.5, 8, 12), (3, -0.5, 12, 8)])
+    def test_shell_blocks_are_the_bits_of_a_loop_over_shells(self, monkeypatch, block, n, a,
+                                                             sphere_res, ball_res):
+        # class u's fill takes `block` shells at a time; 12 shells in blocks
+        # of 5 leave a ragged last block of 2
+        params = px.ProblemParams(n, a)
+        sphere = px.build_sphere_quadrature(params, sphere_res)
+        ball = px.build_ball_quadrature(params, 12, ball_res)
+        for antipodal in (True, False):
+            shells = [_kernel_table(sphere, replace(ball, shell_radii=ball.shell_radii[k:k + 1],
+                                                    shell_weights=ball.shell_weights[k:k + 1]),
+                                    params, antipodal)[0]
+                      for k in range(len(ball.shell_radii))]
+            for u, (kept, _, _) in enumerate(_kernel_table(sphere, ball, params, antipodal)[2]):
+                rings = len(shells[0][u])
+                monkeypatch.setattr(px.operators, "_FILL_DOUBLES", block * rings * len(kept))
+                table = _kernel_table(sphere, ball, params, antipodal)[0][u]
+                assert _same_bits(table, np.concatenate([shell[u] for shell in shells]))
+
+    def test_fill_holds_at_most_1_mib_beyond_what_it_returns(self):
+        # the n3-balance-solve rules: the folded tables are 1.5 MiB, one fill
+        # block 0.25 MiB
+        params = px.ProblemParams(3, -0.5)
+        sphere = px.build_sphere_quadrature(params, 20)
+        ball = px.build_ball_quadrature(params, 96, 20)
+        for antipodal in (True, False):
+            tracemalloc.start()
+            try:
+                tables, gather, columns, orbit, _ = _kernel_table(sphere, ball, params, antipodal)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = sum(x.nbytes for x in (*tables, gather, orbit, *sum(columns, ())))
+            assert peak - held <= 2 ** 20
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_default_rules_run_at_most_0_27_of_the_dense_macs(self, n):
