@@ -3,9 +3,11 @@
 Every command reads one JSON configuration (strictly validated), writes a
 schema-versioned report.json plus CSV artifacts into the output directory,
 and returns a nonzero exit status on any failed check or solver failure.
-The same configuration, seed, BLAS library and BLAS thread count produce
-byte-identical reports: summation orders are fixed, randomness is seeded,
-and no volatile fields (timestamps, host names) enter the outputs.
+The same configuration, seed and BLAS library produce byte-identical
+reports: summation orders are fixed, randomness is seeded, and no volatile
+fields (timestamps, host names) enter the outputs.  `solve`, `continue`
+and `verify` on the examples give the same bytes at one and at two
+OpenBLAS threads (a Tier-1 test).
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .quadrature import (MAX_RADIAL_POINTS, build_ball_quadrature, build_sphere_
                          integrate_ball, integrate_boundary, write_csv)
 
 REPORT_SCHEMA_VERSION = 1
+# a solve passes only with lambda <= Lambda_p (1 + this), the slack verify
+# gives its sharp inequality ratio
+LAMBDA_BOUND_SLACK = 1e-3
 # `sharp` refines its Richardson pair on a ball rule with this many times
 # the configured radial points
 SHARP_RADIAL_REFINEMENT = 2
@@ -199,7 +204,7 @@ def cmd_verify(config: RunConfig):
         ratio = (fn.bulk_norm(op.extend_values(vb.values), ball, params.p_bulk)
                  / fn.boundary_norm(vb, params.p_crit))
         worst = max(worst, ratio / sharp)
-    _check(checks, "sharp_inequality_ratio", worst, 1.0 + 1e-3)
+    _check(checks, "sharp_inequality_ratio", worst, 1.0 + LAMBDA_BOUND_SLACK)
 
     # weight spec checks
     margin = weight_extremes(config.weight_spec, params)[0]
@@ -287,11 +292,14 @@ def cmd_solve(config: RunConfig):
     problem = _problem(config, config.solver["p"] or slv.default_p(config.params))
     inits = slv.multistart_inits(problem.sphere, config.solver["multistart"], 0.3, config.seed)
     (v, lam, rep), solves = slv.maximize_multistart(problem, inits)
+    sharp = fn.sharp_constant_from_constant_test_function(problem.sphere, problem.ball,
+                                                          config.params)
     runs = [{"lambda_est": lam_i, "converged": rep_i["converged"],
              "iterations": rep_i["iterations"], "el_residual": rep_i["el_residual"],
-             "multiplier_identity_dev": rep_i["multiplier_identity_dev"]}
+             "multiplier_identity_dev": rep_i["multiplier_identity_dev"],
+             "lambda_over_bound": lam_i / _lambda_bound(problem, sharp, problem.p)}
             for _, lam_i, rep_i in solves]
-    ok = slv.solved(rep)
+    solution, ok = _solution(config, problem, sharp, lam, v, slv.solved(rep))
     report = {
         "p": problem.p,
         "el_residual": rep["el_residual"],
@@ -303,29 +311,49 @@ def cmd_solve(config: RunConfig):
                                      - min(r["lambda_est"] for r in runs)),
         "sup_v": float(v.values.max()),
         "inf_v": float(v.values.min()),
-        **_solution(config, problem, lam, v, ok),
+        **solution,
     }
     return report, ok
 
 
-def _solution(config: RunConfig, problem: slv.SubcriticalProblem, lam: float, v, ok) -> dict:
-    """Report keys `solve` and `continue` share for (v, lam) solving `problem`; writes final_v.csv.
+def _lambda_bound(problem: slv.SubcriticalProblem, sharp: float, p: float) -> float:
+    """Upper bound Lambda_p on lambda at exponent p > p_crit, with S = `sharp`:
 
-    The Richardson re-solve runs only when `ok`, the command's gate, holds.
+        S^{p_bulk} |S^{n-1}|^{(1/p_crit - 1/p) p_bulk} (min K)^{-p_bulk/p},
+
+    by the sharp inequality and Hoelder's, with |S^{n-1}| the sum of the
+    sphere weights.  The constant attains it when K is constant.
+    """
+    params = problem.params
+    area = integrate_boundary(np.ones(len(problem.sphere)), problem.sphere)
+    return (sharp ** params.p_bulk * area ** ((1.0 / params.p_crit - 1.0 / p) * params.p_bulk)
+            * problem.weight.min ** (-params.p_bulk / p))
+
+
+def _solution(config: RunConfig, problem: slv.SubcriticalProblem, sharp: float, lam: float, v,
+              ok: bool) -> tuple[dict, bool]:
+    """Report keys `solve` and `continue` share for (v, lam) solving `problem`, and the gate.
+
+    The gate is `ok` and lam <= Lambda_p (1 + LAMBDA_BOUND_SLACK), with
+    Lambda_p `_lambda_bound` at the problem's p: a solve above it has found
+    a maximizer of the discretization alone.  The Richardson re-solve runs
+    only when the gate holds.  Writes final_v.csv.
     """
     params, weight = config.params, problem.weight
-    sharp = fn.sharp_constant_from_constant_test_function(problem.sphere, problem.ball, params)
+    bound = _lambda_bound(problem, sharp, problem.p)
+    ok = ok and lam <= bound * (1.0 + LAMBDA_BOUND_SLACK)
     threshold = fn.lambda_threshold(weight, params, sharp)
     holds, ratio, margin = fn.existence_condition(weight, params)
     _write_profile(config, "final_v.csv", problem.sphere, v.values)
     return {
         "lambda_est": lam,
         "lambda_est_error": _lambda_richardson(config, problem.p, lam, v) if ok else None,
+        "lambda_upper_bound": bound,
         "lambda_threshold": threshold,
         "exceeds_threshold": lam > threshold,
         "existence_condition": {"holds": holds, "max_min_ratio": ratio, "margin": margin},
         "resolution": config.quadrature["sphere_resolution"],
-    }
+    }, ok
 
 
 def _lambda_richardson(config: RunConfig, p: float, lam_fine: float, v_fine) -> float | None:
@@ -358,14 +386,19 @@ def cmd_continue(config: RunConfig):
         problem.weight, schedule, config.params, sphere, problem.ball, tol_v=problem.tol_v,
         max_iter=problem.max_iter, blow_up_factor=config.solver["blow_up_factor"])
     rows = result.stage_rows()
-    ok = all(s.solved for s in result.stages) and not result.blow_up_flag
+    sharp = fn.sharp_constant_from_constant_test_function(sphere, problem.ball, config.params)
+    for row in rows:
+        row["lambda_over_bound"] = row["lambda"] / _lambda_bound(problem, sharp, row["p"])
+    ok = all(s.solved and row["lambda_over_bound"] <= 1.0 + LAMBDA_BOUND_SLACK
+             for s, row in zip(result.stages, rows)) and not result.blow_up_flag
+    solution, ok = _solution(config, problem, sharp, result.lambda_est, result.final_v, ok)
     report = {
         "schedule": schedule,
         "stages": rows,
         "blow_up_flag": result.blow_up_flag,
         "final_sup_v": float(result.final_v.values.max()),
         "final_inf_v": float(result.final_v.values.min()),
-        **_solution(config, problem, result.lambda_est, result.final_v, ok),
+        **solution,
     }
     for stage, values in zip(result.stages, result.stage_profiles):
         # repr is distinct for each p of a strictly decreasing schedule

@@ -95,18 +95,22 @@ operator:
     sum_j M[j, i] W_j = the matching ball integral.
 
 The rotations K factors out, the antipode and the reflection about
-azimuth 0 map both rules onto themselves, so d is one value per table row and e
-one value per orbit of sphere nodes under them: the iteration runs on d
-and on e per folded column with matvecs of the folded tables, each column
-sum taken once for its whole orbit so that both members of a mirror pair
-get the same bits, and then multiplies them into the tables once, so the
-products apply no scaling.  d is kept as `row_scale` and e as `col_scale`,
-one value per sphere node, column i's at nodes i and i + N/2; the targets
-are build inputs, so the operator holds no ball-length array.  The
-scalings are ~1 away from the boundary layer (interior accuracy is
-untouched) and the balanced operator reproduces constants on both sides to
-near machine precision.  The raw quadrature survives only in
-`extend_at_points`.
+azimuth 0 map both rules onto themselves, so d is one value per table row
+and e one value per orbit of sphere nodes under them.  The build sums
+each table row over each orbit's columns once, one product per residue
+class, and iterates on that (table rows x orbits) matrix alone: its
+product with the orbit's sphere weight times e gives the row sums, and a
+fixed-order reduction of d times the row weights against it the column
+sums, so every node of an orbit, both members of a mirror pair included,
+gets the same bits of e.  The scalings are then multiplied into the
+tables once, so the products apply no scaling.  d is kept as `row_scale`
+and e as `col_scale`, one value per sphere node, column i's at nodes i
+and i + N/2.  The row targets are the mass at each shell's radius and the
+column target the exact ball sum of the mass over the sphere's area, so
+the operator holds no ball-length array.  The scalings are ~1 away from
+the boundary layer (interior accuracy is untouched) and the balanced
+operator reproduces constants on both sides to near machine precision.
+The raw quadrature survives only in `extend_at_points`.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ from .halfspace import HalfspaceGrid
 from .kernels import ball_prefactor, kernel_ball, kernel_ball_sphere_mass, kernel_halfspace
 from .params import ProblemParams
 from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits, azimuthal_layout,
-                         exact_sum_of_halves)
+                         exact_sum_of_halves, integrate_boundary)
 
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 120
@@ -329,9 +333,13 @@ class ExtensionOperator:
                              "needs one weight per table row")
         self.row_weights = (self.ball.shell_weights[:, None]
                             * np.repeat(rings[:, 0], self.residues)).flatten()
-        # each row's m = 0 node; the target depends on the radius alone
-        self._balance(self._table_layout(mass[:self.ball.half])[:, 0],
-                      float(np.dot(self.ball.weights, mass) / self.sphere.weights.sum()))
+        # a row's target is the mass at its shell's radius.  The column target
+        # is the exact ball sum of W mass over the sphere's area; a row's
+        # nodes share its weight and radius, so that sum's terms are each
+        # row's term once per turn in each half
+        psi = np.repeat(mass[:self.ball.half:ang.half], len(rings) * self.residues)
+        terms = np.repeat(self.row_weights * psi, self.gather_index.shape[1])
+        self._balance(psi, exact_sum_of_halves(terms) / self.sphere.weights.sum())
 
     # -- upper-half class products (exact pair symmetry, see module docstring) --
 
@@ -388,48 +396,43 @@ class ExtensionOperator:
         """Inverse of _table_layout: table rows x columns m -> ball order (shell, ring, m, u)."""
         return t.reshape(-1, self.residues, t.shape[1]).transpose(0, 2, 1).ravel()
 
-    def _row_sums(self, e: np.ndarray) -> np.ndarray:
-        """Weighted row sums of the tables with column scaling e (one value per folded column)."""
-        return self._fold_product(self.sphere.weights[:len(e)] * e, *self._folded)
-
-    def _col_sums(self, d: np.ndarray) -> np.ndarray:
-        """Weighted column sums over the whole ball with row scaling d, per folded column.
-
-        A folded column's sum is the total over the folded columns of its
-        orbit (each gathers every node of a rotation class once, itself or
-        its antipode) divided by the rotation classes the orbit merges, one
-        or two, so the whole orbit gets one value.
-        """
-        orbit, turns = self._orbit, self.gather_index.shape[1]
-        s = np.bincount(orbit, weights=self._fold_transpose(d * self.row_weights, *self._folded))
-        return (s * (turns / np.bincount(orbit)))[orbit]
-
     def _balance(self, psi: np.ndarray, theta: float) -> None:
-        """Sinkhorn to row targets psi and column target theta, folded into the tables.
+        """Sinkhorn on the orbit sums to row targets psi and column target theta.
 
-        e is iterated per folded column and is one value on each orbit
-        (`_col_sums`), so a mirror pair and an antipodal pair have one
-        scale.  The row sums of the deviation check are the next
-        iteration's, so a build takes iterations + 1 of them.
+        sums[r, o] adds row r's columns of orbit o, the kept column of a
+        mirror pair twice: the one product pass over the tables before the
+        scalings are folded into them.  With one sphere weight w and one
+        scale e per orbit, each sweep sets d = psi / (sums @ (w e)) and e =
+        theta over the column sums of d: an orbit's is its total (d W) sums
+        over its folded columns (each gathers every node of a rotation
+        class once, itself or its antipode) divided by the rotation classes
+        it merges, one or two.  The row sums of the deviation check are the
+        next sweep's.
         """
-        d = np.ones(len(self.row_weights))
-        e = np.ones(len(self.gather_index))
-        rows = self._row_sums(e)
+        orbit = self._orbit
+        share = self.gather_index.shape[1] / np.bincount(orbit)
+        # each column's orbit indicator: a kept column adds its mirror's
+        sums = self._fold_product(np.eye(len(share))[orbit], *self._folded)
+        w = self.sphere.weights[np.unique(orbit, return_index=True)[1]]
+        assert _same_bits(w[orbit], self.sphere.weights[:len(orbit)]), "one weight per orbit"
+        rows = sums @ w
         for iters in range(1, _SINKHORN_MAX_ITER + 1):
-            d *= psi / (d * rows)
-            e *= theta / (e * self._col_sums(d))
-            rows = self._row_sums(e)
+            d = psi / rows
+            # a reduction of its own: BLAS's 1-D transpose product splits by thread
+            cols = share * np.einsum("r,ro->o", d * self.row_weights, sums)
+            e = theta / cols
+            rows = sums @ (w * e)
             row_dev = np.max(np.abs(d * rows / psi - 1.0))
             if row_dev < _SINKHORN_TOL:
                 break
         self.balance_iterations = iters
         self.balance_row_dev = float(row_dev)
-        self.balance_col_dev = float(np.max(np.abs(e * self._col_sums(d) / theta - 1.0)))
+        self.balance_col_dev = float(np.max(np.abs(e * cols / theta - 1.0)))
         for u, (table, (kept, _, _)) in enumerate(zip(self.kernel_table, self.fold_columns)):
             table *= d[u::self.residues, None]
-            table *= e[kept]
+            table *= e[orbit[kept]]
         self.row_scale = d
-        self.col_scale = np.concatenate([e, e])
+        self.col_scale = np.tile(e[orbit], 2)
 
     # -- table-layout pair: the one half-product, the solver's path --
 
@@ -580,7 +583,7 @@ def extend_halfspace(u_values: np.ndarray, grid: HalfspaceGrid, targets: np.ndar
         raise ValueError("extension targets need x_n > 0")
     out = np.empty(len(targets))
     for k, x in enumerate(targets):
-        out[k] = np.dot(grid.weights, kernel_halfspace(grid.nodes, x, params) * u_values)
+        out[k] = integrate_boundary(kernel_halfspace(grid.nodes, x, params) * u_values, grid)
     return out
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +305,8 @@ class TestCliCommands:
         assert body["converged"]
         assert body["exceeds_threshold"]
         assert body["multiplier_identity_dev"] < 1e-8
+        # K = 1: the constant is the maximizer and attains the lambda bound
+        assert abs(body["lambda_est"] / body["lambda_upper_bound"] - 1.0) <= 1e-12
         prof = Path(out, "profiles", "final_v.csv").read_text().splitlines()
         assert prof[0] == "x1,x2,x3,value"
         assert len(prof) == 1 + 16 * 32
@@ -345,6 +349,37 @@ class TestCliCommands:
             body = read_report(out)["report"]
             rows = body["stages"] if cmd == "continue" else [body]
             assert all(r["converged"] and r["el_residual"] == 0.5 for r in rows)
+
+    def test_spurious_concentrated_maximizer_fails_the_lambda_bound(self, tmp_path):
+        # the n = 3 example's weight near p_crit: two of the four starts end
+        # on concentrated profiles with lambda 1.5 Lambda_p, which solve the
+        # EL equation; the best start must fail, or be the constant branch
+        cfg = json.loads(Path(ROOT, "examples", "existence_3d.json").read_text())
+        cfg.update(solver={"p": 8.04, "multistart": 3}, output_dir=str(tmp_path / "out"))
+        status = main(["solve", "--config", write_config(tmp_path, cfg)])
+        body = read_report(tmp_path / "out")["report"]
+        ratios = [run["lambda_over_bound"] for run in body["multistart_runs"]]
+        assert len(ratios) == 4 and body["lambda_upper_bound"] > 0
+        assert max(ratios) == body["lambda_est"] / body["lambda_upper_bound"]
+        if status == 0:
+            assert max(ratios) <= 1.0 + 1e-3
+        else:
+            assert status == 1 and max(ratios) > 1.0 + 1e-3
+            assert body["lambda_est_error"] is None
+
+    def test_solve_and_continue_fail_above_the_lambda_bound(self, tmp_path, monkeypatch):
+        # a bound below every lambda: each multistart run and each stage
+        # reports its ratio, and both commands fail without an error bar
+        bound = px.cli._lambda_bound
+        monkeypatch.setattr(px.cli, "_lambda_bound", lambda *args: 0.5 * bound(*args))
+        for cmd in ("solve", "continue"):
+            out = str(tmp_path / cmd)
+            path = write_config(tmp_path, tiny_2d_config(out), name=f"{cmd}.json")
+            assert main([cmd, "--config", path]) == 1
+            body = read_report(out)["report"]
+            rows = body["stages"] if cmd == "continue" else body["multistart_runs"]
+            assert all(1.5 < row["lambda_over_bound"] <= 2.0 for row in rows)
+            assert body["lambda_est_error"] is None
 
     def test_richardson_error_is_null_when_the_coarse_solve_fails(self, tmp_path,
                                                                  monkeypatch):
@@ -487,3 +522,22 @@ class TestCliCommands:
         assert solve["existence_condition"] == cont["existence_condition"]
         assert solve["resolution"] == cont["resolution"] == 64
         assert solve["lambda_threshold"] == cont["lambda_threshold"] == threshold
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("cmd, example", [
+        ("solve", "existence_2d"), ("continue", "existence_2d"), ("solve", "existence_3d"),
+        ("continue", "existence_3d"), ("verify", "existence_3d")])
+    def test_reports_are_byte_equal_at_one_and_two_blas_threads(self, cmd, example, tmp_path):
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.join(ROOT, "src"))
+            proc = subprocess.run(
+                [sys.executable, "-m", "poissonext.cli", cmd, "--config",
+                 os.path.join(ROOT, "examples", f"{example}.json"), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            reports.append((out / "report.json").read_bytes().replace(str(out).encode(), b"OUT"))
+        assert reports[0] == reports[1]

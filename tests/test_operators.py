@@ -1,4 +1,3 @@
-import copy
 import math
 import re
 import tracemalloc
@@ -238,8 +237,13 @@ class TestStructuredProducts:
         assert max_rel(op.adjoint_values(z_inner), (op.ball.weights * z_inner) @ dense) <= 1e-12
         assert max_rel(op.adjoint_values(z), (op.ball.weights * z) @ dense) <= 1e-8
 
-    def test_balance_matches_dense_sinkhorn(self, small_op, rng):
-        op = small_op
+    @pytest.mark.parametrize("case", STRUCTURED_CASES + [(3, -0.5, 12, 8), (2, 0.5, 96, 64)],
+                             ids=lambda c: "n%d-a%g-S%d-A%d" % c)
+    def test_balance_matches_dense_sinkhorn(self, case, rng):
+        # every orbit layout: 1-3 residue classes, classes without an in-grid
+        # mirror, and orbits that merge two rotation classes (3 sphere
+        # azimuths per turn)
+        op = _structured_op(case)
         raw = px.kernel_ball(op.sphere.nodes[None], op.ball.nodes[:, None], op.params)
         d, e = dense_sinkhorn(raw, op)
         assert max_rel(ball_row_scale(op), d) <= 1e-10
@@ -365,35 +369,62 @@ class TestStructuredProducts:
         assert sum(table.size for table in tables) <= 0.55 * rows * len(sphere)
 
     def test_balance_carries_the_checked_row_sums(self, monkeypatch):
-        # one row-sum pass per iteration plus the first, and the bits of the
-        # loop that recomputes the checked row sums at the next iteration
-        passes = []
-        row_sums = px.ExtensionOperator._row_sums
-        monkeypatch.setattr(px.ExtensionOperator, "_row_sums",
-                            lambda self, e: passes.append(1) or row_sums(self, e))
+        # the build runs one product per class table, then scales each in
+        # place; d and e are the bits of the loop on the orbit sums, which
+        # carries the checked row sums to the next iteration
+        events = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+                # record the ufunc, run it on plain arrays; an in-place one
+                # returns its counted output
+                events.append(ufunc.__name__)
+                plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs + out]
+                if out:
+                    kwargs["out"] = tuple(plain[len(inputs):])
+                result = getattr(ufunc, method)(*plain[:len(inputs)], **kwargs)
+                return out[0] if out else result
+
+        kernel_table = px.operators._kernel_table
+
+        def counted_tables(*args):
+            tables, *rest = kernel_table(*args)
+            return (tuple(t.view(Counted) for t in tables), *rest)
+
+        monkeypatch.setattr(px.operators, "_kernel_table", counted_tables)
         params = px.ProblemParams(3, -0.5)
         sphere = px.build_sphere_quadrature(params, 8)
         ball = px.build_ball_quadrature(params, 24, 12)
         op = px.ExtensionOperator(params, sphere, ball)
-        assert op.balance_iterations > 1 and len(passes) == op.balance_iterations + 1
+        assert op.residues == 3 and op.balance_iterations > 1
+        assert events == ["matmul"] * op.residues + ["multiply", "multiply"] * op.residues
 
-        raw = copy.copy(op)
-        raw.kernel_table = _kernel_table(sphere, ball, params)[0]
+        # sums[r, o] = sum over class u's kept columns k of orbit o of
+        # (1 + [k has a mirror]) kernel_table[u][r, k]
+        orbit, turns = op._orbit, op.gather_index.shape[1]
+        size = np.bincount(orbit)
+        sums = np.empty((op.table_shape[0], len(size)))
+        for u, (table, (kept, mirror, _)) in enumerate(zip(kernel_table(sphere, ball, params)[0],
+                                                            op.fold_columns)):
+            fold = np.zeros((len(kept), len(size)))
+            fold[np.arange(len(kept)), orbit[kept]] = 1.0 + (np.arange(len(kept)) < len(mirror))
+            sums[u::op.residues] = table @ fold
+        w = sphere.weights[[np.flatnonzero(orbit == o)[0] for o in range(len(size))]]
         mass = px.kernel_ball_sphere_mass(ball.radii, params)
-        psi = raw._table_layout(mass[:ball.half])[:, 0]
-        theta = float(np.dot(ball.weights, mass) / sphere.weights.sum())
-        # e is iterated per folded column and recorded per sphere node
-        d, e = np.ones(len(psi)), np.ones(len(op.gather_index))
+        rows_per_shell = op.table_shape[0] // len(ball.shell_radii)
+        psi = np.repeat(mass[:ball.half:ball.angular.half], rows_per_shell)
+        theta = px.integrate_ball(mass, ball) / sphere.weights.sum()
+        e = np.ones(len(size))
         for iters in range(1, px.operators._SINKHORN_MAX_ITER + 1):
-            d *= psi / (d * raw._row_sums(e))
-            e *= theta / (e * raw._col_sums(d))
-            if np.max(np.abs(d * raw._row_sums(e) / psi - 1.0)) < px.operators._SINKHORN_TOL:
+            d = psi / (sums @ (w * e))
+            e = theta / ((turns / size) * np.einsum("r,ro->o", d * op.row_weights, sums))
+            if np.max(np.abs(d * (sums @ (w * e)) / psi - 1.0)) < px.operators._SINKHORN_TOL:
                 break
         assert iters == op.balance_iterations
         assert d.tobytes() == op.row_scale.tobytes()
-        # column i is node i, and node i + N/2, its antipode, takes its scale
-        assert e.tobytes() == op.col_scale[:sphere.half].tobytes()
-        assert e.tobytes() == op.col_scale[sphere.half:].tobytes()
+        # e is one value per orbit, at each node of it and at its antipode
+        assert e[orbit].tobytes() == op.col_scale[:sphere.half].tobytes()
+        assert e[orbit].tobytes() == op.col_scale[sphere.half:].tobytes()
 
     @pytest.mark.parametrize("case", [STRUCTURED_CASES[1], (2, 0.5, 96, 64)],
                              ids=lambda c: "n%d-a%g-S%d-A%d" % c)
@@ -460,6 +491,17 @@ class TestStructuredProducts:
             with pytest.raises(ValueError, match="vary along an azimuthal ring"):
                 px.ExtensionOperator(params, sphere,
                                      replace(ball, angular=replace(ang, weights=weights)))
+
+    def test_build_asserts_one_sphere_weight_per_orbit(self):
+        # a node and its antipode one ulp up: the rule stays antipodal, and
+        # the weights on that node's orbit differ
+        params = px.ProblemParams(3, -0.5)
+        sphere = px.build_sphere_quadrature(params, 8)
+        weights = sphere.weights.copy()
+        weights[[1, sphere.half + 1]] = np.nextafter(weights[1], np.inf)
+        with pytest.raises(AssertionError, match="one weight per orbit"):
+            px.ExtensionOperator(params, replace(sphere, weights=weights),
+                                 px.build_ball_quadrature(params, 24, 12))
 
 
 class TestColumnNumbering:
