@@ -151,7 +151,7 @@ def lambda_threshold(weight: WeightFunction, params: ProblemParams, sharp: float
                  / (weight.min ** (n / (n - 1.0)) * 2.0 ** (1.0 / (n - 1.0))))
 
 
-def richardson_estimate(coarse: float, fine: float, order: float = 2.0) -> tuple[float, float]:
-    """Fine value with the two-resolution Richardson error estimate."""
-    err = abs(fine - coarse) / (2.0**order - 1.0)
+def richardson_estimate(coarse: float, fine: float) -> tuple[float, float]:
+    """Fine value with the two-resolution Richardson error estimate of a second-order method."""
+    err = abs(fine - coarse) / 3.0
     return float(fine), float(err)

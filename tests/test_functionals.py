@@ -332,6 +332,6 @@ class TestProofChainInvariants:
 
 class TestRichardson:
     def test_estimate(self):
-        value, err = px.richardson_estimate(1.0, 1.01, order=2.0)
+        value, err = px.richardson_estimate(1.0, 1.01)
         assert value == 1.01
         assert err == pytest.approx(0.01 / 3.0)

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 import poissonext as px
 from poissonext.config import parse_config
 from poissonext.operators import _kernel_table, _power_inplace, _real_sph_design
-from poissonext.quadrature import _same_bits, azimuthal_layout, write_csv
+from poissonext.quadrature import _same_bits, write_csv
 
 
 def theta_oracle(params):
@@ -478,34 +478,9 @@ class TestStructuredProducts:
                         "shell_weights": len(op.ball) // len(op.ball.angular)}
         assert not {len(op.ball), op.ball.half} & set(ball.values())
 
-    def test_build_rejects_ball_weights_that_vary_along_a_ring(self):
-        # one angular weight and its antipode's one ulp up: the angular rule
-        # stays antipodal, and the ball weights on that ring differ
-        for n, sphere_res, ball_res in ((2, 16, 32), (3, 8, 12)):
-            params = px.ProblemParams(n, 0.5)
-            sphere = px.build_sphere_quadrature(params, sphere_res)
-            ball = px.build_ball_quadrature(params, 24, ball_res)
-            ang = ball.angular
-            weights = ang.weights.copy()
-            weights[[1, ang.half + 1]] = np.nextafter(weights[1], np.inf)
-            with pytest.raises(ValueError, match="vary along an azimuthal ring"):
-                px.ExtensionOperator(params, sphere,
-                                     replace(ball, angular=replace(ang, weights=weights)))
-
-    def test_build_asserts_one_sphere_weight_per_orbit(self):
-        # a node and its antipode one ulp up: the rule stays antipodal, and
-        # the weights on that node's orbit differ
-        params = px.ProblemParams(3, -0.5)
-        sphere = px.build_sphere_quadrature(params, 8)
-        weights = sphere.weights.copy()
-        weights[[1, sphere.half + 1]] = np.nextafter(weights[1], np.inf)
-        with pytest.raises(AssertionError, match="one weight per orbit"):
-            px.ExtensionOperator(params, replace(sphere, weights=weights),
-                                 px.build_ball_quadrature(params, 24, 12))
-
 
 class TestColumnNumbering:
-    """Column i of every kernel table is sphere node i, and the layout checks behind that."""
+    """Column i of every kernel table is sphere node i, on the sphere rule's layout."""
 
     # the last case has us = 3 sphere azimuths per ball turn (24 and 16 azimuths)
     @pytest.mark.parametrize("case", STRUCTURED_CASES + [(3, -0.5, 12, 8)],
@@ -515,8 +490,8 @@ class TestColumnNumbering:
         params = px.ProblemParams(n, a)
         sphere = px.build_sphere_quadrature(params, res)
         ball = px.build_ball_quadrature(params, 8, ang)
-        _, ring, az, naz_s = azimuthal_layout(sphere)
-        g = math.gcd(naz_s, azimuthal_layout(ball.angular)[3])
+        _, ring, az, naz_s = sphere.layout
+        g = math.gcd(naz_s, ball.angular.layout[3])
         for antipodal, count in ((True, sphere.half), (False, len(sphere))):
             gather = _kernel_table(sphere, ball, params, antipodal)[1]
             assert np.array_equal(gather[:, 0], np.arange(count))
@@ -531,37 +506,14 @@ class TestColumnNumbering:
                 assert np.max(np.abs(turned[:, 1] - (s * x + c * y))) <= 1e-12
                 assert np.array_equal(turned[:, 2:], sphere.nodes[:count, 2:])
 
-    def test_reordered_rule_raises_instead_of_extending_wrongly(self):
-        # the same permutation on both halves keeps the antipode the half
-        # shift, and the rule passes its own checks; its nodes leave their
-        # layout positions, which used to give a wrong operator silently
-        params = px.ProblemParams(2, 0.5)
-        sphere = px.build_sphere_quadrature(params, 16)
-        perm = np.random.default_rng(1).permutation(sphere.half)
-        order = np.concatenate([perm, perm + sphere.half])
-        reordered = replace(sphere, nodes=sphere.nodes[order], weights=sphere.weights[order])
-        for build in (lambda: azimuthal_layout(reordered),
-                      lambda: px.ExtensionOperator(params, reordered,
-                                                   px.build_ball_quadrature(params, 24, 32))):
-            with pytest.raises(ValueError, match="from its layout position"):
-                build()
-
-    def test_partial_ring_raises_value_error(self):
-        # 32 nodes of the n = 3, resolution 4 rule under resolution 6 would
-        # fill 32 of the 3 x 12 (ring, azimuth) slots
-        params = px.ProblemParams(3, -0.5)
-        sphere = replace(px.build_sphere_quadrature(params, 4), resolution=6)
-        assert len(sphere) % (2 * sphere.resolution)
-        with pytest.raises(ValueError, match="does not fill 3 rings of 12 azimuths"):
-            px.ExtensionOperator(params, sphere, px.build_ball_quadrature(params, 24, 8))
-
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("res", [4, 6, 16, 64])
     def test_built_in_rules_lie_on_their_layout(self, n, res):
         params = px.ProblemParams(n, 0.5)
         for rule in (px.build_sphere_quadrature(params, res),
                      px.build_ball_quadrature(params, 8, res).angular):
-            cos, ring, az, naz = azimuthal_layout(rule)
+            cos, ring, az, naz = rule.layout
+            assert naz == (res if n == 2 else 2 * res) and len(cos) == (1 if n == 2 else res)
             slots = np.zeros((len(cos), naz), dtype=int)
             np.add.at(slots, (ring, az), 1)
             assert np.all(slots == 1)
@@ -569,6 +521,9 @@ class TestColumnNumbering:
             assert np.max(np.abs(np.angle(np.exp(1j * (phi - 2 * np.pi * az / naz))))) <= 1e-12
             if n == 3:
                 assert np.max(np.abs(rule.nodes[:, 2] - cos[ring])) <= 1e-12
+            # a node's weight is its ring's, bit for bit: one weight per table row
+            first = np.unique(ring, return_index=True)[1]
+            assert _same_bits(rule.weights, rule.weights[first][ring])
 
 
 class TestOperatorCache:
@@ -760,8 +715,8 @@ class TestFoldedTablePair:
         assert sorted(np.concatenate([reps, partner[reps]])) == list(range(len(sphere)))
         assert len(tables) == len(fold_columns) == len(every) == len(every_columns) == ub
 
-        _, ring, az, naz_s = azimuthal_layout(sphere)
-        naz_b = azimuthal_layout(ball.angular)[3]
+        _, ring, az, naz_s = sphere.layout
+        naz_b = ball.angular.layout[3]
         node_at = {(r, t): i for i, (r, t) in enumerate(zip(ring, az))}
         turns = np.arange(gather.shape[1])
         # the kernel at each row's m = 0 ball node and each column's m = 0 sphere node
