@@ -998,6 +998,15 @@ class TestInterpolation:
         expected = 2.0 + np.cos(3 * t) - 0.7 * np.sin(5 * t)
         assert np.max(np.abs(interp(pts) - expected)) < 1e-12
 
+    @pytest.mark.parametrize("resolution", [4, 6, 16])
+    def test_trig_interpolant_takes_the_nodal_values(self, params_2d, resolution, rng):
+        # data that is not bandlimited: the interpolant meets it at every node,
+        # which holds only if node i is read at its own azimuth
+        sphere = px.build_sphere_quadrature(params_2d, resolution)
+        vals = rng.uniform(-1.0, 1.0, len(sphere))
+        interp = px.interpolate_boundary(px.BoundaryFunction(vals, sphere))
+        assert np.max(np.abs(interp(sphere.nodes) - vals)) < 1e-12
+
     def test_spherical_harmonic_fit_exact_on_low_degree(self, sphere_3d, rng):
         vals = 1.0 + sphere_3d.nodes[:, 2] ** 2 - 0.5 * sphere_3d.nodes[:, 0] * sphere_3d.nodes[:, 1]
         interp = px.interpolate_boundary(px.BoundaryFunction(vals, sphere_3d))

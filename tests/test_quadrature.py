@@ -65,6 +65,33 @@ class TestSphereQuadrature:
                 with pytest.raises(TypeError):
                     px.SphereQuadrature(n, res, q.nodes)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rule_is_built_from_n_and_resolution(self, n):
+        # the wrapper is the rule of (params.n, resolution); the arrays and the
+        # layout are built, never passed in
+        for res in (4, 6, 16):
+            built = px.build_sphere_quadrature(px.ProblemParams(n, 0.5), res)
+            direct = px.SphereQuadrature(n, res)
+            for got, ref in zip((built.nodes, built.weights, *built.layout[:3]),
+                                (direct.nodes, direct.weights, *direct.layout[:3])):
+                assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes())
+            assert built.layout[3] == direct.layout[3]
+            for name in ("nodes", "weights", "layout"):
+                with pytest.raises(TypeError):
+                    px.SphereQuadrature(n, res, **{name: getattr(direct, name)})
+        with pytest.raises(NotImplementedError):
+            px.SphereQuadrature(4, 8)
+
+    def test_rejects_weights_that_miss_the_surface_area(self, monkeypatch):
+        # the guard on the Gauss-Legendre weights behind the n = 3 rings
+        def off_by_1e8(q):
+            t, w = gauss_legendre(q)
+            return t, w * (1.0 + 1e-8)
+        monkeypatch.setattr("poissonext.quadrature.gauss_legendre", off_by_1e8)
+        with pytest.raises(ValueError, match="sum to the surface area"):
+            px.SphereQuadrature(3, 8)
+        px.SphereQuadrature(2, 8)   # the circle rule uses no Gauss-Legendre weights
+
     def test_circle_harmonics_exact(self, params_2d):
         # degree <= resolution/2 integrates to zero within 1e-10
         q = px.build_sphere_quadrature(params_2d, 32)
@@ -152,6 +179,14 @@ class TestBallQuadrature:
             anti = q.antipode_index
             assert np.array_equal(q.nodes[anti], -q.nodes)
             assert np.array_equal(q.weights[anti], q.weights)
+
+    def test_dimension_is_the_angular_rules(self, ball_2d, ball_3d):
+        for ball, n in ((ball_2d, 2), (ball_3d, 3)):
+            assert ball.n == ball.angular.n == n
+            assert ball.nodes.shape == (len(ball), n)
+        with pytest.raises(TypeError):
+            px.BallQuadrature(n=2, shell_radii=ball_2d.shell_radii,
+                              shell_weights=ball_2d.shell_weights, angular=ball_2d.angular)
 
     @pytest.mark.parametrize("n, radial, angular", [(2, 24, 32), (2, 120, 64), (3, 48, 8),
                                                     (3, 36, 12)])
