@@ -27,7 +27,7 @@ from .config import ConfigError, RunConfig, evaluate_weight, load_config, parse_
 from .geometry import conformal_weight, mobius_f_inverse
 from .halfspace import build_halfspace_grid
 from .kernels import kernel_ball_sphere_mass, kernel_halfspace, normalization_constant
-from .quadrature import (MAX_RADIAL_POINTS, build_ball_quadrature, build_sphere_quadrature,
+from .quadrature import (build_ball_quadrature, build_sphere_quadrature, graded_radial_rule,
                          integrate_ball, integrate_boundary, write_csv)
 
 REPORT_SCHEMA_VERSION = 1
@@ -78,11 +78,12 @@ def _load(args) -> RunConfig:
     if args.out:
         config.output_dir = args.out
     # the configuration bounds the radial points of every rule but sharp's refined one
-    radial = SHARP_RADIAL_REFINEMENT * config.quadrature["ball_radial_points"]
-    if args.command == "sharp" and radial > MAX_RADIAL_POINTS:
-        raise ConfigError(f"quadrature.ball_radial_points: sharp would build {radial} "
-                          f"radial points, more than the {MAX_RADIAL_POINTS} whose graded rule "
-                          "keeps every node inside the ball in float64")
+    if args.command == "sharp":
+        try:
+            graded_radial_rule(SHARP_RADIAL_REFINEMENT * config.quadrature["ball_radial_points"])
+        except ValueError as exc:
+            raise ConfigError(f"quadrature.ball_radial_points: sharp refines it "
+                              f"{SHARP_RADIAL_REFINEMENT}-fold, and {exc}") from exc
     return config
 
 
@@ -249,7 +250,13 @@ def cmd_sharp(config: RunConfig):
         entries.append({"quantity": "sharp_constant", "method": "formula_a0",
                         "value": s0, "resolution": None, "est_error": 0.0})
 
+    # both run on the configured rules' operator before the refined one
+    # replaces it in the one-entry operator cache
     coarse = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
+    smax, smax_solved = fn.sharp_constant_by_maximization(
+        sphere, ball, params, starts=max(2, config.solver["multistart"]), seed=config.seed,
+        max_iter=config.solver["max_iter"], tol_v=config.solver["tol_v"]
+    )
     # the balanced operator reproduces the constant's extension exactly at
     # any sphere resolution, so the discretization error of this method is
     # purely radial; refine only the ball rule for the Richardson pair
@@ -263,11 +270,6 @@ def cmd_sharp(config: RunConfig):
     entries.append({"quantity": "sharp_constant", "method": "constant_test_function",
                     "value": value, "resolution": config.quadrature["sphere_resolution"],
                     "est_error": err})
-
-    smax, smax_solved = fn.sharp_constant_by_maximization(
-        sphere, ball, params, starts=max(2, config.solver["multistart"]), seed=config.seed,
-        max_iter=config.solver["max_iter"], tol_v=config.solver["tol_v"]
-    )
     methods["numerical_maximization"] = smax
     entries.append({"quantity": "sharp_constant", "method": "numerical_maximization",
                     "value": smax, "resolution": config.quadrature["sphere_resolution"],

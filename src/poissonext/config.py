@@ -20,7 +20,7 @@ from numpy.polynomial import legendre
 
 from .functionals import WeightFunction
 from .params import ProblemParams
-from .quadrature import MAX_RADIAL_POINTS, SphereQuadrature
+from .quadrature import SphereQuadrature, graded_radial_rule
 
 _SCHEMA_VERSION = 1
 # weight positivity is certified on this many sample points; a series term
@@ -83,10 +83,9 @@ _RULES = {
     "params.a": (_is_real, "a number"),
     "quadrature.sphere_resolution": _EVEN_RESOLUTION,
     "quadrature.ball_angular_resolution": _EVEN_RESOLUTION,
-    # the front end never builds fewer radial points than 18; more than
-    # MAX_RADIAL_POINTS would put graded-rule nodes on the sphere in float64
-    "quadrature.ball_radial_points": (lambda x: _is_int(x) and 18 <= x <= MAX_RADIAL_POINTS,
-                                      f"an integer in [18, {MAX_RADIAL_POINTS}]"),
+    # the front end never builds fewer radial points than 18; parse_config
+    # asks the graded rule whether the count fits inside the ball in float64
+    "quadrature.ball_radial_points": (lambda x: _is_int(x) and x >= 18, "an integer >= 18"),
     "solver.p": (_is_real, "a number"),
     "solver.epsilon_floor": _POSITIVE,
     "solver.tol_v": _POSITIVE,
@@ -173,6 +172,10 @@ def parse_config(data: dict) -> RunConfig:
     _validate_weight_spec(wdata, params)
 
     qdata = _merge_strict("quadrature", data.get("quadrature", {}), _DEFAULTS["quadrature"])
+    try:
+        graded_radial_rule(qdata["ball_radial_points"])
+    except ValueError as exc:
+        raise ConfigError(f"quadrature.ball_radial_points: {exc}") from exc
     if qdata["sphere_resolution"] is None:
         qdata["sphere_resolution"] = 128 if params.n == 2 else 16
     if qdata["ball_angular_resolution"] is None:

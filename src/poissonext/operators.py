@@ -537,7 +537,7 @@ class ExtensionOperator:
         }
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def build_extension_operator(
     sphere: SphereQuadrature,
     ball: BallQuadrature,
@@ -545,8 +545,9 @@ def build_extension_operator(
 ) -> ExtensionOperator:
     """Build the extension operator, or return the one cached for these arguments.
 
-    The last 8 are kept, keyed by the rules' identity and the parameters'
-    value; a keyword call is cached under a key of its own.
+    Only the last one is kept, keyed by the rules' identity and the
+    parameters' value: every caller asks again only for the operator it
+    built last.  A keyword call is cached under a key of its own.
     """
     return ExtensionOperator(params, sphere, ball)
 

@@ -12,13 +12,15 @@ Sphere rules
     and node/weight symmetry holds bit for bit.
 
 Ball rules
-    A tensor rule held as its two factors, radial shells (the Jacobian
-    r^{n-1} absorbed into their weights) times a sphere rule, so no array
-    of ball length is kept.  The radial rule must resolve the
-    (1 - r)^{1-a} behaviour of extension fields near the boundary: a
-    composite Gauss-Legendre rule on dyadic panels graded toward r = 1
-    (ratio 0.5), which integrates both smooth profiles and (1 - r)^{1-a}
-    profiles to ~1e-11 with ~100 nodes.
+    `BallQuadrature(n, radial_points, angular_resolution)`: a tensor rule
+    held as its two factors, radial shells (the Jacobian r^{n-1} absorbed
+    into their weights) times a sphere rule, so no array of ball length is
+    kept.  The radial rule must resolve the (1 - r)^{1-a} behaviour of
+    extension fields near the boundary: `graded_radial_rule`, a composite
+    Gauss-Legendre rule on dyadic panels graded toward r = 1 (ratio 0.5),
+    which integrates both smooth profiles and (1 - r)^{1-a} profiles to
+    ~1e-11 with ~100 nodes.  It alone decides how many shells fit below
+    r = 1 in float64.
 
 Panel rule
     `panel_rule` is the one composite Gauss-Legendre builder: the ball's
@@ -127,31 +129,32 @@ class SphereQuadrature:
 
 @dataclass(frozen=True, eq=False)
 class BallQuadrature:
-    """Tensor rule on the unit ball, held as its factors: shells times a sphere rule.
+    """The ball rule of (n, radial_points, angular_resolution) as factors; equal only to itself.
 
-    `shell_weights` are the radial weights times r^(n-1).  Node j < len / 2
+    Shells at the nodes of `graded_radial_rule(radial_points)`, with
+    `shell_weights` its weights times r^(n-1), times the sphere rule
+    `angular` = SphereQuadrature(n, angular_resolution).  Node j < len / 2
     is shell j // M times the angular rule's node j % M (M its half), and
     node j + len / 2 is its negation.  `nodes`, `weights`, `radii` (|xi|)
-    and `antipode_index` are rebuilt on each access; `n` is the angular
-    rule's.  Equal only to itself.
+    and `antipode_index` are rebuilt on each access.  Raises ValueError
+    where either factor's rule does.
     """
 
-    shell_radii: np.ndarray
-    shell_weights: np.ndarray
-    angular: SphereQuadrature
+    n: int
+    radial_points: int
+    angular_resolution: int
+    shell_radii: np.ndarray = field(init=False, repr=False)
+    shell_weights: np.ndarray = field(init=False, repr=False)
+    angular: SphereQuadrature = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.shell_radii.ndim != 1 or self.shell_radii.shape != self.shell_weights.shape:
-            raise ValueError("shell radii and shell weights must be vectors of one length")
-        if not np.all((self.shell_radii >= 0.0) & (self.shell_radii < 1.0)):
-            raise ValueError("shell radii must lie in [0, 1)")
+        r, wr = graded_radial_rule(self.radial_points)
+        object.__setattr__(self, "shell_radii", r)
+        object.__setattr__(self, "shell_weights", wr * r ** (self.n - 1))
+        object.__setattr__(self, "angular", SphereQuadrature(self.n, self.angular_resolution))
 
     def __len__(self) -> int:
         return 2 * self.half
-
-    @property
-    def n(self) -> int:
-        return self.angular.n
 
     @property
     def half(self) -> int:
@@ -240,45 +243,29 @@ def panel_rule(bounds, q: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid[:, None] + hl[:, None] * xg).ravel(), (hl[:, None] * wg).ravel()
 
 
-def _max_radial_points(q: int) -> int:
-    """The most radial points whose graded rule keeps every node below |xi| = 1.
+def graded_radial_rule(radial_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ball's radial nodes (ascending) and weights: `panel_rule` graded toward r = 1.
 
-    The last of P panels is [1 - 2^(1-P), 1].  In float64 its outermost
-    node, computed as `panel_rule` does, rounds to 1 once P passes about 50
-    (q = 6), and the rule would put nodes on the sphere.
+    P = max(2, round(radial_points / 6)) panels of 6 points, with the bounds
+    0, 1/2, 3/4, ..., 1 - 2^(1-P) and 1.  Raises ValueError below 8 points,
+    and when the outermost node rounds to 1 in float64, from 304 points on:
+    the rule would put nodes on the sphere.
     """
-    top = gauss_legendre(q)[0][-1]
-
-    def outermost(panels: int) -> float:
-        lo = 1.0 - 0.5 ** (panels - 1)
-        return 0.5 * (lo + 1.0) + 0.5 * (1.0 - lo) * top
-
-    panels = 2
-    while outermost(panels + 1) < 1.0:
-        panels += 1
-    points = q * (panels + 1)
-    while round(points / q) > panels:
-        points -= 1
-    return points
-
-
-MAX_RADIAL_POINTS = _max_radial_points(RADIAL_NODES_PER_PANEL)
-
-
-def build_ball_quadrature(
-    params: ProblemParams,
-    radial_points: int,
-    angular_resolution: int,
-) -> BallQuadrature:
-    """Tensor rule on the ball; see the module docstring for the grading."""
-    if not 8 <= radial_points <= MAX_RADIAL_POINTS:
-        raise ValueError(f"radial_points must lie in [8, {MAX_RADIAL_POINTS}], got {radial_points}")
+    if radial_points < 8:
+        raise ValueError(f"radial_points must be at least 8, got {radial_points}")
     q = RADIAL_NODES_PER_PANEL
     panels = max(2, round(radial_points / q))
-    bounds = [0.0] + [1.0 - 0.5 ** k for k in range(1, panels)] + [1.0]
-    r, wr = panel_rule(bounds, q)
-    return BallQuadrature(shell_radii=r, shell_weights=wr * r ** (params.n - 1),
-                          angular=build_sphere_quadrature(params, angular_resolution))
+    r, wr = panel_rule([0.0] + [1.0 - 0.5 ** k for k in range(1, panels)] + [1.0], q)
+    if r[-1] >= 1.0:
+        raise ValueError(f"{radial_points} radial points put the graded rule's outermost node "
+                         "on the sphere in float64")
+    return r, wr
+
+
+def build_ball_quadrature(params: ProblemParams, radial_points: int,
+                          angular_resolution: int) -> BallQuadrature:
+    """The ball rule of these counts in dimension params.n (`BallQuadrature`)."""
+    return BallQuadrature(params.n, radial_points, angular_resolution)
 
 
 def integrate_boundary(values: np.ndarray, quad: SphereQuadrature | BallQuadrature) -> float:

@@ -23,3 +23,5 @@ def test_measures_the_tables_the_operator_holds():
     assert row["tables"] == sum(t.nbytes for t in op.kernel_table)
     assert row["gather"] == op.gather_index.nbytes
     assert 0 < row["fill_transient"] and row["tables"] + row["gather"] < row["build_peak"]
+    # the solve's per-call transient: one warm power_adjoint beyond its output
+    assert row["power_adjoint_transient"] > 0

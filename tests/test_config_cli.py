@@ -13,7 +13,6 @@ import poissonext as px
 from poissonext import functionals as fn
 from poissonext.cli import _sample_interior_halfspace, main
 from poissonext.config import _DEFAULTS, ConfigError, evaluate_weight, load_config, parse_config
-from poissonext.quadrature import MAX_RADIAL_POINTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -180,6 +179,29 @@ class TestCliCommands:
         path = write_config(tmp_path, tiny_2d_config(out))
         assert main(["verify", "--config", path]) == 0
 
+    def test_no_command_builds_an_operator_twice(self, tmp_path, monkeypatch):
+        # the operator cache keeps one entry, so sharp maximizes on the
+        # configured rules before it builds the refined-radial operator
+        built = []
+        init = px.ExtensionOperator.__post_init__
+
+        def counted(op):
+            built.append(op.ball.radial_points)
+            init(op)
+
+        monkeypatch.setattr(px.ExtensionOperator, "__post_init__", counted)
+        cfg = {"params": {"n": 2, "a": 0.5},
+               "quadrature": {"sphere_resolution": 32, "ball_radial_points": 24}}
+        builds = {}
+        for cmd in ("verify", "sharp", "solve", "continue", "diagnose"):
+            built.clear()
+            cfg["output_dir"] = str(tmp_path / cmd)
+            assert main([cmd, "--config", write_config(tmp_path, cfg)]) == 0
+            builds[cmd] = list(built)
+        # the half-scale re-solve of solve and continue runs at 18 radial points
+        assert builds == {"verify": [24], "sharp": [24, 48], "solve": [24, 18],
+                          "continue": [24, 18], "diagnose": []}
+
     @pytest.mark.parametrize("n, span", [(2, 2.0), (3, 0.8)])
     def test_verify_samples_one_height_per_point(self, n, span):
         # verify's normalization and harmonicity checks run at these points
@@ -261,8 +283,7 @@ class TestCliCommands:
     def test_radial_points_past_the_float64_limit_exit_2(self, tmp_path, capsys):
         # sharp builds twice the configured radial points, so it rejects
         # from 152 on; the configuration rejects past the limit for every command
-        for cmd, radial in [("sharp", 160), ("sharp", MAX_RADIAL_POINTS // 2 + 1),
-                            ("solve", MAX_RADIAL_POINTS + 1)]:
+        for cmd, radial in [("sharp", 160), ("sharp", 152), ("solve", 304)]:
             cfg = {"quadrature": {"ball_radial_points": radial}, "output_dir": str(tmp_path)}
             path = write_config(tmp_path, cfg)
             assert main([cmd, "--config", path]) == 2

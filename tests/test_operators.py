@@ -1,8 +1,9 @@
+import gc
 import math
 import re
 import tracemalloc
+import types
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,6 +192,12 @@ def antipodal_draw(data, rule, elements=st.floats(-1e6, 1e6)):
     return np.tile(data.draw(hnp.arrays(float, rule.half, elements=elements)), 2)
 
 
+def _one_shell(ball, k):
+    """Shell k of `ball` alone, as the duck-typed rule `_kernel_table` reads."""
+    return types.SimpleNamespace(shell_radii=ball.shell_radii[k:k + 1],
+                                 shell_weights=ball.shell_weights[k:k + 1], angular=ball.angular)
+
+
 def max_rel(got, want):
     return np.max(np.abs(got / want - 1.0))
 
@@ -301,9 +308,7 @@ class TestStructuredProducts:
         sphere = px.build_sphere_quadrature(params, sphere_res)
         ball = px.build_ball_quadrature(params, 12, ball_res)
         for antipodal in (True, False):
-            shells = [_kernel_table(sphere, replace(ball, shell_radii=ball.shell_radii[k:k + 1],
-                                                    shell_weights=ball.shell_weights[k:k + 1]),
-                                    params, antipodal)[0]
+            shells = [_kernel_table(sphere, _one_shell(ball, k), params, antipodal)[0]
                       for k in range(len(ball.shell_radii))]
             for u, table in enumerate(_kernel_table(sphere, ball, params, antipodal)[0]):
                 assert table.base is None
@@ -320,9 +325,7 @@ class TestStructuredProducts:
         sphere = px.build_sphere_quadrature(params, sphere_res)
         ball = px.build_ball_quadrature(params, 12, ball_res)
         for antipodal in (True, False):
-            shells = [_kernel_table(sphere, replace(ball, shell_radii=ball.shell_radii[k:k + 1],
-                                                    shell_weights=ball.shell_weights[k:k + 1]),
-                                    params, antipodal)[0]
+            shells = [_kernel_table(sphere, _one_shell(ball, k), params, antipodal)[0]
                       for k in range(len(ball.shell_radii))]
             for u, (kept, _, _) in enumerate(_kernel_table(sphere, ball, params, antipodal)[2]):
                 rings = len(shells[0][u])
@@ -538,6 +541,16 @@ class TestOperatorCache:
         assert px.build_extension_operator(s1, ball, px.ProblemParams(2, 0.5)) is op
         other = px.build_extension_operator(s2, ball, params_2d)
         assert other is not op and other.sphere is s2
+
+    def test_building_another_operator_frees_the_cached_one(self, params_2d):
+        # the cache keeps one operator: the first is gone once a second rule
+        # pair's is built
+        sphere = px.build_sphere_quadrature(params_2d, 8)
+        first = weakref.ref(px.build_extension_operator(
+            sphere, px.build_ball_quadrature(params_2d, 18, 8), params_2d))
+        px.build_extension_operator(sphere, px.build_ball_quadrature(params_2d, 24, 8), params_2d)
+        gc.collect()
+        assert first() is None
 
     def test_operators_and_halfspace_grids_compare_by_identity(self, params_2d):
         # array fields must not take part in == or hash

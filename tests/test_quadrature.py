@@ -13,7 +13,7 @@ from scipy import special
 from scipy.integrate import quad
 
 import poissonext as px
-from poissonext.quadrature import (_FSUM_MAX_TERMS, MAX_RADIAL_POINTS, RADIAL_NODES_PER_PANEL,
+from poissonext.quadrature import (_FSUM_MAX_TERMS, RADIAL_NODES_PER_PANEL,
                                    exact_sum, exact_sum_of_halves, gauss_legendre, panel_rule,
                                    write_csv)
 
@@ -184,9 +184,11 @@ class TestBallQuadrature:
         for ball, n in ((ball_2d, 2), (ball_3d, 3)):
             assert ball.n == ball.angular.n == n
             assert ball.nodes.shape == (len(ball), n)
-        with pytest.raises(TypeError):
-            px.BallQuadrature(n=2, shell_radii=ball_2d.shell_radii,
-                              shell_weights=ball_2d.shell_weights, angular=ball_2d.angular)
+            # the factors are built from (n, radial_points, angular_resolution),
+            # never passed in
+            for name in ("shell_radii", "shell_weights", "angular"):
+                with pytest.raises(TypeError):
+                    px.BallQuadrature(n, 8, 4, **{name: getattr(ball, name)})
 
     @pytest.mark.parametrize("n, radial, angular", [(2, 24, 32), (2, 120, 64), (3, 48, 8),
                                                     (3, 36, 12)])
@@ -213,33 +215,29 @@ class TestBallQuadrature:
             assert got.tobytes() == want.tobytes(), name
         assert (len(ball), ball.half) == (2 * half, half)
         assert ball.delta_min == float(1.0 - r.max())
-
-    def test_rejects_factors_that_do_not_make_a_ball_rule(self, ball_2d):
-        r, w = ball_2d.shell_radii, ball_2d.shell_weights
-        for changes, message in [
-            ({"shell_radii": np.concatenate([r[:-1], [1.0]])}, "lie in \\[0, 1\\)"),
-            ({"shell_radii": -r}, "lie in \\[0, 1\\)"),
-            ({"shell_radii": np.where(r == r.max(), np.nan, r)}, "lie in \\[0, 1\\)"),
-            ({"shell_weights": w[1:]}, "one length"),
-            ({"shell_radii": r[:, None], "shell_weights": w[:, None]}, "one length"),
-        ]:
-            with pytest.raises(ValueError, match=message):
-                px.BallQuadrature(**{"shell_radii": r, "shell_weights": w,
-                                     "angular": ball_2d.angular, **changes})
+        # the wrapper is the rule of (params.n, radial, angular), and replace
+        # builds the rule of the new count
+        grown = replace(ball, radial_points=radial + 2 * q)
+        assert len(grown.shell_radii) == len(r) + 2 * q
+        for rule, want in ((ball, px.BallQuadrature(n, radial, angular)),
+                           (grown, px.BallQuadrature(n, radial + 2 * q, angular))):
+            for name in ("shell_radii", "shell_weights", *expected):
+                got, ref = getattr(rule, name), getattr(want, name)
+                assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), name
 
     def test_rejects_tiny_radial_count(self, params_2d):
         with pytest.raises(ValueError):
             px.build_ball_quadrature(params_2d, 4, 16)
 
     def test_radial_limit_is_the_last_count_inside_the_ball(self, params_2d):
-        ball = px.build_ball_quadrature(params_2d, MAX_RADIAL_POINTS, 4)
+        ball = px.build_ball_quadrature(params_2d, 303, 4)
         assert ball.delta_min > 0
         assert np.max(ball.radii) < 1.0
-        with pytest.raises(ValueError, match="radial_points must lie in"):
-            px.build_ball_quadrature(params_2d, MAX_RADIAL_POINTS + 1, 4)
+        with pytest.raises(ValueError, match="outermost node on the sphere in float64"):
+            px.build_ball_quadrature(params_2d, 304, 4)
         # one more point adds a panel whose outermost node rounds to |xi| = 1
         q = RADIAL_NODES_PER_PANEL
-        panels = round((MAX_RADIAL_POINTS + 1) / q)
+        panels = round(304 / q)
         nodes, _ = panel_rule([1.0 - 0.5 ** (panels - 1), 1.0], q)
         assert nodes[-1] == 1.0
 

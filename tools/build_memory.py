@@ -5,16 +5,20 @@
 For the rules of every workload in perfbench/workloads.py, one line with,
 in MiB: the solver's kernel tables, its gather index, the transient peak of
 `_kernel_table` (its traced peak minus the bytes of the arrays it returns),
-and the traced peak of the whole build (quadratures and operator).  All
-four come from `tracemalloc`, so they do not depend on where the checkout
-sits or on the allocator's state, as RSS does.  poissonext is imported
-from the repository's src/; perfbench/ is only read.
+the traced peak of the whole build (quadratures and operator), and the
+transient of one warm `power_adjoint` call, the solve's per-call transient
+(its traced peak minus its output's bytes).  All five come from
+`tracemalloc`, so they do not depend on where the checkout sits or on the
+allocator's state, as RSS does.  poissonext is imported from the
+repository's src/; perfbench/ is only read.
 """
 
 import importlib.util
 import sys
 import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -55,8 +59,12 @@ def measure(spec: dict) -> dict:
     (tables, gather, columns, orbit, _), fill_peak = traced(
         lambda: _kernel_table(sphere, ball, params))
     held = sum(x.nbytes for x in (*tables, gather, orbit, *sum(columns, ())))
+    v = np.ones(len(sphere))
+    op.power_adjoint(v, params.q_exp)       # the traced call below is warm
+    g, adjoint_peak = traced(lambda: op.power_adjoint(v, params.q_exp))
     return {"tables": sum(t.nbytes for t in op.kernel_table), "gather": op.gather_index.nbytes,
-            "fill_transient": fill_peak - held, "build_peak": build_peak}
+            "fill_transient": fill_peak - held, "build_peak": build_peak,
+            "power_adjoint_transient": adjoint_peak - g.nbytes}
 
 
 def main() -> None:
