@@ -292,10 +292,10 @@ class ExtensionOperator:
     has one; row i of `gather_index` is node i turned by each m.  See the
     module docstring; the solver calls `power_adjoint` and `bulk_energy`
     only.  `row_weights` is the ball weight of each table row.  `row_scale`
-    (per table row) and `col_scale` (per sphere node) record the scalings
-    folded into the tables; only the general pair's tables, over all
-    columns and built on its first call, read them.  No array of ball
-    length is held.
+    (per table row) and `col_scale` (per sphere node) are the scalings
+    folded into the tables; `_scale` multiplies them into the folded tables
+    at build time and into the general pair's tables, over all columns, on
+    that pair's first call.  No array of ball length is held.
     """
 
     params: ProblemParams
@@ -312,15 +312,13 @@ class ExtensionOperator:
     balance_iterations: int = field(init=False)
     balance_row_dev: float = field(init=False)
     balance_col_dev: float = field(init=False)
-    # orbit of each folded column's nodes, which share one column scale
-    _orbit: np.ndarray = field(init=False, repr=False)
     # (tables, gather index, columns) over all columns, for the general pair
     _general: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.sphere.n != self.params.n or self.ball.n != self.params.n:
             raise ValueError("quadrature dimensions do not match the parameters")
-        (self.kernel_table, self.gather_index, self.fold_columns, self._orbit,
+        (self.kernel_table, self.gather_index, self.fold_columns, orbit,
          self.residues) = _kernel_table(self.sphere, self.ball, self.params)
         mass = kernel_ball_sphere_mass(self.ball.radii, self.params)
         # one angular weight per upper ring: a node's weight depends on its ring alone
@@ -334,7 +332,7 @@ class ExtensionOperator:
         # row's term once per turn in each half
         psi = np.repeat(mass[:self.ball.half:ang.half], len(rings) * self.residues)
         terms = np.repeat(self.row_weights * psi, self.gather_index.shape[1])
-        self._balance(psi, exact_sum_of_halves(terms) / self.sphere.weights.sum())
+        self._balance(orbit, psi, exact_sum_of_halves(terms) / self.sphere.weights.sum())
 
     # -- upper-half class products (exact pair symmetry, see module docstring) --
 
@@ -391,20 +389,20 @@ class ExtensionOperator:
         """Inverse of _table_layout: table rows x columns m -> ball order (shell, ring, m, u)."""
         return t.reshape(-1, self.residues, t.shape[1]).transpose(0, 2, 1).ravel()
 
-    def _balance(self, psi: np.ndarray, theta: float) -> None:
+    def _balance(self, orbit: np.ndarray, psi: np.ndarray, theta: float) -> None:
         """Sinkhorn on the orbit sums to row targets psi and column target theta.
 
-        sums[r, o] adds row r's columns of orbit o, the kept column of a
-        mirror pair twice: the one product pass over the tables before the
-        scalings are folded into them.  With one sphere weight w and one
-        scale e per orbit, each sweep sets d = psi / (sums @ (w e)) and e =
-        theta over the column sums of d: an orbit's is its total (d W) sums
-        over its folded columns (each gathers every node of a rotation
-        class once, itself or its antipode) divided by the rotation classes
-        it merges, one or two.  The row sums of the deviation check are the
-        next sweep's.
+        orbit numbers the folded columns by their nodes' orbit, which shares
+        one column scale (`_kernel_table`).  sums[r, o] adds row r's columns
+        of orbit o, the kept column of a mirror pair twice: the one product
+        pass over the tables before the scalings are folded into them.  With
+        one sphere weight w and one scale e per orbit, each sweep sets
+        d = psi / (sums @ (w e)) and e = theta over the column sums of d: an
+        orbit's is its total (d W) sums over its folded columns (each
+        gathers every node of a rotation class once, itself or its antipode)
+        divided by the rotation classes it merges, one or two.  The row sums
+        of the deviation check are the next sweep's.
         """
-        orbit = self._orbit
         share = self.gather_index.shape[1] / np.bincount(orbit)
         # each column's orbit indicator: a kept column adds its mirror's
         sums = self._fold_product(np.eye(len(share))[orbit], *self._folded)
@@ -422,11 +420,15 @@ class ExtensionOperator:
         self.balance_iterations = iters
         self.balance_row_dev = float(row_dev)
         self.balance_col_dev = float(np.max(np.abs(e * cols / theta - 1.0)))
-        for u, (table, (kept, _, _)) in enumerate(zip(self.kernel_table, self.fold_columns)):
-            table *= d[u::self.residues, None]
-            table *= e[orbit[kept]]
         self.row_scale = d
         self.col_scale = np.tile(e[orbit], 2)
+        self._scale(self.kernel_table, self.fold_columns)
+
+    def _scale(self, tables: tuple, columns: tuple) -> None:
+        """Multiply row_scale, then col_scale, into class tables over `columns`, in place."""
+        for u, (table, (kept, _, _)) in enumerate(zip(tables, columns)):
+            table *= self.row_scale[u::self.residues, None]
+            table *= self.col_scale[kept]
 
     # -- table-layout pair: the one half-product, the solver's path --
 
@@ -504,9 +506,7 @@ class ExtensionOperator:
         if self._general is None:
             tables, gather, columns = _kernel_table(self.sphere, self.ball, self.params,
                                                     antipodal=False)[:3]
-            for u, (table, (kept, _, _)) in enumerate(zip(tables, columns)):
-                table *= self.row_scale[u::self.residues, None]
-                table *= self.col_scale[kept]
+            self._scale(tables, columns)
             self._general = tables, gather, columns
         return self._general
 

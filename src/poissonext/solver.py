@@ -346,6 +346,8 @@ def _el_terms(v, weight, params, op, p, lam, el_rhs=None) -> tuple[float, float]
 
 @dataclass
 class StageReport:
+    """One continuation stage: its p, its solve's results and its returned profile."""
+
     p: float
     lambda_est: float
     el_residual: float
@@ -354,6 +356,7 @@ class StageReport:
     iterations: int
     converged: bool
     solved: bool
+    profile: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -363,7 +366,6 @@ class ContinuationReport:
     lambda_est: float
     blow_up_flag: bool
     lambda_threshold: float | None = None
-    stage_profiles: list = field(default_factory=list)
 
     def stage_rows(self) -> list[dict]:
         return [
@@ -424,7 +426,6 @@ def continuation(
     problem = SubcriticalProblem(params=params, weight=weight, p=schedule[0], sphere=sphere,
                                  ball=ball, tol_v=tol_v, max_iter=max_iter)
     stages: list[StageReport] = []
-    profiles: list[np.ndarray] = []
     peaks: list[float] = []
     blow_up = False
     lam = np.nan
@@ -440,9 +441,9 @@ def continuation(
                 iterations=report["iterations"],
                 converged=report["converged"],
                 solved=solved(report),
+                profile=v.values,
             )
         )
-        profiles.append(v.values.copy())
         # sup v over its L^p mean: 1 for a constant, and unchanged under K -> c K,
         # which scales v by c^(-1/p) with a p that changes from stage to stage
         mean = (integrate_boundary(v.values ** p, sphere) / sphere.weights.sum()) ** (1.0 / p)
@@ -458,5 +459,4 @@ def continuation(
         lambda_est=lam,
         blow_up_flag=blow_up,
         lambda_threshold=threshold,
-        stage_profiles=profiles,
     )

@@ -360,6 +360,27 @@ class TestCliCommands:
         assert len(stage_files) == len(schedule)
         assert stage_files == sorted(f"stage_p{p!r}.csv" for p in schedule)
 
+    def test_continue_writes_each_stage_profile_its_solve_returned(self, tmp_path, monkeypatch):
+        maximize = px.solver.maximize_subcritical
+        returned = []
+
+        def recorded(problem, init):
+            v, lam, rep = maximize(problem, init)
+            returned.append((problem.p, v.values.copy()))
+            return v, lam, rep
+
+        monkeypatch.setattr(px.solver, "maximize_subcritical", recorded)
+        out = str(tmp_path / "out")
+        assert main(["continue", "--config", write_config(tmp_path, tiny_2d_config(out))]) == 0
+        # the stages run first, then the error bar's half-resolution re-solve
+        stages = returned[:2]
+        assert [p for p, _ in stages] == [5.0, 4.5]
+        assert not np.array_equal(stages[0][1], stages[1][1])
+        for p, v in stages:
+            text = Path(out, "profiles", f"stage_p{p!r}.csv").read_text().splitlines()[1:]
+            values = np.array([float(line.rsplit(",", 1)[1]) for line in text])
+            assert values.tobytes() == v.tobytes()
+
     def test_solve_and_continue_fail_on_el_residual(self, tmp_path, monkeypatch):
         el_terms = px.solver._el_terms
         monkeypatch.setattr(px.solver, "_el_terms", lambda *args: (el_terms(*args)[0], 0.5))
@@ -460,6 +481,31 @@ class TestCliCommands:
         assert any(e["est_error"] is not None for e in entries)
         assert any(e["resolution"] is not None for e in entries)
 
+    @pytest.mark.parametrize("config, methods", [
+        (tiny_3d_config, ["formula_a0", "constant_test_function", "numerical_maximization"]),
+        (tiny_2d_config, ["constant_test_function", "numerical_maximization"]),
+    ], ids=["n3-a0", "n2"])
+    def test_sharp_reports_one_entry_per_method_and_one_discrepancy_per_pair(
+            self, config, methods, tmp_path):
+        # the closed form applies only at a = 0, n >= 3; discrepancy keys
+        # name each pair of methods in sorted order
+        out = str(tmp_path / "out")
+        assert main(["sharp", "--config", write_config(tmp_path, config(out))]) == 0
+        body = read_report(out)["report"]
+        resolution = read_report(out)["config"]["quadrature"]["sphere_resolution"]
+        entries = body["entries"]
+        assert [e["method"] for e in entries] == methods
+        assert all(e["quantity"] == "sharp_constant" for e in entries)
+        rows = {e["method"]: (e["resolution"], e["est_error"]) for e in entries}
+        assert rows.pop("numerical_maximization") == (resolution, None)
+        res, err = rows.pop("constant_test_function")
+        assert res == resolution and isinstance(err, float)
+        assert rows == ({"formula_a0": (None, 0.0)} if len(methods) == 3 else {})
+        value = {e["method"]: e["value"] for e in entries}
+        names = sorted(methods)
+        assert body["discrepancies"] == {f"{m1}_vs_{m2}": abs(value[m1] - value[m2])
+                                         for i, m1 in enumerate(names) for m2 in names[i + 1:]}
+
     def test_sharp_fails_with_solve_when_the_maximization_stops_early(self, tmp_path):
         # two steps cannot converge: solve failed its gate while sharp passed
         cfg = {"params": {"n": 2, "a": 0.5},
@@ -500,6 +546,23 @@ class TestCliCommands:
         out = str(tmp_path / "out")
         path = write_config(tmp_path, tiny_2d_config(out))
         assert main(["diagnose", "--config", path]) == 0
+
+    def test_diagnose_half_mass_radii_are_its_reports_radii(self, tmp_path):
+        # each radius is the one of its profile, and the report's list holds
+        # the concentration reports' radii bit for bit
+        out = str(tmp_path / "out")
+        assert main(["diagnose", "--config", write_config(tmp_path, tiny_3d_config(out))]) == 0
+        body = read_report(out)["report"]
+        radii = [r["half_mass_radius"] for r in body["concentration_reports"]]
+        assert body["half_mass_radii"] == radii
+        check = next(c for c in body["checks"] if c["check"] == "half_mass_radius_shrinks")
+        assert check["value"] == radii
+        config = parse_config(tiny_3d_config(out))
+        sphere = px.build_sphere_quadrature(config.params, config.quadrature["sphere_resolution"])
+        for lam, radius in zip((1.0, 0.3, 0.1), radii):
+            values = np.loadtxt(Path(out, "profiles", f"bubble_lambda_{lam}.csv"),
+                                delimiter=",", skiprows=1)[:, -1]
+            assert px.diagnostics.half_mass_radius(px.BoundaryFunction(values, sphere)) == radius
 
     def test_seed_and_out_overrides(self, tmp_path):
         out = str(tmp_path / "elsewhere")

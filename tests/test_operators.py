@@ -404,7 +404,7 @@ class TestStructuredProducts:
 
         # sums[r, o] = sum over class u's kept columns k of orbit o of
         # (1 + [k has a mirror]) kernel_table[u][r, k]
-        orbit, turns = op._orbit, op.gather_index.shape[1]
+        orbit, turns = kernel_table(sphere, ball, params)[3], op.gather_index.shape[1]
         size = np.bincount(orbit)
         sums = np.empty((op.table_shape[0], len(size)))
         for u, (table, (kept, mirror, _)) in enumerate(zip(kernel_table(sphere, ball, params)[0],
@@ -437,8 +437,9 @@ class TestStructuredProducts:
         # orbit, bit for bit, and both members of a mirror pair get it
         op = _structured_op(case)
         e = op.col_scale[:op.sphere.half]
-        for orbit in np.unique(op._orbit):
-            assert len(np.unique(e[op._orbit == orbit])) == 1
+        orbits = _kernel_table(op.sphere, op.ball, op.params)[3]
+        for orbit in np.unique(orbits):
+            assert len(np.unique(e[orbits == orbit])) == 1
         for kept, mirror, _ in op.fold_columns:
             assert e[kept[:len(mirror)]].tobytes() == e[mirror].tobytes()
 

@@ -743,6 +743,27 @@ class TestContinuation:
         assert [s.p for s in rep.stages] == [5.0, 4.5, 4.1]
         assert all(s.solved for s in rep.stages)
 
+    def test_each_stage_holds_the_profile_its_solve_returned(self, monkeypatch):
+        # a non-constant weight, so the stages return profiles that differ
+        problem = weighted_problem(2)
+        maximize = px.solver.maximize_subcritical
+        returned = []
+
+        def recorded(problem, init):
+            v, lam, rep = maximize(problem, init)
+            returned.append(v.values.copy())
+            return v, lam, rep
+
+        monkeypatch.setattr(px.solver, "maximize_subcritical", recorded)
+        rep = px.continuation(problem.weight, [5.0, 4.5, 4.1], problem.params, problem.sphere,
+                              problem.ball)
+        assert len(rep.stages) == len(returned) == 3
+        assert not np.array_equal(returned[0], returned[-1])
+        for stage, v in zip(rep.stages, returned):
+            assert stage.profile.tobytes() == v.tobytes()
+            assert (stage.sup_v, stage.inf_v) == (v.max(), v.min())
+        assert rep.final_v.values.tobytes() == returned[-1].tobytes()
+
     def test_rejects_bad_schedules(self, params_2d, sphere_2d, ball_2d, unit_weight_2d):
         for schedule in ([], [4.5, 4.5], [4.5, 5.0], [9.0, 4.5], [4.5, 3.9]):
             with pytest.raises(ValueError):
