@@ -244,7 +244,7 @@ def cmd_sharp(config: RunConfig):
     sphere, ball = _quads(config)
     # (method, value, resolution, est_error), one row per applicable method
     rows = []
-    if params.a == 0.0 and params.n >= 3:
+    if params.a == 0.0 and params.n == 3:
         rows.append(("formula_a0", fn.sharp_constant_formula_a0(params), None, 0.0))
 
     # both run on the configured rules' operator before the refined one
@@ -394,7 +394,7 @@ def cmd_continue(config: RunConfig):
     for stage in result.stages:
         # repr is distinct for each p of a strictly decreasing schedule
         _write_profile(config, f"stage_p{float(stage.p)!r}.csv", sphere, stage.profile)
-    _write_stages(config, rows)
+    _write_stages(config, result.stage_rows())
     return report, ok
 
 
@@ -485,13 +485,11 @@ def _write_profile(config: RunConfig, name: str, sphere, values: np.ndarray) -> 
 
 
 def _write_stages(config: RunConfig, rows: list[dict]) -> None:
+    """stages.csv: a header of the rows' keys, then each row's values by repr."""
     with open(os.path.join(config.output_dir, "stages.csv"), "w") as fh:
-        fh.write("p,lambda,el_residual,sup_v,inf_v,iterations,converged\n")
-        for r in rows:
-            fh.write(
-                f"{r['p']!r},{r['lambda']!r},{r['el_residual']!r},"
-                f"{r['sup_v']!r},{r['inf_v']!r},{r['iterations']},{r['converged']}\n"
-            )
+        fh.write(",".join(rows[0]) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row.values())) + "\n")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -30,27 +29,6 @@ _MAX_FREQUENCY = _POSITIVITY_GRID // 2
 # lambda scales as K^(-p_bulk / p) with p_bulk / p <= 2, so a weight within
 # this range keeps lambda and its threshold representable
 _WEIGHT_RANGE = (1e-50, 1e50)
-
-_DEFAULTS: dict[str, Any] = {
-    "params": {"n": 3, "a": 0.0},
-    "weight": {"kind": "constant", "value": 1.0},
-    "quadrature": {
-        "sphere_resolution": None,      # filled per dimension
-        "ball_radial_points": 96,
-        "ball_angular_resolution": None,
-    },
-    "solver": {
-        "p": None,
-        "schedule": None,
-        "epsilon_floor": 1e-3,
-        "tol_v": 1e-9,
-        "max_iter": 5000,
-        "blow_up_factor": 3.0,
-        "multistart": 0,
-    },
-    "output_dir": "out",
-    "seed": 7,
-}
 
 # keys of earlier configurations, rejected with the reason they went
 _REMOVED = {
@@ -76,32 +54,41 @@ def _is_real(x) -> bool:
 _EVEN_RESOLUTION = (lambda x: _is_int(x) and x >= 4 and x % 2 == 0, "an even integer >= 4")
 _POSITIVE = (lambda x: _is_real(x) and x > 0, "a positive number")
 
-# type and range of each scalar key: (predicate, what it requires).  A key
-# whose default is None also accepts null, which selects the derived default.
-_RULES = {
-    "params.n": (_is_int, "an integer"),
-    "params.a": (_is_real, "a number"),
-    "quadrature.sphere_resolution": _EVEN_RESOLUTION,
-    "quadrature.ball_angular_resolution": _EVEN_RESOLUTION,
+# every key by its path: (default, predicate, what the predicate requires).
+# A None default also admits null, which selects the derived default; a None
+# predicate leaves the key to its own check in parse_config.
+_KEYS = {
+    "schema_version": (_SCHEMA_VERSION, None, None),
+    "params.n": (3, _is_int, "an integer"),
+    "params.a": (0.0, _is_real, "a number"),
+    "weight": ({"kind": "constant", "value": 1.0}, None, None),
+    "quadrature.sphere_resolution": (None, *_EVEN_RESOLUTION),
     # the front end never builds fewer radial points than 18; parse_config
     # asks the graded rule whether the count fits inside the ball in float64
-    "quadrature.ball_radial_points": (lambda x: _is_int(x) and x >= 18, "an integer >= 18"),
-    "solver.p": (_is_real, "a number"),
-    "solver.epsilon_floor": _POSITIVE,
-    "solver.tol_v": _POSITIVE,
-    "solver.max_iter": (lambda x: _is_int(x) and x >= 1, "a positive integer"),
-    "solver.blow_up_factor": _POSITIVE,
-    "solver.multistart": (lambda x: _is_int(x) and x >= 0, "a nonnegative integer"),
-    "output_dir": (lambda x: isinstance(x, str) and x != "", "a nonempty string"),
-    "seed": (lambda x: _is_int(x) and x >= 0, "a nonnegative integer"),
+    "quadrature.ball_radial_points": (96, lambda x: _is_int(x) and x >= 18, "an integer >= 18"),
+    "quadrature.ball_angular_resolution": (None, *_EVEN_RESOLUTION),
+    "solver.p": (None, _is_real, "a number"),
+    "solver.schedule": (None, None, None),
+    "solver.epsilon_floor": (1e-3, *_POSITIVE),
+    "solver.tol_v": (1e-9, *_POSITIVE),
+    "solver.max_iter": (5000, lambda x: _is_int(x) and x >= 1, "a positive integer"),
+    "solver.blow_up_factor": (3.0, *_POSITIVE),
+    "solver.multistart": (0, lambda x: _is_int(x) and x >= 0, "a nonnegative integer"),
+    "output_dir": ("out", lambda x: isinstance(x, str) and x != "", "a nonempty string"),
+    "seed": (7, lambda x: _is_int(x) and x >= 0, "a nonnegative integer"),
 }
 
 
-def _check(path: str, value, default) -> None:
-    if value is None and default is None:
-        return
-    ok, requirement = _RULES[path]
-    if not ok(value):
+def _defaults(section: str) -> dict:
+    """The defaults of a section's keys, by key."""
+    prefix = section + "."
+    return {path[len(prefix):]: entry[0] for path, entry in _KEYS.items()
+            if path.startswith(prefix)}
+
+
+def _check(path: str, value) -> None:
+    default, ok, requirement = _KEYS[path]
+    if ok and not (value is None and default is None or ok(value)):
         raise ConfigError(f"{path} must be {requirement}, got {value!r}")
 
 
@@ -128,20 +115,19 @@ class RunConfig:
         return json.loads(json.dumps(record, sort_keys=True))
 
 
-def _merge_strict(section: str, user: dict, defaults: dict) -> dict:
+def _merge_strict(section: str, user: dict) -> dict:
     if not isinstance(user, dict):
         raise ConfigError(f"{section}: expected an object")
     for key in user:
         if f"{section}.{key}" in _REMOVED:
             raise ConfigError(_REMOVED[f"{section}.{key}"])
-    unknown = set(user) - set(defaults)
+    out = _defaults(section)
+    unknown = set(user) - set(out)
     if unknown:
         raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
-    out = dict(defaults)
     out.update(user)
     for key, value in out.items():
-        if f"{section}.{key}" in _RULES:
-            _check(f"{section}.{key}", value, defaults[key])
+        _check(f"{section}.{key}", value)
     return out
 
 
@@ -151,27 +137,24 @@ def parse_config(data: dict) -> RunConfig:
     for key in data:
         if key in _REMOVED:
             raise ConfigError(_REMOVED[key])
-    top_known = set(_DEFAULTS) | {"schema_version"}
-    unknown = set(data) - top_known
+    unknown = set(data) - {path.partition(".")[0] for path in _KEYS}
     if unknown:
         raise ConfigError(f"unknown top-level key(s) {sorted(unknown)}")
     if data.get("schema_version", _SCHEMA_VERSION) != _SCHEMA_VERSION:
         raise ConfigError("unsupported schema_version")
 
-    pdata = _merge_strict("params", data.get("params", {}), _DEFAULTS["params"])
+    pdata = _merge_strict("params", data.get("params", {}))
     try:
         params = ProblemParams(pdata["n"], pdata["a"])
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from exc
-    if params.n not in (2, 3):
-        raise ConfigError("params: only n in {2, 3} is supported")
 
     if not isinstance(data.get("weight", {}), dict):
         raise ConfigError("weight: expected an object")
-    wdata = dict(data.get("weight", _DEFAULTS["weight"]))
+    wdata = dict(data.get("weight", _KEYS["weight"][0]))
     _validate_weight_spec(wdata, params)
 
-    qdata = _merge_strict("quadrature", data.get("quadrature", {}), _DEFAULTS["quadrature"])
+    qdata = _merge_strict("quadrature", data.get("quadrature", {}))
     try:
         graded_radial_rule(qdata["ball_radial_points"])
     except ValueError as exc:
@@ -183,7 +166,7 @@ def parse_config(data: dict) -> RunConfig:
             2 * qdata["sphere_resolution"] if params.n == 2 else qdata["sphere_resolution"]
         )
 
-    sdata = _merge_strict("solver", data.get("solver", {}), _DEFAULTS["solver"])
+    sdata = _merge_strict("solver", data.get("solver", {}))
     if sdata["p"] is not None and not params.p_crit < sdata["p"] < params.p_bulk:
         raise ConfigError(f"solver.p must lie in (p_crit, p_bulk) = "
                           f"({params.p_crit}, {params.p_bulk}), got {sdata['p']!r}")
@@ -200,10 +183,10 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError("solver.schedule must stay inside [p_crit, p_bulk)")
         sdata["schedule"] = sched
 
-    output_dir = data.get("output_dir", _DEFAULTS["output_dir"])
-    seed = data.get("seed", _DEFAULTS["seed"])
-    _check("output_dir", output_dir, _DEFAULTS["output_dir"])
-    _check("seed", seed, _DEFAULTS["seed"])
+    output_dir = data.get("output_dir", _KEYS["output_dir"][0])
+    seed = data.get("seed", _KEYS["seed"][0])
+    _check("output_dir", output_dir)
+    _check("seed", seed)
     return RunConfig(
         params=params,
         weight_spec=wdata,

@@ -56,9 +56,9 @@ def bulk_norm(values: np.ndarray, ball: BallQuadrature, q: float) -> float:
 
 
 def sharp_constant_formula_a0(params: ProblemParams) -> float:
-    """Closed form of the sharp constant at a = 0 (n >= 3 only)."""
-    if params.a != 0.0 or params.n < 3:
-        raise ValueError("the closed form applies to a = 0, n >= 3")
+    """Closed form of the sharp constant at a = 0 (n = 3 only)."""
+    if params.a != 0.0 or params.n != 3:
+        raise ValueError("the closed form applies to a = 0, n = 3")
     n = params.n
     omega = ball_volume(n)
     return float(n ** (-(n - 2.0) / (2.0 * (n - 1.0)))

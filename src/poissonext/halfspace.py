@@ -52,8 +52,6 @@ def build_halfspace_grid(
     half-lines.
     """
     n, a = params.n, params.a
-    if n not in (2, 3):
-        raise NotImplementedError("half-space grids implemented for n in {2, 3}")
     if not (np.isfinite(inner_scale) and 0.0 < inner_scale):
         raise ValueError(f"inner_scale must be finite and positive, got {inner_scale!r}")
     if not isinstance(angular_points, (int, np.integer)) or angular_points < 1:

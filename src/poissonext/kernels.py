@@ -93,7 +93,7 @@ def kernel_ball_sphere_mass(radii: np.ndarray, params: ProblemParams) -> np.ndar
     y = (1.0 - r) * (1.0 + r)       # 1 - r^2 without cancellation next to the sphere
     if n == 2:
         surf = 2.0 * np.pi * _hyp2f1_ss1((2.0 - a) / 2.0, y)
-    elif n == 3:
+    else:
         b = 1.0 - a
         small = r < 1e-6
         rs = np.where(small, 0.5, r)
@@ -102,8 +102,6 @@ def kernel_ball_sphere_mass(radii: np.ndarray, params: ProblemParams) -> np.ndar
             4.0 * np.pi * (1.0 + (b + 1.0) * (b + 2.0) * r * r / 6.0),
             (2.0 * np.pi / (b * rs)) * ((1.0 - rs) ** (-b) - (1.0 + rs) ** (-b)),
         )
-    else:
-        raise NotImplementedError("sphere mass implemented for n in {2, 3}")
     out = (pref * y ** (1.0 - a) * surf)[inverse].reshape(np.shape(radii))
     return out if np.ndim(radii) else float(out)
 

@@ -604,16 +604,14 @@ def interpolate_boundary(v: BoundaryFunction):
             return np.real(phase @ (coeff * scale))
 
         return interp2
-    if quad.n == 3:
-        degree = min(quad.resolution // 2, 12)
-        coeff = _real_sph_design(quad.nodes, degree).T @ (quad.weights * v.values)
+    degree = min(quad.resolution // 2, 12)
+    coeff = _real_sph_design(quad.nodes, degree).T @ (quad.weights * v.values)
 
-        def interp3(points: np.ndarray) -> np.ndarray:
-            points = np.atleast_2d(np.asarray(points, dtype=float))
-            return _real_sph_design(points, degree) @ coeff
+    def interp3(points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return _real_sph_design(points, degree) @ coeff
 
-        return interp3
-    raise NotImplementedError("interpolation implemented for n in {2, 3}")
+    return interp3
 
 
 def _real_sph_design(points: np.ndarray, degree: int) -> np.ndarray:
@@ -685,12 +683,11 @@ def weighted_harmonic_residual(
 
     Conservative second-order stencil: plain central differences in the
     tangential directions, flux differences at x_n +/- h/2 in the normal
-    direction.  Requires -1 < a < 1 (the range where the extension solves
-    the weighted equation) and x_n > 2h so the stencil stays interior.
+    direction.  The extension solves the weighted equation for -1 < a < 1,
+    which 2 - n < a < 1 implies at n in {2, 3}.  Requires x_n > 2h so the
+    stencil stays interior.
     """
     a = params.a
-    if not (-1.0 < a < 1.0):
-        raise ValueError("the weighted-harmonicity relation needs -1 < a < 1")
     x = np.asarray(x, dtype=float)
     if x.shape != (params.n,):
         raise ValueError(f"expected a single point in R^{params.n}")

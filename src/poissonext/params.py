@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 class ProblemParams:
     """Dimension n and kernel parameter a, with the derived critical exponents.
 
-    The admissible range is n >= 2 and 2 - n < a < 1.  Every exponent in the
-    library is derived from these two numbers:
+    The admissible range is n in {2, 3} and 2 - n < a < 1.  Every exponent
+    in the library is derived from these two numbers:
 
       p_crit = 2(n-1)/(n+a-2)   boundary critical exponent
       p_bulk = 2n/(n+a-2)       matching bulk exponent
@@ -25,8 +25,8 @@ class ProblemParams:
     q_exp: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        if self.n not in (2, 3):
+            raise ValueError(f"n must be 2 or 3, got {self.n!r}")
         d = self.n + self.a - 2.0
         # d > 0 also rejects an a so close to 2 - n that d rounds to zero
         if not (2 - self.n < self.a < 1 and d > 0):

@@ -428,7 +428,6 @@ def continuation(
     stages: list[StageReport] = []
     peaks: list[float] = []
     blow_up = False
-    lam = np.nan
     for p in schedule:
         v, lam, report = maximize_subcritical(replace(problem, p=p), v)
         stages.append(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import poissonext as px
 from poissonext import functionals as fn
 from poissonext.cli import _sample_interior_halfspace, main
-from poissonext.config import _DEFAULTS, ConfigError, evaluate_weight, load_config, parse_config
+from poissonext.config import _KEYS, ConfigError, evaluate_weight, load_config, parse_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,8 +47,8 @@ def tiny_3d_config(out, **extra):
 CONFIG_PATHS = [("params", "n"), ("params", "a"), ("weight",), ("weight", "kind"),
                 ("weight", "value"), ("weight", "coefficients"), ("seed",), ("output_dir",),
                 ("schema_version",)]
-CONFIG_PATHS += [(section, key) for section in ("quadrature", "solver")
-                 for key in _DEFAULTS[section]]
+CONFIG_PATHS += [tuple(path.split(".")) for path in _KEYS
+                 if path.startswith(("quadrature.", "solver."))]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10, 10**6) | st.floats(allow_nan=False)
     | st.text(max_size=4),
@@ -216,6 +216,8 @@ class TestCliCommands:
         monkeypatch.chdir(tmp_path)
         for cfg, message in [
             ({"params": {"n": 3, "a": 1.5}}, "a must lie in"),
+            # ProblemParams decides the dimension; the configuration only wraps it
+            ({"params": {"n": 4}}, "params: n must be 2 or 3, got 4"),
             ({"quadrature": {"radial_rule": "jacobi"}}, "graded_gl"),
             ({"operator": {"correction": "none"}}, "always balanced"),
             ({"solver": {"damping": 0}}, "solver.damping"),
@@ -337,7 +339,12 @@ class TestCliCommands:
         path = write_config(tmp_path, tiny_2d_config(out))
         assert main(["continue", "--config", path]) == 0
         stages = Path(out, "stages.csv").read_text().splitlines()
-        assert stages[0].startswith("p,lambda,el_residual")
+        header = "p,lambda,el_residual,sup_v,inf_v,iterations,converged"
+        assert stages[0] == header
+        # each row holds the repr of the report's stage values, which JSON keeps exactly
+        rows = read_report(out)["report"]["stages"]
+        assert stages[1:] == [",".join(repr(row[key]) for key in header.split(","))
+                              for row in rows]
         assert len(stages) == 3
         profiles = sorted(os.listdir(os.path.join(out, "profiles")))
         assert "final_v.csv" in profiles

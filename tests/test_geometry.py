@@ -30,13 +30,15 @@ class TestParams:
         assert p.p_bulk == 8.0
         assert p.q_exp == 7.0
 
-    @pytest.mark.parametrize("n,a", [(2, 0.25), (3, -0.9), (4, -1.0), (3, 0.99)])
+    @pytest.mark.parametrize("n,a", [(2, 0.25), (3, -0.9), (3, 0.99)])
     def test_exponent_relations(self, n, a):
         p = px.ProblemParams(n, a)
         assert p.p_crit < p.p_bulk
         assert p.p_crit - 1.0 + 2.0 / (n + a - 2.0) == pytest.approx(p.q_exp, abs=1e-14)
 
-    @pytest.mark.parametrize("n,a", [(1, 0.0), (3, 1.0), (3, -1.0), (2, 0.0), (3, 1.5)])
+    # n = 1.5 and 4 with an a inside (2 - n, 1): only n in {2, 3} is admitted
+    @pytest.mark.parametrize("n,a", [(1, 0.0), (3, 1.0), (3, -1.0), (2, 0.0), (3, 1.5),
+                                     (1.5, 0.75), (4, 0.0)])
     def test_rejects_out_of_range(self, n, a):
         with pytest.raises(ValueError):
             px.ProblemParams(n, a)

@@ -1093,13 +1093,6 @@ class TestWeightedHarmonicity:
                 lambda xs: np.ones(len(xs)), np.array([0.0, 0.0, 0.015]), 1e-2, params_3d
             )
 
-    def test_rejects_a_outside_extension_range(self):
-        p = px.ProblemParams(4, -1.5)
-        with pytest.raises(ValueError):
-            px.weighted_harmonic_residual(
-                lambda xs: np.ones(len(xs)), np.array([0.0, 0.0, 1.0]), 1e-2, p
-            )
-
 
 class TestSharpInequalitySanity:
     def test_random_nonnegative_ratios_stay_below_sharp_constant(
