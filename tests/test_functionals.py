@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,31 @@ class TestNorms:
                        np.ones((len(ball_3d), 1)), 1.0):
             with pytest.raises(ValueError, match=r"expected \(\d+,\) values"):
                 px.bulk_norm(values, ball_3d, 4.0)
+
+    # q reaches 600 at the low end of the range of a, where |F|^q can leave float64
+    def test_norms_rescale_when_the_power_sum_overflows(self, sphere_3d, ball_3d):
+        ball, sphere = np.full(len(ball_3d), 5.008), np.full(len(sphere_3d), 5.008)
+        # each term is finite, but fsum's partial sums pass the float range
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            px.integrate_ball(ball ** 440.0, ball_3d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # 5.008^440 sums past the float range; 10^400 is inf itself
+            for scale, q in ((1.0, 440.0), (10.0 / 5.008, 400.0)):
+                got = px.bulk_norm(scale * ball, ball_3d, q)
+                assert got == pytest.approx(5.008 * scale * (4 * np.pi / 3) ** (1 / q), rel=1e-13)
+                v = px.BoundaryFunction(scale * sphere, sphere_3d)
+                assert px.boundary_norm(v, q) == pytest.approx(
+                    5.008 * scale * (4 * np.pi) ** (1 / q), rel=1e-13)
+
+    def test_norms_keep_their_bits_below_the_overflow(self, sphere_3d, ball_3d, rng):
+        f, v = rng.random(len(ball_3d)), rng.random(len(sphere_3d))
+        # 5^440 times the ball's volume still fits in float64
+        for values, q in ((f, 6.0), (np.full(len(ball_3d), 5.0), 440.0)):
+            assert px.bulk_norm(values, ball_3d, q) == (
+                px.integrate_ball(values ** q, ball_3d) ** (1.0 / q))
+        assert px.boundary_norm(px.BoundaryFunction(v, sphere_3d), 6.0) == (
+            px.integrate_boundary(v ** 6.0, sphere_3d) ** (1.0 / 6.0))
 
     def test_rejects_p_below_one(self, sphere_3d):
         one = px.BoundaryFunction(np.ones(len(sphere_3d)), sphere_3d)
