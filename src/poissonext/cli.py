@@ -393,7 +393,7 @@ def cmd_continue(config: RunConfig):
     }
     for stage in result.stages:
         # repr is distinct for each p of a strictly decreasing schedule
-        _write_profile(config, f"stage_p{float(stage.p)!r}.csv", sphere, stage.profile)
+        _write_profile(config, f"stage_p{float(stage.p)!r}.csv", sphere, stage.v.values)
     _write_stages(config, result.stage_rows())
     return report, ok
 

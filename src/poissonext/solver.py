@@ -346,7 +346,7 @@ def _el_terms(v, weight, params, op, p, lam, el_rhs=None) -> tuple[float, float]
 
 @dataclass
 class StageReport:
-    """One continuation stage: its p, its solve's results and its returned profile."""
+    """One continuation stage: its p, its solve's results and its returned profile v."""
 
     p: float
     lambda_est: float
@@ -356,16 +356,24 @@ class StageReport:
     iterations: int
     converged: bool
     solved: bool
-    profile: np.ndarray = field(repr=False)
+    v: BoundaryFunction = field(repr=False)
 
 
 @dataclass
 class ContinuationReport:
+    """The stages in schedule order; the final values are the last stage's."""
+
     stages: list
-    final_v: BoundaryFunction
-    lambda_est: float
     blow_up_flag: bool
     lambda_threshold: float | None = None
+
+    @property
+    def final_v(self) -> BoundaryFunction:
+        return self.stages[-1].v
+
+    @property
+    def lambda_est(self) -> float:
+        return self.stages[-1].lambda_est
 
     def stage_rows(self) -> list[dict]:
         return [
@@ -440,7 +448,7 @@ def continuation(
                 iterations=report["iterations"],
                 converged=report["converged"],
                 solved=solved(report),
-                profile=v.values,
+                v=v,
             )
         )
         # sup v over its L^p mean: 1 for a constant, and unchanged under K -> c K,
@@ -452,10 +460,4 @@ def continuation(
         if report["step_failed"]:
             break
     threshold = lambda_threshold(weight, params, sharp) if sharp is not None else None
-    return ContinuationReport(
-        stages=stages,
-        final_v=v,
-        lambda_est=lam,
-        blow_up_flag=blow_up,
-        lambda_threshold=threshold,
-    )
+    return ContinuationReport(stages=stages, blow_up_flag=blow_up, lambda_threshold=threshold)

@@ -760,9 +760,15 @@ class TestContinuation:
         assert len(rep.stages) == len(returned) == 3
         assert not np.array_equal(returned[0], returned[-1])
         for stage, v in zip(rep.stages, returned):
-            assert stage.profile.tobytes() == v.tobytes()
+            assert stage.v.values.tobytes() == v.tobytes()
             assert (stage.sup_v, stage.inf_v) == (v.max(), v.min())
         assert rep.final_v.values.tobytes() == returned[-1].tobytes()
+        # the final values are the last stage's, read-only
+        assert rep.final_v is rep.stages[-1].v
+        assert rep.lambda_est == rep.stages[-1].lambda_est
+        for name in ("final_v", "lambda_est"):
+            with pytest.raises(AttributeError):
+                setattr(rep, name, None)
 
     def test_rejects_bad_schedules(self, params_2d, sphere_2d, ball_2d, unit_weight_2d):
         for schedule in ([], [4.5, 4.5], [4.5, 5.0], [9.0, 4.5], [4.5, 3.9]):
