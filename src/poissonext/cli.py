@@ -167,13 +167,14 @@ def cmd_verify(config: RunConfig):
 
     # duality, positivity, antipodal equivariance
     v, f = rng.random(len(sphere)), rng.random(len(ball))
-    lhs = integrate_ball(op.extend_values(v) * f, ball)
+    ev = op.extend_values(v)
+    lhs = integrate_ball(ev * f, ball)
     rhs = integrate_boundary(v * op.adjoint_values(f), sphere)
     _check(checks, "duality", abs(lhs - rhs) / abs(lhs), 1e-10)
     vpos = rng.random(len(sphere))
     _check(checks, "positivity", 0.0, 0.0, passed=bool(np.all(op.extend_values(vpos) > 0)))
     flipped = op.extend_values(v[sphere.antipode_index])
-    straight = op.extend_values(v)[ball.antipode_index]
+    straight = ev[ball.antipode_index]
     _check(checks, "antipodal_equivariance_exact", 0.0, 0.0,
            passed=bool(np.array_equal(flipped, straight)))
 
@@ -402,7 +403,7 @@ def cmd_continue(config: RunConfig):
 
 def cmd_diagnose(config: RunConfig):
     params = config.params
-    sphere, _ = _quads(config)
+    sphere = build_sphere_quadrature(params, config.quadrature["sphere_resolution"])
     checks = []
 
     # blow-up rescaling fixes the standard bubble exactly at p_crit

@@ -202,6 +202,14 @@ class TestCliCommands:
         assert builds == {"verify": [24], "sharp": [24, 48], "solve": [24, 18],
                           "continue": [24, 18], "diagnose": []}
 
+    def test_diagnose_builds_no_ball_rule(self, tmp_path, monkeypatch):
+        # diagnose pulls bubbles back to the sphere rule and never reads a ball
+        built = []
+        monkeypatch.setattr("poissonext.cli.build_ball_quadrature",
+                            lambda *args: built.append(args))
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        assert built == []
+
     @pytest.mark.parametrize("n, span", [(2, 2.0), (3, 0.8)])
     def test_verify_samples_one_height_per_point(self, n, span):
         # verify's normalization and harmonicity checks run at these points
