@@ -57,12 +57,13 @@ def bulk_norm(values: np.ndarray, ball: BallQuadrature, q: float) -> float:
 
 
 def _norm(mags: np.ndarray, quad, q: float) -> float:
-    """(integral of mags^q)^{1/q} of nonnegative finite magnitudes.
+    """(integral of mags^q)^{1/q} of nonnegative magnitudes.
 
     Only when the plain sum overflows (to inf, or in the OverflowError of an
-    fsum whose partial sums pass the float range) is it taken again as
-    max * (integral of (mags / max)^q)^{1/q}, so every finite plain result
-    keeps its bits; q reaches 600 at the low end of the range of a.
+    fsum whose partial sums pass the float range) and every magnitude is
+    finite is it taken again as max * (integral of (mags / max)^q)^{1/q},
+    so every finite plain result keeps its bits; q reaches 600 at the low
+    end of the range of a.
     """
     with np.errstate(over="ignore"):
         try:
@@ -71,7 +72,9 @@ def _norm(mags: np.ndarray, quad, q: float) -> float:
             total = np.inf
     if total < np.inf:
         return total ** (1.0 / q)
-    top = mags.max()
+    top = float(mags.max())
+    if top == np.inf:
+        return top
     return top * integrate_boundary((mags / top) ** q, quad) ** (1.0 / q)
 
 

@@ -105,6 +105,8 @@ class TestNorms:
                 v = px.BoundaryFunction(scale * sphere, sphere_3d)
                 assert px.boundary_norm(v, q) == pytest.approx(
                     5.008 * scale * (4 * np.pi) ** (1 / q), rel=1e-13)
+            # an infinite magnitude keeps an infinite norm
+            assert px.bulk_norm(np.append(ball[1:], np.inf), ball_3d, 6.0) == np.inf
 
     def test_norms_keep_their_bits_below_the_overflow(self, sphere_3d, ball_3d, rng):
         f, v = rng.random(len(ball_3d)), rng.random(len(sphere_3d))
