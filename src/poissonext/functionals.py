@@ -56,18 +56,19 @@ def bulk_norm(values: np.ndarray, ball: BallQuadrature, q: float) -> float:
     return _norm(np.abs(values), ball, q)
 
 
-def _norm(mags: np.ndarray, quad, q: float) -> float:
-    """(integral of mags^q)^{1/q} of nonnegative magnitudes.
+def _norm(mags: np.ndarray, quad, q: float, weight=1.0) -> float:
+    """(integral of weight * mags^q)^{1/q} of nonnegative magnitudes.
 
     Only when the plain sum overflows (to inf, or in the OverflowError of an
     fsum whose partial sums pass the float range) and every magnitude is
-    finite is it taken again as max * (integral of (mags / max)^q)^{1/q},
-    so every finite plain result keeps its bits; q reaches 600 at the low
-    end of the range of a.
+    finite is it taken again as max * (integral of weight (mags / max)^q)^{1/q},
+    so every finite plain result keeps its bits; q runs into the thousands
+    near the low end of the range of a.  `weight` is a scalar or an array
+    over the nodes (the solver's K).
     """
     with np.errstate(over="ignore"):
         try:
-            total = integrate_boundary(mags ** q, quad)
+            total = integrate_boundary(weight * mags ** q, quad)
         except OverflowError:
             total = np.inf
     if total < np.inf:
@@ -75,7 +76,7 @@ def _norm(mags: np.ndarray, quad, q: float) -> float:
     top = float(mags.max())
     if top == np.inf:
         return top
-    return top * integrate_boundary((mags / top) ** q, quad) ** (1.0 / q)
+    return top * integrate_boundary(weight * (mags / top) ** q, quad) ** (1.0 / q)
 
 
 def sharp_constant_formula_a0(params: ProblemParams) -> float:

@@ -11,13 +11,18 @@ normalized fixed-point map of that equation,
 
     G(v) = N(sym(w)),  w = (T[(E v)^{q_exp}] / K)^{1/(p-1)},
 
-with sym the antipodal average and N the constraint normalization.  Each
-step first tries Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni,
-SIAM J. Numer. Anal. 49, 2011): from the last pairs (v_i, G(v_i)), with
-f = G(v) - v, gamma minimizes |f_k - dF gamma| over the differences dF of
-f and dX of v, and the mixed point is x = v_k - dX gamma + (f_k - dF gamma).
+with sym the antipodal average and N the constraint normalization
+x / (integral K |x|^p)^{1/p}.  N shares the weighted L^p norm of the other
+norms, `functionals._norm`, and with it the rescale by max |x| that runs
+only when the plain sum overflows (p runs into the thousands near the low
+end of a).  Each step first tries Anderson mixing of depth ANDERSON_DEPTH
+(Walker & Ni, SIAM J. Numer. Anal. 49, 2011): from the last pairs
+(v_i, G(v_i)), with f = G(v) - v, gamma minimizes |f_k - dF gamma| over the
+differences dF of f and dX of v, and the mixed point is
+x = v_k - dX gamma + (f_k - dF gamma).
 N(sym(x)) is kept only if x is positive and the functional does not drop
-(up to ASCENT_SLACK times it; lambda scales with K); otherwise the history
+(up to max(ASCENT_SLACK, q_exp eps) times it, the larger being the pairing's
+roundoff past q_exp = 4,500; lambda scales with K); otherwise the history
 restarts and the plain step v+ = N(sym((1 - tau) v + tau w)) runs from
 tau = 1, halving tau until the functional does not drop.  The functional
 history is therefore nondecreasing.  Convergence is judged on the
@@ -49,7 +54,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .functionals import WeightFunction, lambda_threshold
+from .functionals import WeightFunction, _norm, lambda_threshold
 from .operators import BoundaryFunction, ExtensionOperator, build_extension_operator
 from .params import ProblemParams
 # integrate_ball is not called here; perfbench/tracer.py wraps it under this name
@@ -57,7 +62,8 @@ from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits,  # noqa: 
                          integrate_ball, integrate_boundary)
 
 MAX_DAMPING_HALVINGS = 20
-# relative: a candidate may lower the functional by this fraction of it
+# relative: a candidate may lower the functional by this fraction of it,
+# or by q_exp eps, the pairing's roundoff, where that is larger
 ASCENT_SLACK = 1e-12
 # Anderson mixing combines the last ANDERSON_DEPTH + 1 iterates
 ANDERSON_DEPTH = 5
@@ -148,14 +154,15 @@ def _functional(v: np.ndarray, problem: SubcriticalProblem) -> tuple[float, np.n
 
 
 def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> np.ndarray:
-    """N(sym(values)) = x / c^{1/p}: x the antipodal average (bit for bit
-    antipodal), c = integral K |x|^p.  ValueError when c <= 0 or the result is
-    not finite (as it is when x is not: c is then inf or nan)."""
+    """N(sym(values)) = x / |x|_{K,p}: x the antipodal average (bit for bit
+    antipodal), |x|_{K,p} = (integral K |x|^p)^{1/p} by `_norm`, rescaled only
+    when the sum overflows.  ValueError when the norm is 0 or the result is
+    not finite (as it is when x is not: the norm is then inf or nan)."""
     x = 0.5 * (values + values[problem.sphere.antipode_index])
-    c = integrate_boundary(problem.weight.values * np.abs(x) ** problem.p, problem.sphere)
-    if c <= 0:
+    norm = _norm(np.abs(x), problem.sphere, problem.p, problem.weight.values)
+    if norm <= 0:
         raise ValueError("cannot normalize the zero function")
-    out = x / c ** (1.0 / problem.p)
+    out = x / norm
     if not np.all(np.isfinite(out)):
         raise ValueError("boundary values must be finite")
     return out
@@ -170,6 +177,8 @@ def fixed_point_step(
     by the caller) gets the step's pair; from two pairs on, the Anderson-mixed
     point is tried first, and a rejected one leaves only the step's pair.  A
     history of maxlen 1 never holds two, so it gives the plain step alone.
+    Where (E v)^q_exp underflows, g is 0 at some node (and the functional may
+    read 0); w is then taken from g of v / max E v, which has its direction.
     """
     v = state.v.values
     hs = problem.sphere.half
@@ -182,6 +191,10 @@ def fixed_point_step(
     elif g.shape != v.shape:
         raise ValueError(f"the state's el_rhs has shape {g.shape}; T[(E v)^q_exp] on the "
                          f"sphere nodes has {v.shape}")
+    if not np.all(g > 0):
+        # the largest power at this scale is 1 (q_exp runs into the thousands near a's low end)
+        g = problem.operator.power_adjoint(v / problem.operator.extend_table(v).max(),
+                                           problem.params.q_exp)
     w = (g / problem.weight.values) ** (1.0 / (problem.p - 1.0))
     full = _candidate(w, problem)
     residual = float(np.max(np.abs(full - v)) / np.max(np.abs(v)))
@@ -204,9 +217,11 @@ def fixed_point_step(
 
 def _accepted(state, cand, problem, residual) -> SolverState | None:
     """The state at the array cand, or None if its functional is nan or drops
-    by more than the slack."""
+    by more than the slack, ASCENT_SLACK or q_exp eps, the relative roundoff
+    of (E v)^q_exp in the pairing, whichever is larger."""
     lam, cand_rhs = _functional(cand, problem)
-    if not lam >= state.lambda_est - ASCENT_SLACK * abs(state.lambda_est):
+    slack = max(ASCENT_SLACK, problem.params.q_exp * np.finfo(float).eps)
+    if not lam >= state.lambda_est - slack * abs(state.lambda_est):
         return None
     state.functional_history.append(lam)
     return SolverState(
@@ -453,7 +468,7 @@ def continuation(
         )
         # sup v over its L^p mean: 1 for a constant, and unchanged under K -> c K,
         # which scales v by c^(-1/p) with a p that changes from stage to stage
-        mean = (integrate_boundary(v.values ** p, sphere) / sphere.weights.sum()) ** (1.0 / p)
+        mean = _norm(v.values, sphere, p) / sphere.weights.sum() ** (1.0 / p)
         peaks.append(stages[-1].sup_v / mean)
         if len(peaks) >= 2 and peaks[-1] > blow_up_factor * peaks[-2]:
             blow_up = True

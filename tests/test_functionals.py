@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import poissonext as px
+from poissonext import functionals as fn
 
 
 @pytest.fixture()
@@ -116,6 +117,16 @@ class TestNorms:
                 px.integrate_ball(values ** q, ball_3d) ** (1.0 / q))
         assert px.boundary_norm(px.BoundaryFunction(v, sphere_3d), 6.0) == (
             px.integrate_boundary(v ** 6.0, sphere_3d) ** (1.0 / 6.0))
+
+    def test_weighted_norm_keeps_its_bits_and_rescales_on_overflow(self, sphere_3d, rng):
+        # the solver's constraint norm (integral K |x|^p)^(1/p); p reaches 800
+        weight, mags = rng.random(len(sphere_3d)) + 0.5, rng.random(len(sphere_3d)) + 0.5
+        assert fn._norm(mags, sphere_3d, 6.0, weight) == (
+            px.integrate_boundary(weight * mags ** 6.0, sphere_3d) ** (1.0 / 6.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fn._norm(10.0 * mags, sphere_3d, 800.0, weight)
+        assert got == pytest.approx(10.0 * fn._norm(mags, sphere_3d, 800.0, weight), rel=1e-13)
 
     def test_rejects_p_below_one(self, sphere_3d):
         one = px.BoundaryFunction(np.ones(len(sphere_3d)), sphere_3d)

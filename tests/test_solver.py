@@ -112,6 +112,18 @@ class TestNormalizeConstraint:
                                                       match="boundary values must be finite"):
             px.solver._candidate(v, problem_2d)
 
+    # p_crit = 800 at n = 3, a = -0.995: the power sum of a start above about 2
+    # leaves float64, and the norm takes functionals._norm's rescaled path
+    def test_normalizes_a_start_whose_power_sum_overflows(self):
+        params = px.ProblemParams(3, -0.995)
+        sphere = px.build_sphere_quadrature(params, 4)
+        ball = px.build_ball_quadrature(params, 18, 4)
+        weight = px.WeightFunction(np.full(len(sphere), 2.0), sphere, antipodal=True)
+        prob = make_problem(params, weight, params.p_crit, sphere, ball)
+        out = px.solver._candidate(np.full(len(sphere), 3.0), prob)
+        assert np.all(out == out[0])
+        assert out[0] == pytest.approx((2.0 * 4 * np.pi) ** (-1 / params.p_crit), rel=1e-13)
+
 
 class TestProblemValidation:
     def test_rejects_p_out_of_range(self, params_3d, sphere_3d, ball_3d, unit_weight_3d):
@@ -231,6 +243,30 @@ class TestFixedPointStep:
         assert len(calls) == 1 + px.solver.MAX_DAMPING_HALVINGS + 1
         _, _, rep = px.maximize_subcritical(prob, init)
         assert rep["step_failed"] and not rep["converged"] and rep["iterations"] == 0
+
+    # q_exp = 7999 at n = 2, a = 0.0005: the pairing's roundoff, about q_exp eps
+    # relative, passes 1e-12, and a slack of 1e-12 alone rejects every candidate
+    def test_step_accepts_a_drop_within_the_pairings_roundoff(self):
+        params = px.ProblemParams(2, 0.0005)
+        sphere = px.build_sphere_quadrature(params, 4)
+        ball = px.build_ball_quadrature(params, 18, 4)
+        weight = px.WeightFunction(np.ones(len(sphere)), sphere, antipodal=True)
+        prob = make_problem(params, weight, px.solver.default_schedule(params)[6], sphere, ball)
+        v, lam, rep = px.maximize_subcritical(prob, px.BoundaryFunction(np.ones(4), sphere))
+        assert rep["iterations"] >= 1 and px.solver.solved(rep)
+
+    # q_exp = 1999 at n = 3, a = -0.997: for this start (E v)^q_exp underflows at
+    # every node, so g = 0 and its functional reads 0
+    def test_step_takes_its_direction_from_a_rescaled_v_when_the_power_underflows(self):
+        params = px.ProblemParams(3, -0.997)
+        sphere = px.build_sphere_quadrature(params, 8)
+        ball = px.build_ball_quadrature(params, 18, 4)
+        weight = px.WeightFunction(np.ones(len(sphere)), sphere, antipodal=True)
+        prob = make_problem(params, weight, px.solver.default_p(params), sphere, ball)
+        start = px.solver.multistart_inits(sphere, 1, 0.5, 2)[1]
+        v, lam, rep = px.maximize_subcritical(prob, start)
+        assert rep["functional_history"][0] == 0.0
+        assert px.solver.solved(rep) and lam > 0.2
 
     def test_step_reuses_the_carried_extension(self, params_2d, sphere_2d, ball_2d,
                                                unit_weight_2d, rng, monkeypatch):
