@@ -2,7 +2,11 @@
 
 Every command reads one JSON configuration (strictly validated), writes a
 schema-versioned report.json plus CSV artifacts into the output directory,
-and returns a nonzero exit status on any failed check or solver failure.
+and returns its exit status: 0 when every check passed, 1 when a check or
+a solve failed, 2 for a configuration error (reported before anything is
+built, and no report is written), 3 for an internal error (an exception
+from the program itself; its traceback goes to stderr, after a line
+`internal error:`, and no report is written).
 The same configuration, seed and BLAS library produce byte-identical
 reports: summation orders are fixed, randomness is seeded, and no volatile
 fields (timestamps, host names) enter the outputs.  `solve`, `continue`
@@ -17,6 +21,7 @@ import itertools
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -56,12 +61,15 @@ def main(argv=None) -> int:
     try:
         config = _load(args)
         _make_output_dir(config.output_dir)
+        report, ok = COMMANDS[args.command][0](config)
+        _write_report(config, args.command, report)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    report, ok = COMMANDS[args.command][0](config)
-    _write_report(config, args.command, report)
+    except Exception:  # a defect of the program, not a failed check: exit 3, not 1
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     print(json.dumps({"command": args.command, "passed": ok,
                       "output_dir": config.output_dir}, sort_keys=True))
     return 0 if ok else 1

@@ -19,7 +19,11 @@ end of a).  Each step first tries Anderson mixing of depth ANDERSON_DEPTH
 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): from the last pairs
 (v_i, G(v_i)), with f = G(v) - v, gamma minimizes |f_k - dF gamma| over the
 differences dF of f and dX of v, and the mixed point is
-x = v_k - dX gamma + (f_k - dF gamma).
+x = v_k - dX gamma + (f_k - dF gamma) = G(v_k) - dG gamma.  gamma comes from
+a modified Gram-Schmidt QR of the (at most ANDERSON_DEPTH) rows of dF and
+back substitution (`_least_squares`); a row whose R diagonal falls below
+lstsq's default cutoff is dropped, so a rank-deficient history still gives a
+finite point, and the solve path calls no LAPACK routine.
 N(sym(x)) is kept only if x is positive and the functional does not drop
 (up to max(ASCENT_SLACK, q_exp eps) times it, the larger being the pairing's
 roundoff past q_exp = 4,500; lambda scales with K); otherwise the history
@@ -27,7 +31,8 @@ restarts and the plain step v+ = N(sym((1 - tau) v + tau w)) runs from
 tau = 1, halving tau until the functional does not drop.  The functional
 history is therefore nondecreasing.  Convergence is judged on the
 unmixed full-step residual |G(v) - v| / |v|, which neither halving nor
-mixing can shrink.
+mixing can shrink; a state whose residual is below `tol_v` is returned
+without a further candidate, so a converged solve certifies its own profile.
 Continuation lowers p along a schedule toward the critical exponent,
 warm-starting each stage from the previous one.  `maximize_multistart`
 keeps the best of several starts (`multistart_inits`); `solved` is the
@@ -173,10 +178,14 @@ def fixed_point_step(
 ) -> SolverState:
     """One Euler-Lagrange fixed-point step with ascent acceptance.
 
-    `history` (a deque of (v, G(v)) pairs, maxlen ANDERSON_DEPTH + 1, owned
-    by the caller) gets the step's pair; from two pairs on, the Anderson-mixed
-    point is tried first, and a rejected one leaves only the step's pair.  A
-    history of maxlen 1 never holds two, so it gives the plain step alone.
+    A state whose full-step residual |G(v) - v| / |v| is below the problem's
+    `tol_v` is returned as it is, with that residual and its g as `el_rhs`:
+    no candidate is evaluated, so the residual a solve stops on is that of
+    the profile it returns.  Otherwise `history` (a deque of (v, G(v))
+    pairs, maxlen ANDERSON_DEPTH + 1, owned by the caller) gets the step's
+    pair; from two pairs on, the Anderson-mixed point is tried first, and a
+    rejected one leaves only the step's pair.  A history of maxlen 1 never
+    holds two, so it gives the plain step alone.
     Where (E v)^q_exp underflows, g is 0 at some node (and the functional may
     read 0); w is then taken from g of v / max E v, which has its direction.
     """
@@ -191,13 +200,16 @@ def fixed_point_step(
     elif g.shape != v.shape:
         raise ValueError(f"the state's el_rhs has shape {g.shape}; T[(E v)^q_exp] on the "
                          f"sphere nodes has {v.shape}")
+    direction = g
     if not np.all(g > 0):
         # the largest power at this scale is 1 (q_exp runs into the thousands near a's low end)
-        g = problem.operator.power_adjoint(v / problem.operator.extend_table(v).max(),
-                                           problem.params.q_exp)
-    w = (g / problem.weight.values) ** (1.0 / (problem.p - 1.0))
+        direction = problem.operator.power_adjoint(v / problem.operator.extend_table(v).max(),
+                                                   problem.params.q_exp)
+    w = (direction / problem.weight.values) ** (1.0 / (problem.p - 1.0))
     full = _candidate(w, problem)
     residual = float(np.max(np.abs(full - v)) / np.max(np.abs(v)))
+    if residual < problem.tol_v:
+        return replace(state, residual=residual, el_rhs=g)
     history.append((v, full))
     if len(history) > 1:
         mixed = _anderson_point(history)
@@ -235,17 +247,58 @@ def _accepted(state, cand, problem, residual) -> SolverState | None:
 
 
 def _anderson_point(history: deque) -> np.ndarray:
-    """Mixed point G(v_k) - dG gamma of two or more (v, G(v)) pairs, newest last.
+    """Mixed point G(v_k) - gamma dG of two or more (v, G(v)) pairs, newest last.
 
-    gamma is the minimum-norm least-squares solution of dF gamma = f_k, so
-    the point equals v_k - dX gamma + (f_k - dF gamma).
+    gamma is a least-squares solution of dF^T gamma = f_k (`_least_squares`),
+    so the point equals v_k - gamma dX + (f_k - gamma dF).
     """
     xs = np.array([x for x, _ in history])
     gs = np.array([gx for _, gx in history])
     d_g = np.diff(gs, axis=0)
     d_f = d_g - np.diff(xs, axis=0)
-    gamma = np.linalg.lstsq(d_f.T, gs[-1] - xs[-1], rcond=None)[0]
-    return gs[-1] - gamma @ d_g
+    return gs[-1] - _least_squares(d_f, gs[-1] - xs[-1]) @ d_g
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.sum(x * y))
+
+
+def _least_squares(rows: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """gamma minimizing |f - gamma rows| over the k rows (k small, each of length N).
+
+    Modified Gram-Schmidt QR of the rows, newest (last) first, then back
+    substitution.  A row whose part orthogonal to the rows kept before it has
+    norm at most eps max(N, k) times the largest row norm (lstsq's default
+    cutoff, with that norm for the largest singular value) is dropped and gets
+    gamma 0: the QR with deletion of Walker & Ni, which drops the oldest
+    difference the newer ones span.  gamma is therefore finite on a
+    rank-deficient history.  The sums are numpy's own reductions, the same at
+    any BLAS thread count; no LAPACK routine runs.
+    """
+    k, n = rows.shape
+    cutoff = np.finfo(float).eps * max(n, k) * max(np.sqrt(_dot(x, x)) for x in rows)
+    basis, kept = [], []            # orthonormal q_i and the row each came from
+    r = np.zeros((k, k))            # R of the kept rows, in the order kept
+    for j in reversed(range(k)):
+        u, m = rows[j].copy(), len(basis)
+        for i, q in enumerate(basis):
+            r[i, m] = _dot(q, u)
+            u -= r[i, m] * q
+        r[m, m] = np.sqrt(_dot(u, u))
+        if r[m, m] > cutoff:
+            basis.append(u / r[m, m])
+            kept.append(j)
+    m = len(basis)
+    b, res = np.zeros(m), f.copy()
+    for i, q in enumerate(basis):
+        b[i] = _dot(q, res)
+        res -= b[i] * q
+    coef = np.zeros(m)
+    for i in reversed(range(m)):
+        coef[i] = (b[i] - _dot(r[i, i + 1:m], coef[i + 1:])) / r[i, i]
+    gamma = np.zeros(k)
+    gamma[kept] = coef
+    return gamma
 
 
 def maximize_subcritical(

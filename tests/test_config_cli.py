@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poissonext as px
+from poissonext import cli
 from poissonext import functionals as fn
 from poissonext.cli import _sample_interior_halfspace, main
 from poissonext.config import _KEYS, ConfigError, evaluate_weight, load_config, parse_config
@@ -322,6 +323,17 @@ class TestCliCommands:
             err = capsys.readouterr().err
             assert str(path) in err and message in err
         assert not (tmp_path / "out").exists()
+
+    def test_an_internal_error_exits_3_with_its_traceback(self, tmp_path, capsys, monkeypatch):
+        def raises(config):
+            raise RuntimeError("a defect in the command")
+
+        monkeypatch.setitem(cli.COMMANDS, "solve", (raises, cli.COMMANDS["solve"][1]))
+        assert main(["solve", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:\nTraceback")
+        assert err.endswith("RuntimeError: a defect in the command\n")
+        assert not (tmp_path / "report.json").exists()
 
     def test_uncreatable_output_dir_exits_2_before_computing(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -719,7 +731,8 @@ class TestEveryConfigurationEndsInAVerdict:
     @example(cfg={"params": {"n": 3, "a": -0.997}, "seed": 2, "quadrature": {
         "sphere_resolution": 8, "ball_angular_resolution": 4, "ball_radial_points": 18}})
     def test_every_command_exits_with_a_verdict(self, cfg):
-        # an exception fails the test: it would exit 1 without a report
+        # an internal error fails the code check: main catches the exception
+        # and exits 3, without a report
         with tempfile.TemporaryDirectory() as tmp:
             path = write_config(Path(tmp), cfg)
             for cmd in ("verify", "sharp", "solve", "continue", "diagnose"):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
@@ -245,15 +245,20 @@ class TestFixedPointStep:
         assert rep["step_failed"] and not rep["converged"] and rep["iterations"] == 0
 
     # q_exp = 7999 at n = 2, a = 0.0005: the pairing's roundoff, about q_exp eps
-    # relative, passes 1e-12, and a slack of 1e-12 alone rejects every candidate
+    # relative, passes 1e-12, and a slack of 1e-12 alone rejects every candidate.
+    # The constant start's residual is below the default tol_v, so a solve
+    # returns it unstepped; at tol_v = 0 the step evaluates its candidate
     def test_step_accepts_a_drop_within_the_pairings_roundoff(self):
         params = px.ProblemParams(2, 0.0005)
         sphere = px.build_sphere_quadrature(params, 4)
         ball = px.build_ball_quadrature(params, 18, 4)
         weight = px.WeightFunction(np.ones(len(sphere)), sphere, antipodal=True)
         prob = make_problem(params, weight, px.solver.default_schedule(params)[6], sphere, ball)
-        v, lam, rep = px.maximize_subcritical(prob, px.BoundaryFunction(np.ones(4), sphere))
-        assert rep["iterations"] >= 1 and px.solver.solved(rep)
+        start = px.BoundaryFunction(np.ones(4), sphere)
+        v, lam, rep = px.maximize_subcritical(prob, start)
+        assert px.solver.solved(rep)
+        out = plain_step(px.solver._prepare(prob, start), replace(prob, tol_v=0.0))
+        assert out.iteration == 1 and not out.step_failed
 
     # q_exp = 1999 at n = 3, a = -0.997: for this start (E v)^q_exp underflows at
     # every node, so g = 0 and its functional reads 0
@@ -464,6 +469,33 @@ class TestMaximizeSubcritical:
         assert [m for m in lengths if m > len(prob.sphere)] == [prob.ball.half]
         assert len(lengths) > 2 * rep["iterations"]
 
+    def test_solve_returns_the_iterate_whose_residual_passed(self, monkeypatch):
+        prob = weighted_problem(2)
+        op, calls = prob.operator, []
+        power_adjoint = op.power_adjoint
+        monkeypatch.setattr(op, "power_adjoint",
+                            lambda *args: calls.append(1) or power_adjoint(*args))
+        step, steps = px.solver.fixed_point_step, []
+
+        def recorded(state, problem, history):
+            before = len(calls)
+            out = step(state, problem, history)
+            steps.append((out.residual, len(calls) - before))
+            return out
+
+        monkeypatch.setattr(px.solver, "fixed_point_step", recorded)
+        init = px.BoundaryFunction(worker.seeded_profile(np, prob.sphere.nodes, 0), prob.sphere)
+        v, lam, rep = px.maximize_subcritical(prob, init)
+        assert px.solver.solved(rep) and rep["iterations"] == len(steps) - 1
+        # every step before the last evaluated a candidate; the last one measured
+        # the passing residual and ran no pass after it
+        assert all(res >= prob.tol_v and passes >= 1 for res, passes in steps[:-1])
+        assert steps[-1][0] < prob.tol_v and steps[-1][1] == 0
+        # which is the returned profile's own full-step residual
+        g = power_adjoint(v.values, prob.params.q_exp)
+        full = px.solver._candidate((g / prob.weight.values) ** (1.0 / (prob.p - 1.0)), prob)
+        assert np.max(np.abs(full - v.values)) / np.max(v.values) == steps[-1][0]
+
     def test_functional_history_nondecreasing(self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng):
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
         init = px.BoundaryFunction(np.exp(0.5 * rng.standard_normal(len(sphere_2d))), sphere_2d)
@@ -580,7 +612,83 @@ def weighted_problem(n, p_frac=0.25):
     return make_problem(params, weight, p, sphere, ball)
 
 
+def differences(history):
+    """G(v_k), the difference rows dG and dF, and f_k of a history, newest last."""
+    xs = np.array([x for x, _ in history])
+    gs = np.array([gx for _, gx in history])
+    d_g = np.diff(gs, axis=0)
+    return gs[-1], d_g, d_g - np.diff(xs, axis=0), gs[-1] - xs[-1]
+
+
+def lstsq_point(history):
+    """The mixed point with gamma from np.linalg.lstsq (the reference), and cond(dF)."""
+    g, d_g, d_f, f = differences(history)
+    return g - np.linalg.lstsq(d_f.T, f, rcond=None)[0] @ d_g, np.linalg.cond(d_f)
+
+
+def random_history(length, pairs, iterated, rate, bend, seed):
+    """(x, G(x)) pairs of sphere length, newest last: plain iterates of the
+    contraction G(x) = m x + c + bend sin x (|m| < rate), as a solve makes
+    them, or independent positive pairs."""
+    rng = np.random.default_rng(seed)
+    if not iterated:
+        return deque(zip(rng.uniform(0.5, 1.5, (pairs, length)),
+                         rng.uniform(0.5, 1.5, (pairs, length))))
+    m, c = rng.uniform(-rate, rate, length), rng.uniform(0.5, 1.5, length)
+    x, history = rng.uniform(0.5, 1.5, length), deque()
+    for _ in range(pairs):
+        history.append((x, m * x + c + bend * np.sin(x)))
+        x = history[-1][1]
+    return history
+
+
 class TestAndersonMixing:
+    # 32, 64 and 128 nodes: the n = 2 rules at S = 32 and 64, and n = 3 at S = 4 and 8
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.sampled_from([32, 64, 128]), pairs=st.integers(2, 6),
+           iterated=st.booleans(), rate=st.floats(0.05, 0.99), bend=st.floats(0.0, 0.3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_mixed_point_matches_lstsq(self, length, pairs, iterated, rate, bend, seed):
+        history = random_history(length, pairs, iterated, rate, bend, seed)
+        ref, cond = lstsq_point(history)
+        assume(cond <= 1e6)
+        point = px.solver._anderson_point(history)
+        assert np.max(np.abs(point - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @settings(max_examples=30, deadline=None)
+    @given(pairs=st.integers(2, 6), repeat=st.integers(0, 5), iterated=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_repeated_pair_gives_a_finite_point(self, pairs, repeat, iterated, seed):
+        history = random_history(64, pairs, iterated, 0.9, 0.1, seed)
+        repeated = deque(history)
+        repeated.append(history[min(repeat, pairs - 1)])
+        assert np.all(np.isfinite(px.solver._anderson_point(repeated)))
+        if repeat >= pairs - 1:
+            # the newest difference is zero: the drop rule gives it gamma 0 and
+            # the other rows the gamma of the history without it, bit for bit
+            _, _, d_f, f = differences(repeated)
+            gamma = px.solver._least_squares(d_f, f)
+            assert gamma[-1] == 0.0
+            assert np.array_equal(gamma[:-1], px.solver._least_squares(d_f[:-1], f))
+
+    def test_solve_and_continuation_call_no_linalg_routine(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a numpy.linalg routine ran in a solve")
+
+        for name in ("lstsq", "qr", "svd", "solve"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        for n in (2, 3):
+            prob = weighted_problem(n)
+            init = px.BoundaryFunction(worker.seeded_profile(np, prob.sphere.nodes, 4),
+                                       prob.sphere)
+            _, _, rep = px.maximize_subcritical(prob, init)
+            # from the second step on, each step mixes
+            assert px.solver.solved(rep) and rep["iterations"] > 2
+            schedule = px.solver.default_schedule(prob.params)[:3]
+            cont = px.solver.continuation(prob.weight, schedule, prob.params, prob.sphere,
+                                          prob.ball, init=init)
+            assert [s.solved for s in cont.stages] == [True] * len(schedule)
+
     @pytest.mark.parametrize("reject", ["descent", "nonpositive"])
     def test_rejected_mixed_point_restarts_with_the_plain_step(self, reject, monkeypatch):
         prob = weighted_problem(2)
