@@ -259,46 +259,36 @@ def _anderson_point(history: deque) -> np.ndarray:
     return gs[-1] - _least_squares(d_f, gs[-1] - xs[-1]) @ d_g
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sum(x * y))
-
-
 def _least_squares(rows: np.ndarray, f: np.ndarray) -> np.ndarray:
     """gamma minimizing |f - gamma rows| over the k rows (k small, each of length N).
 
-    Modified Gram-Schmidt QR of the rows, newest (last) first, then back
+    Modified Gram-Schmidt QR of the rows, newest (last) first, with f carried
+    as one more row so that its projections are Q^T f; then back
     substitution.  A row whose part orthogonal to the rows kept before it has
     norm at most eps max(N, k) times the largest row norm (lstsq's default
     cutoff, with that norm for the largest singular value) is dropped and gets
     gamma 0: the QR with deletion of Walker & Ni, which drops the oldest
     difference the newer ones span.  gamma is therefore finite on a
-    rank-deficient history.  The sums are numpy's own reductions, the same at
-    any BLAS thread count; no LAPACK routine runs.
+    rank-deficient history.  The sums over the N nodes are `np.einsum`'s own,
+    the same at any BLAS thread count; no LAPACK routine runs.
     """
     k, n = rows.shape
-    cutoff = np.finfo(float).eps * max(n, k) * max(np.sqrt(_dot(x, x)) for x in rows)
-    basis, kept = [], []            # orthonormal q_i and the row each came from
-    r = np.zeros((k, k))            # R of the kept rows, in the order kept
-    for j in reversed(range(k)):
-        u, m = rows[j].copy(), len(basis)
-        for i, q in enumerate(basis):
-            r[i, m] = _dot(q, u)
-            u -= r[i, m] * q
-        r[m, m] = np.sqrt(_dot(u, u))
-        if r[m, m] > cutoff:
-            basis.append(u / r[m, m])
-            kept.append(j)
-    m = len(basis)
-    b, res = np.zeros(m), f.copy()
-    for i, q in enumerate(basis):
-        b[i] = _dot(q, res)
-        res -= b[i] * q
-    coef = np.zeros(m)
-    for i in reversed(range(m)):
-        coef[i] = (b[i] - _dot(r[i, i + 1:m], coef[i + 1:])) / r[i, i]
-    gamma = np.zeros(k)
-    gamma[kept] = coef
-    return gamma
+    cutoff = np.finfo(float).eps * max(n, k) * np.sqrt(np.einsum("ij,ij->i", rows, rows).max())
+    a = np.vstack([rows[::-1], f])      # reduced in place, row by row, to Q and f - Q Q^T f
+    r = np.zeros((k, k + 1))            # R, and Q^T f in its last column
+    kept = []
+    for i in range(k):
+        r[i, i] = np.sqrt(np.einsum("j,j->", a[i], a[i]))
+        if r[i, i] <= cutoff:
+            continue
+        a[i] /= r[i, i]
+        r[i, i + 1:] = np.einsum("ij,j->i", a[i + 1:], a[i])
+        a[i + 1:] -= r[i, i + 1:, None] * a[i]
+        kept.append(i)
+    coef = np.zeros(k)                  # gamma in pivot order, 0 for a dropped row
+    for i in reversed(kept):
+        coef[i] = (r[i, k] - r[i, i + 1:k] @ coef[i + 1:]) / r[i, i]
+    return coef[::-1]
 
 
 def maximize_subcritical(
