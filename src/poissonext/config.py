@@ -299,6 +299,4 @@ def weight_extremes(spec: dict, params: ProblemParams) -> tuple[float, float]:
 
 def evaluate_weight(config: RunConfig, quad: SphereQuadrature) -> WeightFunction:
     fn = _weight_callable(config.weight_spec, config.params)
-    values = fn(quad.nodes)
-    values = 0.5 * (values + values[quad.antipode_index])  # exact antipodal parity
-    return WeightFunction(values, quad, antipodal=True)
+    return WeightFunction(quad.symmetrize(fn(quad.nodes)), quad, antipodal=True)

@@ -125,8 +125,7 @@ from .geometry import conformal_weight, mobius_f, stereographic
 from .halfspace import HalfspaceGrid
 from .kernels import ball_prefactor, kernel_ball, kernel_ball_sphere_mass, kernel_halfspace
 from .params import ProblemParams
-from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits, exact_sum_of_halves,
-                         integrate_boundary)
+from .quadrature import BallQuadrature, SphereQuadrature, exact_sum, integrate_boundary
 
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 120
@@ -329,10 +328,10 @@ class ExtensionOperator:
         # a row's target is the mass at its shell's radius.  The column target
         # is the exact ball sum of W mass over the sphere's area; a row's
         # nodes share its weight and radius, so that sum's terms are each
-        # row's term once per turn in each half
+        # row's term once per turn in each half, the upper half's sum doubled
         psi = np.repeat(mass[:self.ball.half:ang.half], len(rings) * self.residues)
         terms = np.repeat(self.row_weights * psi, self.gather_index.shape[1])
-        self._balance(orbit, psi, exact_sum_of_halves(terms) / self.sphere.weights.sum())
+        self._balance(orbit, psi, 2.0 * exact_sum(terms) / self.sphere.weights.sum())
 
     # -- upper-half class products (exact pair symmetry, see module docstring) --
 
@@ -439,10 +438,8 @@ class ExtensionOperator:
 
     def _gathered(self, v: np.ndarray, name: str) -> np.ndarray:
         """(w v)[gather_index] of an antipodal v; ValueError naming `name` if not."""
-        v, hs = _checked(v, (len(self.sphere),), f"{name} needs v of shape"), self.sphere.half
-        if not _same_bits(v[:hs], v[hs:]):
-            raise ValueError(f"{name} needs an antipodal v (its two halves differ in some "
-                             "bit); symmetrize first")
+        v = _checked(v, (len(self.sphere),), f"{name} needs v of shape")
+        self.sphere.check_antipodal(v, f"{name} needs an antipodal v")
         return (self.sphere.weights * v)[self.gather_index]
 
     def _scatter(self, t: np.ndarray) -> np.ndarray:
@@ -491,13 +488,14 @@ class ExtensionOperator:
         """Ball integral of E v (E v)^q, the bulk energy |E v|^(q + 1), of an antipodal v >= 0.
 
         (E v)^q is `_power_inplace`'s.  The exact sum runs on the upper half,
-        one ball weight per table row, taken twice (`exact_sum_of_halves`).
-        Raises ValueError as extend_table does.
+        one ball weight per table row, and is doubled: the full integrand's
+        `math.fsum` bit for bit while every term lies below 2^900 (the
+        `quadrature` module docstring).  Raises ValueError as extend_table does.
         """
         z = self._fold_product(self._gathered(v, "bulk_energy"), *self._folded)
         z *= _power_inplace(z.copy(), q)
         z *= self.row_weights[:, None]
-        return exact_sum_of_halves(z.ravel())
+        return 2.0 * exact_sum(z.ravel())
 
     # -- general pair: any input, through the class tables over all columns --
 

@@ -32,12 +32,19 @@ Integrals
     exactly and rounds once, so every integral is `math.fsum` of the
     products bit for bit and independent of the node order.  `exact_sum`
     gets that sum from a few vectorized passes of error-free extraction
-    (Rump, Ogita & Oishi 2008) instead of a Python loop over the terms;
-    up to 512 terms one `math.fsum` call is faster and runs instead.
-    `exact_sum_of_halves` serves `ExtensionOperator.bulk_energy` alone,
-    which holds only the upper half of an antipodal integrand: it sums that
-    half and doubles it, the full `math.fsum` bit for bit whenever every
-    term lies below 2^900 (the full sum runs otherwise).
+    (Rump, Ogita & Oishi 2008) instead of a Python loop over the terms, at
+    every length.  An antipodal integrand held as its upper half sums that
+    half and doubles it.  While every term lies below 2^900 this is the full
+    `math.fsum` bit for bit: no partial sum overflows, and doubling commutes
+    with the one rounding (an exact sum of floats is a multiple of 2^-1074,
+    and below 2^-1021 needs no rounding).  Past that it is the same bits, or
+    the correctly rounded total (inf past the largest float) where fsum of
+    the whole raises OverflowError.
+
+Antipodal profiles
+    `SphereQuadrature.symmetrize` is the antipodal average, whose two halves
+    hold the same bits, and `SphereQuadrature.check_antipodal` rejects a
+    profile whose halves differ in any bit.
 """
 
 from __future__ import annotations
@@ -54,11 +61,6 @@ RADIAL_NODES_PER_PANEL = 6
 # passes of exact_sum before the remainder goes to math.fsum; three suffice
 # for terms spanning about 2^-50 of the largest
 _EXACT_SUM_PASSES = 8
-# exact_sum hands at most this many terms to math.fsum at once: one fsum of
-# 512 terms took 17 us against 18 us for the vector passes, which cost about
-# the same at any length up to a few thousand (numpy 2.4, x86-64, one thread;
-# the two break even near 560 terms)
-_FSUM_MAX_TERMS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +127,15 @@ class SphereQuadrature:
         # kept after the first read: a solve step reads it about three times, and
         # one roll took 9-14 us (numpy 2.4, x86-64), 2 % of a 2.2 ms n = 3 step
         return np.roll(np.arange(len(self)), self.half)
+
+    def symmetrize(self, x: np.ndarray) -> np.ndarray:
+        """The antipodal average 0.5 (x + x at the antipodes); its two halves hold the same bits."""
+        return 0.5 * (x + x[self.antipode_index])
+
+    def check_antipodal(self, x: np.ndarray, prefix: str) -> None:
+        """ValueError, its message led by `prefix`, unless x's two halves hold the same bits."""
+        if not _same_bits(x[:self.half], x[self.half:]):
+            raise ValueError(f"{prefix} (its two halves differ in some bit); symmetrize first")
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,10 +312,7 @@ def exact_sum(terms: np.ndarray) -> float:
     once.  When the largest remainder is zero before any pass, non-finite or
     outside (2^-900, 2^900), or the passes run out, fsum adds the remainder
     itself, which keeps its signed zeros, inf/nan results and exceptions.
-    Up to _FSUM_MAX_TERMS terms, fsum of all of them is faster and runs alone.
     """
-    if len(terms) <= _FSUM_MAX_TERMS:
-        return math.fsum(terms.tolist())
     k = (len(terms) + 1).bit_length()
     partials = []
     for _ in range(_EXACT_SUM_PASSES):
@@ -320,22 +328,6 @@ def exact_sum(terms: np.ndarray) -> float:
         terms = np.subtract(terms, q, out=terms if partials else None)
         partials.append(q.sum())
     return math.fsum(partials + terms.tolist())
-
-
-def exact_sum_of_halves(half: np.ndarray) -> float:
-    """`exact_sum` of the terms `half` followed by `half` again, bit for bit.
-
-    `ExtensionOperator.bulk_energy` sums an antipodal integrand this way.
-    When every term lies below 2^900 in magnitude this is twice the sum of
-    `half`: no partial sum of either fsum overflows, and doubling commutes
-    with the one rounding, since an exact sum of floats is a multiple of
-    2^-1074 and below 2^-1021 needs no rounding at all.  Otherwise
-    (non-finite or huge terms, whose halves fsum may add without the
-    overflow it raises on the whole) the full terms are summed.
-    """
-    if len(half) and max(half.max(), -half.min()) < 2.0 ** 900:
-        return 2.0 * exact_sum(half)
-    return exact_sum(np.concatenate([half, half]))
 
 
 def write_csv(path, nodes: np.ndarray, values: np.ndarray) -> None:

@@ -63,8 +63,8 @@ from .functionals import WeightFunction, _norm, lambda_threshold
 from .operators import BoundaryFunction, ExtensionOperator, build_extension_operator
 from .params import ProblemParams
 # integrate_ball is not called here; perfbench/tracer.py wraps it under this name
-from .quadrature import (BallQuadrature, SphereQuadrature, _same_bits,  # noqa: F401
-                         integrate_ball, integrate_boundary)
+from .quadrature import (BallQuadrature, SphereQuadrature, integrate_ball,  # noqa: F401
+                         integrate_boundary)
 
 MAX_DAMPING_HALVINGS = 20
 # relative: a candidate may lower the functional by this fraction of it,
@@ -163,7 +163,7 @@ def _candidate(values: np.ndarray, problem: SubcriticalProblem) -> np.ndarray:
     antipodal), |x|_{K,p} = (integral K |x|^p)^{1/p} by `_norm`, rescaled only
     when the sum overflows.  ValueError when the norm is 0 or the result is
     not finite (as it is when x is not: the norm is then inf or nan)."""
-    x = 0.5 * (values + values[problem.sphere.antipode_index])
+    x = problem.sphere.symmetrize(values)
     norm = _norm(np.abs(x), problem.sphere, problem.p, problem.weight.values)
     if norm <= 0:
         raise ValueError("cannot normalize the zero function")
@@ -190,10 +190,7 @@ def fixed_point_step(
     read 0); w is then taken from g of v / max E v, which has its direction.
     """
     v = state.v.values
-    hs = problem.sphere.half
-    if not _same_bits(v[:hs], v[hs:]):
-        raise ValueError("the state's v is not antipodal (its two halves differ in some bit); "
-                         "symmetrize first")
+    problem.sphere.check_antipodal(v, "the state's v is not antipodal")
     g = state.el_rhs
     if g is None:
         g = problem.operator.power_adjoint(v, problem.params.q_exp)
@@ -451,14 +448,15 @@ class ContinuationReport:
 def default_schedule(params: ProblemParams, floor: float = 1e-3) -> list[float]:
     """Geometric approach of p from midway between the critical exponents
     toward p_crit + floor, halving the excess; at most 17 stages."""
-    out = []
+    out, last = [], params.p_crit + floor
     excess = 0.5 * (params.p_crit + params.p_bulk) - params.p_crit
     for _ in range(16):
-        if excess <= floor:
+        # compared as exponents: an excess just above the floor can round to the last p
+        if params.p_crit + excess <= last:
             break
         out.append(params.p_crit + excess)
         excess *= 0.5
-    out.append(params.p_crit + floor)
+    out.append(last)
     return out
 
 

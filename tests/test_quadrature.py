@@ -4,6 +4,7 @@ import re
 import struct
 import types
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +14,8 @@ from scipy import special
 from scipy.integrate import quad
 
 import poissonext as px
-from poissonext.quadrature import (_FSUM_MAX_TERMS, RADIAL_NODES_PER_PANEL,
-                                   exact_sum, exact_sum_of_halves, gauss_legendre, panel_rule,
-                                   write_csv)
+from poissonext.quadrature import (RADIAL_NODES_PER_PANEL, exact_sum, gauss_legendre,
+                                   panel_rule, write_csv)
 
 
 class TestSphereQuadrature:
@@ -91,6 +91,29 @@ class TestSphereQuadrature:
         with pytest.raises(ValueError, match="sum to the surface area"):
             px.SphereQuadrature(3, 8)
         px.SphereQuadrature(2, 8)   # the circle rule uses no Gauss-Legendre weights
+
+    @given(half=st.lists(st.floats(-2.0 ** 1022, 2.0 ** 1022), min_size=2, max_size=2))
+    @example(half=[0.0, -0.0])
+    @example(half=[5e-324, -2.0 ** 1022])
+    def test_symmetrize_keeps_equal_halves_bit_for_bit(self, half):
+        sphere = px.SphereQuadrature(2, 8)
+        x = np.tile(np.resize(np.array(half), sphere.half), 2)
+        assert sphere.symmetrize(x).tobytes() == x.tobytes()
+        sphere.check_antipodal(x, "unused")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_symmetrize_is_the_antipodal_average(self, n, rng):
+        sphere = px.SphereQuadrature(n, 8)
+        size = len(sphere)
+        for x in (rng.normal(size=size),
+                  np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-1074, 1023, size))):
+            sym = sphere.symmetrize(x)
+            assert sym.tobytes() == (0.5 * (x + x[sphere.antipode_index])).tobytes()
+            assert sym[:sphere.half].tobytes() == sym[sphere.half:].tobytes()
+            sphere.check_antipodal(sym, "unused")
+            with pytest.raises(ValueError, match=r"^x is odd \(its two halves differ in some "
+                                                 r"bit\); symmetrize first$"):
+                sphere.check_antipodal(x, "x is odd")
 
     def test_circle_harmonics_exact(self, params_2d):
         # degree <= resolution/2 integrates to zero within 1e-10
@@ -328,9 +351,8 @@ def adversarial_terms(draw):
     if kind == "floats":
         return np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                       max_size=60)), dtype=float)
-    # short, long and next to exact_sum's fsum cut-off on either side
-    size = draw(st.one_of(st.integers(0, 40), st.integers(0, 10_000),
-                          st.integers(_FSUM_MAX_TERMS - 8, _FSUM_MAX_TERMS + 8)))
+    # short and long
+    size = draw(st.one_of(st.integers(0, 40), st.integers(0, 10_000)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     signs = rng.choice([-1.0, 1.0], size)
     scale = math.ldexp(1.0, draw(st.integers(-300, 300)))
@@ -381,6 +403,14 @@ class TestExactSum:
     """`exact_sum` returns `math.fsum` bit for bit, signed zeros and exceptions included."""
 
     @given(terms=adversarial_terms())
+    @example(terms=np.array([]))
+    @example(terms=np.array([-0.0]))
+    @example(terms=np.array([0.0, -0.0]))
+    @example(terms=np.array([np.inf]))
+    @example(terms=np.array([np.nan]))
+    @example(terms=np.array([5e-324]))
+    @example(terms=np.array([1e308, 1e308]))      # fsum raises: the total overflows
+    @example(terms=np.array([1.0, 1e-300, -1.0]))
     @settings(deadline=None)
     def test_equals_fsum_bitwise(self, terms):
         assert _fsum_outcome(exact_sum, terms) == _fsum_outcome(
@@ -394,45 +424,24 @@ class TestExactSum:
         assert _fsum_outcome(exact_sum, doubled) == _fsum_outcome(
             lambda t: math.fsum(t.tolist()), doubled)
 
-    @pytest.mark.parametrize("length", [_FSUM_MAX_TERMS - 1, _FSUM_MAX_TERMS,
-                                        _FSUM_MAX_TERMS + 1, 2 * _FSUM_MAX_TERMS])
-    def test_fsum_runs_alone_up_to_the_cut_off(self, length, monkeypatch):
-        # up to the cut-off one fsum gets every term; past it the vector
-        # passes leave fsum their few partial sums
-        rng = np.random.default_rng(length)
-        lengths = []
-
-        def fsum(items):
-            lengths.append(len(items))
-            return math.fsum(items)
-
-        monkeypatch.setattr(px.quadrature, "math", type(math)("math"))
-        vars(px.quadrature.math).update(fsum=fsum, frexp=math.frexp, ldexp=math.ldexp)
-        for terms in (rng.uniform(0.5, 1.5, length),
-                      np.ldexp(rng.uniform(-1.0, 1.0, length), rng.integers(-60, 60, length))):
-            lengths.clear()
-            assert struct.pack("<d", exact_sum(terms)) == struct.pack(
-                "<d", math.fsum(terms.tolist()))
-            assert (lengths == [length]) == (length <= _FSUM_MAX_TERMS), lengths
-
-    def test_equal_halves_run_the_full_passes(self, monkeypatch):
-        # only the solver sums halves; exact_sum has one path
-        def forbidden(half):
-            raise AssertionError("exact_sum summed half of its terms")
-
-        monkeypatch.setattr("poissonext.quadrature.exact_sum_of_halves", forbidden)
-        terms = np.tile(np.random.default_rng(3).uniform(-1.0, 1.0, 64) ** 3, 2)
-        assert _fsum_outcome(exact_sum, terms) == _fsum_outcome(
-            lambda t: math.fsum(t.tolist()), terms)
-
     @given(terms=adversarial_terms())
-    @example(terms=np.array([1.5e308, -1e308]))
+    @example(terms=np.array([1.5e308, -1e308]))   # fsum of both halves raises; 1e308
+    @example(terms=np.array([1e308]))             # the doubled total overflows: inf
     @settings(deadline=None)
-    def test_sum_of_halves_is_the_fsum_of_both(self, terms):
-        doubled = np.concatenate([terms, terms])
-        assert _fsum_outcome(exact_sum_of_halves, terms) == _fsum_outcome(
-            lambda t: math.fsum(np.concatenate([t, t]).tolist()), terms)
-        assert _fsum_outcome(exact_sum_of_halves, terms) == _fsum_outcome(exact_sum, doubled)
+    def test_doubled_half_is_the_fsum_of_both(self, terms):
+        # an antipodal integrand held as its upper half is summed this way
+        doubled = _fsum_outcome(lambda t: 2.0 * exact_sum(t), terms)
+        both = _fsum_outcome(lambda t: math.fsum(np.concatenate([t, t]).tolist()), terms)
+        if doubled != both:
+            # fsum of both halves overflowed on the way; the doubled half is
+            # the correctly rounded total, and inf past the largest float
+            assert both[0] is OverflowError and np.all(np.isfinite(terms)), (doubled, both)
+            total = 2 * sum(map(Fraction, terms.tolist()))
+            try:
+                expected = float(total)
+            except OverflowError:
+                expected = math.inf if total > 0 else -math.inf
+            assert doubled == struct.pack("<d", expected)
 
     @pytest.mark.parametrize("profile", ["positive", "cancel"])
     def test_ball_integral_of_122880_terms(self, params_2d, profile):

@@ -307,10 +307,13 @@ class TestFixedPointStep:
                                                              sphere_2d))
         v = state.v.values.copy()
         v[-1] = np.nextafter(v[-1], np.inf)     # one bit off in the lower half
-        bad = replace(state, v=px.BoundaryFunction(v, sphere_2d),
-                      el_rhs=state.el_rhs if carried else None)
-        with pytest.raises(ValueError, match="not antipodal.*symmetrize first"):
-            plain_step(bad, prob)
+        signed = state.v.values.copy()
+        signed[[0, sphere_2d.half]] = 0.0, -0.0     # equal under ==, not in their sign bits
+        for values in (v, signed):
+            bad = replace(state, v=px.BoundaryFunction(values, sphere_2d),
+                          el_rhs=state.el_rhs if carried else None)
+            with pytest.raises(ValueError, match="not antipodal.*symmetrize first"):
+                plain_step(bad, prob)
 
     def test_step_rejects_an_el_rhs_of_another_shape(
             self, params_2d, sphere_2d, ball_2d, unit_weight_2d, rng):
@@ -462,7 +465,8 @@ class TestMaximizeSubcritical:
             lengths.append(len(terms))
             return exact_sum(terms)
 
-        monkeypatch.setattr(px.quadrature, "exact_sum", counted)
+        for module in (px.quadrature, px.operators):
+            monkeypatch.setattr(module, "exact_sum", counted)
         init = px.BoundaryFunction(worker.seeded_profile(np, prob.sphere.nodes, 2), prob.sphere)
         _, _, rep = px.maximize_subcritical(prob, init)
         assert rep["iterations"] == max_iter or rep["converged"]
@@ -924,3 +928,11 @@ class TestContinuation:
         assert sched[0] == 6.0
         assert sched[-1] == pytest.approx(4.001)
         assert all(b < a for a, b in zip(sched, sched[1:]))
+
+    def test_default_schedule_decreases_where_the_first_excess_rounds_to_the_floor(self):
+        # half the exponent gap exceeds the floor of half the gap by rounding
+        # alone, and both round to the same p
+        params = px.ProblemParams(2, 0.04531583637600818)
+        floor = 0.5 * (params.p_bulk - params.p_crit)
+        assert 0.5 * (params.p_crit + params.p_bulk) - params.p_crit > floor
+        assert px.default_schedule(params, floor=floor) == [params.p_crit + floor]
