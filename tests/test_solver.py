@@ -330,7 +330,7 @@ class TestFixedPointStep:
 
     @given(half=hnp.arrays(float, 32, elements=st.floats(0.0, 1.5)),
            top=st.integers(-600, 990))
-    @example(half=np.linspace(0.5, 1.5, 32), top=960)   # terms past 2^900: the full sum runs
+    @example(half=np.linspace(0.5, 1.5, 32), top=960)   # terms past 2^900
     @settings(deadline=None)
     def test_bulk_energy_is_the_fsum_of_the_full_integrand(self, half, top):
         prob = weighted_problem(2)
