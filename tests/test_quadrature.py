@@ -14,8 +14,8 @@ from scipy import special
 from scipy.integrate import quad
 
 import poissonext as px
-from poissonext.quadrature import (RADIAL_NODES_PER_PANEL, exact_sum, gauss_legendre,
-                                   panel_rule, write_csv)
+from poissonext.quadrature import (_EXACT_SUM_PASSES, RADIAL_NODES_PER_PANEL, exact_sum,
+                                   gauss_legendre, panel_rule, write_csv)
 
 
 class TestSphereQuadrature:
@@ -424,11 +424,42 @@ class TestExactSum:
         assert _fsum_outcome(exact_sum, doubled) == _fsum_outcome(
             lambda t: math.fsum(t.tolist()), doubled)
 
+    @staticmethod
+    def _record_fsum(monkeypatch):
+        # the number of items each fsum call inside exact_sum receives
+        lengths = []
+
+        def fsum(items):
+            lengths.append(len(items))
+            return math.fsum(items)
+
+        monkeypatch.setattr(px.quadrature, "math", type(math)("math"))
+        vars(px.quadrature.math).update(fsum=fsum, frexp=math.frexp, ldexp=math.ldexp)
+        return lengths
+
+    @pytest.mark.parametrize("length", [8, 511, 512, 513, 1024])
+    def test_passes_run_at_every_length(self, length, monkeypatch):
+        # no length takes one fsum of every term: terms in [0.5, 1.5) are
+        # exact after two vector passes, and fsum rounds their two sums
+        lengths = self._record_fsum(monkeypatch)
+        terms = np.random.default_rng(length).uniform(0.5, 1.5, length)
+        assert struct.pack("<d", exact_sum(terms)) == struct.pack(
+            "<d", math.fsum(terms.tolist()))
+        assert lengths == [2], lengths
+
+    def test_equal_halves_run_the_full_passes(self, monkeypatch):
+        # equal halves take no path of their own; fsum gets only the pass sums
+        lengths = self._record_fsum(monkeypatch)
+        terms = np.tile(np.random.default_rng(3).uniform(-1.0, 1.0, 64) ** 3, 2)
+        total = exact_sum(terms)
+        assert len(lengths) == 1 and lengths[0] <= _EXACT_SUM_PASSES, lengths
+        assert struct.pack("<d", total) == struct.pack("<d", math.fsum(terms.tolist()))
+
     @given(terms=adversarial_terms())
     @example(terms=np.array([1.5e308, -1e308]))   # fsum of both halves raises; 1e308
     @example(terms=np.array([1e308]))             # the doubled total overflows: inf
     @settings(deadline=None)
-    def test_doubled_half_is_the_fsum_of_both(self, terms):
+    def test_sum_of_halves_is_the_fsum_of_both(self, terms):
         # an antipodal integrand held as its upper half is summed this way
         doubled = _fsum_outcome(lambda t: 2.0 * exact_sum(t), terms)
         both = _fsum_outcome(lambda t: math.fsum(np.concatenate([t, t]).tolist()), terms)
