@@ -76,15 +76,14 @@ def main(argv=None) -> int:
 
 
 def _load(args) -> RunConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = parse_config({})
+    config = load_config(args.config) if args.config else parse_config({})
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
         config.seed = args.seed
-    if args.out:
+    if args.out is not None:
+        if not args.out:
+            raise ConfigError("--out: expected a nonempty directory name")
         config.output_dir = args.out
     # the configuration bounds the radial points of every rule but sharp's refined one
     if args.command == "sharp":
@@ -317,15 +316,14 @@ def cmd_solve(config: RunConfig):
 
 
 def _lambda_bound(problem: slv.SubcriticalProblem, sharp: float, p: float) -> float:
-    """Upper bound Lambda_p on lambda at exponent p > p_crit, with S = `sharp`:
+    """Upper bound Lambda_p on lambda at exponent p >= p_crit, with S = `sharp`:
 
         S^{p_bulk} |S^{n-1}|^{(1/p_crit - 1/p) p_bulk} (min K)^{-p_bulk/p},
 
-    by the sharp inequality and Hoelder's, with |S^{n-1}| the sum of the
-    sphere weights.  The constant attains it when K is constant.
+    by the sharp inequality and Hoelder's, with |S^{n-1}| the sphere rule's exact
+    `area`; `continue` calls it down to p_crit.  The constant attains it at constant K.
     """
-    params = problem.params
-    area = integrate_boundary(np.ones(len(problem.sphere)), problem.sphere)
+    params, area = problem.params, problem.sphere.area
     return (sharp ** params.p_bulk * area ** ((1.0 / params.p_crit - 1.0 / p) * params.p_bulk)
             * problem.weight.min ** (-params.p_bulk / p))
 

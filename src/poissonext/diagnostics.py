@@ -133,5 +133,5 @@ def concentration_report(v: BoundaryFunction) -> dict:
         "sup_inf_ratio": sup / inf if inf > 0 else np.inf,
         "max_location": [float(c) for c in v.quad.nodes[jmax]],
         "half_mass_radius": half_mass_radius(v),
-        "mean": integrate_boundary(vals, v.quad) / v.quad.weights.sum(),
+        "mean": integrate_boundary(vals, v.quad) / v.quad.area,
     }

@@ -95,10 +95,9 @@ def sharp_constant_from_constant_test_function(
     params: ProblemParams,
 ) -> float:
     """Ratio of norms of the extension of v = 1 (the claimed extremizer)."""
-    one = BoundaryFunction(np.ones(len(sphere)), sphere)
     op = build_extension_operator(sphere, ball, params)
-    num = op.bulk_energy(one.values, params.q_exp) ** (1.0 / params.p_bulk)
-    return num / boundary_norm(one, params.p_crit)
+    num = op.bulk_energy(np.ones(len(sphere)), params.q_exp) ** (1.0 / params.p_bulk)
+    return num / sphere.area ** (1.0 / params.p_crit)
 
 
 def sharp_constant_by_maximization(

@@ -106,7 +106,7 @@ gets the same bits of e.  The scalings are then multiplied into the
 tables once, so the products apply no scaling.  d is kept as `row_scale`
 and e as `col_scale`, one value per sphere node, column i's at nodes i
 and i + N/2.  The row targets are the mass at each shell's radius and the
-column target the exact ball sum of the mass over the sphere's area, so
+column target the exact ball sum of the mass over the sphere's `area`, so
 the operator holds no ball-length array.  The scalings are ~1 away from
 the boundary layer (interior accuracy is untouched) and the balanced
 operator reproduces constants on both sides to near machine precision.
@@ -331,7 +331,7 @@ class ExtensionOperator:
         # row's term once per turn in each half, the upper half's sum doubled
         psi = np.repeat(mass[:self.ball.half:ang.half], len(rings) * self.residues)
         terms = np.repeat(self.row_weights * psi, self.gather_index.shape[1])
-        self._balance(orbit, psi, 2.0 * exact_sum(terms) / self.sphere.weights.sum())
+        self._balance(orbit, psi, 2.0 * exact_sum(terms) / self.sphere.area)
 
     # -- upper-half class products (exact pair symmetry, see module docstring) --
 

@@ -39,7 +39,8 @@ Integrals
     with the one rounding (an exact sum of floats is a multiple of 2^-1074,
     and below 2^-1021 needs no rounding).  Past that it is the same bits, or
     the correctly rounded total (inf past the largest float) where fsum of
-    the whole raises OverflowError.
+    the whole raises OverflowError.  `SphereQuadrature.area` is the exact
+    sum of a rule's weights, the one |S^{n-1}| every caller divides by.
 
 Antipodal profiles
     `SphereQuadrature.symmetrize` is the antipodal average, whose two halves
@@ -76,6 +77,7 @@ class SphereQuadrature:
     The second half of the nodes is the first half's exact negation, on the
     mirror rings turned by half a revolution, so the antipode is the half
     shift i -> i + N/2, and a node's weight depends on its ring alone.
+    `area`, the exact sum of the weights, is the rule's one |S^{n-1}|.
     Raises ValueError unless `resolution` is even and at least 4.
     """
 
@@ -84,6 +86,7 @@ class SphereQuadrature:
     nodes: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     layout: tuple = field(init=False, repr=False)
+    area: float = field(init=False)
 
     def __post_init__(self) -> None:
         n, res = self.n, self.resolution
@@ -111,8 +114,8 @@ class SphereQuadrature:
         object.__setattr__(self, "nodes", np.concatenate([upper, -upper]))
         object.__setattr__(self, "weights", np.tile(wup, 2))
         object.__setattr__(self, "layout", (cos, idx // naz, az, naz))
-        area = surface_area(n)
-        if abs(self.weights.sum() - area) > 1e-10 * area:
+        object.__setattr__(self, "area", exact_sum(self.weights))
+        if abs(self.area - surface_area(n)) > 1e-10 * surface_area(n):
             raise ValueError("sphere weights do not sum to the surface area")
 
     def __len__(self) -> int:

@@ -475,10 +475,10 @@ def continuation(
     """Solve the stages of a decreasing-p schedule with warm starts.
 
     Every stage is one problem at the stage's p.  Flags a blow-up symptom
-    when sup v over its L^p mean, (integral v^p / |S|)^(1/p), grows by more
-    than `blow_up_factor` between consecutive stages.  Stage failure aborts
-    with the partial report.  `sharp`, the sharp constant S, gives the
-    report its `lambda_threshold`.
+    when sup v over its L^p mean, (integral v^p / |S|)^(1/p) with |S| the
+    rule's exact `area`, grows by more than `blow_up_factor` between
+    consecutive stages.  Stage failure aborts with the partial report.
+    `sharp`, the sharp constant S, gives the report its `lambda_threshold`.
     """
     if len(schedule) == 0:
         raise ValueError("empty schedule")
@@ -509,7 +509,7 @@ def continuation(
         )
         # sup v over its L^p mean: 1 for a constant, and unchanged under K -> c K,
         # which scales v by c^(-1/p) with a p that changes from stage to stage
-        mean = _norm(v.values, sphere, p) / sphere.weights.sum() ** (1.0 / p)
+        mean = _norm(v.values, sphere, p) / sphere.area ** (1.0 / p)
         peaks.append(stages[-1].sup_v / mean)
         if len(peaks) >= 2 and peaks[-1] > blow_up_factor * peaks[-2]:
             blow_up = True

@@ -324,6 +324,13 @@ class TestCliCommands:
             assert str(path) in err and message in err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an explicit --out "" is an error, not the configured ./out
+        monkeypatch.chdir(tmp_path)
+        assert main(["diagnose", "--out", ""]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_an_internal_error_exits_3_with_its_traceback(self, tmp_path, capsys, monkeypatch):
         def raises(config):
             raise RuntimeError("a defect in the command")

@@ -115,6 +115,13 @@ class TestConcentrationReport:
         # the cap holding half the measure of the sphere is a hemisphere
         assert rep["half_mass_radius"] == pytest.approx(np.pi / 2, abs=0.2)
 
+    @pytest.mark.parametrize("n, resolution", [(2, 128), (3, 16)])
+    def test_mean_of_one_is_exactly_one(self, n, resolution):
+        # both sums of the mean are exact, where the pairwise area read 1 - 3e-16
+        sphere = px.SphereQuadrature(n, resolution)
+        rep = px.concentration_report(px.BoundaryFunction(np.ones(len(sphere)), sphere))
+        assert rep["mean"] == 1.0
+
     def test_spike_profile(self, sphere_2d):
         v = np.full(len(sphere_2d), 1e-9)
         v[7] = 1.0

@@ -174,6 +174,19 @@ class TestSharpConstant:
         s1 = px.sharp_constant(params_3d, "formula_a0")
         assert abs(s2 - s1) < 1e-4
 
+    @pytest.mark.parametrize("n, a, resolution", [(2, 0.5, 128), (3, 0.0, 16)])
+    def test_constant_test_function_is_its_two_norms(self, n, a, resolution):
+        # |S|^(1/p_crit) from the rule's area has the bits of boundary_norm(1)
+        params = px.ProblemParams(n, a)
+        sphere = px.SphereQuadrature(n, resolution)
+        ball = px.build_ball_quadrature(params, 24, resolution)
+        one = px.BoundaryFunction(np.ones(len(sphere)), sphere)
+        energy = px.build_extension_operator(sphere, ball, params).bulk_energy(one.values,
+                                                                               params.q_exp)
+        expected = energy ** (1.0 / params.p_bulk) / fn.boundary_norm(one, params.p_crit)
+        got = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
+        assert got.hex() == expected.hex()
+
     def test_norm_identity_at_a0(self, sphere_3d, ball_3d, params_3d):
         # the same statement as the constant test function, written as the
         # bulk integral identity S^6 (4 pi)^{3/2} = 4 pi / 3

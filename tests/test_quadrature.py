@@ -34,6 +34,14 @@ class TestSphereQuadrature:
         q = px.build_sphere_quadrature(params_3d, resolution)
         assert px.integrate_boundary(np.ones(len(q)), q) == pytest.approx(4 * np.pi, abs=1e-12)
 
+    @pytest.mark.parametrize("n, resolution", [(2, s) for s in (32, 64, 128, 256, 512, 1024)]
+                             + [(3, s) for s in (8, 12, 16, 20, 24, 32, 48)])
+    def test_area_is_the_exact_sum_of_the_weights(self, n, resolution):
+        # the library's one |S^{n-1}|; the pairwise weights.sum() misses it
+        # by an ulp at n = 2, S >= 128 and at n = 3, S = 12 and 16
+        sphere = px.SphereQuadrature(n, resolution)
+        assert sphere.area.hex() == math.fsum(sphere.weights.tolist()).hex()
+
     def test_first_coordinate_integrates_to_zero(self, sphere_2d, sphere_3d):
         for q in (sphere_2d, sphere_3d):
             assert abs(px.integrate_boundary(q.nodes[:, 0], q)) < 1e-12

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Run every CLI command in two source trees and print `diff -r` of their outputs.
+# Run every CLI command in two source trees and print `diff -r` of their outputs,
+# then, where they differ, what moved (tools/report_moves.py).
 #
 #     tools/compare_outputs.sh BASE_TREE HEAD_TREE OUT_DIR [CONFIG ...]
 #
@@ -10,13 +11,15 @@
 # two examples run.  Every command writes OUT_DIR/{base,head}/<config>-<command>/:
 # report.json with its output_dir masked, the profiles and stages.csv, and
 # `exit` with the exit code.  Exits 0 when the two output trees are
-# identical and 1 when they differ.
+# identical and 1 when they differ; then report_moves.py prints every moved
+# float of each report.json, old -> new, and every other change apart.
 set -uo pipefail
 
 if [ $# -lt 3 ]; then
-  sed -n '2,13p' "$0" >&2
+  sed -n '2,15p' "$0" >&2
   exit 2
 fi
+tools=$(cd "$(dirname "$0")" && pwd)
 base=$(cd "$1" && pwd) head=$(cd "$2" && pwd)
 mkdir -p "$3" && out=$(cd "$3" && pwd)
 shift 3
@@ -45,5 +48,6 @@ if diff -r "$out/base" "$out/head"; then
   echo "outputs identical: $(ls "$out/head" | wc -l) runs"
 else
   echo "outputs differ"
+  python3 "$tools/report_moves.py" "$out/base" "$out/head"
   exit 1
 fi
