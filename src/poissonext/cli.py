@@ -29,7 +29,8 @@ from . import diagnostics as diag
 from . import functionals as fn
 from . import operators as ops
 from . import solver as slv
-from .config import ConfigError, RunConfig, evaluate_weight, load_config, parse_config, weight_extremes
+from .config import (ConfigError, RunConfig, check_key, evaluate_weight, load_config, parse_config,
+                     weight_extremes)
 from .geometry import conformal_weight, mobius_f_inverse
 from .halfspace import build_halfspace_grid
 from .kernels import kernel_ball_sphere_mass, kernel_halfspace, normalization_constant
@@ -76,15 +77,14 @@ def main(argv=None) -> int:
 
 
 def _load(args) -> RunConfig:
-    config = load_config(args.config) if args.config else parse_config({})
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
-        config.seed = args.seed
-    if args.out is not None:
-        if not args.out:
-            raise ConfigError("--out: expected a nonempty directory name")
-        config.output_dir = args.out
+    if args.config == "":
+        raise ConfigError("--config must be a path to a JSON file, got ''")
+    config = load_config(args.config) if args.config is not None else parse_config({})
+    # a flag overrides its configuration key and meets the key's requirement
+    for flag, key, value in (("--seed", "seed", args.seed), ("--out", "output_dir", args.out)):
+        if value is not None:
+            check_key(key, value, flag)
+            setattr(config, key, value)
     # the configuration bounds the radial points of every rule but sharp's refined one
     if args.command == "sharp":
         try:
@@ -321,7 +321,7 @@ def _lambda_bound(problem: slv.SubcriticalProblem, sharp: float, p: float) -> fl
         S^{p_bulk} |S^{n-1}|^{(1/p_crit - 1/p) p_bulk} (min K)^{-p_bulk/p},
 
     by the sharp inequality and Hoelder's, with |S^{n-1}| the sphere rule's exact
-    `area`; `continue` calls it down to p_crit.  The constant attains it at constant K.
+    `area`; `solve` and `continue` both admit p_crit.  The constant attains it at constant K.
     """
     params, area = problem.params, problem.sphere.area
     return (sharp ** params.p_bulk * area ** ((1.0 / params.p_crit - 1.0 / p) * params.p_bulk)

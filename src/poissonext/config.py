@@ -5,7 +5,9 @@ fails loudly instead of silently running with defaults.  The weight is
 specified as a truncated series (constant, cosine series on the circle,
 zonal Legendre series on the two-sphere) so antipodal symmetry is a parity
 check on the frequencies and positivity can be certified on a fine grid
-with an explicit margin.
+with an explicit margin.  The solver owns the exponent range: each exponent
+list a command may hand it must pass `solver.check_exponents`, whose
+ValueError becomes a ConfigError naming the key.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from numpy.polynomial import legendre
 from .functionals import WeightFunction
 from .params import ProblemParams
 from .quadrature import SphereQuadrature, graded_radial_rule
+from .solver import check_exponents, default_schedule
 
 _SCHEMA_VERSION = 1
 # weight positivity is certified on this many sample points; a series term
@@ -68,7 +71,8 @@ _KEYS = {
     "quadrature.ball_radial_points": (96, lambda x: _is_int(x) and x >= 18, "an integer >= 18"),
     "quadrature.ball_angular_resolution": (None, *_EVEN_RESOLUTION),
     "solver.p": (None, _is_real, "a number"),
-    "solver.schedule": (None, None, None),
+    "solver.schedule": (None, lambda x: isinstance(x, list) and bool(x) and all(map(_is_real, x)),
+                        "a nonempty list of numbers"),
     "solver.epsilon_floor": (1e-3, *_POSITIVE),
     "solver.tol_v": (1e-9, *_POSITIVE),
     "solver.max_iter": (5000, lambda x: _is_int(x) and x >= 1, "a positive integer"),
@@ -86,10 +90,11 @@ def _defaults(section: str) -> dict:
             if path.startswith(prefix)}
 
 
-def _check(path: str, value) -> None:
+def check_key(path: str, value, name: str | None = None) -> None:
+    """ConfigError unless value meets path's `_KEYS` entry, named `name` (a flag) or path."""
     default, ok, requirement = _KEYS[path]
     if ok and not (value is None and default is None or ok(value)):
-        raise ConfigError(f"{path} must be {requirement}, got {value!r}")
+        raise ConfigError(f"{name or path} must be {requirement}, got {value!r}")
 
 
 @dataclass
@@ -127,7 +132,7 @@ def _merge_strict(section: str, user: dict) -> dict:
         raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
     out.update(user)
     for key, value in out.items():
-        _check(f"{section}.{key}", value)
+        check_key(f"{section}.{key}", value)
     return out
 
 
@@ -167,34 +172,23 @@ def parse_config(data: dict) -> RunConfig:
         )
 
     sdata = _merge_strict("solver", data.get("solver", {}))
-    if sdata["p"] is not None and not params.p_crit < sdata["p"] < params.p_bulk:
-        raise ConfigError(f"solver.p must lie in (p_crit, p_bulk) = "
-                          f"({params.p_crit}, {params.p_bulk}), got {sdata['p']!r}")
-    if not sdata["epsilon_floor"] < params.p_bulk - params.p_crit:
-        raise ConfigError("solver.epsilon_floor must be below p_bulk - p_crit")
+    # the exponent lists a command may hand the solver, each judged by its owner
+    derived = {"p": None if sdata["p"] is None else [sdata["p"]],
+               "epsilon_floor": default_schedule(params, sdata["epsilon_floor"]),
+               "schedule": sdata["schedule"]}
+    for key, ps in derived.items():
+        try:
+            if ps is not None:
+                check_exponents(params, ps)
+        except ValueError as exc:
+            raise ConfigError(f"solver.{key}: {exc}") from exc
     if sdata["schedule"] is not None:
-        sched = sdata["schedule"]
-        if not (isinstance(sched, list) and sched and all(_is_real(p) for p in sched)):
-            raise ConfigError("solver.schedule must be a nonempty list of numbers")
-        sched = [float(p) for p in sched]
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ConfigError("solver.schedule must be strictly decreasing")
-        if not params.p_crit <= sched[-1] <= sched[0] < params.p_bulk:
-            raise ConfigError("solver.schedule must stay inside [p_crit, p_bulk)")
-        sdata["schedule"] = sched
+        sdata["schedule"] = [float(p) for p in sdata["schedule"]]
 
-    output_dir = data.get("output_dir", _KEYS["output_dir"][0])
-    seed = data.get("seed", _KEYS["seed"][0])
-    _check("output_dir", output_dir)
-    _check("seed", seed)
-    return RunConfig(
-        params=params,
-        weight_spec=wdata,
-        quadrature=qdata,
-        solver=sdata,
-        output_dir=output_dir,
-        seed=seed,
-    )
+    top = {key: data.get(key, _KEYS[key][0]) for key in ("output_dir", "seed")}
+    for key, value in top.items():
+        check_key(key, value)
+    return RunConfig(params=params, weight_spec=wdata, quadrature=qdata, solver=sdata, **top)
 
 
 def load_config(path: str) -> RunConfig:

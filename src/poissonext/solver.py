@@ -79,7 +79,7 @@ EL_RESIDUAL_TOL = 1e-3
 
 @dataclass
 class SubcriticalProblem:
-    """One constrained maximization: weight, exponent, quadratures, knobs."""
+    """One constrained maximization: weight, exponent p in [p_crit, p_bulk), quadratures, knobs."""
 
     params: ProblemParams
     weight: WeightFunction
@@ -95,10 +95,23 @@ class SubcriticalProblem:
             raise ValueError("the solver requires an antipodally symmetric weight")
         if self.weight.quad is not self.sphere:
             raise ValueError("weight must live on the problem's sphere quadrature")
-        p_lo, p_hi = self.params.p_crit, self.params.p_bulk
-        if not p_lo <= self.p < p_hi:
-            raise ValueError(f"p must lie in [{p_lo}, {p_hi}), got {self.p}")
+        check_exponents(self.params, [self.p])
         self.operator = _operator_for(self.operator, self.params, self.sphere, self.ball)
+
+
+def check_exponents(params: ProblemParams, ps) -> list[float]:
+    """ps as floats; ValueError unless nonempty, strictly decreasing and in
+    [p_crit, p_bulk) once rounded.  The one owner of the exponent range:
+    problems, continuations and the configuration's solver keys ask it."""
+    ps = [float(p) for p in ps]
+    if not ps:
+        raise ValueError("empty schedule")
+    if any(b >= a for a, b in zip(ps, ps[1:])):
+        raise ValueError("schedule must be strictly decreasing")
+    for p in (ps[0], ps[-1]):
+        if not params.p_crit <= p < params.p_bulk:
+            raise ValueError(f"p must lie in [{params.p_crit}, {params.p_bulk}), got {p}")
+    return ps
 
 
 def _operator_for(op, params, sphere, ball) -> ExtensionOperator:
@@ -474,18 +487,14 @@ def continuation(
 ) -> ContinuationReport:
     """Solve the stages of a decreasing-p schedule with warm starts.
 
+    The schedule must pass `check_exponents`, so its last p may be p_crit.
     Every stage is one problem at the stage's p.  Flags a blow-up symptom
     when sup v over its L^p mean, (integral v^p / |S|)^(1/p) with |S| the
     rule's exact `area`, grows by more than `blow_up_factor` between
     consecutive stages.  Stage failure aborts with the partial report.
     `sharp`, the sharp constant S, gives the report its `lambda_threshold`.
     """
-    if len(schedule) == 0:
-        raise ValueError("empty schedule")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly decreasing")
-    if schedule[0] >= params.p_bulk or schedule[-1] < params.p_crit:
-        raise ValueError("schedule must stay inside [p_crit, p_bulk)")
+    check_exponents(params, schedule)
     v = BoundaryFunction(np.ones(len(sphere)), sphere) if init is None else init
     problem = SubcriticalProblem(params=params, weight=weight, p=schedule[0], sphere=sphere,
                                  ball=ball, tol_v=tol_v, max_iter=max_iter)

@@ -17,6 +17,7 @@ from poissonext import cli
 from poissonext import functionals as fn
 from poissonext.cli import _sample_interior_halfspace, main
 from poissonext.config import _KEYS, ConfigError, evaluate_weight, load_config, parse_config
+from poissonext.solver import check_exponents
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -102,6 +103,30 @@ def accepted_configs(draw):
             "solver": solver, "seed": draw(st.integers(0, 2**31 - 1))}
 
 
+@st.composite
+def exponent_configs(draw):
+    """n, a and the solver's exponent keys, at and beside both ends of [p_crit, p_bulk).
+
+    epsilon_floor is drawn from (0, p_bulk - p_crit].  Parsing a draw builds
+    no quadrature rule, so the test stays cheap.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    a = 2 - n + (n - 1) * draw(st.floats(0.01, 0.99))
+    params = px.ProblemParams(n, a)
+    lo, hi = params.p_crit, params.p_bulk
+    width = hi - lo
+    exponent = (st.sampled_from([lo, hi, float(np.nextafter(lo, 0.0)), float(np.nextafter(hi, 0.0))])
+                | st.floats(lo, hi))
+    solver = draw(st.fixed_dictionaries({}, optional={
+        "p": exponent,
+        "schedule": st.lists(exponent, min_size=1, max_size=3).map(
+            lambda ps: sorted(ps, reverse=True)),
+        "epsilon_floor": (st.sampled_from([width, float(np.nextafter(width, 0.0))])
+                          | st.floats(0.0, width, exclude_min=True)),
+    }))
+    return {"params": {"n": n, "a": a}, "solver": solver}
+
+
 def read_report(out):
     return json.loads(Path(out, "report.json").read_text())
 
@@ -185,6 +210,36 @@ class TestConfigParsing:
             parse_config(cfg)
         except ConfigError:
             pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=exponent_configs())
+    # the float just below p_bulk - p_crit: p_crit + floor rounds to p_bulk
+    @example(cfg={"params": {"n": 2, "a": 0.5},
+                  "solver": {"epsilon_floor": float(np.nextafter(4.0, 0.0))}})
+    def test_admits_exactly_the_exponent_lists_the_solver_admits(self, cfg):
+        params = px.ProblemParams(**cfg["params"])
+        solver = cfg["solver"]
+        floor = solver.get("epsilon_floor", _KEYS["solver.epsilon_floor"][0])
+        derived = [px.default_schedule(params, floor)]
+        if "p" in solver:
+            derived.append([solver["p"]])
+        if "schedule" in solver:
+            derived.append(solver["schedule"])
+
+        def admitted(ps):
+            try:
+                check_exponents(params, ps)
+            except ValueError:
+                return False
+            return True
+
+        # the floor's schedule ends at p_crit + floor, its one p that can leave the range
+        assert admitted(derived[0]) == (params.p_crit + floor < params.p_bulk)
+        if all(map(admitted, derived)):
+            parse_config(cfg)
+        else:
+            with pytest.raises(ConfigError, match=r"^solver\.(p|schedule|epsilon_floor): "):
+                parse_config(cfg)
 
     def test_weight_evaluation_on_quadrature(self):
         cfg = parse_config({
@@ -330,6 +385,34 @@ class TestCliCommands:
         assert main(["diagnose", "--out", ""]) == 2
         assert "--out" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_config_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an explicit --config "" is an error, not the default configuration
+        monkeypatch.chdir(tmp_path)
+        assert main(["diagnose", "--config", ""]) == 2
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_continue_at_the_floor_edge_exits_2(self, tmp_path, capsys, monkeypatch):
+        # epsilon_floor just below p_bulk - p_crit: the last stage, p_crit + floor,
+        # rounds to p_bulk, which the solver rejects; the configuration must too
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, {"params": {"n": 2, "a": 0.5},
+                                       "solver": {"epsilon_floor": float(np.nextafter(4.0, 0.0))}})
+        assert main(["continue", "--config", path]) == 2
+        assert "solver.epsilon_floor" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_solve_admits_p_crit(self, tmp_path):
+        # a continue schedule may end at p_crit, and so may a single solve
+        out = str(tmp_path / "out")
+        path = write_config(tmp_path, {
+            "params": {"n": 2, "a": 0.5},
+            "quadrature": {"sphere_resolution": 8, "ball_angular_resolution": 8,
+                           "ball_radial_points": 18},
+            "solver": {"p": px.ProblemParams(2, 0.5).p_crit}, "output_dir": out})
+        assert main(["solve", "--config", path]) in (0, 1)
+        assert read_report(out)["report"]["p"] == 4.0
 
     def test_an_internal_error_exits_3_with_its_traceback(self, tmp_path, capsys, monkeypatch):
         def raises(config):
