@@ -255,21 +255,19 @@ def cmd_sharp(config: RunConfig):
     if params.a == 0.0 and params.n == 3:
         rows.append(("formula_a0", fn.sharp_constant_formula_a0(params), None, 0.0))
 
-    # both run on the configured rules' operator before the refined one
-    # replaces it in the one-entry operator cache
-    coarse = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
     smax, smax_solved = fn.sharp_constant_by_maximization(
         sphere, ball, params, starts=max(2, config.solver["multistart"]), seed=config.seed,
         max_iter=config.solver["max_iter"], tol_v=config.solver["tol_v"]
     )
-    # the balanced operator reproduces the constant's extension exactly at
-    # any sphere resolution, so the discretization error of this method is
-    # purely radial; refine only the ball rule for the Richardson pair
+    # the constant's extension is the sphere mass on each shell, so this
+    # method's error is purely radial: its Richardson pair is a 1-D sum on
+    # the configured shells and on a refined radial rule, with no operator
     ball2 = build_ball_quadrature(
         params, SHARP_RADIAL_REFINEMENT * config.quadrature["ball_radial_points"],
         config.quadrature["ball_angular_resolution"]
     )
-    fine = fn.sharp_constant_from_constant_test_function(sphere, ball2, params)
+    coarse, fine = (fn.sharp_constant_from_constant_test_function(sphere, b, params)
+                    for b in (ball, ball2))
     sconst, err = fn.richardson_estimate(coarse, fine)
     resolution = config.quadrature["sphere_resolution"]
     rows += [("constant_test_function", sconst, resolution, err),

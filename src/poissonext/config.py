@@ -13,7 +13,7 @@ ValueError becomes a ConfigError naming the key.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +51,8 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    # nan, inf and a JSON integer past the largest float fail, without raising
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 _EVEN_RESOLUTION = (lambda x: _is_int(x) and x >= 4 and x % 2 == 0, "an even integer >= 4")
@@ -199,6 +200,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    except ValueError as exc:   # an integer past Python's digit limit for int from text
+        raise ConfigError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     return parse_config(data)
@@ -212,7 +215,7 @@ def _validate_weight_spec(spec: dict, params: ProblemParams) -> None:
             raise ConfigError(f"weight: unknown key(s) {sorted(unknown)}")
         value = spec.get("value", 1.0)
         if not (_is_real(value) and _WEIGHT_RANGE[0] <= value <= _WEIGHT_RANGE[1]):
-            raise ConfigError(f"weight: constant must be a number in {list(_WEIGHT_RANGE)}")
+            raise ConfigError(f"weight: value must be a number in {list(_WEIGHT_RANGE)}")
         return
     if kind == "cosine_series":
         if params.n != 2:

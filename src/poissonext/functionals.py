@@ -1,4 +1,4 @@
-"""Norms, sharp constants, and thresholds."""
+"""Norms, sharp constants, and thresholds; that of v = 1 is a 1-D sum, on no operator."""
 
 from __future__ import annotations
 
@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BoundaryFunction, build_extension_operator
+from .kernels import kernel_ball_sphere_mass
+from .operators import BoundaryFunction
 from .params import ProblemParams
 # integrate_ball is not called here; perfbench/tracer.py wraps it under this name
 from .quadrature import (BallQuadrature, SphereQuadrature, ball_volume,  # noqa: F401
-                         integrate_ball, integrate_boundary)
+                         exact_sum, integrate_ball, integrate_boundary)
 
 
 @dataclass(eq=False)
@@ -94,10 +95,13 @@ def sharp_constant_from_constant_test_function(
     ball: BallQuadrature,
     params: ProblemParams,
 ) -> float:
-    """Ratio of norms of the extension of v = 1 (the claimed extremizer)."""
-    op = build_extension_operator(sphere, ball, params)
-    num = op.bulk_energy(np.ones(len(sphere)), params.q_exp) ** (1.0 / params.p_bulk)
-    return num / sphere.area ** (1.0 / params.p_crit)
+    """Ratio of norms of the extension of v = 1 (the claimed extremizer), built on no operator.
+
+    E 1 is the sphere mass m(r) on each shell, the balanced operator's row targets.
+    """
+    mass = kernel_ball_sphere_mass(ball.shell_radii, params)
+    energy = ball.angular.area * exact_sum(ball.shell_weights * mass ** params.p_bulk)
+    return energy ** (1.0 / params.p_bulk) / sphere.area ** (1.0 / params.p_crit)
 
 
 def sharp_constant_by_maximization(

@@ -263,17 +263,19 @@ def graded_radial_rule(radial_points: int) -> tuple[np.ndarray, np.ndarray]:
     P = max(2, round(radial_points / 6)) panels of 6 points, with the bounds
     0, 1/2, 3/4, ..., 1 - 2^(1-P) and 1.  Raises ValueError below 8 points,
     and when the outermost node rounds to 1 in float64, from 304 points on:
-    the rule would put nodes on the sphere.
+    the rule would put nodes on the sphere.  That is decided on the last
+    panel alone, before the rule is built, at any count.
     """
     if radial_points < 8:
         raise ValueError(f"radial_points must be at least 8, got {radial_points}")
     q = RADIAL_NODES_PER_PANEL
-    panels = max(2, round(radial_points / q))
-    r, wr = panel_rule([0.0] + [1.0 - 0.5 ** k for k in range(1, panels)] + [1.0], q)
-    if r[-1] >= 1.0:
+    # round(radial_points / q), half to even, in integers: no float overflow
+    whole, rest = divmod(radial_points, q)
+    panels = max(2, whole + (2 * rest > q or 2 * rest == q and whole % 2 == 1))
+    if panel_rule([1.0 - math.ldexp(1.0, 1 - panels), 1.0], q)[0][-1] >= 1.0:
         raise ValueError(f"{radial_points} radial points put the graded rule's outermost node "
                          "on the sphere in float64")
-    return r, wr
+    return panel_rule([0.0] + [1.0 - math.ldexp(1.0, -k) for k in range(1, panels)] + [1.0], q)
 
 
 def build_ball_quadrature(params: ProblemParams, radial_points: int,

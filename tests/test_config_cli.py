@@ -2,9 +2,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +129,23 @@ def exponent_configs(draw):
     return {"params": {"n": n, "a": a}, "solver": solver}
 
 
+# each real-valued key: a configuration with a value x there, and the key's name in errors
+REAL_KEYS = {
+    "params.a": (lambda x: {"params": {"a": x}}, "params.a"),
+    "solver.p": (lambda x: {"solver": {"p": x}}, "solver.p"),
+    "solver.schedule": (lambda x: {"solver": {"schedule": [x]}}, "solver.schedule"),
+    "solver.epsilon_floor": (lambda x: {"solver": {"epsilon_floor": x}}, "solver.epsilon_floor"),
+    "solver.tol_v": (lambda x: {"solver": {"tol_v": x}}, "solver.tol_v"),
+    "solver.blow_up_factor": (lambda x: {"solver": {"blow_up_factor": x}},
+                              "solver.blow_up_factor"),
+    "weight.value": (lambda x: {"weight": {"kind": "constant", "value": x}}, "weight: value"),
+    "weight.coefficients": (lambda x: {"params": {"n": 2, "a": 0.5}, "weight": {
+        "kind": "cosine_series", "coefficients": {"0": x}}}, "weight: coefficient '0'"),
+}
+# the largest float is about 1.7977e308; an integer from here on has no float64 value
+PAST_FLOAT_RANGE = 18 * 10**307
+
+
 def read_report(out):
     return json.loads(Path(out, "report.json").read_text())
 
@@ -211,6 +230,15 @@ class TestConfigParsing:
         except ConfigError:
             pass
 
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.sampled_from(sorted(REAL_KEYS)),
+           value=st.integers(PAST_FLOAT_RANGE, 10**1000) | st.integers(-10**1000,
+                                                                        -PAST_FLOAT_RANGE))
+    def test_integers_past_the_float_range_are_config_errors(self, key, value):
+        config, name = REAL_KEYS[key]
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)}"):
+            parse_config(config(value))
+
     @settings(max_examples=200, deadline=None)
     @given(cfg=exponent_configs())
     # the float just below p_bulk - p_crit: p_crit + floor rounds to p_bulk
@@ -279,8 +307,8 @@ class TestCliCommands:
         assert main(["verify", "--config", path]) == 0
 
     def test_no_command_builds_an_operator_twice(self, tmp_path, monkeypatch):
-        # the operator cache keeps one entry, so sharp maximizes on the
-        # configured rules before it builds the refined-radial operator
+        # sharp builds the configured rules' operator for its maximization
+        # alone: the constant test function is a 1-D sum on any radial rule
         built = []
         init = px.ExtensionOperator.__post_init__
 
@@ -298,7 +326,7 @@ class TestCliCommands:
             assert main([cmd, "--config", write_config(tmp_path, cfg)]) == 0
             builds[cmd] = list(built)
         # the half-scale re-solve of solve and continue runs at 18 radial points
-        assert builds == {"verify": [24], "sharp": [24, 48], "solve": [24, 18],
+        assert builds == {"verify": [24], "sharp": [24], "solve": [24, 18],
                           "continue": [24, 18], "diagnose": []}
 
     def test_diagnose_builds_no_ball_rule(self, tmp_path, monkeypatch):
@@ -368,6 +396,29 @@ class TestCliCommands:
         assert "unrecognized arguments: --resolution-scale" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", sorted(REAL_KEYS))
+    def test_a_401_digit_integer_at_a_real_key_exits_2(self, key, tmp_path, capsys,
+                                                       monkeypatch):
+        # math.isfinite raised OverflowError on it: exit 3 with a traceback
+        monkeypatch.chdir(tmp_path)
+        config, name = REAL_KEYS[key]
+        for value in (10**400, -10**400):
+            assert main(["diagnose", "--config", write_config(tmp_path, config(value))]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: {name}") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_an_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        # json refuses an integer of more than 4,300 digits with a bare ValueError
+        # where Python limits int from text (3.10.7 on); an older one reads it,
+        # and params.a rejects it
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "long.json"
+        path.write_text('{"params": {"a": 1' + "0" * 5000 + "}}")
+        assert main(["diagnose", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         latin1 = tmp_path / "latin1.json"
@@ -434,6 +485,26 @@ class TestCliCommands:
             path = write_config(tmp_path, {"output_dir": str(blocker / cmd)})
             assert main([cmd, "--config", path]) == 2
             assert str(blocker / cmd) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["solve", "sharp"])
+    def test_radial_counts_of_any_size_are_rejected_before_the_rule_is_built(
+            self, cmd, tmp_path, capsys):
+        # 10^400 overflowed a float division, and 10^9 would fill tens of GB
+        # before the float64 limit rejected it; 10^7 (about 220 MiB when the rule
+        # was built first) runs first, so a regression fails before it costs more
+        for radial in (10**7, 10**9, 10**400):
+            cfg = {"quadrature": {"ball_radial_points": radial}, "output_dir": str(tmp_path)}
+            path = write_config(tmp_path, cfg)
+            tracemalloc.start()
+            try:
+                code = main([cmd, "--config", path])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2
+            assert "quadrature.ball_radial_points" in capsys.readouterr().err
+            assert peak < 2**20
+        assert not os.path.exists(tmp_path / "report.json")
 
     def test_radial_points_past_the_float64_limit_exit_2(self, tmp_path, capsys):
         # sharp builds twice the configured radial points, so it rejects
@@ -640,6 +711,13 @@ class TestCliCommands:
         entries = report["report"]["entries"]
         assert any(e["est_error"] is not None for e in entries)
         assert any(e["resolution"] is not None for e in entries)
+
+    def test_sharp_constant_row_is_the_closed_form_at_a0(self, tmp_path):
+        # n = 3, a = 0: the constant test function's shell sum is the closed form
+        out = str(tmp_path / "out")
+        assert main(["sharp", "--config", write_config(tmp_path, tiny_3d_config(out))]) == 0
+        value = {e["method"]: e["value"] for e in read_report(out)["report"]["entries"]}
+        assert value["constant_test_function"] == pytest.approx(value["formula_a0"], rel=1e-14)
 
     @pytest.mark.parametrize("config, methods", [
         (tiny_3d_config, ["formula_a0", "constant_test_function", "numerical_maximization"]),

@@ -6,6 +6,13 @@ import pytest
 
 import poissonext as px
 from poissonext import functionals as fn
+from poissonext.quadrature import exact_sum
+
+
+def constant_energy(ball, params):
+    """|E 1|^p_bulk over the ball as a 1-D sum: E 1 is the sphere mass on each shell."""
+    mass = px.kernel_ball_sphere_mass(ball.shell_radii, params)
+    return ball.angular.area * exact_sum(ball.shell_weights * mass ** params.p_bulk)
 
 
 @pytest.fixture()
@@ -181,11 +188,40 @@ class TestSharpConstant:
         sphere = px.SphereQuadrature(n, resolution)
         ball = px.build_ball_quadrature(params, 24, resolution)
         one = px.BoundaryFunction(np.ones(len(sphere)), sphere)
-        energy = px.build_extension_operator(sphere, ball, params).bulk_energy(one.values,
-                                                                               params.q_exp)
-        expected = energy ** (1.0 / params.p_bulk) / fn.boundary_norm(one, params.p_crit)
+        expected = (constant_energy(ball, params) ** (1.0 / params.p_bulk)
+                    / fn.boundary_norm(one, params.p_crit))
         got = fn.sharp_constant_from_constant_test_function(sphere, ball, params)
         assert got.hex() == expected.hex()
+
+    @pytest.mark.parametrize("n, a, resolution, radial", [
+        (2, 0.01, 64, 24), (2, 0.5, 128, 24), (2, 0.95, 512, 24),
+        (3, -0.99, 16, 24), (3, -0.5, 20, 24), (3, 0.0, 16, 36), (3, 0.5, 16, 24),
+        (3, 0.95, 20, 24)])
+    def test_operator_bulk_energy_of_the_constant_is_the_shell_sum(self, n, a, resolution,
+                                                                   radial):
+        # the balanced rows meet the sphere mass, so E 1 = m(r) on every shell;
+        # a change to the rows that breaks this moves the sharp constant off the
+        # operator's.  The norms are compared: the energies' relative gap is
+        # p_bulk times theirs, the row sums' roundoff raised to the power p_bulk
+        # (8.6e-13 at a = -0.99, p_bulk = 600, where the norms differ by 1.3e-15)
+        params = px.ProblemParams(n, a)
+        sphere = px.SphereQuadrature(n, resolution)
+        ball = px.build_ball_quadrature(params, radial, 2 * resolution if n == 2 else resolution)
+        op = px.build_extension_operator(sphere, ball, params)
+        energy = op.bulk_energy(np.ones(len(sphere)), params.q_exp)
+        root = 1.0 / params.p_bulk
+        assert energy ** root == pytest.approx(constant_energy(ball, params) ** root, rel=1e-13)
+
+    def test_constant_test_function_builds_no_operator(self, params_3d, monkeypatch):
+        def refuse(op):
+            raise AssertionError("an operator was built")
+
+        monkeypatch.setattr(px.ExtensionOperator, "__post_init__", refuse)
+        # rules of its own, so no cached operator stands in for a build
+        sphere = px.SphereQuadrature(3, 8)
+        ball = px.build_ball_quadrature(params_3d, 18, 8)
+        s = fn.sharp_constant_from_constant_test_function(sphere, ball, params_3d)
+        assert s == pytest.approx(px.sharp_constant(params_3d, "formula_a0"), rel=1e-6)
 
     def test_norm_identity_at_a0(self, sphere_3d, ball_3d, params_3d):
         # the same statement as the constant test function, written as the

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 import poissonext as px
 from poissonext.quadrature import (_EXACT_SUM_PASSES, RADIAL_NODES_PER_PANEL, exact_sum,
-                                   gauss_legendre, panel_rule, write_csv)
+                                   gauss_legendre, graded_radial_rule, panel_rule, write_csv)
 
 
 class TestSphereQuadrature:
@@ -271,6 +271,15 @@ class TestBallQuadrature:
         panels = round(304 / q)
         nodes, _ = panel_rule([1.0 - 0.5 ** (panels - 1), 1.0], q)
         assert nodes[-1] == 1.0
+
+    def test_radial_panels_are_the_rounded_count_and_any_larger_count_raises(self):
+        # the panel count is round(count / 6), half to even, taken in integers
+        q = RADIAL_NODES_PER_PANEL
+        for count in range(8, 304):
+            assert len(graded_radial_rule(count)[0]) == q * max(2, round(count / q))
+        for count in (304, 10**9, 10**400):
+            with pytest.raises(ValueError, match="outermost node on the sphere in float64"):
+                graded_radial_rule(count)
 
 
 class TestGaussLegendre:
