@@ -2,11 +2,12 @@
 
 Every command reads one JSON configuration (strictly validated), writes a
 schema-versioned report.json plus CSV artifacts into the output directory,
-and returns its exit status: 0 when every check passed, 1 when a check or
-a solve failed, 2 for a configuration error (reported before anything is
-built, and no report is written), 3 for an internal error (an exception
-from the program itself; its traceback goes to stderr, after a line
-`internal error:`, and no report is written).
+and returns its exit status: 0 when every row of the report's `checks`
+passed, 1 when one failed (the stdout line names them), 2 for a
+configuration error (reported before anything is built, and no report is
+written), 3 for an internal error (an exception from the program itself;
+its traceback goes to stderr, after a line `internal error:`, and no
+report is written).
 The same configuration, seed and BLAS library produce byte-identical
 reports: summation orders are fixed, randomness is seeded, and no volatile
 fields (timestamps, host names) enter the outputs.  `solve`, `continue`
@@ -38,9 +39,6 @@ from .quadrature import (build_ball_quadrature, build_sphere_quadrature, graded_
                          integrate_ball, integrate_boundary, write_csv)
 
 REPORT_SCHEMA_VERSION = 1
-# a solve passes only with lambda <= Lambda_p (1 + this), the slack verify
-# gives its sharp inequality ratio and sharp its maximized constant
-LAMBDA_BOUND_SLACK = 1e-3
 # `sharp` refines its Richardson pair on a ball rule with this many times
 # the configured radial points
 SHARP_RADIAL_REFINEMENT = 2
@@ -62,7 +60,7 @@ def main(argv=None) -> int:
     try:
         config = _load(args)
         _make_output_dir(config.output_dir)
-        report, ok = COMMANDS[args.command][0](config)
+        report = COMMANDS[args.command][0](config)
         _write_report(config, args.command, report)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -71,9 +69,10 @@ def main(argv=None) -> int:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return 3
-    print(json.dumps({"command": args.command, "passed": ok,
+    failed = [row["check"] for row in report["checks"] if not row["passed"]]
+    print(json.dumps({"command": args.command, "passed": not failed, "failed": failed,
                       "output_dir": config.output_dir}, sort_keys=True))
-    return 0 if ok else 1
+    return 1 if failed else 0
 
 
 def _load(args) -> RunConfig:
@@ -142,11 +141,9 @@ def _problem(config: RunConfig, p: float, scale: float = 1.0) -> slv.Subcritical
         ball=ball, tol_v=config.solver["tol_v"], max_iter=config.solver["max_iter"])
 
 
-def _check(checks: list, name, value, tol, passed=None) -> bool:
-    """Append one check row; it passes when value <= tol unless `passed` is given."""
-    ok = bool(value <= tol) if passed is None else bool(passed)
-    checks.append({"check": name, "value": float(value), "tolerance": tol, "passed": ok})
-    return ok
+def _check(checks: list, *args, **kwargs) -> None:
+    """Append the row `solver.check_row(*args, **kwargs)` to checks."""
+    checks.append(slv.check_row(*args, **kwargs))
 
 
 # ----------------------------------------------------------------- verify
@@ -179,11 +176,10 @@ def cmd_verify(config: RunConfig):
     rhs = integrate_boundary(v * op.adjoint_values(f), sphere)
     _check(checks, "duality", abs(lhs - rhs) / abs(lhs), 1e-10)
     vpos = rng.random(len(sphere))
-    _check(checks, "positivity", 0.0, 0.0, passed=bool(np.all(op.extend_values(vpos) > 0)))
+    _check(checks, "positivity", passed=bool(np.all(op.extend_values(vpos) > 0)))
     flipped = op.extend_values(v[sphere.antipode_index])
     straight = ev[ball.antipode_index]
-    _check(checks, "antipodal_equivariance_exact", 0.0, 0.0,
-           passed=bool(np.array_equal(flipped, straight)))
+    _check(checks, "antipodal_equivariance_exact", passed=bool(np.array_equal(flipped, straight)))
 
     # conformal pullback identity at random bandlimited data
     vfun = _random_bandlimited(config, rng)
@@ -213,20 +209,19 @@ def cmd_verify(config: RunConfig):
         ratio = (fn.bulk_norm(op.extend_values(vb.values), ball, params.p_bulk)
                  / fn.boundary_norm(vb, params.p_crit))
         worst = max(worst, ratio / sharp)
-    _check(checks, "sharp_inequality_ratio", worst, 1.0 + LAMBDA_BOUND_SLACK)
+    _check(checks, "sharp_inequality_ratio", worst, 1.0 + slv.LAMBDA_BOUND_SLACK)
 
     # weight spec checks
     margin = weight_extremes(config.weight_spec, params)[0]
-    _check(checks, "weight_positive", 0.0, 0.0, passed=margin > 0)
+    _check(checks, "weight_positive", passed=margin > 0)
 
-    report = {
+    return {
         "checks": checks,
         "normalization_constant": normalization_constant(params),
         "operator_diagnostics": op.diagnostics(),
         "weight_positivity_margin": margin,
         "resolution": config.quadrature["sphere_resolution"],
     }
-    return report, all(c["passed"] for c in checks)
 
 
 def _sample_interior_halfspace(params, rng, count, span=2.0):
@@ -276,11 +271,12 @@ def cmd_sharp(config: RunConfig):
                 "resolution": res, "est_error": e} for method, v, res, e in rows]
     discrepancies = {f"{m1}_vs_{m2}": abs(v1 - v2) for (m1, v1, *_), (m2, v2, *_)
                      in itertools.combinations(sorted(rows, key=lambda row: row[0]), 2)}
-    ok = sconst - 1e-4 <= smax <= sconst * (1 + LAMBDA_BOUND_SLACK)
-    # passed also needs every maximization run to pass the solver's gate
-    report = {"entries": entries, "discrepancies": discrepancies,
-              "maximization_consistent_with_constant": ok, "maximization_solved": smax_solved}
-    return report, ok and smax_solved
+    # the maximum lies within 1e-4 below the constant's ratio and the slack above it
+    checks = []
+    _check(checks, "maximization_solved", passed=smax_solved)
+    _check(checks, "constant_minus_maximization", sconst - smax, 1e-4)
+    _check(checks, "maximization_over_constant", smax / sconst, 1.0 + slv.LAMBDA_BOUND_SLACK)
+    return {"checks": checks, "entries": entries, "discrepancies": discrepancies}
 
 
 # ----------------------------------------------------------------- solve
@@ -291,13 +287,14 @@ def cmd_solve(config: RunConfig):
     (v, lam, rep), solves = slv.maximize_multistart(problem, inits)
     sharp = fn.sharp_constant_from_constant_test_function(problem.sphere, problem.ball,
                                                           config.params)
-    solution, ok = _solution(config, problem, sharp, lam, v, slv.solved(rep))
+    bound = slv.lambda_bound(problem, sharp)
     runs = [{"lambda_est": lam_i, "converged": rep_i["converged"],
              "iterations": rep_i["iterations"], "el_residual": rep_i["el_residual"],
              "multiplier_identity_dev": rep_i["multiplier_identity_dev"],
-             "lambda_over_bound": lam_i / solution["lambda_upper_bound"]}
+             "lambda_over_bound": lam_i / bound}
             for _, lam_i, rep_i in solves]
-    report = {
+    return {
+        "checks": slv.gate_checks(rep, lam / bound),
         "p": problem.p,
         "el_residual": rep["el_residual"],
         "multiplier_identity_dev": rep["multiplier_identity_dev"],
@@ -308,65 +305,38 @@ def cmd_solve(config: RunConfig):
                                      - min(r["lambda_est"] for r in runs)),
         "sup_v": float(v.values.max()),
         "inf_v": float(v.values.min()),
-        **solution,
+        **_solution(config, problem, sharp, lam, v, slv.solved(rep, lam / bound)),
     }
-    return report, ok
-
-
-def _lambda_bound(problem: slv.SubcriticalProblem, sharp: float, p: float) -> float:
-    """Upper bound Lambda_p on lambda at exponent p >= p_crit, with S = `sharp`:
-
-        S^{p_bulk} |S^{n-1}|^{(1/p_crit - 1/p) p_bulk} (min K)^{-p_bulk/p},
-
-    by the sharp inequality and Hoelder's, with |S^{n-1}| the sphere rule's exact
-    `area`; `solve` and `continue` both admit p_crit.  The constant attains it at constant K.
-    """
-    params, area = problem.params, problem.sphere.area
-    return (sharp ** params.p_bulk * area ** ((1.0 / params.p_crit - 1.0 / p) * params.p_bulk)
-            * problem.weight.min ** (-params.p_bulk / p))
 
 
 def _solution(config: RunConfig, problem: slv.SubcriticalProblem, sharp: float, lam: float, v,
-              ok: bool) -> tuple[dict, bool]:
-    """Report keys `solve` and `continue` share for (v, lam) solving `problem`, and the gate.
+              solved: bool) -> dict:
+    """Report keys `solve` and `continue` share for (v, lam) solving `problem`; writes final_v.csv.
 
-    The gate is `ok` and lam <= Lambda_p (1 + LAMBDA_BOUND_SLACK), with
-    Lambda_p `_lambda_bound` at the problem's p: a solve above it has found
-    a maximizer of the discretization alone.  The Richardson re-solve runs
-    only when the gate holds.  Writes final_v.csv.
+    `lambda_est_error` is Richardson's from a half-resolution re-solve warm-started from v:
+    None unless the command's run is `solved` and the re-solve passes `solver.solved` too.
     """
     params, weight = config.params, problem.weight
-    bound = _lambda_bound(problem, sharp, problem.p)
-    ok = ok and lam <= bound * (1.0 + LAMBDA_BOUND_SLACK)
+    error = None
+    if solved:
+        coarse = _problem(config, problem.p, scale=0.5)
+        init = ops.BoundaryFunction(
+            np.maximum(ops.interpolate_boundary(v)(coarse.sphere.nodes), 1e-10), coarse.sphere)
+        _, lam_coarse, rep = slv.maximize_subcritical(coarse, init)
+        if slv.solved(rep, lam_coarse / slv.lambda_bound(coarse, sharp)):
+            error = fn.richardson_estimate(lam_coarse, lam)[1]
     threshold = fn.lambda_threshold(weight, params, sharp)
     holds, ratio, margin = fn.existence_condition(weight, params)
     _write_profile(config, "final_v.csv", problem.sphere, v.values)
     return {
         "lambda_est": lam,
-        "lambda_est_error": _lambda_richardson(config, problem.p, lam, v) if ok else None,
-        "lambda_upper_bound": bound,
+        "lambda_est_error": error,
+        "lambda_upper_bound": slv.lambda_bound(problem, sharp),
         "lambda_threshold": threshold,
         "exceeds_threshold": lam > threshold,
         "existence_condition": {"holds": holds, "max_min_ratio": ratio, "margin": margin},
         "resolution": config.quadrature["sphere_resolution"],
-    }, ok
-
-
-def _lambda_richardson(config: RunConfig, p: float, lam_fine: float, v_fine) -> float | None:
-    """Richardson error estimate for lambda from a half-resolution re-solve.
-
-    Run only after the fine run passed its command's gate; the coarse one,
-    warm-started from the interpolated fine solution, costs a fraction of
-    it.  None when the coarse solve fails `slv.solved`.
-    """
-    problem = _problem(config, p, scale=0.5)
-    sphere = problem.sphere
-    init = ops.BoundaryFunction(
-        np.maximum(ops.interpolate_boundary(v_fine)(sphere.nodes), 1e-10), sphere)
-    _, lam_coarse, rep = slv.maximize_subcritical(problem, init)
-    if not slv.solved(rep):
-        return None
-    return fn.richardson_estimate(lam_coarse, lam_fine)[1]
+    }
 
 
 # ----------------------------------------------------------------- continue
@@ -378,29 +348,24 @@ def cmd_continue(config: RunConfig):
     # built at the last stage's p, the p of the error bar
     problem = _problem(config, schedule[-1])
     sphere = problem.sphere
+    sharp = fn.sharp_constant_from_constant_test_function(sphere, problem.ball, config.params)
     result = slv.continuation(
         problem.weight, schedule, config.params, sphere, problem.ball, tol_v=problem.tol_v,
-        max_iter=problem.max_iter, blow_up_factor=config.solver["blow_up_factor"])
+        max_iter=problem.max_iter, blow_up_factor=config.solver["blow_up_factor"], sharp=sharp)
     rows = result.stage_rows()
-    sharp = fn.sharp_constant_from_constant_test_function(sphere, problem.ball, config.params)
-    for row in rows:
-        row["lambda_over_bound"] = row["lambda"] / _lambda_bound(problem, sharp, row["p"])
-    ok = all(s.solved and row["lambda_over_bound"] <= 1.0 + LAMBDA_BOUND_SLACK
-             for s, row in zip(result.stages, rows)) and not result.blow_up_flag
-    solution, ok = _solution(config, problem, sharp, result.lambda_est, result.final_v, ok)
-    report = {
+    for stage in result.stages:
+        # repr is distinct for each p of a strictly decreasing schedule
+        _write_profile(config, f"stage_p{float(stage.p)!r}.csv", sphere, stage.v.values)
+    _write_stages(config, rows)
+    return {
+        "checks": result.checks(),
         "schedule": schedule,
         "stages": rows,
         "blow_up_flag": result.blow_up_flag,
         "final_sup_v": float(result.final_v.values.max()),
         "final_inf_v": float(result.final_v.values.min()),
-        **solution,
+        **_solution(config, problem, sharp, result.lambda_est, result.final_v, result.solved),
     }
-    for stage in result.stages:
-        # repr is distinct for each p of a strictly decreasing schedule
-        _write_profile(config, f"stage_p{float(stage.p)!r}.csv", sphere, stage.v.values)
-    _write_stages(config, result.stage_rows())
-    return report, ok
 
 
 # ----------------------------------------------------------------- diagnose
@@ -447,12 +412,10 @@ def cmd_diagnose(config: RunConfig):
     # sup / inf over the nodes grows strictly as lambda falls, on any rule; the
     # half-mass radius is a node distance and stalls under weak concentration
     ratios = [r["sup_inf_ratio"] for r in reports]
-    checks.append({"check": "sup_inf_ratio_grows", "value": ratios, "tolerance": "monotone",
-                   "passed": all(b > a for a, b in zip(ratios, ratios[1:]))})
-
-    report = {"checks": checks, "half_mass_radii": [r["half_mass_radius"] for r in reports],
-              "concentration_reports": reports}
-    return report, all(c["passed"] for c in checks)
+    _check(checks, "sup_inf_ratio_grows", ratios, "monotone",
+           passed=all(b > a for a, b in zip(ratios, ratios[1:])))
+    return {"checks": checks, "half_mass_radii": [r["half_mass_radius"] for r in reports],
+            "concentration_reports": reports}
 
 
 COMMANDS = {

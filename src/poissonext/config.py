@@ -13,6 +13,7 @@ ValueError becomes a ConfigError naming the key.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -55,6 +56,21 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+def _shown(value) -> str:
+    """value in a message, cut to 60 characters: an integer past 20 digits by its
+    digit count, a list item by item, any other by its repr, or by its type where
+    repr raises (on an integer past 4,300 digits)."""
+    if _is_int(value) and abs(value) >= 10 ** 20:
+        power = int(math.log10(abs(value)))      # the float log is within one
+        power += (abs(value) >= 10 ** (power + 1)) - (abs(value) < 10 ** power)
+        return f"a {'negative ' if value < 0 else ''}{power + 1}-digit integer"
+    try:
+        text = f"[{', '.join(map(_shown, value))}]" if isinstance(value, list) else repr(value)
+    except ValueError:
+        text = f"a {type(value).__name__} holding an integer past Python's digit limit"
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 _EVEN_RESOLUTION = (lambda x: _is_int(x) and x >= 4 and x % 2 == 0, "an even integer >= 4")
 _POSITIVE = (lambda x: _is_real(x) and x > 0, "a positive number")
 
@@ -95,7 +111,7 @@ def check_key(path: str, value, name: str | None = None) -> None:
     """ConfigError unless value meets path's `_KEYS` entry, named `name` (a flag) or path."""
     default, ok, requirement = _KEYS[path]
     if ok and not (value is None and default is None or ok(value)):
-        raise ConfigError(f"{name or path} must be {requirement}, got {value!r}")
+        raise ConfigError(f"{name or path} must be {requirement}, got {_shown(value)}")
 
 
 @dataclass
@@ -130,7 +146,7 @@ def _merge_strict(section: str, user: dict) -> dict:
     out = _defaults(section)
     unknown = set(user) - set(out)
     if unknown:
-        raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"{section}: unknown key(s) {_shown(sorted(unknown))}")
     out.update(user)
     for key, value in out.items():
         check_key(f"{section}.{key}", value)
@@ -145,13 +161,13 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(_REMOVED[key])
     unknown = set(data) - {path.partition(".")[0] for path in _KEYS}
     if unknown:
-        raise ConfigError(f"unknown top-level key(s) {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level key(s) {_shown(sorted(unknown))}")
     if data.get("schema_version", _SCHEMA_VERSION) != _SCHEMA_VERSION:
         raise ConfigError("unsupported schema_version")
 
     pdata = _merge_strict("params", data.get("params", {}))
     try:
-        params = ProblemParams(pdata["n"], pdata["a"])
+        params = ProblemParams(pdata["n"], float(pdata["a"]))
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from exc
 
@@ -212,7 +228,7 @@ def _validate_weight_spec(spec: dict, params: ProblemParams) -> None:
     if kind == "constant":
         unknown = set(spec) - {"kind", "value"}
         if unknown:
-            raise ConfigError(f"weight: unknown key(s) {sorted(unknown)}")
+            raise ConfigError(f"weight: unknown key(s) {_shown(sorted(unknown))}")
         value = spec.get("value", 1.0)
         if not (_is_real(value) and _WEIGHT_RANGE[0] <= value <= _WEIGHT_RANGE[1]):
             raise ConfigError(f"weight: value must be a number in {list(_WEIGHT_RANGE)}")
@@ -224,23 +240,24 @@ def _validate_weight_spec(spec: dict, params: ProblemParams) -> None:
         if params.n != 3:
             raise ConfigError("weight: zonal_series requires n = 3")
     else:
-        raise ConfigError(f"weight: unknown kind {kind!r}")
+        raise ConfigError(f"weight: unknown kind {_shown(kind)}")
     unknown = set(spec) - {"kind", "coefficients"}
     if unknown:
-        raise ConfigError(f"weight: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"weight: unknown key(s) {_shown(sorted(unknown))}")
     coeffs = spec.get("coefficients")
     if not isinstance(coeffs, dict) or not coeffs:
         raise ConfigError("weight: coefficients must be a nonempty object")
     noun = "frequency" if kind == "cosine_series" else "degree"
     for key, value in coeffs.items():
         if not _is_real(value):
-            raise ConfigError(f"weight: coefficient {key!r} must be a number")
+            raise ConfigError(f"weight: coefficient {_shown(key)} must be a number")
         try:
             k = int(key)
         except ValueError:
             k = None
         if k is None or str(key) != str(k):
-            raise ConfigError(f"weight: bad frequency/degree {key!r}; write it as a plain decimal")
+            raise ConfigError(f"weight: bad frequency/degree {_shown(key)}; "
+                              "write it as a plain decimal")
         if k < 0:
             raise ConfigError("weight: frequencies/degrees must be nonnegative")
         if k > _MAX_FREQUENCY:

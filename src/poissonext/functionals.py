@@ -126,11 +126,11 @@ def sharp_constant_by_maximization(
     shadow of the lost compactness); slightly below it the maximizer is
     smooth and the ratio is an honest lower bound on the discrete supremum.
 
-    Returns (constant, solved): solved is the pass gate `solver.solved`
-    of every start's run.
+    Returns (constant, solved): solved if every start's run passes `solver.solved`,
+    whose `solver.lambda_bound` takes S from the constant test function.
     """
-    from .solver import (SubcriticalProblem, default_p, maximize_multistart, multistart_inits,
-                         solved)
+    from .solver import (SubcriticalProblem, default_p, lambda_bound, maximize_multistart,
+                         multistart_inits, solved)
 
     weight = WeightFunction(np.ones(len(sphere)), sphere, antipodal=True)
     problem = SubcriticalProblem(params=params, weight=weight, p=default_p(params),
@@ -138,7 +138,8 @@ def sharp_constant_by_maximization(
     (v, lam, _), runs = maximize_multistart(problem,
                                             multistart_inits(sphere, starts - 1, 0.5, seed))
     ratio = lam ** (1.0 / params.p_bulk) / boundary_norm(v, params.p_crit)
-    return ratio, all(solved(rep) for _, _, rep in runs)
+    bound = lambda_bound(problem, sharp_constant_from_constant_test_function(sphere, ball, params))
+    return ratio, all(solved(rep, lam_i / bound) for _, lam_i, rep in runs)
 
 
 def sharp_constant(

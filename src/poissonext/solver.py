@@ -35,8 +35,8 @@ mixing can shrink; a state whose residual is below `tol_v` is returned
 without a further candidate, so a converged solve certifies its own profile.
 Continuation lowers p along a schedule toward the critical exponent,
 warm-starting each stage from the previous one.  `maximize_multistart`
-keeps the best of several starts (`multistart_inits`); `solved` is the
-pass gate of every solve.
+keeps the best of several starts (`multistart_inits`).  The pass gate of
+every solve is `solved`, the conjunction of the `gate_checks` rows.
 
 Every iterate is antipodal bit for bit, so E v and (E v)^{q_exp} have two
 halves with the same bits; the solver extends into the upper half alone,
@@ -59,7 +59,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .functionals import WeightFunction, _norm, lambda_threshold
+from .functionals import (WeightFunction, _norm, lambda_threshold,
+                          sharp_constant_from_constant_test_function)
 from .operators import BoundaryFunction, ExtensionOperator, build_extension_operator
 from .params import ProblemParams
 # integrate_ball is not called here; perfbench/tracer.py wraps it under this name
@@ -75,6 +76,9 @@ ANDERSON_DEPTH = 5
 # a solve passes (`solved`) only if its profile solves the Euler-Lagrange
 # equation to this relative residual; a converged step alone can be a stalled one
 EL_RESIDUAL_TOL = 1e-3
+# and lambda <= Lambda_p (1 + this): above the bound it has found a maximizer of the
+# discretization alone; verify's sharp inequality and sharp's constant get this slack
+LAMBDA_BOUND_SLACK = 1e-3
 
 
 @dataclass
@@ -333,10 +337,35 @@ def maximize_subcritical(
     return state.v, lam, report
 
 
-def solved(report: dict) -> bool:
-    """The pass gate of a solve: converged, no failed step, EL residual <= EL_RESIDUAL_TOL."""
-    return bool(report["converged"] and not report["step_failed"]
-                and report["el_residual"] <= EL_RESIDUAL_TOL)
+def lambda_bound(problem: SubcriticalProblem, sharp: float) -> float:
+    """Lambda_p = S^{p_bulk} |S^{n-1}|^{(1/p_crit - 1/p) p_bulk} (min K)^{-p_bulk/p}, S = `sharp`,
+    bounds lambda at the problem's p by the sharp inequality and Hoelder's (|S^{n-1}| the
+    rule's `area`; the constant attains it at constant K).  S, a 1-D sum, is free of p."""
+    params = problem.params
+    return (sharp ** params.p_bulk
+            * problem.sphere.area ** ((1.0 / params.p_crit - 1.0 / problem.p) * params.p_bulk)
+            * problem.weight.min ** (-params.p_bulk / problem.p))
+
+
+def check_row(name: str, value=0.0, tolerance=0.0, passed=None) -> dict:
+    """One named check, passed when value <= tolerance unless `passed` is given
+    (a yes/no row, whose value and tolerance are 0)."""
+    passed = value <= tolerance if passed is None else passed
+    return {"check": name, "value": value if isinstance(value, list) else float(value),
+            "tolerance": tolerance, "passed": bool(passed)}
+
+
+def gate_checks(report: dict, lambda_over_bound: float) -> list[dict]:
+    """The gate's rows of a solve's report at lambda / Lambda_p (`lambda_bound`)."""
+    return [check_row("converged", passed=report["converged"]),
+            check_row("no_failed_step", passed=not report["step_failed"]),
+            check_row("el_residual", report["el_residual"], EL_RESIDUAL_TOL),
+            check_row("lambda_over_bound", lambda_over_bound, 1.0 + LAMBDA_BOUND_SLACK)]
+
+
+def solved(report: dict, lambda_over_bound: float) -> bool:
+    """The pass gate of a solve: the conjunction of its `gate_checks`."""
+    return all(row["passed"] for row in gate_checks(report, lambda_over_bound))
 
 
 def default_p(params: ProblemParams) -> float:
@@ -414,17 +443,22 @@ def _el_terms(v, weight, params, op, p, lam, el_rhs=None) -> tuple[float, float]
 
 @dataclass
 class StageReport:
-    """One continuation stage: its p, its solve's results and its returned profile v."""
+    """One continuation stage: its p, its solve's results and gate rows, and its profile v."""
 
     p: float
     lambda_est: float
+    lambda_over_bound: float
     el_residual: float
     sup_v: float
     inf_v: float
     iterations: int
     converged: bool
-    solved: bool
+    checks: list = field(repr=False)
     v: BoundaryFunction = field(repr=False)
+
+    @property
+    def solved(self) -> bool:
+        return all(row["passed"] for row in self.checks)
 
 
 @dataclass
@@ -443,19 +477,21 @@ class ContinuationReport:
     def lambda_est(self) -> float:
         return self.stages[-1].lambda_est
 
+    def checks(self) -> list[dict]:
+        """Each gate row at its worst stage (failing, then largest), then the blow-up row."""
+        worst = [max(rows, key=lambda row: (not row["passed"], row["value"]))
+                 for rows in zip(*(s.checks for s in self.stages))]
+        return worst + [check_row("no_blow_up", passed=not self.blow_up_flag)]
+
+    @property
+    def solved(self) -> bool:
+        return all(row["passed"] for row in self.checks())
+
     def stage_rows(self) -> list[dict]:
-        return [
-            {
-                "p": s.p,
-                "lambda": s.lambda_est,
-                "el_residual": s.el_residual,
-                "sup_v": s.sup_v,
-                "inf_v": s.inf_v,
-                "iterations": s.iterations,
-                "converged": s.converged,
-            }
-            for s in self.stages
-        ]
+        return [{"p": s.p, "lambda": s.lambda_est, "el_residual": s.el_residual,
+                 "sup_v": s.sup_v, "inf_v": s.inf_v, "iterations": s.iterations,
+                 "converged": s.converged, "lambda_over_bound": s.lambda_over_bound}
+                for s in self.stages]
 
 
 def default_schedule(params: ProblemParams, floor: float = 1e-3) -> list[float]:
@@ -492,9 +528,12 @@ def continuation(
     when sup v over its L^p mean, (integral v^p / |S|)^(1/p) with |S| the
     rule's exact `area`, grows by more than `blow_up_factor` between
     consecutive stages.  Stage failure aborts with the partial report.
-    `sharp`, the sharp constant S, gives the report its `lambda_threshold`.
+    `sharp`, the sharp constant S (by default the constant test function's),
+    gives each stage its `lambda_bound` and the report its `lambda_threshold`.
     """
     check_exponents(params, schedule)
+    if sharp is None:
+        sharp = sharp_constant_from_constant_test_function(sphere, ball, params)
     v = BoundaryFunction(np.ones(len(sphere)), sphere) if init is None else init
     problem = SubcriticalProblem(params=params, weight=weight, p=schedule[0], sphere=sphere,
                                  ball=ball, tol_v=tol_v, max_iter=max_iter)
@@ -502,20 +541,14 @@ def continuation(
     peaks: list[float] = []
     blow_up = False
     for p in schedule:
-        v, lam, report = maximize_subcritical(replace(problem, p=p), v)
-        stages.append(
-            StageReport(
-                p=p,
-                lambda_est=lam,
-                el_residual=report["el_residual"],
-                sup_v=float(v.values.max()),
-                inf_v=float(v.values.min()),
-                iterations=report["iterations"],
-                converged=report["converged"],
-                solved=solved(report),
-                v=v,
-            )
-        )
+        stage = replace(problem, p=p)
+        v, lam, report = maximize_subcritical(stage, v)
+        ratio = lam / lambda_bound(stage, sharp)
+        stages.append(StageReport(
+            p=p, lambda_est=lam, lambda_over_bound=ratio, el_residual=report["el_residual"],
+            sup_v=float(v.values.max()), inf_v=float(v.values.min()),
+            iterations=report["iterations"], converged=report["converged"],
+            checks=gate_checks(report, ratio), v=v))
         # sup v over its L^p mean: 1 for a constant, and unchanged under K -> c K,
         # which scales v by c^(-1/p) with a p that changes from stage to stage
         mean = _norm(v.values, sphere, p) / sphere.area ** (1.0 / p)
@@ -524,5 +557,5 @@ def continuation(
             blow_up = True
         if report["step_failed"]:
             break
-    threshold = lambda_threshold(weight, params, sharp) if sharp is not None else None
-    return ContinuationReport(stages=stages, blow_up_flag=blow_up, lambda_threshold=threshold)
+    return ContinuationReport(stages=stages, blow_up_flag=blow_up,
+                              lambda_threshold=lambda_threshold(weight, params, sharp))

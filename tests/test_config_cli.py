@@ -150,6 +150,11 @@ def read_report(out):
     return json.loads(Path(out, "report.json").read_text())
 
 
+def check_rows(out):
+    """The report's check rows by name."""
+    return {row["check"]: row for row in read_report(out)["report"]["checks"]}
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -238,6 +243,21 @@ class TestConfigParsing:
         config, name = REAL_KEYS[key]
         with pytest.raises(ConfigError, match=f"^{re.escape(name)}"):
             parse_config(config(value))
+
+    # repr of an integer past 4,300 digits raises ValueError, and a message
+    # shows at most 60 characters of a value; a seed of any size is a
+    # nonnegative integer, so its rejected value is negative
+    @pytest.mark.parametrize("config", [
+        lambda x: {"params": {"a": x}},
+        lambda x: {"solver": {"schedule": [5.0, x]}},
+        lambda x: {"seed": -x},
+    ], ids=["params.a", "solver.schedule", "seed"])
+    @pytest.mark.parametrize("digits", [300, 401, 5001])
+    def test_a_huge_integer_is_a_config_error_with_a_short_message(self, config, digits):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config(10 ** (digits - 1)))
+        assert len(str(exc.value)) <= 120
+        assert digits == 300 or f"{digits}-digit integer" in str(exc.value)
 
     @settings(max_examples=200, deadline=None)
     @given(cfg=exponent_configs())
@@ -563,7 +583,7 @@ class TestCliCommands:
         path = write_config(tmp_path, tiny_2d_config(out))
         assert main(["continue", "--config", path]) == 0
         stages = Path(out, "stages.csv").read_text().splitlines()
-        header = "p,lambda,el_residual,sup_v,inf_v,iterations,converged"
+        header = "p,lambda,el_residual,sup_v,inf_v,iterations,converged,lambda_over_bound"
         assert stages[0] == header
         # each row holds the repr of the report's stage values, which JSON keeps exactly
         rows = read_report(out)["report"]["stages"]
@@ -640,19 +660,25 @@ class TestCliCommands:
             assert status == 1 and max(ratios) > 1.0 + 1e-3
             assert body["lambda_est_error"] is None
 
-    def test_solve_and_continue_fail_above_the_lambda_bound(self, tmp_path, monkeypatch):
+    def test_solve_and_continue_fail_above_the_lambda_bound(self, tmp_path, monkeypatch,
+                                                             capsys):
         # a bound below every lambda: each multistart run and each stage
-        # reports its ratio, and both commands fail without an error bar
-        bound = px.cli._lambda_bound
-        monkeypatch.setattr(px.cli, "_lambda_bound", lambda *args: 0.5 * bound(*args))
+        # reports its ratio, and both commands fail without an error bar,
+        # naming the failed row on their stdout line
+        bound = px.solver.lambda_bound
+        monkeypatch.setattr(px.solver, "lambda_bound", lambda *args: 0.5 * bound(*args))
         for cmd in ("solve", "continue"):
             out = str(tmp_path / cmd)
             path = write_config(tmp_path, tiny_2d_config(out), name=f"{cmd}.json")
             assert main([cmd, "--config", path]) == 1
+            line = json.loads(capsys.readouterr().out.splitlines()[-1])
+            assert line["passed"] is False and line["failed"] == ["lambda_over_bound"]
             body = read_report(out)["report"]
             rows = body["stages"] if cmd == "continue" else body["multistart_runs"]
             assert all(1.5 < row["lambda_over_bound"] <= 2.0 for row in rows)
             assert body["lambda_est_error"] is None
+            assert [name for name, row in check_rows(out).items()
+                    if not row["passed"]] == ["lambda_over_bound"]
 
     def test_richardson_error_is_null_when_the_coarse_solve_fails(self, tmp_path,
                                                                  monkeypatch):
@@ -707,7 +733,7 @@ class TestCliCommands:
         report = read_report(out)
         disc = report["report"]["discrepancies"]
         assert disc["constant_test_function_vs_formula_a0"] < 1e-4
-        assert report["report"]["maximization_solved"] is True
+        assert check_rows(out)["maximization_solved"]["passed"] is True
         entries = report["report"]["entries"]
         assert any(e["est_error"] is not None for e in entries)
         assert any(e["resolution"] is not None for e in entries)
@@ -753,7 +779,7 @@ class TestCliCommands:
             out = str(tmp_path / cmd)
             path = write_config(tmp_path, dict(cfg, output_dir=out), name=f"{cmd}.json")
             assert main([cmd, "--config", path]) == 1
-        assert read_report(out)["report"]["maximization_solved"] is False
+        assert check_rows(out)["maximization_solved"]["passed"] is False
 
     def test_sharp_passes_the_solver_settings(self, tmp_path, monkeypatch):
         maximize = px.solver.maximize_subcritical
@@ -823,7 +849,7 @@ class TestCliCommands:
                "quadrature": {"sphere_resolution": rule, "ball_angular_resolution": rule,
                               "ball_radial_points": 18}}
         assert main(["sharp", "--config", write_config(tmp_path, cfg)]) == 0
-        assert read_report(out)["report"]["maximization_solved"] is True
+        assert check_rows(out)["maximization_solved"]["passed"] is True
 
     def test_seed_and_out_overrides(self, tmp_path):
         out = str(tmp_path / "elsewhere")

@@ -35,6 +35,14 @@ def make_problem(params, weight, p, sphere, ball):
     return px.SubcriticalProblem(params=params, weight=weight, p=p, sphere=sphere, ball=ball)
 
 
+def gated(problem, lam, report):
+    """`solver.solved` at lambda over the problem's `lambda_bound`, with the
+    constant test function's S."""
+    sharp = px.functionals.sharp_constant_from_constant_test_function(
+        problem.sphere, problem.ball, problem.params)
+    return px.solver.solved(report, lam / px.solver.lambda_bound(problem, sharp))
+
+
 def plain_step(state, problem):
     """The step without mixing: a history of maxlen 1 never holds two pairs."""
     return px.fixed_point_step(state, problem, deque(maxlen=1))
@@ -256,7 +264,7 @@ class TestFixedPointStep:
         prob = make_problem(params, weight, px.solver.default_schedule(params)[6], sphere, ball)
         start = px.BoundaryFunction(np.ones(4), sphere)
         v, lam, rep = px.maximize_subcritical(prob, start)
-        assert px.solver.solved(rep)
+        assert gated(prob, lam, rep)
         out = plain_step(px.solver._prepare(prob, start), replace(prob, tol_v=0.0))
         assert out.iteration == 1 and not out.step_failed
 
@@ -271,7 +279,10 @@ class TestFixedPointStep:
         start = px.solver.multistart_inits(sphere, 1, 0.5, 2)[1]
         v, lam, rep = px.maximize_subcritical(prob, start)
         assert rep["functional_history"][0] == 0.0
-        assert px.solver.solved(rep) and lam > 0.2
+        # every gate row but the bound's: on 4 ball azimuths lambda reads
+        # 1.011 Lambda_p, the rule's error amplified by p_bulk = 2,000
+        rows = px.solver.gate_checks(rep, 1.0)
+        assert all(row["passed"] for row in rows[:3]) and lam > 0.2
 
     def test_step_reuses_the_carried_extension(self, params_2d, sphere_2d, ball_2d,
                                                unit_weight_2d, rng, monkeypatch):
@@ -440,7 +451,7 @@ class TestMaximizeSubcritical:
                                 ball_2d)
             init = px.BoundaryFunction(worker.seeded_profile(np, sphere_2d.nodes, 2), sphere_2d)
             _, lam, rep = px.maximize_subcritical(prob, init)
-            assert px.solver.solved(rep) and rep["iterations"] > 1
+            assert gated(prob, lam, rep) and rep["iterations"] > 1
             lams.append(lam * c ** (params_2d.p_bulk / prob.p))
         assert lams[1] == pytest.approx(lams[0], rel=1e-12)
 
@@ -490,7 +501,7 @@ class TestMaximizeSubcritical:
         monkeypatch.setattr(px.solver, "fixed_point_step", recorded)
         init = px.BoundaryFunction(worker.seeded_profile(np, prob.sphere.nodes, 0), prob.sphere)
         v, lam, rep = px.maximize_subcritical(prob, init)
-        assert px.solver.solved(rep) and rep["iterations"] == len(steps) - 1
+        assert gated(prob, lam, rep) and rep["iterations"] == len(steps) - 1
         # every step before the last evaluated a candidate; the last one measured
         # the passing residual and ran no pass after it
         assert all(res >= prob.tol_v and passes >= 1 for res, passes in steps[:-1])
@@ -539,13 +550,45 @@ class TestSolveDriver:
     """The pass gate, the default exponent and the multistart shared by the commands."""
 
     def test_solved_fails_on_each_failure_mode(self):
-        tol = px.solver.EL_RESIDUAL_TOL
+        tol, top = px.solver.EL_RESIDUAL_TOL, 1.0 + px.solver.LAMBDA_BOUND_SLACK
         good = {"converged": True, "step_failed": False, "el_residual": 0.5 * tol}
-        assert px.solver.solved(good)
-        assert px.solver.solved(dict(good, el_residual=tol))
+        assert px.solver.solved(good, 1.0)
+        assert px.solver.solved(dict(good, el_residual=tol), top)
         for failure in ({"converged": False}, {"step_failed": True},
                         {"el_residual": np.nextafter(tol, 1.0)}, {"el_residual": np.nan}):
-            assert px.solver.solved(dict(good, **failure)) is False, failure
+            assert px.solver.solved(dict(good, **failure), 1.0) is False, failure
+        for ratio in (np.nextafter(top, 2.0), np.nan):
+            assert px.solver.solved(good, ratio) is False, ratio
+        # each failure fails its own named row
+        rows = px.solver.gate_checks(dict(good, step_failed=True), 2.0)
+        assert [(row["check"], row["passed"]) for row in rows] == [
+            ("converged", True), ("no_failed_step", False), ("el_residual", True),
+            ("lambda_over_bound", False)]
+        assert rows[3]["value"] == 2.0 and rows[3]["tolerance"] == top
+
+    @pytest.mark.parametrize("a, ratio", [(0.5, 2.526), (-0.5, 1.606)])
+    def test_a_concentrated_maximizer_above_the_bound_is_not_solved(self, a, ratio):
+        # K = 1 at the n = 3 default rules near p_crit: from an antipodal bump
+        # the solver ends on a concentrated profile that solves the EL
+        # equation to about 1e-11, with lambda far above Lambda_p; only the
+        # discretization rewards it, so the gate fails it, and a
+        # continuation's stage the same way
+        params = px.ProblemParams(3, a)
+        sphere = px.build_sphere_quadrature(params, 16)
+        ball = px.build_ball_quadrature(params, 96, 16)
+        weight = px.WeightFunction(np.ones(len(sphere)), sphere, antipodal=True)
+        x0 = np.array([0.6, 0.0, 0.8])
+        bump = px.BoundaryFunction(1.0 + 20.0 * sum(
+            np.exp(-np.sum((sphere.nodes - c) ** 2, axis=1) / 0.05) for c in (x0, -x0)), sphere)
+        prob = make_problem(params, weight, params.p_crit + 1e-3, sphere, ball)
+        _, lam, rep = px.maximize_subcritical(prob, bump)
+        assert rep["converged"] and rep["el_residual"] < 1e-9
+        assert not gated(prob, lam, rep)
+        cont = px.continuation(weight, [prob.p], params, sphere, ball, init=bump)
+        assert cont.stages[0].lambda_over_bound == pytest.approx(ratio, abs=1e-3)
+        assert not cont.stages[0].solved and not cont.solved
+        assert [row["check"] for row in cont.checks() if not row["passed"]] == [
+            "lambda_over_bound"]
 
     def test_default_p_is_a_quarter_of_the_way_to_the_bulk_exponent(self, params_2d, params_3d):
         for params in (params_2d, params_3d):
@@ -685,9 +728,9 @@ class TestAndersonMixing:
             prob = weighted_problem(n)
             init = px.BoundaryFunction(worker.seeded_profile(np, prob.sphere.nodes, 4),
                                        prob.sphere)
-            _, _, rep = px.maximize_subcritical(prob, init)
+            _, lam, rep = px.maximize_subcritical(prob, init)
             # from the second step on, each step mixes
-            assert px.solver.solved(rep) and rep["iterations"] > 2
+            assert gated(prob, lam, rep) and rep["iterations"] > 2
             schedule = px.solver.default_schedule(prob.params)[:3]
             cont = px.solver.continuation(prob.weight, schedule, prob.params, prob.sphere,
                                           prob.ball, init=init)
