@@ -58,7 +58,6 @@ from .diagnostics import (
     bubble,
     bubble_extension_halfspace,
     concentration_report,
-    half_mass_radius,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

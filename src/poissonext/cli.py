@@ -406,16 +406,13 @@ def cmd_diagnose(config: RunConfig):
         vals = diag.bubble(ys, params, bp) / conformal_weight(
             np.concatenate([ys, np.zeros((len(ys), 1))], axis=1), params
         )
-        bf = ops.BoundaryFunction(vals, sphere)
         _write_profile(config, f"bubble_lambda_{lam}.csv", sphere, vals)
-        reports.append(diag.concentration_report(bf))
-    # sup / inf over the nodes grows strictly as lambda falls, on any rule; the
-    # half-mass radius is a node distance and stalls under weak concentration
+        reports.append(diag.concentration_report(ops.BoundaryFunction(vals, sphere)))
+    # sup / inf over the nodes grows strictly as lambda falls, on any rule
     ratios = [r["sup_inf_ratio"] for r in reports]
     _check(checks, "sup_inf_ratio_grows", ratios, "monotone",
            passed=all(b > a for a, b in zip(ratios, ratios[1:])))
-    return {"checks": checks, "half_mass_radii": [r["half_mass_radius"] for r in reports],
-            "concentration_reports": reports}
+    return {"checks": checks, "concentration_reports": reports}
 
 
 COMMANDS = {

@@ -168,8 +168,9 @@ def parse_config(data: dict) -> RunConfig:
     pdata = _merge_strict("params", data.get("params", {}))
     try:
         params = ProblemParams(pdata["n"], float(pdata["a"]))
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
+    except ValueError as exc:   # ProblemParams shows a rejected n whole
+        reason = exc if pdata["n"] in (2, 3) else f"n must be 2 or 3, got {_shown(pdata['n'])}"
+        raise ConfigError(f"params: {reason}") from exc
 
     if not isinstance(data.get("weight", {}), dict):
         raise ConfigError("weight: expected an object")
@@ -179,8 +180,9 @@ def parse_config(data: dict) -> RunConfig:
     qdata = _merge_strict("quadrature", data.get("quadrature", {}))
     try:
         graded_radial_rule(qdata["ball_radial_points"])
-    except ValueError as exc:
-        raise ConfigError(f"quadrature.ball_radial_points: {exc}") from exc
+    except ValueError as exc:   # the rule shows the count whole; from 18 on it refuses only this
+        raise ConfigError(f"quadrature.ball_radial_points: {_shown(qdata['ball_radial_points'])} "
+                          "puts the graded rule's outermost node on the sphere in float64") from exc
     if qdata["sphere_resolution"] is None:
         qdata["sphere_resolution"] = 128 if params.n == 2 else 16
     if qdata["ball_angular_resolution"] is None:

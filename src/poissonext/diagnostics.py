@@ -104,34 +104,14 @@ def blow_up_rescale(u, rp: RescaleParams):
     return phi
 
 
-def half_mass_radius(v: BoundaryFunction) -> float:
-    """Geodesic radius of the cap around the maximum holding half the mass.
-
-    Mass density is v itself against the quadrature weights, so the radius
-    is invariant under amplitude scaling.
-    """
-    vals = v.values
-    quad = v.quad
-    jmax = int(np.argmax(vals))
-    cosd = np.clip(quad.nodes @ quad.nodes[jmax], -1.0, 1.0)
-    dist = np.arccos(cosd)
-    order = np.argsort(dist)
-    mass = np.cumsum((quad.weights * vals)[order])
-    total = mass[-1]
-    k = int(np.searchsorted(mass, 0.5 * total))
-    return float(dist[order][min(k, len(dist) - 1)])
-
-
 def concentration_report(v: BoundaryFunction) -> dict:
-    """Scale-invariant concentration indicators for a boundary profile."""
+    """sup, inf, their ratio, argmax node and mean of v; only ratio and node are scale-invariant."""
     vals = v.values
-    jmax = int(np.argmax(vals))
     sup, inf = float(vals.max()), float(vals.min())
     return {
         "sup": sup,
         "inf": inf,
         "sup_inf_ratio": sup / inf if inf > 0 else np.inf,
-        "max_location": [float(c) for c in v.quad.nodes[jmax]],
-        "half_mass_radius": half_mass_radius(v),
+        "max_location": [float(c) for c in v.quad.nodes[np.argmax(vals)]],
         "mean": integrate_boundary(vals, v.quad) / v.quad.area,
     }

@@ -251,7 +251,9 @@ class TestConfigParsing:
         lambda x: {"params": {"a": x}},
         lambda x: {"solver": {"schedule": [5.0, x]}},
         lambda x: {"seed": -x},
-    ], ids=["params.a", "solver.schedule", "seed"])
+        lambda x: {"params": {"n": x}},
+        lambda x: {"quadrature": {"ball_radial_points": x}},
+    ], ids=["params.a", "solver.schedule", "seed", "params.n", "quadrature.ball_radial_points"])
     @pytest.mark.parametrize("digits", [300, 401, 5001])
     def test_a_huge_integer_is_a_config_error_with_a_short_message(self, config, digits):
         with pytest.raises(ConfigError) as exc:
@@ -811,25 +813,27 @@ class TestCliCommands:
         path = write_config(tmp_path, tiny_2d_config(out))
         assert main(["diagnose", "--config", path]) == 0
 
-    def test_diagnose_half_mass_radii_are_its_reports_radii(self, tmp_path):
-        # each radius is the one of its profile, and the report's list holds
-        # the concentration reports' radii bit for bit
+    def test_diagnose_report_holds_the_checks_and_each_profiles_report(self, tmp_path):
+        # the gated ratios are the reports' ratios, and each report is the one
+        # of the profile written beside it
         out = str(tmp_path / "out")
         assert main(["diagnose", "--config", write_config(tmp_path, tiny_3d_config(out))]) == 0
         body = read_report(out)["report"]
-        radii = [r["half_mass_radius"] for r in body["concentration_reports"]]
-        assert body["half_mass_radii"] == radii
+        assert set(body) == {"checks", "concentration_reports"}
+        reports = body["concentration_reports"]
+        assert all(set(r) == {"sup", "inf", "sup_inf_ratio", "max_location", "mean"}
+                   for r in reports)
         check = next(c for c in body["checks"] if c["check"] == "sup_inf_ratio_grows")
-        assert check["value"] == [r["sup_inf_ratio"] for r in body["concentration_reports"]]
+        assert check["value"] == [r["sup_inf_ratio"] for r in reports]
         config = parse_config(tiny_3d_config(out))
         sphere = px.build_sphere_quadrature(config.params, config.quadrature["sphere_resolution"])
-        for lam, radius in zip((1.0, 0.3, 0.1), radii):
+        for lam, rep in zip((1.0, 0.3, 0.1), reports, strict=True):
             values = np.loadtxt(Path(out, "profiles", f"bubble_lambda_{lam}.csv"),
                                 delimiter=",", skiprows=1)[:, -1]
-            assert px.diagnostics.half_mass_radius(px.BoundaryFunction(values, sphere)) == radius
+            assert px.concentration_report(px.BoundaryFunction(values, sphere)) == rep
 
-    # the half-mass radius is a node distance: under weak concentration it
-    # stalls ([pi/2, 1.5217, 1.5217] at n = 2, a = 0.05), while sup / inf grows
+    # the bubbles concentrate only weakly near the ends of a's range, where
+    # sup / inf over the nodes must still grow strictly as lambda falls
     @pytest.mark.parametrize("n, a", [(2, 0.05), (3, -0.9), (2, 0.001), (3, -0.999)])
     def test_diagnose_passes_where_the_bubbles_concentrate_weakly(self, n, a, tmp_path):
         out = str(tmp_path / "out")

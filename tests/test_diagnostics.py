@@ -112,8 +112,6 @@ class TestConcentrationReport:
         v = px.BoundaryFunction(np.full(len(sphere_3d), 2.5), sphere_3d)
         rep = px.concentration_report(v)
         assert rep["sup_inf_ratio"] == 1.0
-        # the cap holding half the measure of the sphere is a hemisphere
-        assert rep["half_mass_radius"] == pytest.approx(np.pi / 2, abs=0.2)
 
     @pytest.mark.parametrize("n, resolution", [(2, 128), (3, 16)])
     def test_mean_of_one_is_exactly_one(self, n, resolution):
@@ -126,28 +124,26 @@ class TestConcentrationReport:
         v = np.full(len(sphere_2d), 1e-9)
         v[7] = 1.0
         rep = px.concentration_report(px.BoundaryFunction(v, sphere_2d))
-        spacing = 2 * np.pi / len(sphere_2d)
-        assert rep["half_mass_radius"] < 2 * spacing
         assert rep["max_location"] == pytest.approx(list(sphere_2d.nodes[7]))
 
     def test_amplitude_invariance(self, sphere_2d, rng):
         v = rng.random(len(sphere_2d)) + 0.1
         r1 = px.concentration_report(px.BoundaryFunction(v, sphere_2d))
         r2 = px.concentration_report(px.BoundaryFunction(100.0 * v, sphere_2d))
-        assert r1["half_mass_radius"] == r2["half_mass_radius"]
         assert r1["sup_inf_ratio"] == pytest.approx(r2["sup_inf_ratio"], rel=1e-12)
         assert r1["max_location"] == r2["max_location"]
 
     def test_bubble_family_shrinks(self, params_2d, sphere_2d):
-        radii = []
+        ratios = []
         for lam in (1.0, 0.4, 0.15):
             bp = px.BubbleParams(lambda_scale=lam)
             safe = sphere_2d.nodes * (1.0 - 1e-13)
             ys = px.mobius_f_inverse(safe, params_2d)[:, :-1]
             lifted = np.concatenate([ys, np.zeros((len(ys), 1))], axis=1)
             vals = px.bubble(ys, params_2d, bp) / px.conformal_weight(lifted, params_2d)
-            radii.append(px.half_mass_radius(px.BoundaryFunction(vals, sphere_2d)))
-        assert radii[0] > radii[1] > radii[2]
+            rep = px.concentration_report(px.BoundaryFunction(vals, sphere_2d))
+            ratios.append(rep["sup_inf_ratio"])
+        assert ratios[0] < ratios[1] < ratios[2]
 
 
 class TestClassificationStandIn:
