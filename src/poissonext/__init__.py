@@ -22,10 +22,8 @@ from .quadrature import (
     surface_area,
 )
 from .halfspace import HalfspaceGrid, build_halfspace_grid
-from .operators import (
-    BoundaryFunction,
-    ExtensionOperator,
-    build_extension_operator,
+from .operators import BoundaryFunction, ExtensionOperator, build_extension_operator
+from .fields import (
     conformal_pullback_check,
     extend_at_points,
     extend_halfspace,

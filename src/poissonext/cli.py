@@ -27,6 +27,7 @@ import traceback
 import numpy as np
 
 from . import diagnostics as diag
+from . import fields
 from . import functionals as fn
 from . import operators as ops
 from . import solver as slv
@@ -184,14 +185,14 @@ def cmd_verify(config: RunConfig):
     # conformal pullback identity at random bandlimited data
     vfun = _random_bandlimited(config, rng)
     samples = _sample_pullback_points(params, rng, 8)
-    disc = ops.conformal_pullback_check(vfun, sphere, grid, params, samples)
+    disc = fields.conformal_pullback_check(vfun, sphere, grid, params, samples)
     _check(checks, "conformal_pullback", disc, 1e-4)
 
     # weighted harmonicity of the closed-form bubble extension
     bp = diag.BubbleParams()
     res = max(
         abs(
-            ops.weighted_harmonic_residual(
+            fields.weighted_harmonic_residual(
                 lambda xs: diag.bubble_extension_halfspace(xs, params, bp), x, 1e-2, params
             )
         )
@@ -321,7 +322,7 @@ def _solution(config: RunConfig, problem: slv.SubcriticalProblem, sharp: float, 
     if solved:
         coarse = _problem(config, problem.p, scale=0.5)
         init = ops.BoundaryFunction(
-            np.maximum(ops.interpolate_boundary(v)(coarse.sphere.nodes), 1e-10), coarse.sphere)
+            np.maximum(fields.interpolate_boundary(v)(coarse.sphere.nodes), 1e-10), coarse.sphere)
         _, lam_coarse, rep = slv.maximize_subcritical(coarse, init)
         if slv.solved(rep, lam_coarse / slv.lambda_bound(coarse, sharp)):
             error = fn.richardson_estimate(lam_coarse, lam)[1]

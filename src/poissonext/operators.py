@@ -66,21 +66,31 @@ Table layout.  `extend_table`, `adjoint_table`, `power_adjoint` and
 `bulk_energy` are the only half-products, for antipodal input, as every
 solver iterate is: both halves of E v hold the same bits, so E v is
 returned as its upper half, a row per table row and a column per gathered
-rotation, and T takes F's upper half in the same layout; each runs one
-product per residue class with the folded tables, through one per-class
-input (`_class_input`) and one spread of the transpose products
-(`_spread_sum`).  `power_adjoint` is the solver's T[(E v)^q] in one pass:
-class u's rows of E v come from a product of their own, so it raises them
-to q (binary powering for an integer q, `_power_inplace`), weights them
-and runs the class's transpose product before the next class starts, and
-no array of the full table layout is formed.  `bulk_energy` is the one
-ball integral, |E v|^(q + 1).  The results agree with the general pair's
-to roundoff, not bit for bit: a folded column adds its partner's kernel
-before the product does.  The ball rule is held as shells times an
-angular rule whose weight depends on its ring alone (`SphereQuadrature`),
-so `row_weights`, a shell weight times a ring weight, holds one ball
-weight per table row.  `_table_layout` and `_ball_order` are the one map
-between the ball order and this layout.
+rotation, and T takes F's upper half in the same layout.  They run over
+blocks of turns (`turn_blocks`), as few as keep sphere half x turns per
+block within `_FILL_DOUBLES`, and `gather_index` is stored block-major at
+build time.  In each block every residue class runs one product with the
+folded tables through its class input (`_class_input`); the transpose
+products are spread to every folded column, summed over the classes and
+scattered through the block's gather index (`_table_adjoint`), so T sums
+the blocks' scatters.  Every array of table size lives in one `workspace`
+the operator allocates once, sized by the widest block, in which buffers
+of disjoint lifetimes share memory (`_allocate_workspace`): a warm product
+allocates little more than its output.  On the benchmark rules it is
+0.75 MiB for two blocks of 128 turns (`n2-fine-solve`), 0.59 MiB for one
+block of 40 (`n3-balance-solve`) and 0.44 MiB for one block of 128
+(`ac6-continue`).  `power_adjoint` is the solver's T[(E v)^q] in one pass:
+class u's rows of a block of E v come from a product of their own, so it
+raises them to q (binary powering for an integer q, `_power_inplace`),
+weights them and runs the class's transpose product before the next class
+starts.  `bulk_energy` is the one ball integral, |E v|^(q + 1): the exact
+parts of each block's class rows, rounded once.  The results agree with
+the general pair's to roundoff, not bit for bit: a folded column adds its
+partner's kernel before the product does.  The ball rule is held as shells
+times an angular rule whose weight depends on its ring alone
+(`SphereQuadrature`), so `row_weights`, a shell weight times a ring
+weight, holds one ball weight per table row.  `_table_layout` and
+`_ball_order` are the one map between the ball order and this layout.
 
 Near-boundary correction.  Raw kernel rows at ball nodes with
 1 - |xi| << (sphere node spacing) overestimate the integral by orders of
@@ -110,7 +120,7 @@ column target the exact ball sum of the mass over the sphere's `area`, so
 the operator holds no ball-length array.  The scalings are ~1 away from
 the boundary layer (interior accuracy is untouched) and the balanced
 operator reproduces constants on both sides to near machine precision.
-The raw quadrature survives only in `extend_at_points`.
+The raw quadrature survives only in `fields.extend_at_points`.
 """
 
 from __future__ import annotations
@@ -118,14 +128,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import conformal_weight, mobius_f, stereographic
-from .halfspace import HalfspaceGrid
-from .kernels import ball_prefactor, kernel_ball, kernel_ball_sphere_mass, kernel_halfspace
+from .kernels import ball_prefactor, kernel_ball_sphere_mass
 from .params import ProblemParams
-from .quadrature import BallQuadrature, SphereQuadrature, exact_sum, integrate_boundary
+from .quadrature import BallQuadrature, SphereQuadrature, _exact_parts, exact_sum
 
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 120
@@ -133,19 +142,22 @@ _SINKHORN_MAX_ITER = 120
 _FILL_DOUBLES = 2 ** 15
 
 
-def _power_inplace(z: np.ndarray, q: float) -> np.ndarray:
-    """z ** q in place, returning z.
+def _power_inplace(z: np.ndarray, q: float, base: np.ndarray | None = None) -> np.ndarray:
+    """z ** q in place, returning z; `base`, if given, receives z's values first.
 
     For an integer q >= 1 this is left-to-right binary powering, about
-    log2(q) squarings and as many multiplications by z, instead of libm
-    pow.  Every multiplication of two powers x^a x^b rounds once, so by
-    induction the result is within (q - 1) u of x^q relative (u = 2^-53)
-    wherever no power of x leaves the normal range; with pow's own error
-    of at most one ulp it differs from `**` by less than q eps relative
-    (eps = 2^-52).  Any other q runs `**`, bit for bit.
+    log2(q) squarings and as many multiplications by the base (a copy of z,
+    new if `base` is None), instead of libm pow.  Every multiplication of
+    two powers x^a x^b rounds once, so by induction the result is within
+    (q - 1) u of x^q relative (u = 2^-53) wherever no power of x leaves the
+    normal range; with pow's own error of at most one ulp it differs from
+    `**` by less than q eps relative (eps = 2^-52).  Any other q runs `**`,
+    bit for bit.
     """
+    if base is not None:
+        np.copyto(base, z)
     if q >= 1 and float(q).is_integer():
-        base = z.copy()
+        base = z.copy() if base is None else base
         for bit in bin(int(q))[3:]:
             z *= z
             if bit == "1":
@@ -278,6 +290,34 @@ def _kernel_table(sphere: SphereQuadrature, ball: BallQuadrature, params: Proble
     return tuple(tables), gather, tuple(columns), orbit, ub
 
 
+def _turn_blocks(gather: np.ndarray) -> tuple:
+    """(gather index stored block-major, turn bounds (lo, hi) of each block).
+
+    The turns split into as few blocks as keep rows x turns per block within
+    `_FILL_DOUBLES`, as even as their count allows.  Block (lo, hi) holds
+    gather[:, lo:hi] in C order at offset rows * lo of the returned array.
+    """
+    rows, turns = gather.shape
+    count = -(-turns // max(1, _FILL_DOUBLES // rows))
+    bounds = tuple((b * turns // count, (b + 1) * turns // count) for b in range(count))
+    flat = np.empty(gather.size, dtype=gather.dtype)
+    for lo, hi in bounds:
+        flat[rows * lo:rows * hi].reshape(rows, hi - lo)[:] = gather[:, lo:hi]
+    return flat, bounds
+
+
+class _TurnBlock(NamedTuple):
+    """Turns lo:hi of the table layout, with the workspace views its products write."""
+
+    lo: int
+    hi: int
+    gather: np.ndarray      # gather_index's rows at these turns
+    y: np.ndarray           # gathered input; then the last class's spread
+    acc: np.ndarray         # spread sum of the classes (y's memory for one class)
+    x: np.ndarray           # class input, then power base, then transpose product
+    z: np.ndarray           # mirror input, then forward product, then a middle class's spread
+
+
 @dataclass(eq=False)
 class ExtensionOperator:
     """Balanced discretization of the extension/adjoint pair.
@@ -288,12 +328,15 @@ class ExtensionOperator:
     residue class u, for the table rows u::residues, and its columns are
     the class's kept columns `fold_columns[u][0]` (all below N/2), each
     adding the input of its mirror column in `fold_columns[u][1]`, if it
-    has one; row i of `gather_index` is node i turned by each m.  See the
-    module docstring; the solver calls `power_adjoint` and `bulk_energy`
-    only.  `row_weights` is the ball weight of each table row.  `row_scale`
-    (per table row) and `col_scale` (per sphere node) are the scalings
-    folded into the tables; `_scale` multiplies them into the folded tables
-    at build time and into the general pair's tables, over all columns, on
+    has one.  The turns run in the blocks `turn_blocks`, and
+    `gather_index` holds each block's node i turned by each m, block after
+    block (`_turn_blocks`).  See the module docstring; the solver calls
+    `power_adjoint` and `bulk_energy` only.  The table-layout products
+    write through `workspace`, so an operator runs one at a time.
+    `row_weights` is the ball weight of each table row.  `row_scale` (per
+    table row) and `col_scale` (per sphere node) are the scalings folded
+    into the tables; `_scale` multiplies them into the folded tables at
+    build time and into the general pair's tables, over all columns, on
     that pair's first call.  No array of ball length is held.
     """
 
@@ -303,35 +346,84 @@ class ExtensionOperator:
     # populated at build time
     kernel_table: tuple = field(init=False, repr=False)
     gather_index: np.ndarray = field(init=False, repr=False)
+    turn_blocks: tuple = field(init=False, repr=False)
     fold_columns: tuple = field(init=False, repr=False)
     residues: int = field(init=False)
     row_weights: np.ndarray = field(init=False, repr=False)
     row_scale: np.ndarray = field(init=False, repr=False)
     col_scale: np.ndarray = field(init=False, repr=False)
+    workspace: np.ndarray = field(init=False, repr=False)
     balance_iterations: int = field(init=False)
     balance_row_dev: float = field(init=False)
     balance_col_dev: float = field(init=False)
+    # a _TurnBlock per turn block, views of gather_index and workspace
+    _blocks: tuple = field(init=False, repr=False)
     # (tables, gather index, columns) over all columns, for the general pair
     _general: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.sphere.n != self.params.n or self.ball.n != self.params.n:
             raise ValueError("quadrature dimensions do not match the parameters")
-        (self.kernel_table, self.gather_index, self.fold_columns, orbit,
+        (self.kernel_table, gather, self.fold_columns, orbit,
          self.residues) = _kernel_table(self.sphere, self.ball, self.params)
-        mass = kernel_ball_sphere_mass(self.ball.radii, self.params)
+        self.gather_index, self.turn_blocks = _turn_blocks(gather)
+        del gather      # the build holds one gather index
         # one angular weight per upper ring: a node's weight depends on its ring alone
         ang = self.ball.angular
-        rings = ang.weights[:ang.half:ang.layout[3]]
         self.row_weights = (self.ball.shell_weights[:, None]
-                            * np.repeat(rings, self.residues)).flatten()
-        # a row's target is the mass at its shell's radius.  The column target
-        # is the exact ball sum of W mass over the sphere's area; a row's
-        # nodes share its weight and radius, so that sum's terms are each
-        # row's term once per turn in each half, the upper half's sum doubled
-        psi = np.repeat(mass[:self.ball.half:ang.half], len(rings) * self.residues)
-        terms = np.repeat(self.row_weights * psi, self.gather_index.shape[1])
-        self._balance(orbit, psi, 2.0 * exact_sum(terms) / self.sphere.area)
+                            * np.repeat(ang.weights[:ang.half:ang.layout[3]],
+                                        self.residues)).flatten()
+        self._balance(orbit, *self._balance_targets())
+        # allocated once the build's ball-length arrays are freed, so the heap
+        # can give it their pages instead of new ones
+        self._allocate_workspace()
+
+    def _balance_targets(self) -> tuple:
+        """(row targets psi, column target theta) of the balancing.
+
+        A row's target is the mass at its shell's radius.  The column target
+        is the exact ball sum of W mass over the sphere's area; a row's
+        nodes share its weight and radius, so that sum's terms are each
+        row's term once per turn in each half, the upper half's sum doubled.
+        """
+        mass = kernel_ball_sphere_mass(self.ball.radii, self.params)
+        psi = np.repeat(mass[:self.ball.half:self.ball.angular.half],
+                        len(self.row_weights) // len(self.ball.shell_radii))
+        terms = np.repeat(self.row_weights * psi, self.table_shape[1])
+        return psi, 2.0 * exact_sum(terms) / self.sphere.area
+
+    def _allocate_workspace(self) -> None:
+        """One buffer for every table-layout product, and each turn block's views of it.
+
+        Buffers whose contents are never needed at once share memory: the
+        class input, power base and transpose product; the mirror input,
+        forward product and a middle class's spread; the gathered input and,
+        once the last class has read it, that class's spread.  With one
+        class the gathered input is spent once the class input is made, so
+        it lies in the class input's buffer, after the kept rows, and holds
+        the spread sum too.
+        """
+        half, res = self.sphere.half, self.residues
+        width = max(hi - lo for lo, hi in self.turn_blocks)
+        rows = len(self.row_weights) // res
+        kept = max(len(columns[0]) for columns in self.fold_columns)
+        mirror = max(len(columns[1]) for columns in self.fold_columns)
+        # (first row, rows) of the gathered input, spread sum, class input and mirror input
+        if res == 1:
+            x_rows = max(kept + half, rows)
+            spans = ((kept, half), (kept, half), (0, x_rows), (x_rows, max(mirror, rows)))
+        else:
+            x_rows = max(kept, rows)
+            spans = ((0, half), (half, half), (2 * half, x_rows),
+                     (2 * half + x_rows, max(mirror, rows, half if res > 2 else 0)))
+        self.workspace = np.empty(sum(spans[-1]) * width)
+        blocks = []
+        for lo, hi in self.turn_blocks:
+            w = hi - lo
+            views = (self.workspace[a * w:(a + c) * w].reshape(c, w) for a, c in spans)
+            gather = self.gather_index[half * lo:half * hi].reshape(half, w)
+            blocks.append(_TurnBlock(lo, hi, gather, *views))
+        self._blocks = tuple(blocks)
 
     # -- upper-half class products (exact pair symmetry, see module docstring) --
 
@@ -340,11 +432,15 @@ class ExtensionOperator:
         """(kernel_table, fold_columns): the tables and columns of the solver's products."""
         return self.kernel_table, self.fold_columns
 
-    def _class_input(self, y: np.ndarray, columns: tuple, u: int) -> np.ndarray:
-        """Class u's product input: y at its kept columns plus y at their mirrors."""
+    def _class_input(self, y: np.ndarray, columns: tuple, u: int, out=None,
+                     mirrored=None) -> np.ndarray:
+        """Class u's product input: y at its kept columns plus y at their mirrors.
+
+        Into `out`, with y at the mirror columns in `mirrored`, when given.
+        """
         kept, mirror, _ = columns[u]
-        x = y[kept]
-        x[:len(mirror)] += y[mirror]
+        x = y.take(kept, axis=0, out=out, mode="clip")
+        x[:len(mirror)] += y.take(mirror, axis=0, out=mirrored, mode="clip")
         return x
 
     def _fold_product(self, y: np.ndarray, tables: tuple, columns: tuple) -> np.ndarray:
@@ -357,31 +453,20 @@ class ExtensionOperator:
             np.matmul(table, self._class_input(y, columns, u), out=out[u::self.residues])
         return out
 
-    def _spread_sum(self, class_rows, tables: tuple, columns: tuple) -> np.ndarray:
-        """Sum over the classes u of tables[u].T @ class_rows(u), one value (or row) per column.
+    def _fold_transpose(self, z: np.ndarray, tables: tuple, columns: tuple) -> np.ndarray:
+        """Transpose of _fold_product: one value (or row) per column.
 
         The kept column of a mirror pair gives its value to both columns.
-        Each class's rows are released before the next class's are made, and
-        later classes add in place: transient arrays past glibc malloc's trim
-        threshold would go back to the system and fault in again every call.
         """
         out = None
-        for u, (table, (kept, mirror, spread)) in enumerate(zip(tables, columns)):
-            t = table.T @ class_rows(u)
-            if out is None:
-                out = t[spread]
-            else:
-                out[kept] += t
-                out[mirror] += t[:len(mirror)]
+        for u, (table, (_, _, spread)) in enumerate(zip(tables, columns)):
+            t = np.take(table.T @ z[u::self.residues], spread, axis=0)
+            out = t if out is None else np.add(out, t, out=out)
         return out
-
-    def _fold_transpose(self, z: np.ndarray, tables: tuple, columns: tuple) -> np.ndarray:
-        """Transpose of _fold_product: one value (or row) per column."""
-        return self._spread_sum(lambda u: z[u::self.residues], tables, columns)
 
     def _table_layout(self, z: np.ndarray) -> np.ndarray:
         """Upper-half ball values, ball order (shell, ring, m, u) -> table rows x columns m."""
-        turns = self.gather_index.shape[1]
+        turns = self.table_shape[1]
         return z.reshape(-1, turns, self.residues).transpose(0, 2, 1).reshape(-1, turns)
 
     def _ball_order(self, t: np.ndarray) -> np.ndarray:
@@ -402,7 +487,7 @@ class ExtensionOperator:
         divided by the rotation classes it merges, one or two.  The row sums
         of the deviation check are the next sweep's.
         """
-        share = self.gather_index.shape[1] / np.bincount(orbit)
+        share = self.table_shape[1] / np.bincount(orbit)
         # each column's orbit indicator: a kept column adds its mirror's
         sums = self._fold_product(np.eye(len(share))[orbit], *self._folded)
         w = self.sphere.weights[np.unique(orbit, return_index=True)[1]]
@@ -424,28 +509,74 @@ class ExtensionOperator:
         self._scale(self.kernel_table, self.fold_columns)
 
     def _scale(self, tables: tuple, columns: tuple) -> None:
-        """Multiply row_scale, then col_scale, into class tables over `columns`, in place."""
+        """Multiply row_scale, then col_scale, into class tables over `columns`, in place.
+
+        One pass, a block of at most `_FILL_DOUBLES` entries (whole rows) at
+        a time: each entry is (t d) e, the bits of two full passes.
+        """
         for u, (table, (kept, _, _)) in enumerate(zip(tables, columns)):
-            table *= self.row_scale[u::self.residues, None]
-            table *= self.col_scale[kept]
+            d, e = self.row_scale[u::self.residues, None], self.col_scale[kept]
+            step = max(1, _FILL_DOUBLES // table.shape[1])
+            for lo in range(0, len(table), step):
+                block = table[lo:lo + step]
+                block *= d[lo:lo + step]
+                block *= e
 
     # -- table-layout pair: the one half-product, the solver's path --
 
     @property
     def table_shape(self) -> tuple[int, int]:
         """(table rows, turns): the shape of extend_table's output and adjoint_table's input."""
-        return len(self.row_weights), self.gather_index.shape[1]
+        return len(self.row_weights), self.turn_blocks[-1][1]
 
-    def _gathered(self, v: np.ndarray, name: str) -> np.ndarray:
-        """(w v)[gather_index] of an antipodal v; ValueError naming `name` if not."""
+    def _boundary_input(self, v: np.ndarray, name: str) -> np.ndarray:
+        """w v of an antipodal v; ValueError naming `name` if v is not one."""
         v = _checked(v, (len(self.sphere),), f"{name} needs v of shape")
         self.sphere.check_antipodal(v, f"{name} needs an antipodal v")
-        return (self.sphere.weights * v)[self.gather_index]
+        return self.sphere.weights * v
 
-    def _scatter(self, t: np.ndarray) -> np.ndarray:
-        """T F on the sphere nodes from the per-folded-column sums t of F's upper half."""
-        up = np.bincount(self.gather_index.ravel(), weights=t.ravel(),
-                         minlength=len(self.sphere))
+    def _gathered_blocks(self, wv: np.ndarray):
+        """Each turn block, its gathered input y set to wv at its gather index."""
+        for block in self._blocks:
+            wv.take(block.gather, out=block.y, mode="clip")
+            yield block
+
+    def _class_product(self, block: _TurnBlock, u: int, out=None) -> np.ndarray:
+        """Class u's rows of the block's forward product, into `out` or the block's z."""
+        table, (kept, mirror, _) = self.kernel_table[u], self.fold_columns[u]
+        x = self._class_input(block.y, self.fold_columns, u, block.x[:len(kept)],
+                              block.z[:len(mirror)])
+        return np.matmul(table, x, out=block.z[:len(table)] if out is None else out)
+
+    def _weigh(self, z: np.ndarray, u: int, scratch: np.ndarray) -> None:
+        """z *= the ball weights of class u's rows, spread over `scratch`, an array of z's shape.
+
+        A broadcast product would allocate a 64 KiB ufunc buffer per call.
+        """
+        np.copyto(scratch, self.row_weights[u::self.residues, None])
+        z *= scratch
+
+    def _table_adjoint(self, blocks, class_rows) -> np.ndarray:
+        """T F on the sphere nodes from F's upper half, class_rows(block, u) a block's class u rows.
+
+        Per block: each class's transpose product, spread to every folded
+        column and summed over the classes, then scattered through the
+        block's gather index; the lower half adds at the antipodes.
+        """
+        up, last = None, self.residues - 1
+        for block in blocks:
+            for u, (table, (kept, _, spread)) in enumerate(zip(*self._folded)):
+                t = np.matmul(table.T, class_rows(block, u), out=block.x[:len(kept)])
+                if u == 0:
+                    t.take(spread, axis=0, out=block.acc, mode="clip")
+                else:
+                    # the gathered input is spent once the last class has read it
+                    scratch = block.y if u == last else block.z[:len(spread)]
+                    np.add(block.acc, t.take(spread, axis=0, out=scratch, mode="clip"),
+                           out=block.acc)
+            part = np.bincount(block.gather.ravel(), weights=block.acc.ravel(),
+                               minlength=len(self.sphere))
+            up = part if up is None else np.add(up, part, out=up)
         return up + up[self.sphere.antipode_index]
 
     def extend_table(self, v: np.ndarray) -> np.ndarray:
@@ -457,45 +588,59 @@ class ExtensionOperator:
         sphere's shape, or if its two halves differ in any bit, since the
         folded tables would then be wrong.
         """
-        return self._fold_product(self._gathered(v, "extend_table"), *self._folded)
+        out = np.empty(self.table_shape)
+        for block in self._gathered_blocks(self._boundary_input(v, "extend_table")):
+            for u in range(self.residues):
+                self._class_product(block, u, out[u::self.residues, block.lo:block.hi])
+        return out
 
     def adjoint_table(self, z: np.ndarray) -> np.ndarray:
         """T F of the antipodal F whose upper half is z, in the layout of extend_table."""
-        z = _checked(z, self.table_shape, "adjoint_table needs z of the table shape")
-        return self._scatter(self._fold_transpose(self.row_weights[:, None] * z, *self._folded))
+        z = self.row_weights[:, None] * _checked(z, self.table_shape,
+                                                 "adjoint_table needs z of the table shape")
+        return self._table_adjoint(self._blocks,
+                                   lambda block, u: z[u::self.residues, block.lo:block.hi])
 
     def power_adjoint(self, v: np.ndarray, q: float) -> np.ndarray:
         """T[(E v)^q] of an antipodal v >= 0: adjoint_table(extend_table(v) ** q) in one pass.
 
-        Each residue class runs its forward product, raises it to q, weights
-        it and runs its transpose product before the next class starts, so
-        no full table-layout array is formed.  The power is
-        `_power_inplace`: the two-call form's bits for a non-integer q, and
-        within q eps of them relative in each term for an integer q.
-        Raises ValueError as extend_table does.
+        In each turn block, each residue class runs its forward product,
+        raises it to q, weights it and runs its transpose product before the
+        next class starts, all in the workspace, so no full table-layout
+        array is formed.  The power is `_power_inplace`: the two-call form's
+        bits for a non-integer q, and within q eps of them relative in each
+        term for an integer q.  Raises ValueError as extend_table does.
         """
-        y = self._gathered(v, "power_adjoint")
-
-        def weighted_power(u):
-            z = self.kernel_table[u] @ self._class_input(y, self.fold_columns, u)
-            _power_inplace(z, q)
-            z *= self.row_weights[u::self.residues, None]
+        def weighted_power(block, u):
+            z = self._class_product(block, u)
+            _power_inplace(z, q, block.x[:len(z)])
+            self._weigh(z, u, block.x[:len(z)])
             return z
 
-        return self._scatter(self._spread_sum(weighted_power, *self._folded))
+        return self._table_adjoint(
+            self._gathered_blocks(self._boundary_input(v, "power_adjoint")), weighted_power)
 
     def bulk_energy(self, v: np.ndarray, q: float) -> float:
         """Ball integral of E v (E v)^q, the bulk energy |E v|^(q + 1), of an antipodal v >= 0.
 
-        (E v)^q is `_power_inplace`'s.  The exact sum runs on the upper half,
-        one ball weight per table row, and is doubled: the full integrand's
+        (E v)^q is `_power_inplace`'s.  Each block's class rows of the
+        integrand, one ball weight per table row, give their exact parts
+        (`quadrature._exact_parts`) in the workspace; `math.fsum` of all the
+        parts, doubled for the lower half, is the full integrand's
         `math.fsum` bit for bit while every term lies below 2^900 (the
-        `quadrature` module docstring).  Raises ValueError as extend_table does.
+        `quadrature` module docstring).  Raises ValueError as extend_table
+        does.
         """
-        z = self._fold_product(self._gathered(v, "bulk_energy"), *self._folded)
-        z *= _power_inplace(z.copy(), q)
-        z *= self.row_weights[:, None]
-        return 2.0 * exact_sum(z.ravel())
+        parts = []
+        for block in self._gathered_blocks(self._boundary_input(v, "bulk_energy")):
+            for u in range(self.residues):
+                z = self._class_product(block, u)
+                base = block.x[:len(z)]
+                _power_inplace(z, q, base)
+                z *= base
+                self._weigh(z, u, base)
+                parts += _exact_parts(z.ravel(), base.ravel())
+        return 2.0 * math.fsum(parts)
 
     # -- general pair: any input, through the class tables over all columns --
 
@@ -548,165 +693,3 @@ def build_extension_operator(
     built last.  A keyword call is cached under a key of its own.
     """
     return ExtensionOperator(params, sphere, ball)
-
-
-def extend_at_points(
-    v: BoundaryFunction, points: np.ndarray, params: ProblemParams
-) -> np.ndarray:
-    """Pure-quadrature extension at arbitrary interior points.
-
-    Used for point probes away from the boundary layer, where the raw rule
-    is spectrally accurate; no balancing is applied.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    rows = kernel_ball(v.quad.nodes[None, :, :], points[:, None, :], params)
-    return rows @ (v.quad.weights * v.values)
-
-
-def extend_halfspace(u_values: np.ndarray, grid: HalfspaceGrid, targets: np.ndarray,
-                     params: ProblemParams) -> np.ndarray:
-    """Half-space extension of grid samples at targets in R^n with x_n > 0."""
-    u_values = np.asarray(u_values, dtype=float)
-    if u_values.shape != grid.weights.shape:
-        raise ValueError("u must be sampled on the grid nodes")
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if targets.shape[-1] != params.n:
-        raise ValueError(f"expected points in R^{params.n}, got shape {targets.shape}")
-    if np.any(targets[:, -1] <= 0):
-        raise ValueError("extension targets need x_n > 0")
-    out = np.empty(len(targets))
-    for k, x in enumerate(targets):
-        out[k] = integrate_boundary(kernel_halfspace(grid.nodes, x, params) * u_values, grid)
-    return out
-
-
-def interpolate_boundary(v: BoundaryFunction):
-    """Callable interpolant of nodal boundary values.
-
-    n = 2 uses the exact trigonometric interpolant of the equispaced rule;
-    n = 3 is the L^2 projection, in the rule's own inner product, onto real
-    spherical harmonics of degree <= min(resolution / 2, 12) (exact on them).
-    """
-    quad = v.quad
-    if quad.n == 2:
-        # node i lies at azimuth index i of the even count len(v.values)
-        coeff = np.fft.rfft(v.values) / len(v.values)
-
-        def interp2(points: np.ndarray) -> np.ndarray:
-            points = np.atleast_2d(np.asarray(points, dtype=float))
-            theta = np.arctan2(points[:, 1], points[:, 0])
-            k = np.arange(len(coeff))
-            phase = np.exp(1j * np.outer(theta, k))
-            scale = np.full(len(coeff), 2.0)
-            scale[0] = scale[-1] = 1.0
-            return np.real(phase @ (coeff * scale))
-
-        return interp2
-    degree = min(quad.resolution // 2, 12)
-    coeff = _real_sph_design(quad.nodes, degree).T @ (quad.weights * v.values)
-
-    def interp3(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _real_sph_design(points, degree) @ coeff
-
-    return interp3
-
-
-def _real_sph_design(points: np.ndarray, degree: int) -> np.ndarray:
-    """Orthonormal real harmonics, by ell then m, cos(m phi) before sin(m phi).
-
-    Normalized Legendre recurrences (Holmes & Featherstone, J. Geodesy 76,
-    2002), without the Condon-Shortley phase.
-    """
-    t = np.clip(points[:, 2], -1.0, 1.0)
-    phi = np.arctan2(points[:, 1], points[:, 0])
-    cols, p_mm = {}, np.full(len(t), 0.5 / np.sqrt(np.pi))
-    for m in range(degree + 1):
-        if m:
-            p_mm = np.sqrt(1.0 + 0.5 / m) * np.sqrt(1.0 - t * t) * p_mm
-        prev, cur = 0.0, p_mm
-        for ell in range(m, degree + 1):
-            if ell > m:
-                a = np.sqrt((4 * ell * ell - 1) / (ell * ell - m * m))
-                b = np.sqrt(((ell - 1) ** 2 - m * m) / (4 * (ell - 1) ** 2 - 1))
-                prev, cur = cur, a * (t * cur - b * prev)
-            cols[ell, m] = [cur] if m == 0 else [np.sqrt(2.0) * cur * np.cos(m * phi),
-                                                 np.sqrt(2.0) * cur * np.sin(m * phi)]
-    return np.stack([c for key in sorted(cols) for c in cols[key]], axis=1)
-
-
-def conformal_pullback_check(
-    v,
-    sphere: SphereQuadrature,
-    grid: HalfspaceGrid,
-    params: ProblemParams,
-    sample_points: np.ndarray,
-) -> float:
-    """Max relative discrepancy of the ball/half-space intertwining identity.
-
-    Both sides of
-
-        (ball extension of v)(F(x)) * conformal_weight(x)
-            = (half-space extension of conformal_weight * (v o F))(x)
-
-    are evaluated independently: the left through the sphere quadrature,
-    the right through the half-space grid.  `v` is a callable on sphere
-    points; nodal values go through `interpolate_boundary` first.
-    """
-    sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    v_nodes = BoundaryFunction(np.asarray(v(sphere.nodes), dtype=float), sphere)
-
-    xi = mobius_f(sample_points, params)
-    lhs = extend_at_points(v_nodes, xi, params)
-
-    boundary_pts = np.concatenate(
-        [grid.nodes, np.zeros((len(grid.nodes), 1))], axis=1
-    )
-    u = conformal_weight(boundary_pts, params) * np.asarray(
-        v(stereographic(grid.nodes, params.n)), dtype=float
-    )
-    rhs = extend_halfspace(u, grid, sample_points, params)
-    rhs /= conformal_weight(sample_points, params)
-    scale = np.max(np.abs(lhs))
-    return float(np.max(np.abs(lhs - rhs)) / scale)
-
-
-def weighted_harmonic_residual(
-    field_eval,
-    x: np.ndarray,
-    h: float,
-    params: ProblemParams,
-) -> float:
-    """Finite-difference residual of div(x_n^a grad Phi) at an interior point.
-
-    Conservative second-order stencil: plain central differences in the
-    tangential directions, flux differences at x_n +/- h/2 in the normal
-    direction.  The extension solves the weighted equation for -1 < a < 1,
-    which 2 - n < a < 1 implies at n in {2, 3}.  Requires x_n > 2h so the
-    stencil stays interior.
-    """
-    a = params.a
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.n,):
-        raise ValueError(f"expected a single point in R^{params.n}")
-    if x[-1] <= 2.0 * h:
-        raise ValueError("point too close to the boundary for the stencil")
-    n = params.n
-    pts = [x]
-    for i in range(n):
-        for s in (+1.0, -1.0):
-            p = x.copy()
-            p[i] += s * h
-            pts.append(p)
-    vals = np.asarray(field_eval(np.stack(pts)), dtype=float)
-    f0 = vals[0]
-    res = 0.0
-    xn = x[-1]
-    for i in range(n - 1):
-        fp, fm = vals[1 + 2 * i], vals[2 + 2 * i]
-        res += xn**a * (fp - 2.0 * f0 + fm) / (h * h)
-    fp, fm = vals[1 + 2 * (n - 1)], vals[2 + 2 * (n - 1)]
-    res += (
-        (xn + 0.5 * h) ** a * (fp - f0) - (xn - 0.5 * h) ** a * (f0 - fm)
-    ) / (h * h)
-    return float(res)

@@ -33,14 +33,19 @@ Integrals
     products bit for bit and independent of the node order.  `exact_sum`
     gets that sum from a few vectorized passes of error-free extraction
     (Rump, Ogita & Oishi 2008) instead of a Python loop over the terms, at
-    every length.  An antipodal integrand held as its upper half sums that
-    half and doubles it.  While every term lies below 2^900 this is the full
-    `math.fsum` bit for bit: no partial sum overflows, and doubling commutes
-    with the one rounding (an exact sum of floats is a multiple of 2^-1074,
-    and below 2^-1021 needs no rounding).  Past that it is the same bits, or
-    the correctly rounded total (inf past the largest float) where fsum of
-    the whole raises OverflowError.  `SphereQuadrature.area` is the exact
-    sum of a rule's weights, the one |S^{n-1}| every caller divides by.
+    every length: `_exact_parts` runs the passes in place on an array the
+    caller owns and returns a few floats whose exact sum is the array's,
+    and `exact_sum` is fsum of the parts of a copy.  fsum of the parts of
+    the pieces of any split is the same sum, so a caller can sum an array
+    it never forms, block by block.  An antipodal integrand held as its
+    upper half sums that half and doubles it.  While every term lies below
+    2^900 this is the full `math.fsum` bit for bit: no partial sum
+    overflows, and doubling commutes with the one rounding (an exact sum of
+    floats is a multiple of 2^-1074, and below 2^-1021 needs no rounding).
+    Past that it is the same bits, or the correctly rounded total (inf past
+    the largest float) where fsum of the whole raises OverflowError.
+    `SphereQuadrature.area` is the exact sum of a rule's weights, the one
+    |S^{n-1}| every caller divides by.
 
 Antipodal profiles
     `SphereQuadrature.symmetrize` is the antipodal average, whose two halves
@@ -305,34 +310,48 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def exact_sum(terms: np.ndarray) -> float:
-    """`math.fsum(terms.tolist())` of a 1-D float array, bit for bit, by vector passes.
+def _exact_parts(terms: np.ndarray, scratch: np.ndarray) -> list:
+    """Floats whose exact sum is that of the 1-D `terms`, by vector passes in place.
 
-    Each pass splits every term x into q + (x - q), with q = (sigma + x) - sigma
-    on the ulp grid of sigma = 2^(k + e), 2^k >= len + 2 and max|x| < 2^e.
-    Both parts are exact and |sum q| <= sigma, so `np.sum(q)` is exact in any
-    order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008, part I), and
-    the largest remainder is at least 2^(52 - k) times smaller.  Once the
-    remainder is zero the pass sums hold the exact total and fsum rounds it
-    once.  When the largest remainder is zero before any pass, non-finite or
-    outside (2^-900, 2^900), or the passes run out, fsum adds the remainder
-    itself, which keeps its signed zeros, inf/nan results and exceptions.
+    `terms` is the caller's own array and ends as the remainder; `scratch`,
+    of its shape, holds each pass's extracted part, so a call allocates no
+    array.  Each pass splits every term x into q + (x - q), with
+    q = (sigma + x) - sigma on the ulp grid of sigma = 2^(k + e),
+    2^k >= len + 2 and max|x| < 2^e.  Both parts are exact and
+    |sum q| <= sigma, so `np.sum(q)` is exact in any order (Rump, Ogita &
+    Oishi, SIAM J. Sci. Comput. 31, 2008, part I), and the largest remainder
+    is at least 2^(52 - k) times smaller.  Once the remainder is zero the
+    pass sums are the parts.  When the largest remainder is zero before any
+    pass, non-finite or outside (2^-900, 2^900), or the passes run out, the
+    remainder's terms follow the pass sums, signed zeros, infinities and
+    nans as they are.
     """
     k = (len(terms) + 1).bit_length()
     partials = []
     for _ in range(_EXACT_SUM_PASSES):
-        top = max(terms.max(), -terms.min()) if len(terms) else 0.0
+        top = float(np.abs(terms, out=scratch).max()) if len(terms) else 0.0
         if top == 0.0 and partials:
-            return math.fsum(partials)
+            return partials
         if not 2.0 ** -900 < top < 2.0 ** 900:
             break
         sigma = math.ldexp(1.0, k + math.frexp(top)[1])
-        # after the first pass both arrays are this call's own and are reused
-        q = np.add(sigma, terms, out=q if partials else None)
+        q = np.add(sigma, terms, out=scratch)
         q -= sigma
-        terms = np.subtract(terms, q, out=terms if partials else None)
+        terms -= q
         partials.append(q.sum())
-    return math.fsum(partials + terms.tolist())
+    return partials + terms.tolist()
+
+
+def exact_sum(terms: np.ndarray) -> float:
+    """`math.fsum(terms.tolist())` of a 1-D float array, bit for bit, by vector passes.
+
+    fsum rounds the exact parts of a copy of terms (`_exact_parts`) once, so
+    the empty, zero, non-finite and outside-(2^-900, 2^900) cases keep
+    fsum's signed zeros, inf/nan results and exceptions.  fsum of the parts
+    of any split of an array is the same sum: every part is exact.
+    """
+    terms = np.array(terms, dtype=float)
+    return math.fsum(_exact_parts(terms, np.empty_like(terms)))
 
 
 def write_csv(path, nodes: np.ndarray, values: np.ndarray) -> None:

@@ -22,6 +22,9 @@ def test_measures_the_tables_the_operator_holds():
                               px.build_ball_quadrature(params, 12, 12))
     assert row["tables"] == sum(t.nbytes for t in op.kernel_table)
     assert row["gather"] == op.gather_index.nbytes
+    assert row["workspace"] == op.workspace.nbytes
     assert 0 < row["fill_transient"] and row["tables"] + row["gather"] < row["build_peak"]
-    # the solve's per-call transient: one warm power_adjoint beyond its output
-    assert row["power_adjoint_transient"] > 0
+    # the solve's per-call transients beyond each output: every table-size
+    # array is in the workspace
+    assert 0 < row["power_adjoint_transient"] <= 2 ** 16
+    assert 0 < row["bulk_energy_transient"] <= 2 ** 16

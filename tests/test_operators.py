@@ -1,6 +1,10 @@
 import gc
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import types
 import weakref
@@ -15,7 +19,8 @@ from scipy.integrate import quad
 
 import poissonext as px
 from poissonext.config import parse_config
-from poissonext.operators import _kernel_table, _power_inplace, _real_sph_design
+from poissonext.fields import _real_sph_design
+from poissonext.operators import _kernel_table, _power_inplace
 from poissonext.quadrature import _same_bits, write_csv
 
 
@@ -148,12 +153,27 @@ def _structured_op(case):
     return px.ExtensionOperator(params, sphere, px.build_ball_quadrature(params, 24, ang))
 
 
+def column_gather(op):
+    """op.gather_index in its column layout, sphere-half rows x turns, from its turn blocks."""
+    half = op.sphere.half
+    return np.concatenate([op.gather_index[half * lo:half * hi].reshape(half, hi - lo)
+                           for lo, hi in op.turn_blocks], axis=1)
+
+
+def _blocked_op(case, turns_per_block):
+    """The operator of `case` built with turn blocks of at most `turns_per_block` turns."""
+    half = px.build_sphere_quadrature(px.ProblemParams(*case[:2]), case[2]).half
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(px.operators, "_FILL_DOUBLES", half * turns_per_block)
+        return _structured_op(case)
+
+
 def _assert_scales_are_the_loops(op, area):
     """d and e of op are the bits of the Sinkhorn loop on the orbit sums, theta over `area`."""
     params, sphere, ball = op.params, op.sphere, op.ball
     # sums[r, o] = sum over class u's kept columns k of orbit o of
     # (1 + [k has a mirror]) kernel_table[u][r, k]
-    orbit, turns = _kernel_table(sphere, ball, params)[3], op.gather_index.shape[1]
+    orbit, turns = _kernel_table(sphere, ball, params)[3], op.table_shape[1]
     size = np.bincount(orbit)
     sums = np.empty((op.table_shape[0], len(size)))
     for u, (table, (kept, mirror, _)) in enumerate(zip(_kernel_table(sphere, ball, params)[0],
@@ -318,9 +338,15 @@ class TestStructuredProducts:
     def test_table_owns_its_memory_at_the_dense_mac_count(self, small_op):
         # class u multiplies its rows by its kept folded columns: one per
         # mirror pair, each serving a column and its antipodal partner
-        op = small_op
+        op, half = small_op, small_op.sphere.half
         rows, turns = op.table_shape
-        assert op.gather_index.base is None and op.gather_index.shape == (op.sphere.half, turns)
+        # the gather index is stored block-major: block (lo, hi) holds the
+        # columns' turns lo:hi in C order at offset half * lo
+        assert op.gather_index.base is None and op.gather_index.shape == (half * turns,)
+        assert op.turn_blocks == ((0, turns),)
+        assert np.array_equal(column_gather(op), _kernel_table(op.sphere, op.ball, op.params)[1])
+        for block, (lo, hi) in zip(op._blocks, op.turn_blocks):
+            assert block.gather.base is op.gather_index and block.gather.shape == (half, hi - lo)
         assert len(op.kernel_table) == len(op.fold_columns) == op.residues
         for table, (kept, mirror, _) in zip(op.kernel_table, op.fold_columns):
             assert table.base is None and table.flags.c_contiguous
@@ -379,6 +405,18 @@ class TestStructuredProducts:
                 tracemalloc.stop()
             held = sum(x.nbytes for x in (*tables, gather, orbit, *sum(columns, ())))
             assert peak - held <= 2 ** 20
+
+    def test_scaling_is_one_blocked_pass_with_the_bits_of_two(self, balance_op):
+        # the n3-balance-solve rules: a 960 x 210 class table, scaled in row
+        # blocks of 156 rows (the last of 24), must hold the bits of
+        # multiplying the whole table by d, then by e
+        op = balance_op
+        raw = _kernel_table(op.sphere, op.ball, op.params)[0]
+        for u, (table, (kept, _, _)) in enumerate(zip(raw, op.fold_columns)):
+            assert table.size > 2 * px.operators._FILL_DOUBLES
+            table *= op.row_scale[u::op.residues, None]
+            table *= op.col_scale[kept]
+            assert table.tobytes() == op.kernel_table[u].tobytes()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_default_rules_run_at_most_0_27_of_the_dense_macs(self, n):
@@ -463,13 +501,14 @@ class TestStructuredProducts:
         tables, gather, columns = op._general
         # every column, each class keeping one per mirror pair
         assert np.array_equal(gather[:, 0], np.arange(len(op.sphere)))
-        assert np.array_equal(op.gather_index[:, 0], np.arange(op.sphere.half))
+        assert np.array_equal(column_gather(op)[:, 0], np.arange(op.sphere.half))
         assert len(tables) == len(columns) == op.residues
         for table, (kept, mirror, _) in zip(tables, columns):
             assert table.base is None and table.shape == (op.table_shape[0] // op.residues,
                                                           len(op.sphere) - len(mirror))
         # the folded columns, then their partners, which gather the antipodes
-        pairs = np.concatenate([op.gather_index, op.sphere.antipode_index[op.gather_index]])
+        folded = column_gather(op)
+        pairs = np.concatenate([folded, op.sphere.antipode_index[folded]])
         assert np.array_equal(gather, pairs)
         op.adjoint_values(np.ones(len(op.ball)))
         assert op._general[0] is tables
@@ -823,18 +862,21 @@ class TestPowerAdjoint:
         pair[[j, op.sphere.antipode_index[j]]] = data.draw(st.floats(1e-2, 1e2))
         assert np.all(op.power_adjoint(pair, q) > 0)
 
-    def test_each_class_is_released_before_the_next_is_made(self, small_op, monkeypatch):
-        # a call's transient arrays stay near one class's plus the sum
-        made = []
-
-        def power(z, q):
-            assert all(ref() is None for ref in made)
-            made.append(weakref.ref(z))
-            return _power_inplace(z, q)
-
-        monkeypatch.setattr(px.operators, "_power_inplace", power)
-        small_op.power_adjoint(np.ones(len(small_op.sphere)), 5.0)
-        assert len(made) == small_op.residues
+    @pytest.mark.parametrize("rules", ["n2-fine-solve", "small-multi-block"])
+    def test_warm_products_peak_at_their_output_plus_64_kib(self, rules, fine_op):
+        # every table-size array of a call lives in the operator's workspace
+        op = fine_op if rules == "n2-fine-solve" else _blocked_op(STRUCTURED_CASES[3], 3)
+        assert len(op.turn_blocks) > 1
+        v = op.sphere.symmetrize(np.random.default_rng(0).uniform(0.5, 1.5, len(op.sphere)))
+        for call in (op.power_adjoint, op.bulk_energy):
+            call(v, op.params.q_exp)        # the traced call is warm
+            tracemalloc.start()
+            try:
+                out = call(v, op.params.q_exp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= np.asarray(out).nbytes + 2 ** 16, (call.__name__, peak)
 
     def test_in_place_spread_is_the_bits_of_the_summed_spreads(self, small_op, rng):
         # reference: each class's transpose product spread to every column,
@@ -852,6 +894,133 @@ class TestPowerAdjoint:
         v[-1] = np.nextafter(1.0, 2.0)
         with pytest.raises(ValueError, match="power_adjoint needs an antipodal v.*symmetrize"):
             fraction_op.power_adjoint(v, fraction_op.params.q_exp)
+
+
+@pytest.fixture(scope="module")
+def fine_op():
+    """The n2-fine-solve rules of perfbench/workloads.py: two turn blocks of 128 turns."""
+    params = px.ProblemParams(2, 0.5)
+    return px.ExtensionOperator(params, px.build_sphere_quadrature(params, 512),
+                                px.build_ball_quadrature(params, 120, 1024))
+
+
+@pytest.fixture(scope="module")
+def balance_op():
+    """The n3-balance-solve rules: one residue class, one turn block of 40 turns."""
+    params = px.ProblemParams(3, -0.5)
+    return px.ExtensionOperator(params, px.build_sphere_quadrature(params, 20),
+                                px.build_ball_quadrature(params, 96, 20))
+
+
+@pytest.fixture(scope="module", params=[STRUCTURED_CASES[0], STRUCTURED_CASES[3]],
+                ids=lambda c: "n%d-a%g-S%d-A%d" % c)
+def block_pair(request):
+    """(one-block operator, the same rules' operator in turn blocks of at most 3 of 8 turns)."""
+    return _structured_op(request.param), _blocked_op(request.param, 3)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# a benchmark process's heap history (perfbench/worker.py imported first),
+# then the minor faults of 20 warm calls of each solver product
+FAULT_PROBE = """
+import json, resource
+import worker
+import numpy as np
+import poissonext as px
+
+params = px.ProblemParams(2, 0.5)
+sphere = px.build_sphere_quadrature(params, 512)
+op = px.ExtensionOperator(params, sphere, px.build_ball_quadrature(params, 120, 1024))
+v = sphere.symmetrize(np.random.default_rng(0).uniform(0.5, 1.5, len(sphere)))
+faults = {}
+for call in (op.power_adjoint, op.bulk_energy):
+    call(v, params.q_exp)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        call(v, params.q_exp)
+    faults[call.__name__] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps(faults))
+"""
+
+
+class TestTurnBlocks:
+    """The table-layout products run in turn blocks through the operator's one workspace."""
+
+    def test_blocks_follow_the_fill_budget(self, fine_op):
+        # half x turns per block <= _FILL_DOUBLES; the workspace holds the
+        # gathered input and the spread sum (half rows each), the class input
+        # (129 kept columns at most) and the mirror input (128), 128 turns wide
+        op = fine_op
+        assert op.sphere.half * 128 == px.operators._FILL_DOUBLES
+        assert op.turn_blocks == ((0, 128), (128, 256))
+        assert op.workspace.base is None
+        assert op.workspace.nbytes == (256 + 256 + 129 + 128) * 128 * 8
+        for block, (lo, hi) in zip(op._blocks, op.turn_blocks):
+            for view in block[3:]:
+                assert view.base is op.workspace and view.flags.c_contiguous
+                assert view.shape[1] == hi - lo
+
+    def test_one_class_gathers_into_its_class_input_buffer(self, balance_op):
+        # with one class the gathered input (400 rows) lies after the class
+        # input's 210 kept rows, in the buffer of the 960-row power base
+        op = balance_op
+        (block,) = op._blocks
+        assert op.residues == 1 and op.turn_blocks == ((0, 40),)
+        assert op.workspace.nbytes == (960 + 960) * 40 * 8
+        kept = len(op.fold_columns[0][0])
+        assert kept == 210 and block.acc.shape == block.y.shape
+        assert block.acc.ctypes.data == block.y.ctypes.data
+        assert np.shares_memory(block.y, block.x[kept:]) and block.x.shape == (960, 40)
+        assert not np.shares_memory(block.y, block.x[:kept])
+        assert not np.shares_memory(block.x, block.z) and block.z.shape == (960, 40)
+
+    def test_uneven_blocks_cover_every_turn_once(self, block_pair):
+        one, blocked = block_pair
+        assert one.turn_blocks == ((0, 8),) and blocked.turn_blocks == ((0, 2), (2, 5), (5, 8))
+        assert np.array_equal(column_gather(blocked), column_gather(one))
+        assert blocked.gather_index.tobytes() != one.gather_index.tobytes()
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_blocks_agree_with_one_block(self, block_pair, data):
+        # the tables hold the same bits at any block size; T[(E v)^q] moves by
+        # the order of the per-block scatter sums, the bulk energy not at all
+        one, blocked = block_pair
+        q, hs, anti = one.params.q_exp, one.sphere.half, one.sphere.antipode_index
+        for a, b in zip(one.kernel_table, blocked.kernel_table):
+            assert a.tobytes() == b.tobytes()
+        v = antipodal_draw(data, one.sphere, st.floats(1e-3, 1e3))
+        got = blocked.power_adjoint(v, q)
+        assert max_rel(got, one.power_adjoint(v, q)) <= 1e-14
+        assert got[:hs].tobytes() == got[hs:].tobytes()
+        # the two-call form scatters block by block too
+        want = blocked.adjoint_table(blocked.extend_table(v) ** 2.5)
+        assert blocked.power_adjoint(v, 2.5).tobytes() == want.tobytes()
+        ext = blocked.extend_table(v)
+        integrand = blocked.row_weights[:, None] * (ext * _power_inplace(ext.copy(), q))
+        energy = blocked.bulk_energy(v, q)
+        assert energy == 2.0 * math.fsum(integrand.ravel().tolist())
+        assert abs(energy / one.bulk_energy(v, q) - 1.0) <= 1e-14
+        j = data.draw(st.integers(0, len(one.sphere) - 1))
+        pair = np.zeros(len(one.sphere))
+        pair[[j, anti[j]]] = data.draw(st.floats(1e-2, 1e2))
+        assert np.all(blocked.power_adjoint(pair, q) > 0)
+        assert np.all(blocked.extend_table(pair) > 0)
+
+    @pytest.mark.parametrize("malloc", [{}, {"MALLOC_MMAP_THRESHOLD_": "131072",
+                                              "MALLOC_TRIM_THRESHOLD_": "131072"}],
+                             ids=["import-first", "low-malloc-thresholds"])
+    def test_warm_products_take_no_minor_fault(self, malloc):
+        # one BLAS thread, as the benchmark pins it: a threaded BLAS call
+        # faults on buffers of its own
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", **malloc,
+                   PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"),
+                                               os.path.join(ROOT, "perfbench")]))
+        run = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        assert json.loads(run.stdout) == {"power_adjoint": 0, "bulk_energy": 0}
 
 
 class TestPowerInplace:

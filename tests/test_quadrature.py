@@ -14,7 +14,8 @@ from scipy import special
 from scipy.integrate import quad
 
 import poissonext as px
-from poissonext.quadrature import (_EXACT_SUM_PASSES, RADIAL_NODES_PER_PANEL, exact_sum,
+from poissonext.quadrature import (_EXACT_SUM_PASSES, RADIAL_NODES_PER_PANEL, _exact_parts,
+                                   exact_sum,
                                    gauss_legendre, graded_radial_rule, panel_rule, write_csv)
 
 
@@ -490,6 +491,33 @@ class TestExactSum:
             except OverflowError:
                 expected = math.inf if total > 0 else -math.inf
             assert doubled == struct.pack("<d", expected)
+
+    @given(terms=adversarial_terms(), cuts=st.lists(st.floats(0.0, 1.0), max_size=5))
+    @example(terms=np.array([-0.0, -0.0]), cuts=[0.5])
+    @example(terms=np.array([1.0, -1.0, -0.0]), cuts=[0.6])      # a zero piece, a cancelling one
+    @example(terms=np.array([5e-324, 1.0, 2.0 ** -1000]), cuts=[0.3, 0.7])
+    @example(terms=np.array([1e308, 1e308, -1e308]), cuts=[0.5])  # fsum of the whole overflows
+    @settings(deadline=None)
+    def test_parts_of_any_split_sum_to_fsum_bitwise(self, terms, cuts):
+        # the bulk energy sums its integrand as the exact parts of its blocks
+        bounds = sorted({0, len(terms), *(int(c * len(terms)) for c in cuts)})
+        pieces = [terms[lo:hi].copy() for lo, hi in zip(bounds, bounds[1:])]
+        parts = [part for piece in pieces for part in _exact_parts(piece, np.empty_like(piece))]
+        got = _fsum_outcome(lambda _: math.fsum(parts), terms)
+        whole = _fsum_outcome(lambda t: math.fsum(t.tolist()), terms)
+        if np.all(np.abs(terms) < 2.0 ** 900):
+            assert got == whole == _fsum_outcome(exact_sum, terms)
+        elif got != whole:
+            # a piece past 2^900 hands fsum its terms as they are, and whether
+            # fsum overflows on the way depends on the order it meets them in
+            assert OverflowError in (got[0], whole[0]), (got, whole)
+            if got[0] is not OverflowError and np.all(np.isfinite(terms)):
+                total = sum(map(Fraction, terms.tolist()))
+                try:
+                    expected = float(total)
+                except OverflowError:
+                    expected = math.inf if total > 0 else -math.inf
+                assert got == struct.pack("<d", expected)
 
     @pytest.mark.parametrize("profile", ["positive", "cancel"])
     def test_ball_integral_of_122880_terms(self, params_2d, profile):

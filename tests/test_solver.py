@@ -391,7 +391,8 @@ class TestMaximizeSubcritical:
     ):
         # every iterate is symmetrized, so the solve runs only the folded
         # tables: one fused pass T[(E v)^q] per candidate and one bulk energy
-        # for the returned lambda, each one product per residue class
+        # for the returned lambda, each one product per residue class and
+        # turn block
         prob = make_problem(params_2d, unit_weight_2d, 5.0, sphere_2d, ball_2d)
         op = prob.operator
         calls = {name: [] for name in ("power_adjoint", "bulk_energy", "extend_table",
@@ -415,9 +416,13 @@ class TestMaximizeSubcritical:
         # step's right-hand side
         assert len(calls["power_adjoint"]) == len(candidates) > rep["iterations"]
         assert calls["power_adjoint"] == [(len(sphere_2d),)] * len(candidates)
-        assert calls["bulk_energy"] == [()] and calls["_fold_product"] == [op.table_shape]
-        assert len(calls["_class_input"]) == op.residues * (len(candidates) + 1)
-        assert calls["extend_table"] == calls["adjoint_table"] == calls["_fold_transpose"] == []
+        assert calls["bulk_energy"] == [()]
+        passes = len(candidates) + 1
+        assert calls["_class_input"] == [
+            (len(kept), hi - lo) for lo, hi in op.turn_blocks
+            for kept, _, _ in op.fold_columns] * passes
+        assert calls["extend_table"] == calls["adjoint_table"] == []
+        assert calls["_fold_product"] == calls["_fold_transpose"] == []
         assert calls["extend_values"] == calls["adjoint_values"] == []
         assert op._general is None
 
@@ -468,20 +473,31 @@ class TestMaximizeSubcritical:
     @pytest.mark.parametrize("max_iter", [0, 2, 5000])
     def test_solve_runs_one_ball_length_exact_sum(self, max_iter, monkeypatch):
         # the steps compare pairings summed over the sphere nodes; only the
-        # returned lambda sums over the ball, once, whatever the step count
+        # returned lambda sums over the ball, once, whatever the step count:
+        # the bulk energy's exact parts, one call per residue class and turn
+        # block, over the upper half's table rows
         prob = replace(weighted_problem(3), max_iter=max_iter)
-        exact_sum, lengths = px.quadrature.exact_sum, []
+        op = prob.operator
+        exact_sum, exact_parts = px.quadrature.exact_sum, px.quadrature._exact_parts
+        lengths, ball_lengths = [], []
 
         def counted(terms):
             lengths.append(len(terms))
             return exact_sum(terms)
 
+        def counted_parts(terms, scratch):
+            ball_lengths.append(len(terms))
+            return exact_parts(terms, scratch)
+
         for module in (px.quadrature, px.operators):
             monkeypatch.setattr(module, "exact_sum", counted)
+        monkeypatch.setattr(px.operators, "_exact_parts", counted_parts)
         init = px.BoundaryFunction(worker.seeded_profile(np, prob.sphere.nodes, 2), prob.sphere)
         _, _, rep = px.maximize_subcritical(prob, init)
         assert rep["iterations"] == max_iter or rep["converged"]
-        assert [m for m in lengths if m > len(prob.sphere)] == [prob.ball.half]
+        assert max(lengths) <= len(prob.sphere)
+        assert len(ball_lengths) == op.residues * len(op.turn_blocks)
+        assert sum(ball_lengths) == prob.ball.half
         assert len(lengths) > 2 * rep["iterations"]
 
     def test_solve_returns_the_iterate_whose_residual_passed(self, monkeypatch):

@@ -3,14 +3,16 @@
     python3 tools/build_memory.py
 
 For the rules of every workload in perfbench/workloads.py, one line with,
-in MiB: the solver's kernel tables, its gather index, the transient peak of
+in MiB: the solver's kernel tables, its gather index, the workspace its
+table-layout products write through, the transient peak of
 `_kernel_table` (its traced peak minus the bytes of the arrays it returns),
 the traced peak of the whole build (quadratures and operator), and the
-transient of one warm `power_adjoint` call, the solve's per-call transient
-(its traced peak minus its output's bytes).  All five come from
-`tracemalloc`, so they do not depend on where the checkout sits or on the
-allocator's state, as RSS does.  poissonext is imported from the
-repository's src/; perfbench/ is only read.
+transients of one warm `power_adjoint` and one warm `bulk_energy` call,
+the solve's per-call transients (each traced peak minus its output's
+bytes).  All of them come from `tracemalloc`, so they do not depend on
+where the checkout sits or on the allocator's state, as RSS does.
+poissonext is imported from the repository's src/; perfbench/ is only
+read.
 """
 
 import importlib.util
@@ -60,11 +62,14 @@ def measure(spec: dict) -> dict:
         lambda: _kernel_table(sphere, ball, params))
     held = sum(x.nbytes for x in (*tables, gather, orbit, *sum(columns, ())))
     v = np.ones(len(sphere))
-    op.power_adjoint(v, params.q_exp)       # the traced call below is warm
-    g, adjoint_peak = traced(lambda: op.power_adjoint(v, params.q_exp))
-    return {"tables": sum(t.nbytes for t in op.kernel_table), "gather": op.gather_index.nbytes,
-            "fill_transient": fill_peak - held, "build_peak": build_peak,
-            "power_adjoint_transient": adjoint_peak - g.nbytes}
+    row = {"tables": sum(t.nbytes for t in op.kernel_table), "gather": op.gather_index.nbytes,
+           "workspace": op.workspace.nbytes, "fill_transient": fill_peak - held,
+           "build_peak": build_peak}
+    for call in (op.power_adjoint, op.bulk_energy):
+        call(v, params.q_exp)       # the traced call below is warm
+        out, peak = traced(lambda: call(v, params.q_exp))
+        row[f"{call.__name__}_transient"] = peak - np.asarray(out).nbytes
+    return row
 
 
 def main() -> None:
